@@ -1,0 +1,10 @@
+"""``python -m pytest perfbench/tests`` — outside tier-1's ``testpaths``."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
