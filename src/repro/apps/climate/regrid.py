@@ -11,7 +11,6 @@ SST) must not gain or lose their large-scale magnitude in transit.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 
 def regrid(field: np.ndarray, shape: tuple[int, int], *,
@@ -29,6 +28,10 @@ def regrid(field: np.ndarray, shape: tuple[int, int], *,
         raise ValueError(f"regrid expects a 2-D band, got {field.ndim}-D")
     if field.shape == tuple(shape):
         return field.copy()
+    # scipy is an optional (``test`` extra) dependency and costs ~0.25 s
+    # and ~20 MB to import; only mixed-resolution coupling needs it.
+    from scipy import ndimage
+
     factors = (shape[0] / field.shape[0], shape[1] / field.shape[1])
     out = ndimage.zoom(field, factors, order=1, grid_mode=True,
                        mode="nearest")

@@ -30,6 +30,7 @@ from ..core.buffers import Buffer
 from ..core.context import Context
 from ..testbeds import SP2Testbed, make_sp2
 from ..transports.base import WireMessage
+from ..transports.errors import TransportError
 from ..transports.fastbase import FastTransport
 
 #: Minimal header a hand-coded MPL program would use.
@@ -72,8 +73,10 @@ def raw_transport_pingpong(size: int, roundtrips: int, *,
     ctx_a = nexus.context(bed.hosts_a[0], "raw-a", methods=("local", method))
     ctx_b = nexus.context(bed.hosts_a[1], "raw-b", methods=("local", method))
     transport = nexus.transports.get(method)
-    assert isinstance(transport, FastTransport), (
-        "raw_transport_pingpong models device-polling transports")
+    if not isinstance(transport, FastTransport):
+        raise TransportError(
+            f"raw_transport_pingpong needs a device-polling (fast) "
+            f"transport; {method!r} is a {type(transport).__name__}")
     loop_cost = nexus.runtime_costs.poll_loop_cost
     nbytes = size + RAW_HEADER_BYTES
 
@@ -85,26 +88,13 @@ def raw_transport_pingpong(size: int, roundtrips: int, *,
                               payload=None, nbytes=nbytes)
         yield from transport.send(src, state, descriptor, message)
 
-    # The receive spin is the hottest app-level loop in Figure 4:
-    # ``charge`` and ``FastTransport.poll`` are inlined (same events,
-    # same order — one timeout per nonzero cost, then a drain) to skip
-    # two generator constructions per iteration.
-    sim = nexus.sim
-    poll_cost = transport.costs.poll_cost
-    method = transport.name
-
+    # The receive spin — a 1-instruction loop around the transport's own
+    # probe — is ``FastTransport.spin_collect``: same clock readings as
+    # polling every ``loop_cost + poll_cost``, but a constant number of
+    # events per message however long the wire time is, as the Nexus
+    # side's ``PollManager._idle_fast_forward`` has always had.
     def recv_one(me: Context):
-        # Peeking at the device queue dict skips the collect() frame on
-        # the (typical) iterations where nothing has even arrived yet;
-        # collect() with an empty queue returns [] and does nothing else.
-        queues = me._device_queues
-        while True:
-            if loop_cost > 0:
-                yield sim.timeout(loop_cost)
-            if poll_cost > 0:
-                yield sim.timeout(poll_cost)
-            if queues.get(method) and transport.collect(me):
-                return
+        return transport.spin_collect(me, loop_cost)
 
     marks: dict[str, float] = {}
 
@@ -126,7 +116,7 @@ def raw_transport_pingpong(size: int, roundtrips: int, *,
     done = nexus.spawn(side_a(), name="raw-pingpong-a")
     nexus.spawn(side_b(), name="raw-pingpong-b")
     nexus.run_until(done)
-    return PingPongResult(label=f"raw {method}", size=size,
+    return PingPongResult(label=f"raw {transport.name}", size=size,
                           roundtrips=roundtrips,
                           elapsed=marks["end"] - marks["start"])
 

@@ -77,9 +77,9 @@ class Simulator:
         # Shadow the ``timeout`` method with a C-level partial: timeouts
         # are created hundreds of thousands of times per run and the
         # wrapper frame was measurable.  ``Timeout`` validates the delay
-        # and defaults value/priority/name itself, so the binding is
-        # behaviourally identical (the method below stays as the
-        # documented signature).
+        # and takes (delay, value, name) in the documented order, so the
+        # binding is behaviourally identical (the method below stays as
+        # the documented signature).
         self.timeout = functools.partial(Timeout, self)
 
     # -- time --------------------------------------------------------------
@@ -110,7 +110,19 @@ class Simulator:
     def timeout(self, delay: float, value: object = None,
                 name: str | None = None) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value, NORMAL, name)
+        return Timeout(self, delay, value, name)
+
+    def timeout_at(self, when: float, value: object = None,
+                   name: str | None = None) -> Timeout:
+        """An event that fires at the absolute simulated time ``when``.
+
+        The clock then reads exactly ``when``, which ``timeout(when -
+        now)`` cannot promise: ``now + (when - now)`` need not round back
+        to ``when``.  A ``when`` earlier than now is a
+        :class:`ScheduleError`; ``when == now`` is ordered like a
+        zero-delay timeout.
+        """
+        return Timeout.at(self, when, value, name)
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         """An event that fires when every event in ``events`` has fired."""

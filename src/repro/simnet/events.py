@@ -210,13 +210,17 @@ class Timeout(Event):
     """An event that triggers automatically after a fixed delay.
 
     Created via :meth:`Simulator.timeout`; ``yield sim.timeout(d)`` suspends
-    the current process for ``d`` simulated seconds.
+    the current process for ``d`` simulated seconds.  :meth:`at` (reached
+    through :meth:`Simulator.timeout_at`) names the instant instead.
     """
 
     __slots__ = ("delay",)
 
+    # ``name`` precedes ``priority`` so that the positional order matches
+    # the documented ``Simulator.timeout(delay, value=None, name=None)``,
+    # which reaches this constructor through a ``functools.partial``.
     def __init__(self, sim: "Simulator", delay: float, value: object = None,
-                 priority: int = NORMAL, name: str | None = None):
+                 name: str | None = None, priority: int = NORMAL):
         if delay < 0:
             raise ScheduleError(f"negative timeout delay {delay!r}")
         # Flattened Event.__init__ and inlined Simulator._enqueue — this
@@ -243,6 +247,36 @@ class Timeout(Event):
                 sim._ready_urgent.append((sim._clock._now, URGENT, seq, self))
                 return
         heappush(sim._heap, (sim._clock._now + delay, priority, seq, self))
+
+    @classmethod
+    def at(cls, sim: "Simulator", when: float, value: object = None,
+           name: str | None = None) -> "Timeout":
+        """A timeout that fires at the absolute simulated time ``when``.
+
+        ``Timeout(sim, when - now)`` is not the same thing: the engine
+        would schedule it at ``now + (when - now)``, which floating point
+        does not promise to be ``when``.  A caller that has computed an
+        instant by other means (a sum of many small costs, say) and needs
+        the clock to read exactly that value uses this constructor.
+        """
+        when = float(when)
+        now = sim._clock._now
+        if not when >= now:  # also rejects NaN
+            raise ScheduleError(
+                f"timeout at {when!r} is in the past (now={now!r})")
+        self = cls.__new__(cls)
+        Event.__init__(self, sim, name)
+        self._ok = True
+        self._value = value
+        self._scheduled = True
+        self.delay = when - now
+        seq = sim._seq + 1
+        sim._seq = seq
+        # Always the heap, even for ``when == now``: the engine takes the
+        # minimum (t, priority, seq) over the heap and the ready deques,
+        # so the entry keeps its place among zero-delay events.
+        heappush(sim._heap, (when, NORMAL, seq, self))
+        return self
 
 
 class ConditionValue:

@@ -36,7 +36,12 @@ from .base import (
     Transport,
     WireMessage,
 )
-from .errors import DeliveryError
+from .errors import DeliveryError, TransportError
+
+#: Clock slack of the readiness test: a poll at ``now`` delivers a
+#: message whose :meth:`FastTransport.deliverable_at` is no later than
+#: ``now + _READY_SLACK``.
+_READY_SLACK = 1e-15
 
 
 class FastTransport(Transport):
@@ -129,20 +134,88 @@ class FastTransport(Transport):
         if not queue:
             return []
         now = self.sim._clock._now
-        overlap = self._drain_overlap
-        if overlap is None:
-            overlap = self._drain_overlap = self._overlap()
         foreign_now = context.foreign_poll_total
         ready: list[WireMessage] = []
         while queue:
             transit = queue[0]
-            penalty = (1.0 - overlap) * (foreign_now - transit.foreign_at_arrival)
-            if now + 1e-15 < transit.ready_at + penalty:
+            if now + _READY_SLACK < self.deliverable_at(transit, foreign_now):
                 break  # device is FIFO: later messages cannot overtake
             queue.pop(0)
             transit.message.arrived_at = now
             ready.append(transit.message)
         return ready
+
+    def deliverable_at(self, transit: InTransitMessage,
+                       foreign_now: float) -> float:
+        """Clock reading from which a poll delivers ``transit``, given the
+        context's ``foreign_poll_total`` at the time of asking (the
+        module docstring's formula; it only grows as foreign polls
+        accumulate)."""
+        overlap = self._drain_overlap
+        if overlap is None:
+            overlap = self._drain_overlap = self._overlap()
+        return transit.ready_at + (1.0 - overlap) * (
+            foreign_now - transit.foreign_at_arrival)
+
+    def spin_collect(self, context: ContextLike, loop_cost: float):
+        """Generator: spin on this method alone until a poll delivers.
+
+        The hand-coded receive loop of a single-method program — charge
+        ``loop_cost``, :meth:`poll`, repeat until the poll returns
+        messages — and it returns what that poll returned.  The clock
+        reading at every delivery is bit for bit the one the loop would
+        have reached, but the empty polls are not simulated one event
+        pair each: the spin sleeps until a message reaches the device,
+        then *walks* the poll grid to the first instant at which
+        :meth:`collect` can deliver and sleeps once more, to exactly that
+        instant.  The walk repeats the loop's own float additions (``t +
+        loop_cost``, then ``+ poll_cost``, per iteration); ``n * cycle``
+        would round differently and land beside the grid.
+
+        Exact provided this spin is the only collector of this method's
+        queue at ``context``.  Foreign polls by other processes of the
+        context are allowed: they only push deliverability later, which
+        the :meth:`collect` at the chosen instant discovers, and the walk
+        resumes from there.
+        """
+        poll_cost = self.costs.poll_cost
+        if not loop_cost + poll_cost > 0:
+            raise TransportError(
+                f"{self.name} spin with loop cost {loop_cost!r} and poll "
+                f"cost {poll_cost!r} would never advance the clock")
+        sim = self.sim
+        clock = sim._clock
+        queues = context._device_queues  # type: ignore[attr-defined]
+        t = clock._now  # the grid instant the spin has reached
+        while True:
+            queue = queues.get(self.name)
+            if not queue:
+                yield context.arrival_signal()  # type: ignore[attr-defined]
+                continue
+            deliverable = self.deliverable_at(queue[0],
+                                              context.foreign_poll_total)
+            while True:
+                t = t + loop_cost
+                t = t + poll_cost
+                if not t + _READY_SLACK < deliverable:
+                    break
+            # A message that reached the device while the spin slept
+            # still has to drain (nbytes / bandwidth, far above the slack
+            # for every model in ``costmodels``), so no grid instant up to
+            # and including the arrival instant can deliver it.  Were one
+            # to, whether the loop saw the message there would hang on
+            # same-instant event order, which this spin does not
+            # reproduce.
+            if t <= clock._now:
+                raise TransportError(
+                    f"{self.name} spin: poll instant {t!r} delivers no "
+                    f"later than the clock ({clock._now!r}): a message "
+                    "drained in zero time, or the costs are below the "
+                    "clock's resolution")
+            yield sim.timeout_at(t)
+            messages = self.collect(context)
+            if messages:
+                return messages
 
     def pending_transit(self, context: ContextLike) -> int:
         """Number of messages still draining at ``context`` (enquiry)."""

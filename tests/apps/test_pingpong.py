@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
+from repro.testbeds import make_sp2
+from repro.transports.errors import TransportError
 
 
 class TestRawPingPong:
@@ -22,6 +24,13 @@ class TestRawPingPong:
         result = raw_transport_pingpong(size, 10)
         bandwidth = 36 * 1024 * 1024
         assert result.one_way >= size / bandwidth
+
+    def test_non_polling_method_is_a_typed_error(self):
+        """TCP has no device queue to spin on; the check must survive
+        ``python -O`` (it used to be an ``assert``)."""
+        bed = make_sp2(nodes_a=2, nodes_b=0)
+        with pytest.raises(TransportError, match="'tcp'"):
+            raw_transport_pingpong(0, 1, method="tcp", testbed=bed)
 
 
 class TestNexusPingPong:

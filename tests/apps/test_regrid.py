@@ -1,6 +1,9 @@
 """Tests for coupler regridding, including mixed-resolution coupling."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,22 @@ import pytest
 from repro.apps.climate import ClimateMode, run_coupled_model
 from repro.apps.climate.config import TEST_CONFIG, ClimateConfig
 from repro.apps.climate.regrid import regrid
+
+
+def test_bench_imports_without_scipy():
+    """scipy is a ``test`` extra, needed only for mixed-resolution
+    coupling: a plain install must still import (and launch) the bench
+    harness and every app."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "import repro.bench, repro.apps; "
+            "assert not any(name.startswith('scipy.') for name in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 class TestRegrid:

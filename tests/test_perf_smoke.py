@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.apps.pingpong import nexus_pingpong
+from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
 from repro.simnet import Simulator
 
 #: Conservative floors (simulator events per second of wall time).
@@ -78,3 +78,17 @@ def test_full_stack_throughput():
     assert rate > STACK_FLOOR, (
         f"stack throughput {rate:,.0f} events/s below the "
         f"{STACK_FLOOR:,} floor — hot-path regression?")
+
+
+def test_raw_spin_events_do_not_grow_with_message_size():
+    """Deterministic tripwire for the raw baseline's spin elision: the
+    hand-coded MPL ping-pong costs the same number of events per message
+    whatever the wire time (it used to pay two per empty poll: 1,600
+    events at 0 B, 174,332 at 256 KiB for the same round trips)."""
+
+    def events(size):
+        with obs.watching_runtimes() as watched:
+            raw_transport_pingpong(size, 48)
+        return sum(nexus.sim.events_processed for nexus in watched)
+
+    assert events(0) == events(256 * 1024)
