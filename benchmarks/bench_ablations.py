@@ -6,21 +6,20 @@
 * lightweight startpoints (Section 3.1's size optimisation).
 """
 
-from repro.bench import (
+from repro.bench.ablations import (
     ablation_adaptive_skip,
     ablation_blocking_poll,
     ablation_lightweight_startpoints,
     ablation_mpi_layering,
     ablation_rendezvous,
-    record_ablations,
 )
 
 
 def test_blocking_poll(run_once, bench_record):
     result = run_once(ablation_blocking_poll)
     print()
-    print(result.table.render(1))
-    record_ablations(bench_record, blocking=result)
+    print(result.render())
+    bench_record.extend("ablations", result.metrics())
     # Paper: blocking detection leaves MPL essentially at single-method
     # speed while TCP detection does not suffer.
     assert result.mpl_blocking <= result.mpl_skip20 * 1.05
@@ -32,13 +31,13 @@ def test_mpi_layering(run_once, bench_record):
     result = run_once(ablation_mpi_layering)
     print(f"\nMPI-on-Nexus layering overhead: {result.overhead * 100:.1f}% "
           f"(paper reports ~6% on the full climate model)")
-    record_ablations(bench_record, layering=result)
+    bench_record.extend("ablations", result.metrics())
     assert 0.0 < result.overhead < 0.15
 
 
 def test_adaptive_skip(run_once, bench_record):
     result = run_once(ablation_adaptive_skip)
-    record_ablations(bench_record, adaptive=result)
+    bench_record.extend("ablations", result.metrics())
     print(f"\nadaptive skip_poll: MPL one-way "
           f"{result.adaptive_mpl * 1e6:.1f} us vs best static "
           f"{result.best_static_mpl() * 1e6:.1f} us; final skip values "
@@ -52,7 +51,7 @@ def test_adaptive_skip(run_once, bench_record):
 
 def test_lightweight_startpoints(run_once, bench_record):
     sizes = run_once(ablation_lightweight_startpoints)
-    record_ablations(bench_record, startpoints=sizes)
+    bench_record.extend("ablations", sizes.metrics())
     print(f"\nstartpoint wire size: full={sizes.full_bytes} B, "
           f"lightweight={sizes.lightweight_bytes} B "
           f"({sizes.saving * 100:.0f}% saving)")
@@ -63,7 +62,7 @@ def test_lightweight_startpoints(run_once, bench_record):
 
 def test_rendezvous_protocol(run_once, bench_record):
     result = run_once(ablation_rendezvous)
-    record_ablations(bench_record, rendezvous=result)
+    bench_record.extend("ablations", result.metrics())
     print(f"\neager vs rendezvous (6 x 512 KB burst, late receiver):")
     print(f"  completion: eager {result.eager_time * 1e3:.1f} ms, "
           f"rendezvous {result.rendezvous_time * 1e3:.1f} ms")

@@ -15,8 +15,7 @@ over all three and checks the structural expectations:
 """
 
 from repro.baselines import run_mixed_workload
-from repro.bench import record_baselines
-from repro.util.records import ResultTable
+from repro.bench.baselines import Baselines
 
 
 def test_baselines(run_once, bench_record):
@@ -31,13 +30,10 @@ def test_baselines(run_once, bench_record):
         return rows
 
     rows = run_once(drive)
-    record_baselines(bench_record, rows)
-    table = ResultTable("Mixed workload: prior art vs multimethod Nexus",
-                        ["ms/round"])
-    for label, result in rows.items():
-        table.add(label, result.time_per_round * 1e3)
+    result = Baselines(rows)
+    bench_record.extend("baselines", result.metrics())
     print()
-    print(table.render())
+    print(result.render())
 
     p4 = rows["p4 (hard-coded, full polling)"].time_per_round
     pvm = rows["pvm (daemon relay)"].time_per_round

@@ -6,14 +6,12 @@ of microseconds of TCP-polling overhead at 0 bytes; single-method
 converges to raw at large sizes while multimethod stays above.
 """
 
-from repro.bench import check_figure4_shape, figure4, record_figure4
+from repro.bench.figure4 import check_figure4_shape, figure4
 
 
 def test_figure4(run_once, bench_record):
     fig = run_once(figure4, 80)
     print()
     print(fig.render())
-    print()
-    print(fig.render_charts())
-    record_figure4(bench_record, fig)
+    bench_record.extend("figure4", fig.metrics())
     check_figure4_shape(fig)

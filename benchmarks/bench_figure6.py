@@ -5,14 +5,12 @@ the TCP pair degrades as skip_poll grows; a moderate value (the paper's
 ~20 region) captures most of the MPL win before TCP degrades badly.
 """
 
-from repro.bench import check_figure6_shape, figure6, record_figure6
+from repro.bench.figure6 import check_figure6_shape, figure6
 
 
 def test_figure6(run_once, bench_record):
     fig = run_once(figure6)
     print()
     print(fig.render())
-    print()
-    print(fig.render_charts())
-    record_figure6(bench_record, fig)
+    bench_record.extend("figure6", fig.metrics())
     check_figure6_shape(fig)

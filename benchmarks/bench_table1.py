@@ -8,12 +8,12 @@ detection region rising; tuned polling beats forwarding; all-TCP is
 several times worse than any multimethod row.
 """
 
-from repro.bench import check_table1_shape, record_table1, table1
+from repro.bench.table1 import check_table1_shape, table1
 
 
 def test_table1(run_once, bench_record):
     table = run_once(table1)
     print()
     print(table.render())
-    record_table1(bench_record, table)
+    bench_record.extend("table1", table.metrics())
     check_table1_shape(table)

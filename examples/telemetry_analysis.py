@@ -32,7 +32,7 @@ def main() -> None:
           f"{scenario.duration * 1e3:.0f} ms offered window carved into "
           f"{scenario.timeline_windows} timeline windows")
 
-    bench = analysis_bench(quick=True)
+    bench = analysis_bench()
     result = bench.chaos_result
     timeline = result.timeline
     assert timeline is not None
@@ -63,7 +63,7 @@ def main() -> None:
     for edge in bench.graph.edge_list():
         print(f"  {edge.src} -> {edge.dst} over {edge.method:>4}: "
               f"{edge.messages} msgs, {edge.bytes} B")
-    cut = bench.partition_costs["cut_fraction_bytes"]
+    cut = bench.partition_costs.cut_fraction_bytes
     print(f"  partition cut carries {cut:.0%} of the bytes")
 
     top = bench.paths[0]

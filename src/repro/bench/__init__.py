@@ -1,92 +1,81 @@
 """repro.bench — experiment drivers regenerating the paper's evaluation.
 
-One module per paper artefact:
+One module per artefact, one protocol for all of them.  Each module
+ends with ``ARTEFACT = Artefact(name, run, check, ...)``:
+``run(options)`` takes a :class:`RunOptions` and returns a result
+object with ``render() -> str`` (everything the CLI prints) and
+``metrics() -> Iterable[Metric]`` (everything ``--record`` stores);
+``check(result)`` asserts the qualitative shape criteria from
+DESIGN.md.  :data:`ARTEFACTS` is the one ordered table, ``name ->
+module path``, resolved by :func:`artefact` on use; the serial CLI
+loop, the ``--wall`` tier, the ``--jobs`` fleet runner and
+``--selfcheck`` all walk it and call :meth:`Artefact.execute`.
+Adding an artefact is one module plus one table line; the
+``benchmarks/`` pytest files are thin wrappers over the same drivers.
 
-* :mod:`repro.bench.figure4` — one-way ping-pong time vs message size
-  (raw MPL / Nexus single-method / Nexus multimethod), both panels.
-* :mod:`repro.bench.figure6` — dual ping-pong one-way times vs
-  ``skip_poll``, 0-byte and 10 kB panels.
-* :mod:`repro.bench.table1` — coupled-model seconds/timestep for every
-  Table 1 row plus the all-TCP baseline.
-* :mod:`repro.bench.ablations` — blocking-handler polling, the
-  MPI-layering cost, adaptive skip_poll, and the lightweight-startpoint
-  optimisation.
-* :mod:`repro.bench.load` — the load tier: SLO-gated workload
-  scenarios and the tuned-polling vs forwarding capacity comparison
-  (:mod:`repro.load`).
-* :mod:`repro.bench.analysis` — the analysis tier: windowed chaos
-  telemetry with recovery time, the communication graph of the
-  forwarding run, and critical-path attribution (:mod:`repro.obs`).
-
-Each driver returns :class:`~repro.util.records.Series` /
-:class:`~repro.util.records.ResultTable` objects, renders them in the
-paper's row/series format, and provides ``check_shape`` functions with
-the qualitative criteria from DESIGN.md.  The ``benchmarks/`` pytest
-files are thin wrappers over these drivers.
-
-:mod:`repro.bench.record` gives the same numbers a machine-readable
-form: a schema-versioned, byte-deterministic ``BENCH_<label>.json``
-document per run plus the baseline regression gate behind
+:mod:`repro.bench.record` gives the numbers a machine-readable form: a
+schema-versioned, byte-deterministic ``BENCH_<label>.json`` document
+per run plus the baseline regression gate behind
 ``python -m repro.bench --baseline BASE.json --check``.
 """
 
-from .analysis import AnalysisBench, analysis_bench, check_analysis_shape
-from .figure4 import figure4, check_figure4_shape
-from .figure6 import figure6, check_figure6_shape
-from .load import LoadBench, check_load_shape, load_bench
-from .record import (
-    BenchRecord,
-    compare_records,
-    load_record,
-    record_ablations,
-    record_analysis,
-    record_baselines,
-    record_figure4,
-    record_figure6,
-    record_load,
-    record_observability,
-    record_table1,
-    record_windowed,
-    validate_record_document,
-)
-from .table1 import table1, check_table1_shape
-from .ablations import (
-    ablation_adaptive_skip,
-    ablation_blocking_poll,
-    ablation_lightweight_startpoints,
-    ablation_mpi_layering,
-    ablation_rendezvous,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AnalysisBench",
-    "BenchRecord",
-    "LoadBench",
-    "ablation_adaptive_skip",
-    "analysis_bench",
-    "ablation_blocking_poll",
-    "ablation_lightweight_startpoints",
-    "ablation_mpi_layering",
-    "ablation_rendezvous",
-    "check_analysis_shape",
-    "check_figure4_shape",
-    "check_figure6_shape",
-    "check_load_shape",
-    "check_table1_shape",
-    "compare_records",
-    "figure4",
-    "figure6",
-    "load_bench",
-    "load_record",
-    "record_ablations",
-    "record_analysis",
-    "record_baselines",
-    "record_figure4",
-    "record_figure6",
-    "record_load",
-    "record_observability",
-    "record_table1",
-    "record_windowed",
-    "table1",
-    "validate_record_document",
-]
+import dataclasses
+import importlib
+import typing as _t
+
+
+@dataclasses.dataclass(frozen=True)
+class RunOptions:
+    """Everything the CLI flags tell an artefact's ``run`` (picklable)."""
+
+    quick: bool = False
+    #: ``--export-dir``: where exporting artefacts write their documents.
+    export_dir: str | None = None
+    #: ``--stream-dir`` / ``--sample`` / ``--sample-seed``: span spooling.
+    stream_dir: str | None = None
+    sample: str | None = None
+    sample_seed: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class Artefact:
+    """One table entry: how to run, check and select an artefact."""
+
+    name: str
+    #: Returns a result with ``render()`` and ``metrics()``.
+    run: _t.Callable[[RunOptions], _t.Any]
+    #: Shape criteria; ``None`` for artefacts that assert nothing.
+    check: _t.Callable[[_t.Any], None] | None = None
+    #: The shape check also holds at ``--quick`` workload sizes.
+    check_quick: bool = False
+    #: Part of the default "run everything" selection.
+    default: bool = True
+
+    def execute(self, options: RunOptions) -> tuple[_t.Any, str]:
+        """Run, render, check: the work every dispatcher does (and the
+        wall tier times).  Returns the result and its printed form."""
+        result = self.run(options)
+        text = result.render()
+        if self.check is not None and (self.check_quick
+                                       or not options.quick):
+            self.check(result)
+            text += "\nshape: OK"
+        return result, text
+
+
+#: Every artefact, in run order: name -> module holding its ``ARTEFACT``.
+ARTEFACTS: dict[str, str] = {
+    name: f"{__name__}.{name}"
+    for name in ("figure4", "figure6", "table1", "ablations", "baselines",
+                 "chaos", "load", "analysis", "place", "fleet")
+}
+
+
+def artefact(name: str) -> Artefact:
+    """Resolve one table entry (imports its module on first use)."""
+    if name not in ARTEFACTS:
+        raise LookupError(f"unknown bench artefact {name!r}; choose from "
+                          f"{', '.join(ARTEFACTS)}")
+    return importlib.import_module(ARTEFACTS[name]).ARTEFACT

@@ -12,6 +12,7 @@ Usage::
     python -m repro.bench --quick --jobs 4 --record BENCH_quick.json
     python -m repro.bench --wall --quick --record BENCH_wall.json \\
         --baseline benchmarks/BENCH_wall_baseline.json --check
+    python -m repro.bench --selfcheck --quick   # run twice, cmp, validate
     python -m repro.bench --list
 
 The pytest benchmarks (`pytest benchmarks/ --benchmark-only`) are the
@@ -35,239 +36,41 @@ at the generous ``--wall-tolerance`` band while the deterministic
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 import typing as _t
 
 from .. import obs as _obs
 from ..util.report import hot_path_report
-from .ablations import (
-    ablation_adaptive_skip,
-    ablation_blocking_poll,
-    ablation_lightweight_startpoints,
-    ablation_mpi_layering,
-    ablation_rendezvous,
-)
-from .figure4 import check_figure4_shape, figure4
-from .figure6 import check_figure6_shape, figure6
+from . import ARTEFACTS, RunOptions, artefact
 from .record import (
+    KIND_COUNT,
     KIND_WALL,
     WALL_TOLERANCE,
     BenchRecord,
     compare_records,
     load_record,
-    record_ablations,
-    record_baselines,
-    record_chaos,
-    record_figure4,
-    record_figure6,
-    record_load,
-    record_observability,
-    record_table1,
 )
-from .table1 import check_table1_shape, table1
 from .wall import DEFAULT_WALL_RUNS, measure_artefact, record_wall
 
 
-def _run_figure4(quick: bool, record: BenchRecord | None) -> None:
-    fig = figure4(roundtrips=30 if quick else 100)
-    print(fig.render())
-    print()
-    print(fig.render_charts())
-    if record is not None:
-        record_figure4(record, fig)
-    if not quick:  # quick runs quantise too coarsely to assert shapes
-        check_figure4_shape(fig)
-        print("shape: OK")
-
-
-def _run_figure6(quick: bool, record: BenchRecord | None) -> None:
-    fig = figure6(mpl_roundtrips=150 if quick else 400)
-    print(fig.render())
-    print()
-    print(fig.render_charts())
-    if record is not None:
-        record_figure6(record, fig)
-    if not quick:
-        check_figure6_shape(fig)
-        print("shape: OK")
-
-
-def _run_table1(quick: bool, record: BenchRecord | None) -> None:
-    config = None
-    if quick:
-        import dataclasses
-
-        from ..apps.climate import ClimateConfig
-        config = dataclasses.replace(ClimateConfig(), steps=2)
-    result = table1(config=config)
-    print(result.render())
-    if record is not None:
-        record_table1(record, result)
-    if not quick:
-        check_table1_shape(result)
-        print("shape: OK")
-
-
-def _run_ablations(quick: bool, record: BenchRecord | None) -> None:
-    blocking = ablation_blocking_poll(
-        mpl_roundtrips=150 if quick else 400)
-    print(blocking.table.render(1))
-    layering = ablation_mpi_layering()
-    print(f"\nMPI-on-Nexus layering overhead: {layering.overhead:.1%}")
-    adaptive = ablation_adaptive_skip(mpl_roundtrips=200 if quick else 600)
-    print(f"adaptive skip_poll: MPL {adaptive.adaptive_mpl * 1e6:.1f} us "
-          f"(best static {adaptive.best_static_mpl() * 1e6:.1f} us); "
-          f"final skips {adaptive.final_skips}")
-    sizes = ablation_lightweight_startpoints()
-    print(f"startpoint wire size: {sizes.full_bytes} B full, "
-          f"{sizes.lightweight_bytes} B lightweight "
-          f"({sizes.saving:.0%} saving)")
-    rendezvous = ablation_rendezvous(messages=4 if quick else 6)
-    print(f"eager vs rendezvous: parked bytes "
-          f"{rendezvous.eager_parked_bytes} -> "
-          f"{rendezvous.rendezvous_parked_bytes} "
-          f"({rendezvous.parked_reduction:.0%} reduction) at "
-          f"{(rendezvous.rendezvous_time / rendezvous.eager_time - 1):.0%} "
-          "extra completion time")
-    if record is not None:
-        record_ablations(record, blocking=blocking, layering=layering,
-                         adaptive=adaptive, startpoints=sizes,
-                         rendezvous=rendezvous)
-
-
-def _run_baselines(quick: bool, record: BenchRecord | None) -> None:
-    from ..baselines import run_mixed_workload
-    from ..util.records import ResultTable
-
-    rounds = 10 if quick else 30
-    results = {
-        "p4 (hard-coded)": run_mixed_workload("p4", rounds=rounds),
-        "pvm (daemon relay)": run_mixed_workload("pvm", rounds=rounds),
-    }
-    for skip in (1, 20):
-        results[f"nexus skip_poll={skip}"] = run_mixed_workload(
-            "nexus", rounds=rounds, skip_poll=skip)
-    table = ResultTable("Prior art vs multimethod Nexus", ["ms/round"])
-    for label, result in results.items():
-        table.add(label, result.time_per_round * 1e3)
-    print(table.render())
-    if record is not None:
-        record_baselines(record, results)
-
-
-def _run_chaos(quick: bool, record: BenchRecord | None) -> None:
-    from ..apps.climate import run_chaos_climate
-    from ..util.units import format_time
-
-    result = run_chaos_climate(seed=0)
-    print(f"TCP outage at t={format_time(result.outage_start)} for "
-          f"{format_time(result.outage_duration)} "
-          f"(run lasts {format_time(result.climate.total_time)})")
-    for when, line in result.timeline():
-        print(f"  {format_time(when):>10}  {line}")
-    print(f"recovery: {result.retries} retries, "
-          f"{result.failovers} failovers, {result.probes} probes")
-    if not result.recovered:
-        raise AssertionError("chaos run did not recover TCP")
-    if record is not None:
-        record_chaos(record, result)
-    if not quick:
-        print("shape: OK")
-
-
-def _run_load(quick: bool, record: BenchRecord | None) -> None:
-    from .load import check_load_shape, load_bench
-
-    bench = load_bench(quick=quick)
-    print(bench.render())
-    for verdict in bench.verdicts.values():
-        print(verdict.summary())
-    if record is not None:
-        record_load(record, bench)
-    if not quick:
-        check_load_shape(bench)
-        print("shape: OK")
-
-
-def _run_analysis(quick: bool, record: BenchRecord | None) -> None:
-    from .analysis import analysis_bench, check_analysis_shape
-    from .record import record_analysis
-
-    bench = analysis_bench(quick=quick)
-    print(bench.render())
-    print(bench.chaos_verdict.summary())
-    for label, result in (("chaos", bench.chaos_result),
-                          ("forward", bench.forward_result)):
-        if result.stream is not None:
-            stream = result.stream
-            print(f"stream[{label}]: {stream['spans_emitted']} spans "
-                  f"({stream['spans_sampled_out']} sampled out) in "
-                  f"{stream['shards']} shard(s), "
-                  f"{stream['bytes_written']} bytes, peak "
-                  f"{stream['peak_open_spans']} open spans "
-                  f"-> {stream['directory']}")
-    if record is not None:
-        record_analysis(record, bench)
-    # The analysis workload is mode-independent (one short, tuned run),
-    # so the shape criteria hold in quick CI too.
-    check_analysis_shape(bench)
-    print("shape: OK")
-
-
-def _run_place(quick: bool, record: BenchRecord | None) -> None:
-    from .place import check_place_shape, place_bench
-    from .record import record_place
-
-    bench = place_bench(quick=quick)
-    print(bench.render())
-    print(bench.search.summary())
-    print(f"hill-climb from direct: {bench.hill.label} "
-          f"(static {bench.hill.static.static_capacity:.1f}/s); "
-          f"static/simulated agreement {bench.agreement:.2f} "
-          f"at jobs={bench.jobs}")
-    if record is not None:
-        record_place(record, bench)
-    # The placement workload is mode-independent (one short profile
-    # plus a few bisection probes), so the §4.3-rediscovery shape
-    # criteria hold in quick CI too.
-    check_place_shape(bench)
-    print("shape: OK")
-
-
-def _run_fleet(quick: bool, record: BenchRecord | None) -> None:
-    from .fleet import check_fleet_shape, fleet_scaling
-    from .record import record_fleet
-
-    scaling = fleet_scaling(quick=quick)
-    print(scaling.render())
-    if record is not None:
-        record_fleet(record, scaling)
-    check_fleet_shape(scaling)
-    print("shape: OK")
-
-
-ARTEFACTS: dict[str, _t.Callable[[bool, BenchRecord | None], None]] = {
-    "figure4": _run_figure4,
-    "figure6": _run_figure6,
-    "table1": _run_table1,
-    "ablations": _run_ablations,
-    "baselines": _run_baselines,
-    "chaos": _run_chaos,
-    "load": _run_load,
-    "analysis": _run_analysis,
-    "place": _run_place,
-}
-
-#: Opt-in artefacts: runnable by name, excluded from the default "run
-#: everything" selection (the fleet tier times multi-process scaling,
-#: which would perturb — and be perturbed by — the rest of the suite).
-EXTRA_ARTEFACTS: dict[str, _t.Callable[[bool, BenchRecord | None],
-                                       None]] = {
-    "fleet": _run_fleet,
-}
-
-ALL_ARTEFACTS = {**ARTEFACTS, **EXTRA_ARTEFACTS}
+def record_observability(record: BenchRecord, name: str,
+                         runs: _t.Sequence[tuple[_t.Any, _t.Any]]) -> None:
+    """Span/RSR totals for one artefact's traced runtimes."""
+    if not runs:
+        return
+    record.add(name, "trace.runtimes", len(runs),
+               unit="runtimes", kind=KIND_COUNT)
+    record.add(name, "trace.spans",
+               sum(len(obs.spans) for obs, _nexus in runs),
+               unit="spans", kind=KIND_COUNT)
+    record.add(name, "trace.rsrs_started",
+               sum(obs.rsrs_started for obs, _nexus in runs),
+               unit="rsrs", kind=KIND_COUNT)
+    record.add(name, "trace.rsrs_finished",
+               sum(obs.rsrs_finished for obs, _nexus in runs),
+               unit="rsrs", kind=KIND_COUNT)
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
@@ -277,9 +80,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         description="Regenerate the paper's evaluation artefacts.",
     )
     parser.add_argument("artefacts", nargs="*", metavar="ARTEFACT",
-                        help=f"one of: {', '.join(ALL_ARTEFACTS)} "
-                             "(default: all except "
-                             f"{', '.join(EXTRA_ARTEFACTS)})")
+                        help=f"one of: {', '.join(ARTEFACTS)} "
+                             "(default: all but the opt-in fleet tier)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced workload sizes")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -350,12 +152,18 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                              "--check, gate wall metrics against "
                              "variance-aware bands (median ± k·IQR) "
                              "computed from the existing history")
+    parser.add_argument("--selfcheck", action="store_true",
+                        help="run the selected artefacts in two fresh "
+                             "interpreters (different PYTHONHASHSEEDs) "
+                             "with --record/--trace/--export-dir, then "
+                             "byte-compare and validate every file "
+                             "they wrote")
     parser.add_argument("--list", action="store_true",
                         help="list artefacts and exit")
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in ALL_ARTEFACTS:
+        for name in ARTEFACTS:
             print(name)
         return 0
     if args.check and not args.baseline:
@@ -366,10 +174,10 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.jobs > 1:
-        # Everything that depends on in-process global state cannot fan
-        # out: wall timings would perturb each other, trace collection
-        # and tracemalloc are per-process, and the analysis export
-        # globals do not propagate to spawn workers.
+        # Everything that depends on in-process state cannot fan out:
+        # wall timings would perturb each other, trace collection and
+        # tracemalloc are per-process, and the fan-out ships workers
+        # only (name, quick) — no export or spool directories.
         if args.wall:
             parser.error("--wall stays serial so timings are not "
                          "perturbed; it cannot combine with --jobs")
@@ -391,35 +199,37 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         parser.error("--append-history records wall-tier runs; "
                      "it requires --wall")
 
-    if args.export_dir is not None:
-        from . import place as _place
+    if args.sample is not None:
+        from ..obs.stream import parse_policy
 
-        _place.EXPORT_DIR = args.export_dir
-    if args.export_dir is not None or args.stream_dir is not None:
-        from . import analysis as _analysis
+        try:  # fail fast on a malformed spec, before benchmarking
+            parse_policy(args.sample, args.sample_seed)
+        except ValueError as exc:
+            parser.error(str(exc))
+    options = RunOptions(quick=args.quick, export_dir=args.export_dir,
+                         stream_dir=args.stream_dir, sample=args.sample,
+                         sample_seed=args.sample_seed)
 
-        _analysis.EXPORT_DIR = args.export_dir
-        _analysis.STREAM_DIR = args.stream_dir
-        _analysis.SAMPLE = args.sample
-        _analysis.SAMPLE_SEED = args.sample_seed
-        if args.sample is not None:
-            from ..obs.stream import parse_policy
-
-            try:  # fail fast on a malformed spec, before benchmarking
-                parse_policy(args.sample, args.sample_seed)
-            except ValueError as exc:
-                parser.error(str(exc))
-
-    selected = args.artefacts or list(ARTEFACTS)
-    for name in selected:
-        if name not in ALL_ARTEFACTS:
+    for name in args.artefacts:
+        if name not in ARTEFACTS:
             parser.error(f"unknown artefact {name!r}; "
-                         f"choose from {', '.join(ALL_ARTEFACTS)}")
+                         f"choose from {', '.join(ARTEFACTS)}")
+    selected = args.artefacts or [name for name in ARTEFACTS
+                                  if artefact(name).default]
     if args.jobs > 1 and "fleet" in selected:
         # Fleet workers are daemonic processes and cannot spawn the
         # nested pools the scaling artefact itself needs.
         parser.error("the fleet artefact measures its own worker "
                      "scaling; run it at --jobs 1")
+
+    if args.selfcheck:
+        if (args.record or args.trace or args.export_dir or args.baseline
+                or args.wall or args.jobs > 1):
+            parser.error("--selfcheck picks its own --record/--trace/"
+                         "--export-dir; pass only artefacts and --quick")
+        from .selfcheck import selfcheck
+
+        return selfcheck(selected, quick=args.quick)
 
     baseline = None
     if args.baseline:
@@ -448,9 +258,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.wall:
         for name in selected:
             print(f"=== {name} {'(quick)' if args.quick else ''} ===")
-            measurement = measure_artefact(
-                name, ALL_ARTEFACTS[name], quick=args.quick,
-                runs=args.runs)
+            measurement = measure_artefact(artefact(name), options,
+                                           runs=args.runs)
             print(measurement.summary())
             if record is not None:
                 record_wall(record, measurement)
@@ -485,16 +294,15 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         for name in selected:
             print(f"=== {name} {'(quick)' if args.quick else ''} ===")
             started = time.perf_counter()
-            if tracing:
-                with _obs.collecting() as runs:
-                    ALL_ARTEFACTS[name](args.quick, record)
-                collected.extend(runs)
-                if record is not None:
-                    record_observability(record, name, runs)
-            else:
-                ALL_ARTEFACTS[name](args.quick, record)
+            with (_obs.collecting() if tracing
+                  else contextlib.nullcontext([])) as runs:
+                result, text = artefact(name).execute(options)
+            print(text)
+            collected.extend(runs)
             elapsed = time.perf_counter() - started
             if record is not None:
+                record.extend(name, result.metrics())
+                record_observability(record, name, runs)
                 record.add(name, "wall_s", elapsed, unit="s",
                            kind=KIND_WALL)
             print(f"[{name}: {elapsed:.1f}s wall]\n")

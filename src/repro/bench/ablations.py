@@ -27,6 +27,8 @@ from ..core.buffers import Buffer
 from ..mpi.mpi import MpiConfig
 from ..testbeds import make_sp2
 from ..util.records import ResultTable
+from . import Artefact, RunOptions
+from .record import DIR_HIGHER, DIR_LOWER, KIND_COUNT, Metric
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +46,15 @@ class BlockingAblation:
     tcp_unified: float
     tcp_skip20: float
     tcp_blocking: float
+
+    def render(self) -> str:
+        return self.table.render(1)
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        for field in ("mpl_unified", "mpl_skip20", "mpl_blocking",
+                      "tcp_unified", "tcp_skip20", "tcp_blocking"):
+            yield Metric(f"blocking.{field}_us",
+                         getattr(self, field) * 1e6, unit="us")
 
 
 def ablation_blocking_poll(size: int = 0,
@@ -87,6 +98,13 @@ class LayeringAblation:
     def overhead(self) -> float:
         """Fractional execution-time overhead of the Nexus layering."""
         return self.with_layer / self.without_layer - 1.0
+
+    def render(self) -> str:
+        return f"MPI-on-Nexus layering overhead: {self.overhead:.1%}"
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        yield Metric("mpi_layering.overhead_frac", self.overhead,
+                     unit="frac")
 
 
 def ablation_mpi_layering(steps: int = 2) -> LayeringAblation:
@@ -139,6 +157,19 @@ class AdaptiveAblation:
 
     def best_static_mpl(self) -> float:
         return min(mpl for mpl, _tcp in self.static.values())
+
+    def render(self) -> str:
+        return (f"adaptive skip_poll: MPL {self.adaptive_mpl * 1e6:.1f} us "
+                f"(best static {self.best_static_mpl() * 1e6:.1f} us); "
+                f"final skips {self.final_skips}")
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        yield Metric("adaptive.mpl_one_way_us", self.adaptive_mpl * 1e6,
+                     unit="us")
+        yield Metric("adaptive.tcp_one_way_us", self.adaptive_tcp * 1e6,
+                     unit="us")
+        yield Metric("adaptive.best_static_mpl_us",
+                     self.best_static_mpl() * 1e6, unit="us")
 
 
 def ablation_adaptive_skip(size: int = 0, mpl_roundtrips: int = 600,
@@ -200,6 +231,28 @@ class RendezvousAblation:
             return 0.0
         return 1.0 - (self.rendezvous_parked_bytes
                       / self.eager_parked_bytes)
+
+    def render(self) -> str:
+        return (f"eager vs rendezvous: parked bytes "
+                f"{self.eager_parked_bytes} -> "
+                f"{self.rendezvous_parked_bytes} "
+                f"({self.parked_reduction:.0%} reduction) at "
+                f"{(self.rendezvous_time / self.eager_time - 1):.0%} "
+                "extra completion time")
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        yield Metric("rendezvous.eager_time_s", self.eager_time, unit="s")
+        yield Metric("rendezvous.rendezvous_time_s", self.rendezvous_time,
+                     unit="s")
+        yield Metric("rendezvous.eager_parked_bytes",
+                     self.eager_parked_bytes, unit="B", kind=KIND_COUNT,
+                     direction=DIR_LOWER)
+        yield Metric("rendezvous.rendezvous_parked_bytes",
+                     self.rendezvous_parked_bytes, unit="B",
+                     kind=KIND_COUNT, direction=DIR_LOWER)
+        yield Metric("rendezvous.parked_reduction_frac",
+                     self.parked_reduction, unit="frac",
+                     direction=DIR_HIGHER)
 
 
 def ablation_rendezvous(messages: int = 6,
@@ -265,6 +318,19 @@ class StartpointSizes:
     def saving(self) -> float:
         return 1.0 - self.lightweight_bytes / self.full_bytes
 
+    def render(self) -> str:
+        return (f"startpoint wire size: {self.full_bytes} B full, "
+                f"{self.lightweight_bytes} B lightweight "
+                f"({self.saving:.0%} saving)")
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        yield Metric("startpoint.full_bytes", self.full_bytes, unit="B",
+                     kind=KIND_COUNT, direction=DIR_LOWER)
+        yield Metric("startpoint.lightweight_bytes", self.lightweight_bytes,
+                     unit="B", kind=KIND_COUNT, direction=DIR_LOWER)
+        yield Metric("startpoint.saving_frac", self.saving, unit="frac",
+                     direction=DIR_HIGHER)
+
 
 def ablation_lightweight_startpoints() -> StartpointSizes:
     """Measure the Section 3.1 size optimisation on real descriptor
@@ -280,3 +346,36 @@ def ablation_lightweight_startpoints() -> StartpointSizes:
     light = Buffer().put_startpoint(sp, lightweight=True)
     return StartpointSizes(full_bytes=full.nbytes,
                            lightweight_bytes=light.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# the artefact: all five, in the order the CLI prints them
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Ablations:
+    """Every ablation's result; renders and records them in order."""
+
+    parts: tuple[_t.Any, ...]
+
+    def render(self) -> str:
+        blocking, *rest = (part.render() for part in self.parts)
+        return blocking + "\n\n" + "\n".join(rest)
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        for part in self.parts:
+            yield from part.metrics()
+
+
+def _run(options: RunOptions) -> Ablations:
+    quick = options.quick
+    return Ablations(parts=(
+        ablation_blocking_poll(mpl_roundtrips=150 if quick else 400),
+        ablation_mpi_layering(),
+        ablation_adaptive_skip(mpl_roundtrips=200 if quick else 600),
+        ablation_lightweight_startpoints(),
+        ablation_rendezvous(messages=4 if quick else 6),
+    ))
+
+
+ARTEFACT = Artefact("ablations", _run)

@@ -15,8 +15,9 @@ surfaces:
   multi-hop topology and the critical paths a forward hop to attribute.
 
 Everything is a pure function of the scenario seeds; with
-``EXPORT_DIR`` set (the ``--export-dir`` CLI flag) the artefact writes
-``timeline.json``, ``graph.json``, ``graph.dot``, and ``critpath.json``
+``RunOptions.export_dir`` set (the ``--export-dir`` CLI flag) the
+artefact writes ``timeline.json``, ``graph.json``, ``graph.dot``, and
+``critpath.json``
 — byte-identical across repeated runs, which the CI analysis-smoke job
 asserts with ``cmp``.
 """
@@ -47,6 +48,7 @@ from ..obs.critpath import (
 )
 from ..obs.graph import (
     CommGraph,
+    PartitionCosts,
     evaluate_partition,
     extract_graph,
     write_dot,
@@ -58,24 +60,12 @@ from ..place.plan import forwarding_placement
 from ..simnet.faults import FaultPlan
 from ..util.records import ResultTable
 from ..util.report import critical_path_report
+from . import Artefact, RunOptions
+from .load import windowed_metrics
+from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..testbeds import SP2Testbed
-
-#: When set (``--export-dir``), the artefact writes its four analysis
-#: documents here.  Module-level because artefact drivers share one
-#: ``(quick, record)`` signature.
-EXPORT_DIR: str | None = None
-
-#: When set (``--stream-dir``), both analysis runs spool their spans to
-#: ``<STREAM_DIR>/chaos`` and ``<STREAM_DIR>/forward`` instead of the
-#: in-memory log, and the graph/critpath surfaces are rebuilt by
-#: folding the shards.  With ``SAMPLE`` unset the folded documents are
-#: byte-identical to the in-memory extraction (the CI stream-smoke job
-#: ``cmp``s them); with a sampling policy they are partial by design.
-STREAM_DIR: str | None = None
-SAMPLE: str | None = None
-SAMPLE_SEED: int = 0
 
 #: The flaky window: strong enough to force retries and failovers,
 #: cleared well before the offered window ends so recovery is visible.
@@ -119,8 +109,7 @@ def chaos_scenario() -> LoadScenario:
 def forwarding_scenario() -> LoadScenario:
     """Remote traffic through the forwarding processor: the multi-hop
     topology the graph and critical-path extractors are pointed at.
-    The explicit placement is the hand-picked §4.3 configuration the
-    deprecated ``forwarding=True`` flag used to spell."""
+    The placement is the hand-picked §4.3 configuration."""
     return LoadScenario(
         name="analysis-forward",
         fleets=(FleetSpec("rpc-forward", clients=4,
@@ -173,9 +162,8 @@ class AnalysisBench:
     chaos_verdict: SLOVerdict
     forward_result: LoadResult
     graph: CommGraph
-    partition_costs: dict[str, object]
+    partition_costs: PartitionCosts
     paths: list[CriticalPath]
-    quick: bool
 
     def windowed_table(self) -> ResultTable:
         windowed = self.chaos_verdict.windowed
@@ -197,43 +185,103 @@ class AnalysisBench:
         return table
 
     def graph_table(self) -> ResultTable:
-        cross = _t.cast(dict, self.partition_costs["cross"])
         table = ResultTable("Communication graph (forwarding run)",
                             ["value"])
         table.add("nodes", float(len(self.graph.nodes)))
         table.add("edges", float(len(self.graph.edges)))
         table.add("messages", float(self.graph.total_messages))
         table.add("bytes", float(self.graph.total_bytes))
-        table.add("cross-cut bytes", float(_t.cast(int, cross["bytes"])))
+        table.add("cross-cut bytes",
+                  float(self.partition_costs.cross["bytes"]))
         table.add("cut fraction (bytes)",
-                  _t.cast(float, self.partition_costs[
-                      "cut_fraction_bytes"]))
+                  _t.cast(float, self.partition_costs.cut_fraction_bytes))
         return table
 
     def render(self) -> str:
         sections = [self.windowed_table().render(2),
                     self.graph_table().render(4),
                     critical_path_report(self.paths, top_n=TOP_PATHS)]
-        return "\n\n".join(sections)
+        lines = ["\n\n".join(sections), self.chaos_verdict.summary()]
+        for label, result in (("chaos", self.chaos_result),
+                              ("forward", self.forward_result)):
+            stream = result.stream
+            if stream is not None:
+                lines.append(
+                    f"stream[{label}]: {stream['spans_emitted']} spans "
+                    f"({stream['spans_sampled_out']} sampled out) in "
+                    f"{stream['shards']} shard(s), "
+                    f"{stream['bytes_written']} bytes, peak "
+                    f"{stream['peak_open_spans']} open spans "
+                    f"-> {stream['directory']}")
+        return "\n".join(lines)
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        """Windowed chaos outcome, comm-graph shape, critical paths."""
+        chaos = self.chaos_result
+        yield Metric("chaos.offered", chaos.offered, unit="rsrs",
+                     kind=KIND_COUNT)
+        yield Metric("chaos.delivered", chaos.delivered, unit="rsrs",
+                     kind=KIND_COUNT, direction=DIR_HIGHER)
+        yield Metric("chaos.retries", chaos.retries, unit="retries",
+                     kind=KIND_COUNT)
+        yield Metric("chaos.failovers", chaos.failovers, unit="failovers",
+                     kind=KIND_COUNT)
+        yield Metric("chaos.slo_passed", float(self.chaos_verdict.passed),
+                     unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
+        yield from windowed_metrics("chaos", self.chaos_verdict.windowed)
+
+        yield Metric("graph.nodes", len(self.graph.nodes), unit="nodes",
+                     kind=KIND_COUNT)
+        yield Metric("graph.edges", len(self.graph.edges), unit="edges",
+                     kind=KIND_COUNT)
+        yield Metric("graph.messages", self.graph.total_messages,
+                     unit="msgs", kind=KIND_COUNT)
+        yield Metric("graph.bytes", self.graph.total_bytes, unit="B",
+                     kind=KIND_COUNT)
+        yield Metric("graph.cut_fraction_bytes",
+                     _t.cast(float, self.partition_costs.cut_fraction_bytes),
+                     unit="frac", direction=DIR_NONE)
+
+        yield Metric("critpath.paths", len(self.paths), unit="paths",
+                     kind=KIND_COUNT)
+        if self.paths:
+            top = self.paths[0]
+            yield Metric("critpath.top_latency_us", top.latency_s * 1e6,
+                         unit="us")
+            yield Metric("critpath.top_wire_hops", top.wire_hops,
+                         unit="hops", kind=KIND_COUNT)
+            for phase, share in phase_attribution(self.paths).items():
+                yield Metric(f"critpath.phase.{slug(phase)}_us",
+                             share * 1e6, unit="us")
 
 
-def _stream_config(sub: str) -> StreamConfig | None:
-    if STREAM_DIR is None:
-        return None
-    return StreamConfig(directory=os.path.join(STREAM_DIR, sub),
-                        policy=SAMPLE, seed=SAMPLE_SEED)
+def analysis_bench(options: RunOptions = RunOptions()) -> AnalysisBench:
+    """Run the whole analysis artefact.
 
+    With ``options.stream_dir`` both runs spool their spans to
+    ``<stream_dir>/chaos`` and ``<stream_dir>/forward`` instead of the
+    in-memory log, and the graph/critpath surfaces are rebuilt by
+    folding the shards — byte-identical to the in-memory extraction
+    unless ``options.sample`` names a sampling policy (partial by
+    design).  With ``options.export_dir`` the four analysis documents
+    are written there.
+    """
+    def stream_config(sub: str) -> StreamConfig | None:
+        if options.stream_dir is None:
+            return None
+        return StreamConfig(
+            directory=os.path.join(options.stream_dir, sub),
+            policy=options.sample, seed=options.sample_seed)
 
-def analysis_bench(quick: bool = False) -> AnalysisBench:
-    """Run the whole analysis artefact; exports when EXPORT_DIR is set."""
+    export_dir = options.export_dir
     chaos = chaos_scenario()
-    chaos_stream = _stream_config("chaos")
+    chaos_stream = stream_config("chaos")
     with _obs.collecting():
         chaos_result = run_scenario(chaos, stream=chaos_stream)
     chaos_verdict = evaluate(chaos_result, chaos_slo())
 
     forward = forwarding_scenario()
-    forward_stream = _stream_config("forward")
+    forward_stream = stream_config("forward")
     with _obs.collecting() as runs:
         forward_result = run_scenario(forward, stream=forward_stream)
     forward_obs, forward_nexus = runs[-1]
@@ -249,8 +297,8 @@ def analysis_bench(quick: bool = False) -> AnalysisBench:
     partition_costs = evaluate_partition(graph,
                                          _partition_assignment(graph))
 
-    if EXPORT_DIR is not None:
-        os.makedirs(EXPORT_DIR, exist_ok=True)
+    if export_dir is not None:
+        os.makedirs(export_dir, exist_ok=True)
         timeline = chaos_result.timeline
         if chaos_stream is not None:
             # Prefer the folded timeline (byte-identical replay when
@@ -261,15 +309,15 @@ def analysis_bench(quick: bool = False) -> AnalysisBench:
             if folded_timeline is not None:
                 timeline = folded_timeline
         assert timeline is not None
-        write_timeline(os.path.join(EXPORT_DIR, "timeline.json"), timeline,
+        write_timeline(os.path.join(export_dir, "timeline.json"), timeline,
                        meta={"scenario": chaos.name, "seed": chaos.seed,
                              "fault_log": [list(entry) for entry
                                            in chaos_result.fault_log]})
-        write_graph(os.path.join(EXPORT_DIR, "graph.json"), graph,
+        write_graph(os.path.join(export_dir, "graph.json"), graph,
                     meta={"scenario": forward.name, "seed": forward.seed})
-        write_dot(os.path.join(EXPORT_DIR, "graph.dot"), graph,
+        write_dot(os.path.join(export_dir, "graph.dot"), graph,
                   title=forward.name)
-        write_critpaths(os.path.join(EXPORT_DIR, "critpath.json"), paths,
+        write_critpaths(os.path.join(export_dir, "critpath.json"), paths,
                         meta={"scenario": forward.name,
                               "seed": forward.seed})
 
@@ -277,7 +325,7 @@ def analysis_bench(quick: bool = False) -> AnalysisBench:
                          chaos_verdict=chaos_verdict,
                          forward_result=forward_result,
                          graph=graph, partition_costs=partition_costs,
-                         paths=paths, quick=quick)
+                         paths=paths)
 
 
 def check_analysis_shape(bench: AnalysisBench) -> None:
@@ -318,18 +366,11 @@ def check_analysis_shape(bench: AnalysisBench) -> None:
         "forwarding critical paths should contain a multi-hop chain")
     assert "forward" in phase_attribution(bench.paths), (
         "critical paths should attribute time to the forward phase")
-    cross = _t.cast(dict, bench.partition_costs["cross"])
-    assert _t.cast(int, cross["messages"]) > 0, (
+    assert bench.partition_costs.cross["messages"] > 0, (
         "forwarding run should put traffic on the partition cut")
 
 
-__all__ = [
-    "AnalysisBench",
-    "TOP_PATHS",
-    "WINDOW_P99_US",
-    "analysis_bench",
-    "chaos_scenario",
-    "chaos_slo",
-    "check_analysis_shape",
-    "forwarding_scenario",
-]
+# The analysis workload is mode-independent (one short, tuned run), so
+# the shape criteria hold in quick CI too.
+ARTEFACT = Artefact("analysis", analysis_bench, check_analysis_shape,
+                    check_quick=True)

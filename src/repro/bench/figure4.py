@@ -18,6 +18,8 @@ import typing as _t
 
 from ..apps.pingpong import nexus_pingpong, raw_transport_pingpong
 from ..util.records import Series, render_series_table
+from . import Artefact, RunOptions
+from .record import Metric, slug
 
 #: Paper panel ranges.
 SMALL_SIZES = (0, 125, 250, 500, 750, 1000)
@@ -31,6 +33,17 @@ class Figure4:
     small: dict[str, Series]   # series name -> (size, one-way seconds)
     large: dict[str, Series]
 
+    def metrics(self) -> _t.Iterator[Metric]:
+        """Per-series, per-size one-way latencies."""
+        for panel_name, panel in (("small", self.small),
+                                  ("large", self.large)):
+            for series_name in sorted(panel):
+                series = panel[series_name]
+                for size, one_way_us in zip(series.xs, series.ys):
+                    yield Metric(
+                        f"{panel_name}.{slug(series_name)}."
+                        f"{int(size)}B.one_way_us", one_way_us, unit="us")
+
     def render(self) -> str:
         out = [
             render_series_table(
@@ -42,6 +55,8 @@ class Figure4:
                 list(self.large.values()),
                 "Figure 4 (right): one-way time [us] vs message size (wide)",
                 precision=1),
+            "",
+            self.render_charts(),
         ]
         return "\n".join(out)
 
@@ -117,3 +132,11 @@ def check_figure4_shape(fig: Figure4) -> None:
         "single-method Nexus does not converge to raw MPL at large sizes")
     assert multi_big > single_big * 1.05, (
         "multimethod should remain measurably slower at large sizes")
+
+
+def _run(options: RunOptions) -> Figure4:
+    return figure4(roundtrips=30 if options.quick else 100)
+
+
+# Quick runs quantise too coarsely to assert shapes.
+ARTEFACT = Artefact("figure4", _run, check_figure4_shape)

@@ -13,6 +13,8 @@ import typing as _t
 
 from ..apps.dualpingpong import dual_pingpong
 from ..util.records import Series, render_series_table
+from . import Artefact, RunOptions
+from .record import Metric, slug
 
 #: skip_poll sweep (the paper sweeps a comparable range; ~20 is its
 #: recommended operating point).
@@ -28,6 +30,17 @@ class Figure6:
 
     panels: dict[int, dict[str, Series]]   # size -> {"mpl": .., "tcp": ..}
 
+    def metrics(self) -> _t.Iterator[Metric]:
+        """Per-size, per-pair, per-skip one-way latencies."""
+        for size in sorted(self.panels):
+            for pair_name in sorted(self.panels[size]):
+                series = self.panels[size][pair_name]
+                for skip, one_way_us in zip(series.xs, series.ys):
+                    yield Metric(
+                        f"{int(size)}B.{slug(pair_name)}."
+                        f"skip{int(skip)}.one_way_us", one_way_us,
+                        unit="us")
+
     def render(self) -> str:
         blocks = []
         for size, pair in sorted(self.panels.items()):
@@ -35,7 +48,7 @@ class Figure6:
                      f"one-way time [us] vs skip_poll, {size} B messages")
             blocks.append(render_series_table(
                 [pair["mpl"], pair["tcp"]], title, precision=1))
-        return "\n\n".join(blocks)
+        return "\n\n".join(blocks + [self.render_charts()])
 
     def render_charts(self, width: int = 64, height: int = 14) -> str:
         from ..util.ascii_chart import render_chart
@@ -106,3 +119,10 @@ def check_figure6_shape(fig: Figure6, *, tolerance: float = 0.15) -> None:
             "moderate skip_poll should not yet have badly hurt TCP "
             f"(moderate +{moderate_damage:.0f} us vs end +{end_damage:.0f} us "
             f"at {size} B)")
+
+
+def _run(options: RunOptions) -> Figure6:
+    return figure6(mpl_roundtrips=150 if options.quick else 400)
+
+
+ARTEFACT = Artefact("figure6", _run, check_figure6_shape)

@@ -22,6 +22,8 @@ import typing as _t
 from ..fleet.merge import document_digest, merge_load_results
 from ..fleet.plan import ScenarioGrid, run_plan
 from ..util.records import ResultTable
+from . import Artefact, RunOptions
+from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, KIND_WALL, Metric
 
 #: Worker counts the scaling curve samples.
 WORKER_COUNTS = (1, 2, 4)
@@ -60,7 +62,6 @@ class FleetScaling:
     points: tuple[ScalingPoint, ...]
     tasks: int
     cpus: int
-    quick: bool
 
     @property
     def merge_identical(self) -> bool:
@@ -82,14 +83,32 @@ class FleetScaling:
                       point.speedup, point.efficiency)
         return table.render(2)
 
+    def metrics(self) -> _t.Iterator[Metric]:
+        """Wall seconds, speedup, and efficiency are ``wall``-kind
+        (advisory, band-gated via history); the grid's merged-digest
+        equality and the task/cpu counts are deterministic counts."""
+        yield Metric("tasks", self.tasks, unit="tasks", kind=KIND_COUNT)
+        yield Metric("cpus", self.cpus, unit="cpus", kind=KIND_COUNT,
+                     direction=DIR_NONE)
+        yield Metric("merge_identical", float(self.merge_identical),
+                     unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
+        for point in self.points:
+            base = f"workers{point.workers}"
+            yield Metric(f"{base}.wall_s", point.wall_s, unit="s",
+                         kind=KIND_WALL)
+            yield Metric(f"{base}.speedup", point.speedup, unit="x",
+                         kind=KIND_WALL, direction=DIR_HIGHER)
+            yield Metric(f"{base}.efficiency", point.efficiency,
+                         unit="frac", kind=KIND_WALL, direction=DIR_HIGHER)
 
-def fleet_scaling(quick: bool = False,
+
+def fleet_scaling(options: RunOptions = RunOptions(),
                   workers: _t.Sequence[int] = WORKER_COUNTS
                   ) -> FleetScaling:
     """Run the grid at each worker count; serial first (the baseline)."""
     from .load import scenarios
 
-    base = scenarios(quick=quick)["steady"]
+    base = scenarios(quick=options.quick)["steady"]
     grid = ScenarioGrid(name="scale", base=base, factors=GRID_FACTORS)
     points: list[ScalingPoint] = []
     serial_wall: float | None = None
@@ -104,7 +123,7 @@ def fleet_scaling(quick: bool = False,
             workers=count, wall_s=run.wall_s, speedup=speedup,
             efficiency=speedup / count, digest=digest))
     return FleetScaling(points=tuple(points), tasks=len(grid.tasks()),
-                        cpus=host_cpus(), quick=quick)
+                        cpus=host_cpus())
 
 
 def check_fleet_shape(scaling: FleetScaling) -> None:
@@ -127,13 +146,8 @@ def check_fleet_shape(scaling: FleetScaling) -> None:
             f"{MIN_SPEEDUP_AT_4}x floor on a {scaling.cpus}-cpu host")
 
 
-__all__ = [
-    "FleetScaling",
-    "GRID_FACTORS",
-    "MIN_SPEEDUP_AT_4",
-    "ScalingPoint",
-    "WORKER_COUNTS",
-    "check_fleet_shape",
-    "fleet_scaling",
-    "host_cpus",
-]
+# Opt-in: the fleet tier times multi-process scaling, which would
+# perturb — and be perturbed by — the rest of the suite.  The digest
+# gate is size-independent, so the check holds under --quick.
+ARTEFACT = Artefact("fleet", fleet_scaling, check_fleet_shape,
+                    check_quick=True, default=False)

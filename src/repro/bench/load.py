@@ -43,6 +43,8 @@ from ..load import (
 from ..place.plan import forwarding_placement
 from ..simnet.faults import FaultPlan
 from ..util.records import ResultTable
+from . import Artefact, RunOptions
+from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..testbeds import SP2Testbed
@@ -158,7 +160,6 @@ class LoadBench:
     results: dict[str, LoadResult]
     verdicts: dict[str, SLOVerdict]
     capacities: dict[str, CapacityResult]
-    quick: bool
 
     def scenario_table(self) -> ResultTable:
         table = ResultTable(
@@ -182,13 +183,75 @@ class LoadBench:
         return table
 
     def render(self) -> str:
-        return (self.scenario_table().render(1) + "\n\n"
-                + self.capacity_table().render(1))
+        return "\n".join(
+            [self.scenario_table().render(1), "",
+             self.capacity_table().render(1)]
+            + [verdict.summary() for verdict in self.verdicts.values()])
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        """SLO scenario outcomes and capacity search results."""
+        for name, result in self.results.items():
+            base = slug(name)
+            verdict = self.verdicts[name]
+            yield Metric(f"{base}.offered", result.offered, unit="rsrs",
+                         kind=KIND_COUNT)
+            yield Metric(f"{base}.delivered", result.delivered,
+                         unit="rsrs", kind=KIND_COUNT, direction=DIR_HIGHER)
+            yield Metric(f"{base}.retries", result.retries, unit="retries",
+                         kind=KIND_COUNT)
+            yield Metric(f"{base}.dropped", result.messages_dropped,
+                         unit="msgs", kind=KIND_COUNT)
+            yield Metric(f"{base}.delivered_rate", result.delivered_rate,
+                         unit="rsr/s", direction=DIR_HIGHER)
+            yield Metric(f"{base}.p50_us", result.quantile_us(0.5) or 0.0,
+                         unit="us")
+            yield Metric(f"{base}.p99_us", result.quantile_us(0.99) or 0.0,
+                         unit="us")
+            yield Metric(f"{base}.slo_passed", float(verdict.passed),
+                         unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
+            yield from windowed_metrics(base, verdict.windowed)
+        for name, cap in self.capacities.items():
+            base = slug(name)
+            yield Metric(f"capacity.{base}.rate", cap.capacity,
+                         unit="rsr/s", direction=DIR_HIGHER)
+            yield Metric(f"capacity.{base}.probes", len(cap.probes),
+                         unit="probes", kind=KIND_COUNT, direction=DIR_NONE)
 
 
-def load_bench(quick: bool = False,
-               on_probe: _t.Callable[..., None] | None = None) -> LoadBench:
+def windowed_metrics(base: str, windowed: _t.Any) -> _t.Iterator[Metric]:
+    """Windowed-verdict metrics for one scenario (none without one).
+
+    ``worst_window_p99_us`` is recorded only when at least one window
+    measured anything, and ``recovery_ms`` only for runs whose fault
+    plan cleared — the metric *set* stays a pure function of the
+    scenario, so byte-determinism across identical runs holds.
+    """
+    if windowed is None:
+        return
+    yield Metric(f"{base}.window_violations", len(windowed.violations),
+                 unit="windows", kind=KIND_COUNT)
+    yield Metric(f"{base}.window_empty", len(windowed.empty_windows),
+                 unit="windows", kind=KIND_COUNT)
+    yield Metric(f"{base}.windowed_passed", float(windowed.passed),
+                 unit="bool", kind=KIND_COUNT, direction=DIR_NONE)
+    if windowed.worst_p99_us is not None:
+        yield Metric(f"{base}.worst_window_p99_us", windowed.worst_p99_us,
+                     unit="us")
+    if windowed.fault_clear_s is not None:
+        yield Metric(f"{base}.fault_clear_s", windowed.fault_clear_s,
+                     unit="s", direction=DIR_NONE)
+    if windowed.recovery_time_s is not None:
+        yield Metric(f"{base}.recovery_ms", windowed.recovery_time_s * 1e3,
+                     unit="ms")
+    if windowed.saturation_onset_window is not None:
+        yield Metric(f"{base}.saturation_onset_window",
+                     windowed.saturation_onset_window, unit="window",
+                     kind=KIND_COUNT, direction=DIR_NONE)
+
+
+def load_bench(options: RunOptions = RunOptions()) -> LoadBench:
     """Run the whole load artefact (scenario suite + capacity search)."""
+    quick = options.quick
     suite = scenarios(quick)
     budgets = slos()
     results: dict[str, LoadResult] = {}
@@ -203,10 +266,10 @@ def load_bench(quick: bool = False,
     for name, variant in capacity_variants(quick).items():
         capacities[name] = find_capacity(
             variant, CAPACITY_SLO, low=200.0, high=6000.0,
-            tolerance=0.05, max_probes=max_probes, on_probe=on_probe)
+            tolerance=0.05, max_probes=max_probes)
 
     return LoadBench(results=results, verdicts=verdicts,
-                     capacities=capacities, quick=quick)
+                     capacities=capacities)
 
 
 def check_load_shape(bench: LoadBench) -> None:
@@ -256,18 +319,4 @@ def check_load_shape(bench: LoadBench) -> None:
         f"({untuned:.0f}/s), not the tuned one ({tuned:.0f}/s)")
 
 
-__all__ = [
-    "CAPACITY_SLO",
-    "CHAOS_WINDOW_P99_US",
-    "LoadBench",
-    "SERVICE_OPS",
-    "STEADY_WINDOW_P99_US",
-    "WARMUP_WINDOWS",
-    "SERVICE_TIME_S",
-    "TUNED_SKIP",
-    "capacity_variants",
-    "check_load_shape",
-    "load_bench",
-    "scenarios",
-    "slos",
-]
+ARTEFACT = Artefact("load", load_bench, check_load_shape)

@@ -61,11 +61,8 @@ from ..place import (
     write_placement,
 )
 from ..util.records import ResultTable
-
-#: When set (``--export-dir``), the artefact writes the winning
-#: ``placement.json`` here.  Module-level because artefact drivers
-#: share one ``(quick, record)`` signature.
-EXPORT_DIR: str | None = None
+from . import Artefact, RunOptions
+from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
 
 #: Fan the top-k capacity validations out over this many worker
 #: processes (``REPRO_PLACE_JOBS`` in the environment; the merged
@@ -149,7 +146,6 @@ class PlaceBench:
     hill: Candidate
     agreement: float
     jobs: int
-    quick: bool
 
     def partition_table(self) -> ResultTable:
         table = ResultTable(
@@ -183,11 +179,64 @@ class PlaceBench:
         sections = [self.demand_table().render(4),
                     self.partition_table().render(2),
                     self.search_table().render(1)]
-        return "\n\n".join(sections)
+        return "\n".join([
+            "\n\n".join(sections),
+            self.search.summary(),
+            f"hill-climb from direct: {self.hill.label} "
+            f"(static {self.hill.static.static_capacity:.1f}/s); "
+            f"static/simulated agreement {self.agreement:.2f} "
+            f"at jobs={self.jobs}"])
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        """Demand shares, partitioner bake-off, the placement search."""
+        yield Metric("graph.nodes", len(self.graph.nodes), unit="nodes",
+                     kind=KIND_COUNT)
+        yield Metric("graph.edges", len(self.graph.edges), unit="edges",
+                     kind=KIND_COUNT)
+        yield Metric("demand.messages", self.demand.messages, unit="msgs",
+                     kind=KIND_COUNT)
+        yield Metric("demand.mean_bytes", self.demand.mean_bytes, unit="B",
+                     kind=KIND_COUNT, direction=DIR_NONE)
+        for index, share in self.demand.shares:
+            yield Metric(f"demand.share.serve{index}", share, unit="frac",
+                         direction=DIR_NONE)
+
+        for name, cost in self.partitions.items():
+            base = f"partition.{slug(name)}"
+            yield Metric(f"{base}.cut_ms", cost.wire_cut_s * 1e3, unit="ms")
+            yield Metric(f"{base}.imbalance", cost.imbalance, unit="x")
+            yield Metric(f"{base}.score_ms", cost.score * 1e3, unit="ms")
+
+        for candidate in self.search.candidates:
+            yield Metric(f"candidate.{slug(candidate.label)}.static_rps",
+                         candidate.static.static_capacity, unit="req/s",
+                         direction=DIR_HIGHER)
+        for validated in self.search.validated:
+            base = f"capacity.{slug(validated.label)}"
+            yield Metric(f"{base}.rate", validated.capacity, unit="req/s",
+                         direction=DIR_HIGHER)
+            yield Metric(f"{base}.probes", len(validated.result.probes),
+                         unit="probes", kind=KIND_COUNT)
+
+        best = self.search.best
+        forwarder = best.placement.forwarder
+        yield Metric("best.capacity", best.capacity, unit="req/s",
+                     direction=DIR_HIGHER)
+        yield Metric("best.is_forwarding", float(forwarder is not None),
+                     unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
+        yield Metric("best.forwarder",
+                     -1.0 if forwarder is None else float(forwarder),
+                     unit="rank", kind=KIND_COUNT, direction=DIR_NONE)
+        yield Metric("agreement", self.agreement, unit="frac",
+                     direction=DIR_HIGHER)
+        yield Metric("hill.matches_best",
+                     float(self.hill.label == best.label), unit="bool",
+                     kind=KIND_COUNT, direction=DIR_HIGHER)
 
 
-def place_bench(quick: bool = False) -> PlaceBench:
-    """Run the whole placement artefact; exports when EXPORT_DIR is set."""
+def place_bench(options: RunOptions = RunOptions()) -> PlaceBench:
+    """Run the whole placement artefact; with ``options.export_dir`` the
+    winning ``placement.json`` is written there."""
     scenario = serving_scenario()
     with _obs.collecting() as runs:
         run_scenario(scenario.at_rate(PROFILE_RATE))
@@ -212,11 +261,12 @@ def place_bench(quick: bool = False) -> PlaceBench:
     hill = neighborhood_search(graph, scenario, direct_placement())
     agreement = ordering_agreement(search.validated)
 
-    if EXPORT_DIR is not None:
-        os.makedirs(EXPORT_DIR, exist_ok=True)
+    if options.export_dir is not None:
+        os.makedirs(options.export_dir, exist_ok=True)
         best = search.best
         write_placement(
-            os.path.join(EXPORT_DIR, "placement.json"), best.placement,
+            os.path.join(options.export_dir, "placement.json"),
+            best.placement,
             meta={"scenario": scenario.name, "seed": scenario.seed,
                   "label": best.label,
                   "capacity_rps": best.capacity,
@@ -226,7 +276,7 @@ def place_bench(quick: bool = False) -> PlaceBench:
 
     return PlaceBench(graph=graph, demand=demand, partitions=partitions,
                       search=search, hill=hill, agreement=agreement,
-                      jobs=jobs, quick=quick)
+                      jobs=jobs)
 
 
 def check_place_shape(bench: PlaceBench) -> None:
@@ -276,13 +326,8 @@ def check_place_shape(bench: PlaceBench) -> None:
             f"beat random baseline {random_score:.6f}")
 
 
-__all__ = [
-    "MIN_AGREEMENT",
-    "PROFILE_RATE",
-    "PlaceBench",
-    "check_place_shape",
-    "place_bench",
-    "place_jobs",
-    "serving_scenario",
-    "serving_slo",
-]
+# The placement workload is mode-independent (one short profile plus a
+# few bisection probes), so the §4.3-rediscovery shape criteria hold
+# in quick CI too.
+ARTEFACT = Artefact("place", place_bench, check_place_shape,
+                    check_quick=True)

@@ -2,20 +2,14 @@
 
 Every artefact driver prints human tables; this module gives the same
 numbers a durable, diffable form.  A :class:`BenchRecord` is a
-schema-versioned document of scalar metrics —
-
-* per-method/per-size one-way latencies (Figures 4 and 6),
-* climate seconds-per-timestep and coupling waits (Table 1),
-* ablation deltas, baseline round times,
-* simulation event counts, and span/RSR counts when tracing is on,
-
-each tagged with a *kind* (``sim`` virtual-time, ``count``, or ``wall``
-clock) and a *direction* (lower/higher is better, or none) — plus an
-environment fingerprint (python version, platform, git SHA, quick/full
-mode).  Serialisation is sorted-key JSON; everything except ``wall``
-metrics is deterministic, so two identical runs write byte-identical
-``BENCH_<label>.json`` files (``wall`` metrics are excluded unless
-explicitly requested).
+schema-versioned document of scalar metrics, each named by the artefact
+result that yields it (``metrics()``) and tagged with a *kind* (``sim``
+virtual-time, ``count``, or ``wall`` clock) and a *direction*
+(lower/higher is better, or none) — plus an environment fingerprint
+(python version, platform, git SHA, quick/full mode).  Serialisation is
+sorted-key JSON; everything except ``wall`` metrics is deterministic,
+so two identical runs write byte-identical ``BENCH_<label>.json`` files
+(``wall`` metrics are excluded unless explicitly requested).
 
 :func:`compare_records` is the regression gate: it diffs a current
 record against a stored baseline with per-kind tolerance bands — tight
@@ -65,7 +59,7 @@ WALL_TOLERANCE = 0.75
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.+=-]+")
 
 
-def _slug(text: str) -> str:
+def slug(text: str) -> str:
     """A metric-name-safe slug: word characters plus ``. _ + = -``."""
     return _SLUG_RE.sub("_", text.strip()).strip("_")
 
@@ -76,12 +70,17 @@ class RecordValidationError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Metric:
-    """One recorded scalar."""
+    """One named scalar, as a result's ``metrics()`` yields it.
 
+    ``direction=None`` takes the kind's default: none for counts,
+    lower-is-better otherwise.
+    """
+
+    name: str
     value: float
     unit: str = ""
     kind: str = KIND_SIM
-    direction: str = DIR_LOWER
+    direction: str | None = None
 
     def to_json(self) -> dict[str, object]:
         return {"value": self.value, "unit": self.unit, "kind": self.kind,
@@ -115,8 +114,9 @@ def environment_fingerprint(*, quick: bool = False) -> dict[str, str]:
 class BenchRecord:
     """An accumulating document of benchmark metrics.
 
-    Artefact drivers populate it through the ``record_*`` helpers below;
-    ``python -m repro.bench --record PATH`` writes it out.
+    Each artefact's result yields its own scalars (``metrics()``) and
+    :meth:`extend` files them; ``python -m repro.bench --record PATH``
+    writes the document out.
     """
 
     def __init__(self, label: str = "adhoc", *, quick: bool = False):
@@ -143,42 +143,21 @@ class BenchRecord:
             direction = DIR_NONE if kind == KIND_COUNT else DIR_LOWER
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown metric direction {direction!r}")
-        metrics = self._artefacts.setdefault(_slug(artefact), {})
-        key = _slug(name)
+        metrics = self._artefacts.setdefault(slug(artefact), {})
+        key = slug(name)
         if key in metrics:
             raise ValueError(f"metric {artefact}.{key} recorded twice")
-        metrics[key] = Metric(value=value, unit=unit, kind=kind,
+        metrics[key] = Metric(name=key, value=value, unit=unit, kind=kind,
                               direction=direction)
 
+    def extend(self, artefact: str, metrics: _t.Iterable[Metric]) -> None:
+        """:meth:`add` every metric a result yields."""
+        for metric in metrics:
+            self.add(artefact, metric.name, metric.value, unit=metric.unit,
+                     kind=metric.kind, direction=metric.direction)
+
     def metrics(self, artefact: str) -> dict[str, Metric]:
-        return dict(self._artefacts.get(_slug(artefact), {}))
-
-    def fragments(self, *, include_wall: bool = True
-                  ) -> tuple[tuple[str, str, float, str, str, str], ...]:
-        """The record flattened to plain ``(artefact, name, value,
-        unit, kind, direction)`` tuples, sorted.
-
-        This is the wire format fleet workers ship their metrics in —
-        picklable without carrying the record class across processes.
-        """
-        return tuple(
-            (artefact, name, metric.value, metric.unit, metric.kind,
-             metric.direction)
-            for artefact in sorted(self._artefacts)
-            for name, metric in sorted(self._artefacts[artefact].items())
-            if include_wall or metric.kind != KIND_WALL)
-
-    def absorb(self, fragments: _t.Iterable[
-            tuple[str, str, float, str, str, str]]) -> None:
-        """Add another record's :meth:`fragments` to this one.
-
-        The append-only duplicate check still applies, so two fleet
-        tasks that recorded the same metric fail loudly here instead of
-        silently merging.
-        """
-        for artefact, name, value, unit, kind, direction in fragments:
-            self.add(artefact, name, value, unit=unit, kind=kind,
-                     direction=direction)
+        return dict(self._artefacts.get(slug(artefact), {}))
 
     def __len__(self) -> int:
         return sum(len(m) for m in self._artefacts.values())
@@ -496,327 +475,6 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
     return ComparisonResult(diffs=diffs, warnings=warnings)
 
 
-# -- artefact populate helpers -----------------------------------------------
-#
-# Imported lazily by type only: each helper takes the driver's result
-# object, so record.py never imports the (heavier) driver modules.
-
-def record_figure4(record: BenchRecord, fig) -> None:
-    """Per-series, per-size one-way latencies from a Figure 4 result."""
-    for panel_name, panel in (("small", fig.small), ("large", fig.large)):
-        for series_name in sorted(panel):
-            series = panel[series_name]
-            for size, one_way_us in zip(series.xs, series.ys):
-                record.add(
-                    "figure4",
-                    f"{panel_name}.{_slug(series_name)}."
-                    f"{int(size)}B.one_way_us",
-                    one_way_us, unit="us")
-
-
-def record_figure6(record: BenchRecord, fig) -> None:
-    """Per-size, per-pair, per-skip one-way latencies from Figure 6."""
-    for size in sorted(fig.panels):
-        for pair_name in sorted(fig.panels[size]):
-            series = fig.panels[size][pair_name]
-            for skip, one_way_us in zip(series.xs, series.ys):
-                record.add(
-                    "figure6",
-                    f"{int(size)}B.{_slug(pair_name)}."
-                    f"skip{int(skip)}.one_way_us",
-                    one_way_us, unit="us")
-
-
-def record_table1(record: BenchRecord, table) -> None:
-    """Seconds/step, coupling wait, and sim-event counts per Table 1 row."""
-    for label in sorted(table.results):
-        result = table.results[label]
-        base = _slug(label)
-        record.add("table1", f"{base}.seconds_per_step",
-                   result.seconds_per_step, unit="s")
-        record.add("table1", f"{base}.coupling_wait_s",
-                   result.coupling_wait, unit="s")
-        record.add("table1", f"{base}.sim_events",
-                   result.events_processed, unit="events", kind=KIND_COUNT)
-
-
-def record_ablations(record: BenchRecord, *, blocking=None, layering=None,
-                     adaptive=None, startpoints=None,
-                     rendezvous=None) -> None:
-    """Key deltas from whichever ablation results are provided."""
-    if blocking is not None:
-        for field in ("mpl_unified", "mpl_skip20", "mpl_blocking",
-                      "tcp_unified", "tcp_skip20", "tcp_blocking"):
-            record.add("ablations", f"blocking.{field}_us",
-                       getattr(blocking, field) * 1e6, unit="us")
-    if layering is not None:
-        record.add("ablations", "mpi_layering.overhead_frac",
-                   layering.overhead, unit="frac")
-    if adaptive is not None:
-        record.add("ablations", "adaptive.mpl_one_way_us",
-                   adaptive.adaptive_mpl * 1e6, unit="us")
-        record.add("ablations", "adaptive.tcp_one_way_us",
-                   adaptive.adaptive_tcp * 1e6, unit="us")
-        record.add("ablations", "adaptive.best_static_mpl_us",
-                   adaptive.best_static_mpl() * 1e6, unit="us")
-    if startpoints is not None:
-        record.add("ablations", "startpoint.full_bytes",
-                   startpoints.full_bytes, unit="B", kind=KIND_COUNT,
-                   direction=DIR_LOWER)
-        record.add("ablations", "startpoint.lightweight_bytes",
-                   startpoints.lightweight_bytes, unit="B", kind=KIND_COUNT,
-                   direction=DIR_LOWER)
-        record.add("ablations", "startpoint.saving_frac",
-                   startpoints.saving, unit="frac", direction=DIR_HIGHER)
-    if rendezvous is not None:
-        record.add("ablations", "rendezvous.eager_time_s",
-                   rendezvous.eager_time, unit="s")
-        record.add("ablations", "rendezvous.rendezvous_time_s",
-                   rendezvous.rendezvous_time, unit="s")
-        record.add("ablations", "rendezvous.eager_parked_bytes",
-                   rendezvous.eager_parked_bytes, unit="B", kind=KIND_COUNT,
-                   direction=DIR_LOWER)
-        record.add("ablations", "rendezvous.rendezvous_parked_bytes",
-                   rendezvous.rendezvous_parked_bytes, unit="B",
-                   kind=KIND_COUNT, direction=DIR_LOWER)
-        record.add("ablations", "rendezvous.parked_reduction_frac",
-                   rendezvous.parked_reduction, unit="frac",
-                   direction=DIR_HIGHER)
-
-
-def record_baselines(record: BenchRecord, results: _t.Mapping[str, object]
-                     ) -> None:
-    """ms/round per prior-art system from the mixed workload."""
-    for label in sorted(results):
-        result = _t.cast(_t.Any, results[label])
-        record.add("baselines", f"{_slug(label)}.ms_per_round",
-                   result.time_per_round * 1e3, unit="ms")
-
-
-def record_chaos(record: BenchRecord, chaos) -> None:
-    """Fault arc and recovery counters from a chaos climate result."""
-    record.add("chaos", "baseline_time_s", chaos.baseline_time, unit="s")
-    record.add("chaos", "total_time_s", chaos.climate.total_time, unit="s")
-    record.add("chaos", "seconds_per_step",
-               chaos.climate.seconds_per_step, unit="s")
-    record.add("chaos", "outage_start_s", chaos.outage_start, unit="s",
-               direction=DIR_NONE)
-    record.add("chaos", "outage_duration_s", chaos.outage_duration,
-               unit="s", direction=DIR_NONE)
-    record.add("chaos", "retries", chaos.retries, unit="retries",
-               kind=KIND_COUNT)
-    record.add("chaos", "failovers", chaos.failovers, unit="failovers",
-               kind=KIND_COUNT)
-    record.add("chaos", "probes", chaos.probes, unit="probes",
-               kind=KIND_COUNT)
-    record.add("chaos", "health_events", len(chaos.health.events),
-               unit="events", kind=KIND_COUNT)
-    record.add("chaos", "recovered", float(chaos.recovered), unit="bool",
-               kind=KIND_COUNT, direction=DIR_HIGHER)
-
-
-def record_load(record: BenchRecord, bench) -> None:
-    """SLO scenario outcomes and capacity search results (load tier)."""
-    for name, result in bench.results.items():
-        slug = _slug(name)
-        verdict = bench.verdicts[name]
-        record.add("load", f"{slug}.offered", result.offered,
-                   unit="rsrs", kind=KIND_COUNT)
-        record.add("load", f"{slug}.delivered", result.delivered,
-                   unit="rsrs", kind=KIND_COUNT, direction=DIR_HIGHER)
-        record.add("load", f"{slug}.retries", result.retries,
-                   unit="retries", kind=KIND_COUNT)
-        record.add("load", f"{slug}.dropped", result.messages_dropped,
-                   unit="msgs", kind=KIND_COUNT)
-        record.add("load", f"{slug}.delivered_rate", result.delivered_rate,
-                   unit="rsr/s", direction=DIR_HIGHER)
-        record.add("load", f"{slug}.p50_us",
-                   result.quantile_us(0.5) or 0.0, unit="us")
-        record.add("load", f"{slug}.p99_us",
-                   result.quantile_us(0.99) or 0.0, unit="us")
-        record.add("load", f"{slug}.slo_passed", float(verdict.passed),
-                   unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
-        record_windowed(record, "load", slug, verdict.windowed)
-    for name, cap in bench.capacities.items():
-        slug = _slug(name)
-        record.add("load", f"capacity.{slug}.rate", cap.capacity,
-                   unit="rsr/s", direction=DIR_HIGHER)
-        record.add("load", f"capacity.{slug}.probes", len(cap.probes),
-                   unit="probes", kind=KIND_COUNT, direction=DIR_NONE)
-
-
-def record_windowed(record: BenchRecord, artefact: str, slug: str,
-                    windowed) -> None:
-    """Windowed-verdict metrics for one scenario (no-op without one).
-
-    ``worst_window_p99_us`` is recorded only when at least one window
-    measured anything, and ``recovery_ms`` only for runs whose fault
-    plan cleared — the metric *set* stays a pure function of the
-    scenario, so byte-determinism across identical runs holds.
-    """
-    if windowed is None:
-        return
-    record.add(artefact, f"{slug}.window_violations",
-               len(windowed.violations), unit="windows", kind=KIND_COUNT)
-    record.add(artefact, f"{slug}.window_empty",
-               len(windowed.empty_windows), unit="windows",
-               kind=KIND_COUNT)
-    record.add(artefact, f"{slug}.windowed_passed",
-               float(windowed.passed), unit="bool", kind=KIND_COUNT,
-               direction=DIR_NONE)
-    if windowed.worst_p99_us is not None:
-        record.add(artefact, f"{slug}.worst_window_p99_us",
-                   windowed.worst_p99_us, unit="us")
-    if windowed.fault_clear_s is not None:
-        record.add(artefact, f"{slug}.fault_clear_s",
-                   windowed.fault_clear_s, unit="s", direction=DIR_NONE)
-    if windowed.recovery_time_s is not None:
-        record.add(artefact, f"{slug}.recovery_ms",
-                   windowed.recovery_time_s * 1e3, unit="ms")
-    if windowed.saturation_onset_window is not None:
-        record.add(artefact, f"{slug}.saturation_onset_window",
-                   windowed.saturation_onset_window, unit="window",
-                   kind=KIND_COUNT, direction=DIR_NONE)
-
-
-def record_fleet(record: BenchRecord, scaling) -> None:
-    """Worker-scaling results from the fleet artefact.
-
-    Wall seconds, speedup, and efficiency are ``wall``-kind (advisory,
-    band-gated via history); the grid's merged-digest equality and the
-    task/cpu counts are deterministic ``count`` metrics.
-    """
-    record.add("fleet", "tasks", scaling.tasks, unit="tasks",
-               kind=KIND_COUNT)
-    record.add("fleet", "cpus", scaling.cpus, unit="cpus",
-               kind=KIND_COUNT, direction=DIR_NONE)
-    record.add("fleet", "merge_identical", float(scaling.merge_identical),
-               unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
-    for point in scaling.points:
-        base = f"workers{point.workers}"
-        record.add("fleet", f"{base}.wall_s", point.wall_s, unit="s",
-                   kind=KIND_WALL)
-        record.add("fleet", f"{base}.speedup", point.speedup, unit="x",
-                   kind=KIND_WALL, direction=DIR_HIGHER)
-        record.add("fleet", f"{base}.efficiency", point.efficiency,
-                   unit="frac", kind=KIND_WALL, direction=DIR_HIGHER)
-
-
-def record_analysis(record: BenchRecord, bench) -> None:
-    """Windowed chaos outcome, comm-graph shape, and critical paths."""
-    chaos = bench.chaos_result
-    record.add("analysis", "chaos.offered", chaos.offered, unit="rsrs",
-               kind=KIND_COUNT)
-    record.add("analysis", "chaos.delivered", chaos.delivered,
-               unit="rsrs", kind=KIND_COUNT, direction=DIR_HIGHER)
-    record.add("analysis", "chaos.retries", chaos.retries, unit="retries",
-               kind=KIND_COUNT)
-    record.add("analysis", "chaos.failovers", chaos.failovers,
-               unit="failovers", kind=KIND_COUNT)
-    record.add("analysis", "chaos.slo_passed",
-               float(bench.chaos_verdict.passed), unit="bool",
-               kind=KIND_COUNT, direction=DIR_HIGHER)
-    record_windowed(record, "analysis", "chaos",
-                    bench.chaos_verdict.windowed)
-
-    record.add("analysis", "graph.nodes", len(bench.graph.nodes),
-               unit="nodes", kind=KIND_COUNT)
-    record.add("analysis", "graph.edges", len(bench.graph.edges),
-               unit="edges", kind=KIND_COUNT)
-    record.add("analysis", "graph.messages", bench.graph.total_messages,
-               unit="msgs", kind=KIND_COUNT)
-    record.add("analysis", "graph.bytes", bench.graph.total_bytes,
-               unit="B", kind=KIND_COUNT)
-    record.add("analysis", "graph.cut_fraction_bytes",
-               _t.cast(float, bench.partition_costs["cut_fraction_bytes"]),
-               unit="frac", direction=DIR_NONE)
-
-    record.add("analysis", "critpath.paths", len(bench.paths),
-               unit="paths", kind=KIND_COUNT)
-    if bench.paths:
-        top = bench.paths[0]
-        record.add("analysis", "critpath.top_latency_us",
-                   top.latency_s * 1e6, unit="us")
-        record.add("analysis", "critpath.top_wire_hops", top.wire_hops,
-                   unit="hops", kind=KIND_COUNT)
-        from ..obs.critpath import phase_attribution
-
-        for phase, share in phase_attribution(bench.paths).items():
-            record.add("analysis", f"critpath.phase.{_slug(phase)}_us",
-                       share * 1e6, unit="us")
-
-
-def record_place(record: BenchRecord, bench) -> None:
-    """Demand shares, partitioner bake-off, and the placement search."""
-    record.add("place", "graph.nodes", len(bench.graph.nodes),
-               unit="nodes", kind=KIND_COUNT)
-    record.add("place", "graph.edges", len(bench.graph.edges),
-               unit="edges", kind=KIND_COUNT)
-    record.add("place", "demand.messages", bench.demand.messages,
-               unit="msgs", kind=KIND_COUNT)
-    record.add("place", "demand.mean_bytes", bench.demand.mean_bytes,
-               unit="B", kind=KIND_COUNT, direction=DIR_NONE)
-    for index, share in bench.demand.shares:
-        record.add("place", f"demand.share.serve{index}", share,
-                   unit="frac", direction=DIR_NONE)
-
-    for name, cost in bench.partitions.items():
-        base = f"partition.{_slug(name)}"
-        record.add("place", f"{base}.cut_ms", cost.wire_cut_s * 1e3,
-                   unit="ms")
-        record.add("place", f"{base}.imbalance", cost.imbalance,
-                   unit="x")
-        record.add("place", f"{base}.score_ms", cost.score * 1e3,
-                   unit="ms")
-
-    for candidate in bench.search.candidates:
-        record.add("place",
-                   f"candidate.{_slug(candidate.label)}.static_rps",
-                   candidate.static.static_capacity, unit="req/s",
-                   direction=DIR_HIGHER)
-    for validated in bench.search.validated:
-        base = f"capacity.{_slug(validated.label)}"
-        record.add("place", f"{base}.rate", validated.capacity,
-                   unit="req/s", direction=DIR_HIGHER)
-        record.add("place", f"{base}.probes",
-                   len(validated.result.probes), unit="probes",
-                   kind=KIND_COUNT)
-
-    best = bench.search.best
-    record.add("place", "best.capacity", best.capacity, unit="req/s",
-               direction=DIR_HIGHER)
-    record.add("place", "best.is_forwarding",
-               float(best.placement.forwarder is not None), unit="bool",
-               kind=KIND_COUNT, direction=DIR_HIGHER)
-    record.add("place", "best.forwarder",
-               -1.0 if best.placement.forwarder is None
-               else float(best.placement.forwarder), unit="rank",
-               kind=KIND_COUNT, direction=DIR_NONE)
-    record.add("place", "agreement", bench.agreement, unit="frac",
-               direction=DIR_HIGHER)
-    record.add("place", "hill.matches_best",
-               float(bench.hill.label == best.label), unit="bool",
-               kind=KIND_COUNT, direction=DIR_HIGHER)
-
-
-def record_observability(record: BenchRecord, artefact: str,
-                         runs: _t.Sequence[tuple[_t.Any, _t.Any]]) -> None:
-    """Span/RSR totals for one artefact's traced runtimes."""
-    if not runs:
-        return
-    record.add(artefact, "trace.runtimes", len(runs),
-               unit="runtimes", kind=KIND_COUNT)
-    record.add(artefact, "trace.spans",
-               sum(len(obs.spans) for obs, _nexus in runs),
-               unit="spans", kind=KIND_COUNT)
-    record.add(artefact, "trace.rsrs_started",
-               sum(obs.rsrs_started for obs, _nexus in runs),
-               unit="rsrs", kind=KIND_COUNT)
-    record.add(artefact, "trace.rsrs_finished",
-               sum(obs.rsrs_finished for obs, _nexus in runs),
-               unit="rsrs", kind=KIND_COUNT)
-
-
 __all__ = [
     "BenchRecord",
     "COUNT_TOLERANCE",
@@ -840,17 +498,6 @@ __all__ = [
     "environment_fingerprint",
     "git_sha",
     "load_record",
-    "record_ablations",
-    "record_analysis",
-    "record_baselines",
-    "record_chaos",
-    "record_figure4",
-    "record_figure6",
-    "record_fleet",
-    "record_load",
-    "record_observability",
-    "record_place",
-    "record_table1",
-    "record_windowed",
+    "slug",
     "validate_record_document",
 ]

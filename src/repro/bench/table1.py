@@ -18,6 +18,8 @@ import typing as _t
 from ..apps.climate import ClimateConfig, ClimateMode, ClimateResult
 from ..apps.climate.model import run_coupled_model
 from ..util.records import ResultTable
+from . import Artefact, RunOptions
+from .record import KIND_COUNT, Metric, slug
 
 #: The paper's skip_poll rows.
 PAPER_SKIPS = (1, 100, 10_000, 12_000, 13_000)
@@ -59,6 +61,18 @@ class Table1:
 
     def render(self) -> str:
         return self.as_table().render()
+
+    def metrics(self) -> _t.Iterator[Metric]:
+        """Seconds/step, coupling wait, and sim-event count per row."""
+        for label in sorted(self.results):
+            result = self.results[label]
+            base = slug(label)
+            yield Metric(f"{base}.seconds_per_step",
+                         result.seconds_per_step, unit="s")
+            yield Metric(f"{base}.coupling_wait_s", result.coupling_wait,
+                         unit="s")
+            yield Metric(f"{base}.sim_events", result.events_processed,
+                         unit="events", kind=KIND_COUNT)
 
 
 def table1(config: ClimateConfig | None = None,
@@ -141,3 +155,12 @@ def check_table1_shape(table: Table1) -> None:
         assert t("all TCP (no multimethod)") >= 4.0 * worst_multi, (
             "all-TCP should be several times worse than any multimethod "
             "configuration")
+
+
+def _run(options: RunOptions) -> Table1:
+    config = (dataclasses.replace(ClimateConfig(), steps=2)
+              if options.quick else None)
+    return table1(config=config)
+
+
+ARTEFACT = Artefact("table1", _run, check_table1_shape)

@@ -8,8 +8,9 @@ byte-for-byte but halves real-world speed still shows up.
 
 Method (documented in EXPERIMENTS.md):
 
-* each artefact driver is run ``runs`` times back-to-back with stdout
-  suppressed, timing each repetition with ``time.perf_counter()``;
+* each artefact is executed (run, render, check) ``runs`` times
+  back-to-back without printing, timing each repetition with
+  ``time.perf_counter()``;
 * simulator events per repetition are counted via
   :func:`repro.obs.watching_runtimes`, which registers every Nexus
   created during the run *without* enabling tracing — so the counted
@@ -27,12 +28,11 @@ asked), while sim metrics keep their exact gate.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import time
 import typing as _t
 
 from .. import obs as _obs
+from . import Artefact, RunOptions
 from .record import (
     DIR_HIGHER,
     DIR_NONE,
@@ -98,16 +98,14 @@ class WallMeasurement:
         return line
 
 
-def measure_artefact(name: str,
-                     runner: _t.Callable[[bool, BenchRecord | None], None],
-                     *, quick: bool,
+def measure_artefact(artefact: Artefact, options: RunOptions, *,
                      runs: int = DEFAULT_WALL_RUNS) -> WallMeasurement:
-    """Time ``runs`` repetitions of one artefact driver.
+    """Time ``runs`` repetitions of :meth:`Artefact.execute`.
 
-    The driver's stdout (tables, charts) is swallowed so the timed loop
-    does not measure terminal I/O.  Each repetition rebuilds its
-    runtimes from scratch with the same seeds, so every repetition
-    processes the identical event sequence.
+    The rendered text is dropped, so the timed loop does not measure
+    terminal I/O.  Each repetition rebuilds its runtimes from scratch
+    with the same seeds, so every repetition processes the identical
+    event sequence.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -115,14 +113,11 @@ def measure_artefact(name: str,
     events = 0
     for _ in range(runs):
         with _obs.watching_runtimes() as watched:
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink):
-                started = time.perf_counter()
-                runner(quick, None)
-                elapsed = time.perf_counter() - started
-        walls.append(elapsed)
+            started = time.perf_counter()
+            artefact.execute(options)
+            walls.append(time.perf_counter() - started)
         events = sum(nexus.sim.events_processed for nexus in watched)
-    return WallMeasurement(name, walls, events)
+    return WallMeasurement(artefact.name, walls, events)
 
 
 def record_wall(record: BenchRecord, measurement: WallMeasurement) -> None:

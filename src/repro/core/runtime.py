@@ -57,8 +57,6 @@ class Nexus:
         Nexus-layer cost constants (:class:`RuntimeCosts`).
     seed:
         Root seed for all stochastic elements (UDP loss etc.).
-    trace_log:
-        Capacity of the tracer's event log (0 = counters only).
     observe:
         Enable span-based RSR lifecycle tracing (:mod:`repro.obs`).
         ``None`` (default) defers to :func:`repro.obs.default_observe`,
@@ -87,14 +85,13 @@ class Nexus:
                  costs: _t.Mapping[str, TransportCosts] | None = None,
                  runtime_costs: RuntimeCosts | None = None,
                  seed: int = 0,
-                 trace_log: int = 0,
                  observe: bool | None = None,
                  max_spans: int = 1_000_000,
                  retry_policy: RetryPolicy | None = None,
                  health: HealthConfig | None = None):
         self.sim = sim or Simulator()
         self.network = network or Network(self.sim)
-        self.tracer = Tracer(log_capacity=trace_log)
+        self.tracer = Tracer()
         self.obs = Observability(
             self.sim,
             enabled=_obs.default_observe() if observe is None else observe,

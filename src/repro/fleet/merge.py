@@ -117,12 +117,12 @@ def merge_load_results(outcomes: _t.Mapping[str, TaskOutcome], *,
 def merge_bench_outcomes(record: "BenchRecord",
                          outcomes: _t.Mapping[str, TaskOutcome]
                          ) -> list:
-    """Absorb bench-artefact fragments into ``record``, key-ordered.
+    """File every bench artefact's metrics into ``record``, key-ordered.
 
     Returns the :class:`~repro.fleet.tasks.BenchArtefactResult` list in
     key order so the caller can replay captured stdout and wall times.
     Because :meth:`BenchRecord.to_document` sorts artefacts and metric
-    names, absorbing in key order (or any order — the document is
+    names, filing in key order (or any order — the document is
     order-free) reproduces the serial run's bytes exactly; key order is
     still used so duplicate-metric errors surface deterministically.
     """
@@ -130,7 +130,7 @@ def merge_bench_outcomes(record: "BenchRecord",
     merged = []
     for key in sorted(outcomes):
         artefact = outcomes[key].result
-        record.absorb(artefact.fragments)
+        record.extend(artefact.name, artefact.metrics)
         merged.append(artefact)
     return merged
 

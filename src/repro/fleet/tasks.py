@@ -15,12 +15,13 @@ the task spec stays declarative.  Resolution accepts two forms:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import importlib
-import io
 import time
 import typing as _t
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..bench.record import Metric
 
 RUNNERS: dict[str, _t.Callable[..., object]] = {}
 
@@ -111,16 +112,15 @@ def run_place_capacity_task(scenario, slo, low: float, high: float,
 class BenchArtefactResult:
     """One bench artefact's output, portable across the pool.
 
-    ``fragments`` is the worker-local :class:`BenchRecord` flattened to
-    plain tuples (see :meth:`repro.bench.record.BenchRecord.fragments`);
-    the parent absorbs them into its own record in task-key order, so
-    the merged document is independent of completion order.
+    ``metrics`` is what the result's ``metrics()`` yielded — frozen
+    plain data; the parent files them into its own record in task-key
+    order, so the merged document is independent of completion order.
     """
 
     name: str
     stdout: str
     wall_s: float
-    fragments: tuple[tuple[str, str, float, str, str, str], ...]
+    metrics: tuple["Metric", ...]
 
 
 @register_runner("bench.artefact")
@@ -128,27 +128,19 @@ def run_bench_artefact_task(name: str, quick: bool = False
                             ) -> BenchArtefactResult:
     """Run one ``python -m repro.bench`` artefact in this worker.
 
-    Stdout is captured (the parent replays it in selection order) and
-    the artefact's metrics come back as record fragments rather than a
-    live :class:`BenchRecord` — plain data over the wire.
+    The rendered text travels back as ``stdout`` (the parent replays it
+    in selection order) and the artefact's metrics as plain data rather
+    than a live :class:`BenchRecord`.
     """
-    from ..bench.__main__ import ARTEFACTS
-    from ..bench.record import BenchRecord
+    from ..bench import RunOptions, artefact
 
-    try:
-        fn = ARTEFACTS[name]
-    except KeyError:
-        raise LookupError(f"unknown bench artefact {name!r}") from None
-    record = BenchRecord(f"fleet-{name}", quick=quick)
-    out = io.StringIO()
     started = time.perf_counter()
-    with contextlib.redirect_stdout(out):
-        fn(quick, record)
+    result, text = artefact(name).execute(RunOptions(quick=quick))
     return BenchArtefactResult(
         name=name,
-        stdout=out.getvalue(),
+        stdout=text + "\n",
         wall_s=time.perf_counter() - started,
-        fragments=record.fragments(),
+        metrics=tuple(result.metrics()),
     )
 
 

@@ -137,38 +137,18 @@ def find_capacity(scenario: LoadScenario, slo: SLO, *,
             max_probes=max_probes, on_probe=on_probe,
             parallel=max(parallel, 1), pool=pool)
 
-    probes: list[CapacityProbe] = []
-
-    def run(rate: float) -> CapacityProbe:
+    def compute(rate: float) -> CapacityProbe:
         probe = _probe(scenario, slo, rate)
-        probes.append(probe)
         if on_probe is not None:
             on_probe(probe)
         return probe
 
-    low_probe = run(low)
-    if not low_probe.passed:
-        return CapacityResult(scenario=scenario.name, slo=slo.name,
-                              capacity=0.0, first_failing_rate=low,
-                              probes=tuple(probes))
-
-    high_probe = run(high)
-    if high_probe.passed:
-        return CapacityResult(scenario=scenario.name, slo=slo.name,
-                              capacity=high, first_failing_rate=None,
-                              probes=tuple(probes))
-
-    best, worst = low, high
-    while len(probes) < max_probes and (worst - best) > tolerance * best:
-        mid = (best + worst) / 2.0
-        if run(mid).passed:
-            best = mid
-        else:
-            worst = mid
-
-    return CapacityResult(scenario=scenario.name, slo=slo.name,
-                          capacity=best, first_failing_rate=worst,
-                          probes=tuple(probes))
+    # The serial search is the replay over a lookup that never misses.
+    result, _needed, _probes = _replay(
+        compute, scenario_name=scenario.name, slo_name=slo.name,
+        low=low, high=high, tolerance=tolerance, max_probes=max_probes)
+    assert result is not None
+    return result
 
 
 # -- speculative parallel search ----------------------------------------------
@@ -178,12 +158,13 @@ def find_capacity(scenario: LoadScenario, slo: SLO, *,
 # of (scenario, slo, rate), so the *candidate* rates down every branch
 # of the pass/fail decision tree are known in advance — exactly the
 # bisection analogue of speculative execution.  Each round evaluates up
-# to `parallel` frontier rates concurrently, then replays the serial
-# algorithm against the verdict cache; rates the serial path never
-# reaches are wasted work and are discarded.  Because the replay uses
-# the identical float arithmetic ((best + worst) / 2.0), the replayed
-# mids match the speculated rates bit for bit, and the returned result
-# — including the probe *sequence* — equals the serial one exactly.
+# to `parallel` frontier rates concurrently, then replays the bisection
+# (`_replay`, the one copy of it) against the verdict cache; rates the
+# serial path never reaches are wasted work and are discarded.  The
+# frontier computes its mids with the replay's own expression
+# ((best + worst) / 2.0), so speculated rates hit the cache bit for
+# bit, and the returned result — including the probe *sequence* —
+# equals the serial one exactly.
 
 def _speculative_rates(best: float, worst: float, done: int, *,
                        tolerance: float, max_probes: int,
@@ -203,42 +184,45 @@ def _speculative_rates(best: float, worst: float, done: int, *,
     return rates
 
 
-def _replay(cache: dict[float, CapacityProbe], *, scenario_name: str,
-            slo_name: str, low: float, high: float, tolerance: float,
-            max_probes: int
+def _replay(lookup: _t.Callable[[float], CapacityProbe | None], *,
+            scenario_name: str, slo_name: str, low: float, high: float,
+            tolerance: float, max_probes: int
             ) -> tuple[CapacityResult | None, list[float],
                        list[CapacityProbe]]:
-    """Run the serial algorithm against cached verdicts.
+    """The bisection, over ``lookup(rate)`` — a probe, or ``None`` for a
+    rate not evaluated yet.
 
-    Returns ``(result, needed, probes)``: the finished result (or
-    ``None`` if the replay blocked on a rate not yet evaluated), the
-    rates to speculate next (serial-order first), and the probe prefix
-    consumed so far.
+    Each rate is looked up exactly once, in serial order.  Returns
+    ``(result, needed, probes)``: the finished result (or ``None`` if
+    the walk blocked on a miss), the rates to evaluate next
+    (serial-order first), and the probe prefix consumed so far.
     """
     probes: list[CapacityProbe] = []
 
-    low_probe = cache.get(low)
+    def done(capacity: float, first_failing: float | None):
+        return CapacityResult(scenario=scenario_name, slo=slo_name,
+                              capacity=capacity,
+                              first_failing_rate=first_failing,
+                              probes=tuple(probes)), [], probes
+
+    low_probe = lookup(low)
     if low_probe is None:
         return None, [low, high], probes
     probes.append(low_probe)
     if not low_probe.passed:
-        return CapacityResult(scenario=scenario_name, slo=slo_name,
-                              capacity=0.0, first_failing_rate=low,
-                              probes=tuple(probes)), [], probes
+        return done(0.0, low)
 
-    high_probe = cache.get(high)
+    high_probe = lookup(high)
     if high_probe is None:
         return None, [high], probes
     probes.append(high_probe)
     if high_probe.passed:
-        return CapacityResult(scenario=scenario_name, slo=slo_name,
-                              capacity=high, first_failing_rate=None,
-                              probes=tuple(probes)), [], probes
+        return done(high, None)
 
     best, worst = low, high
     while len(probes) < max_probes and (worst - best) > tolerance * best:
         mid = (best + worst) / 2.0
-        probe = cache.get(mid)
+        probe = lookup(mid)
         if probe is None:
             return None, [mid], probes
         probes.append(probe)
@@ -246,9 +230,7 @@ def _replay(cache: dict[float, CapacityProbe], *, scenario_name: str,
             best = mid
         else:
             worst = mid
-    return CapacityResult(scenario=scenario_name, slo=slo_name,
-                          capacity=best, first_failing_rate=worst,
-                          probes=tuple(probes)), [], probes
+    return done(best, worst)
 
 
 def _find_capacity_speculative(
@@ -270,7 +252,7 @@ def _find_capacity_speculative(
     try:
         while True:
             result, needed, probes = _replay(
-                cache, scenario_name=scenario.name, slo_name=slo.name,
+                cache.get, scenario_name=scenario.name, slo_name=slo.name,
                 low=low, high=high, tolerance=tolerance,
                 max_probes=max_probes)
             if on_probe is not None:

@@ -21,15 +21,13 @@ Routes
     instead lands on the forwarding processor — one of the
     remote-serving ranks — and hops to the other servers over the
     placement's fast method, the paper's §4.3 alternative to tuned
-    polling.  The legacy ``forwarding=True`` flag maps onto the
-    equivalent placement with a ``DeprecationWarning``.
+    polling.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing as _t
-import warnings
 
 from .arrivals import ArrivalProcess, LoadSpecError, OpenLoop, SizeDist
 
@@ -103,13 +101,6 @@ class LoadScenario:
     #: Per-method ``skip_poll`` applied to every context (the paper's
     #: tuning knob; ignored for methods a context does not poll).
     skip_poll: tuple[tuple[str, int], ...] = ()
-    #: Deprecated: route remote traffic through the hand-picked §4.3
-    #: forwarding processor (remote rank 0, TCP in, MPL relay).  Bare
-    #: ``forwarding=True`` now maps onto the equivalent ``placement``
-    #: with a :class:`DeprecationWarning`; once a placement is present
-    #: this field is kept as a read-only mirror of "does the placement
-    #: install a forwarder".
-    forwarding: bool = False
     #: Where components sit: a :class:`repro.place.Placement` naming the
     #: forwarding rank (or ``None`` for direct routing) and the methods
     #: on each leg.  The engine consults only this field.
@@ -146,14 +137,6 @@ class LoadScenario:
         if len(set(names)) != len(names):
             raise LoadSpecError(
                 f"scenario {self.name!r} has duplicate fleet names")
-        if self.forwarding and self.placement is None:
-            from ..place.plan import forwarding_placement
-
-            warnings.warn(
-                "LoadScenario(forwarding=True) is deprecated; pass "
-                "placement=repro.place.forwarding_placement() instead",
-                DeprecationWarning, stacklevel=3)
-            object.__setattr__(self, "placement", forwarding_placement())
         if self.placement is not None:
             forwarder = self.placement.forwarder
             if forwarder is not None and forwarder >= self.remote_servers:
@@ -169,8 +152,6 @@ class LoadScenario:
                         f"scenario {self.name!r} placement uses method "
                         f"{method!r} outside its transports "
                         f"{self.transports}")
-            # Keep the legacy flag an honest mirror of the placement.
-            object.__setattr__(self, "forwarding", forwarder is not None)
 
     # -- derived quantities --------------------------------------------------
 

@@ -276,9 +276,7 @@ def extract_graph(source: "Observability | _t.Sequence[Span]", *,
 
 @dataclasses.dataclass
 class PartitionCosts:
-    """:func:`evaluate_partition`'s result, indexable like the plain
-    dict it used to be (``costs["cross"]["bytes"]`` keeps working) with
-    the planner's extra fields as first-class attributes."""
+    """:func:`evaluate_partition`'s result."""
 
     partitions: list[str]
     intra: dict[str, float]
@@ -290,15 +288,6 @@ class PartitionCosts:
     #: Max partition traffic weight over the mean — 1.0 is perfectly
     #: balanced; ``None`` when the assignment is empty or weightless.
     imbalance: float | None
-
-    def __getitem__(self, key: str) -> object:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: object = None) -> object:
-        return getattr(self, key, default)
 
     def as_dict(self) -> dict[str, object]:
         return dataclasses.asdict(self)

@@ -8,9 +8,7 @@ inter-partition and relay legs (``method`` / ``fast_method`` — the
 per-link method override).  Placements are plain frozen data, picklable
 for :mod:`repro.fleet` task payloads, and compile into a
 :class:`repro.load.scenario.LoadScenario` via :func:`compile_scenario`
-— the engine consults only ``scenario.placement``, so the legacy
-``forwarding=True`` flag is now a deprecation shim mapped onto
-:func:`forwarding_placement`.
+— the engine consults only ``scenario.placement``.
 """
 
 from __future__ import annotations
@@ -75,12 +73,10 @@ class Placement:
 
 def forwarding_placement(*, forwarder: int = 0, method: str = "tcp",
                          fast_method: str = "mpl") -> Placement:
-    """The legacy ``forwarding=True`` configuration as a Placement.
+    """The hand-picked §4.3 configuration as a Placement.
 
-    Defaults reproduce PR 5's hand-picked choice exactly: forwarder on
-    remote-serving rank 0, TCP inter-partition, MPL relay — the shim in
-    :class:`repro.load.scenario.LoadScenario` maps bare
-    ``forwarding=True`` onto this value so bench numbers stay identical.
+    Defaults reproduce PR 5's choice exactly: forwarder on
+    remote-serving rank 0, TCP inter-partition, MPL relay.
     """
     return Placement(forwarder=forwarder, method=method,
                      fast_method=fast_method)

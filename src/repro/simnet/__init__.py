@@ -32,7 +32,7 @@ from .node import Host
 from .process import Process
 from .random import RandomStreams, derive, derived_generator
 from .resources import Resource, Store
-from .trace import TraceRecord, Tracer
+from .trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -63,7 +63,6 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
     "Tracer",
     "VirtualClock",
     "WanLink",

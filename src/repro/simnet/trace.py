@@ -1,50 +1,21 @@
 """Lightweight instrumentation for simulations.
 
-A :class:`Tracer` collects named counters, accumulated durations, and
-(optionally) a bounded event log.  Every layer of the stack — transports,
-the Nexus poll manager, the MPI layer, the climate model — reports into the
-simulator-wide tracer, and the enquiry API (:mod:`repro.core.enquiry`) and
-benchmark harness read from it.
+A :class:`Tracer` collects named counters.  Every layer of the stack —
+transports, the Nexus poll manager, the MPI layer, the climate model —
+reports into the simulator-wide tracer, and the enquiry API
+(:mod:`repro.core.enquiry`) and benchmark harness read from it.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
-import typing as _t
-
-
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
-    """One logged simulation event."""
-
-    time: float
-    category: str
-    detail: _t.Mapping[str, object]
 
 
 class Tracer:
-    """Counters + duration accumulators + optional bounded event log."""
+    """Named counters."""
 
-    def __init__(self, log_capacity: int | None = 0):
-        """``log_capacity`` controls the event log: 0 (the default)
-        disables it entirely, a positive value keeps the most recent N
-        records, and ``None`` keeps every record (unbounded — opt-in
-        only; the default must never accumulate memory)."""
-        if log_capacity is not None and log_capacity < 0:
-            raise ValueError(f"log_capacity must be >= 0 or None, "
-                             f"got {log_capacity}")
+    def __init__(self) -> None:
         self.counters: collections.Counter[str] = collections.Counter()
-        self.durations: collections.defaultdict[str, float] = collections.defaultdict(float)
-        self.log_capacity = log_capacity
-        # maxlen=0 is the zero-capacity sentinel: even if a record() call
-        # slips past the enabled check, the deque discards it in O(1).
-        self._log: collections.deque[TraceRecord] = collections.deque(
-            maxlen=0 if log_capacity == 0 else log_capacity
-        )
-        self._log_enabled = log_capacity != 0
-
-    # -- counters ---------------------------------------------------------
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name``."""
@@ -53,50 +24,5 @@ class Tracer:
     def count(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    # -- durations --------------------------------------------------------
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Accumulate ``seconds`` into duration bucket ``name``."""
-        self.durations[name] += seconds
-
-    def time(self, name: str) -> float:
-        return self.durations.get(name, 0.0)
-
-    # -- event log ---------------------------------------------------------
-
-    def record(self, time: float, category: str, **detail: object) -> None:
-        """Append a :class:`TraceRecord` if logging is enabled.
-
-        Guaranteed cheap when disabled: a single attribute check, no
-        record construction, no allocation beyond the kwargs dict.
-        """
-        if not self._log_enabled:
-            return
-        self._log.append(TraceRecord(time, category, detail))
-
-    @property
-    def log(self) -> tuple[TraceRecord, ...]:
-        return tuple(self._log)
-
-    def records(self, category: str) -> list[TraceRecord]:
-        """All logged records with the given category."""
-        return [r for r in self._log if r.category == category]
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def reset(self) -> None:
-        """Clear all counters, durations, and the log."""
-        self.counters.clear()
-        self.durations.clear()
-        self._log.clear()
-
-    def snapshot(self) -> dict[str, object]:
-        """A plain-dict copy of counters and durations (for reports)."""
-        return {
-            "counters": dict(self.counters),
-            "durations": dict(self.durations),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Tracer counters={len(self.counters)} "
-                f"durations={len(self.durations)} log={len(self._log)}>")
+        return f"<Tracer counters={len(self.counters)}>"

@@ -4,32 +4,20 @@ import json
 
 import pytest
 
+from repro.bench.__main__ import main as bench_main
 from repro.bench.analysis import (
-    analysis_bench,
     chaos_scenario,
     chaos_slo,
     check_analysis_shape,
     forwarding_scenario,
 )
-from repro.bench.record import (
-    BenchRecord,
-    record_analysis,
-    validate_record_document,
-)
+from repro.bench.record import BenchRecord
 from repro.obs.validate import validate_file
 
 
 @pytest.fixture(scope="module")
-def bench(tmp_path_factory):
-    import repro.bench.analysis as module
-
-    export_dir = tmp_path_factory.mktemp("analysis")
-    module.EXPORT_DIR = str(export_dir)
-    try:
-        result = analysis_bench(quick=True)
-    finally:
-        module.EXPORT_DIR = None
-    return result, export_dir
+def bench(bench_result, bench_exports):
+    return bench_result("analysis"), bench_exports / "analysis"
 
 
 class TestScenarioDefinitions:
@@ -38,7 +26,7 @@ class TestScenarioDefinitions:
 
     def test_forwarding_run_forwards(self):
         scenario = forwarding_scenario()
-        assert scenario.forwarding
+        assert scenario.placement.forwarder is not None
         assert scenario.remote_servers == 3
 
     def test_chaos_slo_is_detection_only(self):
@@ -79,17 +67,9 @@ class TestExports:
 
 
 class TestRecording:
-    def test_record_analysis_validates_and_is_deterministic(self, bench):
-        one = BenchRecord(label="x", quick=True)
-        record_analysis(one, bench[0])
-        two = BenchRecord(label="x", quick=True)
-        record_analysis(two, bench[0])
-        assert one.dumps() == two.dumps()
-        validate_record_document(json.loads(one.dumps()))
-
     def test_record_covers_every_surface(self, bench):
         record = BenchRecord(label="x", quick=True)
-        record_analysis(record, bench[0])
+        record.extend("analysis", bench[0].metrics())
         metrics = json.loads(record.dumps())["artefacts"]["analysis"][
             "metrics"]
         assert metrics["chaos.slo_passed"]["value"] == 1
@@ -99,3 +79,19 @@ class TestRecording:
         assert 0.0 < metrics["graph.cut_fraction_bytes"]["value"] < 1.0
         assert metrics["critpath.paths"]["value"] > 0
         assert any(name.startswith("critpath.phase.") for name in metrics)
+
+
+def test_options_do_not_outlive_a_call(tmp_path, capsys):
+    """``--export-dir`` used to be parked in a module global that
+    ``main()`` never reset, so a later run in the same process re-wrote
+    the earlier run's directory."""
+    exports = tmp_path / "exports"
+    assert bench_main(["analysis", "--quick",
+                       "--export-dir", str(exports)]) == 0
+    written = sorted(path.name for path in exports.iterdir())
+    assert written == ["critpath.json", "graph.dot", "graph.json",
+                       "timeline.json"]
+    for path in exports.iterdir():
+        path.unlink()
+    assert bench_main(["analysis", "--quick"]) == 0
+    assert list(exports.iterdir()) == []

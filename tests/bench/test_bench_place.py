@@ -6,29 +6,16 @@ import pytest
 
 from repro.bench.place import (
     check_place_shape,
-    place_bench,
     place_jobs,
     serving_scenario,
 )
-from repro.bench.record import (
-    BenchRecord,
-    record_place,
-    validate_record_document,
-)
+from repro.bench.record import BenchRecord
 from repro.obs.validate import validate_file
 
 
 @pytest.fixture(scope="module")
-def bench(tmp_path_factory):
-    import repro.bench.place as module
-
-    export_dir = tmp_path_factory.mktemp("place")
-    module.EXPORT_DIR = str(export_dir)
-    try:
-        result = place_bench(quick=True)
-    finally:
-        module.EXPORT_DIR = None
-    return result, export_dir
+def bench(bench_result, bench_exports):
+    return bench_result("place"), bench_exports / "place"
 
 
 class TestScenarioDefinition:
@@ -82,17 +69,9 @@ class TestExports:
 
 
 class TestRecording:
-    def test_record_place_validates_and_is_deterministic(self, bench):
-        one = BenchRecord(label="x", quick=True)
-        record_place(one, bench[0])
-        two = BenchRecord(label="x", quick=True)
-        record_place(two, bench[0])
-        assert one.dumps() == two.dumps()
-        validate_record_document(json.loads(one.dumps()))
-
     def test_record_covers_every_surface(self, bench):
         record = BenchRecord(label="x", quick=True)
-        record_place(record, bench[0])
+        record.extend("place", bench[0].metrics())
         metrics = json.loads(record.dumps())["artefacts"]["place"][
             "metrics"]
         assert metrics["best.is_forwarding"]["value"] == 1

@@ -1,0 +1,90 @@
+"""Every ``repro.bench`` artefact honours the one protocol.
+
+Table-driven: adding an artefact adds a table line, and these tests
+pick it up.  The metric *set* of each artefact built here is pinned to
+its section of the committed baseline, so a renamed or dropped metric
+fails in tier-1 rather than only in the CI regression gate.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from repro.bench import ARTEFACTS, artefact
+from repro.bench.record import BenchRecord, validate_record_document
+from repro.fleet.tasks import resolve_runner
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+
+#: Artefacts cheap enough to build in tier-1 (``bench_result`` shares
+#: them with the per-artefact test modules), and the committed baseline
+#: that carries each one's section.
+BUILT = {
+    "figure4": "BENCH_quick_baseline.json",
+    "baselines": "BENCH_quick_baseline.json",
+    "chaos": "BENCH_quick_baseline.json",
+    "analysis": "BENCH_quick_baseline.json",
+    "load": "BENCH_load_baseline.json",
+    "place": "BENCH_place_baseline.json",
+}
+
+
+@pytest.mark.parametrize("name", ARTEFACTS)
+def test_table_entry_resolves_to_its_own_artefact(name):
+    entry = artefact(name)
+    assert entry.name == name
+    assert callable(entry.run)
+    assert entry.check is None or callable(entry.check)
+
+
+def test_unknown_names_are_refused():
+    with pytest.raises(LookupError, match="unknown bench artefact"):
+        artefact("figure5")
+    with pytest.raises(LookupError, match="unknown bench artefact"):
+        resolve_runner("bench.artefact")("figure5", quick=True)
+
+
+def test_fleet_runner_goes_through_the_table(bench_result):
+    shipped = resolve_runner("bench.artefact")("baselines", quick=True)
+    assert shipped.name == "baselines"
+    assert shipped.metrics == tuple(bench_result("baselines").metrics())
+    assert shipped.stdout == bench_result("baselines").render() + "\n"
+
+
+def test_only_the_fleet_tier_is_opt_in():
+    assert [name for name in ARTEFACTS if not artefact(name).default] \
+        == ["fleet"]
+
+
+def _populated(name, result):
+    record = BenchRecord("conformance", quick=True)
+    record.extend(name, result.metrics())
+    return record
+
+
+@pytest.mark.parametrize("name", BUILT)
+class TestBuilt:
+    def test_metric_names_unique(self, name, bench_result):
+        names = [metric.name for metric in bench_result(name).metrics()]
+        assert len(names) == len(set(names))
+
+    def test_record_valid_and_repeatable(self, name, bench_result):
+        result = bench_result(name)
+        one = _populated(name, result).dumps()
+        assert one == _populated(name, result).dumps()
+        validate_record_document(json.loads(one))
+
+    def test_metric_set_matches_baseline(self, name, bench_result):
+        document = json.loads((BENCHMARKS / BUILT[name]).read_text())
+        committed = {
+            (metric, body["unit"], body["kind"], body["direction"])
+            for metric, body in
+            document["artefacts"][name]["metrics"].items()
+            # trace.* describe the traced run, not the artefact.
+            if not metric.startswith("trace.")}
+        current = {
+            (metric, body.unit, body.kind, body.direction)
+            for metric, body in
+            _populated(name, bench_result(name)).metrics(name).items()}
+        assert current == committed

@@ -8,12 +8,12 @@ import pytest
 from repro.baselines import run_mixed_workload
 from repro.bench import record as record_mod
 from repro.bench.__main__ import main as bench_main
+from repro.bench.baselines import Baselines
 from repro.bench.record import (
     BenchRecord,
     RecordValidationError,
     compare_records,
     load_record,
-    record_baselines,
     validate_record_document,
 )
 
@@ -22,7 +22,7 @@ def small_record(label="test"):
     """A record populated from a tiny (deterministic) real workload."""
     record = BenchRecord(label, quick=True)
     results = {"nexus skip_poll=1": run_mixed_workload("nexus", rounds=2)}
-    record_baselines(record, results)
+    record.extend("baselines", Baselines(results).metrics())
     record.add("baselines", "wall_s", 0.123, unit="s", kind="wall")
     record.add("baselines", "sim_events", 1000.0, unit="events",
                kind="count")

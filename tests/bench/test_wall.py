@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from repro.bench import Artefact, RunOptions
 from repro.bench.__main__ import main as bench_main
 from repro.bench.record import (
     BenchRecord,
@@ -85,20 +86,27 @@ def test_watching_runtimes_restores_previous_scope():
 # -- measure_artefact --------------------------------------------------------
 
 def test_measure_artefact_is_deterministic_and_silent(capsys):
-    def runner(quick, record):
-        print("driver chatter must be swallowed")
-        _tiny_run()
+    class Tiny:
+        def render(self):
+            return "rendered, never printed"
 
-    measurement = measure_artefact("tiny", runner, quick=True, runs=3)
+    def run(options):
+        _tiny_run()
+        return Tiny()
+
+    tiny = Artefact("tiny", run)
+    options = RunOptions(quick=True)
+    measurement = measure_artefact(tiny, options, runs=3)
     assert capsys.readouterr().out == ""
+    assert measurement.artefact == "tiny"
     assert len(measurement.walls) == 3
     assert measurement.events > 0
     assert all(w >= 0.0 for w in measurement.walls)
-    again = measure_artefact("tiny", runner, quick=True, runs=2)
+    again = measure_artefact(tiny, options, runs=2)
     assert again.events == measurement.events  # same seeds, same events
 
     with pytest.raises(ValueError, match="runs"):
-        measure_artefact("tiny", runner, quick=True, runs=0)
+        measure_artefact(tiny, options, runs=0)
 
 
 def test_record_wall_metric_kinds():

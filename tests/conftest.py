@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import RunOptions, artefact
 from repro.simnet import Simulator
 from repro.testbeds import make_iway, make_sp2
 
@@ -28,6 +29,27 @@ def sp2_wide():
 def iway():
     """The miniature I-WAY testbed."""
     return make_iway()
+
+
+@pytest.fixture(scope="session")
+def bench_exports(tmp_path_factory):
+    """Where :func:`bench_result` artefacts export: ``<root>/<name>/``."""
+    return tmp_path_factory.mktemp("bench-exports")
+
+
+@pytest.fixture(scope="session")
+def bench_result(bench_exports):
+    """``bench_result(name)``: that artefact's ``--quick`` result, built
+    once per session and shared by every test that inspects it."""
+    cache = {}
+
+    def build(name):
+        if name not in cache:
+            cache[name] = artefact(name).run(RunOptions(
+                quick=True, export_dir=str(bench_exports / name)))
+        return cache[name]
+
+    return build
 
 
 def run_to_completion(nexus, *processes):

@@ -6,34 +6,28 @@ import pytest
 
 from repro.bench.load import (
     CAPACITY_SLO,
+    LoadBench,
     capacity_variants,
     scenarios,
     slos,
 )
-from repro.bench.record import BenchRecord, record_load
+from repro.bench.record import BenchRecord
 from repro.load import SLO, evaluate, find_capacity, run_scenario
 from repro.obs.validate import validate_file, validate_load_record
 
 
-class _MiniBench:
-    """A LoadBench-shaped object from one tiny real run."""
-
-    def __init__(self):
-        scenario = scenarios(quick=True)["steady"]
-        result = run_scenario(scenario)
-        verdict = evaluate(result, slos()["steady"])
-        capacity = find_capacity(
-            capacity_variants(quick=True)["untuned"], CAPACITY_SLO,
-            low=100.0, high=400.0, tolerance=0.3, max_probes=3)
-        self.results = {"steady": result}
-        self.verdicts = {"steady": verdict}
-        self.capacities = {"untuned": capacity}
-        self.quick = True
-
-
 @pytest.fixture(scope="module")
 def bench():
-    return _MiniBench()
+    """A LoadBench from one tiny real run."""
+    scenario = scenarios(quick=True)["steady"]
+    result = run_scenario(scenario)
+    verdict = evaluate(result, slos()["steady"])
+    capacity = find_capacity(
+        capacity_variants(quick=True)["untuned"], CAPACITY_SLO,
+        low=100.0, high=400.0, tolerance=0.3, max_probes=3)
+    return LoadBench(results={"steady": result},
+                     verdicts={"steady": verdict},
+                     capacities={"untuned": capacity})
 
 
 class TestSuiteDefinitions:
@@ -52,7 +46,7 @@ class TestSuiteDefinitions:
                                  "forwarding"}
         assert variants["untuned"].skip_poll == ()
         assert variants["tuned-skip-poll"].skip_poll != ()
-        assert variants["forwarding"].forwarding
+        assert variants["forwarding"].placement.forwarder is not None
         rates = {v.open_rate for v in variants.values()}
         assert len(rates) == 1
 
@@ -60,7 +54,7 @@ class TestSuiteDefinitions:
 class TestRecordLoad:
     def test_record_round_trips_through_validator(self, bench, tmp_path):
         record = BenchRecord("load-test", quick=True)
-        record_load(record, bench)
+        record.extend("load", bench.metrics())
         path = tmp_path / "BENCH_load.json"
         record.write(str(path))
         kind, summary = validate_file(str(path))
@@ -68,19 +62,9 @@ class TestRecordLoad:
         assert summary["load_scenarios"] == 1
         assert summary["capacity_searches"] == 1
 
-    def test_record_is_byte_deterministic(self, bench, tmp_path):
-        paths = []
-        for index in range(2):
-            record = BenchRecord("load-test", quick=True)
-            record_load(record, bench)
-            path = tmp_path / f"r{index}.json"
-            record.write(str(path))
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
-
     def test_validator_rejects_incomplete_scenario(self, bench, tmp_path):
         record = BenchRecord("load-test", quick=True)
-        record_load(record, bench)
+        record.extend("load", bench.metrics())
         path = tmp_path / "bad.json"
         record.write(str(path))
         document = json.loads(path.read_text())
@@ -91,7 +75,7 @@ class TestRecordLoad:
     def test_validator_rejects_delivered_over_offered(self, bench,
                                                       tmp_path):
         record = BenchRecord("load-test", quick=True)
-        record_load(record, bench)
+        record.extend("load", bench.metrics())
         path = tmp_path / "bad.json"
         record.write(str(path))
         document = json.loads(path.read_text())

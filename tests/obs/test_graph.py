@@ -142,20 +142,20 @@ class TestPartition:
         obs, nexus = pingpong
         graph = extract_graph(obs, nexus=nexus)
         costs = evaluate_partition(graph, {0: "A", 1: "A", 2: "B"})
-        assert costs["partitions"] == ["A", "B"]
-        assert costs["intra"]["messages"] == 1   # a -> b over mpl
-        assert costs["cross"]["messages"] == 1   # a -> c over tcp
-        assert costs["cross_messages_per_method"] == {"tcp": 1}
-        total = costs["intra"]["bytes"] + costs["cross"]["bytes"]
-        assert costs["cut_fraction_bytes"] == pytest.approx(
-            costs["cross"]["bytes"] / total)
+        assert costs.partitions == ["A", "B"]
+        assert costs.intra["messages"] == 1   # a -> b over mpl
+        assert costs.cross["messages"] == 1   # a -> c over tcp
+        assert costs.cross_messages_per_method == {"tcp": 1}
+        total = costs.intra["bytes"] + costs.cross["bytes"]
+        assert costs.cut_fraction_bytes == pytest.approx(
+            costs.cross["bytes"] / total)
 
     def test_single_partition_has_empty_cut(self, pingpong):
         obs, nexus = pingpong
         graph = extract_graph(obs, nexus=nexus)
         costs = evaluate_partition(graph, {0: "A", 1: "A", 2: "A"})
-        assert costs["cross"]["messages"] == 0
-        assert costs["cut_fraction_bytes"] == 0.0
+        assert costs.cross["messages"] == 0
+        assert costs.cut_fraction_bytes == 0.0
 
     def test_unassigned_ranks_count_as_cross_traffic(self, pingpong):
         # Ranks missing from the assignment land in partition "?", so
@@ -163,23 +163,23 @@ class TestPartition:
         obs, nexus = pingpong
         graph = extract_graph(obs, nexus=nexus)
         costs = evaluate_partition(graph, {0: "A"})
-        assert costs["cross"]["messages"] == 2
-        assert costs["intra"]["messages"] == 0
+        assert costs.cross["messages"] == 2
+        assert costs.intra["messages"] == 0
 
     def test_empty_graph_has_na_cut_fraction(self):
         from repro.obs.graph import CommGraph
 
         costs = evaluate_partition(CommGraph(), {})
-        assert costs["cut_fraction_bytes"] is None
-        assert costs["imbalance"] is None
+        assert costs.cut_fraction_bytes is None
+        assert costs.imbalance is None
 
     def test_cross_bytes_broken_down_per_method(self, pingpong):
         obs, nexus = pingpong
         graph = extract_graph(obs, nexus=nexus)
         costs = evaluate_partition(graph, {0: "A", 1: "A", 2: "B"})
-        assert set(costs["cross_bytes_per_method"]) == {"tcp"}
-        assert costs["cross_bytes_per_method"]["tcp"] \
-            == costs["cross"]["bytes"]
+        assert set(costs.cross_bytes_per_method) == {"tcp"}
+        assert costs.cross_bytes_per_method["tcp"] \
+            == costs.cross["bytes"]
 
     def test_imbalance_is_max_over_mean_traffic(self, pingpong):
         obs, nexus = pingpong
@@ -190,18 +190,15 @@ class TestPartition:
             label = "A" if node.rank in (0, 1) else "B"
             weights[label] += node.bytes_in + node.bytes_out
         mean = sum(weights.values()) / 2
-        assert costs["imbalance"] == pytest.approx(
+        assert costs.imbalance == pytest.approx(
             max(weights.values()) / mean)
-        assert costs["imbalance"] >= 1.0
+        assert costs.imbalance >= 1.0
 
     def test_costs_expose_dataclass_and_mapping_views(self, pingpong):
         obs, nexus = pingpong
         graph = extract_graph(obs, nexus=nexus)
         costs = evaluate_partition(graph, {0: "A", 1: "A", 2: "B"})
-        assert costs.partitions == costs["partitions"]
-        assert costs.get("no-such-key") is None
-        with pytest.raises(KeyError):
-            costs["no-such-key"]
+        assert costs.partitions == costs.as_dict()["partitions"]
         assert set(costs.as_dict()) >= {"partitions", "intra", "cross",
                                         "cut_fraction_bytes",
                                         "cross_bytes_per_method",

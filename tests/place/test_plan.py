@@ -2,7 +2,6 @@
 deprecation shim, and the exported plan document."""
 
 import json
-import warnings
 
 import pytest
 
@@ -63,9 +62,8 @@ class TestCompileScenario:
         compiled = compile_scenario(scenario(),
                                     forwarding_placement(forwarder=1))
         assert compiled.placement.forwarder == 1
-        assert compiled.forwarding  # read-only legacy mirror
         direct = compile_scenario(scenario(), direct_placement())
-        assert not direct.forwarding
+        assert direct.placement.forwarder is None
 
     def test_forwarder_must_index_a_serving_rank(self):
         with pytest.raises(LoadSpecError, match="forwarder"):
@@ -76,27 +74,6 @@ class TestCompileScenario:
         with pytest.raises(LoadSpecError, match="transport"):
             compile_scenario(scenario(),
                              forwarding_placement(fast_method="warp"))
-
-
-class TestDeprecationShim:
-    def test_bare_forwarding_true_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="forwarding=True"):
-            legacy = scenario(forwarding=True)
-        assert legacy.placement == forwarding_placement()
-
-    def test_explicit_placement_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            explicit = scenario(placement=forwarding_placement())
-        assert explicit.forwarding
-
-    def test_scaled_copies_do_not_rewarn(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = scenario(forwarding=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scaled = legacy.at_rate(100.0)
-        assert scaled.placement == forwarding_placement()
 
 
 class TestPlanDocument:

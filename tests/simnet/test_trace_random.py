@@ -1,7 +1,5 @@
 """Tests for the tracer and deterministic random streams."""
 
-import pytest
-
 from repro.simnet import RandomStreams, Tracer
 
 
@@ -12,63 +10,6 @@ class TestTracer:
         tracer.incr("x", 4)
         assert tracer.count("x") == 5
         assert tracer.count("missing") == 0
-
-    def test_durations(self):
-        tracer = Tracer()
-        tracer.add_time("poll", 0.5)
-        tracer.add_time("poll", 0.25)
-        assert tracer.time("poll") == 0.75
-        assert tracer.time("missing") == 0.0
-
-    def test_log_disabled_by_default(self):
-        tracer = Tracer()
-        tracer.record(1.0, "event", detail="x")
-        assert tracer.log == ()
-
-    def test_log_bounded(self):
-        tracer = Tracer(log_capacity=3)
-        for index in range(10):
-            tracer.record(float(index), "tick", index=index)
-        assert len(tracer.log) == 3
-        assert tracer.log[0].time == 7.0
-
-    def test_disabled_log_has_zero_capacity(self):
-        """log_capacity=0 must not allocate an unbounded deque: even a
-        record() that slips past the enabled check is discarded."""
-        tracer = Tracer(log_capacity=0)
-        assert tracer._log.maxlen == 0
-        for index in range(1000):
-            tracer.record(float(index), "tick")
-        assert len(tracer._log) == 0
-
-    def test_unbounded_log_is_explicit_opt_in(self):
-        tracer = Tracer(log_capacity=None)
-        for index in range(100):
-            tracer.record(float(index), "tick")
-        assert len(tracer.log) == 100
-        assert tracer._log.maxlen is None
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError, match="log_capacity"):
-            Tracer(log_capacity=-1)
-
-    def test_records_by_category(self):
-        tracer = Tracer(log_capacity=10)
-        tracer.record(0.0, "a")
-        tracer.record(1.0, "b")
-        tracer.record(2.0, "a")
-        assert [r.time for r in tracer.records("a")] == [0.0, 2.0]
-
-    def test_reset_and_snapshot(self):
-        tracer = Tracer(log_capacity=2)
-        tracer.incr("x")
-        tracer.add_time("y", 1.0)
-        snap = tracer.snapshot()
-        assert snap["counters"] == {"x": 1}
-        assert snap["durations"] == {"y": 1.0}
-        tracer.reset()
-        assert tracer.count("x") == 0
-        assert tracer.time("y") == 0.0
 
 
 class TestRandomStreams:
