@@ -11,7 +11,9 @@ Layers:
 
 * :mod:`repro.fleet.pool` — the spawn pool: declarative task specs in,
   key-tagged results (or structured :class:`FleetTaskError`\\ s with
-  remote tracebacks) out; crashes are reaped, never hung on.
+  remote tracebacks) out; crashes and hangs are reaped, never hung on.
+  One warm pool per process serves every in-process caller;
+  :func:`shutdown` ends it early.
 * :mod:`repro.fleet.tasks` — the runner registry workers resolve task
   specs against (scenario runs, capacity probes, bench artefacts).
 * :mod:`repro.fleet.plan` — declarative plans for the three fan-out
@@ -51,6 +53,7 @@ from .pool import (
     FleetTaskError,
     TaskOutcome,
     run_serial,
+    shutdown,
 )
 from .tasks import RUNNERS, register_runner, resolve_runner
 
@@ -78,5 +81,6 @@ __all__ = [
     "resolve_runner",
     "run_plan",
     "run_serial",
+    "shutdown",
     "write_document",
 ]

@@ -2,8 +2,8 @@
 
 A plan is frozen data describing *which* independent simulations to
 run; :func:`run_plan` turns it into :class:`~repro.fleet.pool.FleetTask`
-specs and executes them serially (``jobs=1``) or across a
-:class:`~repro.fleet.pool.FleetPool`.  Three shapes cover the repo's
+specs and executes them serially (``jobs=1``) or across the process's
+warm :class:`~repro.fleet.pool.FleetPool`.  Three shapes cover the repo's
 existing serial loops:
 
 * :class:`ScenarioGrid` — one base :class:`LoadScenario` swept across
@@ -24,13 +24,14 @@ same plan yields byte-identical merged outputs at any ``jobs``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import time
 import typing as _t
 
 from ..simnet.random import derive
-from .pool import FleetPool, FleetTask, TaskOutcome, run_serial
+from .pool import FleetPool, FleetTask, TaskOutcome, run_serial, shared_pool
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..load.scenario import LoadScenario
@@ -144,6 +145,7 @@ class FleetRun:
     """One executed plan: outcomes in task-key order, plus wall time."""
 
     plan: FleetPlan
+    #: The width that actually ran: 1 for in-process, else the pool's.
     jobs: int
     outcomes: dict[str, TaskOutcome]
     wall_s: float
@@ -167,22 +169,23 @@ def run_plan(plan: FleetPlan, *, jobs: int = 1,
     """Execute a plan at the given parallelism.
 
     ``jobs=1`` runs in-process (no spawn cost, bit-identical semantics);
-    ``jobs>1`` uses ``pool`` if given (and leaves it open) or a
-    temporary :class:`FleetPool` of ``jobs`` workers.  Outcomes are
-    key-ordered either way.
+    ``jobs>1`` borrows the process-wide warm pool at that width — the
+    first call pays spawn + import, later calls do not, and
+    :func:`repro.fleet.shutdown` (or interpreter exit) ends it.  A
+    ``pool`` the caller passes is used instead, whatever ``jobs`` says,
+    and left open.  Outcomes are key-ordered either way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = plan.tasks()
     started = time.perf_counter()
-    if jobs == 1 and pool is None:
-        outcomes = run_serial(tasks)
-    elif pool is not None:
-        outcomes = pool.run(tasks)
+    if pool is None and jobs == 1:
+        outcomes, width = run_serial(tasks), 1
     else:
-        with FleetPool(jobs) as fresh:
-            outcomes = fresh.run(tasks)
-    return FleetRun(plan=plan, jobs=jobs, outcomes=outcomes,
+        with (shared_pool(jobs) if pool is None
+              else contextlib.nullcontext(pool)) as pool:
+            outcomes, width = pool.run(tasks), pool.workers
+    return FleetRun(plan=plan, jobs=width, outcomes=outcomes,
                     wall_s=time.perf_counter() - started)
 
 

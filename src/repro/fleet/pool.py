@@ -21,6 +21,9 @@ Robustness contract:
   reaped: its in-flight task errors with the exit code, surviving
   workers keep draining the queue, and if *every* worker is gone the
   still-queued tasks error out instead of deadlocking the parent;
+* a task still running :data:`TASK_TIMEOUT_S` after its worker
+  acknowledged it is a hang: the worker is killed and the task errors
+  as ``TaskTimeout`` with its key, exactly like a crash;
 * results are pre-pickled inside the worker so an unpicklable return
   value becomes an ordinary per-task error instead of a mid-send
   crash.
@@ -38,14 +41,25 @@ event-driven, not a liveness poll.
 ``spawn`` (not ``fork``) is used unconditionally: forked children would
 inherit the parent's live simulators, RNG state, and open spool file
 handles — exactly the implicit state this layer exists to exclude.
+
+Spawning a worker and importing ``repro`` in it costs a few hundred
+milliseconds — more than many whole sweeps — so the in-process callers
+(``run_plan``, ``find_capacity(parallel=)``, ``place.search``) do not
+build pools of their own: they borrow the process's one warm pool
+through :func:`shared_pool`, which lives until :func:`shutdown` or
+interpreter exit.  See "Pool lifetime" in ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import pickle
+import threading
+import time
 import traceback
 import typing as _t
 
@@ -56,6 +70,12 @@ _REAP_INTERVAL_S = 0.25
 
 #: Parent-side join grace before a lingering worker is terminated.
 _JOIN_TIMEOUT_S = 5.0
+
+#: How long one task may run, from its worker's ack, before it counts
+#: as hung (seconds).  Generous on purpose: the slowest task in the
+#: repo (a full-size bench artefact) takes about a minute; this only
+#: has to turn "forever" into a diagnosis.
+TASK_TIMEOUT_S = 1800.0
 
 
 class FleetSpecError(ValueError):
@@ -175,21 +195,33 @@ class FleetPool:
 
     Use :meth:`run` for a batch (results keyed and key-ordered), or
     :meth:`submit` + :meth:`as_completed` to stream outcomes as they
-    finish.  The pool survives multiple batches — the parallel capacity
-    search reuses one pool across bisection rounds.
+    finish.  The pool survives any number of batches.
+
+    Code inside ``repro`` does not construct one: it borrows the
+    process-wide warm pool with :func:`shared_pool`.  Construct one
+    yourself to own its lifetime — pass it as ``pool=`` to ``run_plan``
+    or ``find_capacity`` and it is used instead of the shared one and
+    left open.  ``task_timeout`` exists so tests can shorten
+    :data:`TASK_TIMEOUT_S`.
     """
 
-    def __init__(self, workers: int, *, name: str = "fleet"):
+    def __init__(self, workers: int, *, name: str = "fleet",
+                 task_timeout: float = TASK_TIMEOUT_S):
         if workers < 1:
             raise FleetSpecError(f"pool needs >= 1 worker, got {workers}")
+        if not task_timeout > 0:
+            raise FleetSpecError(
+                f"task timeout must be positive, got {task_timeout}")
         self.workers = workers
         self.name = name
+        self.task_timeout = task_timeout
         self._ctx = multiprocessing.get_context("spawn")
         self._tasks: "multiprocessing.Queue | None" = None
         self._conns: dict[int, _t.Any] = {}   # worker index -> read end
         self._procs: list = []
         self._pending: dict[str, FleetTask] = {}
-        self._started: dict[str, int] = {}   # key -> worker index
+        #: key -> (worker index, monotonic deadline), from ack to answer.
+        self._started: dict[str, tuple[int, float]] = {}
         self._reaped: set[int] = set()
         self._closed = False
 
@@ -221,7 +253,20 @@ class FleetPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    @property
+    def healthy(self) -> bool:
+        """Fit to take another batch: open, idle, no worker lost.
+
+        False after any ``WorkerCrash``/``PoolExhausted``/``TaskTimeout``
+        outcome, after a batch was abandoned half-collected, and when a
+        worker has died between batches.
+        """
+        return (not self._closed and not self._reaped
+                and not self._pending
+                and all(proc.is_alive() for proc in self._procs))
+
     def close(self) -> None:
+        """Let idle workers exit on their own, then :meth:`terminate`."""
         if self._closed:
             return
         self._closed = True
@@ -233,9 +278,20 @@ class FleetPool:
                     break
         for proc in self._procs:
             proc.join(timeout=_JOIN_TIMEOUT_S)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=_JOIN_TIMEOUT_S)
+        self.terminate()
+
+    def terminate(self) -> None:
+        """Kill every worker still alive and release the parent's ends.
+
+        Safe on idle workers (they hold nothing but their own queue and
+        pipe) and the only way out of busy or stuck ones.  Idempotent.
+        """
+        self._closed = True
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.kill()
+        for proc in self._procs:
+            proc.join(timeout=_JOIN_TIMEOUT_S)
         for conn in self._conns.values():
             conn.close()
         self._conns.clear()
@@ -262,8 +318,9 @@ class FleetPool:
         """Yield an outcome per pending task, in completion order.
 
         Never deadlocks: a dead worker's severed pipe is an immediate
-        EOF that reaps its in-flight task into a crash outcome, and if
-        the whole pool dies the remaining queued tasks error out.
+        EOF that reaps its in-flight task into a crash outcome, a task
+        that outlives ``task_timeout`` has its worker killed, and if the
+        whole pool is gone the remaining queued tasks error out.
         """
         while self._pending:
             live = {index: conn for index, conn in self._conns.items()
@@ -279,7 +336,6 @@ class FleetPool:
                 yield from self._reap_if_dead(
                     index for index, proc in enumerate(self._procs)
                     if not proc.is_alive())
-                continue
             by_conn = {id(conn): index for index, conn in live.items()}
             for conn in ready:
                 index = by_conn[id(conn)]
@@ -289,12 +345,14 @@ class FleetPool:
                     yield from self._reap_if_dead([index])
                     continue
                 yield from self._dispatch(message)
+            yield from self._kill_overdue()
 
     def _dispatch(self, message) -> _t.Iterator[TaskOutcome]:
         kind = message[0]
         if kind == "ack":
             _kind, key, index = message
-            self._started[key] = index
+            self._started[key] = (index,
+                                  time.monotonic() + self.task_timeout)
         elif kind == "ok":
             _kind, key, blob = message
             self._started.pop(key, None)
@@ -318,18 +376,41 @@ class FleetPool:
             proc.join(timeout=_JOIN_TIMEOUT_S)
             if proc.is_alive():  # pragma: no cover - EOF without death
                 continue
-            self._reaped.add(index)
-            for key, owner in list(self._started.items()):
-                if owner != index:
-                    continue
-                del self._started[key]
-                if self._pending.pop(key, None) is not None:
-                    yield TaskOutcome(key=key, error=FleetTaskError(
-                        key, "WorkerCrash",
-                        f"worker {index} died with exit code "
-                        f"{proc.exitcode} while running this task",
-                        f"(no remote traceback: worker process {index} "
-                        f"terminated with exit code {proc.exitcode})"))
+            yield from self._lose_worker(
+                index, "WorkerCrash",
+                f"worker {index} died with exit code {proc.exitcode} "
+                f"while running this task",
+                f"worker process {index} terminated with exit code "
+                f"{proc.exitcode}")
+
+    def _kill_overdue(self) -> _t.Iterator[TaskOutcome]:
+        """Kill workers whose task has outlived ``task_timeout``."""
+        now = time.monotonic()
+        for index in sorted({index for index, deadline
+                             in self._started.values() if deadline < now}):
+            proc = self._procs[index]
+            # SIGKILL, not SIGTERM: a runner stuck in native code or
+            # with signals masked must still go.
+            proc.kill()
+            proc.join(timeout=_JOIN_TIMEOUT_S)
+            yield from self._lose_worker(
+                index, "TaskTimeout",
+                f"still running after {self.task_timeout:g} s on worker "
+                f"{index}, which was killed",
+                f"worker process {index} was killed on the task timeout")
+
+    def _lose_worker(self, index: int, exc_type: str, message: str,
+                     note: str) -> _t.Iterator[TaskOutcome]:
+        """Worker ``index`` is gone: fail what it was running."""
+        self._reaped.add(index)
+        for key, (owner, _deadline) in list(self._started.items()):
+            if owner != index:
+                continue
+            del self._started[key]
+            if self._pending.pop(key, None) is not None:
+                yield TaskOutcome(key=key, error=FleetTaskError(
+                    key, exc_type, message,
+                    f"(no remote traceback: {note})"))
         if self._pending and len(self._reaped) == len(self._procs):
             yield from self._exhausted()
 
@@ -351,6 +432,60 @@ class FleetPool:
             self.submit(task)
         outcomes = {outcome.key: outcome for outcome in self.as_completed()}
         return {key: outcomes[key] for key in sorted(outcomes)}
+
+
+# -- the process-wide warm pool -----------------------------------------------
+
+_shared: FleetPool | None = None
+#: Held for the whole of a borrow: one batch at a time owns the pool.
+_shared_lock = threading.Lock()
+
+
+def _evict() -> None:
+    """Terminate and forget the warm pool; the caller holds the lock."""
+    global _shared
+    if _shared is not None:
+        _shared.terminate()
+        _shared = None
+
+
+@contextlib.contextmanager
+def shared_pool(workers: int) -> _t.Iterator[FleetPool]:
+    """Borrow the process's warm pool, ``workers`` wide, for one caller.
+
+    The pool is started on first use and handed out again for as long
+    as it is :attr:`~FleetPool.healthy`.  Asking for a different width
+    replaces it, so at most one is alive.  If the borrow leaves it
+    unhealthy — a crash, a timeout, an exception that abandoned a batch
+    — it is terminated on the spot and the next borrow cold-starts.
+    Not public API: it is how ``run_plan``, ``find_capacity`` and
+    ``place.search`` get workers.
+    """
+    global _shared
+    with _shared_lock:
+        if _shared is not None and (_shared.workers != workers
+                                    or not _shared.healthy):
+            _evict()
+        if _shared is None:
+            _shared = FleetPool(workers, name="shared")
+        try:
+            yield _shared.start()
+        finally:
+            if not _shared.healthy:
+                _evict()
+
+
+def shutdown() -> None:
+    """Terminate the warm pool, if there is one.  Idempotent.
+
+    Runs at interpreter exit; call it earlier to give back the idle
+    workers' memory.  The next borrow cold-starts a new pool.
+    """
+    with _shared_lock:
+        _evict()
+
+
+atexit.register(shutdown)
 
 
 def run_serial(tasks: _t.Sequence[FleetTask]) -> dict[str, TaskOutcome]:
@@ -388,4 +523,5 @@ __all__ = [
     "FleetTaskError",
     "TaskOutcome",
     "run_serial",
+    "shutdown",
 ]

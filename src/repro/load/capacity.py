@@ -15,6 +15,7 @@ pure function of (scenario, slo, bracket), reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import typing as _t
 
@@ -118,8 +119,10 @@ def find_capacity(scenario: LoadScenario, slo: SLO, *,
     pass/fail decision tree.  Verdicts are then replayed in serial
     order, mispredicted branches are discarded, and the result —
     capacity, first failing rate, and the exact probe sequence — is
-    identical to ``parallel=1``.  ``pool`` (optional) supplies an
-    already-running pool to reuse across searches; it is left open.
+    identical to ``parallel=1``.  The workers are the process's warm
+    fleet pool (started on first use, kept until
+    :func:`repro.fleet.shutdown` or exit); ``pool`` (optional) supplies
+    one of the caller's own instead, which is left open.
     """
     if not 0 < low < high:
         raise LoadSpecError(f"bad capacity bracket [{low!r}, {high!r}]")
@@ -240,16 +243,14 @@ def _find_capacity_speculative(
         parallel: int, pool: _t.Any | None) -> CapacityResult:
     # Imported lazily: repro.load must stay importable without dragging
     # the fleet layer (and multiprocessing) into every consumer.
-    from ..fleet.pool import FleetPool, FleetTask
+    from ..fleet.pool import FleetTask, shared_pool
 
     cache: dict[float, CapacityProbe] = {}
     reported = 0
-    own_pool = pool is None
-    if own_pool:
-        pool = FleetPool(parallel, name="capacity")
-    width = max(parallel, getattr(pool, "workers", parallel))
     batch = 0
-    try:
+    with (shared_pool(parallel) if pool is None
+          else contextlib.nullcontext(pool)) as pool:
+        width = max(parallel, pool.workers)
         while True:
             result, needed, probes = _replay(
                 cache.get, scenario_name=scenario.name, slo_name=slo.name,
@@ -293,9 +294,6 @@ def _find_capacity_speculative(
                     raise outcome.error
                 probe = _t.cast(CapacityProbe, outcome.result)
                 cache[probe.rate] = probe
-    finally:
-        if own_pool:
-            pool.close()
 
 
 __all__ = ["CapacityProbe", "CapacityResult", "find_capacity"]

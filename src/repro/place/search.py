@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..fleet.pool import FleetPool, FleetTask, run_serial
+from ..fleet.pool import FleetTask, run_serial, shared_pool
 from ..obs.graph import CommGraph
 from .cost import PlacementCost, predict_placement, serving_demand
 from .errors import PlacementError
@@ -188,8 +188,8 @@ def search_placements(graph: CommGraph, scenario: "LoadScenario",
                       ) -> SearchResult:
     """The full pipeline: rank statically, validate top-k by capacity.
 
-    ``jobs > 1`` fans the per-candidate capacity searches out through a
-    :class:`repro.fleet.pool.FleetPool`; outcomes merge in task-key
+    ``jobs > 1`` fans the per-candidate capacity searches out over the
+    process's warm :mod:`repro.fleet` pool; outcomes merge in task-key
     order, so the result is byte-identical at any ``jobs`` level.
     ``assignment`` (a partitioner's output) rides along on every
     candidate for provenance.
@@ -211,8 +211,7 @@ def search_placements(graph: CommGraph, scenario: "LoadScenario",
             "max_probes": max_probes,
         }) for candidate in shortlist]
     if jobs > 1:
-        with FleetPool(workers=min(jobs, len(tasks)),
-                       name="place") as pool:
+        with shared_pool(min(jobs, len(tasks))) as pool:
             outcomes = pool.run(tasks)
     else:
         outcomes = run_serial(tasks)

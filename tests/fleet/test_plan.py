@@ -5,6 +5,7 @@ import pytest
 
 from repro.fleet import (
     BenchFanout,
+    FleetPool,
     ScenarioGrid,
     SeedReplication,
     derive_task_seed,
@@ -12,6 +13,8 @@ from repro.fleet import (
     run_plan,
 )
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop
+
+from .runners import FINE, Calls
 
 
 def _scenario(seed=7):
@@ -113,3 +116,12 @@ class TestRunPlan:
         plan = BenchFanout(artefacts=("table1",))
         with pytest.raises(ValueError):
             run_plan(plan, jobs=0)
+
+    def test_run_records_the_width_that_ran(self):
+        plan = Calls({"a": (FINE, {"value": 1})})
+        assert run_plan(plan, jobs=1).jobs == 1
+        with FleetPool(2, name="explicit") as pool:
+            # An explicit pool wins over ``jobs``; the run says so.
+            run = run_plan(plan, jobs=1, pool=pool)
+        assert run.results() == {"a": 2}
+        assert run.jobs == 2

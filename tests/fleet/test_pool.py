@@ -1,20 +1,31 @@
 """Fleet pool: spec validation, structured errors, crash robustness."""
 
+import time
+
 import pytest
 
+import repro.fleet.pool as pool_module
 from repro.fleet import (
     FleetPool,
     FleetSpecError,
     FleetTask,
     FleetTaskError,
     resolve_runner,
+    run_plan,
     run_serial,
 )
 
-FINE = "tests.fleet.runners:fine"
-BOOM = "tests.fleet.runners:boom"
-HARD_EXIT = "tests.fleet.runners:hard_exit"
-UNPICKLABLE = "tests.fleet.runners:unpicklable_result"
+from .runners import (
+    BIG,
+    BOOM,
+    FINE,
+    HARD_EXIT,
+    KILL_NINE,
+    SLEEPY,
+    UNPICKLABLE,
+    Calls,
+    worker_pids,
+)
 
 
 class TestSpecValidation:
@@ -44,6 +55,10 @@ class TestSpecValidation:
     def test_pool_needs_at_least_one_worker(self):
         with pytest.raises(FleetSpecError):
             FleetPool(0)
+
+    def test_task_timeout_must_be_positive(self):
+        with pytest.raises(FleetSpecError, match="timeout"):
+            FleetPool(1, task_timeout=0)
 
 
 class TestRunnerResolution:
@@ -133,3 +148,61 @@ class TestCrashRobustness:
         assert "exit code" in error.message
         # The surviving worker still finished its task: no deadlock.
         assert outcomes["y-ok"].result == 10
+
+    def test_hung_task_times_out_and_survivors_drain(self):
+        started = time.monotonic()
+        with FleetPool(2, name="hang", task_timeout=0.5) as pool:
+            outcomes = pool.run(
+                [FleetTask(key="a-hang", runner=SLEEPY,
+                           payload={"seconds": 60})]
+                + [FleetTask(key=f"ok-{index}", runner=FINE,
+                             payload={"value": index})
+                   for index in range(4)])
+            assert not pool.healthy
+        assert time.monotonic() - started < 10
+        error = outcomes["a-hang"].error
+        assert error is not None
+        assert error.exc_type == "TaskTimeout"
+        assert error.key == "a-hang"
+        assert "0.5 s" in error.message
+        assert [outcomes[f"ok-{index}"].result for index in range(4)] \
+            == [0, 2, 4, 6]
+
+
+class TestSharedPoolRecovers:
+    """A failure on the warm pool costs that call its task and the next
+    call a cold start — never a poisoned pool."""
+
+    def test_kill_nine_mid_task(self):
+        before = worker_pids()
+        run = run_plan(Calls({"a-kill": (KILL_NINE, {}),
+                              "b-ok": (FINE, {"value": 5})}), jobs=2)
+        error = run.outcomes["a-kill"].error
+        assert error is not None and error.exc_type == "WorkerCrash"
+        assert "exit code -9" in error.message
+        assert run.outcomes["b-ok"].result == 10
+        assert pool_module._shared is None
+        assert not worker_pids() & before
+
+    def test_timeout_evicts_the_pool(self):
+        pool_module.shutdown()
+        # The slot's own pool has the 30-minute default; plant one that
+        # gives up sooner.  The run below evicts it again.
+        impatient = FleetPool(2, name="impatient", task_timeout=0.5)
+        pool_module._shared = impatient
+        run = run_plan(Calls({"a-hang": (SLEEPY, {"seconds": 60}),
+                              "b-ok": (FINE, {"value": 5})}), jobs=2)
+        stale = {proc.pid for proc in impatient._procs}
+        assert run.outcomes["a-hang"].error.exc_type == "TaskTimeout"
+        assert run.outcomes["b-ok"].result == 10
+        assert pool_module._shared is None
+        assert not any(proc.is_alive() for proc in impatient._procs)
+        assert not worker_pids() & stale
+
+    def test_oversized_result_leaves_the_pool_warm(self):
+        before = worker_pids()
+        run = run_plan(Calls({f"big-{index}": (BIG, {"megabytes": 8})
+                              for index in range(3)}), jobs=2)
+        assert [len(result) for result in run.results().values()] \
+            == [8 * 2 ** 20] * 3
+        assert worker_pids() == before
