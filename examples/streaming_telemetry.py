@@ -24,15 +24,16 @@ import tempfile
 from repro import obs as _obs
 from repro.bench.analysis import TOP_PATHS, chaos_scenario
 from repro.load import run_scenario
-from repro.obs.critpath import dumps_critpaths, extract_critical_paths
-from repro.obs.graph import dumps_graph, extract_graph
+from repro.obs.critpath import critpath_document, extract_critical_paths
+from repro.obs.graph import extract_graph, graph_document
 from repro.obs.stream import (
     StreamConfig,
     fold_stream,
     iter_records,
     read_manifest,
 )
-from repro.obs.timeline import dumps_timeline
+from repro.obs.timeline import timeline_document
+from repro.util.document import dumps
 
 
 def main() -> None:
@@ -70,11 +71,13 @@ def main() -> None:
     fold = fold_stream(spool_dir, top_k=TOP_PATHS)
     graph_mem = extract_graph(mem_obs, nexus=mem_nexus)
     paths_mem = extract_critical_paths(mem_obs, top_k=TOP_PATHS)
-    assert dumps_graph(graph_mem) == dumps_graph(fold.graph)
-    assert dumps_critpaths(paths_mem) == dumps_critpaths(fold.paths)
+    assert dumps(graph_document(graph_mem)) \
+        == dumps(graph_document(fold.graph))
+    assert dumps(critpath_document(paths_mem)) \
+        == dumps(critpath_document(fold.paths))
     assert mem_result.timeline is not None and fold.timeline is not None
-    assert (dumps_timeline(mem_result.timeline)
-            == dumps_timeline(fold.timeline))
+    assert (dumps(timeline_document(mem_result.timeline))
+            == dumps(timeline_document(fold.timeline)))
     print("fold parity: graph, critical paths, and timeline documents "
           "are byte-identical to the in-memory extraction\n")
 

@@ -76,9 +76,9 @@ def main() -> None:
 
     # The exported documents validate against the repo's own contract.
     from repro.obs.timeline import timeline_document
-    from repro.obs.validate import validate_timeline_document
+    from repro.util.document import check
 
-    summary = validate_timeline_document(timeline_document(timeline))
+    _schema, summary = check(timeline_document(timeline))
     print(f"\ntimeline export validates: "
           f"{summary['histogram_samples']} samples across "
           f"{summary['histogram_series']} histogram series")

@@ -20,6 +20,7 @@ import math
 import os
 import typing as _t
 
+from ..util.document import COMPACT
 from .record import KIND_WALL
 
 try:
@@ -47,8 +48,7 @@ def append_history(path: str, document: _t.Mapping[str, object]) -> None:
     On filesystems without ``flock`` the single atomic append write is
     still the interleaving guarantee.
     """
-    data = (json.dumps(document, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    data = (json.dumps(document, **COMPACT) + "\n").encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         if fcntl is not None:

@@ -42,6 +42,7 @@ from ..load import (
 )
 from ..place.plan import forwarding_placement
 from ..simnet.faults import FaultPlan
+from ..util.document import DocumentError
 from ..util.records import ResultTable
 from . import Artefact, RunOptions
 from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
@@ -247,6 +248,55 @@ def windowed_metrics(base: str, windowed: _t.Any) -> _t.Iterator[Metric]:
         yield Metric(f"{base}.saturation_onset_window",
                      windowed.saturation_onset_window, unit="window",
                      kind=KIND_COUNT, direction=DIR_NONE)
+
+
+#: Counters every load scenario must publish next to its SLO verdict.
+LOAD_SCENARIO_METRICS = ("offered", "delivered", "delivered_rate",
+                         "p50_us", "p99_us")
+
+
+def validate_load_record(document: _t.Mapping[str, object]
+                         ) -> dict[str, object]:
+    """Load-tier checks over an already structurally-valid bench record.
+
+    A record without a ``load`` artefact passes trivially (zero
+    scenarios); one *with* it must carry complete SLO-judged scenarios
+    (verdict, the counters it was judged from, delivered <= offered)
+    and complete capacity searches (rate and probe count).
+    """
+    artefacts = _t.cast(dict, document.get("artefacts", {}))
+    load = artefacts.get("load")
+    if load is None:
+        return {"load_scenarios": 0, "capacity_searches": 0}
+    metrics = _t.cast(dict, _t.cast(dict, load)["metrics"])
+
+    scenarios = sorted(name[: -len(".slo_passed")] for name in metrics
+                       if name.endswith(".slo_passed"))
+    if not scenarios:
+        raise DocumentError(
+            "load artefact present but no <scenario>.slo_passed metrics")
+    for scenario in scenarios:
+        for suffix in LOAD_SCENARIO_METRICS:
+            if f"{scenario}.{suffix}" not in metrics:
+                raise DocumentError(
+                    f"load scenario {scenario!r} lacks {suffix}")
+        offered = _t.cast(dict, metrics[f"{scenario}.offered"])["value"]
+        delivered = _t.cast(dict, metrics[f"{scenario}.delivered"])["value"]
+        if delivered > offered:
+            raise DocumentError(
+                f"load scenario {scenario!r} delivered {delivered} "
+                f"> offered {offered}")
+
+    searches = sorted({name.split(".")[1] for name in metrics
+                       if name.startswith("capacity.")})
+    for search in searches:
+        for suffix in ("rate", "probes"):
+            if f"capacity.{search}.{suffix}" not in metrics:
+                raise DocumentError(
+                    f"capacity search {search!r} lacks {suffix}")
+
+    return {"load_scenarios": len(scenarios),
+            "capacity_searches": len(searches)}
 
 
 def load_bench(options: RunOptions = RunOptions()) -> LoadBench:

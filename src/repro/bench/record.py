@@ -22,7 +22,6 @@ when any gated metric regresses.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import platform
 import re
@@ -30,6 +29,7 @@ import subprocess
 import sys
 import typing as _t
 
+from ..util.document import DocumentError, Schema, load, write
 from ..util.records import ResultTable
 
 #: Document identity; bump the version on any breaking layout change.
@@ -62,10 +62,6 @@ _SLUG_RE = re.compile(r"[^A-Za-z0-9_.+=-]+")
 def slug(text: str) -> str:
     """A metric-name-safe slug: word characters plus ``. _ + = -``."""
     return _SLUG_RE.sub("_", text.strip()).strip("_")
-
-
-class RecordValidationError(ValueError):
-    """The document violates the BenchRecord schema."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,14 +183,8 @@ class BenchRecord:
             "artefacts": artefacts,
         }
 
-    def dumps(self, *, include_wall: bool = False) -> str:
-        return json.dumps(self.to_document(include_wall=include_wall),
-                          sort_keys=True, indent=1)
-
     def write(self, path: str, *, include_wall: bool = False) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.dumps(include_wall=include_wall))
-            handle.write("\n")
+        write(path, self.to_document(include_wall=include_wall), indent=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<BenchRecord {self.label!r} artefacts="
@@ -205,17 +195,16 @@ class BenchRecord:
 
 def _check(condition: bool, reason: str) -> None:
     if not condition:
-        raise RecordValidationError(reason)
+        raise DocumentError(reason)
 
 
-def validate_record_document(document: object) -> dict[str, object]:
-    """Validate one record document; returns summary statistics."""
-    _check(isinstance(document, dict), "top level must be an object")
-    doc = _t.cast(dict, document)
-    _check(doc.get("schema") == SCHEMA,
-           f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
-    _check(doc.get("schema_version") == SCHEMA_VERSION,
-           f"unsupported schema_version {doc.get('schema_version')!r}")
+def _validate(doc: _t.Mapping[str, _t.Any],
+              path: str | None = None) -> dict[str, object]:
+    """Validate one record document; returns summary statistics.
+
+    A record carrying a ``load`` artefact must also pass the load
+    tier's own checks (:func:`repro.bench.load.validate_load_record`).
+    """
     _check(isinstance(doc.get("label"), str), "label must be a string")
     environment = doc.get("environment")
     _check(isinstance(environment, dict), "environment section missing")
@@ -242,17 +231,19 @@ def validate_record_document(document: object) -> dict[str, object]:
             _check(isinstance(metric.get("unit"), str),
                    f"{where}.unit must be a string")
             metric_count += 1
-    return {"artefacts": len(_t.cast(dict, artefacts)),
-            "metrics": metric_count,
-            "mode": _t.cast(dict, environment)["mode"]}
+    summary: dict[str, object] = {
+        "artefacts": len(_t.cast(dict, artefacts)),
+        "metrics": metric_count,
+        "mode": _t.cast(dict, environment)["mode"]}
+    if "load" in _t.cast(dict, artefacts):
+        from .load import validate_load_record  # it imports Metric from here
+        summary.update(validate_load_record(doc))
+    return summary
 
 
 def load_record(path: str) -> dict[str, object]:
     """Load and validate a record file."""
-    with open(path) as handle:
-        document = json.load(handle)
-    validate_record_document(document)
-    return _t.cast(dict, document)
+    return load(path, SCHEMA)
 
 
 # -- regression gate ---------------------------------------------------------
@@ -475,6 +466,9 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
     return ComparisonResult(diffs=diffs, warnings=warnings)
 
 
+DOCUMENT = Schema(SCHEMA, SCHEMA_VERSION, _validate, "bench record")
+
+
 __all__ = [
     "BenchRecord",
     "COUNT_TOLERANCE",
@@ -483,13 +477,13 @@ __all__ = [
     "DIR_HIGHER",
     "DIR_LOWER",
     "DIR_NONE",
+    "DOCUMENT",
     "KINDS",
     "KIND_COUNT",
     "KIND_SIM",
     "KIND_WALL",
     "Metric",
     "MetricDiff",
-    "RecordValidationError",
     "SCHEMA",
     "SCHEMA_VERSION",
     "SIM_TOLERANCE",
@@ -499,5 +493,4 @@ __all__ = [
     "git_sha",
     "load_record",
     "slug",
-    "validate_record_document",
 ]

@@ -28,13 +28,11 @@ search lives in :func:`repro.load.capacity.find_capacity`
 """
 
 from .merge import (
-    canonical_json,
     document_digest,
     merge_bench_outcomes,
     merge_load_results,
     ordered_results,
     require_ok,
-    write_document,
 )
 from .plan import (
     BenchFanout,
@@ -69,7 +67,6 @@ __all__ = [
     "ScenarioGrid",
     "SeedReplication",
     "TaskOutcome",
-    "canonical_json",
     "derive_task_seed",
     "document_digest",
     "key_slug",
@@ -82,5 +79,4 @@ __all__ = [
     "run_plan",
     "run_serial",
     "shutdown",
-    "write_document",
 ]

@@ -21,7 +21,8 @@ import argparse
 import sys
 import typing as _t
 
-from .merge import merge_load_results, write_document
+from ..util.document import write
+from .merge import merge_load_results
 from .plan import ScenarioGrid, SeedReplication, key_slug, run_plan
 
 
@@ -131,7 +132,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"stream: {manifest['task_count']} spools, "
               f"{manifest['shard_count']} shards -> {path}")
     if args.out is not None:
-        write_document(args.out, merged)
+        write(args.out, merged, indent=1)
         print(f"summary: {totals['tasks']} tasks -> {args.out}")
     return 0
 

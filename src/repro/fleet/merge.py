@@ -16,9 +16,9 @@ manifests — is ordered by **task key** instead, so ``--jobs 1`` and
 from __future__ import annotations
 
 import hashlib
-import json
 import typing as _t
 
+from ..util.document import DocumentError, Schema, dumps
 from .pool import FleetTaskError, TaskOutcome
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -84,14 +84,12 @@ def load_result_summary(result: "LoadResult") -> dict[str, object]:
 
 
 def merge_load_results(outcomes: _t.Mapping[str, TaskOutcome], *,
-                       plan: str = "adhoc", jobs: int | None = None
-                       ) -> dict[str, object]:
+                       plan: str = "adhoc") -> dict[str, object]:
     """The merged fleet document for a scenario/seed plan.
 
-    ``jobs`` is deliberately **not** recorded — the document must be a
-    pure function of the plan, never of how it was executed.
+    The width it ran at is deliberately **not** recorded — the document
+    must be a pure function of the plan, never of how it was executed.
     """
-    del jobs  # accepted for call-site symmetry; never recorded
     results = _t.cast("dict[str, LoadResult]", ordered_results(outcomes))
     tasks = {key: load_result_summary(result)
              for key, result in results.items()}
@@ -135,34 +133,52 @@ def merge_bench_outcomes(record: "BenchRecord",
     return merged
 
 
-# -- canonical bytes ----------------------------------------------------------
-
-def canonical_json(document: _t.Mapping[str, object]) -> str:
-    """The one serialisation merged documents are written and compared in."""
-    return json.dumps(document, sort_keys=True, indent=1) + "\n"
-
+# -- the load-summary document ------------------------------------------------
 
 def document_digest(document: _t.Mapping[str, object]) -> str:
-    """sha256 of the canonical serialisation (CI's cmp, as a string)."""
+    """sha256 of the written bytes (CI's ``cmp``, as a string)."""
     return hashlib.sha256(
-        canonical_json(document).encode("utf-8")).hexdigest()
+        dumps(document, indent=1).encode("utf-8")).hexdigest()
 
 
-def write_document(path: str, document: _t.Mapping[str, object]) -> None:
-    with open(path, "w") as handle:
-        handle.write(canonical_json(document))
+def _validate(document: _t.Mapping[str, object],
+              path: str | None = None) -> dict[str, object]:
+    """Totals restate the task summaries; no task names a directory."""
+    tasks = document.get("tasks")
+    totals = document.get("totals")
+    if not isinstance(tasks, dict) or not isinstance(totals, dict):
+        raise DocumentError("tasks/totals sections missing")
+    if totals.get("tasks") != len(tasks):
+        raise DocumentError(f"totals.tasks is {totals.get('tasks')!r}, "
+                            f"document holds {len(tasks)} tasks")
+    for key, task in tasks.items():
+        if not isinstance(task, dict):
+            raise DocumentError(f"task {key!r} is not an object")
+        stream = task.get("stream")
+        if "directory" in task or (isinstance(stream, dict)
+                                   and "directory" in stream):
+            raise DocumentError(f"task {key!r} records a spool directory")
+    for name, value in totals.items():
+        summed = sum(task.get(name, 0) for task in tasks.values())
+        if name != "tasks" and value != summed:
+            raise DocumentError(
+                f"totals.{name} is {value!r}, tasks sum to {summed}")
+    return {"plan": document.get("plan"), **totals}
+
+
+DOCUMENT = Schema(LOAD_SUMMARY_SCHEMA, LOAD_SUMMARY_SCHEMA_VERSION,
+                  _validate, "fleet load summary")
 
 
 __all__ = [
+    "DOCUMENT",
     "FleetTaskError",
     "LOAD_SUMMARY_SCHEMA",
     "LOAD_SUMMARY_SCHEMA_VERSION",
-    "canonical_json",
     "document_digest",
     "load_result_summary",
     "merge_bench_outcomes",
     "merge_load_results",
     "ordered_results",
     "require_ok",
-    "write_document",
 ]

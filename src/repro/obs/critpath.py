@@ -25,16 +25,13 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
 import typing as _t
 
+from ..util.document import DocumentError, Schema, write
 from .spans import PHASE_WIRE, Observability, Span, TraceIncompleteError
 
 CRITPATH_SCHEMA = "repro.obs.critpath"
 CRITPATH_SCHEMA_VERSION = 1
-
-_JSON_KW: dict[str, object] = {"sort_keys": True,
-                               "separators": (",", ":")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -257,17 +254,39 @@ def critpath_document(paths: _t.Sequence[CriticalPath], *,
     }
 
 
-def dumps_critpaths(paths: _t.Sequence[CriticalPath], *,
-                    meta: _t.Mapping[str, object] | None = None) -> str:
-    return json.dumps(critpath_document(paths, meta=meta),
-                      **_JSON_KW)  # type: ignore[arg-type]
-
-
 def write_critpaths(path: str, paths: _t.Sequence[CriticalPath], *,
                     meta: _t.Mapping[str, object] | None = None) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_critpaths(paths, meta=meta))
-        handle.write("\n")
+    write(path, critpath_document(paths, meta=meta))
+
+
+def _validate(document: _t.Mapping[str, object],
+              path: str | None = None) -> dict[str, object]:
+    """Structural + invariant checks over a critical-path export."""
+    paths = document.get("paths")
+    if not isinstance(paths, list):
+        raise DocumentError("paths section missing")
+    for index, entry in enumerate(paths):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"paths[{index}] is not an object")
+        steps = entry.get("steps")
+        latency = entry.get("latency_s")
+        if not isinstance(steps, list) or not steps:
+            raise DocumentError(f"paths[{index}] has no steps")
+        if not isinstance(latency, (int, float)) or latency < 0:
+            raise DocumentError(f"paths[{index}] latency_s invalid")
+        shares = sum(_t.cast(float, _t.cast(dict, step)["share_s"])
+                     for step in steps)
+        if abs(shares - _t.cast(float, latency)) > 1e-9:
+            raise DocumentError(f"paths[{index}] step shares sum to "
+                                f"{shares!r}, latency is {latency!r}")
+    if not isinstance(document.get("phase_attribution_s"), dict):
+        raise DocumentError("phase_attribution_s section missing")
+    return {"paths": len(paths),
+            "steps": sum(len(_t.cast(dict, p)["steps"]) for p in paths)}
+
+
+DOCUMENT = Schema(CRITPATH_SCHEMA, CRITPATH_SCHEMA_VERSION, _validate,
+                  "critical paths")
 
 
 __all__ = [
@@ -275,9 +294,9 @@ __all__ = [
     "CRITPATH_SCHEMA_VERSION",
     "CriticalPath",
     "CritpathBuilder",
+    "DOCUMENT",
     "PathStep",
     "critpath_document",
-    "dumps_critpaths",
     "extract_critical_paths",
     "phase_attribution",
     "write_critpaths",

@@ -20,6 +20,7 @@ import json
 import typing as _t
 
 from ..util.ascii_chart import GLYPHS, render_chart
+from ..util.document import COMPACT, DocumentError, Schema, write
 from ..util.records import Series
 from .metrics import Histogram
 from .spans import NEXUS_LANE, PHASES, Observability, Span
@@ -29,9 +30,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 #: One glyph per phase for the ASCII timeline (index-aligned to PHASES).
 PHASE_GLYPHS: dict[str, str] = dict(zip(PHASES, "im=~?fdhrxp"))
-
-_JSON_KW: dict[str, object] = {"sort_keys": True,
-                               "separators": (",", ":")}
 
 
 def _context_order(spans: _t.Sequence[Span]) -> dict[int, int]:
@@ -161,23 +159,114 @@ def merged_chrome_trace(
     }
 
 
-def dumps_chrome_trace(document: dict[str, object]) -> str:
-    return json.dumps(document, **_JSON_KW)  # type: ignore[arg-type]
-
-
 def write_chrome_trace(path: str, obs: Observability,
                        nexus: "Nexus | None" = None) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_chrome_trace(to_chrome_trace(obs, nexus)))
-        handle.write("\n")
+    write(path, to_chrome_trace(obs, nexus))
 
 
 def write_merged_chrome_trace(
         path: str,
         runs: _t.Sequence[tuple[Observability, "Nexus | None"]]) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_chrome_trace(merged_chrome_trace(runs)))
-        handle.write("\n")
+    write(path, merged_chrome_trace(runs))
+
+
+#: Phases at least one traced RSR must exhibit.
+REQUIRED_PHASES = ("marshal", "wire", "poll_detect", "dispatch")
+
+
+def _validate(document: object,
+              path: str | None = None) -> dict[str, object]:
+    """The subset of the trace-event format Perfetto relies on, plus
+    this repo's guarantees: span events carry causal ``args.rsr`` ids,
+    one RSR shows every phase of :data:`REQUIRED_PHASES`, and the
+    embedded per-method latency histograms sum to their counts.  An
+    export that declares itself empty (``otherData.spans == 0``) is
+    valid with no events and no histograms."""
+    if not isinstance(document, dict):
+        raise DocumentError("top level must be an object, got "
+                            f"{type(document).__name__}")
+    events = document.get("traceEvents")
+    if not isinstance(events, list):
+        raise DocumentError("traceEvents must be a list")
+    if not events:
+        # Valid only for an empty-by-construction export (zero collected
+        # runs / zero spans): the document must say so itself.
+        other = document.get("otherData")
+        if not isinstance(other, dict) or other.get("spans") != 0:
+            raise DocumentError("traceEvents empty but otherData does "
+                                "not declare zero spans")
+        if not isinstance(document.get("metrics"), dict):
+            raise DocumentError("metrics section missing")
+        return {"events": 0, "span_events": 0, "rsrs": 0,
+                "full_lifecycles": 0, "latency_histograms": 0}
+
+    phases_by_rsr: dict[tuple[object, object], set[str]] = {}
+    span_events = 0
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise DocumentError(f"traceEvents[{index}] is not an object")
+        for field in ("ph", "name", "pid", "tid"):
+            if field not in event:
+                raise DocumentError(f"traceEvents[{index}] missing {field!r}")
+        if event["ph"] == "M":
+            continue
+        if event["ph"] != "X":
+            raise DocumentError(
+                f"traceEvents[{index}] has unexpected ph={event['ph']!r}")
+        for field in ("ts", "dur"):
+            if not isinstance(event.get(field), (int, float)):
+                raise DocumentError(
+                    f"traceEvents[{index}].{field} must be numeric")
+        if _t.cast(float, event["dur"]) < 0:
+            raise DocumentError(f"traceEvents[{index}] has negative duration")
+        args = event.get("args")
+        if not isinstance(args, dict) or "rsr" not in args:
+            raise DocumentError(
+                f"traceEvents[{index}] span lacks args.rsr causal id")
+        span_events += 1
+        # RSR ids are unique within a pid block (one block per run).
+        run_block = _t.cast(int, event["pid"]) // 1000
+        phases_by_rsr.setdefault((run_block, args["rsr"]), set()).add(
+            _t.cast(str, event["name"]))
+
+    if span_events == 0:
+        raise DocumentError("no span ('X') events present")
+    full_lifecycles = sum(
+        1 for phases in phases_by_rsr.values()
+        if all(phase in phases for phase in REQUIRED_PHASES))
+    if full_lifecycles == 0:
+        raise DocumentError(
+            f"no RSR carries all required phases {REQUIRED_PHASES}")
+
+    metrics = document.get("metrics")
+    if not isinstance(metrics, dict):
+        raise DocumentError("metrics section missing")
+    flat: list[_t.Mapping[str, object]] = []
+    stack: list[object] = [metrics]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if "rsr_latency_us" in node:
+                flat.extend(_t.cast(list, node["rsr_latency_us"]))
+            else:
+                stack.extend(node.values())
+    if not flat:
+        raise DocumentError("metrics contain no rsr_latency_us histograms")
+    for snapshot in flat:
+        counts = _t.cast(list, snapshot["counts"])
+        if sum(counts) != snapshot["count"]:
+            raise DocumentError(
+                "latency histogram bucket counts do not sum to count")
+        if "method" not in _t.cast(dict, snapshot["labels"]):
+            raise DocumentError("latency histogram lacks a method label")
+
+    return {
+        "events": len(events),
+        "span_events": span_events,
+        "rsrs": len(phases_by_rsr),
+        "full_lifecycles": full_lifecycles,
+        "latency_histograms": len(flat),
+    }
 
 
 # -- JSONL span dump ---------------------------------------------------------
@@ -198,7 +287,7 @@ def spans_jsonl(obs: Observability) -> _t.Iterator[str]:
         }
         if span.attrs:
             record["attrs"] = span.attrs
-        yield json.dumps(record, **_JSON_KW)  # type: ignore[arg-type]
+        yield json.dumps(record, **COMPACT)
 
 
 def write_spans_jsonl(path: str, obs: Observability) -> None:
@@ -303,10 +392,15 @@ def latency_chart(obs: Observability, *, width: int = 64,
                            width=width, height=height)
 
 
+#: A Chrome trace carries no ``schema`` key; the validator CLI
+#: recognises it by its ``traceEvents``.
+DOCUMENT = Schema("repro.obs.trace", None, _validate, "Chrome trace")
+
+
 # keep GLYPHS imported name referenced for re-export convenience
 __all__ = [
-    "GLYPHS", "PHASE_GLYPHS", "ascii_timeline", "chrome_trace_events",
-    "dumps_chrome_trace", "histogram_chart", "latency_chart",
+    "DOCUMENT", "GLYPHS", "PHASE_GLYPHS", "ascii_timeline",
+    "chrome_trace_events", "histogram_chart", "latency_chart",
     "merged_chrome_trace", "spans_jsonl", "to_chrome_trace",
     "write_chrome_trace", "write_merged_chrome_trace", "write_spans_jsonl",
 ]

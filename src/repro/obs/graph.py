@@ -32,9 +32,9 @@ intra/cross-partition shares and reports the cut cost.
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing as _t
 
+from ..util.document import DocumentError, Schema, write
 from .spans import (
     PHASE_POLL_DETECT,
     PHASE_WIRE,
@@ -48,9 +48,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 GRAPH_SCHEMA = "repro.obs.graph"
 GRAPH_SCHEMA_VERSION = 1
-
-_JSON_KW: dict[str, object] = {"sort_keys": True,
-                               "separators": (",", ":")}
 
 
 @dataclasses.dataclass
@@ -363,17 +360,9 @@ def graph_document(graph: CommGraph, *,
     return document
 
 
-def dumps_graph(graph: CommGraph, *,
-                meta: _t.Mapping[str, object] | None = None) -> str:
-    return json.dumps(graph_document(graph, meta=meta),
-                      **_JSON_KW)  # type: ignore[arg-type]
-
-
 def write_graph(path: str, graph: CommGraph, *,
                 meta: _t.Mapping[str, object] | None = None) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_graph(graph, meta=meta))
-        handle.write("\n")
+    write(path, graph_document(graph, meta=meta))
 
 
 def dot_graph(graph: CommGraph, *, title: str = "commgraph") -> str:
@@ -413,7 +402,58 @@ def write_dot(path: str, graph: CommGraph, *,
         handle.write(dot_graph(graph, title=title))
 
 
+def _validate(document: _t.Mapping[str, object],
+              path: str | None = None) -> dict[str, object]:
+    """Structural + invariant checks over a communication-graph export."""
+    nodes = document.get("nodes")
+    edges = document.get("edges")
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise DocumentError("nodes/edges sections missing")
+    ranks = set()
+    for node in nodes:
+        if not isinstance(node, dict) or not isinstance(
+                node.get("rank"), int):
+            raise DocumentError("node lacks an integer rank")
+        ranks.add(node["rank"])
+    messages = bytes_total = 0
+    for index, edge in enumerate(edges):
+        if not isinstance(edge, dict):
+            raise DocumentError(f"edges[{index}] is not an object")
+        for field in ("src", "dst", "method", "messages", "bytes"):
+            if field not in edge:
+                raise DocumentError(f"edges[{index}] missing {field!r}")
+        if edge["src"] not in ranks or edge["dst"] not in ranks:
+            raise DocumentError(f"edges[{index}] references an unknown rank")
+        messages += _t.cast(int, edge["messages"])
+        bytes_total += _t.cast(int, edge["bytes"])
+    if messages != document.get("total_messages"):
+        raise DocumentError("edge messages do not sum to total_messages")
+    if bytes_total != document.get("total_bytes"):
+        raise DocumentError("edge bytes do not sum to total_bytes")
+    # Per-node in/out totals must agree with the edge list.
+    inbound: dict[int, int] = {rank: 0 for rank in ranks}
+    outbound: dict[int, int] = {rank: 0 for rank in ranks}
+    for edge in edges:
+        outbound[_t.cast(int, edge["src"])] += _t.cast(int,
+                                                       edge["messages"])
+        inbound[_t.cast(int, edge["dst"])] += _t.cast(int,
+                                                      edge["messages"])
+    for node in nodes:
+        rank = _t.cast(int, node["rank"])
+        if node.get("messages_in") != inbound[rank] \
+                or node.get("messages_out") != outbound[rank]:
+            raise DocumentError(
+                f"node {rank} in/out totals disagree with edges")
+    return {"nodes": len(nodes), "edges": len(edges),
+            "messages": messages, "bytes": bytes_total}
+
+
+DOCUMENT = Schema(GRAPH_SCHEMA, GRAPH_SCHEMA_VERSION, _validate,
+                  "comm graph")
+
+
 __all__ = [
+    "DOCUMENT",
     "GRAPH_SCHEMA",
     "GRAPH_SCHEMA_VERSION",
     "CommGraph",
@@ -422,7 +462,6 @@ __all__ = [
     "GraphNode",
     "PartitionCosts",
     "dot_graph",
-    "dumps_graph",
     "evaluate_partition",
     "extract_graph",
     "graph_document",

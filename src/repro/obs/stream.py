@@ -64,6 +64,7 @@ import random
 import time
 import typing as _t
 
+from ..util.document import COMPACT, DocumentError, Schema, load, write
 from .critpath import CriticalPath, CritpathBuilder
 from .graph import CommGraph, GraphBuilder
 from .spans import (
@@ -99,9 +100,6 @@ MERGED_MANIFEST_SCHEMA_VERSION = 1
 #: Span phases whose presence marks an RSR as failure evidence — such
 #: RSRs bypass every sampling policy.
 FORCED_PHASES = frozenset((PHASE_RETRY, PHASE_FAILOVER, PHASE_PROBE))
-
-_JSON_KW: dict[str, object] = {"sort_keys": True,
-                               "separators": (",", ":")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,6 +247,48 @@ def _span_from_record(rec: _t.Mapping[str, object]) -> Span:
                 attrs=_t.cast("dict | None", rec["attrs"]))
 
 
+#: Record kinds to their required fields (the format above, as checks).
+SHARD_RECORD_FIELDS: dict[str, tuple[str, ...]] = {
+    "s": ("id", "rsr", "ph", "ctx", "lane", "t0", "par", "attrs"),
+    "d": ("rsr", "t", "lane", "us", "ctx"),
+    "x": ("rsr", "t", "lane"),
+    "r": ("rsr",),
+}
+
+
+def _validate_shard(lines: _t.Iterable[str],
+                    path: str | None = None) -> dict[str, object]:
+    """Validate a stream shard's JSONL records line by line."""
+    name = os.path.basename(path) if path else "shard"
+    counts = {kind: 0 for kind in SHARD_RECORD_FIELDS}
+    for number, line in enumerate(lines, start=1):
+        where = f"{name}:{number}"
+        if not line.strip():
+            raise DocumentError(f"{where}: blank line in shard")
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise DocumentError(
+                f"{where}: not valid JSON: {error}") from error
+        if not isinstance(record, dict):
+            raise DocumentError(f"{where}: not an object")
+        kind = record.get("k")
+        fields = SHARD_RECORD_FIELDS.get(_t.cast(str, kind))
+        if fields is None:
+            raise DocumentError(f"{where}: unknown record kind {kind!r}")
+        for field in fields:
+            if field not in record:
+                raise DocumentError(
+                    f"{where}: {kind!r} record missing {field!r}")
+        if not isinstance(record["rsr"], int):
+            raise DocumentError(f"{where}: rsr must be an integer")
+        counts[_t.cast(str, kind)] += 1
+    if not any(counts.values()):
+        raise DocumentError(f"{name}: shard holds no records")
+    return {"records": sum(counts.values()),
+            **{f"kind_{k}": v for k, v in counts.items()}}
+
+
 def _is_forced(span: Span) -> bool:
     if span.phase in FORCED_PHASES:
         return True
@@ -324,7 +364,7 @@ class SpanSpool:
     def _span_line(self, span: Span) -> str:
         record = _span_record(span)
         record["ctx"] = self._ctx(span.ctx)
-        return json.dumps(record, **_JSON_KW)  # type: ignore[arg-type]
+        return json.dumps(record, **COMPACT)
 
     def record_span(self, span: Span) -> None:
         t0 = time.perf_counter()
@@ -342,7 +382,7 @@ class SpanSpool:
             {"k": "d", "rsr": rsr, "t": now, "lane": lane,
              "us": latency_us,
              "ctx": self._ctx(ctx) if ctx is not None else None},
-            **_JSON_KW)  # type: ignore[arg-type]
+            **COMPACT)
         self._route(rsr, line, lane=lane)
         self.wall_s += time.perf_counter() - t0
 
@@ -350,15 +390,14 @@ class SpanSpool:
         t0 = time.perf_counter()
         self.drops += 1
         line = json.dumps({"k": "x", "rsr": rsr, "t": now, "lane": lane},
-                          **_JSON_KW)  # type: ignore[arg-type]
+                          **COMPACT)
         self._route(rsr, line, forced=True, lane=lane)
         self.wall_s += time.perf_counter() - t0
 
     def rsr_resolved(self, rsr: int) -> None:
         t0 = time.perf_counter()
         self.rsrs_resolved += 1
-        line = json.dumps({"k": "r", "rsr": rsr},
-                          **_JSON_KW)  # type: ignore[arg-type]
+        line = json.dumps({"k": "r", "rsr": rsr}, **COMPACT)
         if self._policy is None:
             self._write(line)
             self.rsrs_kept += 1
@@ -523,9 +562,8 @@ class SpanSpool:
                          else None),
             "meta": dict(meta) if meta else {},
         }
-        with open(os.path.join(self.directory, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write(os.path.join(self.directory, MANIFEST_NAME), manifest,
+              indent=1)
         if obs is not None and obs._sink is self:
             obs._sink = None
             obs._retired_sink = self
@@ -554,8 +592,9 @@ class SpanSpool:
 # -- reading & folding --------------------------------------------------------
 
 def read_manifest(directory: str) -> dict[str, object]:
-    with open(os.path.join(directory, MANIFEST_NAME)) as fh:
-        return _t.cast(dict, json.load(fh))
+    """The spool's manifest, structurally checked (schema, version,
+    ledger, shard sums); shard checksums are the validator CLI's job."""
+    return load(os.path.join(directory, MANIFEST_NAME), MANIFEST_SCHEMA)
 
 
 def merge_spool_manifests(root: str,
@@ -606,10 +645,127 @@ def write_merged_manifest(root: str, document: _t.Mapping[str, object]
                           ) -> str:
     """Write a merged manifest at its canonical name under ``root``."""
     path = os.path.join(root, MERGED_MANIFEST_NAME)
-    with open(path, "w") as fh:
-        json.dump(document, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write(path, document, indent=1)
     return path
+
+
+def _validate_manifest(document: _t.Mapping[str, object],
+                       path: str | None = None) -> dict[str, object]:
+    """Structural + invariant checks over a stream-spool manifest.
+
+    With ``path`` every listed shard is also cross-checked against the
+    file beside the manifest: existence, byte length, sha256, and
+    record count.
+    """
+    shards = document.get("shards")
+    totals = document.get("totals")
+    if not isinstance(shards, list) or not isinstance(totals, dict):
+        raise DocumentError("shards/totals sections missing")
+    opened = totals.get("spans_opened")
+    emitted = totals.get("spans_emitted")
+    sampled = totals.get("spans_sampled_out")
+    dropped = totals.get("spans_dropped")
+    if not all(isinstance(v, int)
+               for v in (opened, emitted, sampled, dropped)):
+        raise DocumentError("lossiness totals must be integers")
+    if opened != _t.cast(int, emitted) + _t.cast(int, sampled) \
+            + _t.cast(int, dropped):
+        raise DocumentError(
+            f"lossiness ledger does not balance: {opened} opened != "
+            f"{emitted} emitted + {sampled} sampled out + {dropped} dropped")
+    shard_records = shard_spans = 0
+    for index, shard in enumerate(shards):
+        if not isinstance(shard, dict):
+            raise DocumentError(f"shards[{index}] is not an object")
+        for field in ("name", "records", "spans", "bytes", "sha256"):
+            if field not in shard:
+                raise DocumentError(f"shards[{index}] missing {field!r}")
+        shard_records += _t.cast(int, shard["records"])
+        shard_spans += _t.cast(int, shard["spans"])
+        if path is not None:
+            _verify_shard(os.path.dirname(path), shard)
+    if shard_records != totals.get("records"):
+        raise DocumentError("shard record counts do not sum to totals")
+    if shard_spans != emitted:
+        raise DocumentError("shard span counts do not sum to spans_emitted")
+    return {"shards": len(shards), "records": shard_records,
+            "spans_emitted": _t.cast(int, emitted),
+            "spans_sampled_out": _t.cast(int, sampled),
+            "spans_dropped": _t.cast(int, dropped),
+            "verified": path is not None}
+
+
+def _verify_shard(directory: str, shard: _t.Mapping[str, object]) -> None:
+    """One manifest entry against the shard file on disk."""
+    try:
+        with open(os.path.join(directory, _t.cast(str, shard["name"])),
+                  "rb") as handle:
+            data = handle.read()
+    except OSError as error:
+        raise DocumentError(
+            f"shard {shard['name']!r} unreadable: {error}") from error
+    if len(data) != shard["bytes"]:
+        raise DocumentError(f"shard {shard['name']!r} is {len(data)} bytes "
+                            f"on disk, manifest says {shard['bytes']}")
+    if hashlib.sha256(data).hexdigest() != shard["sha256"]:
+        raise DocumentError(f"shard {shard['name']!r} sha256 mismatch "
+                            "(corrupt or rewritten)")
+    lines = data.count(b"\n")
+    if lines != shard["records"]:
+        raise DocumentError(f"shard {shard['name']!r} holds {lines} records, "
+                            f"manifest says {shard['records']}")
+
+
+def _validate_merged_manifest(document: _t.Mapping[str, object],
+                              path: str | None = None
+                              ) -> dict[str, object]:
+    """Structural + invariant checks over a merged fleet manifest.
+
+    Each per-task section must itself satisfy the single-spool manifest
+    invariants (lossiness ledger, shard sums), the roll-up totals must
+    equal the sum of the task totals, and — with ``path``, the merged
+    manifest in its merge root — every task's shard files are
+    cross-checked on disk.
+    """
+    tasks = document.get("tasks")
+    totals = document.get("totals")
+    if not isinstance(tasks, dict) or not isinstance(totals, dict):
+        raise DocumentError("tasks/totals sections missing")
+    if document.get("task_count") != len(tasks):
+        raise DocumentError(f"task_count {document.get('task_count')!r} "
+                            f"does not match {len(tasks)} tasks")
+    summed: dict[str, int] = {}
+    shard_count = 0
+    for key in tasks:
+        task = tasks[key]
+        if not isinstance(task, dict):
+            raise DocumentError(f"task {key!r} is not an object")
+        for field in ("directory", "shards", "totals"):
+            if field not in task:
+                raise DocumentError(f"task {key!r} missing {field!r}")
+        subdir = _t.cast(str, task["directory"])
+        if os.path.isabs(subdir):
+            raise DocumentError(
+                f"task {key!r} records an absolute spool path {subdir!r}")
+        # A task section has a spool manifest's shards/totals layout.
+        _validate_manifest(
+            task, None if path is None else os.path.join(
+                os.path.dirname(path), subdir, MANIFEST_NAME))
+        shard_count += len(_t.cast(list, task["shards"]))
+        for name, value in _t.cast(dict, task["totals"]).items():
+            summed[name] = summed.get(name, 0) + int(value)
+    if document.get("shard_count") != shard_count:
+        raise DocumentError(
+            f"shard_count {document.get('shard_count')!r} does not match "
+            f"{shard_count} listed shards")
+    for name, value in summed.items():
+        if totals.get(name) != value:
+            raise DocumentError(f"totals.{name} is {totals.get(name)!r}, "
+                                f"task sections sum to {value}")
+    return {"tasks": len(tasks), "shards": shard_count,
+            "records": summed.get("records", 0),
+            "spans_emitted": summed.get("spans_emitted", 0),
+            "verified": path is not None}
 
 
 def iter_records(directory: str,
@@ -620,8 +776,13 @@ def iter_records(directory: str,
         manifest = read_manifest(directory)
     for shard in _t.cast(list, manifest["shards"]):
         with open(os.path.join(directory, shard["name"])) as fh:
-            for line in fh:
-                yield json.loads(line)
+            for number, line in enumerate(fh, start=1):
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as error:
+                    raise DocumentError(
+                        f"{fh.name}:{number}: torn or corrupt shard "
+                        f"line: {error}") from error
 
 
 @dataclasses.dataclass
@@ -722,14 +883,29 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
     )
 
 
+DOCUMENT = Schema(MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION,
+                  _validate_manifest, "stream manifest")
+MERGED_DOCUMENT = Schema(MERGED_MANIFEST_SCHEMA,
+                         MERGED_MANIFEST_SCHEMA_VERSION,
+                         _validate_merged_manifest,
+                         "merged fleet manifest")
+#: Shard files carry no ``schema`` key; the validator CLI recognises
+#: them as "not one JSON value".
+SHARD_DOCUMENT = Schema("repro.obs.stream.shard", None, _validate_shard,
+                        "stream shard")
+
+
 __all__ = [
+    "DOCUMENT",
     "FORCED_PHASES",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "MANIFEST_SCHEMA_VERSION",
+    "MERGED_DOCUMENT",
     "MERGED_MANIFEST_NAME",
     "MERGED_MANIFEST_SCHEMA",
     "MERGED_MANIFEST_SCHEMA_VERSION",
+    "SHARD_DOCUMENT",
     "SHARD_PATTERN",
     "SpanSpool",
     "StreamConfig",

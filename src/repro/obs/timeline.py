@@ -32,16 +32,13 @@ Semantics follow the rest of :mod:`repro.obs`:
 
 from __future__ import annotations
 
-import json
 import typing as _t
 
+from ..util.document import DocumentError, Schema, write
 from .metrics import Histogram, LATENCY_BUCKETS_US
 
 TIMELINE_SCHEMA = "repro.obs.timeline"
 TIMELINE_SCHEMA_VERSION = 1
-
-_JSON_KW: dict[str, object] = {"sort_keys": True,
-                               "separators": (",", ":")}
 
 #: Series names the timeline records from the span tracer.
 SERIES_ISSUED = "rsr_issued"
@@ -264,20 +261,58 @@ def timeline_document(timeline: Timeline, *,
     }
 
 
-def dumps_timeline(timeline: Timeline, *,
-                   meta: _t.Mapping[str, object] | None = None) -> str:
-    return json.dumps(timeline_document(timeline, meta=meta),
-                      **_JSON_KW)  # type: ignore[arg-type]
-
-
 def write_timeline(path: str, timeline: Timeline, *,
                    meta: _t.Mapping[str, object] | None = None) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_timeline(timeline, meta=meta))
-        handle.write("\n")
+    write(path, timeline_document(timeline, meta=meta))
+
+
+def _validate(document: _t.Mapping[str, object],
+              path: str | None = None) -> dict[str, object]:
+    """Structural + invariant checks over a timeline export."""
+    interval = document.get("interval_s")
+    if not isinstance(interval, (int, float)) or interval <= 0:
+        raise DocumentError(f"interval_s must be positive, got {interval!r}")
+    bounds = document.get("bounds")
+    if not isinstance(bounds, list) or bounds != sorted(bounds):
+        raise DocumentError("bounds must be a sorted list")
+    counters = document.get("counters")
+    histograms = document.get("histograms")
+    if not isinstance(counters, dict) or not isinstance(histograms, dict):
+        raise DocumentError("counters/histograms sections missing")
+    windows = document.get("windows")
+    if windows is not None and not (
+            isinstance(windows, dict)
+            and isinstance(windows.get("lo"), int)
+            and isinstance(windows.get("hi"), int)):
+        raise DocumentError("windows must be null or {lo, hi}")
+    samples = 0
+    for name, series in histograms.items():
+        for key, per_window in _t.cast(dict, series).items():
+            for window, snapshot in _t.cast(dict, per_window).items():
+                where = f"histogram {name}/{key}@{window}"
+                counts = _t.cast(dict, snapshot).get("counts")
+                count = _t.cast(dict, snapshot).get("count")
+                if not isinstance(counts, list) or sum(counts) != count:
+                    raise DocumentError(
+                        f"{where}: bucket counts do not sum to count")
+                if len(counts) != len(bounds) + 1:
+                    raise DocumentError(
+                        f"{where}: expected {len(bounds) + 1} buckets, "
+                        f"got {len(counts)}")
+                samples += _t.cast(int, count)
+    return {"counter_series": sum(len(_t.cast(dict, s))
+                                  for s in counters.values()),
+            "histogram_series": sum(len(_t.cast(dict, s))
+                                    for s in histograms.values()),
+            "histogram_samples": samples}
+
+
+DOCUMENT = Schema(TIMELINE_SCHEMA, TIMELINE_SCHEMA_VERSION, _validate,
+                  "timeline")
 
 
 __all__ = [
+    "DOCUMENT",
     "KEY_ALL",
     "SERIES_DELIVERED",
     "SERIES_DROPPED",
@@ -287,7 +322,6 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "TIMELINE_SCHEMA_VERSION",
     "Timeline",
-    "dumps_timeline",
     "timeline_document",
     "write_timeline",
 ]

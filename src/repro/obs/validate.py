@@ -1,62 +1,19 @@
-"""Validate repro JSON artefacts (``python -m repro.obs.validate``).
+"""Validate repro documents (``python -m repro.obs.validate PATH...``).
 
-Sniffs the document type and applies the matching contract:
+Every kind of file the repo writes is checked by the module that writes
+it: the document's ``schema`` id is looked up in
+:data:`repro.util.document.SCHEMAS` and the owner's validator runs over
+it (docs/ARCHITECTURE.md, "Documents", lists each kind and what is
+checked).  This module adds only what an id cannot express — the two
+formats that carry no ``schema`` key and are recognised by shape:
 
-**Chrome trace-event exports** — the subset of the trace-event format
-Perfetto relies on, plus this repo's own guarantees:
+* an object with ``traceEvents`` is a Chrome trace-event export;
+* a file that is not one JSON value is a JSONL stream shard.
 
-* top-level object with a ``traceEvents`` list;
-* every event has ``ph``/``name``/``pid``/``tid``; complete ("X")
-  events also carry numeric ``ts`` and ``dur``;
-* span events carry causal ``args.rsr`` ids, and at least one traced
-  RSR exhibits the four headline phases (marshal, wire, poll_detect,
-  dispatch);
-* the embedded ``metrics`` section contains per-method RSR latency
-  histograms whose bucket counts sum to their sample counts;
-* as the one exception, an export that *declares itself empty*
-  (``otherData.spans == 0``, e.g. ``--trace`` over a run that built no
-  Nexus) is valid with no events and no histograms.
-
-**Bench records** (``schema == "repro.bench.record"``, written by
-``python -m repro.bench --record``) — the full structural contract from
-:func:`repro.bench.record.validate_record_document`, plus load-tier
-checks when the record carries a ``load`` artefact: every scenario must
-publish its SLO verdict (``<scenario>.slo_passed``) alongside the
-counters the verdict was judged from (offered/delivered, p50/p99), the
-delivered count may not exceed the offered count, and every capacity
-search must publish both its rate and its probe count.
-
-**Analysis exports** — the windowed-telemetry, communication-graph,
-and critical-path documents written by ``python -m repro.bench analysis
---export-dir`` (schemas ``repro.obs.timeline`` / ``repro.obs.graph`` /
-``repro.obs.critpath``): schema version, structural shape, and the
-internal invariants that make them trustworthy — histogram bucket
-counts sum to their sample counts, graph edges reference exported
-nodes and per-node totals match the edge list, and every critical
-path's step shares sum to its end-to-end latency.
-
-**Placement plans** (``schema == "repro.place.plan"``, written by
-``python -m repro.bench place --export-dir``): schema version, a
-duplicate-free ``[rank, label]`` assignment list, a null-or-index
-forwarder, and non-empty method names.
-
-**Stream spools** — the sharded JSONL segments and ``manifest.json``
-written by the streaming telemetry spool (:mod:`repro.obs.stream`):
-the manifest's lossiness ledger must balance (``spans_opened ==
-spans_emitted + spans_sampled_out + spans_dropped``), per-shard record
-and span counts must sum to the totals, and — when the manifest sits
-next to its shards — every shard file is cross-checked for existence,
-byte length, sha256, and record count.  A shard file itself validates
-line by line against the four record kinds.
-
-**Merged fleet manifests** (``repro.obs.stream.manifest.merged``,
-written by ``python -m repro.fleet --stream-dir``): every per-task
-section must satisfy the single-spool invariants, the roll-up totals
-must equal the sum of the task sections, and each task's spool is
-cross-checked on disk when the merged manifest sits in its merge root.
-
-Used by the CI smoke jobs and the test suite; exits non-zero with a
-reason on the first violation.
+Given the document's path, validators also cross-check the files it
+names (a manifest's shards: existence, byte length, sha256, record
+count).  Used by the CI smoke jobs, ``--selfcheck`` and the test suite:
+one ``OK:`` or ``INVALID:`` line per path, exit 1 if any path failed.
 """
 
 from __future__ import annotations
@@ -65,598 +22,49 @@ import json
 import sys
 import typing as _t
 
-REQUIRED_PHASES = ("marshal", "wire", "poll_detect", "dispatch")
+from ..util import document
+
+TRACE = "repro.obs.trace"
+SHARD = "repro.obs.stream.shard"
 
 
-class TraceValidationError(ValueError):
-    """The document violates the trace-event contract."""
-
-
-def _fail(reason: str) -> "_t.NoReturn":
-    raise TraceValidationError(reason)
-
-
-def validate_trace_document(document: object) -> dict[str, object]:
-    """Validate one exported document; returns summary statistics."""
-    if not isinstance(document, dict):
-        _fail(f"top level must be an object, got {type(document).__name__}")
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        _fail("traceEvents must be a list")
-    if not events:
-        # Valid only for an empty-by-construction export (zero collected
-        # runs / zero spans): the document must say so itself.
-        other = document.get("otherData")
-        if not isinstance(other, dict) or other.get("spans") != 0:
-            _fail("traceEvents empty but otherData does not declare "
-                  "zero spans")
-        if not isinstance(document.get("metrics"), dict):
-            _fail("metrics section missing")
-        return {"events": 0, "span_events": 0, "rsrs": 0,
-                "full_lifecycles": 0, "latency_histograms": 0}
-
-    phases_by_rsr: dict[tuple[object, object], set[str]] = {}
-    span_events = 0
-    for index, event in enumerate(events):
-        if not isinstance(event, dict):
-            _fail(f"traceEvents[{index}] is not an object")
-        for field in ("ph", "name", "pid", "tid"):
-            if field not in event:
-                _fail(f"traceEvents[{index}] missing {field!r}")
-        if event["ph"] == "M":
-            continue
-        if event["ph"] != "X":
-            _fail(f"traceEvents[{index}] has unexpected ph={event['ph']!r}")
-        for field in ("ts", "dur"):
-            if not isinstance(event.get(field), (int, float)):
-                _fail(f"traceEvents[{index}].{field} must be numeric")
-        if _t.cast(float, event["dur"]) < 0:
-            _fail(f"traceEvents[{index}] has negative duration")
-        args = event.get("args")
-        if not isinstance(args, dict) or "rsr" not in args:
-            _fail(f"traceEvents[{index}] span lacks args.rsr causal id")
-        span_events += 1
-        # RSR ids are unique within a pid block (one block per run).
-        run_block = _t.cast(int, event["pid"]) // 1000
-        phases_by_rsr.setdefault((run_block, args["rsr"]), set()).add(
-            _t.cast(str, event["name"]))
-
-    if span_events == 0:
-        _fail("no span ('X') events present")
-    full_lifecycles = sum(
-        1 for phases in phases_by_rsr.values()
-        if all(phase in phases for phase in REQUIRED_PHASES))
-    if full_lifecycles == 0:
-        _fail(f"no RSR carries all required phases {REQUIRED_PHASES}")
-
-    metrics = document.get("metrics")
-    if not isinstance(metrics, dict):
-        _fail("metrics section missing")
-    flat: list[_t.Mapping[str, object]] = []
-    stack: list[object] = [metrics]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            if "rsr_latency_us" in node:
-                flat.extend(_t.cast(list, node["rsr_latency_us"]))
-            else:
-                stack.extend(node.values())
-    if not flat:
-        _fail("metrics contain no rsr_latency_us histograms")
-    for snapshot in flat:
-        counts = _t.cast(list, snapshot["counts"])
-        if sum(counts) != snapshot["count"]:
-            _fail("latency histogram bucket counts do not sum to count")
-        if "method" not in _t.cast(dict, snapshot["labels"]):
-            _fail("latency histogram lacks a method label")
-
-    return {
-        "events": len(events),
-        "span_events": span_events,
-        "rsrs": len(phases_by_rsr),
-        "full_lifecycles": full_lifecycles,
-        "latency_histograms": len(flat),
-    }
-
-
-def validate_trace_file(path: str) -> dict[str, object]:
-    with open(path) as handle:
-        document = json.load(handle)
-    return validate_trace_document(document)
-
-
-#: Counters every load scenario must publish next to its SLO verdict.
-LOAD_SCENARIO_METRICS = ("offered", "delivered", "delivered_rate",
-                         "p50_us", "p99_us")
-
-
-def validate_load_record(document: _t.Mapping[str, object]
-                         ) -> dict[str, object]:
-    """Load-tier checks over an already structurally-valid bench record.
-
-    A record without a ``load`` artefact passes trivially (zero
-    scenarios); one *with* it must carry complete SLO-judged scenarios
-    and complete capacity searches.
-    """
-    artefacts = _t.cast(dict, document.get("artefacts", {}))
-    load = artefacts.get("load")
-    if load is None:
-        return {"load_scenarios": 0, "capacity_searches": 0}
-    metrics = _t.cast(dict, _t.cast(dict, load)["metrics"])
-
-    scenarios = sorted(name[: -len(".slo_passed")] for name in metrics
-                       if name.endswith(".slo_passed"))
-    if not scenarios:
-        _fail("load artefact present but no <scenario>.slo_passed metrics")
-    for scenario in scenarios:
-        for suffix in LOAD_SCENARIO_METRICS:
-            if f"{scenario}.{suffix}" not in metrics:
-                _fail(f"load scenario {scenario!r} lacks {suffix}")
-        offered = _t.cast(dict, metrics[f"{scenario}.offered"])["value"]
-        delivered = _t.cast(dict, metrics[f"{scenario}.delivered"])["value"]
-        if delivered > offered:
-            _fail(f"load scenario {scenario!r} delivered {delivered} "
-                  f"> offered {offered}")
-
-    searches = sorted({name.split(".")[1] for name in metrics
-                       if name.startswith("capacity.")})
-    for search in searches:
-        for suffix in ("rate", "probes"):
-            if f"capacity.{search}.{suffix}" not in metrics:
-                _fail(f"capacity search {search!r} lacks {suffix}")
-
-    return {"load_scenarios": len(scenarios),
-            "capacity_searches": len(searches)}
-
-
-def _check_version(document: _t.Mapping[str, object], expected: int,
-                   kind: str) -> None:
-    if document.get("schema_version") != expected:
-        _fail(f"{kind}: unsupported schema_version "
-              f"{document.get('schema_version')!r}")
-
-
-def validate_timeline_document(document: _t.Mapping[str, object]
-                               ) -> dict[str, object]:
-    """Structural + invariant checks over a timeline export."""
-    from .timeline import TIMELINE_SCHEMA_VERSION
-
-    _check_version(document, TIMELINE_SCHEMA_VERSION, "timeline")
-    interval = document.get("interval_s")
-    if not isinstance(interval, (int, float)) or interval <= 0:
-        _fail(f"timeline: interval_s must be positive, got {interval!r}")
-    bounds = document.get("bounds")
-    if not isinstance(bounds, list) or bounds != sorted(bounds):
-        _fail("timeline: bounds must be a sorted list")
-    counters = document.get("counters")
-    histograms = document.get("histograms")
-    if not isinstance(counters, dict) or not isinstance(histograms, dict):
-        _fail("timeline: counters/histograms sections missing")
-    windows = document.get("windows")
-    if windows is not None and not (
-            isinstance(windows, dict)
-            and isinstance(windows.get("lo"), int)
-            and isinstance(windows.get("hi"), int)):
-        _fail("timeline: windows must be null or {lo, hi}")
-    samples = 0
-    for name, series in histograms.items():
-        for key, per_window in _t.cast(dict, series).items():
-            for window, snapshot in _t.cast(dict, per_window).items():
-                where = f"timeline histogram {name}/{key}@{window}"
-                counts = _t.cast(dict, snapshot).get("counts")
-                count = _t.cast(dict, snapshot).get("count")
-                if not isinstance(counts, list) or sum(counts) != count:
-                    _fail(f"{where}: bucket counts do not sum to count")
-                if len(counts) != len(bounds) + 1:
-                    _fail(f"{where}: expected {len(bounds) + 1} buckets, "
-                          f"got {len(counts)}")
-                samples += _t.cast(int, count)
-    return {"counter_series": sum(len(_t.cast(dict, s))
-                                  for s in counters.values()),
-            "histogram_series": sum(len(_t.cast(dict, s))
-                                    for s in histograms.values()),
-            "histogram_samples": samples}
-
-
-def validate_graph_document(document: _t.Mapping[str, object]
-                            ) -> dict[str, object]:
-    """Structural + invariant checks over a communication-graph export."""
-    from .graph import GRAPH_SCHEMA_VERSION
-
-    _check_version(document, GRAPH_SCHEMA_VERSION, "graph")
-    nodes = document.get("nodes")
-    edges = document.get("edges")
-    if not isinstance(nodes, list) or not isinstance(edges, list):
-        _fail("graph: nodes/edges sections missing")
-    ranks = set()
-    for node in nodes:
-        if not isinstance(node, dict) or not isinstance(
-                node.get("rank"), int):
-            _fail("graph: node lacks an integer rank")
-        ranks.add(node["rank"])
-    messages = bytes_total = 0
-    for index, edge in enumerate(edges):
-        if not isinstance(edge, dict):
-            _fail(f"graph: edges[{index}] is not an object")
-        for field in ("src", "dst", "method", "messages", "bytes"):
-            if field not in edge:
-                _fail(f"graph: edges[{index}] missing {field!r}")
-        if edge["src"] not in ranks or edge["dst"] not in ranks:
-            _fail(f"graph: edges[{index}] references an unknown rank")
-        messages += _t.cast(int, edge["messages"])
-        bytes_total += _t.cast(int, edge["bytes"])
-    if messages != document.get("total_messages"):
-        _fail("graph: edge messages do not sum to total_messages")
-    if bytes_total != document.get("total_bytes"):
-        _fail("graph: edge bytes do not sum to total_bytes")
-    # Per-node in/out totals must agree with the edge list.
-    inbound: dict[int, int] = {rank: 0 for rank in ranks}
-    outbound: dict[int, int] = {rank: 0 for rank in ranks}
-    for edge in edges:
-        outbound[_t.cast(int, edge["src"])] += _t.cast(int,
-                                                       edge["messages"])
-        inbound[_t.cast(int, edge["dst"])] += _t.cast(int,
-                                                      edge["messages"])
-    for node in nodes:
-        rank = _t.cast(int, node["rank"])
-        if node.get("messages_in") != inbound[rank] \
-                or node.get("messages_out") != outbound[rank]:
-            _fail(f"graph: node {rank} in/out totals disagree with edges")
-    return {"nodes": len(nodes), "edges": len(edges),
-            "messages": messages, "bytes": bytes_total}
-
-
-def validate_critpath_document(document: _t.Mapping[str, object]
-                               ) -> dict[str, object]:
-    """Structural + invariant checks over a critical-path export."""
-    from .critpath import CRITPATH_SCHEMA_VERSION
-
-    _check_version(document, CRITPATH_SCHEMA_VERSION, "critpath")
-    paths = document.get("paths")
-    if not isinstance(paths, list):
-        _fail("critpath: paths section missing")
-    for index, path in enumerate(paths):
-        if not isinstance(path, dict):
-            _fail(f"critpath: paths[{index}] is not an object")
-        steps = path.get("steps")
-        latency = path.get("latency_s")
-        if not isinstance(steps, list) or not steps:
-            _fail(f"critpath: paths[{index}] has no steps")
-        if not isinstance(latency, (int, float)) or latency < 0:
-            _fail(f"critpath: paths[{index}] latency_s invalid")
-        shares = sum(_t.cast(float, _t.cast(dict, step)["share_s"])
-                     for step in steps)
-        if abs(shares - _t.cast(float, latency)) > 1e-9:
-            _fail(f"critpath: paths[{index}] step shares sum to "
-                  f"{shares!r}, latency is {latency!r}")
-    if not isinstance(document.get("phase_attribution_s"), dict):
-        _fail("critpath: phase_attribution_s section missing")
-    return {"paths": len(paths),
-            "steps": sum(len(_t.cast(dict, p)["steps"]) for p in paths)}
-
-
-def validate_placement_document(document: _t.Mapping[str, object]
-                                ) -> dict[str, object]:
-    """Structural checks over a placement-plan export
-    (``repro.place.plan``, written by ``python -m repro.bench place
-    --export-dir``)."""
-    from ..place.plan import PLAN_SCHEMA_VERSION
-
-    _check_version(document, PLAN_SCHEMA_VERSION, "placement")
-    assignment = document.get("assignment")
-    if not isinstance(assignment, list):
-        _fail("placement: assignment must be a list")
-    ranks = set()
-    for index, pair in enumerate(assignment):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], int) and isinstance(pair[1], str)):
-            _fail(f"placement: assignment[{index}] must be "
-                  "[rank, label]")
-        if pair[0] in ranks:
-            _fail(f"placement: assignment repeats rank {pair[0]}")
-        ranks.add(pair[0])
-    forwarder = document.get("forwarder")
-    if forwarder is not None and not (
-            isinstance(forwarder, int) and forwarder >= 0):
-        _fail(f"placement: forwarder must be null or a non-negative "
-              f"integer, got {forwarder!r}")
-    for field in ("method", "fast_method"):
-        value = document.get(field)
-        if not isinstance(value, str) or not value:
-            _fail(f"placement: {field} must be a non-empty string")
-    if not isinstance(document.get("meta"), dict):
-        _fail("placement: meta section missing")
-    return {"ranks": len(ranks), "forwarder": forwarder,
-            "method": document["method"],
-            "fast_method": document["fast_method"]}
-
-
-#: Streamed-telemetry record kinds to their required fields (see
-#: :mod:`repro.obs.stream` for the record format).
-SHARD_RECORD_FIELDS: dict[str, tuple[str, ...]] = {
-    "s": ("id", "rsr", "ph", "ctx", "lane", "t0", "par", "attrs"),
-    "d": ("rsr", "t", "lane", "us", "ctx"),
-    "x": ("rsr", "t", "lane"),
-    "r": ("rsr",),
-}
-
-
-def validate_manifest_document(document: _t.Mapping[str, object], *,
-                               directory: str | None = None
-                               ) -> dict[str, object]:
-    """Structural + invariant checks over a stream-spool manifest.
-
-    With ``directory`` (inferred from the manifest's path by
-    :func:`validate_file`) every listed shard is cross-checked against
-    the file on disk: existence, byte length, sha256, and record count.
-    """
-    import hashlib
-    import os
-
-    from .stream import MANIFEST_SCHEMA_VERSION
-
-    _check_version(document, MANIFEST_SCHEMA_VERSION, "manifest")
-    shards = document.get("shards")
-    totals = document.get("totals")
-    if not isinstance(shards, list) or not isinstance(totals, dict):
-        _fail("manifest: shards/totals sections missing")
-    opened = totals.get("spans_opened")
-    emitted = totals.get("spans_emitted")
-    sampled = totals.get("spans_sampled_out")
-    dropped = totals.get("spans_dropped")
-    if not all(isinstance(v, int)
-               for v in (opened, emitted, sampled, dropped)):
-        _fail("manifest: lossiness totals must be integers")
-    if opened != _t.cast(int, emitted) + _t.cast(int, sampled) \
-            + _t.cast(int, dropped):
-        _fail(f"manifest: lossiness ledger does not balance: "
-              f"{opened} opened != {emitted} emitted + {sampled} "
-              f"sampled out + {dropped} dropped")
-    shard_records = shard_spans = 0
-    for index, shard in enumerate(shards):
-        if not isinstance(shard, dict):
-            _fail(f"manifest: shards[{index}] is not an object")
-        for field in ("name", "records", "spans", "bytes", "sha256"):
-            if field not in shard:
-                _fail(f"manifest: shards[{index}] missing {field!r}")
-        shard_records += _t.cast(int, shard["records"])
-        shard_spans += _t.cast(int, shard["spans"])
-        if directory is not None:
-            path = os.path.join(directory, _t.cast(str, shard["name"]))
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except OSError as error:
-                _fail(f"manifest: shard {shard['name']!r} unreadable: "
-                      f"{error}")
-            if len(data) != shard["bytes"]:
-                _fail(f"manifest: shard {shard['name']!r} is {len(data)} "
-                      f"bytes on disk, manifest says {shard['bytes']}")
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != shard["sha256"]:
-                _fail(f"manifest: shard {shard['name']!r} sha256 "
-                      f"mismatch (corrupt or rewritten)")
-            lines = data.count(b"\n")
-            if lines != shard["records"]:
-                _fail(f"manifest: shard {shard['name']!r} holds {lines} "
-                      f"records, manifest says {shard['records']}")
-    if shard_records != totals.get("records"):
-        _fail("manifest: shard record counts do not sum to totals")
-    if shard_spans != emitted:
-        _fail("manifest: shard span counts do not sum to spans_emitted")
-    return {"shards": len(shards), "records": shard_records,
-            "spans_emitted": _t.cast(int, emitted),
-            "spans_sampled_out": _t.cast(int, sampled),
-            "spans_dropped": _t.cast(int, dropped),
-            "verified": directory is not None}
-
-
-def validate_merged_manifest_document(
-        document: _t.Mapping[str, object], *,
-        directory: str | None = None) -> dict[str, object]:
-    """Structural + invariant checks over a merged fleet manifest.
-
-    Each per-task section must itself satisfy the single-spool manifest
-    invariants (lossiness ledger, shard sums), the roll-up totals must
-    equal the sum of the task totals, and — when the merged manifest
-    sits in its merge root — every task's own ``manifest.json`` and
-    shard files are cross-checked on disk.
-    """
-    import os
-
-    from .stream import (
-        MANIFEST_SCHEMA_VERSION,
-        MERGED_MANIFEST_SCHEMA_VERSION,
-    )
-
-    _check_version(document, MERGED_MANIFEST_SCHEMA_VERSION,
-                   "merged manifest")
-    tasks = document.get("tasks")
-    totals = document.get("totals")
-    if not isinstance(tasks, dict) or not isinstance(totals, dict):
-        _fail("merged manifest: tasks/totals sections missing")
-    if document.get("task_count") != len(tasks):
-        _fail(f"merged manifest: task_count {document.get('task_count')!r} "
-              f"does not match {len(tasks)} tasks")
-    summed: dict[str, int] = {}
-    shard_count = 0
-    for key in tasks:
-        task = tasks[key]
-        if not isinstance(task, dict):
-            _fail(f"merged manifest: task {key!r} is not an object")
-        for field in ("directory", "shards", "totals"):
-            if field not in task:
-                _fail(f"merged manifest: task {key!r} missing {field!r}")
-        subdir = _t.cast(str, task["directory"])
-        if os.path.isabs(subdir):
-            _fail(f"merged manifest: task {key!r} records an absolute "
-                  f"spool path {subdir!r}")
-        # Re-use the single-spool invariants by reshaping the section
-        # into a manifest document (same shards/totals layout).
-        spool_dir = (os.path.join(directory, subdir)
-                     if directory is not None else None)
-        validate_manifest_document(
-            {"schema_version": MANIFEST_SCHEMA_VERSION,
-             "shards": task["shards"], "totals": task["totals"]},
-            directory=spool_dir)
-        shard_count += len(_t.cast(list, task["shards"]))
-        for name, value in _t.cast(dict, task["totals"]).items():
-            summed[name] = summed.get(name, 0) + int(value)
-    if document.get("shard_count") != shard_count:
-        _fail(f"merged manifest: shard_count "
-              f"{document.get('shard_count')!r} does not match "
-              f"{shard_count} listed shards")
-    for name, value in summed.items():
-        if totals.get(name) != value:
-            _fail(f"merged manifest: totals.{name} is "
-                  f"{totals.get(name)!r}, task sections sum to {value}")
-    return {"tasks": len(tasks), "shards": shard_count,
-            "records": summed.get("records", 0),
-            "spans_emitted": summed.get("spans_emitted", 0),
-            "verified": directory is not None}
-
-
-def _validate_shard_record(record: object, where: str) -> str:
-    if not isinstance(record, dict):
-        _fail(f"{where}: not an object")
-    kind = record.get("k")
-    fields = SHARD_RECORD_FIELDS.get(_t.cast(str, kind))
-    if fields is None:
-        _fail(f"{where}: unknown record kind {kind!r}")
-    for field in fields:
-        if field not in record:
-            _fail(f"{where}: {kind!r} record missing {field!r}")
-    if not isinstance(record["rsr"], int):
-        _fail(f"{where}: rsr must be an integer")
-    return _t.cast(str, kind)
-
-
-def validate_shard_lines(lines: _t.Iterable[str], *,
-                         name: str = "shard") -> dict[str, object]:
-    """Validate a stream shard's JSONL records line by line."""
-    counts = {kind: 0 for kind in SHARD_RECORD_FIELDS}
-    total = 0
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            _fail(f"{name}:{number}: blank line in shard")
-        where = f"{name}:{number}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            _fail(f"{where}: not valid JSON: {error}")
-        counts[_validate_shard_record(record, where)] += 1
-        total += 1
-    if total == 0:
-        _fail(f"{name}: shard holds no records")
-    return {"records": total, **{f"kind_{k}": v for k, v in counts.items()}}
-
-
-#: Analysis-document schemas to their validators (sniffed by schema id).
-ANALYSIS_VALIDATORS: dict[str, _t.Callable[
-    [_t.Mapping[str, object]], dict[str, object]]] = {
-    "repro.obs.timeline": validate_timeline_document,
-    "repro.obs.graph": validate_graph_document,
-    "repro.obs.critpath": validate_critpath_document,
-    "repro.place.plan": validate_placement_document,
-}
-
-
-def validate_file(path: str) -> tuple[str, dict[str, object]]:
-    """Sniff ``path`` and validate it; returns (document kind, summary)."""
-    import os
-
-    from ..bench.record import SCHEMA, validate_record_document
-    from .stream import MANIFEST_SCHEMA, MERGED_MANIFEST_SCHEMA
-
+def validate_file(path: str) -> tuple[document.Schema, dict[str, object]]:
+    """Validate ``path``; returns its kind's ``Schema`` and a summary."""
     with open(path) as handle:
         try:
-            document = json.load(handle)
+            parsed = json.load(handle)
         except json.JSONDecodeError:
-            # Not one JSON document: validate as a JSONL stream shard.
+            parsed = None  # not one JSON value: JSONL
+        if parsed is None or (isinstance(parsed, dict) and "k" in parsed
+                              and "schema" not in parsed):
+            # Shard lines; a one-record shard parses as one object.
             handle.seek(0)
-            return "shard", validate_shard_lines(
-                handle, name=os.path.basename(path))
-    if isinstance(document, dict):
-        schema = document.get("schema")
-        if schema == SCHEMA:
-            summary = validate_record_document(document)
-            summary.update(validate_load_record(document))
-            return "record", summary
-        if schema == MANIFEST_SCHEMA:
-            return "manifest", validate_manifest_document(
-                document, directory=os.path.dirname(path) or ".")
-        if schema == MERGED_MANIFEST_SCHEMA:
-            return "merged-manifest", validate_merged_manifest_document(
-                document, directory=os.path.dirname(path) or ".")
-        if isinstance(schema, str) and schema in ANALYSIS_VALIDATORS:
-            return (schema.rsplit(".", 1)[-1],
-                    ANALYSIS_VALIDATORS[schema](document))
-        if "k" in document:  # a one-record shard parses as one object
-            return "shard", validate_shard_lines(
-                [json.dumps(document)], name=os.path.basename(path))
-    return "trace", validate_trace_document(document)
+            kind = document.schema(SHARD)
+            return kind, kind.validate(handle, path)
+    if isinstance(parsed, dict) and "schema" in parsed:
+        return document.check(parsed, path)
+    kind = document.schema(TRACE)
+    return kind, kind.validate(parsed, path)
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print("usage: python -m repro.obs.validate TRACE_OR_RECORD.json",
+    paths = list(sys.argv[1:] if argv is None else argv)
+    if not paths:
+        print("usage: python -m repro.obs.validate PATH...",
               file=sys.stderr)
         return 2
-    try:
-        kind, summary = validate_file(argv[0])
-    except (OSError, json.JSONDecodeError, ValueError) as error:
-        print(f"INVALID: {error}", file=sys.stderr)
-        return 1
-    if kind == "record":
-        print(f"OK: bench record with {summary['metrics']} metrics "
-              f"across {summary['artefacts']} artefacts, "
-              f"{summary['load_scenarios']} load scenarios, "
-              f"{summary['capacity_searches']} capacity searches")
-    elif kind == "timeline":
-        print(f"OK: timeline with {summary['counter_series']} counter "
-              f"series, {summary['histogram_series']} histogram series "
-              f"({summary['histogram_samples']} samples)")
-    elif kind == "graph":
-        print(f"OK: comm graph with {summary['nodes']} nodes, "
-              f"{summary['edges']} edges ({summary['messages']} msgs / "
-              f"{summary['bytes']} B)")
-    elif kind == "critpath":
-        print(f"OK: {summary['paths']} critical paths "
-              f"({summary['steps']} steps)")
-    elif kind == "plan":
-        where = ("direct" if summary["forwarder"] is None
-                 else f"forward@{summary['forwarder']}")
-        print(f"OK: placement plan {where} "
-              f"({summary['method']}->{summary['fast_method']}), "
-              f"{summary['ranks']} assigned ranks")
-    elif kind == "manifest":
-        verified = ("shards verified on disk" if summary["verified"]
-                    else "shards not cross-checked")
-        print(f"OK: stream manifest with {summary['shards']} shards / "
-              f"{summary['records']} records "
-              f"({summary['spans_emitted']} spans emitted, "
-              f"{summary['spans_sampled_out']} sampled out, "
-              f"{summary['spans_dropped']} dropped; {verified})")
-    elif kind == "merged-manifest":
-        verified = ("spools verified on disk" if summary["verified"]
-                    else "spools not cross-checked")
-        print(f"OK: merged fleet manifest with {summary['tasks']} task "
-              f"spools / {summary['shards']} shards "
-              f"({summary['records']} records, "
-              f"{summary['spans_emitted']} spans emitted; {verified})")
-    elif kind == "shard":
-        print(f"OK: stream shard with {summary['records']} records "
-              f"({summary['kind_s']} spans, {summary['kind_d']} "
-              f"deliveries, {summary['kind_x']} drops, "
-              f"{summary['kind_r']} resolutions)")
-    else:
-        print(f"OK: {summary['span_events']} spans over "
-              f"{summary['rsrs']} RSRs "
-              f"({summary['full_lifecycles']} full lifecycles), "
-              f"{summary['latency_histograms']} latency histograms")
-    return 0
+    status = 0
+    for path in paths:
+        try:
+            kind, summary = validate_file(path)
+        except (OSError, ValueError) as error:
+            print(f"INVALID: {path}: {error}", file=sys.stderr)
+            status = 1
+            continue
+        detail = ", ".join(f"{name}={value}"
+                           for name, value in summary.items())
+        print(f"OK: {kind.title}: {detail} ({path})")
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI shim

@@ -34,7 +34,6 @@ from .plan import (
     Placement,
     compile_scenario,
     direct_placement,
-    dumps_placement,
     forwarding_placement,
     placement_document,
     write_placement,
@@ -64,7 +63,6 @@ __all__ = [
     "compile_scenario",
     "cut_weight",
     "direct_placement",
-    "dumps_placement",
     "edge_wire_cost",
     "forwarding_placement",
     "kernighan_lin_refine",

@@ -14,9 +14,9 @@ for :mod:`repro.fleet` task payloads, and compile into a
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing as _t
 
+from ..util.document import DocumentError, Schema, write
 from .errors import PlacementError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -24,9 +24,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 PLAN_SCHEMA = "repro.place.plan"
 PLAN_SCHEMA_VERSION = 1
-
-_JSON_KW: dict[str, object] = {"sort_keys": True,
-                               "separators": (",", ":")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,26 +114,53 @@ def placement_document(placement: Placement, *,
     }
 
 
-def dumps_placement(placement: Placement, *,
-                    meta: _t.Mapping[str, object] | None = None) -> str:
-    return json.dumps(placement_document(placement, meta=meta),
-                      **_JSON_KW)  # type: ignore[arg-type]
-
-
 def write_placement(path: str, placement: Placement, *,
                     meta: _t.Mapping[str, object] | None = None) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_placement(placement, meta=meta))
-        handle.write("\n")
+    write(path, placement_document(placement, meta=meta))
+
+
+def _validate(document: _t.Mapping[str, object],
+              path: str | None = None) -> dict[str, object]:
+    """Structural checks over a placement-plan export."""
+    assignment = document.get("assignment")
+    if not isinstance(assignment, list):
+        raise DocumentError("assignment must be a list")
+    ranks = set()
+    for index, pair in enumerate(assignment):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], int) and isinstance(pair[1], str)):
+            raise DocumentError(
+                f"assignment[{index}] must be [rank, label]")
+        if pair[0] in ranks:
+            raise DocumentError(f"assignment repeats rank {pair[0]}")
+        ranks.add(pair[0])
+    forwarder = document.get("forwarder")
+    if forwarder is not None and not (
+            isinstance(forwarder, int) and forwarder >= 0):
+        raise DocumentError("forwarder must be null or a non-negative "
+                            f"integer, got {forwarder!r}")
+    for field in ("method", "fast_method"):
+        value = document.get(field)
+        if not isinstance(value, str) or not value:
+            raise DocumentError(f"{field} must be a non-empty string")
+    if not isinstance(document.get("meta"), dict):
+        raise DocumentError("meta section missing")
+    return {"ranks": len(ranks), "forwarder": forwarder,
+            "method": document["method"],
+            "fast_method": document["fast_method"]}
+
+
+DOCUMENT = Schema(PLAN_SCHEMA, PLAN_SCHEMA_VERSION, _validate,
+                  "placement plan")
 
 
 __all__ = [
+    "DOCUMENT",
     "PLAN_SCHEMA",
     "PLAN_SCHEMA_VERSION",
     "Placement",
     "compile_scenario",
     "direct_placement",
-    "dumps_placement",
     "forwarding_placement",
     "placement_document",
     "write_placement",

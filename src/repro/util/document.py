@@ -1,0 +1,132 @@
+"""One document idiom: canonical JSON, one failure type, dispatch by id.
+
+Every file this repo writes and reads back — bench records, analysis
+exports, placement plans, stream manifests, merged fleet documents — is
+a *document*: JSON whose ``schema`` / ``schema_version`` pair is its
+descriptor, the way a startpoint's descriptor names the communication
+module that can talk to it.  The module that writes a kind decides its
+format: it builds the document (``x_document()``) and, beside that,
+declares ``DOCUMENT = Schema(id, version, validate, title)`` restating
+the format as checks.  The three decisions every kind shares are made
+here, once:
+
+* **serialisation** — :func:`dumps` / :func:`write`: sorted keys,
+  compact separators (or ``indent`` for files people read), one
+  trailing newline.  Per-record hot loops spell the same compact form
+  as ``json.dumps(record, **COMPACT)``;
+* **failure** — :class:`DocumentError`;
+* **dispatch** — :data:`SCHEMAS`, ``schema id -> owning module``,
+  resolved by :func:`schema` on use.  The id comes from outside the
+  program, so it is only ever a key into this literal table, never a
+  module path to import.  Adding a kind is ``DOCUMENT = Schema(...)``
+  in its module plus one line here.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import json
+import typing as _t
+
+#: ``json.dumps`` keywords of the compact canonical form.
+COMPACT: dict[str, _t.Any] = {"sort_keys": True, "separators": (",", ":")}
+
+
+class DocumentError(ValueError):
+    """A document violates the format its schema id promises."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Schema:
+    """One document kind, declared beside the code that writes it."""
+
+    id: str
+    #: ``None`` for the two kinds recognised by shape, which carry no
+    #: ``schema`` key: Chrome traces and JSONL shard lines.
+    version: int | None
+    #: ``validate(document, path) -> summary``; raises
+    #: :class:`DocumentError`.  With ``path`` (where the document was
+    #: read from) a validator also cross-checks the files it names.
+    validate: _t.Callable[[_t.Any, "str | None"], dict[str, object]]
+    #: What ``python -m repro.obs.validate`` calls the kind.
+    title: str
+
+
+#: Every document kind: schema id -> module declaring its ``Schema``.
+SCHEMAS: dict[str, str] = {
+    "repro.bench.record": "repro.bench.record",
+    "repro.fleet.load_summary": "repro.fleet.merge",
+    "repro.obs.critpath": "repro.obs.critpath",
+    "repro.obs.graph": "repro.obs.graph",
+    "repro.obs.stream.manifest": "repro.obs.stream",
+    "repro.obs.stream.manifest.merged": "repro.obs.stream",
+    "repro.obs.stream.shard": "repro.obs.stream",
+    "repro.obs.timeline": "repro.obs.timeline",
+    "repro.obs.trace": "repro.obs.export",
+    "repro.place.plan": "repro.place.plan",
+}
+
+
+def dumps(document: object, *, indent: int | None = None) -> str:
+    """The canonical serialisation, trailing newline included."""
+    if indent is None:
+        return json.dumps(document, **COMPACT) + "\n"
+    return json.dumps(document, sort_keys=True, indent=indent) + "\n"
+
+
+def write(path: str, document: object, *,
+          indent: int | None = None) -> None:
+    with open(path, "w") as handle:
+        handle.write(dumps(document, indent=indent))
+
+
+def schema(schema_id: object) -> Schema:
+    """The registered :class:`Schema` (imports its owner on first use)."""
+    owner = SCHEMAS.get(schema_id) if isinstance(schema_id, str) else None
+    if owner is None:
+        raise DocumentError(f"unknown schema {schema_id!r} "
+                            f"(known: {', '.join(SCHEMAS)})")
+    for declared in vars(importlib.import_module(owner)).values():
+        if isinstance(declared, Schema) and declared.id == schema_id:
+            return declared
+    raise DocumentError(f"{owner} declares no Schema for {schema_id!r}")
+
+
+def check(document: object, path: str | None = None
+          ) -> tuple[Schema, dict[str, object]]:
+    """Validate a parsed document through the owner its ``schema`` names."""
+    if not isinstance(document, dict):
+        raise DocumentError("top level must be an object, got "
+                            f"{type(document).__name__}")
+    found = schema(document.get("schema"))
+    if document.get("schema_version") != found.version:
+        raise DocumentError(
+            f"{found.id}: schema_version is "
+            f"{document.get('schema_version')!r}, this code reads "
+            f"{found.version!r}")
+    try:
+        return found, found.validate(document, path)
+    except DocumentError as error:
+        raise DocumentError(f"{found.id}: {error}") from error
+
+
+def load(path: str, schema_id: str) -> dict[str, object]:
+    """Read the ``schema_id`` document at ``path``; errors name the file.
+
+    The reader's door: structural checks only (``validate`` gets no
+    path, so nothing beside the file is opened).
+    """
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+        found = document.get("schema") if isinstance(document, dict) else None
+        if found != schema_id:
+            raise DocumentError(f"expected schema {schema_id!r}, "
+                                f"found {found!r}")
+        check(document)
+    except json.JSONDecodeError as error:
+        raise DocumentError(f"{path}: not valid JSON: {error}") from error
+    except DocumentError as error:
+        raise DocumentError(f"{path}: {error}") from error
+    return document

@@ -8,7 +8,7 @@ import pytest
 from repro import obs as _obs
 from repro.apps.climate import run_chaos_climate
 from repro.obs.spans import PHASE_FAILOVER, PHASE_PROBE, PHASE_RETRY
-from repro.obs.validate import validate_trace_file
+from repro.obs.validate import validate_file
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ class TestTraceExport:
     def test_merged_trace_validates(self, chaos, tmp_path):
         path = tmp_path / "chaos_trace.json"
         _obs.export.write_merged_chrome_trace(str(path), chaos.runs)
-        summary = validate_trace_file(str(path))
+        _kind, summary = validate_file(str(path))
         assert summary["span_events"] > 0
         assert summary["full_lifecycles"] > 0
 

@@ -49,11 +49,11 @@ class TestShape:
 class TestExports:
     def test_all_four_documents_are_written_and_valid(self, bench):
         _, export_dir = bench
-        for name, kind in (("timeline.json", "timeline"),
-                           ("graph.json", "graph"),
-                           ("critpath.json", "critpath")):
+        for name, kind in (("timeline.json", "repro.obs.timeline"),
+                           ("graph.json", "repro.obs.graph"),
+                           ("critpath.json", "repro.obs.critpath")):
             found, _summary = validate_file(str(export_dir / name))
-            assert found == kind
+            assert found.id == kind
         dot = (export_dir / "graph.dot").read_text()
         assert dot.startswith('digraph "analysis-forward" {')
 
@@ -70,8 +70,7 @@ class TestRecording:
     def test_record_covers_every_surface(self, bench):
         record = BenchRecord(label="x", quick=True)
         record.extend("analysis", bench[0].metrics())
-        metrics = json.loads(record.dumps())["artefacts"]["analysis"][
-            "metrics"]
+        metrics = record.to_document()["artefacts"]["analysis"]["metrics"]
         assert metrics["chaos.slo_passed"]["value"] == 1
         assert metrics["chaos.window_violations"]["value"] > 0
         assert metrics["chaos.recovery_ms"]["value"] > 0

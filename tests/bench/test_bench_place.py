@@ -55,7 +55,7 @@ class TestExports:
     def test_placement_document_is_written_and_valid(self, bench):
         result, export_dir = bench
         kind, summary = validate_file(str(export_dir / "placement.json"))
-        assert kind == "plan"
+        assert kind.id == "repro.place.plan"
         assert summary["forwarder"] \
             == result.search.best.placement.forwarder
 
@@ -72,8 +72,7 @@ class TestRecording:
     def test_record_covers_every_surface(self, bench):
         record = BenchRecord(label="x", quick=True)
         record.extend("place", bench[0].metrics())
-        metrics = json.loads(record.dumps())["artefacts"]["place"][
-            "metrics"]
+        metrics = record.to_document()["artefacts"]["place"]["metrics"]
         assert metrics["best.is_forwarding"]["value"] == 1
         assert metrics["agreement"]["value"] >= 0.75
         assert metrics["hill.matches_best"]["value"] == 1

@@ -12,8 +12,9 @@ import pathlib
 import pytest
 
 from repro.bench import ARTEFACTS, artefact
-from repro.bench.record import BenchRecord, validate_record_document
+from repro.bench.record import BenchRecord
 from repro.fleet.tasks import resolve_runner
+from repro.util.document import check, dumps
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -71,9 +72,10 @@ class TestBuilt:
 
     def test_record_valid_and_repeatable(self, name, bench_result):
         result = bench_result(name)
-        one = _populated(name, result).dumps()
-        assert one == _populated(name, result).dumps()
-        validate_record_document(json.loads(one))
+        one = dumps(_populated(name, result).to_document(), indent=1)
+        assert one == dumps(_populated(name, result).to_document(),
+                            indent=1)
+        check(json.loads(one))
 
     def test_metric_set_matches_baseline(self, name, bench_result):
         document = json.loads((BENCHMARKS / BUILT[name]).read_text())

@@ -11,11 +11,10 @@ from repro.bench.__main__ import main as bench_main
 from repro.bench.baselines import Baselines
 from repro.bench.record import (
     BenchRecord,
-    RecordValidationError,
     compare_records,
     load_record,
-    validate_record_document,
 )
+from repro.util.document import DocumentError, check, dumps
 
 
 def small_record(label="test"):
@@ -31,7 +30,7 @@ def small_record(label="test"):
 
 class TestBenchRecord:
     def test_document_validates(self):
-        summary = validate_record_document(small_record().to_document())
+        _schema, summary = check(small_record().to_document())
         assert summary["artefacts"] == 1
         assert summary["mode"] == "quick"
 
@@ -67,7 +66,8 @@ class TestBenchRecord:
         assert "wall" in kinds
 
     def test_byte_deterministic_across_identical_runs(self):
-        assert small_record().dumps() == small_record().dumps()
+        assert dumps(small_record().to_document(), indent=1) \
+            == dumps(small_record().to_document(), indent=1)
 
     def test_write_load_round_trip(self, tmp_path):
         path = tmp_path / "BENCH_test.json"
@@ -79,8 +79,17 @@ class TestBenchRecord:
     def test_load_rejects_invalid_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "something-else"}))
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(DocumentError):
             load_record(str(path))
+
+    def test_load_names_a_truncated_file(self, tmp_path):
+        path = tmp_path / "BENCH_torn.json"
+        small_record().write(str(path))
+        path.write_text(path.read_text()[:200])
+        with pytest.raises(DocumentError) as caught:
+            load_record(str(path))
+        assert "BENCH_torn.json" in str(caught.value)
+        assert "line" in str(caught.value)
 
 
 class TestValidation:
@@ -90,20 +99,20 @@ class TestValidation:
         metric = next(iter(
             bad["artefacts"]["baselines"]["metrics"].values()))
         metric["kind"] = "vibes"
-        with pytest.raises(RecordValidationError, match="kind"):
-            validate_record_document(bad)
+        with pytest.raises(DocumentError, match="kind"):
+            check(bad)
         bad = copy.deepcopy(document)
         metric = next(iter(
             bad["artefacts"]["baselines"]["metrics"].values()))
         metric["direction"] = "sideways"
-        with pytest.raises(RecordValidationError, match="direction"):
-            validate_record_document(bad)
+        with pytest.raises(DocumentError, match="direction"):
+            check(bad)
 
     def test_rejects_missing_environment_field(self):
         document = small_record().to_document()
         del document["environment"]["git_sha"]
-        with pytest.raises(RecordValidationError, match="git_sha"):
-            validate_record_document(document)
+        with pytest.raises(DocumentError, match="git_sha"):
+            check(document)
 
 
 class TestCompareRecords:

@@ -11,7 +11,6 @@ from repro.fleet import (
     BenchFanout,
     FleetPool,
     ScenarioGrid,
-    canonical_json,
     merge_bench_outcomes,
     merge_load_results,
     run_plan,
@@ -19,6 +18,7 @@ from repro.fleet import (
 )
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, SLO
 from repro.load.capacity import find_capacity
+from repro.util.document import dumps
 
 
 def _scenario():
@@ -39,8 +39,7 @@ class TestGridDeterminism:
         runs = [run_plan(grid, jobs=jobs) for jobs in (1, 2, 2)]
         assert all(run.ok for run in runs)
         assert [run.jobs for run in runs] == [1, 2, 2]
-        documents = {canonical_json(merge_load_results(run.outcomes,
-                                                       plan=grid.name))
+        documents = {dumps(merge_load_results(run.outcomes, plan=grid.name))
                      for run in runs}
         assert len(documents) == 1
 
@@ -57,7 +56,7 @@ class TestBenchFanoutDeterminism:
         merged_b = merge_bench_outcomes(record_b, pooled.outcomes)
 
         # The record documents (what --record writes) match bytewise.
-        assert record_a.dumps() == record_b.dumps()
+        assert dumps(record_a.to_document()) == dumps(record_b.to_document())
         # So does the replayed stdout, artefact by artefact.
         assert ([(r.name, r.stdout) for r in merged_a]
                 == [(r.name, r.stdout) for r in merged_b])

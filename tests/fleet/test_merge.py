@@ -9,16 +9,16 @@ from repro.fleet import (
     FleetTaskError,
     ScenarioGrid,
     TaskOutcome,
-    canonical_json,
     document_digest,
     key_slug,
     merge_load_results,
     require_ok,
+    run_plan,
     run_serial,
 )
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop
 from repro.obs.stream import merge_spool_manifests, write_merged_manifest
-from repro.obs.validate import validate_merged_manifest_document
+from repro.util.document import DocumentError, check, dumps
 
 
 def _scenario():
@@ -43,15 +43,16 @@ class TestMergeLoadResults:
         assert list(shuffled) != list(outcomes)
         merged_a = merge_load_results(outcomes, plan="g")
         merged_b = merge_load_results(shuffled, plan="g")
-        assert canonical_json(merged_a) == canonical_json(merged_b)
+        assert dumps(merged_a) == dumps(merged_b)
         assert list(merged_a["tasks"]) == sorted(merged_a["tasks"])
 
     def test_jobs_never_recorded(self):
-        _grid, outcomes = _run_grid()
-        serial = merge_load_results(outcomes, plan="g", jobs=1)
-        wide = merge_load_results(outcomes, plan="g", jobs=8)
+        grid, _outcomes = _run_grid()
+        serial, wide = (
+            merge_load_results(run_plan(grid, jobs=jobs).outcomes, plan="g")
+            for jobs in (1, 2))
         assert document_digest(serial) == document_digest(wide)
-        assert "jobs" not in canonical_json(serial)
+        assert "jobs" not in dumps(serial)
 
     def test_totals_sum_tasks(self):
         _grid, outcomes = _run_grid()
@@ -64,11 +65,31 @@ class TestMergeLoadResults:
     def test_summary_drops_spool_paths(self, tmp_path):
         grid, outcomes = _run_grid(stream_root=str(tmp_path))
         merged = merge_load_results(outcomes, plan="g")
-        text = canonical_json(merged)
+        text = dumps(merged)
         assert str(tmp_path) not in text
         for body in merged["tasks"].values():
             assert "directory" not in body["stream"]
             assert body["stream"]["records"] > 0
+
+    def test_merged_document_passes_its_validator(self):
+        _grid, outcomes = _run_grid()
+        kind, summary = check(merge_load_results(outcomes, plan="g"))
+        assert kind.id == "repro.fleet.load_summary"
+        assert summary["plan"] == "g" and summary["tasks"] == 3
+
+    @pytest.mark.parametrize("reason", ["totals.delivered", "totals.tasks",
+                                        "spool directory"])
+    def test_validator_rejects(self, tmp_path, reason):
+        _grid, outcomes = _run_grid(stream_root=str(tmp_path))
+        merged = merge_load_results(outcomes, plan="g")
+        if reason == "totals.delivered":
+            merged["totals"]["delivered"] += 1
+        elif reason == "totals.tasks":
+            del merged["tasks"]["g/x0.5"]
+        else:
+            merged["tasks"]["g/x0.5"]["stream"]["directory"] = "/tmp/x"
+        with pytest.raises(DocumentError, match=reason):
+            check(merged)
 
     def test_failed_task_never_merges_silently(self):
         _grid, outcomes = _run_grid()
@@ -101,10 +122,11 @@ class TestMergedManifests:
         forward = merge_spool_manifests(str(tmp_path), spools)
         backward = merge_spool_manifests(
             str(tmp_path), dict(reversed(list(spools.items()))))
-        assert canonical_json(forward) == canonical_json(backward)
+        assert dumps(forward) == dumps(backward)
         # The merged manifest re-validates, spool files checked on disk.
-        validate_merged_manifest_document(forward,
-                                          directory=str(tmp_path))
+        _schema, summary = check(
+            forward, str(tmp_path / "manifest.merged.json"))
+        assert summary["verified"]
 
     def test_rollup_totals_sum_task_totals(self, tmp_path):
         spools = self._spooled(tmp_path)

@@ -10,10 +10,11 @@ from repro.bench.load import (
     capacity_variants,
     scenarios,
     slos,
+    validate_load_record,
 )
 from repro.bench.record import BenchRecord
 from repro.load import SLO, evaluate, find_capacity, run_scenario
-from repro.obs.validate import validate_file, validate_load_record
+from repro.obs.validate import validate_file
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ class TestRecordLoad:
         path = tmp_path / "BENCH_load.json"
         record.write(str(path))
         kind, summary = validate_file(str(path))
-        assert kind == "record"
+        assert kind.id == "repro.bench.record"
         assert summary["load_scenarios"] == 1
         assert summary["capacity_searches"] == 1
 
@@ -101,6 +102,6 @@ class TestCLI:
         assert "Load scenarios under SLO" in out
         assert "capacity" in out.lower()
         kind, summary = validate_file(str(path))
-        assert kind == "record"
+        assert kind.id == "repro.bench.record"
         assert summary["load_scenarios"] == 3
         assert summary["capacity_searches"] == 3

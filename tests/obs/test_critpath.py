@@ -6,13 +6,11 @@ import pytest
 
 from repro.obs.critpath import (
     critpath_document,
-    dumps_critpaths,
     extract_critical_paths,
     phase_attribution,
     write_critpaths,
 )
-from repro.obs.validate import TraceValidationError, \
-    validate_critpath_document
+from repro.util.document import DocumentError, check, dumps
 
 from .test_graph import run_forwarded
 from .test_spans import run_pingpong
@@ -87,10 +85,11 @@ class TestExport:
     def test_identical_runs_export_identical_bytes(self):
         one = extract_critical_paths(run_pingpong().nexus.obs)
         two = extract_critical_paths(run_pingpong().nexus.obs)
-        assert dumps_critpaths(one) == dumps_critpaths(two)
+        assert dumps(critpath_document(one)) \
+            == dumps(critpath_document(two))
 
     def test_document_passes_the_validator(self, paths):
-        summary = validate_critpath_document(critpath_document(paths))
+        _schema, summary = check(critpath_document(paths))
         assert summary["paths"] == 2
         assert summary["steps"] == sum(len(p.steps) for p in paths)
 
@@ -99,17 +98,17 @@ class TestExport:
         path = tmp_path / "critpath.json"
         write_critpaths(str(path), paths, meta={"scenario": "pingpong"})
         document = json.loads(path.read_text())
-        validate_critpath_document(document)
+        check(document)
         assert document["meta"] == {"scenario": "pingpong"}
 
     def test_validator_rejects_share_latency_mismatch(self, paths):
         document = critpath_document(paths)
         document["paths"][0]["latency_s"] += 1.0
-        with pytest.raises(TraceValidationError):
-            validate_critpath_document(document)
+        with pytest.raises(DocumentError):
+            check(document)
 
     def test_validator_rejects_pathless_document(self):
         document = critpath_document([])
         document["paths"] = [{"steps": [], "latency_s": 0.0}]
-        with pytest.raises(TraceValidationError):
-            validate_critpath_document(document)
+        with pytest.raises(DocumentError):
+            check(document)

@@ -6,6 +6,7 @@ per-run counters.
 """
 
 from repro.obs import export
+from repro.util.document import dumps
 
 from .test_spans import run_pingpong
 
@@ -14,7 +15,7 @@ def _artefacts():
     bed = run_pingpong()
     obs, nexus = bed.nexus.obs, bed.nexus
     return (
-        export.dumps_chrome_trace(export.to_chrome_trace(obs, nexus)),
+        dumps(export.to_chrome_trace(obs, nexus)),
         "\n".join(export.spans_jsonl(obs)),
         export.ascii_timeline(obs),
         str(obs.metrics.snapshot()),
@@ -30,11 +31,11 @@ def test_repeated_runs_are_byte_identical():
 def test_merged_trace_is_deterministic():
     bed_a, bed_b = run_pingpong(), run_pingpong()
     runs = [(bed_a.nexus.obs, bed_a.nexus), (bed_b.nexus.obs, bed_b.nexus)]
-    first = export.dumps_chrome_trace(export.merged_chrome_trace(runs))
+    first = dumps(export.merged_chrome_trace(runs))
 
     bed_c, bed_d = run_pingpong(), run_pingpong()
     runs = [(bed_c.nexus.obs, bed_c.nexus), (bed_d.nexus.obs, bed_d.nexus)]
-    second = export.dumps_chrome_trace(export.merged_chrome_trace(runs))
+    second = dumps(export.merged_chrome_trace(runs))
     assert first == second
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import export
-from repro.obs.validate import TraceValidationError, validate_trace_document
+from repro.util.document import DocumentError, dumps
 
 from .test_spans import run_pingpong
 
@@ -20,12 +20,12 @@ def traced():
 class TestChromeTrace:
     def test_document_passes_the_validator(self, traced):
         obs, nexus = traced
-        validate_trace_document(export.to_chrome_trace(obs, nexus))
+        export.DOCUMENT.validate(export.to_chrome_trace(obs, nexus))
 
     def test_round_trips_through_json(self, traced):
         obs, nexus = traced
         document = export.to_chrome_trace(obs, nexus)
-        assert json.loads(export.dumps_chrome_trace(document)) == document
+        assert json.loads(dumps(document)) == document
 
     def test_metadata_names_every_context_and_lane(self, traced):
         obs, nexus = traced
@@ -56,12 +56,12 @@ class TestChromeTrace:
         obs, nexus = traced
         path = tmp_path / "trace.json"
         export.write_chrome_trace(str(path), obs, nexus)
-        validate_trace_document(json.loads(path.read_text()))
+        export.DOCUMENT.validate(json.loads(path.read_text()))
 
     def test_merged_trace_separates_runs(self, traced):
         obs, nexus = traced
         document = export.merged_chrome_trace([(obs, nexus), (obs, nexus)])
-        validate_trace_document(document)
+        export.DOCUMENT.validate(document)
         pids = {e["pid"] for e in document["traceEvents"] if e["ph"] == "X"}
         assert any(pid >= 1000 for pid in pids)
         assert set(document["metrics"]) == {"run0", "run1"}
@@ -110,26 +110,26 @@ class TestValidator:
         return export.to_chrome_trace(obs, nexus)
 
     def test_rejects_non_dict(self):
-        with pytest.raises(TraceValidationError):
-            validate_trace_document([])
+        with pytest.raises(DocumentError):
+            export.DOCUMENT.validate([])
 
     def test_rejects_empty_events(self, traced):
         document = dict(self._valid(traced), traceEvents=[])
-        with pytest.raises(TraceValidationError):
-            validate_trace_document(document)
+        with pytest.raises(DocumentError):
+            export.DOCUMENT.validate(document)
 
     def test_rejects_missing_phases(self, traced):
         document = dict(self._valid(traced))
         document["traceEvents"] = [
             e for e in document["traceEvents"]
             if e["ph"] != "X" or e["name"] != "poll_detect"]
-        with pytest.raises(TraceValidationError, match="poll_detect"):
-            validate_trace_document(document)
+        with pytest.raises(DocumentError, match="poll_detect"):
+            export.DOCUMENT.validate(document)
 
     def test_rejects_missing_latency_metrics(self, traced):
         document = dict(self._valid(traced), metrics={})
-        with pytest.raises(TraceValidationError, match="rsr_latency_us"):
-            validate_trace_document(document)
+        with pytest.raises(DocumentError, match="rsr_latency_us"):
+            export.DOCUMENT.validate(document)
 
 
 class TestEmptyMergedTrace:
@@ -140,7 +140,7 @@ class TestEmptyMergedTrace:
         path = tmp_path / "empty.json"
         export.write_merged_chrome_trace(str(path), [])
         document = json.loads(path.read_text())
-        summary = validate_trace_document(document)
+        summary = export.DOCUMENT.validate(document)
         assert summary["span_events"] == 0
         assert document["traceEvents"] == []
         assert document["otherData"]["runs"] == 0
@@ -155,10 +155,10 @@ class TestEmptyMergedTrace:
     def test_undeclared_emptiness_still_fails(self):
         # An empty event list is only valid when the document itself
         # declares zero spans — arbitrary hollow documents stay invalid.
-        with pytest.raises(TraceValidationError):
-            validate_trace_document({"traceEvents": [], "metrics": {}})
-        with pytest.raises(TraceValidationError):
-            validate_trace_document(
+        with pytest.raises(DocumentError):
+            export.DOCUMENT.validate({"traceEvents": [], "metrics": {}})
+        with pytest.raises(DocumentError):
+            export.DOCUMENT.validate(
                 {"traceEvents": [], "metrics": {},
                  "otherData": {"spans": 3}})
 
@@ -167,4 +167,4 @@ class TestEmptyMergedTrace:
         from repro.simnet import Simulator
 
         obs = Observability(Simulator(), enabled=True)
-        validate_trace_document(export.to_chrome_trace(obs))
+        export.DOCUMENT.validate(export.to_chrome_trace(obs))

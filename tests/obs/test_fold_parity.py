@@ -19,10 +19,11 @@ from repro.bench.analysis import (
     forwarding_scenario,
 )
 from repro.load import run_scenario
-from repro.obs.critpath import dumps_critpaths, extract_critical_paths
-from repro.obs.graph import dot_graph, dumps_graph, extract_graph
+from repro.obs.critpath import critpath_document, extract_critical_paths
+from repro.obs.graph import dot_graph, extract_graph, graph_document
 from repro.obs.stream import StreamConfig, fold_stream
-from repro.obs.timeline import dumps_timeline
+from repro.obs.timeline import timeline_document
+from repro.util.document import dumps
 
 SCENARIOS = {
     "chaos": chaos_scenario,
@@ -53,24 +54,26 @@ def test_folded_documents_byte_identical(tmp_path, name):
         tmp_path, scenario)
 
     graph_mem = extract_graph(mem_obs, nexus=mem_nexus)
-    assert dumps_graph(graph_mem) == dumps_graph(fold.graph)
+    assert dumps(graph_document(graph_mem)) \
+        == dumps(graph_document(fold.graph))
     assert (dot_graph(graph_mem, title=scenario.name)
             == dot_graph(fold.graph, title=scenario.name))
 
     paths_mem = extract_critical_paths(mem_obs, top_k=TOP_PATHS)
-    assert dumps_critpaths(paths_mem) == dumps_critpaths(fold.paths)
+    assert dumps(critpath_document(paths_mem)) \
+        == dumps(critpath_document(fold.paths))
 
     assert mem_result.timeline is not None and fold.timeline is not None
-    assert (dumps_timeline(mem_result.timeline)
-            == dumps_timeline(fold.timeline))
+    assert (dumps(timeline_document(mem_result.timeline))
+            == dumps(timeline_document(fold.timeline)))
 
     assert not fold.unresolved_rsrs, (
         f"every RSR should resolve at end of run: {fold.unresolved_rsrs}")
     # And the streamed run's own live surfaces agree with the reference.
     assert stream_result.delivered == mem_result.delivered
     assert stream_result.timeline is not None
-    assert (dumps_timeline(stream_result.timeline)
-            == dumps_timeline(mem_result.timeline))
+    assert (dumps(timeline_document(stream_result.timeline))
+            == dumps(timeline_document(mem_result.timeline)))
 
 
 def test_sampled_fold_refuses_timeline(tmp_path):

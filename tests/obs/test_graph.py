@@ -8,14 +8,13 @@ from repro.core.buffers import Buffer
 from repro.core.forwarding import ForwardingService
 from repro.obs.graph import (
     dot_graph,
-    dumps_graph,
     evaluate_partition,
     extract_graph,
     graph_document,
     write_dot,
     write_graph,
 )
-from repro.obs.validate import TraceValidationError, validate_graph_document
+from repro.util.document import DocumentError, check, dumps
 from repro.testbeds import make_sp2
 
 from .test_spans import run_pingpong
@@ -209,14 +208,16 @@ class TestExport:
     def test_identical_runs_export_identical_bytes(self):
         one = run_pingpong()
         two = run_pingpong()
-        assert dumps_graph(extract_graph(one.nexus.obs, nexus=one.nexus)) \
-            == dumps_graph(extract_graph(two.nexus.obs, nexus=two.nexus))
+        assert dumps(graph_document(
+            extract_graph(one.nexus.obs, nexus=one.nexus))) == dumps(
+                graph_document(extract_graph(two.nexus.obs,
+                                             nexus=two.nexus)))
         assert dot_graph(extract_graph(one.nexus.obs, nexus=one.nexus)) \
             == dot_graph(extract_graph(two.nexus.obs, nexus=two.nexus))
 
     def test_document_passes_the_validator(self, pingpong):
         obs, nexus = pingpong
-        summary = validate_graph_document(
+        _schema, summary = check(
             graph_document(extract_graph(obs, nexus=nexus)))
         assert summary["nodes"] == 3
         assert summary["edges"] == 2
@@ -229,7 +230,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         write_graph(str(path), graph, meta={"scenario": "pingpong"})
         document = json.loads(path.read_text())
-        validate_graph_document(document)
+        check(document)
         assert document["meta"] == {"scenario": "pingpong"}
 
     def test_dot_renders_hosts_as_clusters(self, pingpong, tmp_path):
@@ -247,12 +248,12 @@ class TestExport:
         obs, nexus = pingpong
         document = graph_document(extract_graph(obs, nexus=nexus))
         document["total_messages"] += 1
-        with pytest.raises(TraceValidationError):
-            validate_graph_document(document)
+        with pytest.raises(DocumentError):
+            check(document)
 
     def test_validator_rejects_unknown_rank(self, pingpong):
         obs, nexus = pingpong
         document = graph_document(extract_graph(obs, nexus=nexus))
         document["edges"][0]["dst"] = 99
-        with pytest.raises(TraceValidationError):
-            validate_graph_document(document)
+        with pytest.raises(DocumentError):
+            check(document)

@@ -20,10 +20,12 @@ from repro.obs.spans import PHASE_FAILOVER, PHASE_RETRY
 from repro.obs.stream import (
     MANIFEST_NAME,
     StreamConfig,
+    fold_stream,
     iter_records,
     parse_policy,
     read_manifest,
 )
+from repro.util.document import DocumentError
 
 POLICIES = (None, "head:5", "tail:5", "head:3,tail:3", "reservoir:4")
 
@@ -207,3 +209,59 @@ class TestValidateRoundTrip:
         json.dump(manifest, open(manifest_path, "w"))
         assert validate_main([manifest_path]) == 1
         assert "ledger" in capsys.readouterr().err
+
+
+class TestReadersValidate:
+    """Regression: the fold used to read whatever ``manifest.json`` held
+    (a foreign schema folded silently to an empty graph) and a torn
+    shard line surfaced as a bare ``JSONDecodeError``."""
+
+    @pytest.fixture(scope="class")
+    def spool(self, tmp_path_factory):
+        directory, _result, _obs_ = run_streamed(
+            tmp_path_factory.mktemp("readers"), forwarding_scenario(),
+            "spool")
+        return directory
+
+    def _rewritten(self, spool, tmp_path, edit):
+        directory = tmp_path / "copy"
+        directory.mkdir()
+        for name, data in shard_set(spool).items():
+            (directory / name).write_bytes(data)
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        edit(manifest)
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        return str(directory)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("schema_version", 99, "schema_version is 99"),
+        ("schema", "something.else", "found 'something.else'"),
+    ])
+    def test_skewed_or_foreign_manifest_is_refused(self, spool, tmp_path,
+                                                   field, value, reason):
+        def edit(manifest):
+            manifest[field] = value
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(self._rewritten(spool, tmp_path, edit))
+        assert MANIFEST_NAME in str(caught.value)
+        assert reason in str(caught.value)
+
+    def test_unbalanced_ledger_is_refused(self, spool, tmp_path):
+        def unbalance(manifest):
+            manifest["totals"]["spans_emitted"] += 1
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(self._rewritten(spool, tmp_path, unbalance))
+        assert MANIFEST_NAME in str(caught.value)
+        assert "ledger" in str(caught.value)
+
+    def test_torn_shard_line_names_shard_and_line(self, spool, tmp_path):
+        directory = self._rewritten(spool, tmp_path, lambda manifest: None)
+        shard = read_manifest(directory)["shards"][0]["name"]
+        path = os.path.join(directory, shard)
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as handle:
+            handle.writelines(lines[:-1])
+            handle.write(lines[-1][:16])
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(directory)
+        assert f"{shard}:{len(lines)}:" in str(caught.value)

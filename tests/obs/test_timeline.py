@@ -9,12 +9,10 @@ from repro.obs.timeline import (
     SERIES_ISSUED,
     SERIES_LATENCY,
     Timeline,
-    dumps_timeline,
     timeline_document,
     write_timeline,
 )
-from repro.obs.validate import TraceValidationError, \
-    validate_timeline_document
+from repro.util.document import DocumentError, check, dumps
 
 
 def make_timeline(interval=0.01):
@@ -122,20 +120,21 @@ def fill(tl):
 
 class TestExport:
     def test_identical_fills_export_identical_bytes(self):
-        one = dumps_timeline(fill(make_timeline()), meta={"seed": 1})
-        two = dumps_timeline(fill(make_timeline()), meta={"seed": 1})
+        one = dumps(timeline_document(fill(make_timeline()),
+                                      meta={"seed": 1}))
+        two = dumps(timeline_document(fill(make_timeline()),
+                                      meta={"seed": 1}))
         assert one == two
 
     def test_document_passes_the_validator(self):
-        summary = validate_timeline_document(
-            timeline_document(fill(make_timeline())))
+        _schema, summary = check(timeline_document(fill(make_timeline())))
         assert summary == {"counter_series": 2, "histogram_series": 2,
                            "histogram_samples": 3}
 
     def test_empty_timeline_exports_null_window_range(self):
         document = timeline_document(make_timeline())
         assert document["windows"] is None
-        validate_timeline_document(document)
+        check(document)
 
     def test_meta_is_carried_verbatim(self):
         document = timeline_document(
@@ -147,23 +146,23 @@ class TestExport:
         write_timeline(str(path), fill(make_timeline()))
         text = path.read_text()
         assert text.endswith("\n")
-        validate_timeline_document(json.loads(text))
+        check(json.loads(text))
 
     def test_validator_rejects_wrong_schema_version(self):
         document = timeline_document(make_timeline())
         document["schema_version"] = 99
-        with pytest.raises(TraceValidationError):
-            validate_timeline_document(document)
+        with pytest.raises(DocumentError):
+            check(document)
 
     def test_validator_rejects_count_mismatch(self):
         document = timeline_document(fill(make_timeline()))
         hists = document["histograms"]["rsr_latency_us"][KEY_ALL]
         next(iter(hists.values()))["count"] += 1
-        with pytest.raises(TraceValidationError):
-            validate_timeline_document(document)
+        with pytest.raises(DocumentError):
+            check(document)
 
     def test_validator_rejects_unsorted_bounds(self):
         document = timeline_document(make_timeline())
         document["bounds"] = [10.0, 1.0]
-        with pytest.raises(TraceValidationError):
-            validate_timeline_document(document)
+        with pytest.raises(DocumentError):
+            check(document)

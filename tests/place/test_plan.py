@@ -7,20 +7,16 @@ import pytest
 
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop
 from repro.load.scenario import LoadSpecError
-from repro.obs.validate import (
-    TraceValidationError,
-    validate_placement_document,
-)
 from repro.place import (
     Placement,
     PlacementError,
     compile_scenario,
     direct_placement,
-    dumps_placement,
     forwarding_placement,
     placement_document,
     write_placement,
 )
+from repro.util.document import DocumentError, check, dumps
 
 
 def scenario(**overrides):
@@ -81,15 +77,16 @@ class TestPlanDocument:
         placement = forwarding_placement(forwarder=2)
         placement = Placement(assignment=((0, "P0"), (1, "P1")),
                               forwarder=2)
-        document = json.loads(dumps_placement(placement,
-                                              meta={"note": "test"}))
-        summary = validate_placement_document(document)
+        document = json.loads(dumps(placement_document(
+            placement, meta={"note": "test"})))
+        _schema, summary = check(document)
         assert summary["forwarder"] == 2
         assert summary["ranks"] == 2
 
     def test_dumps_is_byte_deterministic(self):
         placement = forwarding_placement()
-        assert dumps_placement(placement) == dumps_placement(placement)
+        assert dumps(placement_document(placement)) \
+            == dumps(placement_document(placement))
 
     def test_write_and_sniff(self, tmp_path):
         from repro.obs.validate import validate_file
@@ -97,17 +94,17 @@ class TestPlanDocument:
         path = tmp_path / "placement.json"
         write_placement(str(path), direct_placement())
         kind, summary = validate_file(str(path))
-        assert kind == "plan"
+        assert kind.id == "repro.place.plan"
         assert summary["forwarder"] is None
 
     def test_validator_rejects_duplicate_assignment_ranks(self):
         document = placement_document(direct_placement())
         document["assignment"] = [[0, "A"], [0, "B"]]
-        with pytest.raises(TraceValidationError, match="repeats rank"):
-            validate_placement_document(document)
+        with pytest.raises(DocumentError, match="repeats rank"):
+            check(document)
 
     def test_validator_rejects_bad_forwarder(self):
         document = placement_document(direct_placement())
         document["forwarder"] = -3
-        with pytest.raises(TraceValidationError, match="forwarder"):
-            validate_placement_document(document)
+        with pytest.raises(DocumentError, match="forwarder"):
+            check(document)
