@@ -8,8 +8,8 @@ object with ``render() -> str`` (everything the CLI prints) and
 ``check(result)`` asserts the qualitative shape criteria from
 DESIGN.md.  :data:`ARTEFACTS` is the one ordered table, ``name ->
 module path``, resolved by :func:`artefact` on use; the serial CLI
-loop, the ``--wall`` tier, the ``--jobs`` fleet runner and
-``--selfcheck`` all walk it and call :meth:`Artefact.execute`.
+loop, the ``--jobs`` fleet runner and ``--selfcheck`` all walk it and
+call :meth:`Artefact.execute`.
 Adding an artefact is one module plus one table line; the
 ``benchmarks/`` pytest files are thin wrappers over the same drivers.
 
@@ -46,20 +46,19 @@ class Artefact:
     name: str
     #: Returns a result with ``render()`` and ``metrics()``.
     run: _t.Callable[[RunOptions], _t.Any]
-    #: Shape criteria; ``None`` for artefacts that assert nothing.
-    check: _t.Callable[[_t.Any], None] | None = None
+    #: Asserts the result's shape criteria.
+    check: _t.Callable[[_t.Any], None]
     #: The shape check also holds at ``--quick`` workload sizes.
     check_quick: bool = False
     #: Part of the default "run everything" selection.
     default: bool = True
 
     def execute(self, options: RunOptions) -> tuple[_t.Any, str]:
-        """Run, render, check: the work every dispatcher does (and the
-        wall tier times).  Returns the result and its printed form."""
+        """Run, render, check: the work every dispatcher does.
+        Returns the result and its printed form."""
         result = self.run(options)
         text = result.render()
-        if self.check is not None and (self.check_quick
-                                       or not options.quick):
+        if self.check_quick or not options.quick:
             self.check(result)
             text += "\nshape: OK"
         return result, text

@@ -10,8 +10,6 @@ Usage::
         --baseline benchmarks/BENCH_quick_baseline.json --check
     python -m repro.bench --quick --trace trace.json --profile --flame out.folded
     python -m repro.bench --quick --jobs 4 --record BENCH_quick.json
-    python -m repro.bench --wall --quick --record BENCH_wall.json \\
-        --baseline benchmarks/BENCH_wall_baseline.json --check
     python -m repro.bench --selfcheck --quick   # run twice, cmp, validate
     python -m repro.bench --list
 
@@ -24,13 +22,6 @@ writes a deterministic :class:`~repro.bench.record.BenchRecord`
 stored baseline and exit non-zero on regression, and
 ``--profile``/``--flame`` aggregate the traced span log into a hot-path
 table and a collapsed-stack flamegraph export.
-
-``--wall`` switches to the wall-clock tier (see :mod:`repro.bench.wall`):
-each artefact runs ``--runs`` times untraced, and the record holds
-median/p10/p90 wall seconds plus events-per-second instead of the
-simulated-time tables.  With ``--baseline --check``, wall metrics gate
-at the generous ``--wall-tolerance`` band while the deterministic
-``sim_events`` counts keep their exact gate.
 """
 
 from __future__ import annotations
@@ -47,12 +38,11 @@ from . import ARTEFACTS, RunOptions, artefact
 from .record import (
     KIND_COUNT,
     KIND_WALL,
-    WALL_TOLERANCE,
     BenchRecord,
     compare_records,
     load_record,
+    require_same_mode,
 )
-from .wall import DEFAULT_WALL_RUNS, measure_artefact, record_wall
 
 
 def record_observability(record: BenchRecord, name: str,
@@ -109,19 +99,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     parser.add_argument("--flame", metavar="PATH", default=None,
                         help="trace the run and write collapsed-stack "
                              "output (speedscope / flamegraph.pl)")
-    parser.add_argument("--wall", action="store_true",
-                        help="wall-clock tier: time each artefact over "
-                             "--runs repetitions (stdout suppressed) and "
-                             "record median/p10/p90 wall + events/sec")
-    parser.add_argument("--runs", type=int, default=DEFAULT_WALL_RUNS,
-                        metavar="N",
-                        help="repetitions per artefact for --wall "
-                             f"(default {DEFAULT_WALL_RUNS})")
-    parser.add_argument("--wall-tolerance", type=float,
-                        default=WALL_TOLERANCE, metavar="FRAC",
-                        help="with --wall --check: relative band before a "
-                             "wall metric gates "
-                             f"(default {WALL_TOLERANCE})")
     parser.add_argument("--export-dir", metavar="DIR", default=None,
                         help="where the analysis artefact writes its "
                              "timeline/graph/critpath documents "
@@ -146,12 +123,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                         help="run the artefacts under tracemalloc and "
                              "exit non-zero if peak traced allocation "
                              "exceeds MB mebibytes")
-    parser.add_argument("--append-history", metavar="PATH", default=None,
-                        help="with --wall: append this run's record to a "
-                             "JSONL history ledger; with --baseline "
-                             "--check, gate wall metrics against "
-                             "variance-aware bands (median ± k·IQR) "
-                             "computed from the existing history")
     parser.add_argument("--selfcheck", action="store_true",
                         help="run the selected artefacts in two fresh "
                              "interpreters (different PYTHONHASHSEEDs) "
@@ -168,19 +139,13 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return 0
     if args.check and not args.baseline:
         parser.error("--check requires --baseline")
-    if args.wall and (args.trace or args.profile or args.flame):
-        parser.error("--wall times untraced runs; it cannot be combined "
-                     "with --trace/--profile/--flame")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.jobs > 1:
         # Everything that depends on in-process state cannot fan out:
-        # wall timings would perturb each other, trace collection and
-        # tracemalloc are per-process, and the fan-out ships workers
-        # only (name, quick) — no export or spool directories.
-        if args.wall:
-            parser.error("--wall stays serial so timings are not "
-                         "perturbed; it cannot combine with --jobs")
+        # trace collection and tracemalloc are per-process, and the
+        # fan-out ships workers only (name, quick) — no export or
+        # spool directories.
         if args.trace or args.profile or args.flame:
             parser.error("--jobs cannot combine with "
                          "--trace/--profile/--flame (trace collection "
@@ -195,9 +160,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     if args.sample is not None and args.stream_dir is None:
         parser.error("--sample requires --stream-dir")
-    if args.append_history is not None and not args.wall:
-        parser.error("--append-history records wall-tier runs; "
-                     "it requires --wall")
 
     if args.sample is not None:
         from ..obs.stream import parse_policy
@@ -224,30 +186,29 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     if args.selfcheck:
         if (args.record or args.trace or args.export_dir or args.baseline
-                or args.wall or args.jobs > 1):
+                or args.jobs > 1):
             parser.error("--selfcheck picks its own --record/--trace/"
                          "--export-dir; pass only artefacts and --quick")
         from .selfcheck import selfcheck
 
         return selfcheck(selected, quick=args.quick)
 
+    mode = "quick" if args.quick else "full"
     baseline = None
     if args.baseline:
-        # Load up front: a missing or corrupt baseline should fail
-        # before minutes of benchmarking, not after.
+        # Load up front: a missing, corrupt or other-mode baseline
+        # should fail before minutes of benchmarking, not after.
         try:
             baseline = load_record(args.baseline)
+            require_same_mode(baseline, mode)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline {args.baseline}: {exc}",
+            print(f"error: cannot use baseline {args.baseline}: {exc}",
                   file=sys.stderr)
             return 2
 
     record: BenchRecord | None = None
-    if args.record or args.baseline or args.append_history:
-        label = "quick" if args.quick else "full"
-        if args.wall:
-            label = f"wall-{label}"
-        record = BenchRecord(label, quick=args.quick)
+    if args.record or args.baseline:
+        record = BenchRecord(mode, quick=args.quick)
     tracing = bool(args.trace or args.profile or args.flame)
     collected: list = []
     mem_peak_mb: float | None = None
@@ -255,15 +216,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         import tracemalloc
 
         tracemalloc.start()
-    if args.wall:
-        for name in selected:
-            print(f"=== {name} {'(quick)' if args.quick else ''} ===")
-            measurement = measure_artefact(artefact(name), options,
-                                           runs=args.runs)
-            print(measurement.summary())
-            if record is not None:
-                record_wall(record, measurement)
-    elif args.jobs > 1:
+    if args.jobs > 1:
         from ..fleet.merge import FleetTaskError, merge_bench_outcomes
         from ..fleet.plan import BenchFanout, run_plan
 
@@ -331,33 +284,15 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                   f"({profile.spans_profiled} spans) -> {args.flame}")
     if args.record:
         assert record is not None
-        # The wall tier's record IS its wall numbers; always keep them.
-        record.write(args.record,
-                     include_wall=args.record_wall or args.wall)
+        record.write(args.record, include_wall=args.record_wall)
         print(f"record: {len(record)} metrics -> {args.record}")
-    history_bands = None
-    if args.append_history:
-        from .history import append_history, load_history, wall_bands
-
-        history = load_history(args.append_history)
-        history_bands = wall_bands(history) or None
     if args.baseline:
         assert record is not None and baseline is not None
         comparison = compare_records(
-            baseline, record.to_document(include_wall=True),
-            wall_tolerance=args.wall_tolerance if args.wall else None,
-            wall_bands=history_bands)
-        if history_bands:
-            print(f"wall gate: variance bands from {len(history)} "
-                  f"historical runs ({len(history_bands)} banded metrics)")
+            baseline, record.to_document(include_wall=True))
         print(comparison.render())
         if args.check and not comparison.ok:
             return 1
-    if args.append_history:
-        assert record is not None
-        append_history(args.append_history,
-                       record.to_document(include_wall=True))
-        print(f"history: run {len(history) + 1} -> {args.append_history}")
     if (mem_peak_mb is not None
             and mem_peak_mb > _t.cast(float, args.mem_ceiling_mb)):
         print(f"error: peak traced memory {mem_peak_mb:.1f} MiB exceeds "

@@ -56,6 +56,13 @@ class BlockingAblation:
             yield Metric(f"blocking.{field}_us",
                          getattr(self, field) * 1e6, unit="us")
 
+    def check_shape(self) -> None:
+        """Blocking detection leaves MPL essentially at single-method
+        speed while TCP detection does not suffer."""
+        assert self.mpl_blocking <= self.mpl_skip20 * 1.05
+        assert self.mpl_blocking < 0.5 * self.mpl_unified
+        assert self.tcp_blocking <= self.tcp_unified * 1.10
+
 
 def ablation_blocking_poll(size: int = 0,
                            mpl_roundtrips: int = 400) -> BlockingAblation:
@@ -105,6 +112,10 @@ class LayeringAblation:
     def metrics(self) -> _t.Iterator[Metric]:
         yield Metric("mpi_layering.overhead_frac", self.overhead,
                      unit="frac")
+
+    def check_shape(self) -> None:
+        """A real but small cost (paper: ~6 % on the climate model)."""
+        assert 0.0 < self.overhead < 0.15
 
 
 def ablation_mpi_layering(steps: int = 2) -> LayeringAblation:
@@ -170,6 +181,13 @@ class AdaptiveAblation:
                      unit="us")
         yield Metric("adaptive.best_static_mpl_us",
                      self.best_static_mpl() * 1e6, unit="us")
+
+    def check_shape(self) -> None:
+        """The controller lands within 25 % of the tuned static optimum
+        and backs the idle TCP pollers off (a context may stay at
+        ``skip=1`` only where it is TCP-busy, and there it is right)."""
+        assert self.adaptive_mpl <= self.best_static_mpl() * 1.25
+        assert max(self.final_skips) > 1
 
 
 def ablation_adaptive_skip(size: int = 0, mpl_roundtrips: int = 600,
@@ -254,6 +272,14 @@ class RendezvousAblation:
                      self.parked_reduction, unit="frac",
                      direction=DIR_HIGHER)
 
+    def check_shape(self) -> None:
+        """Rendezvous bounds receiver memory (the default 6 x 512 KiB
+        burst parks at least five payloads under eager) at the cost of
+        extra round trips."""
+        assert self.parked_reduction > 0.95
+        assert self.eager_parked_bytes >= 5 * 512 * 1024
+        assert self.rendezvous_time >= self.eager_time * 0.9
+
 
 def ablation_rendezvous(messages: int = 6,
                         message_bytes: int = 512 * 1024
@@ -331,6 +357,11 @@ class StartpointSizes:
         yield Metric("startpoint.saving_frac", self.saving, unit="frac",
                      direction=DIR_HIGHER)
 
+    def check_shape(self) -> None:
+        """Paper: a descriptor table costs "a few tens of bytes"."""
+        assert self.saving > 0.5
+        assert 20 <= self.full_bytes - self.lightweight_bytes <= 200
+
 
 def ablation_lightweight_startpoints() -> StartpointSizes:
     """Measure the Section 3.1 size optimisation on real descriptor
@@ -367,6 +398,12 @@ class Ablations:
             yield from part.metrics()
 
 
+def check_ablations_shape(result: Ablations) -> None:
+    """Every ablation's own shape criteria, in order."""
+    for part in result.parts:
+        part.check_shape()
+
+
 def _run(options: RunOptions) -> Ablations:
     quick = options.quick
     return Ablations(parts=(
@@ -378,4 +415,6 @@ def _run(options: RunOptions) -> Ablations:
     ))
 
 
-ARTEFACT = Artefact("ablations", _run)
+# Quick runs are too short: 150 round trips leave the blocking TCP row
+# outside its band and a 4-message burst cannot park five payloads.
+ARTEFACT = Artefact("ablations", _run, check_ablations_shape)

@@ -47,4 +47,26 @@ def _run(options: RunOptions) -> Baselines:
     return Baselines(results)
 
 
-ARTEFACT = Artefact("baselines", _run)
+def check_baselines_shape(result: Baselines) -> None:
+    """Assert Section 5's structural expectations.
+
+    Keyed on each row's own ``system``/``skip_poll`` (labels are the
+    caller's): untuned Nexus costs what p4 does (same architecture,
+    within 5 %); *tuned* Nexus beats p4 — the knob p4 lacks buys real
+    time; PVM's mandatory relay is the slowest path for this mix.
+    """
+    rows = list(result.results.values())
+    (p4,) = (row.time_per_round for row in rows if row.system == "p4")
+    (pvm,) = (row.time_per_round for row in rows if row.system == "pvm")
+    nexus = {row.skip_poll: row.time_per_round
+             for row in rows if row.system == "nexus"}
+    untuned = nexus.pop(1)
+    tuned = min(nexus.values())
+    assert abs(untuned - p4) / p4 < 0.05
+    assert tuned < p4 * 0.99
+    assert pvm > p4
+    assert pvm > tuned
+
+
+ARTEFACT = Artefact("baselines", _run, check_baselines_shape,
+                    check_quick=True)

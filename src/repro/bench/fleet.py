@@ -6,8 +6,8 @@ and a **warm** one straight after — and checks the determinism contract
 the hard way: the merged summary document from every call must hash
 identically.  Speedup and efficiency compare warm calls (the second
 serial call is the baseline, so both sides have their lazy imports
-behind them) and are wall-kind metrics (advisory, band-gated via the
-history ledger); the digest equality is the deterministic gate.
+behind them) and are wall-kind metrics (advisory: the record gate
+never fails on them); the digest equality is the deterministic gate.
 
 Scaling numbers are only meaningful where the host actually has the
 cores: :func:`check_fleet_shape` asserts warm two-worker speedup > 1
@@ -93,8 +93,8 @@ class FleetScaling:
 
     def metrics(self) -> _t.Iterator[Metric]:
         """Wall seconds, speedup, and efficiency are ``wall``-kind
-        (advisory, band-gated via history); the grid's merged-digest
-        equality and the task/cpu counts are deterministic counts."""
+        (advisory); the grid's merged-digest equality and the task/cpu
+        counts are deterministic counts."""
         yield Metric("tasks", self.tasks, unit="tasks", kind=KIND_COUNT)
         yield Metric("cpus", self.cpus, unit="cpus", kind=KIND_COUNT,
                      direction=DIR_NONE)

@@ -52,9 +52,6 @@ DIRECTIONS = (DIR_LOWER, DIR_HIGHER, DIR_NONE)
 #: Default gate tolerances per kind (relative).
 SIM_TOLERANCE = 0.01
 COUNT_TOLERANCE = 0.10
-#: Default wall gate band when wall gating is requested (``--wall
-#: --check``): generous, because wall clock is noisy on shared runners.
-WALL_TOLERANCE = 0.75
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.+=-]+")
 
@@ -324,6 +321,23 @@ class ComparisonResult:
         return "\n".join(lines)
 
 
+def require_same_mode(baseline: dict[str, object], mode: str) -> None:
+    """Refuse a baseline recorded at another workload size.
+
+    A ``--quick`` run against a full-size baseline (or the reverse)
+    diffs as a table of regressions that are nothing of the kind.
+    """
+    recorded = _t.cast(dict, baseline["environment"])["mode"]
+    if recorded != mode:
+        fix = ("record a --quick baseline or drop --quick"
+               if mode == "quick"
+               else "record a full-size baseline or pass --quick")
+        raise ValueError(
+            f"baseline was recorded in mode={recorded!r}, this run is "
+            f"mode={mode!r} — deltas are not meaningful across workload "
+            f"sizes; {fix}")
+
+
 def _flat_metrics(document: dict[str, object]
                   ) -> dict[tuple[str, str], dict[str, object]]:
     flat: dict[tuple[str, str], dict[str, object]] = {}
@@ -335,9 +349,7 @@ def _flat_metrics(document: dict[str, object]
 
 def _diff_one(artefact: str, name: str, base: dict[str, object],
               cur: dict[str, object], sim_tolerance: float,
-              count_tolerance: float,
-              wall_tolerance: float | None,
-              wall_band: tuple[float, float] | None = None) -> MetricDiff:
+              count_tolerance: float) -> MetricDiff:
     base_value = _t.cast(float, base["value"])
     cur_value = _t.cast(float, cur["value"])
     kind = _t.cast(str, cur.get("kind", base.get("kind", KIND_SIM)))
@@ -348,27 +360,10 @@ def _diff_one(artefact: str, name: str, base: dict[str, object],
     else:
         rel = (cur_value - base_value) / abs(base_value)
 
-    if kind == KIND_WALL and wall_band is not None:
-        # Variance-aware gate: the band came from accumulated history
-        # (median ± k·IQR), so it tracks this machine's real spread
-        # instead of a fixed fraction of one noisy baseline sample.
-        lo, hi = wall_band
-        if direction == DIR_LOWER:
-            status = (STATUS_REGRESSED if cur_value > hi
-                      else STATUS_IMPROVED if cur_value < lo
-                      else STATUS_OK)
-        elif direction == DIR_HIGHER:
-            status = (STATUS_REGRESSED if cur_value < lo
-                      else STATUS_IMPROVED if cur_value > hi
-                      else STATUS_OK)
-        else:
-            status = (STATUS_CHANGED if not lo <= cur_value <= hi
-                      else STATUS_OK)
-    elif kind == KIND_WALL and wall_tolerance is None:
+    if kind == KIND_WALL:
         status = STATUS_WALL if rel != 0.0 else STATUS_OK
     else:
-        tolerance = (wall_tolerance if kind == KIND_WALL
-                     else count_tolerance if kind == KIND_COUNT
+        tolerance = (count_tolerance if kind == KIND_COUNT
                      else sim_tolerance)
         if direction == DIR_LOWER:
             status = (STATUS_REGRESSED if rel > tolerance
@@ -387,10 +382,7 @@ def _diff_one(artefact: str, name: str, base: dict[str, object],
 
 def compare_records(baseline: dict[str, object], current: dict[str, object],
                     *, sim_tolerance: float = SIM_TOLERANCE,
-                    count_tolerance: float = COUNT_TOLERANCE,
-                    wall_tolerance: float | None = None,
-                    wall_bands: _t.Mapping[tuple[str, str],
-                                           tuple[float, float]] | None = None
+                    count_tolerance: float = COUNT_TOLERANCE
                     ) -> ComparisonResult:
     """Diff ``current`` against ``baseline`` with per-kind tolerances.
 
@@ -402,30 +394,18 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
     * ``count`` metrics (event/span/byte counts) gate at the looser
       ``count_tolerance`` in either direction — drift means behaviour
       changed;
-    * ``wall`` metrics never gate by default (advisory rows only); pass
-      ``wall_tolerance`` to gate them at that (deliberately generous)
-      relative band — the wall-clock tier uses this so a large slowdown
-      fails while scheduler noise does not.  Sim gating stays exact
-      regardless: ``wall_tolerance`` touches only ``wall`` metrics;
+    * ``wall`` metrics never gate: a moved one is an advisory row, and
+      one missing from the current record is not even that (a record
+      written without wall timings is a subset of one written with
+      them, not a regression);
     * a metric present in the baseline but missing from the current
       record is a regression; artefacts that were not run at all are
-      skipped with a warning (so subset runs stay useful).  Wall metrics
-      missing from the current record never gate, even with
-      ``wall_tolerance`` set (a non-wall run vs a wall baseline is a
-      subset, not a regression);
-    * ``wall_bands`` (from :func:`repro.bench.history.wall_bands`) maps
-      ``(artefact, metric)`` to an absolute ``(lo, hi)`` acceptance
-      band; a banded wall metric gates against its band and ignores
-      ``wall_tolerance`` — unbanded wall metrics keep the flat gate.
+      skipped with a warning (so subset runs stay useful);
+    * records of different modes are refused (:func:`require_same_mode`).
     """
+    require_same_mode(baseline,
+                      _t.cast(dict, current["environment"])["mode"])
     warnings: list[str] = []
-    base_env = _t.cast(dict, baseline.get("environment", {}))
-    cur_env = _t.cast(dict, current.get("environment", {}))
-    if base_env.get("mode") != cur_env.get("mode"):
-        warnings.append(
-            f"warning: comparing mode={cur_env.get('mode')!r} against "
-            f"baseline mode={base_env.get('mode')!r} — deltas are not "
-            "meaningful across workload sizes")
 
     base_flat = _flat_metrics(baseline)
     cur_flat = _flat_metrics(current)
@@ -460,9 +440,7 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
                     rel_change=None, status=STATUS_MISSING))
         else:
             diffs.append(_diff_one(
-                artefact, name, base, cur, sim_tolerance, count_tolerance,
-                wall_tolerance,
-                wall_bands.get(key) if wall_bands else None))
+                artefact, name, base, cur, sim_tolerance, count_tolerance))
     return ComparisonResult(diffs=diffs, warnings=warnings)
 
 
@@ -487,10 +465,10 @@ __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
     "SIM_TOLERANCE",
-    "WALL_TOLERANCE",
     "compare_records",
     "environment_fingerprint",
     "git_sha",
     "load_record",
+    "require_same_mode",
     "slug",
 ]

@@ -128,7 +128,7 @@ def watching_runtimes() -> _t.Iterator[list["Nexus"]]:
 
     Unlike :func:`collecting`, the ambient observe default is left alone,
     so the watched code runs exactly as it would unobserved.  This is how
-    the wall-clock benchmark tier counts simulator events per run
+    ``perfbench`` and the perf smoke tests count simulator events per run
     (``nexus.sim.events_processed``) without tracing overhead distorting
     the very wall time being measured.
     """

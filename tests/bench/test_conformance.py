@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from repro.bench import ARTEFACTS, artefact
-from repro.bench.record import BenchRecord
+from repro.bench.record import BenchRecord, load_record
 from repro.fleet.tasks import resolve_runner
 from repro.util.document import check, dumps
 
@@ -27,7 +27,7 @@ BUILT = {
     "chaos": "BENCH_quick_baseline.json",
     "analysis": "BENCH_quick_baseline.json",
     "load": "BENCH_load_baseline.json",
-    "place": "BENCH_place_baseline.json",
+    "place": "BENCH_quick_baseline.json",
 }
 
 
@@ -36,7 +36,7 @@ def test_table_entry_resolves_to_its_own_artefact(name):
     entry = artefact(name)
     assert entry.name == name
     assert callable(entry.run)
-    assert entry.check is None or callable(entry.check)
+    assert callable(entry.check)  # no artefact asserts nothing
 
 
 def test_unknown_names_are_refused():
@@ -50,12 +50,22 @@ def test_fleet_runner_goes_through_the_table(bench_result):
     shipped = resolve_runner("bench.artefact")("baselines", quick=True)
     assert shipped.name == "baselines"
     assert shipped.metrics == tuple(bench_result("baselines").metrics())
-    assert shipped.stdout == bench_result("baselines").render() + "\n"
+    assert shipped.stdout == (bench_result("baselines").render()
+                              + "\nshape: OK\n")
 
 
 def test_only_the_fleet_tier_is_opt_in():
     assert [name for name in ARTEFACTS if not artefact(name).default] \
         == ["fleet"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(BENCHMARKS.glob("BENCH_*_baseline.json")),
+    ids=lambda path: path.name)
+def test_committed_baseline_loads(path):
+    # The gate's own door, load-tier completeness rule included: a
+    # validator change must not silently un-load a committed baseline.
+    assert load_record(str(path))["artefacts"]
 
 
 def _populated(name, result):

@@ -160,6 +160,13 @@ class TestCompareRecords:
         assert comparison.ok
         assert any(d.status == "wall (advisory)" for d in comparison.diffs)
 
+    def test_missing_wall_metric_never_gates(self):
+        baseline = small_record().to_document(include_wall=True)
+        current = small_record().to_document()  # no --record-wall
+        comparison = compare_records(baseline, current)
+        assert all(d.name != "wall_s" for d in comparison.diffs)
+        assert comparison.ok
+
     def test_count_drift_gates_loosely(self):
         baseline = small_record().to_document()
         current = copy.deepcopy(baseline)
@@ -187,12 +194,14 @@ class TestCompareRecords:
         assert comparison.ok
         assert any("skipped" in w for w in comparison.warnings)
 
-    def test_mode_mismatch_warns(self):
+    def test_mode_mismatch_refused(self):
         baseline = small_record().to_document()
         current = copy.deepcopy(baseline)
         current["environment"]["mode"] = "full"
-        comparison = compare_records(baseline, current)
-        assert any("mode" in w for w in comparison.warnings)
+        with pytest.raises(ValueError) as caught:
+            compare_records(baseline, current)
+        assert "'quick'" in str(caught.value)
+        assert "'full'" in str(caught.value)
 
 
 class TestBenchCli:
@@ -232,6 +241,15 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert f"baselines.{name}" in out
         assert "regressed" in out
+
+    def test_check_refuses_other_mode_baseline(self, recorded, capsys):
+        # Full-size run against the quick record: refused up front.
+        assert bench_main(["baselines", "--baseline", str(recorded),
+                           "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "=== baselines" not in captured.out
+        for needle in (str(recorded), "'quick'", "'full'", "--quick"):
+            assert needle in captured.err
 
     def test_check_requires_baseline(self, capsys):
         with pytest.raises(SystemExit):
