@@ -92,7 +92,7 @@ def raw_transport_pingpong(size: int, roundtrips: int, *,
     # probe — is ``FastTransport.spin_collect``: same clock readings as
     # polling every ``loop_cost + poll_cost``, but a constant number of
     # events per message however long the wire time is, as the Nexus
-    # side's ``PollManager._idle_fast_forward`` has always had.
+    # side's ``PollManager`` idle fast-forward has always had.
     def recv_one(me: Context):
         return transport.spin_collect(me, loop_cost)
 

@@ -54,8 +54,9 @@ class AdaptiveSkipPoll:
     """Online controller for one method's skip_poll value at one context.
 
     Wire it in by calling :meth:`observe` after each firing poll of the
-    controlled method — :meth:`attach` installs a transparent hook on the
-    context's poll manager so applications need no changes.
+    controlled method — or :meth:`attach` it to the method's observer
+    slot on the context's poll manager, which then reports every run of
+    the polling function, so applications need no changes.
     """
 
     def __init__(self, context: "Context", method: str,
@@ -64,6 +65,11 @@ class AdaptiveSkipPoll:
         self.method = method
         self.config = config or AdaptiveConfig()
         self._misses = 0
+        # Running fire/message watermarks, so fires accounted in bulk
+        # (busy_work phases, idle fast-forwards) between two observed
+        # polls are credited to the controller too.
+        self._seen_fires = 0
+        self._seen_messages = 0
         self.adjustments: list[tuple[float, int]] = []
         if method not in context.poll_manager.methods:
             raise PollingError(f"context does not poll method {method!r}")
@@ -110,33 +116,21 @@ class AdaptiveSkipPoll:
     # -- transparent attachment ----------------------------------------------
 
     def attach(self) -> None:
-        """Wrap the poll manager's poll() so observations are automatic."""
-        manager = self.context.poll_manager
-        inner_poll = manager.poll
-        method = self.method
-        controller = self
-        sim = self.context.nexus.sim
-        # Running fire/message watermarks so fires accounted in bulk
-        # (busy_work phases, idle fast-forwards) between wrapped calls
-        # are credited to the controller too.
-        seen = {"fires": 0, "messages": 0}
+        """Take the method's observer slot on the context's poll manager,
+        so observations are automatic.  Idempotent; a method that another
+        controller already watches raises :class:`PollingError`."""
+        self.context.poll_manager.attach_observer(self.method, self)
 
-        def observing_poll():
-            inbox = controller.context.inbox(method)
-            oldest = 0.0
-            queued = inbox.peek_items()
-            if queued:
-                oldest = max(sim.now - getattr(m, "arrived_at", sim.now)
-                             for m in queued)
-            count = yield from inner_poll()
-            fires_total = manager.stats.fires.get(method, 0)
-            messages_total = manager.stats.messages.get(method, 0)
-            fired = fires_total - seen["fires"]
-            found = messages_total - seen["messages"]
-            seen["fires"] = fires_total
-            seen["messages"] = messages_total
-            if fired:
-                controller.observe(found, oldest_wait=oldest, fires=fired)
-            return count
+    def detach(self) -> None:
+        """Give the observer slot back (no-op unless attached)."""
+        self.context.poll_manager.detach_observer(self.method, self)
 
-        manager.poll = observing_poll  # type: ignore[method-assign]
+    def polled(self, fires: int, messages: int, oldest_wait: float) -> None:
+        """Observer-slot callback: the method's running totals after one
+        run of the polling function (see ``PollObserver``)."""
+        fired = fires - self._seen_fires
+        found = messages - self._seen_messages
+        self._seen_fires = fires
+        self._seen_messages = messages
+        if fired:
+            self.observe(found, oldest_wait=oldest_wait, fires=fired)

@@ -48,14 +48,16 @@ class CommObject:
         return comm_object_key(self.descriptor)
 
     def send(self, message: WireMessage):
-        """Generator: transmit ``message`` over this connection."""
+        """Transmit ``message`` over this connection: accounts the send
+        and hands back the transport's own send generator (no frame of
+        this object's between the caller and the transport)."""
         self.messages_sent += 1
         self.bytes_sent += message.nbytes
         if message.trace is not None:
             message.trace.transition("enqueue", ctx=self.owner.id,
                                      lane=self.transport.name)
-        yield from self.transport.send(self.owner, self.state,
-                                       self.descriptor, message)
+        return self.transport.send(self.owner, self.state,
+                                   self.descriptor, message)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<CommObject {self.method} ctx{self.owner.id}->"

@@ -68,6 +68,7 @@ class Context:
         self.health = HealthTracker(nexus.sim, nexus.health_config)
         self._comm_objects: dict[tuple, CommObject] = {}
         self._arrival_waiters: list[Event] = []
+        self._arrival_name = f"arrival@ctx{self.id}"
         #: Installed by :class:`repro.core.forwarding.ForwardingService`
         #: on the designated forwarder context.
         self.forwarder: object | None = None
@@ -200,7 +201,7 @@ class Context:
 
     def arrival_signal(self) -> Event:
         """A one-shot event triggered at the next message arrival."""
-        event = self.nexus.sim.event(name=f"arrival@ctx{self.id}")
+        event = Event(self.nexus.sim, self._arrival_name)
         self._arrival_waiters.append(event)
         return event
 
@@ -251,7 +252,7 @@ class Context:
             costs += tc.recv_overhead + tc.per_byte_recv * message.nbytes
         # Receive-side CPU deposited by protocol layers (decompression,
         # checksum verification, reassembly).
-        costs += _t.cast(float, message.headers.pop("extra_recv_cpu", 0.0))
+        costs += message.headers.pop("extra_recv_cpu", 0.0)  # type: ignore[operator]
         costs += self._conversion_cost(message)
         if costs > 0:
             # Inlined self.charge(costs) — dispatch runs per message.
@@ -276,13 +277,13 @@ class Context:
         payload = message.payload
         if isinstance(payload, Buffer):
             payload = payload.reader_copy()
-        endpoint.note_delivery(message.nbytes, nexus.sim.now)
+        endpoint.note_delivery(message.nbytes, nexus.sim._clock._now)
         self.rsrs_dispatched += 1
         nexus.tracer.incr("nexus.rsrs_dispatched")
 
         if trace is not None:
             trace.transition("handler", ctx=self.id)
-        result = handler(self, endpoint, _t.cast(Buffer, payload))
+        result = handler(self, endpoint, payload)  # type: ignore[arg-type]
         threaded = result is not None and hasattr(result, "send")
         if trace is not None:
             trace.finish(nexus.sim.now, threaded=threaded)
@@ -314,14 +315,16 @@ class Context:
 
     # -- convenience -----------------------------------------------------------
 
+    # Both hand back the poll manager's own generator rather than wrap
+    # it: a blocking operation costs one frame below its caller.
+
     def poll(self):
         """Generator: one explicit run of the polling function."""
-        result = yield from self.poll_manager.poll()
-        return result
+        return self.poll_manager.poll()
 
     def wait(self, condition: _t.Callable[[], bool] | Event):
         """Generator: poll until ``condition`` holds (see PollManager.wait)."""
-        yield from self.poll_manager.wait(condition)
+        return self.poll_manager.wait(condition)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Context {self.name!r} id={self.id} host={self.host.name!r} "

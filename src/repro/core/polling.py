@@ -17,16 +17,34 @@ mechanisms implemented here:
 
 The poll manager also provides the *wait loop* every blocking operation
 in the stack sits in (``poll; check; spin``), and two pieces of
-simulation machinery that keep large experiments tractable without
-changing the modelled physics:
+simulation machinery that keep large experiments tractable:
 
-* :meth:`wait` fast-forwards through idle spins by computing when the
-  next delivery could possibly occur, then charging the skipped loop
-  iterations (poll costs, skip-counter advancement, foreign-poll
-  accumulation) *as if* they had been executed one by one;
+* :meth:`wait` fast-forwards through idle spins by estimating when the
+  next delivery could occur and charging the skipped loop iterations
+  (poll costs, skip-counter advancement, foreign-poll accumulation) in
+  aggregate.  This **approximates** the stepwise loop, it does not
+  reproduce it: the skipped iterations are priced at the plan's
+  *amortised* cycle time, the drain stall a spinning receiver inflicts
+  on itself is a fixed-point solve, and the iteration count is
+  ``int(elapsed / cycle + 1e-9)``.  The only bound the path is held to
+  is ``tests/core/test_fastforward_equivalence.py``'s — detection within
+  ``2e-4 + skip × 20 µs`` of the stepwise loop; ROADMAP item 1 replaces
+  it with an exact grid walk;
 * :meth:`busy_work` models an application phase containing ``n_ops``
   Nexus operations (each of which runs the poll function once) as a bulk
   charge with identical aggregate accounting.
+
+Two rules keep the loop cheap on the *host* (``docs/ARCHITECTURE.md``,
+"Performance model").  Everything the loop knows about one method at
+this context — skip counter, costs, tallies, the method's device queue
+or inbox — lives in one :class:`_Lane` record, so a cycle reads
+attributes rather than five dicts keyed by method name.  And a blocking
+operation costs one generator frame below its caller: :meth:`wait` and
+:meth:`poll` yield their own timeouts and are both written in terms of
+the same plain helpers (:meth:`PollManager._begin_cycle`,
+:meth:`PollManager._collect`, :meth:`PollManager._end_cycle`), so an
+event that wakes an idle waiter re-enters one frame, not a tower of
+pass-through generators.
 """
 
 from __future__ import annotations
@@ -35,34 +53,95 @@ import dataclasses
 import typing as _t
 
 from ..simnet.events import Event
-from ..transports.base import WireMessage
 from .errors import PollingError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..simnet.resources import Store
+    from ..transports.base import Transport, WireMessage
     from .context import Context
 
 #: Numerical slack for time comparisons.
 _EPS = 1e-12
 
 
+class PollObserver(_t.Protocol):
+    """What a lane's observer slot holds
+    (see :meth:`PollManager.attach_observer`)."""
+
+    def polled(self, fires: int, messages: int, oldest_wait: float) -> None:
+        """One run of the polling function has finished.
+
+        ``fires`` and ``messages`` are the observed method's running
+        totals at this context (bulk-accounted fires included);
+        ``oldest_wait`` is how long the stalest message had sat in the
+        method's inbox when the run began."""
+
+
+class _Lane:
+    """Everything the poll loop knows about one method at one context.
+
+    Owned by the :class:`PollManager` for its lifetime: a lane survives
+    plan rebuilds and :meth:`PollManager.only` masks, so its skip
+    counter and tallies do too.  ``k``, ``cost``, ``steals`` and
+    ``transport`` are refreshed whenever a plan that includes the lane
+    is built.  Of ``queue`` and ``inbox`` one is set, by the transport's
+    delivery model (a method that drains a device queue never sees its
+    inbox, and the other way round): the context's own container for
+    the method, never rebound.
+    """
+
+    __slots__ = ("method", "transport", "cost", "steals", "k", "count",
+                 "fires", "poll_time", "messages", "queue", "inbox",
+                 "observer")
+
+    def __init__(self, context: "Context", method: str):
+        self.method = method
+        self.transport: "Transport" = context.nexus.transports.get(method)
+        self.cost = 0.0
+        self.steals = False
+        #: skip_poll: the method is checked every ``k``-th cycle.
+        self.k = 1
+        #: Cycles seen so far (the skip counter).
+        self.count = 0
+        self.fires = 0
+        self.poll_time = 0.0
+        self.messages = 0
+        drains = self.transport.receiver_drain
+        self.queue = context.device_queue(method) if drains else None
+        self.inbox = None if drains else context.inbox(method)
+        self.observer: PollObserver | None = None
+
+
 @dataclasses.dataclass
 class PollStats:
-    """Observable polling behaviour (surfaced by the enquiry API)."""
+    """Observable polling behaviour (surfaced by the enquiry API).
+
+    The per-method tallies live in the manager's lanes; ``fires``,
+    ``poll_time`` and ``messages`` are mappings built on read, with a
+    method absent until it has fired (or, for ``messages``, delivered)
+    at least once.
+    """
 
     cycles: int = 0
-    fires: dict[str, int] = dataclasses.field(default_factory=dict)
-    poll_time: dict[str, float] = dataclasses.field(default_factory=dict)
-    messages: dict[str, int] = dataclasses.field(default_factory=dict)
     idle_fast_forwards: int = 0
     bulk_ops: int = 0
+    _lanes: dict[str, _Lane] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False)
 
-    def note_fire(self, method: str, cost: float, count: int = 1) -> None:
-        self.fires[method] = self.fires.get(method, 0) + count
-        self.poll_time[method] = self.poll_time.get(method, 0.0) + cost
+    @property
+    def fires(self) -> dict[str, int]:
+        return {lane.method: lane.fires
+                for lane in self._lanes.values() if lane.fires}
 
-    def note_messages(self, method: str, count: int) -> None:
-        if count:
-            self.messages[method] = self.messages.get(method, 0) + count
+    @property
+    def poll_time(self) -> dict[str, float]:
+        return {lane.method: lane.poll_time
+                for lane in self._lanes.values() if lane.fires}
+
+    @property
+    def messages(self) -> dict[str, int]:
+        return {lane.method: lane.messages
+                for lane in self._lanes.values() if lane.messages}
 
     def hit_rate(self, method: str) -> float | None:
         """Fraction of this method's polls that found a message.
@@ -71,27 +150,27 @@ class PollStats:
         from "fired and found nothing" (0.0), and conflating them makes
         skip_poll tuning decisions on phantom zeros.
         """
-        fires = self.fires.get(method, 0)
-        if fires == 0:
+        lane = self._lanes.get(method)
+        if lane is None or lane.fires == 0:
             return None
-        return self.messages.get(method, 0) / fires
+        return lane.messages / lane.fires
 
 
 class _PollPlan:
     """Precomputed poll-cycle plan (see :meth:`PollManager._ensure_plan`).
 
-    ``entries`` holds one ``(method, transport, poll_cost, steals, k)``
-    tuple per active method, in poll order; ``cycle`` and
-    ``foreign_rate`` are the derived aggregates the wait machinery needs
-    every iteration.  Transport costs are frozen, so the plan only goes
-    stale when the manager's own configuration (methods, skips, mask,
-    disabled/blocking sets) or the transport registry changes.
+    ``lanes`` holds the currently active lanes in poll order; ``cycle``
+    and ``foreign_rate`` are the derived aggregates the wait machinery
+    needs every iteration.  Transport costs are frozen, so the plan only
+    goes stale when the manager's own configuration (methods, skips,
+    mask, disabled/blocking sets) changes.
     """
 
-    __slots__ = ("entries", "cycle", "foreign_rate")
+    __slots__ = ("lanes", "cycle", "foreign_rate")
 
-    def __init__(self, entries: tuple, cycle: float, foreign_rate: float):
-        self.entries = entries
+    def __init__(self, lanes: tuple[_Lane, ...], cycle: float,
+                 foreign_rate: float):
+        self.lanes = lanes
         self.cycle = cycle
         self.foreign_rate = foreign_rate
 
@@ -104,16 +183,18 @@ class PollManager:
         #: Poll order (descriptor-table order, i.e. fastest first).
         self.methods: list[str] = list(methods)
         self.skip: dict[str, int] = {}
-        #: Per-method skip counters, seeded to 0 for every method here and
-        #: in :meth:`add_method` — hot paths index this dict directly.
-        self._counters: dict[str, int] = {m: 0 for m in self.methods}
+        #: One record per method, created the first time a plan (or a
+        #: blocking watcher, or an observer) needs it.
+        self._lanes: dict[str, _Lane] = {}
+        #: Lanes whose observer slot is filled, consulted every cycle
+        #: whether or not the lane is in the plan.
+        self._observed: tuple[_Lane, ...] = ()
         self._mask: frozenset[str] | None = None
         self._disabled: set[str] = set()
         self._blocking: set[str] = set()
-        self.stats = PollStats()
+        self.stats = PollStats(_lanes=self._lanes)
         #: Cached :class:`_PollPlan`; ``None`` means rebuild on next use.
         self._plan: _PollPlan | None = None
-        self._plan_registry_size = -1
 
     # -- configuration ------------------------------------------------------
 
@@ -137,7 +218,6 @@ class PollManager:
         else:
             self.methods.insert(position, method)
         self.skip.setdefault(method, 1)
-        self._counters.setdefault(method, 0)
         self._plan = None
 
     def set_skip(self, method: str, value: int) -> None:
@@ -202,60 +282,160 @@ class PollManager:
 
     def _blocking_watcher(self, method: str):
         context = self.context
+        lane = self._lane(method)
         inbox = context.inbox(method)
         wakeup_cost = context.nexus.runtime_costs.dispatch_cost
         while method in self._blocking:
             message = yield inbox.get()
             # Thread wakeup / context switch, then normal dispatch.
             yield from context.charge(wakeup_cost)
-            self.stats.note_messages(method, 1)
-            yield from context.dispatch(_t.cast(WireMessage, message))
+            lane.messages += 1
+            yield from context.dispatch(message)
+
+    def attach_observer(self, method: str, observer: PollObserver) -> None:
+        """Fill ``method``'s observer slot (one observer per method).
+
+        From now on every run of the polling function at this context —
+        :meth:`poll`, each iteration of :meth:`wait`, the closing poll of
+        :meth:`busy_work`, the poll every RSR starts with — ends by
+        calling ``observer.polled(...)``.  Attaching the observer that
+        already holds the slot is a no-op; a second observer for the same
+        method is a :class:`PollingError`.
+        """
+        if method not in self.methods:
+            raise PollingError(f"context does not poll method {method!r}")
+        lane = self._lane(method)
+        if lane.observer is observer:
+            return
+        if lane.observer is not None:
+            raise PollingError(
+                f"method {method!r} already has an observer attached")
+        self._set_observer(lane, observer)
+
+    def detach_observer(self, method: str, observer: PollObserver) -> None:
+        """Empty ``method``'s observer slot if ``observer`` holds it."""
+        lane = self._lanes.get(method)
+        if lane is not None and lane.observer is observer:
+            self._set_observer(lane, None)
+
+    def _set_observer(self, lane: _Lane,
+                      observer: PollObserver | None) -> None:
+        lane.observer = observer
+        self._observed = tuple(candidate for candidate in self._lanes.values()
+                               if candidate.observer is not None)
 
     # -- the poll cycle ----------------------------------------------------------
+
+    def _lane(self, method: str) -> _Lane:
+        lane = self._lanes.get(method)
+        if lane is None:
+            lane = self._lanes[method] = _Lane(self.context, method)
+        return lane
 
     def _ensure_plan(self) -> _PollPlan:
         """Return the current poll plan, rebuilding it if stale.
 
-        The plan is invalidated explicitly by every configuration mutator
+        The plan is invalidated by every configuration mutator
         (``add_method``/``set_skip``/``enable``/``disable``/
-        ``set_blocking``/mask enter/exit) and implicitly when the
-        transport registry grows (transports are never removed, so a size
-        comparison suffices).
+        ``set_blocking``/mask enter/exit).  A plan that had to leave out
+        a method the transport registry does not have (yet) is not
+        cached: it is rebuilt on every use until the registry catches
+        up, which no mutator here would otherwise notice.
         """
-        registry = self.context.nexus.transports
-        size = len(registry._transports)
         plan = self._plan
-        if plan is not None and self._plan_registry_size == size:
+        if plan is not None:
             return plan
-        entries: list[tuple] = []
+        registry = self.context.nexus.transports
+        lanes: list[_Lane] = []
+        complete = True
         for method in self.methods:
             if method in self._disabled or method in self._blocking:
                 continue
             if self._mask is not None and method not in self._mask:
                 continue
             if method not in registry:
+                complete = False
                 continue
-            transport = registry.get(method)
-            entries.append((method, transport, transport.poll_cost,
-                            transport.steals_device_time,
-                            self.skip.get(method, 1)))
-        # Aggregate in the same order the uncached code summed, so float
-        # results stay bit-identical.
+            lane = self._lane(method)
+            transport = lane.transport = registry.get(method)
+            lane.cost = transport.poll_cost
+            lane.steals = transport.steals_device_time
+            lane.k = self.skip.get(method, 1)
+            lanes.append(lane)
+        # Two passes, each summed in poll order: the float results are
+        # part of the simulation's arithmetic.
         cycle = self.context.nexus.runtime_costs.poll_loop_cost
-        for _method, _transport, cost, _steals, k in entries:
-            cycle += cost / k
+        for lane in lanes:
+            cycle += lane.cost / lane.k
         foreign_rate = 0.0
-        for _method, _transport, cost, steals, k in entries:
-            if steals:
-                foreign_rate += (cost / k) / cycle
-        plan = _PollPlan(tuple(entries), cycle, foreign_rate)
-        self._plan = plan
-        self._plan_registry_size = size
+        for lane in lanes:
+            if lane.steals:
+                foreign_rate += (lane.cost / lane.k) / cycle
+        plan = _PollPlan(tuple(lanes), cycle, foreign_rate)
+        if complete:
+            self._plan = plan
         return plan
 
     def active_methods(self) -> list[str]:
         """Methods the cycle will consider, in poll order."""
-        return [entry[0] for entry in self._ensure_plan().entries]
+        return [lane.method for lane in self._ensure_plan().lanes]
+
+    def _begin_cycle(self) -> tuple[list[_Lane], float, float,
+                                    list[tuple[_Lane, float]] | None]:
+        """Start one run of the polling function: advance every active
+        lane's skip counter and tally the lanes that fire.
+
+        Returns ``(firing, total_cost, foreign_cost, watch)``.  The
+        caller — :meth:`poll` or :meth:`wait`, in its own frame — charges
+        ``total_cost``, *then* adds ``foreign_cost`` to the context's
+        foreign-poll accumulator, drains each firing lane through
+        :meth:`_collect`, and hands ``watch`` (``None`` unless an
+        observer is attached) to :meth:`_end_cycle`.
+        """
+        self.stats.cycles += 1
+        plan = self._plan
+        if plan is None:
+            plan = self._ensure_plan()
+        firing: list[_Lane] = []
+        total_cost = 0.0
+        foreign_cost = 0.0
+        for lane in plan.lanes:
+            count = lane.count = lane.count + 1
+            if count % lane.k:
+                continue
+            cost = lane.cost
+            firing.append(lane)
+            total_cost += cost
+            if lane.steals:
+                foreign_cost += cost
+            lane.fires += 1
+            lane.poll_time += cost
+        watch = None
+        if self._observed:
+            now = self.context.nexus.sim._clock._now
+            watch = [(lane, _oldest_wait(lane.inbox, now))
+                     for lane in self._observed]
+        return firing, total_cost, foreign_cost, watch
+
+    def _collect(self, lane: _Lane) -> list["WireMessage"]:
+        """Drain what a firing lane's transport has ready, and tally it."""
+        context = self.context
+        messages = lane.transport.collect(context, lane)
+        found = len(messages) if messages else 0
+        lane.messages += found
+        obs = context.nexus.obs
+        if obs.enabled:
+            obs.note_poll_batch(lane.method, found)
+        return messages
+
+    @staticmethod
+    def _end_cycle(watch: list[tuple[_Lane, float]]) -> None:
+        """Report a finished run of the polling function to the
+        observers that were attached when it began."""
+        for lane, oldest_wait in watch:
+            observer = lane.observer
+            if observer is not None:
+                observer.polled(lane.fires, lane.messages, oldest_wait)
 
     def poll(self):
         """Generator: one run of the unified polling function.
@@ -265,62 +445,18 @@ class PollManager:
         dispatches them.  Returns the number of messages dispatched.
         """
         context = self.context
-        nexus = context.nexus
-        stats = self.stats
-        stats.cycles += 1
-        counters = self._counters
-
-        # Inlined _ensure_plan() fast path: this generator runs once per
-        # wait-loop iteration, so even the call frame shows up.
-        plan = self._plan
-        if plan is None or self._plan_registry_size != len(
-                nexus.transports._transports):
-            plan = self._ensure_plan()
-
-        fires = stats.fires
-        poll_time = stats.poll_time
-        firing: list[tuple] = []
-        total_cost = 0.0
-        foreign_cost = 0.0
-        for entry in plan.entries:
-            method = entry[0]
-            # Plan entries come from ``self.methods``, and ``add_method``
-            # seeds ``_counters`` for each — plain subscript is safe.
-            count = counters[method] + 1
-            counters[method] = count
-            if count % entry[4]:
-                continue
-            cost = entry[2]
-            firing.append(entry)
-            total_cost += cost
-            if entry[3]:
-                foreign_cost += cost
-            # Inlined stats.note_fire(method, cost).
-            fires[method] = fires.get(method, 0) + 1
-            poll_time[method] = poll_time.get(method, 0.0) + cost
-
+        firing, total_cost, foreign_cost, watch = self._begin_cycle()
         if total_cost > 0.0:
-            # Inlined context.charge(total_cost) — one generator fewer
-            # per poll cycle.
-            yield nexus.sim.timeout(total_cost)
+            yield context.nexus.sim.timeout(total_cost)
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
-
         dispatched = 0
-        obs = nexus.obs
-        message_counts = stats.messages
-        for method, transport, _cost, _steals, _k in firing:
-            messages = transport.collect(context)
-            n = len(messages)
-            if n:
-                # Inlined stats.note_messages(method, n).
-                message_counts[method] = message_counts.get(method, 0) + n
-            if obs.enabled:
-                obs.note_poll_batch(method, n)
-            if n:
-                for message in messages:
-                    yield from context.dispatch(message)
-                dispatched += n
+        for lane in firing:
+            for message in self._collect(lane):
+                yield from context.dispatch(message)
+                dispatched += 1
+        if watch is not None:
+            self._end_cycle(watch)
         return dispatched
 
     # -- waiting --------------------------------------------------------------------
@@ -330,8 +466,12 @@ class PollManager:
 
         ``condition`` is a zero-argument predicate or an Event (waits for
         it to trigger).  This is the canonical Nexus wait loop: every
-        iteration runs the polling function; idle stretches are
-        fast-forwarded with exact aggregate accounting.
+        iteration runs the polling function (the same cycle as
+        :meth:`poll`, run in this frame); idle stretches are
+        fast-forwarded with *amortised* aggregate accounting — an
+        approximation of the stepwise loop, bounded only by
+        ``tests/core/test_fastforward_equivalence.py`` (see the module
+        docstring and ROADMAP item 1).
         """
         extra_wake: Event | None = None
         if isinstance(condition, Event):
@@ -344,76 +484,91 @@ class PollManager:
             predicate = condition
         context = self.context
         sim = context.nexus.sim
+        clock = sim._clock
+        timeout = sim.timeout
         loop_cost = context.nexus.runtime_costs.poll_loop_cost
-        charge_loop = loop_cost > 0.0
-        poll = self.poll
+        stats = self.stats
 
         while True:
             if predicate():
                 return
-            dispatched = yield from poll()
+            firing, total_cost, foreign_cost, watch = self._begin_cycle()
+            if total_cost > 0.0:
+                yield timeout(total_cost)
+            if foreign_cost > 0.0:
+                context.foreign_poll_total += foreign_cost
+            dispatched = 0
+            for lane in firing:
+                for message in self._collect(lane):
+                    yield from context.dispatch(message)
+                    dispatched += 1
+            if watch is not None:
+                self._end_cycle(watch)
             if predicate():
                 return
-            if charge_loop:
-                # Inlined context.charge(loop_cost).
-                yield sim.timeout(loop_cost)
+            if loop_cost > 0.0:
+                yield timeout(loop_cost)
             if dispatched:
                 continue
-            yield from self._idle_fast_forward(extra_wake)
+            wake = self._idle_wake(extra_wake)
+            if wake is None:
+                continue  # deliverable right now; the next poll finds it
+            started = clock._now
+            yield wake
+            elapsed = clock._now - started
+            if elapsed > 0.0:
+                self._account_idle_spin(elapsed, started)
+            stats.idle_fast_forwards += 1
 
-    def _idle_fast_forward(self, extra_wake: Event | None = None):
-        """Skip ahead to the next instant a poll could deliver anything,
-        charging the spin iterations that would have happened meanwhile."""
+    def _idle_wake(self, extra_wake: Event | None) -> Event | None:
+        """The event an idle waiter sleeps on: the next arrival at this
+        context, ``extra_wake``, or the next instant a poll could deliver
+        something already in flight — whichever comes first.  ``None``
+        when a poll could deliver right now."""
         context = self.context
         sim = context.nexus.sim
-        now = sim.now
+        now = sim._clock._now
         t_next = self._next_known_deliverable()
         if t_next is not None and t_next <= now + _EPS:
-            return  # deliverable right now; the next poll will find it
-
-        wake_events: list[Event] = [context.arrival_signal()]
-        if extra_wake is not None and not extra_wake.processed:
+            return None
+        arrival = context.arrival_signal()
+        watch_extra = (extra_wake is not None
+                       and extra_wake.callbacks is not None)
+        if t_next is None and not watch_extra:
+            return arrival
+        wake_events: list[Event] = [arrival]
+        if watch_extra:
             wake_events.append(extra_wake)
         if t_next is not None:
             wake_events.append(sim.timeout(t_next - now))
-        target_event: Event = (wake_events[0] if len(wake_events) == 1
-                               else sim.any_of(wake_events))
-
-        started = now
-        yield target_event
-        elapsed = sim.now - started
-        if elapsed > 0.0:
-            self._account_idle_spin(elapsed, started)
-        self.stats.idle_fast_forwards += 1
+        return sim.any_of(wake_events)
 
     def amortized_cycle_time(self) -> float:
         """Average duration of one wait-loop iteration, skips included."""
         return self._ensure_plan().cycle
 
     def _next_known_deliverable(self) -> float | None:
-        """Earliest future time an already-in-flight message becomes
-        deliverable to a poll, accounting for skip counters and the
-        foreign-poll penalty the spin itself will generate."""
+        """Estimate of the earliest future time an already-in-flight
+        message becomes deliverable to a poll, accounting for skip
+        counters and the foreign-poll penalty the spin itself will
+        generate (amortised cycle, fixed-point stall: see the module
+        docstring)."""
         context = self.context
         now = context.nexus.sim._clock._now
         plan = self._plan
-        if plan is None or self._plan_registry_size != len(
-                context.nexus.transports._transports):
+        if plan is None:
             plan = self._ensure_plan()
         cycle = plan.cycle
         overlap = context.nexus.runtime_costs.select_drain_overlap
         stall_rate = (1.0 - overlap) * plan.foreign_rate
 
-        counters = self._counters
-        device_queues = context._device_queues
-        inboxes = context._inboxes
         best: float | None = None
-        for method, _transport, _cost, _steals, k in plan.entries:
-            count = counters[method]
-            cycles_to_fire = k - (count % k)  # cycles until next check
+        for lane in plan.lanes:
+            k = lane.k
+            cycles_to_fire = k - (lane.count % k)  # cycles until next check
             candidate: float | None = None
 
-            queue = device_queues.get(method)
+            queue = lane.queue
             if queue:
                 head = queue[0]
                 penalty = (1.0 - overlap) * (context.foreign_poll_total
@@ -427,58 +582,68 @@ class PollManager:
                     candidate = now + (base - now) / (1.0 - stall_rate)
                 else:  # pragma: no cover - degenerate configuration
                     candidate = base
-            store = inboxes.get(method)
-            if store is not None and store.items:
+            inbox = lane.inbox
+            if inbox is not None and inbox.items:
                 # Fast-forward to just before the firing cycle: the *real*
                 # poll after the bulk spin must be the one that fires
                 # (spinning one cycle too far would leave the counter at
                 # 1 mod k and miss a whole skip round).
                 ready = now + (cycles_to_fire - 1) * cycle
-                candidate = ready if candidate is None else min(candidate, ready)
+                if candidate is None or ready < candidate:
+                    candidate = ready
             if candidate is not None:
-                candidate = max(candidate,
-                                now + (cycles_to_fire - 1) * cycle)
-                best = candidate if best is None else min(best, candidate)
+                floor = now + (cycles_to_fire - 1) * cycle
+                if floor > candidate:
+                    candidate = floor
+                if best is None or candidate < best:
+                    best = candidate
         return best
+
+    def _spin(self, plan: _PollPlan, cycles: int,
+              total_cost: float) -> tuple[float, float]:
+        """Account ``cycles`` runs of the polling function in aggregate:
+        advance every active lane's skip counter and tally the fires that
+        many cycles contain.  Returns ``total_cost`` plus the poll cost of
+        those fires, and the device-stealing share of it."""
+        self.stats.cycles += cycles
+        foreign_cost = 0.0
+        for lane in plan.lanes:
+            count = lane.count
+            fires = (count + cycles) // lane.k - count // lane.k
+            lane.count = count + cycles
+            if fires:
+                cost = lane.cost * fires
+                total_cost += cost
+                lane.fires += fires
+                lane.poll_time += cost
+                if lane.steals:
+                    foreign_cost += cost
+        return total_cost, foreign_cost
 
     def _account_idle_spin(self, elapsed: float, window_start: float) -> None:
         """Charge ``elapsed`` seconds of wait-loop spinning in aggregate:
         advance skip counters, accumulate poll costs and foreign time."""
         context = self.context
         plan = self._plan
-        if plan is None or self._plan_registry_size != len(
-                context.nexus.transports._transports):
+        if plan is None:
             plan = self._ensure_plan()
-        cycle = plan.cycle
         # Floor with a float guard: a fast-forward of exactly n cycles must
         # advance the counters by exactly n.
-        iterations = int(elapsed / cycle + 1e-9)
+        iterations = int(elapsed / plan.cycle + 1e-9)
         if iterations <= 0:
             return
-        stats = self.stats
-        stats.cycles += iterations
-        counters = self._counters
-        foreign_added = 0.0
-        for method, _transport, cost, steals, k in plan.entries:
-            count = counters[method]
-            fires = (count + iterations) // k - count // k
-            counters[method] = count + iterations
-            if fires:
-                stats.note_fire(method, cost * fires, count=fires)
-                if steals:
-                    foreign_added += cost * fires
+        _cost, foreign_added = self._spin(plan, iterations, 0.0)
         if foreign_added:
-            context.foreign_poll_total += foreign_added
+            total = context.foreign_poll_total = (
+                context.foreign_poll_total + foreign_added)
             # Messages that *arrived during* the window must not be
             # penalised for spin time that preceded their arrival.
-            device_queues = context._device_queues
-            for method, _transport, _cost, _steals, _k in plan.entries:
-                for transit in device_queues.get(method, ()):
-                    if transit.arrival_start >= window_start - _EPS:
-                        transit.foreign_at_arrival = max(
-                            transit.foreign_at_arrival,
-                            context.foreign_poll_total,
-                        )
+            arrived_after = window_start - _EPS
+            for lane in plan.lanes:
+                for transit in lane.queue or ():
+                    if (transit.arrival_start >= arrived_after
+                            and transit.foreign_at_arrival < total):
+                        transit.foreign_at_arrival = total
 
     # -- bulk application work ----------------------------------------------------
 
@@ -498,31 +663,25 @@ class PollManager:
             raise PollingError(f"negative op count {n_ops!r}")
         context = self.context
         self.stats.bulk_ops += n_ops
-        self.stats.cycles += n_ops
-
-        total_cost = float(compute_time)
-        foreign_cost = 0.0
-        counters = self._counters
-        for method, _transport, poll_cost, steals, k in self._ensure_plan().entries:
-            count = counters.get(method, 0)
-            fires = (count + n_ops) // k - count // k
-            counters[method] = count + n_ops
-            if fires:
-                cost = poll_cost * fires
-                total_cost += cost
-                self.stats.note_fire(method, cost, count=fires)
-                if steals:
-                    foreign_cost += cost
-
+        total_cost, foreign_cost = self._spin(self._ensure_plan(), n_ops,
+                                              float(compute_time))
         if total_cost > 0.0:
             if use_cpu:
                 yield from context.host.compute(total_cost)
             else:
-                yield from context.charge(total_cost)
+                yield context.nexus.sim.timeout(total_cost)
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
         result = yield from self.poll()
         return result
+
+
+def _oldest_wait(inbox: "Store | None", now: float) -> float:
+    """How long the stalest message in ``inbox`` has been waiting."""
+    if inbox is None or not inbox.items:
+        return 0.0
+    return max(now - getattr(message, "arrived_at", now)
+               for message in inbox.items)
 
 
 class _PollMask:

@@ -374,13 +374,8 @@ class Simulator:
 
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
-                if len(callbacks) == 1:
-                    # Nearly every event wakes exactly one process; skip
-                    # the iterator for that case.
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
+                for callback in callbacks:
+                    callback(event)
                 if not event._ok and not event._defused:
                     raise _t.cast(BaseException, event._value)
         except SimulationFinished as finished:

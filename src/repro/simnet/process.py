@@ -125,7 +125,13 @@ class Process(Event):
                         return
                     raise
 
-                if not isinstance(target, Event):
+                # Probe the two attributes the rest of the loop needs
+                # rather than ``isinstance(target, Event)``: this runs
+                # once per suspension of every process.
+                try:
+                    callbacks = target.callbacks
+                    foreign = target.sim is not sim
+                except AttributeError:
                     # Misuse: throw a descriptive error into the generator so
                     # the offending yield gets a useful traceback.
                     event = Event(sim, name="bad-yield")
@@ -134,7 +140,7 @@ class Process(Event):
                         f"process {self.name!r} yielded a non-Event: {target!r}"
                     )
                     continue
-                if target.sim is not sim:
+                if foreign:
                     event = Event(sim, name="bad-yield")
                     event._ok = False
                     event._value = ProcessError(
@@ -143,7 +149,6 @@ class Process(Event):
                     )
                     continue
 
-                callbacks = target.callbacks
                 if callbacks is None:
                     # Already processed: loop around with its outcome.
                     event = target

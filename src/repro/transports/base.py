@@ -169,6 +169,22 @@ class ContextLike(_t.Protocol):
     def device_queue(self, method: str) -> list[InTransitMessage]: ...
 
 
+class ReceiveLane(_t.Protocol):
+    """One method's receive containers at one context.
+
+    A caller that polls the same method at the same context over and over
+    (the poll manager's per-method lane record) hands this to
+    ``collect`` so the drain reads two attributes instead of looking the
+    containers up by method name on every poll."""
+
+    #: The method's device queue at the context (``receiver_drain``
+    #: transports), else ``None``.
+    queue: list[InTransitMessage] | None
+    #: The method's inbox at the context (kernel-buffered transports),
+    #: else ``None``.
+    inbox: Store | None
+
+
 class Transport(abc.ABC):
     """Base class for communication modules.
 
@@ -182,6 +198,11 @@ class Transport(abc.ABC):
     name: _t.ClassVar[str]
     #: Ordering key for fastest-first descriptor tables (lower = faster).
     speed_rank: _t.ClassVar[int]
+    #: Delivery model.  ``True``: arrivals wait in the destination's
+    #: *device queue* until a poll drains them (the fast family);
+    #: ``False``: they land in its kernel-buffer *inbox* (the IP family).
+    #: A transport delivers into exactly one of the two.
+    receiver_drain: _t.ClassVar[bool] = False
 
     def __init__(self, services: TransportServices, costs: TransportCosts):
         self.services = services
@@ -190,6 +211,8 @@ class Transport(abc.ABC):
         #: is fixed for the life of the runtime and transports touch it
         #: on every send/poll, so a property frame here is pure cost.
         self.sim = services.sim
+        #: Likewise the network: its fault rules are consulted per send.
+        self.network: "Network" = services.network
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_dropped = 0
@@ -208,10 +231,6 @@ class Transport(abc.ABC):
         transports — e.g. a compression stack riding TCP, or secure TCP —
         override it so their traffic uses the underlying wire."""
         return getattr(self, "_wire_method", self.name)
-
-    @property
-    def network(self) -> "Network":
-        return self.services.network
 
     @property
     def poll_cost(self) -> float:

@@ -33,6 +33,7 @@ from .base import (
     ContextLike,
     Descriptor,
     InTransitMessage,
+    ReceiveLane,
     Transport,
     WireMessage,
 )
@@ -46,6 +47,8 @@ _READY_SLACK = 1e-15
 
 class FastTransport(Transport):
     """Base class implementing the receiver-drain send/poll protocol."""
+
+    receiver_drain = True
 
     #: Lazily cached :meth:`_overlap` result — ``RuntimeCosts`` is frozen,
     #: so the value cannot change once the runtime has installed it.
@@ -63,7 +66,8 @@ class FastTransport(Transport):
             )
         costs = self.costs
         overhead = costs.send_overhead + costs.per_byte_send * message.nbytes
-        yield from self._charge(overhead)
+        if overhead > 0:
+            yield self.sim.timeout(overhead)
         message.method = self.name
         message.sent_at = self.sim._clock._now
         self.record_send(message)
@@ -120,17 +124,21 @@ class FastTransport(Transport):
             yield self.sim.timeout(cost)
         return self.collect(context)
 
-    def collect(self, context: ContextLike) -> list[WireMessage]:
+    def collect(self, context: ContextLike,
+                lane: ReceiveLane | None = None) -> list[WireMessage]:
         """Deliver every drained in-transit message (FIFO, no cost).
 
         Split out from :meth:`poll` so bulk/analytic polling can reuse the
-        drain logic without paying per-poll event overhead.
+        drain logic without paying per-poll event overhead.  ``lane``, if
+        given, holds this method's device queue at ``context``.
         """
-        # Reach for the queue dict directly (every core Context has one):
-        # this runs once per poll of every fast method, and unlike
-        # ``device_queue()`` it does not materialise a list just to
-        # discover there is nothing to drain.
-        queue = context._device_queues.get(self.name)  # type: ignore[attr-defined]
+        # Without a lane, reach for the queue dict directly (every core
+        # Context has one): unlike ``device_queue()`` that does not
+        # materialise a list just to discover there is nothing to drain.
+        if lane is not None:
+            queue = lane.queue
+        else:
+            queue = context._device_queues.get(self.name)  # type: ignore[attr-defined]
         if not queue:
             return []
         now = self.sim._clock._now

@@ -26,7 +26,13 @@ import typing as _t
 
 from ..simnet.link import LinkProfile
 from ..simnet.resources import Resource
-from .base import ContextLike, Descriptor, Transport, WireMessage
+from .base import (
+    ContextLike,
+    Descriptor,
+    ReceiveLane,
+    Transport,
+    WireMessage,
+)
 from .errors import DeliveryError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -102,8 +108,9 @@ class IpTransport(Transport):
     def send(self, local: ContextLike, state: dict, descriptor: Descriptor,
              message: WireMessage):
         costs = self.costs
-        yield from self._charge(costs.send_overhead
-                                + costs.per_byte_send * message.nbytes)
+        overhead = costs.send_overhead + costs.per_byte_send * message.nbytes
+        if overhead > 0:
+            yield self.sim.timeout(overhead)
         if not state.get("connected", False):
             yield from self._charge(state.get("connect_cost", 0.0))
             state["connected"] = True
@@ -133,7 +140,7 @@ class IpTransport(Transport):
             state["profile_host"] = hop_context.host
             state["profile_epoch"] = self.network.epoch
 
-        channel = _t.cast(Resource, state["channel"])
+        channel: Resource = state["channel"]
         request = channel.request()
         try:
             yield request
@@ -197,13 +204,14 @@ class IpTransport(Transport):
         yield from self._charge(self.costs.poll_cost)
         return self.collect(context)
 
-    def collect(self, context: ContextLike) -> list[WireMessage]:
-        """Drain every message already in the kernel buffer (no cost)."""
-        inbox = context.inbox(self.name)
+    def collect(self, context: ContextLike,
+                lane: ReceiveLane | None = None) -> list[WireMessage]:
+        """Drain every message already in the kernel buffer (no cost).
+        ``lane``, if given, holds this method's inbox at ``context``."""
+        inbox = lane.inbox if lane is not None else context.inbox(self.name)
         ready: list[WireMessage] = []
-        while True:
-            item = inbox.try_get()
-            if item is None:
-                break
-            ready.append(_t.cast(WireMessage, item))
+        # An inbox is unbounded, so nothing ever waits to be put: what
+        # ``items`` holds is everything there is to get.
+        while inbox.items:
+            ready.append(inbox.try_get())  # type: ignore[arg-type]
         return ready

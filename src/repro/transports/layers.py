@@ -35,7 +35,13 @@ import itertools
 import typing as _t
 
 from ..util.units import microseconds
-from .base import ContextLike, Descriptor, Transport, WireMessage
+from .base import (
+    ContextLike,
+    Descriptor,
+    ReceiveLane,
+    Transport,
+    WireMessage,
+)
 from .errors import TransportError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -236,7 +242,9 @@ class LayeredTransport(Transport):
         super().__init__(carrier.services, carrier.costs)
         self.carrier = carrier
         self.layers = list(layers)
-        self.name = name  # instance attribute shadows the class attribute
+        # Instance attributes shadow the class attributes.
+        self.name = name
+        self.receiver_drain = carrier.receiver_drain
 
     # -- interface delegation ---------------------------------------------
 
@@ -270,8 +278,9 @@ class LayeredTransport(Transport):
         for item in messages:
             yield from self.carrier.send(local, state, descriptor, item)
 
-    def collect(self, context: ContextLike) -> list[WireMessage]:
-        messages = self.carrier.collect(context)
+    def collect(self, context: ContextLike,
+                lane: ReceiveLane | None = None) -> list[WireMessage]:
+        messages = self.carrier.collect(context, lane)
         for layer in reversed(self.layers):
             surfaced: list[WireMessage] = []
             for item in messages:

@@ -1,10 +1,15 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.bench import RunOptions, artefact
 from repro.simnet import Simulator
 from repro.testbeds import make_iway, make_sp2
+
+#: Opt-in budget for the differential oracles (tier-1 runs their small
+#: one): ``--hypothesis-profile=deep``.
+settings.register_profile("deep", max_examples=3000, deadline=None)
 
 
 @pytest.fixture

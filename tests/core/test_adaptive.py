@@ -117,3 +117,56 @@ class TestAttached:
         nexus.run(until=done)
         assert controller.skip > 1
         assert b.poll_manager.get_skip("tcp") == controller.skip
+
+
+def idle_polls(attach, polls=200):
+    """``polls`` explicit runs of the polling function on a context that
+    receives nothing, with a default-configured TCP controller wired in
+    by ``attach(controller)``.  Returns what the controller did and when
+    the last poll finished."""
+    bed = make_sp2(nodes_a=2, nodes_b=1)
+    ctx = bed.nexus.context(bed.hosts_a[0])
+    controller = AdaptiveSkipPoll(ctx, "tcp")
+    attach(controller)
+
+    def body():
+        for _ in range(polls):
+            yield from ctx.poll()
+
+    bed.nexus.run(until=bed.nexus.spawn(body()))
+    return controller.skip, controller.adjustments, bed.sim.now
+
+
+class TestObserverSlot:
+    def test_attach_twice_observes_once(self):
+        """Regression: ``attach()`` used to wrap ``manager.poll`` once per
+        call, so a twice-attached controller saw every fire twice and
+        backed off twice as fast (skip 32 after 200 idle polls instead of
+        16, first adjustment at 0.5 ms instead of 1 ms)."""
+        def twice(controller):
+            controller.attach()
+            controller.attach()
+
+        once = idle_polls(AdaptiveSkipPoll.attach)
+        assert idle_polls(twice) == once
+        skip, adjustments, _now = once
+        assert skip == 16
+        assert adjustments[0] == (pytest.approx(1.0016e-3), 2)
+
+    def test_second_controller_for_a_method_is_refused(self, ctx):
+        AdaptiveSkipPoll(ctx, "tcp").attach()
+        with pytest.raises(PollingError, match="already has an observer"):
+            AdaptiveSkipPoll(ctx, "tcp").attach()
+        AdaptiveSkipPoll(ctx, "mpl").attach()  # another method is free
+
+    def test_detach_restores_the_unobserved_manager(self):
+        def attach_then_detach(controller):
+            controller.attach()
+            controller.detach()
+            controller.detach()  # harmless when not attached
+
+        skip, adjustments, now = idle_polls(attach_then_detach)
+        assert (skip, adjustments) == (1, [])
+        assert now == idle_polls(lambda controller: None)[2]
+        # ...and later than with the controller backing TCP off.
+        assert now > idle_polls(AdaptiveSkipPoll.attach)[2]

@@ -11,14 +11,19 @@ Set ``REPRO_SKIP_PERF_SMOKE=1`` to skip (e.g. on heavily shared or
 instrumented runners where even the generous floor is unreliable).
 """
 
+import cProfile
+import inspect
 import os
+import sys
 import time
 
 import pytest
 
 import repro.obs as obs
+from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
 from repro.simnet import Simulator
+from repro.testbeds import make_sp2
 
 #: Conservative floors (simulator events per second of wall time).
 KERNEL_FLOOR = 50_000
@@ -92,3 +97,61 @@ def test_raw_spin_events_do_not_grow_with_message_size():
         return sum(nexus.sim.events_processed for nexus in watched)
 
     assert events(0) == events(256 * 1024)
+
+
+#: Host calls (Python and C, as ``cProfile`` counts them) of one warm
+#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 21,637 when the poll loop
+#: went to one lane record per method and one frame per blocking
+#: operation, 30,050 before.  The budget is that count plus 10 %.
+DUAL_PINGPONG_CALL_BUDGET = 23_800
+
+
+def test_unified_poll_host_calls_stay_within_budget():
+    """Deterministic tripwire for host work on the unified-poll fast
+    path: the simulation is fixed, so the call count repeats to the call
+    and only moves when the code does."""
+
+    def calls():
+        profile = cProfile.Profile()
+        profile.enable()
+        dual_pingpong(0, 20, mpl_roundtrips=50)
+        profile.disable()
+        return sum(entry.callcount for entry in profile.getstats())
+
+    calls()  # first use pays one-off lazy initialisation
+    count = calls()
+    assert count <= DUAL_PINGPONG_CALL_BUDGET, (
+        f"{count:,} host calls for the fixed dual ping-pong, budget "
+        f"{DUAL_PINGPONG_CALL_BUDGET:,} — did a wrapper generator or a "
+        "per-method dict come back to the poll loop?")
+
+
+def test_idle_wake_up_reenters_one_frame_below_the_application():
+    """A blocking operation costs one generator frame below its caller:
+    the event that wakes an idle ``ctx.wait`` resumes the application's
+    generator and the wait loop's, and no pass-through frame between or
+    below them."""
+    bed = make_sp2(nodes_a=1, nodes_b=0)
+    ctx = bed.nexus.context(bed.hosts_a[0])
+    flag = []
+
+    def application():
+        yield from ctx.wait(lambda: bool(flag))
+
+    bed.nexus.spawn(application())
+    bed.sim.run()  # runs dry: the waiter sleeps on the next arrival
+    ctx.note_arrival()  # ...which is now the only event queued
+
+    resumed = []
+
+    def on_call(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            resumed.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(on_call)
+    try:
+        bed.sim.step()
+    finally:
+        sys.setprofile(previous)
+    assert resumed == ["application", "wait"]
