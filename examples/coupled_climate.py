@@ -4,7 +4,7 @@
 Runs the really-computing atmosphere+ocean coupled model on the
 two-partition SP2 under four multimethod configurations and prints a
 small Table 1.  (The full-size table is regenerated by
-``pytest benchmarks/bench_table1.py``; this example uses a reduced
+``python -m repro.bench table1``; this example uses a reduced
 configuration so it completes in a couple of seconds of wall time.)
 
 Run:  python examples/coupled_climate.py

@@ -21,6 +21,8 @@ interpreter.
 Run:  python examples/fleet_sweep.py
 """
 
+import dataclasses
+
 from repro.bench.load import CAPACITY_SLO, capacity_variants, scenarios
 from repro.fleet import (
     SeedReplication,
@@ -32,7 +34,7 @@ from repro.load import find_capacity
 
 
 def main() -> None:
-    base = scenarios(quick=True)["steady"]
+    base = dataclasses.replace(scenarios()["steady"], duration=0.25)
     plan = SeedReplication(name="steady", base=base, replicas=4)
 
     print("plan: 4 seed replicas of the steady scenario")
@@ -61,7 +63,8 @@ def main() -> None:
     # Speculative capacity search: probe several bisection rates
     # concurrently, keep only the ones the serial search would have
     # probed — the answer is exactly the serial answer.
-    variant = capacity_variants(quick=True)["tuned-skip-poll"]
+    variant = dataclasses.replace(capacity_variants()["tuned-skip-poll"],
+                                  duration=0.2)
     kwargs = dict(low=200.0, high=6000.0, tolerance=0.05, max_probes=6)
     reference = find_capacity(variant, CAPACITY_SLO, **kwargs)
     speculative = find_capacity(variant, CAPACITY_SLO, parallel=2,

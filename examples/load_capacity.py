@@ -16,12 +16,15 @@ therefore sustain strictly more load.
 Run:  python examples/load_capacity.py
 """
 
+import dataclasses
+
 from repro.bench.load import CAPACITY_SLO, TUNED_SKIP, capacity_variants
 from repro.load import find_capacity
 
 
 def main() -> None:
-    variants = capacity_variants(quick=True)
+    variants = {name: dataclasses.replace(variant, duration=0.2)
+                for name, variant in capacity_variants().items()}
     print("capacity search: remote-RPC serving workload, SLO = "
           f"p99 <= {CAPACITY_SLO.p99_latency_us / 1e3:.0f} ms, "
           f"goodput >= {CAPACITY_SLO.min_goodput_fraction:.0%}")

@@ -17,9 +17,9 @@ re-engineering."
 
 Both are built directly on :mod:`repro.transports` (no descriptor
 tables, no selection policies, no startpoint mobility), which is
-precisely what distinguishes them from Nexus.  The ablation benchmark
-``benchmarks/bench_baselines.py`` runs the same mixed workload over p4,
-PVM, and Nexus configurations.
+precisely what distinguishes them from Nexus.  The baselines artefact
+(``python -m repro.bench baselines``) runs the same mixed workload over
+p4, PVM, and Nexus configurations.
 """
 
 from .p4 import P4Process, P4System

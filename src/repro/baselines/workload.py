@@ -11,7 +11,7 @@ its counterpart in the other partition.  The same pattern runs over:
 * ``"nexus"`` — mini-MPI on the full multimethod stack, with a
   configurable TCP ``skip_poll`` (the knob the baselines lack).
 
-The interesting comparison (``benchmarks/bench_baselines.py``):
+The interesting comparison (``python -m repro.bench baselines``):
 Nexus at ``skip_poll=1`` matches p4's cost structure; *tuned* Nexus
 beats p4 (nothing in p4 can express "check TCP less often"); PVM's
 forced relay is slowest for external traffic.

@@ -10,8 +10,10 @@ DESIGN.md.  :data:`ARTEFACTS` is the one ordered table, ``name ->
 module path``, resolved by :func:`artefact` on use; the serial CLI
 loop, the ``--jobs`` fleet runner and ``--selfcheck`` all walk it and
 call :meth:`Artefact.execute`.
-Adding an artefact is one module plus one table line; the
-``benchmarks/`` pytest files are thin wrappers over the same drivers.
+Adding an artefact is one module plus one table line.  Every artefact
+runs at the size EXPERIMENTS.md publishes and every run asserts its
+shape; a caller that wants less work calls the driver function with
+its own size arguments.
 
 :mod:`repro.bench.record` gives the numbers a machine-readable form: a
 schema-versioned, byte-deterministic ``BENCH_<label>.json`` document
@@ -30,7 +32,6 @@ import typing as _t
 class RunOptions:
     """Everything the CLI flags tell an artefact's ``run`` (picklable)."""
 
-    quick: bool = False
     #: ``--export-dir``: where exporting artefacts write their documents.
     export_dir: str | None = None
     #: ``--stream-dir`` / ``--sample`` / ``--sample-seed``: span spooling.
@@ -48,8 +49,6 @@ class Artefact:
     run: _t.Callable[[RunOptions], _t.Any]
     #: Asserts the result's shape criteria.
     check: _t.Callable[[_t.Any], None]
-    #: The shape check also holds at ``--quick`` workload sizes.
-    check_quick: bool = False
     #: Part of the default "run everything" selection.
     default: bool = True
 
@@ -58,10 +57,8 @@ class Artefact:
         Returns the result and its printed form."""
         result = self.run(options)
         text = result.render()
-        if self.check_quick or not options.quick:
-            self.check(result)
-            text += "\nshape: OK"
-        return result, text
+        self.check(result)
+        return result, text + "\nshape: OK"
 
 
 #: Every artefact, in run order: name -> module holding its ``ARTEFACT``.

@@ -4,22 +4,20 @@ Usage::
 
     python -m repro.bench                 # everything
     python -m repro.bench figure4         # one artefact
-    python -m repro.bench table1 --quick  # reduced workload sizes
-    python -m repro.bench --quick --record BENCH_quick.json
-    python -m repro.bench --quick --record out.json \\
-        --baseline benchmarks/BENCH_quick_baseline.json --check
-    python -m repro.bench --quick --trace trace.json --profile --flame out.folded
-    python -m repro.bench --quick --jobs 4 --record BENCH_quick.json
-    python -m repro.bench --selfcheck --quick   # run twice, cmp, validate
+    python -m repro.bench --record BENCH.json
+    python -m repro.bench --trace trace.json --record out.json \\
+        --baseline benchmarks/BENCH_baseline.json --check
+    python -m repro.bench baselines --trace trace.json --profile --flame out.folded
+    python -m repro.bench --jobs 4 --record BENCH.json
+    python -m repro.bench --selfcheck     # run twice, cmp, validate
     python -m repro.bench --list
 
-The pytest benchmarks (`pytest benchmarks/ --benchmark-only`) are the
-canonical gate (they also assert the shape criteria); this entry point
-is for interactive exploration, for regenerating EXPERIMENTS.md numbers
-without pytest, and for the machine-readable telemetry loop: ``--record``
-writes a deterministic :class:`~repro.bench.record.BenchRecord`
-(``BENCH_<label>.json``), ``--baseline/--check`` diff it against a
-stored baseline and exit non-zero on regression, and
+This is what produces every number EXPERIMENTS.md publishes, at the
+size it publishes them, and every artefact asserts its shape criteria
+on every run.  ``--record`` writes a deterministic
+:class:`~repro.bench.record.BenchRecord` (``BENCH_<label>.json``),
+``--baseline/--check`` diff it against a stored baseline and exit
+non-zero on regression, and
 ``--profile``/``--flame`` aggregate the traced span log into a hot-path
 table and a collapsed-stack flamegraph export.
 """
@@ -41,7 +39,6 @@ from .record import (
     BenchRecord,
     compare_records,
     load_record,
-    require_same_mode,
 )
 
 
@@ -63,8 +60,8 @@ def record_observability(record: BenchRecord, name: str,
                unit="rsrs", kind=KIND_COUNT)
 
 
-def main(argv: _t.Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command line, as ``main`` parses it."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation artefacts.",
@@ -72,8 +69,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     parser.add_argument("artefacts", nargs="*", metavar="ARTEFACT",
                         help=f"one of: {', '.join(ARTEFACTS)} "
                              "(default: all but the opt-in fleet tier)")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced workload sizes")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run simulation artefacts across N worker "
                              "processes (repro.fleet); merged records "
@@ -131,6 +126,12 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                              "they wrote")
     parser.add_argument("--list", action="store_true",
                         help="list artefacts and exit")
+    return parser
+
+
+def main(argv: _t.Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list:
@@ -144,7 +145,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.jobs > 1:
         # Everything that depends on in-process state cannot fan out:
         # trace collection and tracemalloc are per-process, and the
-        # fan-out ships workers only (name, quick) — no export or
+        # fan-out ships workers only artefact names — no export or
         # spool directories.
         if args.trace or args.profile or args.flame:
             parser.error("--jobs cannot combine with "
@@ -168,7 +169,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             parse_policy(args.sample, args.sample_seed)
         except ValueError as exc:
             parser.error(str(exc))
-    options = RunOptions(quick=args.quick, export_dir=args.export_dir,
+    options = RunOptions(export_dir=args.export_dir,
                          stream_dir=args.stream_dir, sample=args.sample,
                          sample_seed=args.sample_seed)
 
@@ -188,19 +189,17 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         if (args.record or args.trace or args.export_dir or args.baseline
                 or args.jobs > 1):
             parser.error("--selfcheck picks its own --record/--trace/"
-                         "--export-dir; pass only artefacts and --quick")
+                         "--export-dir; pass only artefacts")
         from .selfcheck import selfcheck
 
-        return selfcheck(selected, quick=args.quick)
+        return selfcheck(selected)
 
-    mode = "quick" if args.quick else "full"
     baseline = None
     if args.baseline:
-        # Load up front: a missing, corrupt or other-mode baseline
+        # Load up front: a missing, corrupt or other-version baseline
         # should fail before minutes of benchmarking, not after.
         try:
             baseline = load_record(args.baseline)
-            require_same_mode(baseline, mode)
         except (OSError, ValueError) as exc:
             print(f"error: cannot use baseline {args.baseline}: {exc}",
                   file=sys.stderr)
@@ -208,7 +207,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     record: BenchRecord | None = None
     if args.record or args.baseline:
-        record = BenchRecord(mode, quick=args.quick)
+        record = BenchRecord("bench")
     tracing = bool(args.trace or args.profile or args.flame)
     collected: list = []
     mem_peak_mb: float | None = None
@@ -220,10 +219,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         from ..fleet.merge import FleetTaskError, merge_bench_outcomes
         from ..fleet.plan import BenchFanout, run_plan
 
-        plan = BenchFanout(artefacts=tuple(selected), quick=args.quick)
+        plan = BenchFanout(artefacts=tuple(selected))
         run = run_plan(plan, jobs=args.jobs)
-        sink = record if record is not None else BenchRecord(
-            "fleet-merge", quick=args.quick)
+        sink = record if record is not None else BenchRecord("fleet-merge")
         try:
             merged = merge_bench_outcomes(sink, run.outcomes)
         except FleetTaskError as exc:
@@ -234,8 +232,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         # so the transcript reads like the serial run regardless of
         # completion order; per-artefact wall is the worker's own.
         for result in merged:
-            print(f"=== {result.name} {'(quick)' if args.quick else ''} "
-                  "===")
+            print(f"=== {result.name} ===")
             sys.stdout.write(result.stdout)
             if record is not None:
                 record.add(result.name, "wall_s", result.wall_s,
@@ -245,7 +242,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
               f"{run.wall_s:.1f}s wall]\n")
     else:
         for name in selected:
-            print(f"=== {name} {'(quick)' if args.quick else ''} ===")
+            print(f"=== {name} ===")
             started = time.perf_counter()
             with (_obs.collecting() if tracing
                   else contextlib.nullcontext([])) as runs:

@@ -405,16 +405,13 @@ def check_ablations_shape(result: Ablations) -> None:
 
 
 def _run(options: RunOptions) -> Ablations:
-    quick = options.quick
     return Ablations(parts=(
-        ablation_blocking_poll(mpl_roundtrips=150 if quick else 400),
+        ablation_blocking_poll(),
         ablation_mpi_layering(),
-        ablation_adaptive_skip(mpl_roundtrips=200 if quick else 600),
+        ablation_adaptive_skip(),
         ablation_lightweight_startpoints(),
-        ablation_rendezvous(messages=4 if quick else 6),
+        ablation_rendezvous(),
     ))
 
 
-# Quick runs are too short: 150 round trips leave the blocking TCP row
-# outside its band and a 4-message burst cannot park five payloads.
 ARTEFACT = Artefact("ablations", _run, check_ablations_shape)

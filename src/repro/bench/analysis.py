@@ -93,8 +93,7 @@ def _chaos_window(bed: "SP2Testbed") -> FaultPlan:
 
 def chaos_scenario() -> LoadScenario:
     """Steady remote RPC with a mid-run flaky TCP window and UDP as the
-    failover method.  Mode-independent: one short run is cheap enough
-    that quick and full CI see the identical, tuned fault arc."""
+    failover method: one short run with a tuned fault arc."""
     return LoadScenario(
         name="analysis-chaos",
         fleets=(FleetSpec("rpc-remote", clients=6,
@@ -370,7 +369,4 @@ def check_analysis_shape(bench: AnalysisBench) -> None:
         "forwarding run should put traffic on the partition cut")
 
 
-# The analysis workload is mode-independent (one short, tuned run), so
-# the shape criteria hold in quick CI too.
-ARTEFACT = Artefact("analysis", analysis_bench, check_analysis_shape,
-                    check_quick=True)
+ARTEFACT = Artefact("analysis", analysis_bench, check_analysis_shape)

@@ -36,14 +36,13 @@ class Baselines:
 
 
 def _run(options: RunOptions) -> Baselines:
-    rounds = 10 if options.quick else 30
     results = {
-        "p4 (hard-coded)": run_mixed_workload("p4", rounds=rounds),
-        "pvm (daemon relay)": run_mixed_workload("pvm", rounds=rounds),
+        "p4 (hard-coded)": run_mixed_workload("p4"),
+        "pvm (daemon relay)": run_mixed_workload("pvm"),
     }
     for skip in (1, 20):
         results[f"nexus skip_poll={skip}"] = run_mixed_workload(
-            "nexus", rounds=rounds, skip_poll=skip)
+            "nexus", skip_poll=skip)
     return Baselines(results)
 
 
@@ -68,5 +67,4 @@ def check_baselines_shape(result: Baselines) -> None:
     assert pvm > tuned
 
 
-ARTEFACT = Artefact("baselines", _run, check_baselines_shape,
-                    check_quick=True)
+ARTEFACT = Artefact("baselines", _run, check_baselines_shape)

@@ -135,8 +135,7 @@ def check_figure4_shape(fig: Figure4) -> None:
 
 
 def _run(options: RunOptions) -> Figure4:
-    return figure4(roundtrips=30 if options.quick else 100)
+    return figure4()
 
 
-# Quick runs quantise too coarsely to assert shapes.
 ARTEFACT = Artefact("figure4", _run, check_figure4_shape)

@@ -122,7 +122,7 @@ def check_figure6_shape(fig: Figure6, *, tolerance: float = 0.15) -> None:
 
 
 def _run(options: RunOptions) -> Figure6:
-    return figure6(mpl_roundtrips=150 if options.quick else 400)
+    return figure6()
 
 
 ARTEFACT = Artefact("figure6", _run, check_figure6_shape)

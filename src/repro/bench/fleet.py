@@ -119,7 +119,7 @@ def fleet_scaling(options: RunOptions = RunOptions(),
     (the baseline)."""
     from .load import scenarios
 
-    base = scenarios(quick=options.quick)["steady"]
+    base = scenarios()["steady"]
     grid = ScenarioGrid(name="scale", base=base, factors=GRID_FACTORS)
     points: list[ScalingPoint] = []
     serial_wall: float | None = None
@@ -168,7 +168,6 @@ def check_fleet_shape(scaling: FleetScaling) -> None:
 
 
 # Opt-in: the fleet tier times multi-process scaling, which would
-# perturb — and be perturbed by — the rest of the suite.  The digest
-# gate is size-independent, so the check holds under --quick.
+# perturb — and be perturbed by — the rest of the suite.
 ARTEFACT = Artefact("fleet", fleet_scaling, check_fleet_shape,
-                    check_quick=True, default=False)
+                    default=False)

@@ -77,11 +77,10 @@ def _steady_fleets() -> tuple[FleetSpec, ...]:
     )
 
 
-def scenarios(quick: bool = False) -> dict[str, LoadScenario]:
+def scenarios() -> dict[str, LoadScenario]:
     """The scenario suite, keyed by record-friendly name."""
-    duration = 0.25 if quick else 0.5
     steady = LoadScenario(name="steady", fleets=_steady_fleets(),
-                          duration=duration, skip_poll=(("tcp", 4),))
+                          duration=0.5, skip_poll=(("tcp", 4),))
     bursty = dataclasses.replace(
         steady, name="bursty",
         fleets=(dataclasses.replace(
@@ -127,18 +126,14 @@ def slos() -> dict[str, SLO]:
     }
 
 
-def _capacity_base(quick: bool) -> LoadScenario:
-    return LoadScenario(
+def capacity_variants() -> dict[str, LoadScenario]:
+    base = LoadScenario(
         name="serving",
         fleets=(FleetSpec("rpc", clients=8, arrival=OpenLoop(rate=30.0),
                           sizes=FixedSize(1024), route="remote",
                           service_ops=SERVICE_OPS,
                           service_time=SERVICE_TIME_S),),
-        duration=0.2 if quick else 0.4)
-
-
-def capacity_variants(quick: bool = False) -> dict[str, LoadScenario]:
-    base = _capacity_base(quick)
+        duration=0.4)
     return {
         "untuned": dataclasses.replace(base, name="untuned"),
         "tuned-skip-poll": dataclasses.replace(
@@ -301,22 +296,19 @@ def validate_load_record(document: _t.Mapping[str, object]
 
 def load_bench(options: RunOptions = RunOptions()) -> LoadBench:
     """Run the whole load artefact (scenario suite + capacity search)."""
-    quick = options.quick
-    suite = scenarios(quick)
     budgets = slos()
     results: dict[str, LoadResult] = {}
     verdicts: dict[str, SLOVerdict] = {}
-    for name, scenario in suite.items():
+    for name, scenario in scenarios().items():
         result = run_scenario(scenario)
         results[name] = result
         verdicts[name] = evaluate(result, budgets[name])
 
     capacities: dict[str, CapacityResult] = {}
-    max_probes = 6 if quick else 9
-    for name, variant in capacity_variants(quick).items():
+    for name, variant in capacity_variants().items():
         capacities[name] = find_capacity(
             variant, CAPACITY_SLO, low=200.0, high=6000.0,
-            tolerance=0.05, max_probes=max_probes)
+            tolerance=0.05, max_probes=9)
 
     return LoadBench(results=results, verdicts=verdicts,
                      capacities=capacities)

@@ -21,10 +21,9 @@ The rediscovery claims the shape check asserts:
   winner the enumeration does;
 * both real partitioners beat the random baseline.
 
-The workload is mode-independent (one short profile plus a handful of
-bisection probes), so quick and full CI assert the identical shape, and
-the record is byte-identical at any ``REPRO_PLACE_JOBS`` level — the CI
-place-smoke job ``cmp``s serial against ``jobs=2``.
+The workload is one short profile plus a handful of bisection probes,
+and the record is byte-identical at any ``REPRO_PLACE_JOBS`` level — the
+CI place-smoke job ``cmp``s serial against ``jobs=2``.
 """
 
 from __future__ import annotations
@@ -326,8 +325,4 @@ def check_place_shape(bench: PlaceBench) -> None:
             f"beat random baseline {random_score:.6f}")
 
 
-# The placement workload is mode-independent (one short profile plus a
-# few bisection probes), so the §4.3-rediscovery shape criteria hold
-# in quick CI too.
-ARTEFACT = Artefact("place", place_bench, check_place_shape,
-                    check_quick=True)
+ARTEFACT = Artefact("place", place_bench, check_place_shape)

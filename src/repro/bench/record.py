@@ -6,10 +6,10 @@ schema-versioned document of scalar metrics, each named by the artefact
 result that yields it (``metrics()``) and tagged with a *kind* (``sim``
 virtual-time, ``count``, or ``wall`` clock) and a *direction*
 (lower/higher is better, or none) — plus an environment fingerprint
-(python version, platform, git SHA, quick/full mode).  Serialisation is
-sorted-key JSON; everything except ``wall`` metrics is deterministic,
-so two identical runs write byte-identical ``BENCH_<label>.json`` files
-(``wall`` metrics are excluded unless explicitly requested).
+(python version, platform, git SHA).  Serialisation is sorted-key JSON;
+everything except ``wall`` metrics is deterministic, so two identical
+runs write byte-identical ``BENCH_<label>.json`` files (``wall`` metrics
+are excluded unless explicitly requested).
 
 :func:`compare_records` is the regression gate: it diffs a current
 record against a stored baseline with per-kind tolerance bands — tight
@@ -34,7 +34,7 @@ from ..util.records import ResultTable
 
 #: Document identity; bump the version on any breaking layout change.
 SCHEMA = "repro.bench.record"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Deterministic virtual-time measurement (gated tightly).
 KIND_SIM = "sim"
@@ -92,7 +92,7 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def environment_fingerprint(*, quick: bool = False) -> dict[str, str]:
+def environment_fingerprint() -> dict[str, str]:
     """Where this record came from (stable within one checkout+machine)."""
     return {
         "python": platform.python_version(),
@@ -100,7 +100,6 @@ def environment_fingerprint(*, quick: bool = False) -> dict[str, str]:
         "platform": sys.platform,
         "machine": platform.machine(),
         "git_sha": git_sha(),
-        "mode": "quick" if quick else "full",
     }
 
 
@@ -112,10 +111,9 @@ class BenchRecord:
     writes the document out.
     """
 
-    def __init__(self, label: str = "adhoc", *, quick: bool = False):
+    def __init__(self, label: str = "adhoc"):
         self.label = label
-        self.quick = quick
-        self.environment = environment_fingerprint(quick=quick)
+        self.environment = environment_fingerprint()
         self._artefacts: dict[str, dict[str, Metric]] = {}
 
     def add(self, artefact: str, name: str, value: float, *,
@@ -205,7 +203,7 @@ def _validate(doc: _t.Mapping[str, _t.Any],
     _check(isinstance(doc.get("label"), str), "label must be a string")
     environment = doc.get("environment")
     _check(isinstance(environment, dict), "environment section missing")
-    for field in ("python", "platform", "machine", "git_sha", "mode"):
+    for field in ("python", "platform", "machine", "git_sha"):
         _check(isinstance(_t.cast(dict, environment).get(field), str),
                f"environment.{field} missing")
     artefacts = doc.get("artefacts")
@@ -230,8 +228,7 @@ def _validate(doc: _t.Mapping[str, _t.Any],
             metric_count += 1
     summary: dict[str, object] = {
         "artefacts": len(_t.cast(dict, artefacts)),
-        "metrics": metric_count,
-        "mode": _t.cast(dict, environment)["mode"]}
+        "metrics": metric_count}
     if "load" in _t.cast(dict, artefacts):
         from .load import validate_load_record  # it imports Metric from here
         summary.update(validate_load_record(doc))
@@ -321,23 +318,6 @@ class ComparisonResult:
         return "\n".join(lines)
 
 
-def require_same_mode(baseline: dict[str, object], mode: str) -> None:
-    """Refuse a baseline recorded at another workload size.
-
-    A ``--quick`` run against a full-size baseline (or the reverse)
-    diffs as a table of regressions that are nothing of the kind.
-    """
-    recorded = _t.cast(dict, baseline["environment"])["mode"]
-    if recorded != mode:
-        fix = ("record a --quick baseline or drop --quick"
-               if mode == "quick"
-               else "record a full-size baseline or pass --quick")
-        raise ValueError(
-            f"baseline was recorded in mode={recorded!r}, this run is "
-            f"mode={mode!r} — deltas are not meaningful across workload "
-            f"sizes; {fix}")
-
-
 def _flat_metrics(document: dict[str, object]
                   ) -> dict[tuple[str, str], dict[str, object]]:
     flat: dict[tuple[str, str], dict[str, object]] = {}
@@ -401,15 +381,17 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
     * a metric present in the baseline but missing from the current
       record is a regression; artefacts that were not run at all are
       skipped with a warning (so subset runs stay useful);
-    * records of different modes are refused (:func:`require_same_mode`).
+    * ``trace.*`` metrics describe the traced run, not the artefact: a
+      current record with none at all (no ``--trace``, or ``--jobs``
+      above 1) is an untraced run, and the baseline's are not missing
+      from it.
     """
-    require_same_mode(baseline,
-                      _t.cast(dict, current["environment"])["mode"])
     warnings: list[str] = []
 
     base_flat = _flat_metrics(baseline)
     cur_flat = _flat_metrics(current)
     cur_artefacts = {artefact for artefact, _name in cur_flat}
+    traced = any(name.startswith("trace.") for _artefact, name in cur_flat)
     skipped = sorted({artefact for artefact, _name in base_flat}
                      - cur_artefacts)
     if skipped:
@@ -430,8 +412,9 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
                 direction=_t.cast(str, cur["direction"]),
                 rel_change=None, status=STATUS_NEW))
         elif cur is None:
-            if artefact in cur_artefacts and _t.cast(
-                    str, base.get("kind")) != KIND_WALL:
+            if (artefact in cur_artefacts
+                    and _t.cast(str, base.get("kind")) != KIND_WALL
+                    and (traced or not name.startswith("trace."))):
                 diffs.append(MetricDiff(
                     artefact=artefact, name=name,
                     baseline=_t.cast(float, base["value"]), current=None,
@@ -469,6 +452,5 @@ __all__ = [
     "environment_fingerprint",
     "git_sha",
     "load_record",
-    "require_same_mode",
     "slug",
 ]

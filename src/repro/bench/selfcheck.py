@@ -25,16 +25,14 @@ from ..obs.validate import validate_file
 HASH_SEEDS = ("1", "2")
 
 
-def _launch(directory: str, hash_seed: str, artefacts: _t.Sequence[str],
-            quick: bool) -> subprocess.Popen:
+def _launch(directory: str, hash_seed: str,
+            artefacts: _t.Sequence[str]) -> subprocess.Popen:
     """Start one run; its transcript goes to ``<directory>.log``."""
     os.makedirs(directory)
     command = [sys.executable, "-m", "repro.bench", *artefacts,
                "--record", os.path.join(directory, "record.json"),
                "--trace", os.path.join(directory, "trace.json"),
                "--export-dir", os.path.join(directory, "export")]
-    if quick:
-        command.append("--quick")
     # The children must import the same source tree as this process.
     source_root = str(pathlib.Path(__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
@@ -70,11 +68,11 @@ def _first_problem(first: str, second: str) -> str | None:
     return None
 
 
-def selfcheck(artefacts: _t.Sequence[str], *, quick: bool) -> int:
+def selfcheck(artefacts: _t.Sequence[str]) -> int:
     """Exit code 0 when both runs wrote identical, valid files."""
     with tempfile.TemporaryDirectory(prefix="repro-selfcheck-") as top:
         runs = [os.path.join(top, f"hashseed-{seed}") for seed in HASH_SEEDS]
-        children = [_launch(directory, seed, artefacts, quick)
+        children = [_launch(directory, seed, artefacts)
                     for directory, seed in zip(runs, HASH_SEEDS)]
         for child, directory, seed in zip(children, runs, HASH_SEEDS):
             if child.wait() != 0:

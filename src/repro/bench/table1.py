@@ -158,9 +158,7 @@ def check_table1_shape(table: Table1) -> None:
 
 
 def _run(options: RunOptions) -> Table1:
-    config = (dataclasses.replace(ClimateConfig(), steps=2)
-              if options.quick else None)
-    return table1(config=config)
+    return table1()
 
 
 ARTEFACT = Artefact("table1", _run, check_table1_shape)

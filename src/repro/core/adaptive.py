@@ -12,8 +12,8 @@ finds and steers ``skip_poll`` between configured bounds:
   sharply (multiplicative decrease).
 
 The increase/decrease asymmetry (slow ramp, fast backoff) is the classic
-control shape for this trade-off; the ablation benchmark
-(:mod:`benchmarks.bench_ablations`) shows it landing near the statically
+control shape for this trade-off; the ablations artefact
+(``python -m repro.bench ablations``) shows it landing near the statically
 tuned optimum on the dual ping-pong workload without manual tuning.
 """
 

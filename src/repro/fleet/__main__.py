@@ -5,7 +5,7 @@ Usage::
     python -m repro.fleet --seeds 4 --jobs 2 --out merged.json
     python -m repro.fleet --rates 200,400,800 --jobs 4 \\
         --stream-dir spools --out merged.json
-    python -m repro.fleet --scenario bursty --factors 0.5,1,2 --quick
+    python -m repro.fleet --scenario bursty --factors 0.5,1,2
 
 One plan per invocation: ``--seeds N`` replicates the scenario across
 derived seed substreams, ``--rates``/``--factors`` sweep a grid.  The
@@ -37,7 +37,8 @@ def _parse_floats(text: str, *, flag: str) -> tuple[float, ...]:
     return values
 
 
-def main(argv: _t.Sequence[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line, as ``main`` parses it."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet",
         description="Fan a load-scenario plan across worker processes "
@@ -58,14 +59,17 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                              "factors")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (1 = in-process serial)")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced scenario durations")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the merged summary document here "
                              "(sorted-key JSON)")
     parser.add_argument("--stream-dir", metavar="DIR", default=None,
                         help="spool each task's spans under DIR/<key> "
                              "and write DIR's merged stream manifest")
+    return parser
+
+
+def main(argv: _t.Sequence[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
@@ -80,7 +84,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     from ..bench.load import scenarios
 
-    suite = scenarios(quick=args.quick)
+    suite = scenarios()
     base = suite.get(args.scenario)
     if base is None:
         parser.error(f"unknown scenario {args.scenario!r}; choose from "

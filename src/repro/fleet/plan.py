@@ -126,13 +126,11 @@ class BenchFanout:
     """
 
     artefacts: tuple[str, ...]
-    quick: bool = False
 
     def tasks(self) -> tuple[FleetTask, ...]:
         return tuple(
             FleetTask(key=f"bench/{index:02d}-{name}",
-                      runner="bench.artefact",
-                      payload={"name": name, "quick": self.quick})
+                      runner="bench.artefact", payload={"name": name})
             for index, name in enumerate(self.artefacts))
 
 

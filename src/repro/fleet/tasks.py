@@ -124,8 +124,7 @@ class BenchArtefactResult:
 
 
 @register_runner("bench.artefact")
-def run_bench_artefact_task(name: str, quick: bool = False
-                            ) -> BenchArtefactResult:
+def run_bench_artefact_task(name: str) -> BenchArtefactResult:
     """Run one ``python -m repro.bench`` artefact in this worker.
 
     The rendered text travels back as ``stdout`` (the parent replays it
@@ -135,7 +134,7 @@ def run_bench_artefact_task(name: str, quick: bool = False
     from ..bench import RunOptions, artefact
 
     started = time.perf_counter()
-    result, text = artefact(name).execute(RunOptions(quick=quick))
+    result, text = artefact(name).execute(RunOptions())
     return BenchArtefactResult(
         name=name,
         stdout=text + "\n",

@@ -3,7 +3,7 @@
 The benchmark harness reports results the way the paper does: numbered
 table rows (Table 1) and (x, y) series per configuration (Figures 4 and 6).
 :class:`ResultTable` and :class:`Series` are the common currency between
-experiment drivers (:mod:`repro.bench`), the pytest benchmarks, and
+experiment drivers (:mod:`repro.bench`), ``python -m repro.bench`` and
 EXPERIMENTS.md.
 """
 

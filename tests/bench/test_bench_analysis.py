@@ -68,7 +68,7 @@ class TestExports:
 
 class TestRecording:
     def test_record_covers_every_surface(self, bench):
-        record = BenchRecord(label="x", quick=True)
+        record = BenchRecord(label="x")
         record.extend("analysis", bench[0].metrics())
         metrics = record.to_document()["artefacts"]["analysis"]["metrics"]
         assert metrics["chaos.slo_passed"]["value"] == 1
@@ -85,12 +85,11 @@ def test_options_do_not_outlive_a_call(tmp_path, capsys):
     ``main()`` never reset, so a later run in the same process re-wrote
     the earlier run's directory."""
     exports = tmp_path / "exports"
-    assert bench_main(["analysis", "--quick",
-                       "--export-dir", str(exports)]) == 0
+    assert bench_main(["analysis", "--export-dir", str(exports)]) == 0
     written = sorted(path.name for path in exports.iterdir())
     assert written == ["critpath.json", "graph.dot", "graph.json",
                        "timeline.json"]
     for path in exports.iterdir():
         path.unlink()
-    assert bench_main(["analysis", "--quick"]) == 0
+    assert bench_main(["analysis"]) == 0
     assert list(exports.iterdir()) == []

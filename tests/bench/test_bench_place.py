@@ -70,7 +70,7 @@ class TestExports:
 
 class TestRecording:
     def test_record_covers_every_surface(self, bench):
-        record = BenchRecord(label="x", quick=True)
+        record = BenchRecord(label="x")
         record.extend("place", bench[0].metrics())
         metrics = record.to_document()["artefacts"]["place"]["metrics"]
         assert metrics["best.is_forwarding"]["value"] == 1

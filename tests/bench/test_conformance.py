@@ -19,16 +19,9 @@ from repro.util.document import check, dumps
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
 #: Artefacts cheap enough to build in tier-1 (``bench_result`` shares
-#: them with the per-artefact test modules), and the committed baseline
-#: that carries each one's section.
-BUILT = {
-    "figure4": "BENCH_quick_baseline.json",
-    "baselines": "BENCH_quick_baseline.json",
-    "chaos": "BENCH_quick_baseline.json",
-    "analysis": "BENCH_quick_baseline.json",
-    "load": "BENCH_load_baseline.json",
-    "place": "BENCH_quick_baseline.json",
-}
+#: them with the per-artefact test modules); the committed baseline
+#: carries each one's section.
+BUILT = ("figure4", "baselines", "chaos", "analysis", "load", "place")
 
 
 @pytest.mark.parametrize("name", ARTEFACTS)
@@ -43,11 +36,11 @@ def test_unknown_names_are_refused():
     with pytest.raises(LookupError, match="unknown bench artefact"):
         artefact("figure5")
     with pytest.raises(LookupError, match="unknown bench artefact"):
-        resolve_runner("bench.artefact")("figure5", quick=True)
+        resolve_runner("bench.artefact")("figure5")
 
 
 def test_fleet_runner_goes_through_the_table(bench_result):
-    shipped = resolve_runner("bench.artefact")("baselines", quick=True)
+    shipped = resolve_runner("bench.artefact")("baselines")
     assert shipped.name == "baselines"
     assert shipped.metrics == tuple(bench_result("baselines").metrics())
     assert shipped.stdout == (bench_result("baselines").render()
@@ -60,7 +53,7 @@ def test_only_the_fleet_tier_is_opt_in():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(BENCHMARKS.glob("BENCH_*_baseline.json")),
+    "path", sorted(BENCHMARKS.glob("*.json")),
     ids=lambda path: path.name)
 def test_committed_baseline_loads(path):
     # The gate's own door, load-tier completeness rule included: a
@@ -69,7 +62,7 @@ def test_committed_baseline_loads(path):
 
 
 def _populated(name, result):
-    record = BenchRecord("conformance", quick=True)
+    record = BenchRecord("conformance")
     record.extend(name, result.metrics())
     return record
 
@@ -88,7 +81,8 @@ class TestBuilt:
         check(json.loads(one))
 
     def test_metric_set_matches_baseline(self, name, bench_result):
-        document = json.loads((BENCHMARKS / BUILT[name]).read_text())
+        document = json.loads(
+            (BENCHMARKS / "BENCH_baseline.json").read_text())
         committed = {
             (metric, body["unit"], body["kind"], body["direction"])
             for metric, body in

@@ -19,7 +19,7 @@ from repro.util.document import DocumentError, check, dumps
 
 def small_record(label="test"):
     """A record populated from a tiny (deterministic) real workload."""
-    record = BenchRecord(label, quick=True)
+    record = BenchRecord(label)
     results = {"nexus skip_poll=1": run_mixed_workload("nexus", rounds=2)}
     record.extend("baselines", Baselines(results).metrics())
     record.add("baselines", "wall_s", 0.123, unit="s", kind="wall")
@@ -31,13 +31,12 @@ def small_record(label="test"):
 class TestBenchRecord:
     def test_document_validates(self):
         _schema, summary = check(small_record().to_document())
-        assert summary["artefacts"] == 1
-        assert summary["mode"] == "quick"
+        assert summary == {"artefacts": 1, "metrics": 2}
 
     def test_environment_fingerprint_fields(self):
         env = small_record().to_document()["environment"]
         assert set(env) == {"python", "implementation", "platform",
-                            "machine", "git_sha", "mode"}
+                            "machine", "git_sha"}
 
     def test_metric_names_are_slugged(self):
         metrics = small_record().metrics("baselines")
@@ -188,20 +187,35 @@ class TestCompareRecords:
 
     def test_unrun_artefact_skipped_with_warning(self):
         baseline = small_record().to_document()
-        current = BenchRecord("test", quick=True)
+        current = BenchRecord("test")
         current.add("figure4", "some.metric_us", 1.0, unit="us")
         comparison = compare_records(baseline, current.to_document())
         assert comparison.ok
         assert any("skipped" in w for w in comparison.warnings)
 
-    def test_mode_mismatch_refused(self):
-        baseline = small_record().to_document()
-        current = copy.deepcopy(baseline)
-        current["environment"]["mode"] = "full"
-        with pytest.raises(ValueError) as caught:
-            compare_records(baseline, current)
-        assert "'quick'" in str(caught.value)
-        assert "'full'" in str(caught.value)
+    def test_untraced_run_against_traced_baseline_passes(self):
+        # trace.* describe the traced run: a record made without
+        # --trace (or at --jobs 2) is not missing them.
+        traced = small_record()
+        traced.add("baselines", "trace.spans", 500.0, unit="spans",
+                   kind="count")
+        comparison = compare_records(traced.to_document(),
+                                     small_record().to_document())
+        assert comparison.ok
+        assert all(not d.name.startswith("trace.") for d in comparison.diffs)
+
+    def test_missing_trace_metric_gates_in_a_traced_run(self):
+        baseline = small_record()
+        current = small_record()
+        for record in (baseline, current):
+            record.add("baselines", "trace.runtimes", 4.0,
+                       unit="runtimes", kind="count")
+        baseline.add("baselines", "trace.spans", 500.0, unit="spans",
+                     kind="count")
+        comparison = compare_records(baseline.to_document(),
+                                     current.to_document())
+        assert [(d.label, d.status) for d in comparison.regressions] == [
+            ("baselines.trace.spans", "missing")]
 
 
 class TestBenchCli:
@@ -209,24 +223,24 @@ class TestBenchCli:
 
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("record") / "BENCH_quick.json"
+        path = tmp_path_factory.mktemp("record") / "BENCH.json"
         assert bench_main(
-            ["baselines", "--quick", "--record", str(path)]) == 0
+            ["baselines", "--record", str(path)]) == 0
         return path
 
     def test_record_file_validates(self, recorded):
         document = load_record(str(recorded))
-        assert document["label"] == "quick"
+        assert document["label"] == "bench"
         assert "baselines" in document["artefacts"]
 
     def test_record_is_byte_deterministic(self, recorded, tmp_path):
         again = tmp_path / "BENCH_again.json"
         assert bench_main(
-            ["baselines", "--quick", "--record", str(again)]) == 0
+            ["baselines", "--record", str(again)]) == 0
         assert again.read_bytes() == recorded.read_bytes()
 
     def test_check_passes_against_own_record(self, recorded):
-        assert bench_main(["baselines", "--quick", "--baseline",
+        assert bench_main(["baselines", "--baseline",
                            str(recorded), "--check"]) == 0
 
     def test_check_fails_against_perturbed_copy(self, recorded, tmp_path,
@@ -236,28 +250,36 @@ class TestBenchCli:
         document["artefacts"]["baselines"]["metrics"][name]["value"] *= 0.5
         perturbed = tmp_path / "perturbed.json"
         perturbed.write_text(json.dumps(document))
-        assert bench_main(["baselines", "--quick", "--baseline",
+        assert bench_main(["baselines", "--baseline",
                            str(perturbed), "--check"]) == 1
         out = capsys.readouterr().out
         assert f"baselines.{name}" in out
         assert "regressed" in out
 
-    def test_check_refuses_other_mode_baseline(self, recorded, capsys):
-        # Full-size run against the quick record: refused up front.
-        assert bench_main(["baselines", "--baseline", str(recorded),
+    def test_check_refuses_older_schema_baseline(self, recorded, tmp_path,
+                                                 capsys):
+        # A version-1 record (it carried environment.mode): refused up
+        # front, naming both versions.
+        document = json.loads(recorded.read_text())
+        document["schema_version"] = 1
+        document["environment"]["mode"] = "full"
+        older = tmp_path / "BENCH_v1.json"
+        older.write_text(json.dumps(document))
+        assert bench_main(["baselines", "--baseline", str(older),
                            "--check"]) == 2
         captured = capsys.readouterr()
         assert "=== baselines" not in captured.out
-        for needle in (str(recorded), "'quick'", "'full'", "--quick"):
+        for needle in (str(older), "schema_version is 1",
+                       f"reads {record_mod.SCHEMA_VERSION}"):
             assert needle in captured.err
 
     def test_check_requires_baseline(self, capsys):
         with pytest.raises(SystemExit):
-            bench_main(["baselines", "--quick", "--check"])
+            bench_main(["baselines", "--check"])
 
     def test_record_wall_included_on_request(self, tmp_path):
         path = tmp_path / "BENCH_wall.json"
-        assert bench_main(["baselines", "--quick", "--record", str(path),
+        assert bench_main(["baselines", "--record", str(path),
                            "--record-wall"]) == 0
         document = load_record(str(path))
         assert "wall_s" in document["artefacts"]["baselines"]["metrics"]

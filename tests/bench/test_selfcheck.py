@@ -7,7 +7,7 @@ from repro.bench.selfcheck import _first_problem
 
 
 def test_selfcheck_passes_on_a_deterministic_artefact(capsys):
-    assert bench_main(["--selfcheck", "--quick", "baselines"]) == 0
+    assert bench_main(["--selfcheck", "baselines"]) == 0
     out = capsys.readouterr().out
     assert "baselines: 2 files byte-identical and valid" in out
     assert "PYTHONHASHSEED 1 / 2" in out
@@ -24,7 +24,7 @@ def twins(tmp_path):
     """Two run directories holding the same valid record."""
     from repro.bench.record import BenchRecord
 
-    record = BenchRecord("twin", quick=True)
+    record = BenchRecord("twin")
     record.add("a", "m", 1.0)
     for name in ("one", "two"):
         (tmp_path / name / "export").mkdir(parents=True)

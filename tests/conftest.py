@@ -44,14 +44,15 @@ def bench_exports(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def bench_result(bench_exports):
-    """``bench_result(name)``: that artefact's ``--quick`` result, built
-    once per session and shared by every test that inspects it."""
+    """``bench_result(name)``: that artefact's result, as
+    ``python -m repro.bench`` builds it, built once per session and
+    shared by every test that inspects it."""
     cache = {}
 
     def build(name):
         if name not in cache:
             cache[name] = artefact(name).run(RunOptions(
-                quick=True, export_dir=str(bench_exports / name)))
+                export_dir=str(bench_exports / name)))
         return cache[name]
 
     return build

@@ -6,6 +6,8 @@ fleet tier — each one asserts byte equality between a serial run and a
 parallel run of the same plan.
 """
 
+import dataclasses
+
 from repro.bench.record import BenchRecord
 from repro.fleet import (
     BenchFanout,
@@ -46,13 +48,13 @@ class TestGridDeterminism:
 
 class TestBenchFanoutDeterminism:
     def test_merged_records_byte_identical(self):
-        plan = BenchFanout(artefacts=("figure4", "table1"), quick=True)
+        plan = BenchFanout(artefacts=("baselines", "analysis"))
         serial = run_plan(plan, jobs=1)
         pooled = run_plan(plan, jobs=2)
 
-        record_a = BenchRecord("fleet", quick=True)
+        record_a = BenchRecord("fleet")
         merged_a = merge_bench_outcomes(record_a, serial.outcomes)
-        record_b = BenchRecord("fleet", quick=True)
+        record_b = BenchRecord("fleet")
         merged_b = merge_bench_outcomes(record_b, pooled.outcomes)
 
         # The record documents (what --record writes) match bytewise.
@@ -75,7 +77,8 @@ class TestSpeculativeCapacity:
         kwargs = dict(low=200.0, high=6000.0, tolerance=0.05, max_probes=6)
         # The caller's own pool, narrower than the speculation width.
         with FleetPool(2, name="explicit") as pool:
-            for name, variant in capacity_variants(quick=True).items():
+            for name, variant in capacity_variants().items():
+                variant = dataclasses.replace(variant, duration=0.2)
                 serial = find_capacity(variant, CAPACITY_SLO, **kwargs)
                 parallel = find_capacity(variant, CAPACITY_SLO,
                                          parallel=4, pool=pool, **kwargs)

@@ -1,5 +1,6 @@
 """The bench load artefact: recording, validation, CLI wiring."""
 
+import dataclasses
 import json
 
 import pytest
@@ -20,11 +21,12 @@ from repro.obs.validate import validate_file
 @pytest.fixture(scope="module")
 def bench():
     """A LoadBench from one tiny real run."""
-    scenario = scenarios(quick=True)["steady"]
+    scenario = dataclasses.replace(scenarios()["steady"], duration=0.25)
     result = run_scenario(scenario)
     verdict = evaluate(result, slos()["steady"])
     capacity = find_capacity(
-        capacity_variants(quick=True)["untuned"], CAPACITY_SLO,
+        dataclasses.replace(capacity_variants()["untuned"], duration=0.2),
+        CAPACITY_SLO,
         low=100.0, high=400.0, tolerance=0.3, max_probes=3)
     return LoadBench(results={"steady": result},
                      verdicts={"steady": verdict},
@@ -33,16 +35,10 @@ def bench():
 
 class TestSuiteDefinitions:
     def test_every_scenario_has_an_slo(self):
-        assert set(scenarios(quick=True)) == set(slos())
-
-    def test_quick_mode_shrinks_duration_only(self):
-        quick = scenarios(quick=True)["steady"]
-        full = scenarios(quick=False)["steady"]
-        assert quick.duration < full.duration
-        assert quick.fleets == full.fleets
+        assert set(scenarios()) == set(slos())
 
     def test_capacity_variants_differ_only_in_tuning(self):
-        variants = capacity_variants(quick=True)
+        variants = capacity_variants()
         assert set(variants) == {"untuned", "tuned-skip-poll",
                                  "forwarding"}
         assert variants["untuned"].skip_poll == ()
@@ -54,7 +50,7 @@ class TestSuiteDefinitions:
 
 class TestRecordLoad:
     def test_record_round_trips_through_validator(self, bench, tmp_path):
-        record = BenchRecord("load-test", quick=True)
+        record = BenchRecord("load-test")
         record.extend("load", bench.metrics())
         path = tmp_path / "BENCH_load.json"
         record.write(str(path))
@@ -64,7 +60,7 @@ class TestRecordLoad:
         assert summary["capacity_searches"] == 1
 
     def test_validator_rejects_incomplete_scenario(self, bench, tmp_path):
-        record = BenchRecord("load-test", quick=True)
+        record = BenchRecord("load-test")
         record.extend("load", bench.metrics())
         path = tmp_path / "bad.json"
         record.write(str(path))
@@ -75,7 +71,7 @@ class TestRecordLoad:
 
     def test_validator_rejects_delivered_over_offered(self, bench,
                                                       tmp_path):
-        record = BenchRecord("load-test", quick=True)
+        record = BenchRecord("load-test")
         record.extend("load", bench.metrics())
         path = tmp_path / "bad.json"
         record.write(str(path))
@@ -92,15 +88,21 @@ class TestRecordLoad:
 
 
 class TestCLI:
-    def test_bench_cli_runs_load_quick(self, capsys, tmp_path):
+    def test_bench_cli_runs_load(self, bench_result, monkeypatch, capsys,
+                                 tmp_path):
+        from repro.bench import load as load_module
         from repro.bench.__main__ import main as bench_main
 
+        # The CLI's wiring over the session's one load run, not a second.
+        result = bench_result("load")
+        monkeypatch.setattr(load_module, "ARTEFACT", dataclasses.replace(
+            load_module.ARTEFACT, run=lambda options: result))
         path = tmp_path / "out.json"
-        assert bench_main(["load", "--quick", "--record",
-                           str(path)]) == 0
+        assert bench_main(["load", "--record", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Load scenarios under SLO" in out
         assert "capacity" in out.lower()
+        assert "shape: OK" in out
         kind, summary = validate_file(str(path))
         assert kind.id == "repro.bench.record"
         assert summary["load_scenarios"] == 3

@@ -143,10 +143,14 @@ class TestReduceAllreduce:
         (bed, world), n = sized_world
 
         def body(proc):
-            value = yield from proc.allreduce(proc.rank, "sum")
-            return value
+            totals = []
+            for i in range(10):  # back to back: no round bleeds into the next
+                value = yield from proc.allreduce(proc.rank + i, "sum")
+                totals.append(value)
+            return totals
 
-        assert run_spmd(bed, world, body) == [sum(range(n))] * n
+        assert run_spmd(bed, world, body) == [
+            [sum(range(n)) + n * i for i in range(10)]] * n
 
 
 class TestGatherScatter:

@@ -12,7 +12,7 @@ from repro.obs.validate import main as validate_main
 def fresh_trace(tmp_path_factory):
     """A trace written by the real ``--trace`` code path."""
     path = tmp_path_factory.mktemp("trace") / "trace.json"
-    assert bench_main(["baselines", "--quick", "--trace", str(path)]) == 0
+    assert bench_main(["baselines", "--trace", str(path)]) == 0
     return path
 
 
@@ -66,7 +66,7 @@ class TestSchemaDispatch:
         from repro.fleet.__main__ import main as fleet_main
 
         path = tmp_path / "merged.json"
-        assert fleet_main(["--factors", "0.5,1", "--quick", "--jobs", "1",
+        assert fleet_main(["--factors", "0.5,1", "--jobs", "1",
                            "--out", str(path)]) == 0
         capsys.readouterr()
         assert validate_main([str(path)]) == 0

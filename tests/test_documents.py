@@ -56,7 +56,7 @@ def samples(bench_result, bench_exports, tmp_path_factory):
     root = tmp_path_factory.mktemp("documents")
     bench_result("analysis")
     bench_result("place")
-    record = BenchRecord("documents", quick=True)
+    record = BenchRecord("documents")
     record.extend("baselines", bench_result("baselines").metrics())
     record.write(str(root / "record.json"))
 
