@@ -52,10 +52,12 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from ..obs.metrics import COUNT_BUCKETS
 from ..simnet.events import Event
 from .errors import PollingError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import Histogram
     from ..simnet.resources import Store
     from ..transports.base import Transport, WireMessage
     from .context import Context
@@ -87,12 +89,13 @@ class _Lane:
     is built.  Of ``queue`` and ``inbox`` one is set, by the transport's
     delivery model (a method that drains a device queue never sees its
     inbox, and the other way round): the context's own container for
-    the method, never rebound.
+    the method, never rebound.  ``batch`` is the method's ``poll_batch``
+    histogram, resolved the first time a traced poll fires it.
     """
 
     __slots__ = ("method", "transport", "cost", "steals", "k", "count",
                  "fires", "poll_time", "messages", "queue", "inbox",
-                 "observer")
+                 "observer", "batch")
 
     def __init__(self, context: "Context", method: str):
         self.method = method
@@ -110,6 +113,7 @@ class _Lane:
         self.queue = context.device_queue(method) if drains else None
         self.inbox = None if drains else context.inbox(method)
         self.observer: PollObserver | None = None
+        self.batch: "Histogram | None" = None
 
 
 @dataclasses.dataclass
@@ -425,7 +429,11 @@ class PollManager:
         lane.messages += found
         obs = context.nexus.obs
         if obs.enabled:
-            obs.note_poll_batch(lane.method, found)
+            batch = lane.batch
+            if batch is None:
+                batch = lane.batch = obs.metrics.histogram(
+                    "poll_batch", COUNT_BUCKETS, method=lane.method)
+            batch.observe(float(found))
         return messages
 
     @staticmethod

@@ -41,6 +41,15 @@ def _label_key(labels: _t.Mapping[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def validated_bounds(bounds: _t.Sequence[float]) -> tuple[float, ...]:
+    """``bounds`` as a tuple of floats; ``ValueError`` unless strictly
+    increasing."""
+    if list(bounds) != sorted(set(bounds)):
+        raise ValueError(f"histogram bounds must be strictly "
+                         f"increasing, got {bounds!r}")
+    return tuple(float(b) for b in bounds)
+
+
 class Counter:
     """A monotonically increasing count."""
 
@@ -92,13 +101,23 @@ class Histogram:
 
     def __init__(self, name: str, labels: LabelItems,
                  bounds: _t.Sequence[float]):
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError(f"histogram bounds must be strictly "
-                             f"increasing, got {bounds!r}")
+        self._fill(name, labels, validated_bounds(bounds))
+
+    @classmethod
+    def trusted(cls, name: str, labels: LabelItems,
+                bounds: tuple[float, ...]) -> "Histogram":
+        """An empty histogram over ``bounds`` that the caller already
+        passed through :func:`validated_bounds` (shared, not copied)."""
+        hist = cls.__new__(cls)
+        hist._fill(name, labels, bounds)
+        return hist
+
+    def _fill(self, name: str, labels: LabelItems,
+              bounds: tuple[float, ...]) -> None:
         self.name = name
         self.labels = labels
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)  # +1: overflow
+        self.bounds = bounds
+        self.counts = [0] * (len(bounds) + 1)  # +1: overflow
         self.count = 0
         self.total = 0.0
         self.min_value: float | None = None
@@ -126,7 +145,8 @@ class Histogram:
         cumulative = 0
         for bound, bucket in zip(self.bounds, self.counts):
             cumulative += bucket
-            if cumulative >= target:
+            # ``cumulative`` > 0: q = 0 names the first non-empty bucket.
+            if cumulative >= target and cumulative:
                 return bound
         return self.max_value
 

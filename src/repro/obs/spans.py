@@ -34,16 +34,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from .metrics import COUNT_BUCKETS, LATENCY_BUCKETS_US, MetricsRegistry
-from .timeline import (
-    KEY_ALL,
-    SERIES_DELIVERED,
-    SERIES_DROPPED,
-    SERIES_ISSUED,
-    SERIES_LATENCY,
-    SERIES_PHASE,
-    Timeline,
-)
+from .metrics import LATENCY_BUCKETS_US, Histogram, MetricsRegistry
+from .timeline import Column, Timeline
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..simnet.engine import Simulator
@@ -181,8 +173,7 @@ class MessageTrace:
         obs._counter_handle("rsr_dropped", self.lane).inc()
         timeline = obs.timeline
         if timeline is not None:
-            timeline.inc(SERIES_DROPPED, f"method={self.lane}",
-                         obs.sim.now)
+            timeline.dropped_column(self.lane).extend((obs.sim.now, 1.0))
         self.current = None
         sink = obs._sink
         if sink is not None:
@@ -233,22 +224,18 @@ class MessageTrace:
         self.current = None
         obs.rsrs_finished += 1
         lane = self.lane
-        hist = obs._latency_hist.get(lane)
-        if hist is None:
-            hist = obs.metrics.histogram(
-                "rsr_latency_us", LATENCY_BUCKETS_US, method=lane)
-            obs._latency_hist[lane] = hist
+        slot = obs._lane_slots.get(lane)
+        if slot is None:
+            slot = obs._lane_slot(lane)
+        hist, latency, latency_all, delivered = slot
         latency_us = (now - self.issued_at) * 1e6
         hist.observe(latency_us)
-        timeline = obs.timeline
-        if timeline is not None:
-            method_key = f"method={lane}"
-            timeline.observe(SERIES_LATENCY, method_key, now, latency_us)
-            timeline.observe(SERIES_LATENCY, KEY_ALL, now, latency_us)
-            timeline.inc(SERIES_DELIVERED, method_key, now)
+        if latency is not None:
+            latency.extend((now, latency_us))
+            latency_all.extend((now, latency_us))
+            delivered.extend((now, 1.0))
             if span is not None:
-                timeline.inc(SERIES_DELIVERED,
-                             f"rank={timeline.rank_of(span.ctx)}", now)
+                obs.timeline.rank_column(span.ctx).extend((now, 1.0))
         if self.hops:
             obs._counter_handle("rsr_forwarded", lane).inc()
         sink = obs._sink
@@ -273,6 +260,8 @@ class Observability:
         self.enabled = enabled
         self.metrics = MetricsRegistry()
         self.spans: list[Span] = []
+        #: ``len(spans)``, kept as a count on the in-memory path.
+        self._kept = 0
         #: Spans discarded after hitting ``max_spans`` (never silent:
         #: surfaced by reports and exports).
         self.dropped_spans = 0
@@ -300,14 +289,18 @@ class Observability:
         # lookup sorts a label tuple per call, which is measurable when a
         # traced run closes a span per lifecycle phase per message.  The
         # label sets here are tiny (phases × lanes), so plain dicts keyed
-        # on the raw values resolve each handle once.
-        self._phase_hist: dict[tuple[str, str], object] = {}
-        self._latency_hist: dict[str, object] = {}
-        self._batch_hist: dict[str, object] = {}
+        # on the raw values resolve each handle once — together with the
+        # timeline columns the same event appends to (``None`` while no
+        # timeline is attached).
+        self._phase_slots: dict[tuple[str, str],
+                                tuple[Histogram, Column | None]] = {}
+        self._lane_slots: dict[str, tuple[Histogram, Column | None,
+                                          Column | None,
+                                          Column | None]] = {}
+        self._issued: Column | None = None
         self._counters: dict[tuple[str, str], object] = {}
         #: Optional windowed telemetry (attach with :meth:`enable_timeline`).
         self.timeline: Timeline | None = None
-        self._phase_tl_keys: dict[tuple[str, str], str] = {}
 
     def enable_timeline(self, interval: float, *,
                         bounds: _t.Sequence[float] = LATENCY_BUCKETS_US
@@ -315,12 +308,42 @@ class Observability:
         """Attach a fixed-interval :class:`~repro.obs.timeline.Timeline`.
 
         Recording piggybacks on the span hooks, so the timeline only
-        fills while ``enabled`` is true; when no timeline is attached
-        the hot paths pay one attribute load and a branch.
+        fills while ``enabled`` is true.  The hooks cache each timeline
+        column beside the registry handle of the same event, so an
+        observation costs one append (the timeline folds its windows
+        when read); when no timeline is attached they pay a ``None``
+        test.  Attaching drops the cached slots so they pick up the new
+        timeline's columns.
         """
         timeline = Timeline(interval, bounds=bounds)
         self.timeline = timeline
+        self._phase_slots.clear()
+        self._lane_slots.clear()
+        self._issued = None
         return timeline
+
+    def _phase_slot(self, phase: str, lane: str
+                    ) -> tuple[Histogram, Column | None]:
+        """Resolve and cache the handles one closed span records to."""
+        hist = self.metrics.histogram(
+            "rsr_phase_us", LATENCY_BUCKETS_US, phase=phase, lane=lane)
+        timeline = self.timeline
+        slot = self._phase_slots[(phase, lane)] = (
+            hist, None if timeline is None
+            else timeline.phase_column(phase, lane))
+        return slot
+
+    def _lane_slot(self, lane: str) -> tuple[Histogram, Column | None,
+                                             Column | None, Column | None]:
+        """Resolve and cache the handles one delivery on ``lane``
+        records to."""
+        hist = self.metrics.histogram(
+            "rsr_latency_us", LATENCY_BUCKETS_US, method=lane)
+        timeline = self.timeline
+        columns = ((None, None, None) if timeline is None
+                   else timeline.delivery_columns(lane))
+        slot = self._lane_slots[lane] = (hist, *columns)
+        return slot
 
     def _counter_handle(self, name: str, method: str):
         """Cached counter handle for a ``method``-labelled counter."""
@@ -339,7 +362,8 @@ class Observability:
         if not self.enabled:
             return None
         if self._sink is None:
-            if len(self.spans) >= self._max_spans:
+            kept = self._kept
+            if kept >= self._max_spans:
                 self.dropped_spans += 1
                 return None
             span = Span(id=self._next_span, rsr=rsr, phase=phase, ctx=ctx,
@@ -347,8 +371,9 @@ class Observability:
                         attrs=attrs or None)
             self._next_span += 1
             self.spans.append(span)
-            if len(self.spans) > self.peak_spans:
-                self.peak_spans = len(self.spans)
+            kept = self._kept = kept + 1
+            if kept > self.peak_spans:
+                self.peak_spans = kept
             return span
         # Streaming: only open spans stay resident, so the capacity cap
         # (a guard against unbounded in-memory logs) does not apply.
@@ -370,22 +395,14 @@ class Observability:
         if span is None:
             return
         end = span.end = self.sim.now
-        key = (span.phase, span.lane)
-        hist = self._phase_hist.get(key)
-        if hist is None:
-            hist = self.metrics.histogram(
-                "rsr_phase_us", LATENCY_BUCKETS_US,
-                phase=span.phase, lane=span.lane)
-            self._phase_hist[key] = hist
+        slot = self._phase_slots.get((span.phase, span.lane))
+        if slot is None:
+            slot = self._phase_slot(span.phase, span.lane)
+        hist, column = slot
         duration_us = (end - span.start) * 1e6
         hist.observe(duration_us)
-        timeline = self.timeline
-        if timeline is not None:
-            tl_key = self._phase_tl_keys.get(key)
-            if tl_key is None:
-                tl_key = f"phase={span.phase}/{span.lane}"
-                self._phase_tl_keys[key] = tl_key
-            timeline.observe(SERIES_PHASE, tl_key, end, duration_us)
+        if column is not None:
+            column.extend((end, duration_us))
         sink = self._sink
         if sink is not None:
             self._open.pop(span.id, None)
@@ -458,7 +475,10 @@ class Observability:
             self.rsrs_started += 1
             timeline = self.timeline
             if timeline is not None:
-                timeline.inc(SERIES_ISSUED, KEY_ALL, span.start)
+                issued = self._issued
+                if issued is None:
+                    issued = self._issued = timeline.issued_column()
+                issued.extend((span.start, 1.0))
         return span
 
     def attach(self, message: object, issue: Span) -> None:
@@ -467,15 +487,6 @@ class Observability:
             self, issue.rsr, issue, issue.start)
         if self._sink is not None:
             self._chain_begin(issue.rsr)
-
-    def note_poll_batch(self, method: str, found: int) -> None:
-        """Record how many messages one poll of ``method`` found."""
-        hist = self._batch_hist.get(method)
-        if hist is None:
-            hist = self.metrics.histogram("poll_batch", COUNT_BUCKETS,
-                                          method=method)
-            self._batch_hist[method] = hist
-        hist.observe(float(found))
 
     # -- queries -------------------------------------------------------------
 

@@ -77,15 +77,7 @@ from .spans import (
     Observability,
     Span,
 )
-from .timeline import (
-    KEY_ALL,
-    SERIES_DELIVERED,
-    SERIES_DROPPED,
-    SERIES_ISSUED,
-    SERIES_LATENCY,
-    SERIES_PHASE,
-    Timeline,
-)
+from .timeline import Timeline
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "repro.obs.stream.manifest"
@@ -237,14 +229,10 @@ def _span_record(span: Span) -> dict[str, object]:
             "t1": span.end, "par": span.parent, "attrs": span.attrs}
 
 
-def _span_from_record(rec: _t.Mapping[str, object]) -> Span:
-    return Span(id=_t.cast(int, rec["id"]), rsr=_t.cast(int, rec["rsr"]),
-                phase=_t.cast(str, rec["ph"]), ctx=_t.cast(int, rec["ctx"]),
-                lane=_t.cast(str, rec["lane"]),
-                start=_t.cast(float, rec["t0"]),
-                end=_t.cast("float | None", rec["t1"]),
-                parent=_t.cast("int | None", rec["par"]),
-                attrs=_t.cast("dict | None", rec["attrs"]))
+def _span_from_record(rec: _t.Mapping[str, _t.Any]) -> Span:
+    return Span(id=rec["id"], rsr=rec["rsr"], phase=rec["ph"],
+                ctx=rec["ctx"], lane=rec["lane"], start=rec["t0"],
+                end=rec["t1"], parent=rec["par"], attrs=rec["attrs"])
 
 
 #: Record kinds to their required fields (the format above, as checks).
@@ -770,7 +758,7 @@ def _validate_merged_manifest(document: _t.Mapping[str, object],
 
 def iter_records(directory: str,
                  manifest: _t.Mapping[str, object] | None = None
-                 ) -> _t.Iterator[dict[str, object]]:
+                 ) -> _t.Iterator[dict[str, _t.Any]]:
     """All records across the shard set, in spooled order."""
     if manifest is None:
         manifest = read_manifest(directory)
@@ -829,37 +817,36 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
             crit_builder.note_span(span)
             if span.rsr > 0:
                 pending.setdefault(span.rsr, []).append(span)
+            # The live hooks' appends (Observability.close_span,
+            # rsr_begin, MessageTrace.finish/drop), replayed.
             if timeline is not None:
-                if span.end is not None:
-                    timeline.observe(
-                        SERIES_PHASE, f"phase={span.phase}/{span.lane}",
-                        span.end, (span.end - span.start) * 1e6)
+                end = span.end
+                if end is not None:
+                    timeline.phase_column(span.phase, span.lane).extend(
+                        (end, (end - span.start) * 1e6))
                 if span.phase == PHASE_ISSUE:
-                    timeline.inc(SERIES_ISSUED, KEY_ALL, span.start)
+                    timeline.issued_column().extend((span.start, 1.0))
         elif kind == "d":
             if timeline is not None:
-                lane = _t.cast(str, rec["lane"])
-                now = _t.cast(float, rec["t"])
-                latency_us = _t.cast(float, rec["us"])
-                method_key = f"method={lane}"
-                timeline.observe(SERIES_LATENCY, method_key, now,
-                                 latency_us)
-                timeline.observe(SERIES_LATENCY, KEY_ALL, now, latency_us)
-                timeline.inc(SERIES_DELIVERED, method_key, now)
+                now = rec["t"]
+                latency_us = rec["us"]
+                latency, latency_all, delivered = timeline.delivery_columns(
+                    rec["lane"])
+                latency.extend((now, latency_us))
+                latency_all.extend((now, latency_us))
+                delivered.extend((now, 1.0))
                 ctx = rec["ctx"]
                 if ctx is not None:
-                    timeline.inc(
-                        SERIES_DELIVERED,
-                        f"rank={timeline.rank_of(_t.cast(int, ctx))}", now)
+                    timeline.rank_column(ctx).extend((now, 1.0))
         elif kind == "x":
             if timeline is not None:
-                timeline.inc(SERIES_DROPPED, f"method={rec['lane']}",
-                             _t.cast(float, rec["t"]))
+                timeline.dropped_column(rec["lane"]).extend((rec["t"], 1.0))
         elif kind == "r":
-            spans = pending.pop(_t.cast(int, rec["rsr"]), None)
+            rsr = rec["rsr"]
+            spans = pending.pop(rsr, None)
             if spans:
                 graph_builder.add_rsr(spans)
-                crit_builder.add_rsr(_t.cast(int, rec["rsr"]), spans)
+                crit_builder.add_rsr(rsr, spans)
         else:  # pragma: no cover - forward compatibility
             raise ValueError(f"unknown stream record kind: {kind!r}")
     unresolved = sorted(pending)

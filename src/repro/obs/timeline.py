@@ -25,17 +25,32 @@ Semantics follow the rest of :mod:`repro.obs`:
   :meth:`Timeline.mean_series` — "no data" is distinct from "measured
   0.0", exactly like ``PollStats.hit_rate``.  Counter series fill 0.0
   (zero events genuinely happened).
-* **Near-zero cost when disabled.**  The tracer's hot paths pay one
-  attribute load and a branch when no timeline is attached; recording is
-  a dict lookup plus a histogram observe when one is.
+* **One append per observation.**  Recording appends ``(now, value)``
+  to the series' column (an ``array('d')``, created on first touch);
+  the tracer's hot paths hold their columns next to the registry
+  handles they already cache, so a closed span costs one registry
+  observe plus one ``extend``.  Every reader first *folds* the columns
+  into window cells and empties them.  The fold is exact: windows are
+  ``(t / interval).astype(int64)`` (the same IEEE division and
+  truncation as ``int(now / interval)``), buckets are
+  ``searchsorted(bounds, v, side="left")`` (``bisect_left``), and
+  ``count``/``sum``/``min``/``max`` and counter values accumulate one
+  value at a time in observation order, continuing from the cell —
+  never a pairwise or compensated sum.  The one visible difference from
+  updating cells as values arrive is the ``max_windows`` cap: it is
+  applied column by column (in column-creation order), then window by
+  window (in first-touch order).
 """
 
 from __future__ import annotations
 
 import typing as _t
+from array import array
+
+import numpy as np
 
 from ..util.document import DocumentError, Schema, write
-from .metrics import Histogram, LATENCY_BUCKETS_US
+from .metrics import Histogram, LATENCY_BUCKETS_US, validated_bounds
 
 TIMELINE_SCHEMA = "repro.obs.timeline"
 TIMELINE_SCHEMA_VERSION = 1
@@ -50,6 +65,9 @@ SERIES_PHASE = "rsr_phase_us"
 #: Key of the merged (all methods) latency series.
 KEY_ALL = "all"
 
+#: A series' unfolded observations: ``t0, v0, t1, v1, ...``.
+Column = array
+
 
 class Timeline:
     """Fixed-interval windowed counters and histograms over sim time.
@@ -61,8 +79,9 @@ class Timeline:
     drain phases extend the timeline naturally.
     """
 
-    __slots__ = ("interval", "bounds", "max_windows", "truncated",
-                 "_counters", "_hists", "_windows", "_ranks")
+    __slots__ = ("interval", "bounds", "max_windows", "_truncated",
+                 "_counters", "_hists", "_counter_cols", "_hist_cols",
+                 "_rank_cols", "_windows", "_ranks", "_search")
 
     def __init__(self, interval: float, *,
                  bounds: _t.Sequence[float] = LATENCY_BUCKETS_US,
@@ -71,13 +90,20 @@ class Timeline:
             raise ValueError(f"timeline interval must be > 0, "
                              f"got {interval!r}")
         self.interval = float(interval)
-        self.bounds = tuple(float(b) for b in bounds)
+        self.bounds = validated_bounds(bounds)
+        self._search = np.array(self.bounds, dtype=np.float64)
         #: Cap on distinct (series, window) histogram cells; excess
         #: observations are counted, never silently lost.
         self.max_windows = max_windows
-        self.truncated = 0
+        self._truncated = 0
+        #: Folded window cells, one dict per series in column-creation
+        #: order.
         self._counters: dict[tuple[str, str], dict[int, float]] = {}
         self._hists: dict[tuple[str, str], dict[int, Histogram]] = {}
+        #: Unfolded observations, one column per series.
+        self._counter_cols: dict[tuple[str, str], Column] = {}
+        self._hist_cols: dict[tuple[str, str], Column] = {}
+        self._rank_cols: dict[int, Column] = {}
         #: Total histogram cells allocated (for the max_windows cap).
         self._windows = 0
         #: Raw context id -> dense rank number, in first-touch order
@@ -103,40 +129,141 @@ class Timeline:
             self._ranks[ctx] = rank
         return rank
 
+    def counter_column(self, name: str, key: str) -> Column:
+        """The column ``inc`` appends ``(now, amount)`` to."""
+        column = self._counter_cols.get((name, key))
+        if column is None:
+            column = self._counter_cols[(name, key)] = array("d")
+            self._counters[(name, key)] = {}
+        return column
+
+    def histogram_column(self, name: str, key: str) -> Column:
+        """The column ``observe`` appends ``(now, value)`` to."""
+        column = self._hist_cols.get((name, key))
+        if column is None:
+            column = self._hist_cols[(name, key)] = array("d")
+            self._hists[(name, key)] = {}
+        return column
+
     def inc(self, name: str, key: str, now: float,
             amount: float = 1.0) -> None:
-        series = self._counters.get((name, key))
-        if series is None:
-            series = self._counters[(name, key)] = {}
-        window = int(now / self.interval)
-        series[window] = series.get(window, 0.0) + amount
+        self.counter_column(name, key).extend((now, amount))
 
     def observe(self, name: str, key: str, now: float,
                 value: float) -> None:
-        series = self._hists.get((name, key))
-        if series is None:
-            series = self._hists[(name, key)] = {}
-        window = int(now / self.interval)
-        hist = series.get(window)
-        if hist is None:
-            if self._windows >= self.max_windows:
-                self.truncated += 1
-                return
-            hist = series[window] = Histogram(
-                name, (("key", key),), self.bounds)
-            self._windows += 1
-        hist.observe(value)
+        self.histogram_column(name, key).extend((now, value))
+
+    # The series the span tracer records, spelled once for the live
+    # hooks (repro.obs.spans) and the spool replay (repro.obs.stream).
+
+    def issued_column(self) -> Column:
+        """RSRs issued (``inc`` at the issue span's start)."""
+        return self.counter_column(SERIES_ISSUED, KEY_ALL)
+
+    def phase_column(self, phase: str, lane: str) -> Column:
+        """Span durations (µs) of one phase on one lane, at close."""
+        return self.histogram_column(SERIES_PHASE, f"phase={phase}/{lane}")
+
+    def delivery_columns(self, lane: str) -> tuple[Column, Column, Column]:
+        """``(latency of method=<lane>, latency of all, delivered on
+        method=<lane>)`` — what one delivery on ``lane`` appends to."""
+        method_key = f"method={lane}"
+        return (self.histogram_column(SERIES_LATENCY, method_key),
+                self.histogram_column(SERIES_LATENCY, KEY_ALL),
+                self.counter_column(SERIES_DELIVERED, method_key))
+
+    def rank_column(self, ctx: int) -> Column:
+        """Deliveries at the context ``ctx`` (its dense ``rank=<n>``)."""
+        column = self._rank_cols.get(ctx)
+        if column is None:
+            column = self._rank_cols[ctx] = self.counter_column(
+                SERIES_DELIVERED, f"rank={self.rank_of(ctx)}")
+        return column
+
+    def dropped_column(self, lane: str) -> Column:
+        """Messages dropped on ``lane``."""
+        return self.counter_column(SERIES_DROPPED, f"method={lane}")
+
+    # -- folding -------------------------------------------------------------
+
+    def _fold(self) -> None:
+        """Drain every non-empty column into its window cells."""
+        for key, column in self._counter_cols.items():
+            if column:
+                self._fold_counter(self._counters[key], column)
+        for key, column in self._hist_cols.items():
+            if column:
+                self._fold_histogram(key, self._hists[key], column)
+
+    def _drain(self, column: Column) -> tuple[list[int], np.ndarray]:
+        """Window indices and values of ``column``'s observations, which
+        it no longer holds."""
+        data = np.array(column, dtype=np.float64)
+        del column[:]
+        windows = (data[0::2] / self.interval).astype(np.int64)
+        return windows.tolist(), data[1::2]
+
+    def _fold_counter(self, series: dict[int, float],
+                      column: Column) -> None:
+        windows, values = self._drain(column)
+        window = windows[0]
+        value = series.get(window, 0.0)
+        for now_window, amount in zip(windows, values.tolist()):
+            if now_window != window:
+                series[window] = value
+                window = now_window
+                value = series.get(window, 0.0)
+            value += amount
+        series[window] = value
+
+    def _fold_histogram(self, key: tuple[str, str],
+                        series: dict[int, Histogram],
+                        column: Column) -> None:
+        windows, values = self._drain(column)
+        buckets = np.searchsorted(self._search, values, side="left").tolist()
+        labels = (("key", key[1]),)
+        hist: Histogram | None = None
+        window: int | None = None
+        for now_window, bucket, value in zip(windows, buckets,
+                                             values.tolist()):
+            if now_window != window:
+                window = now_window
+                hist = series.get(window)
+                if hist is None and self._windows < self.max_windows:
+                    hist = series[window] = Histogram.trusted(
+                        key[0], labels, self.bounds)
+                    self._windows += 1
+            if hist is None:
+                self._truncated += 1
+                continue
+            # Histogram.observe's body, bucket already searched: no call
+            # per value.
+            hist.counts[bucket] += 1
+            hist.count += 1
+            hist.total += value
+            if hist.min_value is None or value < hist.min_value:
+                hist.min_value = value
+            if hist.max_value is None or value > hist.max_value:
+                hist.max_value = value
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def truncated(self) -> int:
+        """Observations dropped by the ``max_windows`` cap."""
+        self._fold()
+        return self._truncated
+
     def keys(self, name: str) -> list[str]:
         """Sorted keys recorded under ``name`` (counters or histograms)."""
+        self._fold()
         found = {key for (n, key) in self._counters if n == name}
         found |= {key for (n, key) in self._hists if n == name}
         return sorted(found)
 
     def window_range(self) -> tuple[int, int] | None:
         """(first, last) touched window index, or None when empty."""
+        self._fold()
         lo: int | None = None
         hi: int | None = None
         for series in (*self._counters.values(), *self._hists.values()):
@@ -150,6 +277,7 @@ class Timeline:
         return lo, hi
 
     def _span(self, lo: int | None, hi: int | None) -> tuple[int, int]:
+        self._fold()
         if lo is None or hi is None:
             full = self.window_range()
             if full is None:
@@ -184,6 +312,7 @@ class Timeline:
 
     def histogram_at(self, name: str, key: str,
                      window: int) -> Histogram | None:
+        self._fold()
         return self._hists.get((name, key), {}).get(window)
 
     def count_series(self, name: str, key: str, *,
@@ -231,6 +360,7 @@ def timeline_document(timeline: Timeline, *,
     values and histogram snapshots ride under their series name and key.
     ``meta`` is carried verbatim (scenario name, seed, fault log, ...).
     """
+    timeline._fold()
     counters: dict[str, dict[str, dict[str, float]]] = {}
     for (name, key), series in timeline._counters.items():
         counters.setdefault(name, {})[key] = {

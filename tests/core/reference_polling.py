@@ -4,7 +4,10 @@ This is ``src/repro/core/polling.py`` as it stood at ``2c0c83b``, before
 the per-method lane records and the one-frame wait loop: five dicts keyed
 by method name, ``poll`` / ``_idle_fast_forward`` as sub-generators of
 ``wait``.  Nothing below the imports has been edited except the class
-names (``Reference*``).  :func:`reference_attach` is that commit's
+names (``Reference*``) and the ``poll_batch`` observation, which goes
+straight to the metrics registry now that ``Observability`` has no
+``note_poll_batch`` (same histogram, same value).
+:func:`reference_attach` is that commit's
 ``AdaptiveSkipPoll.attach`` body — the ``manager.poll`` wrapper the
 observer slot replaced.
 
@@ -25,6 +28,7 @@ import dataclasses
 import typing as _t
 
 from repro.core.errors import PollingError
+from repro.obs.metrics import COUNT_BUCKETS
 from repro.simnet.events import Event
 from repro.transports.base import WireMessage
 
@@ -307,7 +311,8 @@ class ReferencePollManager:
                 # Inlined stats.note_messages(method, n).
                 message_counts[method] = message_counts.get(method, 0) + n
             if obs.enabled:
-                obs.note_poll_batch(method, n)
+                obs.metrics.histogram("poll_batch", COUNT_BUCKETS,
+                                      method=method).observe(float(n))
             if n:
                 for message in messages:
                     yield from context.dispatch(message)

@@ -78,6 +78,16 @@ class TestHistogram:
         histogram.observe(123.0)
         assert histogram.quantile(0.99) == 123.0
 
+    def test_quantile_zero_is_the_first_non_empty_bucket(self):
+        # Regression: q = 0 used to answer the first bound (1.0), the
+        # bound of a bucket that holds nothing.
+        histogram = Histogram("h", (), (1.0, 2.0, 5.0))
+        histogram.observe(1.5)
+        assert histogram.quantile(0.0) == 2.0
+        overflow = Histogram("h", (), (1.0,))
+        overflow.observe(7.0)
+        assert overflow.quantile(0.0) == 7.0
+
     def test_empty_histogram(self):
         histogram = Histogram("h", (), (1.0,))
         assert histogram.mean is None

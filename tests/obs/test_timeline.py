@@ -32,6 +32,15 @@ class TestWindowMath:
         with pytest.raises(ValueError):
             Timeline(0.0)
 
+    def test_rejects_unsorted_bounds_at_construction(self):
+        # Regression: the bounds used to be checked only when the first
+        # histogram cell was built, i.e. at the first observe — from
+        # inside the simulation, long after an ``inc`` had succeeded.
+        with pytest.raises(ValueError):
+            Timeline(0.01, bounds=(10.0, 1.0))
+        with pytest.raises(ValueError):
+            Timeline(0.01, bounds=(1.0, 1.0))
+
     def test_window_range_is_none_when_untouched(self):
         assert make_timeline().window_range() is None
 

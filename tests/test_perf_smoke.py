@@ -22,6 +22,9 @@ import pytest
 import repro.obs as obs
 from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
+from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, \
+    run_scenario
+from repro.obs.timeline import timeline_document
 from repro.simnet import Simulator
 from repro.testbeds import make_sp2
 
@@ -99,6 +102,21 @@ def test_raw_spin_events_do_not_grow_with_message_size():
     assert events(0) == events(256 * 1024)
 
 
+def _host_calls(run):
+    """``cProfile``'s call count for ``run()``, after one warm-up call
+    (the first pays one-off lazy initialisation)."""
+
+    def calls():
+        profile = cProfile.Profile()
+        profile.enable()
+        run()
+        profile.disable()
+        return sum(entry.callcount for entry in profile.getstats())
+
+    calls()
+    return calls()
+
+
 #: Host calls (Python and C, as ``cProfile`` counts them) of one warm
 #: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 21,637 when the poll loop
 #: went to one lane record per method and one frame per blocking
@@ -110,20 +128,40 @@ def test_unified_poll_host_calls_stay_within_budget():
     """Deterministic tripwire for host work on the unified-poll fast
     path: the simulation is fixed, so the call count repeats to the call
     and only moves when the code does."""
-
-    def calls():
-        profile = cProfile.Profile()
-        profile.enable()
-        dual_pingpong(0, 20, mpl_roundtrips=50)
-        profile.disable()
-        return sum(entry.callcount for entry in profile.getstats())
-
-    calls()  # first use pays one-off lazy initialisation
-    count = calls()
+    count = _host_calls(lambda: dual_pingpong(0, 20, mpl_roundtrips=50))
     assert count <= DUAL_PINGPONG_CALL_BUDGET, (
         f"{count:,} host calls for the fixed dual ping-pong, budget "
         f"{DUAL_PINGPONG_CALL_BUDGET:,} — did a wrapper generator or a "
         "per-method dict come back to the poll loop?")
+
+
+#: Host calls of one warm traced ``run_scenario`` (4 open-loop clients at
+#: 200/s for 0.2 s, 160 RSRs) plus a read of its timeline: 61,103 when a
+#: timeline observation became one append and windows fold on read,
+#: 79,118 before.  The budget is that count plus 10 %.
+SCENARIO_CALL_BUDGET = 67_200
+
+
+def test_traced_scenario_host_calls_stay_within_budget():
+    """Deterministic tripwire for host work on the observability write
+    path: every RSR of a load scenario is traced into the metrics
+    registry and the timeline."""
+    scenario = LoadScenario(
+        name="budget",
+        fleets=(FleetSpec("rpc", clients=4, arrival=OpenLoop(rate=200.0),
+                          sizes=FixedSize(2048), route="remote"),),
+        duration=0.2)
+
+    def run():
+        result = run_scenario(scenario)
+        assert result.delivered == 160
+        timeline_document(result.timeline)
+
+    count = _host_calls(run)
+    assert count <= SCENARIO_CALL_BUDGET, (
+        f"{count:,} host calls for the fixed traced scenario, budget "
+        f"{SCENARIO_CALL_BUDGET:,} — is the timeline observing twice "
+        "again, or a handle lookup back on a per-event path?")
 
 
 def test_idle_wake_up_reenters_one_frame_below_the_application():
