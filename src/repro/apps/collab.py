@@ -128,7 +128,7 @@ def run_collab(participants: int = 4, updates: int = 25, *,
         participants=participants,
         updates_sent=updates,
         updates_delivered=delivered["updates"],
-        group_sends=mcast.services.tracer.count("mcast.group_sends"),
+        group_sends=nexus.obs.metrics.count("mcast.group_sends"),
         bulk_bytes_delivered=delivered["bulk_bytes"],
         state_versions=dict(seen),
     )

@@ -152,7 +152,7 @@ class Context:
             # re-check them from this side).
             for method in getattr(link, "down_methods", ()):
                 self.health.mark_down(link.context_id, method)
-        self.nexus.tracer.incr("nexus.startpoints_imported")
+        self.nexus.obs.metrics.counter("nexus.startpoints_imported").inc()
         return startpoint
 
     # -- comm objects ----------------------------------------------------------------
@@ -279,7 +279,6 @@ class Context:
             payload = payload.reader_copy()
         endpoint.note_delivery(message.nbytes, nexus.sim._clock._now)
         self.rsrs_dispatched += 1
-        nexus.tracer.incr("nexus.rsrs_dispatched")
 
         if trace is not None:
             trace.transition("handler", ctx=self.id)
@@ -310,7 +309,7 @@ class Context:
         their_arch = sender.host.attributes.get("arch")
         if their_arch is None or their_arch == my_arch:
             return 0.0
-        self.nexus.tracer.incr("nexus.xdr_conversions")
+        self.nexus.xdr_conversions.value += 1
         return self.nexus.runtime_costs.xdr_per_byte * message.nbytes
 
     # -- convenience -----------------------------------------------------------

@@ -281,13 +281,7 @@ def _build_poll_report(context: "Context") -> PollReport:
 def _build_transport_report(nexus: "Nexus") -> dict[str, TransportStats]:
     report = {}
     for name in nexus.transports.names():
-        transport = nexus.transports.get(name)
-        report[name] = TransportStats(
-            messages_sent=transport.messages_sent,
-            bytes_sent=transport.bytes_sent,
-            messages_dropped=transport.messages_dropped,
-            bytes_dropped=transport.bytes_dropped,
-        )
+        report[name] = TransportStats(*nexus.transports.get(name).traffic())
     return report
 
 
@@ -320,7 +314,7 @@ def _build_poll_batch_report(nexus: "Nexus") -> dict[str, PhaseStats]:
 
 
 def _build_health_report(nexus: "Nexus") -> HealthReport:
-    counters = nexus.tracer.counters
+    metrics = nexus.obs.metrics
     down: list[dict[str, object]] = []
     events: list[tuple[float, int, int, str, str]] = []
     for context in nexus.contexts.values():
@@ -330,9 +324,9 @@ def _build_health_report(nexus: "Nexus") -> HealthReport:
             events.append((when, context.id, remote, method, transition))
     events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
     return HealthReport(
-        retries=int(counters.get("nexus.rsr_retries", 0)),
-        failovers=int(counters.get("nexus.rsr_failovers", 0)),
-        probes=int(counters.get("nexus.health_probes", 0)),
+        retries=metrics.count("nexus.rsr_retries"),
+        failovers=metrics.count("nexus.rsr_failovers"),
+        probes=metrics.count("nexus.health_probes"),
         down=tuple(down),
         events=tuple(events),
     )

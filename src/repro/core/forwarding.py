@@ -47,6 +47,8 @@ class ForwardingService:
         self.members: list["Context"] = []
         self.messages_forwarded = 0
         self.bytes_forwarded = 0
+        #: Runtime-wide count over every service, bumped per forward.
+        self._forwarded = nexus.obs.metrics.counter("forwarding.messages")
 
     def install(self, forwarder: "Context",
                 members: _t.Iterable["Context"]) -> None:
@@ -84,7 +86,7 @@ class ForwardingService:
             # The member no longer needs to check for this method at all.
             member.poll_manager.disable(self.method)
             self.members.append(member)
-        self.nexus.tracer.incr("forwarding.installs")
+        self.nexus.obs.metrics.counter("forwarding.installs").inc()
 
     def _service_loop(self, forwarder: "Context"):
         """Drain the forwarder's inbox for the forwarded method, forever.
@@ -125,7 +127,7 @@ class ForwardingService:
         comm = forwarder_context.comm_object_for(descriptor)
         self.messages_forwarded += 1
         self.bytes_forwarded += message.nbytes
-        self.nexus.tracer.incr("forwarding.messages")
+        self._forwarded.value += 1
         yield from comm.send(message)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

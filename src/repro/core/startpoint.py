@@ -257,7 +257,7 @@ class Startpoint:
                   + len(handler))
         self.rsrs_sent += 1
         self.bytes_sent += nbytes
-        nexus.tracer.incr("nexus.rsrs_sent")
+        nexus.rsrs_sent.value += 1
 
         group = self._common_multicast_group()
         if group is not None:
@@ -300,7 +300,7 @@ class Startpoint:
             method = comm.method
             probing = health.in_probe(link.context_id, method)
             if probing:
-                nexus.tracer.incr("nexus.health_probes")
+                nexus.obs.metrics.counter("nexus.health_probes").inc()
             failed_method = False
             for attempt in range(policy.max_attempts):
                 span = None
@@ -314,7 +314,7 @@ class Startpoint:
                             PHASE_RETRY, rsr=issue.rsr, ctx=context.id,
                             lane=method, parent=issue.id, attempt=attempt)
                 if attempt > 0:
-                    nexus.tracer.incr("nexus.rsr_retries")
+                    nexus.obs.metrics.counter("nexus.rsr_retries").inc()
                     # The stream is fetched lazily: the no-fault fast path
                     # never backs off, so it never pays for the lookup.
                     delay = policy.delay(attempt - 1,
@@ -374,7 +374,7 @@ class Startpoint:
             if failed_method:
                 excluded.add(method)
                 link.comm = None
-                nexus.tracer.incr("nexus.rsr_failovers")
+                nexus.obs.metrics.counter("nexus.rsr_failovers").inc()
                 if issue is not None:
                     failover = obs.open_span(
                         PHASE_FAILOVER, rsr=issue.rsr, ctx=context.id,

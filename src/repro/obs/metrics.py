@@ -1,10 +1,12 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-The flat :class:`~repro.simnet.trace.Tracer` answers "how many / how
-long in total"; this registry answers *distributional* questions — what
-is the p95 dispatch latency of MPL RSRs, how many messages does a TCP
-poll typically find — which is what the paper's enquiry-function mandate
-("evaluate the effectiveness of automatic selection") actually needs.
+One registry per runtime (``nexus.obs.metrics``) holds everything it
+counts.  Counters answer "how many" (RSRs sent, retries, connections)
+whether or not the runtime observes; histograms answer *distributional*
+questions — what is the p95 dispatch latency of MPL RSRs, how many
+messages does a TCP poll typically find — while it observes, which is
+what the paper's enquiry-function mandate ("evaluate the effectiveness
+of automatic selection") actually needs.
 
 Design constraints:
 
@@ -15,7 +17,8 @@ Design constraints:
   at creation (defaults suit microsecond latencies), so two runs always
   agree on bucket boundaries and snapshots merge trivially.
 * **Cheap.**  ``observe``/``inc`` are a bisect plus a few adds; the
-  registry allocates only on first use of a ``(name, labels)`` pair.
+  registry allocates only on first use of a ``(name, labels)`` pair; a
+  counter bumped per message is held by its owner as a handle.
 """
 
 from __future__ import annotations
@@ -51,16 +54,16 @@ def validated_bounds(bounds: _t.Sequence[float]) -> tuple[float, ...]:
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing integer count."""
 
     __slots__ = ("name", "labels", "value")
 
     def __init__(self, name: str, labels: LabelItems):
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self.value = 0
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: int = 1) -> None:
         self.value += amount
 
     def snapshot(self) -> dict[str, object]:
@@ -209,6 +212,12 @@ class MetricsRegistry:
         return _t.cast(Histogram, self._get(
             Histogram, name, labels,
             lambda: Histogram(name, _label_key(labels), bounds)))
+
+    def count(self, name: str, **labels: object) -> int:
+        """The value of counter ``name``; 0, registering nothing, when
+        it was never created."""
+        metric = self._metrics.get((name, _label_key(labels)))
+        return metric.value if isinstance(metric, Counter) else 0
 
     def collect(self, name: str | None = None
                 ) -> list[tuple[str, LabelItems, object]]:

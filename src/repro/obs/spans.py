@@ -249,9 +249,10 @@ class Observability:
     """Span log + metrics registry for one runtime.
 
     Created by :class:`~repro.core.runtime.Nexus` (one per runtime,
-    always present).  With ``enabled=False`` — the default — every entry
-    point is a no-op and no spans or metrics are recorded; the only cost
-    paid on hot paths is an attribute load and a branch.
+    always present).  Counters in ``metrics`` always count; spans,
+    histograms and gauges are recorded only while ``enabled``.  With
+    ``enabled=False`` — the default — every span entry point is a
+    no-op; the only cost on hot paths is an attribute load and a branch.
     """
 
     def __init__(self, sim: "Simulator", *, enabled: bool = False,

@@ -32,7 +32,6 @@ from .node import Host
 from .process import Process
 from .random import RandomStreams, derive, derived_generator
 from .resources import Resource, Store
-from .trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -63,7 +62,6 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "Tracer",
     "VirtualClock",
     "WanLink",
     "derive",

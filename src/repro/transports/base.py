@@ -36,11 +36,11 @@ from .errors import TransportError
 if _t.TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from ..obs import MessageTrace, Observability
+    from ..obs import MessageTrace
+    from ..obs.metrics import MetricsRegistry
     from ..simnet.engine import Simulator
     from ..simnet.network import Network
     from ..simnet.node import Host
-    from ..simnet.trace import Tracer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,17 +135,15 @@ class TransportServices:
     """
 
     def __init__(self, sim: "Simulator", network: "Network",
-                 tracer: "Tracer", rng: "np.random.Generator"):
+                 metrics: "MetricsRegistry", rng: "np.random.Generator"):
         self.sim = sim
         self.network = network
-        self.tracer = tracer
+        self.metrics = metrics
         self.rng = rng
         self.resolve_context: _t.Callable[[int], "ContextLike"] | None = None
         #: Installed by the runtime; carries Nexus-layer cost constants
         #: (drain-overlap factor etc.).
         self.runtime_costs: object | None = None
-        #: Installed by the runtime; the span tracer + metrics registry.
-        self.obs: "Observability | None" = None
 
     def context(self, context_id: int) -> "ContextLike":
         if self.resolve_context is None:
@@ -217,10 +215,6 @@ class Transport(abc.ABC):
         self.bytes_sent = 0
         self.messages_dropped = 0
         self.bytes_dropped = 0
-        #: Tracer counter keys, precomputed — :meth:`record_send` runs
-        #: once per message and the f-strings showed up in profiles.
-        self._k_messages_sent = f"{self.name}.messages_sent"
-        self._k_bytes_sent = f"{self.name}.bytes_sent"
 
     # -- convenience -------------------------------------------------------
 
@@ -295,14 +289,15 @@ class Transport(abc.ABC):
         """Resolve the live destination context of a descriptor."""
         return self.services.context(descriptor.context_id)
 
+    def traffic(self) -> tuple[int, int, int, int]:
+        """This method's wire traffic: ``(messages_sent, bytes_sent,
+        messages_dropped, bytes_dropped)``."""
+        return (self.messages_sent, self.bytes_sent,
+                self.messages_dropped, self.bytes_dropped)
+
     def record_send(self, message: WireMessage) -> None:
-        nbytes = message.nbytes
         self.messages_sent += 1
-        self.bytes_sent += nbytes
-        # Inlined tracer.incr pair on precomputed keys.
-        counters = self.services.tracer.counters
-        counters[self._k_messages_sent] += 1
-        counters[self._k_bytes_sent] += nbytes
+        self.bytes_sent += message.nbytes
 
     def record_drop(self, message: WireMessage | None = None,
                     nbytes: int | None = None) -> None:
@@ -312,9 +307,6 @@ class Transport(abc.ABC):
             nbytes = message.nbytes if message is not None else 0
         self.messages_dropped += 1
         self.bytes_dropped += nbytes
-        tracer = self.services.tracer
-        tracer.incr(f"{self.name}.messages_dropped")
-        tracer.incr(f"{self.name}.bytes_dropped", nbytes)
         if message is not None and message.trace is not None:
             message.trace.drop()
 

@@ -114,7 +114,7 @@ class IpTransport(Transport):
         if not state.get("connected", False):
             yield from self._charge(state.get("connect_cost", 0.0))
             state["connected"] = True
-            self.services.tracer.incr(f"{self.name}.connections")
+            self.services.metrics.counter(f"{self.name}.connections").inc()
 
         via = descriptor.param("via")
         hop_context = self._destination(

@@ -292,6 +292,10 @@ class LayeredTransport(Transport):
         yield from self._charge(self.costs.poll_cost)
         return self.collect(context)
 
+    def traffic(self) -> tuple[int, int, int, int]:
+        """The stack's wire traffic is what its private carrier sent."""
+        return self.carrier.traffic()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stack = "+".join(layer.name for layer in self.layers)
         return f"<LayeredTransport {stack}+{self.carrier.name}>"

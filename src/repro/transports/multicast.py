@@ -31,6 +31,8 @@ class MulticastTransport(IpTransport):
         super().__init__(services, costs)
         #: group name -> ordered list of member context ids.
         self.groups: dict[str, list[int]] = {}
+        #: Bumped once per group send, so resolved once here.
+        self._group_sends = services.metrics.counter("mcast.group_sends")
 
     # -- group management -----------------------------------------------------
 
@@ -39,7 +41,7 @@ class MulticastTransport(IpTransport):
         members = self.groups.setdefault(group, [])
         if context.id not in members:
             members.append(context.id)
-            self.services.tracer.incr("mcast.joins")
+            self.services.metrics.counter("mcast.joins").inc()
 
     def leave(self, group: str, context: ContextLike) -> None:
         members = self.groups.get(group, [])
@@ -96,7 +98,7 @@ class MulticastTransport(IpTransport):
         serialization = message.nbytes / costs.bandwidth
         yield self.sim.timeout(serialization)
         self.record_send(message)
-        self.services.tracer.incr("mcast.group_sends")
+        self._group_sends.value += 1
         trace = message.trace
         if trace is not None:
             # The shared serialisation is the group's wire span; each

@@ -3,9 +3,9 @@
 :func:`runtime_report` assembles a plain-text report from a live
 :class:`~repro.core.runtime.Nexus` — per-context polling behaviour
 (cycles, per-method fires/time/hit-rates, skip settings), per-transport
-traffic, and the Nexus-level counters — the operational complement to
-the per-call enquiry API.  Used interactively and by the examples; the
-format is stable enough to grep in tests.
+traffic, and the runtime's registry counters — the operational
+complement to the per-call enquiry API.  Used interactively and by the
+examples; the format is stable enough to grep in tests.
 """
 
 from __future__ import annotations
@@ -49,17 +49,18 @@ def _context_section(nexus: "Nexus") -> list[str]:
 
 
 def _transport_section(nexus: "Nexus") -> list[str]:
+    from ..core.enquiry import _build_transport_report
+
     lines = ["transports:"]
-    for name in nexus.transports.names():
-        transport = nexus.transports.get(name)
-        if transport.messages_sent == 0 and transport.messages_dropped == 0:
+    for name, stats in _build_transport_report(nexus).items():
+        if stats.messages_sent == 0 and stats.messages_dropped == 0:
             continue
         lines.append(
-            f"  {name:>8}: {transport.messages_sent:>7} messages, "
-            f"{format_bytes(transport.bytes_sent):>10} sent"
-            + (f", {transport.messages_dropped} dropped "
-               f"({format_bytes(transport.bytes_dropped)})"
-               if transport.messages_dropped else ""))
+            f"  {name:>8}: {stats.messages_sent:>7} messages, "
+            f"{format_bytes(stats.bytes_sent):>10} sent"
+            + (f", {stats.messages_dropped} dropped "
+               f"({format_bytes(stats.bytes_dropped)})"
+               if stats.messages_dropped else ""))
     if len(lines) == 1:
         lines.append("  (no traffic)")
     return lines
@@ -196,9 +197,14 @@ def critical_path_report(paths, top_n: int = 5) -> str:
 
 
 def _counters_section(nexus: "Nexus") -> list[str]:
+    from ..obs.metrics import Counter
+
     lines = ["runtime counters:"]
-    for key in sorted(nexus.tracer.counters):
-        lines.append(f"  {key}: {nexus.tracer.counters[key]}")
+    for name, labels, metric in nexus.obs.metrics.collect():
+        if isinstance(metric, Counter) and metric.value:
+            label = ",".join(f"{k}={v}" for k, v in labels)
+            name += f"{{{label}}}" if label else ""
+            lines.append(f"  {name}: {metric.value}")
     if len(lines) == 1:
         lines.append("  (none)")
     return lines

@@ -31,14 +31,14 @@ class TestConversionCost:
         a = bed.nexus.context(bed.hosts_a[0])
         b = bed.nexus.context(bed.hosts_a[1])
         one_way(bed.nexus, a, b, 100_000)
-        assert bed.nexus.tracer.count("nexus.xdr_conversions") == 0
+        assert bed.nexus.obs.metrics.count("nexus.xdr_conversions") == 0
 
     def test_undeclared_arch_pays_nothing(self):
         bed = make_sp2(nodes_a=2, nodes_b=0)  # no arch attributes
         a = bed.nexus.context(bed.hosts_a[0])
         b = bed.nexus.context(bed.hosts_a[1])
         one_way(bed.nexus, a, b, 100_000)
-        assert bed.nexus.tracer.count("nexus.xdr_conversions") == 0
+        assert bed.nexus.obs.metrics.count("nexus.xdr_conversions") == 0
 
     def test_cross_arch_charges_per_byte(self):
         def run(arch_b):
@@ -48,7 +48,8 @@ class TestConversionCost:
             a = bed.nexus.context(bed.hosts_a[0])
             b = bed.nexus.context(bed.hosts_a[1])
             time = one_way(bed.nexus, a, b, 1_000_000)
-            return time, bed.nexus.tracer.count("nexus.xdr_conversions")
+            metrics = bed.nexus.obs.metrics
+            return time, metrics.count("nexus.xdr_conversions")
 
         homo_time, homo_count = run("power1")
         hetero_time, hetero_count = run("sparc")
@@ -62,7 +63,7 @@ class TestConversionCost:
         sp2_ctx = nexus.context(bed.sp2_hosts[0])
         cave_ctx = nexus.context(bed.cave_host)
         one_way(nexus, sp2_ctx, cave_ctx, 10_000)
-        assert nexus.tracer.count("nexus.xdr_conversions") == 1
+        assert nexus.obs.metrics.count("nexus.xdr_conversions") == 1
 
     def test_sp2_testbed_unaffected(self):
         """The SP2 calibration experiments must not pay XDR costs."""
@@ -70,4 +71,4 @@ class TestConversionCost:
         a = bed.nexus.context(bed.hosts_a[0])
         b = bed.nexus.context(bed.hosts_b[0])
         one_way(bed.nexus, a, b, 50_000)
-        assert bed.nexus.tracer.count("nexus.xdr_conversions") == 0
+        assert bed.nexus.obs.metrics.count("nexus.xdr_conversions") == 0

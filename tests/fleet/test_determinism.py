@@ -18,9 +18,11 @@ from repro.fleet import (
     run_plan,
     shutdown,
 )
+from repro.fleet.plan import key_slug
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, SLO
 from repro.load.capacity import find_capacity
-from repro.util.document import dumps
+from repro.obs.stream import merge_spool_manifests, write_merged_manifest
+from repro.util.document import check, dumps
 
 
 def _scenario():
@@ -33,17 +35,32 @@ def _scenario():
 
 
 class TestGridDeterminism:
-    def test_serial_and_pool_merge_byte_identical(self):
-        grid = ScenarioGrid(name="g", base=_scenario(),
-                            factors=(0.5, 0.75, 1.0, 1.25))
+    def test_serial_and_pool_merge_byte_identical(self, tmp_path):
         shutdown()
-        # jobs=1, then a cold jobs=2 call, then a warm one.
-        runs = [run_plan(grid, jobs=jobs) for jobs in (1, 2, 2)]
-        assert all(run.ok for run in runs)
-        assert [run.jobs for run in runs] == [1, 2, 2]
-        documents = {dumps(merge_load_results(run.outcomes, plan=grid.name))
-                     for run in runs}
+        documents, manifests = set(), set()
+        # jobs=1, then a cold jobs=2 call, then a warm one, each
+        # spooling its spans under a root of its own.
+        for index, jobs in enumerate((1, 2, 2)):
+            root = str(tmp_path / f"run{index}")
+            grid = ScenarioGrid(name="g", base=_scenario(),
+                                factors=(0.5, 0.75, 1.0, 1.25),
+                                stream_root=root)
+            run = run_plan(grid, jobs=jobs)
+            assert run.ok
+            assert run.jobs == jobs
+            merged = merge_load_results(run.outcomes, plan=grid.name)
+            check(merged)
+            documents.add(dumps(merged))
+            manifest = merge_spool_manifests(
+                root, {key: key_slug(key) for key in run.outcomes})
+            assert manifest["task_count"] == 4
+            assert manifest["shard_count"] > 0
+            path = write_merged_manifest(root, manifest)
+            check(manifest, path=path)
+            with open(path, "rb") as handle:
+                manifests.add(handle.read())
         assert len(documents) == 1
+        assert len(manifests) == 1
 
 
 class TestBenchFanoutDeterminism:

@@ -19,6 +19,7 @@ class TestCounter:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
+        assert isinstance(counter.value, int)
 
     def test_same_labels_same_object(self):
         registry = MetricsRegistry()
@@ -127,6 +128,19 @@ class TestRegistry:
         registry.counter("a", method="m")
         names = [(name, labels) for name, labels, _m in registry.collect()]
         assert names == sorted(names)
+
+    def test_count_reads_counters_without_registering(self):
+        registry = MetricsRegistry()
+        registry.counter("x").inc()
+        registry.counter("x").inc(4)
+        registry.counter("x", method="tcp").inc(2)
+        registry.gauge("depth").set(3.0)
+        assert registry.count("x") == 5
+        assert registry.count("x", method="tcp") == 2
+        assert registry.count("missing") == 0
+        assert registry.count("x", method="mpl") == 0
+        assert registry.count("depth") == 0
+        assert len(registry) == 3
 
     def test_collect_by_name(self):
         registry = MetricsRegistry()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.buffers import Buffer
 from repro.core.forwarding import ForwardingService
-from repro.obs import PHASES, Observability
+from repro.obs import PHASES, Counter, Observability
 from repro.testbeds import make_sp2
 
 REQUIRED = {"issue", "marshal", "enqueue", "wire", "poll_detect",
@@ -48,7 +48,10 @@ class TestDisabled:
         obs = bed.nexus.obs
         assert obs.spans == []
         assert obs.rsrs_started == 0
-        assert len(obs.metrics) == 0
+        assert all(isinstance(metric, Counter)
+                   for _name, _labels, metric in obs.metrics.collect())
+        # Runtime counters count whether or not the runtime observes.
+        assert obs.metrics.count("nexus.rsrs_sent") == 2
 
     def test_messages_carry_no_trace(self):
         from repro.transports.base import WireMessage

@@ -14,7 +14,9 @@ from repro.place import (
     ordering_agreement,
     search_placements,
 )
+from repro.place.plan import placement_document
 from repro.place.search import ValidatedCandidate
+from repro.util.document import dumps
 
 from .graphs import serving_graph
 
@@ -127,6 +129,25 @@ class TestSearchPlacements:
         assert one.summary() == two.summary()
         assert [v.result.probes for v in one.validated] \
             == [v.result.probes for v in two.validated]
+
+    def test_pooled_search_is_byte_identical_to_serial(self):
+        graph = serving_graph(shares=(6, 3, 1))
+        kwargs = dict(top_k=2, low=200.0, high=2000.0, max_probes=2)
+
+        def document(result):
+            best = result.best
+            return dumps({
+                "summary": result.summary(),
+                "validated": repr(result.validated),
+                "plan": placement_document(best.placement, meta={
+                    "label": best.label, "capacity_rps": best.capacity}),
+            })
+
+        serial = search_placements(graph, scenario(), slo(), jobs=1,
+                                   **kwargs)
+        pooled = search_placements(graph, scenario(), slo(), jobs=2,
+                                   **kwargs)
+        assert document(pooled) == document(serial)
 
     def test_nonpositive_top_k_is_a_typed_error(self):
         graph = serving_graph()

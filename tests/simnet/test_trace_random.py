@@ -1,15 +1,6 @@
-"""Tests for the tracer and deterministic random streams."""
+"""Tests for deterministic random streams."""
 
-from repro.simnet import RandomStreams, Tracer
-
-
-class TestTracer:
-    def test_counters(self):
-        tracer = Tracer()
-        tracer.incr("x")
-        tracer.incr("x", 4)
-        assert tracer.count("x") == 5
-        assert tracer.count("missing") == 0
+from repro.simnet import RandomStreams
 
 
 class TestRandomStreams:

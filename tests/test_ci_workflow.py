@@ -97,7 +97,7 @@ def test_folded_and_literal_blocks_read_as_the_shell_sees_them():
         "--baseline benchmarks/BENCH_baseline.json --check"]
     modules = {match.group(1) for match in map(MODULE_RE.search, commands)
                if match is not None}
-    assert modules == {"repro.bench", "repro.fleet", "repro.obs.validate"}
+    assert modules == {"repro.bench", "repro.obs.validate"}
 
 
 def test_a_removed_flag_fails_the_lint():

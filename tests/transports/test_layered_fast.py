@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import enquiry
 from repro.core.buffers import Buffer
 from repro.core.selection import RequireMethod
 from repro.testbeds import make_sp2
 from repro.transports.layers import ChecksumLayer, CompressionLayer, \
     make_layered
+from repro.util.report import runtime_report
 
 
 @pytest.fixture
@@ -64,6 +66,19 @@ def test_carrier_stats_separate_from_plain_mpl(bed):
     (_, _), nexus = exchange(bed, "cksum+mpl", [ChecksumLayer()], 1000)
     assert nexus.transports.get("mpl").messages_sent == 0
     assert nexus.transports.get("cksum+mpl").carrier.messages_sent == 1
+
+
+def test_stack_traffic_is_its_carriers_wire_traffic(bed):
+    (_, _), nexus = exchange(bed, "cksum+mpl", [ChecksumLayer()], 1000)
+    carrier = nexus.transports.get("cksum+mpl").carrier
+    report = enquiry.report(nexus).transports
+    assert report["cksum+mpl"].messages_sent == 1
+    assert report["cksum+mpl"].bytes_sent == carrier.bytes_sent > 1000
+    assert report["mpl"].messages_sent == 0
+    text = runtime_report(nexus)
+    transports = text.split("transports:\n", 1)[1]
+    assert transports.split("\n", 1)[0].split(":")[0].strip() \
+        == "cksum+mpl"
 
 
 def test_plain_and_layered_mpl_coexist(bed):

@@ -80,7 +80,7 @@ class TestGroupSend:
         assert sorted(name for name, _ in got) == ["m1", "m2", "m3"]
         assert all(value == 7 for _n, value in got)
         # collapsed to ONE wire-level group send
-        assert mcast.services.tracer.count("mcast.group_sends") == 1
+        assert mcast.services.metrics.count("mcast.group_sends") == 1
 
     def test_mixed_methods_fall_back_to_per_link(self, group_bed):
         """If one link uses a different method, rsr loops per link."""
@@ -102,7 +102,7 @@ class TestGroupSend:
         waits = [nexus.spawn(waiter(ctx)) for ctx in contexts[1:]]
         nexus.spawn(sender())
         nexus.run(until=nexus.sim.all_of(waits))
-        assert mcast.services.tracer.count("mcast.group_sends") == 0
+        assert mcast.services.metrics.count("mcast.group_sends") == 0
         assert sorted(got) == ["m1", "m2", "m3"]
 
     def test_empty_group_rejected(self, group_bed):

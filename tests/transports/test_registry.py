@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simnet import Network, Simulator, Tracer
+from repro.obs import MetricsRegistry
+from repro.simnet import Network, Simulator
 from repro.simnet.random import RandomStreams
 from repro.transports import (
     BUILTIN_TRANSPORTS,
@@ -19,7 +20,7 @@ from repro.transports.errors import RegistryError
 @pytest.fixture
 def services():
     sim = Simulator()
-    return TransportServices(sim, Network(sim), Tracer(),
+    return TransportServices(sim, Network(sim), MetricsRegistry(),
                              RandomStreams(0).stream("t"))
 
 
