@@ -78,10 +78,6 @@ class Slab:
         if self.north_rank is None:
             self.data[-1] = self.data[-2]
 
-    def row_offset(self) -> int:
-        """Global index of my first interior row."""
-        return self.rank * self.local_ny
-
 
 def halo_exchange(proc: "MpiProcess", comm: "Communicator", slab: Slab):
     """Generator: swap edge rows with both neighbours.

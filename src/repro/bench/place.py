@@ -7,8 +7,7 @@ partitioner bake-off over that graph — spectral and Kernighan–Lin
 refinement must beat the seeded random baseline on the wire-weighted
 cut — and (2) searches the placement space, ranking every candidate
 with the static cost model and validating the top-k by simulated
-capacity bisection, fanned out across processes when
-``REPRO_PLACE_JOBS`` asks for it.
+capacity bisection.
 
 The rediscovery claims the shape check asserts:
 
@@ -22,14 +21,13 @@ The rediscovery claims the shape check asserts:
 * both real partitioners beat the random baseline.
 
 The workload is one short profile plus a handful of bisection probes,
-and the record is byte-identical at any ``REPRO_PLACE_JOBS`` level — the
-CI place-smoke job ``cmp``s serial against ``jobs=2``.
+run serially (``search_placements(jobs=2)`` fans the probes out across
+processes with a byte-identical result).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import typing as _t
 
@@ -62,11 +60,6 @@ from ..place import (
 from ..util.records import ResultTable
 from . import Artefact, RunOptions
 from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
-
-#: Fan the top-k capacity validations out over this many worker
-#: processes (``REPRO_PLACE_JOBS`` in the environment; the merged
-#: result is byte-identical to the serial run at any level).
-JOBS_ENV = "REPRO_PLACE_JOBS"
 
 #: The serving workload being placed: the §4.3 setup — eight clients of
 #: remote RPC against three serving ranks over the untuned stack.
@@ -117,22 +110,6 @@ def serving_slo() -> SLO:
                min_goodput_fraction=0.9)
 
 
-def place_jobs() -> int:
-    """Worker count for the capacity fan-out.
-
-    ``REPRO_PLACE_JOBS`` from the environment, forced serial inside a
-    daemonic process (a ``--jobs`` bench worker cannot spawn a nested
-    pool) — the results are byte-identical either way.
-    """
-    try:
-        jobs = int(os.environ.get(JOBS_ENV, "1"))
-    except ValueError:
-        return 1
-    if jobs > 1 and multiprocessing.current_process().daemon:
-        return 1
-    return max(1, jobs)
-
-
 @dataclasses.dataclass
 class PlaceBench:
     """Everything the placement artefact decided."""
@@ -144,7 +121,6 @@ class PlaceBench:
     search: SearchResult
     hill: Candidate
     agreement: float
-    jobs: int
 
     def partition_table(self) -> ResultTable:
         table = ResultTable(
@@ -183,8 +159,7 @@ class PlaceBench:
             self.search.summary(),
             f"hill-climb from direct: {self.hill.label} "
             f"(static {self.hill.static.static_capacity:.1f}/s); "
-            f"static/simulated agreement {self.agreement:.2f} "
-            f"at jobs={self.jobs}"])
+            f"static/simulated agreement {self.agreement:.2f}"])
 
     def metrics(self) -> _t.Iterator[Metric]:
         """Demand shares, partitioner bake-off, the placement search."""
@@ -252,11 +227,10 @@ def place_bench(options: RunOptions = RunOptions()) -> PlaceBench:
             graph, spectral_partition(graph, BAKEOFF_K)),
     }
 
-    jobs = place_jobs()
     search = search_placements(
         graph, scenario, serving_slo(), top_k=SEARCH_TOP_K,
         low=SEARCH_LOW, high=SEARCH_HIGH, tolerance=SEARCH_TOLERANCE,
-        max_probes=SEARCH_MAX_PROBES, jobs=jobs, assignment=refined)
+        max_probes=SEARCH_MAX_PROBES, assignment=refined)
     hill = neighborhood_search(graph, scenario, direct_placement())
     agreement = ordering_agreement(search.validated)
 
@@ -274,8 +248,7 @@ def place_bench(options: RunOptions = RunOptions()) -> PlaceBench:
                   "agreement": agreement})
 
     return PlaceBench(graph=graph, demand=demand, partitions=partitions,
-                      search=search, hill=hill, agreement=agreement,
-                      jobs=jobs)
+                      search=search, hill=hill, agreement=agreement)
 
 
 def check_place_shape(bench: PlaceBench) -> None:

@@ -43,10 +43,6 @@ class CommObject:
     def method(self) -> str:
         return self.transport.name
 
-    @property
-    def cache_key(self) -> tuple:
-        return comm_object_key(self.descriptor)
-
     def send(self, message: WireMessage):
         """Transmit ``message`` over this connection: accounts the send
         and hands back the transport's own send generator (no frame of

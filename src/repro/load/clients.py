@@ -119,20 +119,6 @@ class LoadResult:
         report its offered rate as delivered."""
         return self.delivered / self.elapsed if self.elapsed else 0.0
 
-    @property
-    def drop_fraction(self) -> float:
-        offered = self.offered
-        if offered == 0:
-            return 0.0
-        return self.messages_dropped / offered
-
-    @property
-    def retry_fraction(self) -> float:
-        offered = self.offered
-        if offered == 0:
-            return 0.0
-        return self.retries / offered
-
     def quantile_us(self, q: float) -> float | None:
         """End-to-end latency quantile in µs over all delivered RSRs."""
         return self.latency.quantile(q)

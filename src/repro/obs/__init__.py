@@ -8,8 +8,8 @@ Three pieces (see :mod:`~repro.obs.spans`, :mod:`~repro.obs.metrics`,
   with forwarding and multicast fan-out as linked children);
 * a **metrics registry** of counters, gauges, and fixed-bucket
   histograms (per-method latency, per-phase time, poll-hit counts);
-* **exporters**: Chrome trace-event JSON (Perfetto), JSONL span dumps,
-  and ASCII timelines/charts for terminals.
+* **exporters**: Chrome trace-event JSON (Perfetto) and ASCII
+  timelines/charts for terminals.
 
 On top of those sits the **analysis layer** (:mod:`~repro.obs.timeline`,
 :mod:`~repro.obs.graph`, :mod:`~repro.obs.critpath`): sim-time-windowed
@@ -82,20 +82,13 @@ from .timeline import Timeline, timeline_document
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.runtime import Nexus
 
-#: Process-wide default for ``Nexus(observe=None)``.
+#: Process-wide default for ``Nexus(observe=None)``; true only inside
+#: :func:`collecting`.
 _default_observe = False
 #: Active collector of (Observability, Nexus) pairs, or None.
 _collector: list[tuple[Observability, "Nexus | None"]] | None = None
 #: Active watcher of Nexus instances (tracing left untouched), or None.
 _watcher: list["Nexus"] | None = None
-
-
-def observe_by_default(enabled: bool) -> None:
-    """Set the process-wide default for runtimes that don't specify
-    ``observe=...`` themselves (how ``--trace`` reaches runtimes built
-    deep inside benchmark drivers)."""
-    global _default_observe
-    _default_observe = bool(enabled)
 
 
 def default_observe() -> bool:
@@ -187,7 +180,6 @@ __all__ = [
     "note_runtime",
     "parse_policy",
     "read_manifest",
-    "observe_by_default",
     "phase_attribution",
     "timeline_document",
     "watching_runtimes",

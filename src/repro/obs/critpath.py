@@ -69,14 +69,16 @@ class CriticalPath:
 
 
 class CritpathBuilder:
-    """Incremental critical-path fold over per-RSR span groups.
+    """The critical-path algorithm: a fold over per-RSR span groups.
 
-    Holds a bounded working set: one pending path per folded RSR (or a
-    ``top_k``-sized heap when a cap is given) plus a per-context minimum
-    span id, which canonicalises dense ranks — for an id-ordered span
-    log, ordering contexts by their smallest span id reproduces the
-    first-appearance order :func:`extract_critical_paths` uses, so the
-    folded paths are identical to the in-memory extraction.
+    Both the in-memory :func:`extract_critical_paths` and the streamed
+    :func:`~repro.obs.stream.fold_stream` feed it, so the two cannot
+    disagree.  It holds a bounded working set: one pending path per
+    folded RSR (or a ``top_k``-sized heap when a cap is given) plus a
+    per-context minimum span id, which canonicalises dense ranks — for
+    an id-ordered span log, ordering contexts by their smallest span id
+    is their order of first appearance, whatever order the RSR groups
+    arrive in.
     """
 
     def __init__(self, *, top_k: int | None = None) -> None:
@@ -149,72 +151,34 @@ class CritpathBuilder:
         return paths
 
 
-def extract_critical_paths(source: "Observability | _t.Sequence[Span]", *,
+def extract_critical_paths(obs: Observability, *,
                            top_k: int | None = None,
                            allow_partial: bool = False
                            ) -> list[CriticalPath]:
-    """Critical paths of every traced RSR, slowest first.
+    """Critical paths of every traced RSR in ``obs``, slowest first.
 
     ``top_k`` keeps only the K slowest.  RSRs with no finished span
     (nothing ever closed) are skipped; a path ending at a dropped
-    message is kept and flagged ``dropped``.  A source that recorded
+    message is kept and flagged ``dropped``.  A log that recorded
     capacity drops has holes in its parent links, so by default
     extraction raises :class:`TraceIncompleteError` (override with
     ``allow_partial=True``).
     """
-    dropped_spans = (source.dropped_spans
-                     if isinstance(source, Observability) else 0)
-    if dropped_spans and not allow_partial:
+    if obs.dropped_spans and not allow_partial:
         raise TraceIncompleteError(
-            f"span log dropped {dropped_spans} spans at capacity; "
+            f"span log dropped {obs.dropped_spans} spans at capacity; "
             f"critical paths would have broken chains (pass "
             f"allow_partial=True to extract anyway)")
-    spans = source.spans if isinstance(source, Observability) else source
-    ctx_rank: dict[int, int] = {}
-    for span in spans:
-        if span.ctx not in ctx_rank:
-            ctx_rank[span.ctx] = len(ctx_rank)
+    builder = CritpathBuilder(top_k=top_k)
     by_rsr: dict[int, list[Span]] = {}
-    for span in spans:
+    for span in obs.spans:
         if span.rsr > 0:
             by_rsr.setdefault(span.rsr, []).append(span)
-
-    paths: list[CriticalPath] = []
-    for rsr, rsr_spans in by_rsr.items():
-        by_id = {span.id: span for span in rsr_spans}
-        finished = [span for span in rsr_spans if span.end is not None]
-        if not finished:
-            continue
-        leaf = max(finished, key=lambda span: (span.end, span.id))
-        chain: list[Span] = []
-        cursor: Span | None = leaf
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = (by_id.get(cursor.parent)
-                      if cursor.parent is not None else None)
-        chain.reverse()
-        steps: list[PathStep] = []
-        for index, span in enumerate(chain):
-            if index + 1 < len(chain):
-                share = chain[index + 1].start - span.start
-            else:
-                share = _t.cast(float, span.end) - span.start
-            steps.append(PathStep(
-                phase=span.phase, lane=span.lane,
-                rank=ctx_rank[span.ctx],
-                start_s=span.start, share_s=share))
-        root = chain[0]
-        handler = ""
-        if root.attrs is not None:
-            handler = str(root.attrs.get("handler", ""))
-        dropped = bool(leaf.attrs and leaf.attrs.get("dropped"))
-        paths.append(CriticalPath(
-            rsr=rsr, handler=handler,
-            latency_s=_t.cast(float, leaf.end) - root.start,
-            dropped=dropped, steps=tuple(steps)))
-
-    paths.sort(key=lambda path: (-path.latency_s, path.rsr))
-    return paths[:top_k] if top_k is not None else paths
+        else:
+            builder.note_span(span)  # add_rsr notes the grouped ones
+    for rsr, spans in by_rsr.items():
+        builder.add_rsr(rsr, spans)
+    return builder.finish()
 
 
 def phase_attribution(paths: _t.Sequence[CriticalPath]

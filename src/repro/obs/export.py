@@ -1,13 +1,15 @@
-"""Trace exporters: Chrome trace-event JSON, JSONL spans, ASCII timeline.
+"""Trace exporters: Chrome trace-event JSON and ASCII renderings.
 
-Chrome trace-event files load directly in Perfetto (ui.perfetto.dev) or
-``chrome://tracing``: each simulation context renders as a *process*,
-each transport (plus the ``nexus`` dispatch lane) as a *thread*, and
-each lifecycle span as a complete ("X") event whose ``args`` carry the
-causal RSR id and parent span id.  The same span log also exports as
-JSONL (one span per line, for ad-hoc jq/pandas analysis) and as an
-ASCII timeline for terminals, built on the same rendering conventions
-as :mod:`repro.util.ascii_chart`.
+:func:`merged_chrome_trace` builds the one Chrome trace-event document
+(what ``--trace`` writes), one pid block per collected run.  It loads
+directly in Perfetto (ui.perfetto.dev) or ``chrome://tracing``: each
+simulation context renders as a *process*, each transport (plus the
+``nexus`` dispatch lane) as a *thread*, and each lifecycle span as a
+complete ("X") event whose ``args`` carry the causal RSR id and parent
+span id.  The same span log also renders as an ASCII timeline for
+terminals, built on the same rendering conventions as
+:mod:`repro.util.ascii_chart`.  Spans one per line are the spool's
+shard records (:mod:`repro.obs.stream`).
 
 Every export is deterministic: ids come from per-run counters, context
 ids are renumbered by first appearance, and JSON is serialised with
@@ -16,11 +18,10 @@ sorted keys — identical runs produce byte-identical artefacts.
 
 from __future__ import annotations
 
-import json
 import typing as _t
 
 from ..util.ascii_chart import GLYPHS, render_chart
-from ..util.document import COMPACT, DocumentError, Schema, write
+from ..util.document import DocumentError, Schema, write
 from ..util.records import Series
 from .metrics import Histogram
 from .spans import NEXUS_LANE, PHASES, Observability, Span
@@ -102,37 +103,16 @@ def chrome_trace_events(obs: Observability, *, pid_base: int = 0,
     return events
 
 
-def to_chrome_trace(obs: Observability, nexus: "Nexus | None" = None
-                    ) -> dict[str, object]:
-    """One runtime's spans + metrics as a Chrome trace-event document.
-
-    The extra top-level ``metrics`` / ``otherData`` keys are ignored by
-    Perfetto but make the artefact self-describing (per-method latency
-    histograms ride along with the spans).
-    """
-    names = None
-    if nexus is not None:
-        names = {ctx_id: ctx.name for ctx_id, ctx in nexus.contexts.items()}
-    return {
-        "displayTimeUnit": "ms",
-        "traceEvents": chrome_trace_events(obs, context_names=names),
-        "metrics": obs.metrics.snapshot(),
-        "otherData": {
-            "rsrs_started": obs.rsrs_started,
-            "rsrs_finished": obs.rsrs_finished,
-            "spans": len(obs.spans),
-            "dropped_spans": obs.dropped_spans,
-        },
-    }
-
-
 def merged_chrome_trace(
         runs: _t.Sequence[tuple[Observability, "Nexus | None"]]
         ) -> dict[str, object]:
-    """Merge several runtimes into one document (e.g. a bench sweep).
+    """Several runtimes' spans + metrics as one Chrome trace document.
 
     Each run's contexts get a disjoint pid block so Perfetto shows the
-    sweep points side by side; metrics nest under per-run keys.
+    sweep points side by side; metrics nest under per-run keys.  The
+    extra top-level ``metrics`` / ``otherData`` keys are ignored by
+    Perfetto but make the artefact self-describing (per-method latency
+    histograms ride along with the spans).
     """
     events: list[dict[str, object]] = []
     metrics: dict[str, object] = {}
@@ -157,11 +137,6 @@ def merged_chrome_trace(
                       "rsrs_finished": finished, "spans": spans,
                       "dropped_spans": dropped},
     }
-
-
-def write_chrome_trace(path: str, obs: Observability,
-                       nexus: "Nexus | None" = None) -> None:
-    write(path, to_chrome_trace(obs, nexus))
 
 
 def write_merged_chrome_trace(
@@ -269,34 +244,6 @@ def _validate(document: object,
     }
 
 
-# -- JSONL span dump ---------------------------------------------------------
-
-def spans_jsonl(obs: Observability) -> _t.Iterator[str]:
-    """One JSON object per span, in span-id order (no trailing newline)."""
-    ctx_order = _context_order(obs.spans)
-    for span in obs.spans:
-        record: dict[str, object] = {
-            "span": span.id,
-            "rsr": span.rsr,
-            "phase": span.phase,
-            "ctx": ctx_order[span.ctx],
-            "lane": span.lane,
-            "start": span.start,
-            "end": span.end,
-            "parent": span.parent,
-        }
-        if span.attrs:
-            record["attrs"] = span.attrs
-        yield json.dumps(record, **COMPACT)
-
-
-def write_spans_jsonl(path: str, obs: Observability) -> None:
-    with open(path, "w") as handle:
-        for line in spans_jsonl(obs):
-            handle.write(line)
-            handle.write("\n")
-
-
 # -- terminal renderings -----------------------------------------------------
 
 def ascii_timeline(obs: Observability, *, width: int = 72,
@@ -401,6 +348,5 @@ DOCUMENT = Schema("repro.obs.trace", None, _validate, "Chrome trace")
 __all__ = [
     "DOCUMENT", "GLYPHS", "PHASE_GLYPHS", "ascii_timeline",
     "chrome_trace_events", "histogram_chart", "latency_chart",
-    "merged_chrome_trace", "spans_jsonl", "to_chrome_trace",
-    "write_chrome_trace", "write_merged_chrome_trace", "write_spans_jsonl",
+    "merged_chrome_trace", "write_merged_chrome_trace",
 ]

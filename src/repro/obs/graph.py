@@ -238,34 +238,29 @@ class GraphBuilder:
         return graph
 
 
-def extract_graph(source: "Observability | _t.Sequence[Span]", *,
-                  nexus: "Nexus | None" = None,
+def extract_graph(obs: Observability, *, nexus: "Nexus | None" = None,
                   allow_partial: bool = False) -> CommGraph:
-    """Extract the communication graph from a span log.
+    """Extract the communication graph from ``obs``'s span log.
 
-    ``source`` is an :class:`Observability` or a raw span sequence;
-    passing ``nexus`` labels nodes with context/host names (otherwise
-    components render as ``ctx<rank>`` / host ``?``).  A source that
+    Passing ``nexus`` labels nodes with context/host names (otherwise
+    components render as ``ctx<rank>`` / host ``?``).  A log that
     recorded capacity drops has holes in its parent links, so by
     default extraction raises :class:`TraceIncompleteError`; with
     ``allow_partial=True`` the graph is built anyway and carries the
     drop count in :attr:`CommGraph.dropped_spans`.
     """
-    spans = source.spans if isinstance(source, Observability) else source
-    dropped = (source.dropped_spans
-               if isinstance(source, Observability) else 0)
-    if dropped and not allow_partial:
+    if obs.dropped_spans and not allow_partial:
         raise TraceIncompleteError(
-            f"span log dropped {dropped} spans at capacity; the graph "
-            f"would have missing edges (pass allow_partial=True to "
+            f"span log dropped {obs.dropped_spans} spans at capacity; the "
+            f"graph would have missing edges (pass allow_partial=True to "
             f"build it anyway, annotated)")
     names: dict[int, tuple[str, str]] = {}
     if nexus is not None:
         names = {context.id: (context.name, context.host.name)
                  for context in nexus.contexts.values()}
     builder = GraphBuilder()
-    builder.add_rsr(spans)
-    builder.dropped_spans = dropped
+    builder.add_rsr(obs.spans)
+    builder.dropped_spans = obs.dropped_spans
     return builder.finish(names=names)
 
 

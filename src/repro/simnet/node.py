@@ -63,15 +63,9 @@ class Host:
 
     # -- topology predicates ---------------------------------------------
 
-    def same_host(self, other: "Host") -> bool:
-        return self is other
-
     def same_partition(self, other: "Host") -> bool:
         return (self.partition is not None
                 and self.partition is other.partition)
-
-    def same_machine(self, other: "Host") -> bool:
-        return self.machine is not None and self.machine is other.machine
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         part = self.partition.name if self.partition else None

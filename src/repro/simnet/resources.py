@@ -189,10 +189,6 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def request(self, amount: int = 1) -> ResourceRequest:
         """Ask for ``amount`` units; the event succeeds when granted."""
         if amount < 1 or amount > self.capacity:

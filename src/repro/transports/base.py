@@ -110,10 +110,6 @@ class WireMessage:
     trace: "MessageTrace | None" = dataclasses.field(
         default=None, repr=False, compare=False)
 
-    @property
-    def age_key(self) -> tuple[float, int]:
-        return (self.sent_at, self.endpoint_id)
-
 
 @dataclasses.dataclass(slots=True)
 class InTransitMessage:

@@ -225,10 +225,6 @@ class FastTransport(Transport):
             if messages:
                 return messages
 
-    def pending_transit(self, context: ContextLike) -> int:
-        """Number of messages still draining at ``context`` (enquiry)."""
-        return len(context.device_queue(self.name))
-
     def _overlap(self) -> float:
         runtime_costs = getattr(self.services, "runtime_costs", None)
         return runtime_costs.select_drain_overlap if runtime_costs else 1.0

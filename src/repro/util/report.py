@@ -1,11 +1,11 @@
 """Runtime diagnostics report: where did the (virtual) time go?
 
-:func:`runtime_report` assembles a plain-text report from a live
-:class:`~repro.core.runtime.Nexus` — per-context polling behaviour
-(cycles, per-method fires/time/hit-rates, skip settings), per-transport
-traffic, and the runtime's registry counters — the operational
-complement to the per-call enquiry API.  Used interactively and by the
-examples; the format is stable enough to grep in tests.
+:func:`runtime_report` renders the :class:`~repro.core.enquiry.EnquiryReport`
+of a live :class:`~repro.core.runtime.Nexus` as plain text — per-context
+polling behaviour (cycles, per-method fires/time/hit-rates, skip
+settings), per-transport traffic, traced latency and phase
+distributions, the windowed timeline — plus the runtime's registry
+counters.  Tests pin its whole output (``tests/golden/``).
 """
 
 from __future__ import annotations
@@ -15,44 +15,41 @@ import typing as _t
 from .units import format_bytes, format_time
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..core.enquiry import EnquiryReport
     from ..core.runtime import Nexus
 
 
-def _context_section(nexus: "Nexus") -> list[str]:
-    from ..core.enquiry import _build_poll_report
-
+def _context_section(nexus: "Nexus", report: "EnquiryReport") -> list[str]:
     lines = ["contexts:"]
     for context in nexus.contexts.values():
-        report = _build_poll_report(context)
+        poll = report.polling[context.id]
         lines.append(
             f"  {context.name} (id {context.id}, host {context.host.name})")
         lines.append(
             f"    methods {context.export_table().methods}  "
-            f"poll cycles {report.cycles}  "
-            f"fast-forwards {report.idle_fast_forwards}  "
+            f"poll cycles {poll.cycles}  "
+            f"fast-forwards {poll.idle_fast_forwards}  "
             f"rsrs in {context.rsrs_dispatched}")
-        for method in sorted(report.fires):
-            skip = report.skip.get(method, 1)
-            hit_rate = report.hit_rates.get(method)
+        for method in sorted(poll.fires):
+            skip = poll.skip.get(method, 1)
+            hit_rate = poll.hit_rates.get(method)
             lines.append(
-                f"    {method:>8}: fired {report.fires[method]:>8} times, "
-                f"{format_time(report.poll_time[method]):>10} polling, "
-                f"{report.messages.get(method, 0):>6} msgs "
+                f"    {method:>8}: fired {poll.fires[method]:>8} times, "
+                f"{format_time(poll.poll_time[method]):>10} polling, "
+                f"{poll.messages.get(method, 0):>6} msgs "
                 f"(hit rate "
                 f"{'n/a' if hit_rate is None else format(hit_rate, '.1%')}, "
                 f"skip_poll {skip})")
-        never_fired = sorted(m for m, rate in report.hit_rates.items()
-                             if rate is None and m not in report.fires)
+        never_fired = sorted(m for m, rate in poll.hit_rates.items()
+                             if rate is None and m not in poll.fires)
         if never_fired:
             lines.append(f"    never fired: {', '.join(never_fired)}")
     return lines
 
 
-def _transport_section(nexus: "Nexus") -> list[str]:
-    from ..core.enquiry import _build_transport_report
-
+def _transport_section(report: "EnquiryReport") -> list[str]:
     lines = ["transports:"]
-    for name, stats in _build_transport_report(nexus).items():
+    for name, stats in report.transports.items():
         if stats.messages_sent == 0 and stats.messages_dropped == 0:
             continue
         lines.append(
@@ -66,41 +63,42 @@ def _transport_section(nexus: "Nexus") -> list[str]:
     return lines
 
 
-def _observability_section(nexus: "Nexus") -> list[str]:
+def _observability_section(nexus: "Nexus",
+                           report: "EnquiryReport") -> list[str]:
     """Phase breakdown of traced RSR lifecycles (only when observing)."""
-    from ..core.enquiry import _build_latency_report, _build_phase_report
-
-    obs = nexus.obs
-    if not obs.enabled or not (obs.spans or obs.streaming):
+    overhead = report.obs_overhead
+    if overhead is None or not (overhead["streaming"]
+                                or overhead["spans_recorded"]):
         return []
     lines = ["observability:"]
-    if obs.streaming:
-        overhead = obs.overhead()
+    if overhead["streaming"]:
         lines.append(
             f"  streaming: {overhead['spans_recorded']} spans spooled "
-            f"over {obs.rsrs_started} RSRs "
-            f"({obs.rsrs_finished} delivered), "
-            f"{overhead.get('spans_sampled_out', 0)} sampled out, "
-            f"peak {obs.peak_spans} open spans, "
-            f"{overhead.get('shards', 0)} shard(s)")
+            f"over {overhead['rsrs_started']} RSRs "
+            f"({overhead['rsrs_finished']} delivered), "
+            f"{overhead['spans_sampled_out']} sampled out, "
+            f"peak {overhead['peak_spans']} open spans, "
+            f"{overhead['shards']} shard(s)")
+        obs = nexus.obs
+        # Wall-clock cost lives on the spool, never in the report.
         sink = obs._sink if obs._sink is not None else obs._retired_sink
-        if sink is not None:
-            lines.append(
-                f"  spool: {sink.bytes_written} bytes written, "
-                f"{sink.wall_s * 1e3:.2f} ms wall in obs")
+        lines.append(
+            f"  spool: {sink.bytes_written} bytes written, "
+            f"{sink.wall_s * 1e3:.2f} ms wall in obs")
     else:
         lines.append(
-            f"  {len(obs.spans)} spans over {obs.rsrs_started} RSRs "
-            f"({obs.rsrs_finished} delivered), "
-            f"peak log occupancy {obs.peak_spans}"
-            + (f", {obs.dropped_spans} spans dropped at capacity"
-               if obs.dropped_spans else ""))
-    for method, stats in sorted(_build_latency_report(nexus).items()):
+            f"  {overhead['spans_recorded']} spans over "
+            f"{overhead['rsrs_started']} RSRs "
+            f"({overhead['rsrs_finished']} delivered), "
+            f"peak log occupancy {overhead['peak_spans']}"
+            + (f", {overhead['spans_dropped']} spans dropped at capacity"
+               if overhead["spans_dropped"] else ""))
+    for method, stats in sorted(report.latency.items()):
         lines.append(
             f"  end-to-end {method:>8}: n={stats.count:<6} "
             f"mean {stats.mean_us:8.1f} us  p95 {stats.p95_us:8.1f} us  "
             f"max {stats.max_us:8.1f} us")
-    for (phase, lane), stats in sorted(_build_phase_report(nexus).items()):
+    for (phase, lane), stats in sorted(report.phases.items()):
         lines.append(
             f"  {phase:>11}/{lane:<8}: n={stats.count:<6} "
             f"mean {stats.mean_us:8.1f} us  p95 {stats.p95_us:8.1f} us")
@@ -132,30 +130,19 @@ def hot_path_report(profile, top_n: int = 15) -> str:
     return table.render(precision=3)
 
 
-def _timeline_section(nexus: "Nexus") -> list[str]:
+def _timeline_section(report: "EnquiryReport") -> list[str]:
     """Sparkline view of the windowed telemetry, when recorded."""
-    from ..obs.timeline import (
-        KEY_ALL, SERIES_DELIVERED, SERIES_ISSUED, SERIES_LATENCY)
     from .ascii_chart import sparkline
 
-    timeline = nexus.obs.timeline
-    if timeline is None:
+    timeline = _t.cast("dict[str, _t.Any] | None", report.timeline)
+    if timeline is None or timeline["windows"] is None:
         return []
-    window_range = timeline.window_range()
-    if window_range is None:
-        return []
-    lo, hi = window_range
-    lines = [f"timeline ({timeline.interval * 1e3:.3g} ms windows, "
-             f"{lo}..{hi}):"]
-    rows: list[tuple[str, _t.Sequence[float | None]]] = [
-        ("issued", timeline.counter_series(SERIES_ISSUED, KEY_ALL)),
-        ("p99 us", timeline.quantile_series(SERIES_LATENCY, KEY_ALL,
-                                            0.99)),
-    ]
-    delivered = timeline.counter_total_series(SERIES_DELIVERED,
-                                              prefix="method=")
-    rows.insert(1, ("delivered", delivered))
-    for label, series in rows:
+    windows = timeline["windows"]
+    lines = [f"timeline ({timeline['interval_s'] * 1e3:.3g} ms windows, "
+             f"{windows['lo']}..{windows['hi']}):"]
+    for label, key in (("issued", "issued"), ("delivered", "delivered"),
+                       ("p99 us", "p99_latency_us")):
+        series = timeline[key]
         measured = [value for value in series if value is not None]
         peak = f"peak {max(measured):.4g}" if measured else "no samples"
         lines.append(f"  {label:>9} |{sparkline(series)}| {peak}")
@@ -211,15 +198,19 @@ def _counters_section(nexus: "Nexus") -> list[str]:
 
 
 def runtime_report(nexus: "Nexus", *, include_counters: bool = True) -> str:
-    """A multi-section plain-text report over the whole runtime."""
+    """A multi-section plain-text rendering of :func:`enquiry.report
+    <repro.core.enquiry.report>` over the whole runtime."""
+    from ..core.enquiry import report as enquiry_report
+
+    report = enquiry_report(nexus)
     lines = [
         f"=== nexus runtime report @ t={format_time(nexus.now)} "
         f"({nexus.sim.events_processed} events) ===",
     ]
-    lines += _context_section(nexus)
-    lines += _transport_section(nexus)
-    lines += _observability_section(nexus)
-    lines += _timeline_section(nexus)
+    lines += _context_section(nexus, report)
+    lines += _transport_section(report)
+    lines += _observability_section(nexus, report)
+    lines += _timeline_section(report)
     if include_counters:
         lines += _counters_section(nexus)
     return "\n".join(lines)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench.place import (
     check_place_shape,
-    place_jobs,
     serving_scenario,
 )
 from repro.bench.record import BenchRecord
@@ -24,14 +23,6 @@ class TestScenarioDefinition:
         assert scenario.remote_servers == 3
         assert scenario.skip_poll == ()
         assert all(fleet.route == "remote" for fleet in scenario.fleets)
-
-    def test_place_jobs_reads_the_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLACE_JOBS", raising=False)
-        assert place_jobs() == 1
-        monkeypatch.setenv("REPRO_PLACE_JOBS", "3")
-        assert place_jobs() == 3
-        monkeypatch.setenv("REPRO_PLACE_JOBS", "not-a-number")
-        assert place_jobs() == 1
 
 
 class TestShape:

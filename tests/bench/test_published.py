@@ -16,14 +16,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 def section_rows(heading):
     """The cells of every data row of the tables in one EXPERIMENTS.md
-    section (header and separator rows dropped)."""
+    section (header and separator rows dropped), bold marks and a
+    leading ``≈`` stripped."""
     text = (ROOT / "EXPERIMENTS.md").read_text()
     section = text.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
         if not line.startswith("|"):
             continue
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        cells = [cell.strip().strip("*").removeprefix("≈").strip()
+                 for cell in line.strip().strip("|").split("|")]
         if any(re.match(r"\d", cell) for cell in cells[1:]):
             rows.append(cells)
     return rows
@@ -109,4 +111,40 @@ def test_section5_baselines_table_is_the_baseline():
         measured[name], printed[name] = as_printed(recorded[name], text)
     assert set(printed) == {name for name in recorded
                             if name.endswith(".ms_per_round")}
+    assert printed == measured
+
+
+#: Load & capacity table row -> its ``load`` capacity search.
+CAPACITY_ROWS = {
+    "untuned polling (`skip_poll=1`)": "untuned",
+    "forwarding processor (§4.3, co-located rank)": "forwarding",
+    "tuned `skip_poll=10`": "tuned-skip-poll",
+}
+
+
+def test_load_capacity_table_is_the_baseline():
+    recorded = baseline_metrics("load")
+    printed, measured = {}, {}
+    for label, text in section_rows("Load & capacity"):
+        name = f"capacity.{CAPACITY_ROWS[label]}.rate"
+        measured[name], printed[name] = as_printed(recorded[name], text)
+    assert set(printed) == {name for name in recorded
+                            if re.fullmatch(r"capacity\.[^.]+\.rate", name)}
+    assert printed == measured
+
+
+def test_placement_table_is_the_baseline():
+    """A row names its candidate by the label before its note."""
+    recorded = baseline_metrics("place")
+    printed, measured = {}, {}
+    for label, *cells in section_rows("Placement planning"):
+        candidate = slug(label.split(" (")[0])
+        names = (f"candidate.{candidate}.static_rps",
+                 f"capacity.{candidate}.rate")
+        for name, text in zip(names, cells, strict=True):
+            measured[name], printed[name] = as_printed(recorded[name], text)
+    assert set(printed) == {
+        name for name in recorded
+        if re.fullmatch(r"candidate\.[^.]+\.static_rps"
+                        r"|capacity\.[^.]+\.rate", name)}
     assert printed == measured

@@ -15,8 +15,7 @@ def _artefacts():
     bed = run_pingpong()
     obs, nexus = bed.nexus.obs, bed.nexus
     return (
-        dumps(export.to_chrome_trace(obs, nexus)),
-        "\n".join(export.spans_jsonl(obs)),
+        dumps(export.merged_chrome_trace([(obs, nexus)])),
         export.ascii_timeline(obs),
         str(obs.metrics.snapshot()),
     )

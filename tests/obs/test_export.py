@@ -17,14 +17,18 @@ def traced():
     return bed.nexus.obs, bed.nexus
 
 
+def one_run_trace(obs, nexus=None):
+    return export.merged_chrome_trace([(obs, nexus)])
+
+
 class TestChromeTrace:
     def test_document_passes_the_validator(self, traced):
         obs, nexus = traced
-        export.DOCUMENT.validate(export.to_chrome_trace(obs, nexus))
+        export.DOCUMENT.validate(one_run_trace(obs, nexus))
 
     def test_round_trips_through_json(self, traced):
         obs, nexus = traced
-        document = export.to_chrome_trace(obs, nexus)
+        document = one_run_trace(obs, nexus)
         assert json.loads(dumps(document)) == document
 
     def test_metadata_names_every_context_and_lane(self, traced):
@@ -47,15 +51,15 @@ class TestChromeTrace:
 
     def test_context_names_from_nexus(self, traced):
         obs, nexus = traced
-        events = export.to_chrome_trace(obs, nexus)["traceEvents"]
+        events = one_run_trace(obs, nexus)["traceEvents"]
         names = {e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "process_name"}
-        assert {"a", "b", "c"} <= names
+        assert {"run0:a", "run0:b", "run0:c"} <= names
 
     def test_write_and_validate_file(self, traced, tmp_path):
         obs, nexus = traced
         path = tmp_path / "trace.json"
-        export.write_chrome_trace(str(path), obs, nexus)
+        export.write_merged_chrome_trace(str(path), [(obs, nexus)])
         export.DOCUMENT.validate(json.loads(path.read_text()))
 
     def test_merged_trace_separates_runs(self, traced):
@@ -65,23 +69,6 @@ class TestChromeTrace:
         pids = {e["pid"] for e in document["traceEvents"] if e["ph"] == "X"}
         assert any(pid >= 1000 for pid in pids)
         assert set(document["metrics"]) == {"run0", "run1"}
-
-
-class TestJsonl:
-    def test_one_valid_record_per_span(self, traced):
-        obs, _nexus = traced
-        lines = list(export.spans_jsonl(obs))
-        assert len(lines) == len(obs.spans)
-        records = [json.loads(line) for line in lines]
-        assert [r["span"] for r in records] == [s.id for s in obs.spans]
-        assert all(r["end"] is not None for r in records)
-
-    def test_write_jsonl(self, traced, tmp_path):
-        obs, _nexus = traced
-        path = tmp_path / "spans.jsonl"
-        export.write_spans_jsonl(str(path), obs)
-        content = path.read_text().splitlines()
-        assert len(content) == len(obs.spans)
 
 
 class TestTerminalRenderings:
@@ -107,7 +94,7 @@ class TestTerminalRenderings:
 class TestValidator:
     def _valid(self, traced):
         obs, nexus = traced
-        return export.to_chrome_trace(obs, nexus)
+        return one_run_trace(obs, nexus)
 
     def test_rejects_non_dict(self):
         with pytest.raises(DocumentError):
@@ -167,4 +154,4 @@ class TestEmptyMergedTrace:
         from repro.simnet import Simulator
 
         obs = Observability(Simulator(), enabled=True)
-        export.DOCUMENT.validate(export.to_chrome_trace(obs))
+        export.DOCUMENT.validate(one_run_trace(obs))

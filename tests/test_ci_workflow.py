@@ -3,18 +3,25 @@
 Every command ``ci.yml`` gives one of this repo's CLIs must parse under
 that CLI's own parser, and every ``benchmarks/`` or ``examples/`` path
 it names must exist — so a removed flag or a deleted baseline fails
-here rather than on the next push.  PyYAML is not a dependency, so the
-workflow is read as text: a ``run:`` value is one command, a literal
-``|`` block (one command per line) or a folded ``>`` block (its lines
-joined into one command).
+here rather than on the next push.  ``python -m perfbench`` builds its
+parser inside ``main``, so its flags are read from its ``--help``
+output, and every workload a ``for workload in`` loop names must be in
+``perfbench.catalogue.WORKLOAD_NAMES``.  PyYAML is not a dependency,
+so the workflow is read as text: a ``run:`` value is one command, a
+literal ``|`` block (one command per line) or a folded ``>`` block (its
+lines joined into one command).
 """
 
 import contextlib
+import functools
 import io
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
+from perfbench.catalogue import WORKLOAD_NAMES
 from repro.bench import ARTEFACTS
 from repro.bench.__main__ import build_parser as bench_parser
 from repro.fleet.__main__ import build_parser as fleet_parser
@@ -28,6 +35,8 @@ PARSERS = {"repro.bench": bench_parser, "repro.fleet": fleet_parser}
 MODULE_RE = re.compile(
     r"python -m (repro\.bench|repro\.fleet|repro\.obs\.validate)(?=\s|$)(.*)")
 PATH_RE = re.compile(r"\b(?:benchmarks|examples)/[\w./-]+")
+PERFBENCH_RE = re.compile(r"python -m perfbench(?=\s|$)(.*)")
+WORKLOAD_LOOP_RE = re.compile(r"\bfor workload in ([^;]*);")
 
 
 def run_commands(text):
@@ -69,6 +78,15 @@ def _parse_error(module, argv):
     return f"unknown artefacts {unknown}" if unknown else None
 
 
+@functools.cache
+def perfbench_flags():
+    """Every option ``python -m perfbench --help`` lists."""
+    help_text = subprocess.run(
+        [sys.executable, "-m", "perfbench", "--help"], cwd=ROOT,
+        capture_output=True, text=True, check=True).stdout
+    return frozenset(re.findall(r"(?<![\w-])--[\w-]+", help_text))
+
+
 def problems(text):
     """One line per command that does not parse or path that is gone."""
     found = []
@@ -78,6 +96,15 @@ def problems(text):
             error = _parse_error(match.group(1), shlex.split(match.group(2)))
             if error is not None:
                 found.append(f"{command!r}: {error}")
+        match = PERFBENCH_RE.search(command)
+        if match is not None:
+            found += [f"{command!r}: unknown perfbench flag {flag}"
+                      for arg in shlex.split(match.group(1))
+                      if (flag := arg.split("=", 1)[0]).startswith("--")
+                      and flag not in perfbench_flags()]
+        for loop in WORKLOAD_LOOP_RE.findall(command):
+            found += [f"{command!r}: unknown perfbench workload {name!r}"
+                      for name in loop.split() if name not in WORKLOAD_NAMES]
         for path in PATH_RE.findall(command):
             if not (ROOT / path).exists():
                 found.append(f"{command!r}: no such path {path}")
@@ -116,3 +143,20 @@ def test_a_deleted_baseline_fails_the_lint():
         "--record BENCH.json --export-dir bench_exports --baseline "
         "benchmarks/BENCH_quick_baseline.json --check': no such path "
         "benchmarks/BENCH_quick_baseline.json"]
+
+
+def test_a_bogus_perfbench_flag_fails_the_lint():
+    stale = re.sub(r"python -m perfbench(?=\s|$)", r"\g<0> --bogus",
+                   WORKFLOW.read_text())
+    found = problems(stale)
+    assert found
+    assert all("unknown perfbench flag --bogus" in line for line in found)
+
+
+def test_a_bogus_perfbench_workload_fails_the_lint():
+    stale = WORKFLOW.read_text().replace("for workload in ",
+                                         "for workload in bogus_workload ")
+    found = problems(stale)
+    assert found
+    assert all("unknown perfbench workload 'bogus_workload'" in line
+               for line in found)

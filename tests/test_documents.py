@@ -19,7 +19,7 @@ from repro.bench.record import BenchRecord
 from repro.fleet import ScenarioGrid, key_slug, merge_load_results, \
     run_serial
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop
-from repro.obs.export import write_chrome_trace
+from repro.obs.export import write_merged_chrome_trace
 from repro.obs.stream import merge_spool_manifests, write_merged_manifest
 from repro.obs.validate import validate_file
 from repro.util.document import (
@@ -77,7 +77,8 @@ def samples(bench_result, bench_exports, tmp_path_factory):
     spool = root / "spools" / sorted(spools.values())[0]
 
     bed = run_pingpong()
-    write_chrome_trace(str(root / "trace.json"), bed.nexus.obs, bed.nexus)
+    write_merged_chrome_trace(str(root / "trace.json"),
+                              [(bed.nexus.obs, bed.nexus)])
     return {
         "repro.bench.record": str(root / "record.json"),
         "repro.fleet.load_summary": str(root / "merged.json"),
