@@ -532,7 +532,11 @@ class PollManager:
         """The event an idle waiter sleeps on: the next arrival at this
         context, ``extra_wake``, or the next instant a poll could deliver
         something already in flight — whichever comes first.  ``None``
-        when a poll could deliver right now."""
+        when a poll could deliver right now, or when ``extra_wake`` has
+        already fired (during the loop charge): the waiter's next
+        ``predicate()`` check then sees it, as the stepwise loop would."""
+        if extra_wake is not None and extra_wake.callbacks is None:
+            return None
         context = self.context
         sim = context.nexus.sim
         now = sim._clock._now
@@ -540,12 +544,10 @@ class PollManager:
         if t_next is not None and t_next <= now + _EPS:
             return None
         arrival = context.arrival_signal()
-        watch_extra = (extra_wake is not None
-                       and extra_wake.callbacks is not None)
-        if t_next is None and not watch_extra:
+        if t_next is None and extra_wake is None:
             return arrival
         wake_events: list[Event] = [arrival]
-        if watch_extra:
+        if extra_wake is not None:
             wake_events.append(extra_wake)
         if t_next is not None:
             wake_events.append(sim.timeout(t_next - now))

@@ -360,6 +360,8 @@ class ReferencePollManager:
     def _idle_fast_forward(self, extra_wake: Event | None = None):
         """Skip ahead to the next instant a poll could deliver anything,
         charging the spin iterations that would have happened meanwhile."""
+        if extra_wake is not None and extra_wake.processed:
+            return  # it fired during the loop charge; the loop sees it
         context = self.context
         sim = context.nexus.sim
         now = sim.now
@@ -368,7 +370,7 @@ class ReferencePollManager:
             return  # deliverable right now; the next poll will find it
 
         wake_events: list[Event] = [context.arrival_signal()]
-        if extra_wake is not None and not extra_wake.processed:
+        if extra_wake is not None:
             wake_events.append(extra_wake)
         if t_next is not None:
             wake_events.append(sim.timeout(t_next - now))

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSkipPoll
 from repro.core.buffers import Buffer
 from repro.simnet.errors import SimnetError
+from repro.transports.costmodels import DEFAULT_RUNTIME_COSTS
 from repro.testbeds import make_sp2
 
 from .reference_polling import (
@@ -191,9 +192,9 @@ def play(program, install=None, attach=AdaptiveSkipPoll.attach):
     try:
         nexus.run(until=sim.all_of(processes))
     except SimnetError:
-        # The queue ran dry with the receiver still waiting: see the
-        # ``lost-wake-up`` named case.  Where and when it got stuck is
-        # part of what the two managers must agree on.
+        # The queue ran dry with the receiver still waiting (how the
+        # ``lost-wake-up`` named case failed before its cure).  Where and
+        # when it got stuck is part of what the two managers must agree on.
         stuck = True
 
     def snapshot(context):
@@ -314,11 +315,11 @@ NAMED = {
         tcp_sends=BURST[:3], mpl_sends=BURST[:1],
         phases=(Phase("busy", 50, 0.0), Phase("wait", 2),
                 Phase("poll", 2, mask=("local", "tcp")))),
-    # Found by the deep profile, true of both managers (and so left
-    # alone here — curing it moves event sequences; ROADMAP item 1): an
-    # ``Event`` condition that fires *during* the 1 us loop charge is not
-    # looked at again before the waiter goes to sleep on the next arrival
-    # alone, and with nothing else on its way that sleep never ends.
+    # Found by the deep profile, once true of both managers: an ``Event``
+    # condition that fired *during* the 1 us loop charge was not looked
+    # at again before the waiter went to sleep on the next arrival alone,
+    # and with nothing else on its way that sleep never ended.  Held by
+    # ``test_an_event_that_fires_during_the_loop_charge_ends_the_wait``.
     "lost-wake-up": Program(
         blocking_tcp=True,
         phases=(Phase("sleep", 200 * NS, mask=("local", "tcp")),)),
@@ -333,6 +334,21 @@ def test_named_cases(name):
                if entry[0] == "me" and len(entry) == 2]
     if not outcome["stuck"]:
         assert len(handled) == len(program.mpl_sends) + len(program.tcp_sends)
+
+
+def test_an_event_that_fires_during_the_loop_charge_ends_the_wait():
+    """Regression for ``lost-wake-up``: the waiter's ``Event`` fires while
+    the loop charges its ``poll_loop_cost``.  It must not be stuck, and it
+    must return at the instant a stepwise loop would — its next
+    ``predicate()`` check, after one poll cycle and one loop charge, with
+    no idle fast-forward in between."""
+    outcome = assert_same(NAMED["lost-wake-up"])
+    assert not outcome["stuck"]
+    me = outcome["contexts"]["me"]
+    assert me["cycles"] == 1 and me["idle_fast_forwards"] == 0
+    stepwise = (sum(me["poll_time"].values())
+                + DEFAULT_RUNTIME_COSTS.poll_loop_cost)
+    assert outcome["log"] == [("sleep", stepwise)]
 
 
 def test_the_named_cases_reach_the_paths_they_are_named_for():
