@@ -79,9 +79,8 @@ def _observability_section(nexus: "Nexus",
             f"{overhead['spans_sampled_out']} sampled out, "
             f"peak {overhead['peak_spans']} open spans, "
             f"{overhead['shards']} shard(s)")
-        obs = nexus.obs
         # Wall-clock cost lives on the spool, never in the report.
-        sink = obs._sink if obs._sink is not None else obs._retired_sink
+        sink = nexus.obs.sink
         lines.append(
             f"  spool: {sink.bytes_written} bytes written, "
             f"{sink.wall_s * 1e3:.2f} ms wall in obs")
