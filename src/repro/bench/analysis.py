@@ -18,8 +18,9 @@ Everything is a pure function of the scenario seeds; with
 ``RunOptions.export_dir`` set (the ``--export-dir`` CLI flag) the
 artefact writes ``timeline.json``, ``graph.json``, ``graph.dot``, and
 ``critpath.json``
-— byte-identical across repeated runs, which the CI analysis-smoke job
-asserts with ``cmp``.
+— byte-identical across repeated runs and to the documents folded from
+a streamed run's shards, which CI's ``regression-gate`` and
+``stream-smoke`` jobs assert with ``cmp`` and ``diff -r``.
 """
 
 from __future__ import annotations

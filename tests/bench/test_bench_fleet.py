@@ -1,5 +1,6 @@
 """The fleet artefact's shape check and metric names, on synthetic
-points — the real cold/warm measurement runs in CI's ``fleet-smoke``."""
+points — the real cold/warm measurement runs in CI's
+``regression-gate`` (its fleet scaling step)."""
 
 import pytest
 

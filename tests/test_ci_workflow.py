@@ -6,7 +6,10 @@ it names must exist — so a removed flag or a deleted baseline fails
 here rather than on the next push.  ``python -m perfbench`` builds its
 parser inside ``main``, so its flags are read from its ``--help``
 output, and every workload a ``for workload in`` loop names must be in
-``perfbench.catalogue.WORKLOAD_NAMES``.  PyYAML is not a dependency,
+``perfbench.catalogue.WORKLOAD_NAMES``.  Every CI job that prose under
+``src/``, ``docs/``, ``tests/``, ``README.md`` or ``EXPERIMENTS.md``
+names (a ``<name>-smoke`` or ``regression-gate`` token) must be a job
+the workflow defines.  PyYAML is not a dependency,
 so the workflow is read as text: a ``run:`` value is one command, a
 literal ``|`` block (one command per line) or a folded ``>`` block (its
 lines joined into one command).
@@ -37,6 +40,8 @@ MODULE_RE = re.compile(
 PATH_RE = re.compile(r"\b(?:benchmarks|examples)/[\w./-]+")
 PERFBENCH_RE = re.compile(r"python -m perfbench(?=\s|$)(.*)")
 WORKLOAD_LOOP_RE = re.compile(r"\bfor workload in ([^;]*);")
+JOB_NAME_RE = re.compile(r"[\w-]+-smoke\b|\bregression-gate\b")
+PROSE = ("src", "docs", "tests", "README.md", "EXPERIMENTS.md")
 
 
 def run_commands(text):
@@ -111,8 +116,50 @@ def problems(text):
     return found
 
 
+def workflow_jobs(text):
+    """The keys under the workflow's ``jobs:`` mapping."""
+    _head, _jobs, body = text.partition("\njobs:\n")
+    return frozenset(re.findall(r"^  ([\w-]+):", body, re.MULTILINE))
+
+
+def prose_files():
+    """``(relative path, text)`` of every file the job-name lint reads
+    (this one aside: its mutation tests name jobs that do not exist)."""
+    for name in PROSE:
+        path = ROOT / name
+        for file in sorted(path.rglob("*")) if path.is_dir() else [path]:
+            if (file.is_file() and file.suffix in (".py", ".md")
+                    and file != pathlib.Path(__file__).resolve()):
+                yield file.relative_to(ROOT).as_posix(), file.read_text()
+
+
+def stale_job_names(workflow, files):
+    """One line per CI job a file names that the workflow lacks."""
+    jobs = workflow_jobs(workflow)
+    return [f"{path}: no CI job {name!r}" for path, text in files
+            for name in sorted(set(JOB_NAME_RE.findall(text)))
+            if name not in jobs]
+
+
 def test_every_cli_command_parses_and_every_path_exists():
     assert problems(WORKFLOW.read_text()) == []
+
+
+def test_every_ci_job_named_in_prose_exists():
+    workflow = WORKFLOW.read_text()
+    assert {"regression-gate", "stream-smoke"} <= workflow_jobs(workflow)
+    assert stale_job_names(workflow, prose_files()) == []
+
+
+def test_a_renamed_job_fails_the_job_name_lint():
+    stale = WORKFLOW.read_text().replace("\n  stream-smoke:\n",
+                                         "\n  spool-smoke:\n")
+    found = stale_job_names(stale, prose_files())
+    assert found
+    assert all(line.endswith("no CI job 'stream-smoke'") for line in found)
+    assert stale_job_names(WORKFLOW.read_text(), [
+        ("docs/X.md", "the CI `analysis-smoke` job")]) == [
+        "docs/X.md: no CI job 'analysis-smoke'"]
 
 
 def test_folded_and_literal_blocks_read_as_the_shell_sees_them():
