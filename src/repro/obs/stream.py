@@ -35,7 +35,8 @@ shards even when other runtimes existed earlier in the process (the
 same reason the graph/timeline exports renumber).  The manifest's
 ``contexts`` table is keyed by the dense ids.
 
-Record kinds (one compact sorted-key JSON object per line):
+Record kinds (one compact sorted-key JSON object per line, every kind
+written by the one shared encoder ``util.document.encode_compact``):
 
 ``s``
     a span, written when it closes (or flushed open-ended at finalize
@@ -51,6 +52,11 @@ Record kinds (one compact sorted-key JSON object per line):
 Everything is keyed off the deterministic sim clock and per-run id
 counters, so identical runs spool byte-identical shard sets — gated in
 CI by ``cmp``.
+
+Reading back is one ``json.loads`` per block of about 64 KiB of lines
+(:func:`iter_records`); a torn or corrupt line, or one that decodes but
+is no record (:func:`fold_stream`), raises
+:class:`~repro.util.document.DocumentError` naming ``shard:line``.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ import random
 import time
 import typing as _t
 
-from ..util.document import COMPACT, DocumentError, Schema, load, write
+from ..util.document import (DocumentError, Schema, encode_compact, load,
+                             write)
 from .critpath import CriticalPath, CritpathBuilder
 from .graph import CommGraph, GraphBuilder
 from .spans import (
@@ -77,7 +84,7 @@ from .spans import (
     Observability,
     Span,
 )
-from .timeline import Timeline
+from .timeline import Column, Timeline
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "repro.obs.stream.manifest"
@@ -223,18 +230,6 @@ def parse_policy(spec: str | None, seed: int = 0):
 
 # -- the spool ----------------------------------------------------------------
 
-def _span_record(span: Span) -> dict[str, object]:
-    return {"k": "s", "id": span.id, "rsr": span.rsr, "ph": span.phase,
-            "ctx": span.ctx, "lane": span.lane, "t0": span.start,
-            "t1": span.end, "par": span.parent, "attrs": span.attrs}
-
-
-def _span_from_record(rec: _t.Mapping[str, _t.Any]) -> Span:
-    return Span(id=rec["id"], rsr=rec["rsr"], phase=rec["ph"],
-                ctx=rec["ctx"], lane=rec["lane"], start=rec["t0"],
-                end=rec["t1"], parent=rec["par"], attrs=rec["attrs"])
-
-
 #: Record kinds to their required fields (the format above, as checks).
 SHARD_RECORD_FIELDS: dict[str, tuple[str, ...]] = {
     "s": ("id", "rsr", "ph", "ctx", "lane", "t0", "par", "attrs"),
@@ -366,9 +361,14 @@ class SpanSpool:
         return dense
 
     def _span_line(self, span: Span) -> str:
-        record = _span_record(span)
-        record["ctx"] = self._ctx(span.ctx)
-        return json.dumps(record, **COMPACT)
+        ctx_map = self._ctx_map
+        ctx = ctx_map.get(span.ctx)
+        if ctx is None:
+            ctx = ctx_map[span.ctx] = len(ctx_map)
+        return encode_compact({
+            "k": "s", "id": span.id, "rsr": span.rsr, "ph": span.phase,
+            "ctx": ctx, "lane": span.lane, "t0": span.start,
+            "t1": span.end, "par": span.parent, "attrs": span.attrs})
 
     def _route_span(self, span: Span) -> None:
         self._route(span.rsr, self._span_line(span), span_id=span.id,
@@ -378,7 +378,10 @@ class SpanSpool:
     def record_span(self, span: Span) -> None:
         t0 = time.perf_counter()
         self.released += 1
-        self._route_span(span)
+        if self._policy is None:
+            self._write(self._span_line(span), span.id)
+        else:
+            self._route_span(span)
         self.wall_s += time.perf_counter() - t0
         if span.phase == PHASE_ISSUE and span.rsr > 0:
             self._live.setdefault(span.rsr, [0, False])[1] = True
@@ -405,11 +408,10 @@ class SpanSpool:
                         latency_us: float, ctx: int | None) -> None:
         t0 = time.perf_counter()
         self.deliveries += 1
-        line = json.dumps(
+        line = encode_compact(
             {"k": "d", "rsr": rsr, "t": now, "lane": lane,
              "us": latency_us,
-             "ctx": self._ctx(ctx) if ctx is not None else None},
-            **COMPACT)
+             "ctx": self._ctx(ctx) if ctx is not None else None})
         self._route(rsr, line, lane=lane)
         self.wall_s += time.perf_counter() - t0
         self.chain_end(rsr)
@@ -417,8 +419,8 @@ class SpanSpool:
     def record_drop_event(self, rsr: int, now: float, lane: str) -> None:
         t0 = time.perf_counter()
         self.drops += 1
-        line = json.dumps({"k": "x", "rsr": rsr, "t": now, "lane": lane},
-                          **COMPACT)
+        line = encode_compact({"k": "x", "rsr": rsr, "t": now,
+                               "lane": lane})
         self._route(rsr, line, forced=True, lane=lane)
         self.wall_s += time.perf_counter() - t0
         self.chain_end(rsr)
@@ -426,7 +428,7 @@ class SpanSpool:
     def rsr_resolved(self, rsr: int) -> None:
         t0 = time.perf_counter()
         self.rsrs_resolved += 1
-        line = json.dumps({"k": "r", "rsr": rsr}, **COMPACT)
+        line = encode_compact({"k": "r", "rsr": rsr})
         if self._policy is None:
             self._write(line)
             self.rsrs_kept += 1
@@ -455,7 +457,7 @@ class SpanSpool:
     def _route(self, rsr: int, line: str, *, span_id: int | None = None,
                forced: bool = False, lane: str | None = None) -> None:
         if self._policy is None or rsr <= 0:
-            self._write(line, span_id=span_id)
+            self._write(line, span_id)
             return
         staged = self._staged.get(rsr)
         if staged is None:
@@ -472,7 +474,7 @@ class SpanSpool:
 
     def _flush(self, staged: _Staged) -> None:
         for line, span_id in staged.lines:
-            self._write(line, span_id=span_id)
+            self._write(line, span_id)
 
     def _discard(self, staged: _Staged) -> None:
         self.spans_sampled_out += staged.spans
@@ -502,16 +504,17 @@ class SpanSpool:
             "sha256": self._sha.hexdigest(),
         })
 
-    def _write(self, line: str, *, span_id: int | None = None) -> None:
+    def _write(self, line: str, span_id: int | None = None) -> None:
         if self._file is None:
             self._open_shard()
         data = (line + "\n").encode("ascii")
+        size = len(data)
         assert self._file is not None and self._sha is not None
         self._file.write(data)
         self._sha.update(data)
         self._records += 1
-        self._bytes += len(data)
-        self.bytes_written += len(data)
+        self._bytes += size
+        self.bytes_written += size
         self.records_written += 1
         if span_id is not None:
             self._spans += 1
@@ -785,21 +788,65 @@ def _validate_merged_manifest(document: _t.Mapping[str, object],
             "verified": path is not None}
 
 
+#: Bytes of shard lines read per block (``readlines`` hint); a block is
+#: at least one line.
+_BLOCK_BYTES = 64 << 10
+
+
+def _decode_block(lines: list[bytes], where: str, first: int) -> list:
+    """The records on ``lines`` (line ``first`` on, of shard ``where``).
+
+    One ``json.loads`` decodes the whole block as an array.  A torn or
+    corrupt line either breaks that array or changes its length, and
+    then the block is decoded again line by line, so the error names the
+    line at fault.  (Several lines altered in concert could still add up
+    to one record per line; proving a shard unaltered is the manifest
+    checksums' job, which ``python -m repro.obs.validate`` checks.)
+    """
+    try:
+        records = json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:  # JSONDecodeError, or UnicodeDecodeError
+        pass
+    else:
+        if len(records) == len(lines):
+            return records
+    records = []
+    for number, line in enumerate(lines, start=first):
+        try:
+            records.append(json.loads(line))
+        except ValueError as error:
+            raise DocumentError(
+                f"{where}:{number}: torn or corrupt shard line: "
+                f"{error}") from error
+    return records
+
+
+def _record_blocks(directory: str, manifest: _t.Mapping[str, object]
+                   ) -> _t.Iterator[tuple[str, int, list]]:
+    """``(shard path, first line number, records)`` per block of lines,
+    across the shard set in spooled order."""
+    for shard in _t.cast(list, manifest["shards"]):
+        with open(os.path.join(directory, shard["name"]), "rb") as fh:
+            first = 1
+            while lines := fh.readlines(_BLOCK_BYTES):
+                yield fh.name, first, _decode_block(lines, fh.name, first)
+                first += len(lines)
+
+
 def iter_records(directory: str,
                  manifest: _t.Mapping[str, object] | None = None
                  ) -> _t.Iterator[dict[str, _t.Any]]:
-    """All records across the shard set, in spooled order."""
+    """All records across the shard set, in spooled order.
+
+    Shards are read in blocks of about 64 KiB of lines, each decoded by
+    one ``json.loads``; the records equal a per-line ``json.loads``, and
+    a torn or corrupt line raises :class:`DocumentError` naming
+    ``shard:line``.
+    """
     if manifest is None:
         manifest = read_manifest(directory)
-    for shard in _t.cast(list, manifest["shards"]):
-        with open(os.path.join(directory, shard["name"])) as fh:
-            for number, line in enumerate(fh, start=1):
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as error:
-                    raise DocumentError(
-                        f"{fh.name}:{number}: torn or corrupt shard "
-                        f"line: {error}") from error
+    for _where, _first, records in _record_blocks(directory, manifest):
+        yield from records
 
 
 @dataclasses.dataclass
@@ -824,7 +871,9 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
     Single pass, bounded working set: span groups accumulate per RSR
     only until that RSR's resolution record releases them into the
     order-free graph/critpath builders.  With sampling off, the
-    resulting documents are byte-identical to the in-memory path.
+    resulting documents are byte-identical to the in-memory path.  A
+    shard line that decodes but is not a spooled record raises
+    :class:`DocumentError` naming ``shard:line``.
     """
     manifest = read_manifest(directory)
     sampled = manifest.get("policy") is not None
@@ -839,50 +888,83 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
     graph_builder = GraphBuilder()
     crit_builder = CritpathBuilder(top_k=top_k)
     pending: dict[int, list[Span]] = {}
-    for rec in iter_records(directory, manifest):
-        kind = rec["k"]
-        if kind == "s":
-            span = _span_from_record(rec)
-            crit_builder.note_span(span)
-            if span.rsr > 0:
-                pending.setdefault(span.rsr, []).append(span)
-            # The live hooks' appends (Observability.close_span,
-            # rsr_begin, MessageTrace.finish/drop), replayed.
-            if timeline is not None:
-                end = span.end
-                if end is not None:
-                    timeline.phase_column(span.phase, span.lane).extend(
-                        (end, (end - span.start) * 1e6))
-                if span.phase == PHASE_ISSUE:
-                    timeline.issued_column().extend((span.start, 1.0))
-        elif kind == "d":
-            if timeline is not None:
-                now = rec["t"]
-                latency_us = rec["us"]
-                latency, latency_all, delivered = timeline.delivery_columns(
-                    rec["lane"])
-                latency.extend((now, latency_us))
-                latency_all.extend((now, latency_us))
-                delivered.extend((now, 1.0))
-                ctx = rec["ctx"]
-                if ctx is not None:
-                    timeline.rank_column(ctx).extend((now, 1.0))
-        elif kind == "x":
-            if timeline is not None:
-                timeline.dropped_column(rec["lane"]).extend((rec["t"], 1.0))
-        elif kind == "r":
-            rsr = rec["rsr"]
-            spans = pending.pop(rsr, None)
-            if spans:
-                graph_builder.add_rsr(spans)
-                crit_builder.add_rsr(rsr, spans)
-        else:  # pragma: no cover - forward compatibility
-            raise ValueError(f"unknown stream record kind: {kind!r}")
+    # Timeline columns resolved once each, as the live hooks cache them
+    # (Observability._phase_slots); first touch creates them in the same
+    # order the live run did.
+    phase_columns: dict[tuple[str, str], Column] = {}
+    lane_columns: dict[str, tuple[Column, Column, Column]] = {}
+    issued: Column | None = None
+    for where, first, records in _record_blocks(directory, manifest):
+        for number, rec in enumerate(records, first):
+            try:
+                kind = rec["k"]
+                if kind == "s":
+                    span = Span(id=rec["id"], rsr=rec["rsr"],
+                                phase=rec["ph"], ctx=rec["ctx"],
+                                lane=rec["lane"], start=rec["t0"],
+                                end=rec["t1"], parent=rec["par"],
+                                attrs=rec["attrs"])
+                    if span.rsr > 0:
+                        pending.setdefault(span.rsr, []).append(span)
+                    else:  # add_rsr notes the grouped ones
+                        crit_builder.note_span(span)
+                    # The live hooks' appends (Observability.close_span,
+                    # rsr_begin, MessageTrace.finish/drop), replayed.
+                    if timeline is not None:
+                        end = span.end
+                        if end is not None:
+                            key = (span.phase, span.lane)
+                            if key not in phase_columns:
+                                phase_columns[key] = timeline.phase_column(
+                                    *key)
+                            phase_columns[key].extend(
+                                (end, (end - span.start) * 1e6))
+                        if span.phase == PHASE_ISSUE:
+                            if issued is None:
+                                issued = timeline.issued_column()
+                            issued.extend((span.start, 1.0))
+                elif kind == "d":
+                    if timeline is not None:
+                        now = rec["t"]
+                        latency_us = rec["us"]
+                        lane = rec["lane"]
+                        if lane not in lane_columns:
+                            lane_columns[lane] = timeline.delivery_columns(
+                                lane)
+                        latency, latency_all, delivered = lane_columns[lane]
+                        latency.extend((now, latency_us))
+                        latency_all.extend((now, latency_us))
+                        delivered.extend((now, 1.0))
+                        ctx = rec["ctx"]
+                        if ctx is not None:
+                            timeline.rank_column(ctx).extend((now, 1.0))
+                elif kind == "x":
+                    if timeline is not None:
+                        timeline.dropped_column(rec["lane"]).extend(
+                            (rec["t"], 1.0))
+                elif kind == "r":
+                    rsr = rec["rsr"]
+                    spans = pending.pop(rsr, None)
+                    if spans:
+                        graph_builder.add_rsr(spans)
+                        crit_builder.add_rsr(rsr, spans)
+                else:
+                    raise DocumentError(
+                        f"{where}:{number}: unknown record kind {kind!r}")
+            except (KeyError, TypeError) as error:
+                raise DocumentError(
+                    f"{where}:{number}: malformed shard record "
+                    f"({type(error).__name__}: {error})") from error
     unresolved = sorted(pending)
     for rsr in unresolved:
         spans = pending.pop(rsr)
-        graph_builder.add_rsr(spans)
-        crit_builder.add_rsr(rsr, spans)
+        try:
+            graph_builder.add_rsr(spans)
+            crit_builder.add_rsr(rsr, spans)
+        except (KeyError, TypeError) as error:
+            raise DocumentError(
+                f"{directory}: malformed span record of unresolved RSR "
+                f"{rsr} ({type(error).__name__}: {error})") from error
     totals = _t.cast(dict, manifest["totals"])
     graph_builder.dropped_spans = int(totals.get("spans_dropped", 0))
     raw_names = _t.cast("dict | None", manifest.get("contexts"))

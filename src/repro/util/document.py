@@ -12,8 +12,10 @@ here, once:
 
 * **serialisation** — :func:`dumps` / :func:`write`: sorted keys,
   compact separators (or ``indent`` for files people read), one
-  trailing newline.  Per-record hot loops spell the same compact form
-  as ``json.dumps(record, **COMPACT)``;
+  trailing newline.  The compact form is one shared encoder,
+  :data:`encode_compact`, which per-record hot loops (the span spool)
+  call directly rather than building a ``json.dumps`` encoder per
+  record;
 * **failure** — :class:`DocumentError`;
 * **dispatch** — :data:`SCHEMAS`, ``schema id -> owning module``,
   resolved by :func:`schema` on use.  The id comes from outside the
@@ -31,6 +33,11 @@ import typing as _t
 
 #: ``json.dumps`` keywords of the compact canonical form.
 COMPACT: dict[str, _t.Any] = {"sort_keys": True, "separators": (",", ":")}
+
+#: ``json.dumps(value, **COMPACT)`` without the per-call encoder: the
+#: same bytes, from one encoder built once (it keeps no state between
+#: calls, so sharing it is safe).
+encode_compact = json.JSONEncoder(**COMPACT).encode
 
 
 class DocumentError(ValueError):
@@ -71,7 +78,7 @@ SCHEMAS: dict[str, str] = {
 def dumps(document: object, *, indent: int | None = None) -> str:
     """The canonical serialisation, trailing newline included."""
     if indent is None:
-        return json.dumps(document, **COMPACT) + "\n"
+        return encode_compact(document) + "\n"
     return json.dumps(document, sort_keys=True, indent=indent) + "\n"
 
 

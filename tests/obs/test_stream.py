@@ -10,22 +10,29 @@ whole-RSR, seeded, and never allowed to discard failure evidence.
 import dataclasses
 import json
 import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs as _obs
 from repro.bench.analysis import chaos_scenario, forwarding_scenario
 from repro.load import run_scenario
-from repro.obs.spans import PHASE_FAILOVER, PHASE_RETRY
+from repro.obs import stream as _stream
+from repro.obs.spans import PHASE_FAILOVER, PHASE_RETRY, Observability
 from repro.obs.stream import (
     MANIFEST_NAME,
+    SpanSpool,
     StreamConfig,
     fold_stream,
     iter_records,
     parse_policy,
     read_manifest,
 )
-from repro.util.document import DocumentError
+from repro.simnet import Simulator
+from repro.util.document import COMPACT, DocumentError, encode_compact
 
 POLICIES = (None, "head:5", "tail:5", "head:3,tail:3", "reservoir:4")
 
@@ -265,3 +272,268 @@ class TestReadersValidate:
         with pytest.raises(DocumentError) as caught:
             fold_stream(directory)
         assert f"{shard}:{len(lines)}:" in str(caught.value)
+
+
+class TestFoldRefusal:
+    """A shard line that decodes but is not a record the spool writes
+    stops the fold with a :class:`DocumentError` naming ``shard:line``
+    (a scalar line, a record without ``k``, a span without ``t0`` and
+    an unknown kind used to escape as bare ``TypeError``, ``KeyError``
+    or ``ValueError``).  The chaos spool is several read blocks long, so
+    the block decoder's fallback is exercised at block edges too."""
+
+    @pytest.fixture(scope="class")
+    def spool(self, tmp_path_factory):
+        directory, _result, _obs_ = run_streamed(
+            tmp_path_factory.mktemp("refusal"), chaos_scenario(), "spool")
+        return directory
+
+    def _rewritten(self, spool, tmp_path, edit):
+        """A copy of ``spool`` whose first shard's lines ``edit`` has
+        rewritten in place (the manifest is left as it was)."""
+        directory = tmp_path / "copy"
+        directory.mkdir()
+        for name, data in shard_set(spool).items():
+            (directory / name).write_bytes(data)
+        shard = read_manifest(str(directory))["shards"][0]["name"]
+        path = directory / shard
+        lines = path.read_text().splitlines(keepends=True)
+        edit(lines)
+        path.write_text("".join(lines))
+        return str(directory), shard
+
+    def _block_starts(self, spool):
+        """Line numbers (1-based) opening each read block of the first
+        shard."""
+        shard = read_manifest(spool)["shards"][0]["name"]
+        starts, first = [], 1
+        with open(os.path.join(spool, shard), "rb") as handle:
+            while lines := handle.readlines(_stream._BLOCK_BYTES):
+                starts.append(first)
+                first += len(lines)
+        return starts
+
+    def _refused_at(self, directory, shard, number):
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(directory)
+        assert f"{shard}:{number}:" in str(caught.value)
+        return str(caught.value)
+
+    def test_spool_spans_several_read_blocks(self, spool):
+        assert len(self._block_starts(spool)) >= 3
+
+    def _span_line(self, spool):
+        """The number of the first span line past the first read block
+        (so a line count restarted per block would misname it)."""
+        shard = read_manifest(spool)["shards"][0]["name"]
+        with open(os.path.join(spool, shard)) as handle:
+            lines = handle.readlines()
+        return next(number for number in range(
+            self._block_starts(spool)[1], len(lines) + 1)
+            if json.loads(lines[number - 1])["k"] == "s")
+
+    def _refuse_record(self, spool, tmp_path, change):
+        """Fold a copy whose span line ``_span_line`` names is replaced
+        by ``change(record)``; the message naming that line."""
+        number = self._span_line(spool)
+
+        def edit(lines):
+            lines[number - 1] = change(json.loads(lines[number - 1])) + "\n"
+        return self._refused_at(*self._rewritten(spool, tmp_path, edit),
+                                number)
+
+    def test_scalar_line(self, spool, tmp_path):
+        self._refuse_record(spool, tmp_path, lambda record: "5")
+
+    def test_record_without_kind(self, spool, tmp_path):
+        def change(record):
+            del record["k"]
+            return encode_compact(record)
+        assert "'k'" in self._refuse_record(spool, tmp_path, change)
+
+    def test_span_without_t0(self, spool, tmp_path):
+        def change(record):
+            del record["t0"]
+            return encode_compact(record)
+        assert "'t0'" in self._refuse_record(spool, tmp_path, change)
+
+    def test_unknown_kind(self, spool, tmp_path):
+        def change(record):
+            record["k"] = "z"
+            return encode_compact(record)
+        assert "unknown record kind 'z'" in self._refuse_record(
+            spool, tmp_path, change)
+
+    def test_line_that_is_not_utf8(self, spool, tmp_path):
+        directory, shard = self._rewritten(spool, tmp_path, lambda _: None)
+        number = self._span_line(spool)
+        path = os.path.join(directory, shard)
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        lines[number - 1] = lines[number - 1].replace(b'"k"', b'"\xff"')
+        with open(path, "wb") as handle:
+            handle.writelines(lines)
+        self._refused_at(directory, shard, number)
+
+    def test_malformed_span_of_an_unresolved_rsr(self, spool, tmp_path):
+        # With its ``r`` line gone, the RSR is folded at end of stream.
+        rsrs = []
+
+        def edit(lines):
+            index = next(index for index, line in enumerate(lines)
+                         if json.loads(line)["k"] == "s"
+                         and json.loads(line)["rsr"] > 0)
+            record = json.loads(lines[index])
+            record["id"] = [record["id"]]
+            lines[index] = encode_compact(record) + "\n"
+            rsrs.append(record["rsr"])
+            resolved = encode_compact({"k": "r", "rsr": record["rsr"]})
+            lines.remove(resolved + "\n")
+        directory, _shard = self._rewritten(spool, tmp_path, edit)
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(directory)
+        assert f"unresolved RSR {rsrs[0]}" in str(caught.value)
+
+    def test_two_records_on_one_line(self, spool, tmp_path):
+        # The block still decodes, one record longer than its lines.
+        def edit(lines):
+            lines[9:11] = [lines[9].rstrip("\n") + "," + lines[10]]
+        self._refused_at(*self._rewritten(spool, tmp_path, edit), 10)
+
+    def test_blank_line(self, spool, tmp_path):
+        def edit(lines):
+            lines.insert(11, "\n")
+        self._refused_at(*self._rewritten(spool, tmp_path, edit), 12)
+
+    def test_torn_line_mid_block(self, spool, tmp_path):
+        starts = self._block_starts(spool)
+        number = (starts[1] + starts[2]) // 2
+
+        def edit(lines):
+            lines[number - 1] = lines[number - 1][:16] + "\n"
+        self._refused_at(*self._rewritten(spool, tmp_path, edit), number)
+
+    def test_torn_line_opening_a_later_block(self, spool, tmp_path):
+        number = self._block_starts(spool)[1]
+
+        def edit(lines):
+            lines[number - 1] = lines[number - 1][:16] + "\n"
+        self._refused_at(*self._rewritten(spool, tmp_path, edit), number)
+
+    def test_blocks_read_what_lines_read(self, spool):
+        expected = []
+        for shard in read_manifest(spool)["shards"]:
+            with open(os.path.join(spool, shard["name"])) as handle:
+                expected += [json.loads(line) for line in handle]
+        assert list(iter_records(spool)) == expected
+
+
+DEEP = settings.get_profile("deep")
+#: The deep profile when it was asked for, the tier-1 budget otherwise.
+PROFILE = (DEEP if settings.default is DEEP
+           else settings(max_examples=60, deadline=None))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def reference_records(paths):
+    """Per-line ``json.loads`` over ``paths``: the records, or the
+    ``(name, line)`` of the first line that does not decode."""
+    records = []
+    for path in paths:
+        with open(path) as handle:
+            for number, line in enumerate(handle, start=1):
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    return records, (os.path.basename(path), number)
+    return records, None
+
+
+class TestBlockDecoder:
+    """``iter_records`` decodes a block of lines per ``json.loads``; it
+    must read exactly what a per-line decode reads, and refuse the same
+    line, whatever the block edges."""
+
+    @PROFILE
+    @given(shards=st.lists(st.lists(JSON_VALUES, min_size=1, max_size=12),
+                           min_size=1, max_size=3),
+           block_bytes=st.integers(1, 120),
+           tear=st.none() | st.tuples(st.integers(0), st.integers(0),
+                                      st.integers(0)))
+    def test_blocks_equal_per_line_decode(self, shards, block_bytes, tear):
+        with tempfile.TemporaryDirectory() as directory:
+            paths = []
+            for index, values in enumerate(shards):
+                lines = [encode_compact(value) + "\n" for value in values]
+                if tear is not None and tear[0] % len(shards) == index:
+                    at = tear[1] % len(lines)
+                    lines[at] = lines[at][:tear[2] % len(lines[at])]
+                    if at + 1 < len(lines):
+                        lines[at] += "\n"
+                paths.append(os.path.join(directory, f"s{index}.jsonl"))
+                with open(paths[-1], "w") as handle:
+                    handle.writelines(lines)
+            manifest = {"shards": [{"name": os.path.basename(path)}
+                                   for path in paths]}
+            expected, refused = reference_records(paths)
+            got = []
+            with mock.patch.object(_stream, "_BLOCK_BYTES", block_bytes):
+                if refused is None:
+                    got.extend(iter_records(directory, manifest))
+                else:
+                    with pytest.raises(DocumentError) as caught:
+                        got.extend(iter_records(directory, manifest))
+                    name, number = refused
+                    assert f"{name}:{number}:" in str(caught.value)
+            if refused is None:
+                assert got == expected
+            else:  # every block before the one at fault was yielded
+                assert got == expected[:len(got)]
+
+
+class TestSpooledEncoding:
+    """The spool's shared encoder writes what ``json.dumps(record,
+    **COMPACT)`` writes, for every record kind."""
+
+    @PROFILE
+    @given(attrs=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+           number=st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(),
+           lane=st.text())
+    @example(attrs={"ünï": "çødé \u2603", "deep": {"a": [1, {"b": [None]}]},
+                    "neg_zero": -0.0, "tiny": 1e-300, "big": 10 ** 40},
+             number=-0.0, lane="λ")
+    @example(attrs={}, number=1e-300, lane="tcp")
+    @example(attrs={"n": -(2 ** 70)}, number=2 ** 64, lane="mpl")
+    def test_lines_equal_json_dumps(self, attrs, number, lane):
+        with tempfile.TemporaryDirectory() as directory:
+            obs = Observability(Simulator(), enabled=True)
+            spool = SpanSpool(StreamConfig(directory=directory)).attach(obs)
+            span = obs.open_span("issue", rsr=0, ctx=41, lane=lane)
+            span.attrs = attrs
+            obs.close_span(span)
+            spool.record_delivery(0, number, lane, number, 41)
+            spool.record_drop_event(0, number, lane)
+            spool.rsr_resolved(7)
+            spool.finalize()
+            expected = [
+                {"k": "s", "id": 1, "rsr": 0, "ph": "issue", "ctx": 0,
+                 "lane": lane, "t0": 0.0, "t1": 0.0, "par": None,
+                 "attrs": attrs},
+                {"k": "d", "rsr": 0, "t": number, "lane": lane,
+                 "us": number, "ctx": 0},
+                {"k": "x", "rsr": 0, "t": number, "lane": lane},
+                {"k": "r", "rsr": 7},
+            ]
+            name = spool.shards[0]["name"]
+            with open(os.path.join(directory, name)) as handle:
+                lines = handle.read().splitlines()
+        assert lines == [json.dumps(record, **COMPACT)
+                         for record in expected]
