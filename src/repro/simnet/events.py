@@ -114,17 +114,11 @@ class Event:
             raise ScheduleError(f"{self!r} is already scheduled")
         self._ok = True
         self._value = value
-        # Inlined Simulator._enqueue (zero-delay case).
         self._scheduled = True
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        if priority == NORMAL:
-            sim._ready_normal.append((sim._clock._now, NORMAL, seq, self))
-        elif priority == URGENT:
-            sim._ready_urgent.append((sim._clock._now, URGENT, seq, self))
-        else:
-            heappush(sim._heap, (sim._clock._now, priority, seq, self))
+        heappush(sim._heap, (sim._clock._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -145,17 +139,11 @@ class Event:
             raise ScheduleError(f"{self!r} is already scheduled")
         self._ok = False
         self._value = exception
-        # Inlined Simulator._enqueue (zero-delay case).
         self._scheduled = True
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        if priority == NORMAL:
-            sim._ready_normal.append((sim._clock._now, NORMAL, seq, self))
-        elif priority == URGENT:
-            sim._ready_urgent.append((sim._clock._now, URGENT, seq, self))
-        else:
-            heappush(sim._heap, (sim._clock._now, priority, seq, self))
+        heappush(sim._heap, (sim._clock._now, priority, seq, self))
         return self
 
     def cancel(self) -> bool:
@@ -223,11 +211,10 @@ class Timeout(Event):
                  name: str | None = None, priority: int = NORMAL):
         if delay < 0:
             raise ScheduleError(f"negative timeout delay {delay!r}")
-        # Flattened Event.__init__ and inlined Simulator._enqueue — this
-        # constructor runs once per simulated delay, i.e. hundreds of
-        # thousands of times per run.  A fresh timeout cannot already be
-        # scheduled and the delay was validated above, so the only
-        # remaining work is routing the queue entry.
+        # Flattened Event.__init__ — this constructor runs once per
+        # simulated delay, i.e. hundreds of thousands of times per run.
+        # A fresh timeout cannot already be scheduled and the delay was
+        # validated above, so the only remaining work is the queue entry.
         self.sim = sim
         self.callbacks = []
         self._ok = True
@@ -239,13 +226,6 @@ class Timeout(Event):
         delay = self.delay = float(delay)
         seq = sim._seq + 1
         sim._seq = seq
-        if delay == 0.0:
-            if priority == NORMAL:
-                sim._ready_normal.append((sim._clock._now, NORMAL, seq, self))
-                return
-            if priority == URGENT:
-                sim._ready_urgent.append((sim._clock._now, URGENT, seq, self))
-                return
         heappush(sim._heap, (sim._clock._now + delay, priority, seq, self))
 
     @classmethod
@@ -272,9 +252,6 @@ class Timeout(Event):
         self.delay = when - now
         seq = sim._seq + 1
         sim._seq = seq
-        # Always the heap, even for ``when == now``: the engine takes the
-        # minimum (t, priority, seq) over the heap and the ready deques,
-        # so the entry keeps its place among zero-delay events.
         heappush(sim._heap, (when, NORMAL, seq, self))
         return self
 
