@@ -232,7 +232,7 @@ def parse_policy(spec: str | None, seed: int = 0):
 
 #: Record kinds to their required fields (the format above, as checks).
 SHARD_RECORD_FIELDS: dict[str, tuple[str, ...]] = {
-    "s": ("id", "rsr", "ph", "ctx", "lane", "t0", "par", "attrs"),
+    "s": ("id", "rsr", "ph", "ctx", "lane", "t0", "t1", "par", "attrs"),
     "d": ("rsr", "t", "lane", "us", "ctx"),
     "x": ("rsr", "t", "lane"),
     "r": ("rsr",),

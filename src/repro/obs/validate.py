@@ -40,11 +40,11 @@ def validate_file(path: str) -> tuple[document.Schema, dict[str, object]]:
             # Shard lines; a one-record shard parses as one object.
             handle.seek(0)
             kind = document.schema(SHARD)
-            return kind, kind.validate(handle, path)
+            return kind, document.validate(kind, handle, path)
     if isinstance(parsed, dict) and "schema" in parsed:
         return document.check(parsed, path)
     kind = document.schema(TRACE)
-    return kind, kind.validate(parsed, path)
+    return kind, document.validate(kind, parsed, path)
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:

@@ -357,6 +357,22 @@ class TestFoldRefusal:
             return encode_compact(record)
         assert "'t0'" in self._refuse_record(spool, tmp_path, change)
 
+    def test_span_without_t1_is_refused_by_the_validator_too(
+            self, spool, tmp_path, capsys):
+        from repro.obs.validate import main as validate_main
+
+        number = self._span_line(spool)
+
+        def edit(lines):
+            record = json.loads(lines[number - 1])
+            del record["t1"]
+            lines[number - 1] = encode_compact(record) + "\n"
+        directory, shard = self._rewritten(spool, tmp_path, edit)
+        self._refused_at(directory, shard, number)
+        assert validate_main([os.path.join(directory, shard)]) == 1
+        assert f"{shard}:{number}: 's' record missing 't1'" in \
+            capsys.readouterr().err
+
     def test_unknown_kind(self, spool, tmp_path):
         def change(record):
             record["k"] = "z"

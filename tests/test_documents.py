@@ -7,6 +7,7 @@ writers produced — the analysis and placement exports the session's
 grid and one ping-pong trace built here.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -15,12 +16,19 @@ import sys
 
 import pytest
 
+from repro import obs as _obs
+from repro.bench.analysis import TOP_PATHS, forwarding_scenario
 from repro.bench.record import BenchRecord
 from repro.fleet import ScenarioGrid, key_slug, merge_load_results, \
     run_serial
-from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop
+from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, \
+    run_scenario
+from repro.obs.critpath import critpath_document, extract_critical_paths
 from repro.obs.export import write_merged_chrome_trace
+from repro.obs.graph import extract_graph, graph_document
 from repro.obs.stream import merge_spool_manifests, write_merged_manifest
+from repro.obs.timeline import timeline_document
+from repro.obs.validate import main as validate_main
 from repro.obs.validate import validate_file
 from repro.util.document import (
     SCHEMAS,
@@ -169,6 +177,97 @@ class TestKeyed:
             load(samples[schema_id], other)
         assert os.path.basename(samples[schema_id]) in str(caught.value)
         assert "expected schema" in str(caught.value)
+
+
+@pytest.fixture(scope="module")
+def exports():
+    """The three analysis exports of a 0.05 s forwarding run."""
+    scenario = dataclasses.replace(forwarding_scenario(), duration=0.05)
+    with _obs.collecting() as runs:
+        result = run_scenario(scenario)
+    obs, nexus = runs[-1]
+    return {
+        "repro.obs.timeline": timeline_document(result.timeline),
+        "repro.obs.graph": graph_document(extract_graph(obs, nexus=nexus)),
+        "repro.obs.critpath": critpath_document(
+            extract_critical_paths(obs, top_k=TOP_PATHS)),
+    }
+
+
+_DELETE = object()
+
+
+def _fields(node, path=()):
+    """Every field path under ``node``: each dict key, and the first and
+    last element of each list (the elements between repeat a shape)."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+        items = items[:1] + items[1:][-1:]
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _mutated(document, path, value):
+    """A copy of ``document`` with the field at ``path`` deleted or set
+    to ``value``; only the containers on the path are copied."""
+    top = copy = _shallow(document)
+    for key in path[:-1]:
+        copy[key] = _shallow(copy[key])
+        copy = copy[key]
+    if value is _DELETE:
+        del copy[path[-1]]
+    else:
+        copy[path[-1]] = value
+    return top
+
+
+def _shallow(node):
+    return dict(node) if isinstance(node, dict) else list(node)
+
+
+@pytest.mark.parametrize("schema_id", ["repro.obs.timeline",
+                                       "repro.obs.graph",
+                                       "repro.obs.critpath"])
+def test_single_field_mutations_never_escape_untyped(schema_id, exports):
+    """Deleting any field, or setting it to ``None``, ``"x"`` or ``[]``,
+    either still validates or is refused with a ``DocumentError`` naming
+    the kind — never a bare ``TypeError``/``KeyError``/... from inside a
+    validator."""
+    document = exports[schema_id]
+    check(document)
+    escapes = []
+    refused = 0
+    for path in _fields(document):
+        for value in (_DELETE, None, "x", []):
+            try:
+                check(_mutated(document, path, value))
+            except DocumentError as error:
+                assert schema_id in str(error)
+                refused += 1
+            except Exception as error:  # noqa: BLE001 - the escapes counted
+                escapes.append((path, value, repr(error)))
+    assert escapes == []
+    assert refused
+
+
+def test_an_untyped_refusal_reaches_the_cli_and_load_typed(exports, tmp_path,
+                                                           capsys):
+    document = _mutated(exports["repro.obs.graph"], ("edges", 0, "messages"),
+                        "x")
+    path = tmp_path / "graph.json"
+    write(str(path), document)
+    with pytest.raises(DocumentError) as caught:
+        load(str(path), "repro.obs.graph")
+    assert str(path) in str(caught.value)
+    assert "repro.obs.graph" in str(caught.value)
+    assert isinstance(caught.value.__cause__.__cause__, TypeError)
+    assert validate_main([str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"INVALID: {path}: ")
 
 
 def _loaded_by(module):
