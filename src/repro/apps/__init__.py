@@ -18,7 +18,6 @@ from .pingpong import (
     nexus_pingpong,
     raw_transport_pingpong,
 )
-from .satellite import SatelliteResult, run_satellite
 from .stream import FrameRecord, MethodMonitor, StreamResult, run_stream
 
 __all__ = [
@@ -27,12 +26,10 @@ __all__ = [
     "FrameRecord",
     "MethodMonitor",
     "PingPongResult",
-    "SatelliteResult",
     "StreamResult",
     "dual_pingpong",
     "nexus_pingpong",
     "raw_transport_pingpong",
     "run_collab",
-    "run_satellite",
     "run_stream",
 ]

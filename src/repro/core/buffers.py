@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
 from .errors import BufferError_
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .context import Context
     from .startpoint import Startpoint, WireStartpoint
 
@@ -96,6 +96,8 @@ class Buffer:
 
     def put_array(self, value: np.ndarray) -> "Buffer":
         """Pack a NumPy array (copied; sized at ``value.nbytes + 16``)."""
+        import numpy as np
+
         arr = np.array(value, copy=True)
         return self._put(_ARRAY, arr, 16 + arr.nbytes)
 
@@ -152,7 +154,7 @@ class Buffer:
         return _t.cast(bytes, self._get(_BYTES))
 
     def get_array(self) -> np.ndarray:
-        return _t.cast(np.ndarray, self._get(_ARRAY))
+        return _t.cast("np.ndarray", self._get(_ARRAY))
 
     def get_startpoint(self, context: "Context") -> "Startpoint":
         """Unpack a startpoint *into* ``context``.

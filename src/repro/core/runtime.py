@@ -107,10 +107,8 @@ class Nexus:
         self.retry_policy = retry_policy or RetryPolicy()
         self.health_config = health or HealthConfig()
 
-        services = TransportServices(
-            self.sim, self.network, metrics,
-            self.streams.stream("transports"),
-        )
+        services = TransportServices(self.sim, self.network, metrics,
+                                     self.streams)
         services.runtime_costs = self.runtime_costs
         services.resolve_context = self._resolve_context
         self.transports = TransportRegistry(services, costs)

@@ -16,6 +16,11 @@ On top of those sits the **analysis layer** (:mod:`~repro.obs.timeline`,
 counters/histograms, weighted communication-graph extraction, and
 per-RSR critical paths — all byte-deterministic and exportable.
 
+Spans and metrics are the recording spine and load with the package;
+the exporters, the analysis layer, the span spool and the profiler are
+*products*, imported on first access to one of their names, so a run
+that never reads its trace never loads them (nor numpy).
+
 Enable per runtime with ``Nexus(observe=True)``, or process-wide for a
 scope with::
 
@@ -33,24 +38,9 @@ attribute load and branch per site.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import typing as _t
 
-from . import export  # noqa: F401  (re-exported submodule)
-from . import perf  # noqa: F401  (re-exported submodule)
-from .critpath import (
-    CriticalPath,
-    CritpathBuilder,
-    extract_critical_paths,
-    phase_attribution,
-)
-from .graph import (
-    CommGraph,
-    GraphBuilder,
-    dot_graph,
-    PartitionCosts,
-    evaluate_partition,
-    extract_graph,
-)
 from .metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS_US,
@@ -59,7 +49,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .perf import PerfProfile
 from .spans import (
     NEXUS_LANE,
     PHASES,
@@ -68,16 +57,35 @@ from .spans import (
     Span,
     TraceIncompleteError,
 )
-from .stream import (
-    SpanSpool,
-    StreamConfig,
-    StreamFold,
-    fold_stream,
-    iter_records,
-    parse_policy,
-    read_manifest,
-)
-from .timeline import Timeline, timeline_document
+
+#: Product submodule -> the names re-exported from it.  Each is imported
+#: on first attribute access (PEP 562) and cached in this module.
+_PRODUCTS = {
+    "critpath": ("CriticalPath", "CritpathBuilder", "extract_critical_paths",
+                 "phase_attribution"),
+    "export": (),
+    "graph": ("CommGraph", "GraphBuilder", "dot_graph", "PartitionCosts",
+              "evaluate_partition", "extract_graph"),
+    "perf": ("PerfProfile",),
+    "stream": ("SpanSpool", "StreamConfig", "StreamFold", "fold_stream",
+               "iter_records", "parse_policy", "read_manifest"),
+    "timeline": ("Timeline", "timeline_document"),
+}
+_LAZY = {name: module for module, names in _PRODUCTS.items()
+         for name in (module, *names)}
+
+
+def __getattr__(name: str) -> _t.Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.runtime import Nexus

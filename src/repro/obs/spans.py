@@ -36,10 +36,10 @@ import operator
 import typing as _t
 
 from .metrics import LATENCY_BUCKETS_US, Histogram, MetricsRegistry
-from .timeline import Column, Timeline
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..simnet.engine import Simulator
+    from .timeline import Column, Timeline
 
 PHASE_ISSUE = "issue"
 PHASE_MARSHAL = "marshal"
@@ -171,11 +171,12 @@ class MessageTrace:
             span.attrs["dropped"] = True
             obs.close_span(span)
         obs._counter_handle("rsr_dropped", self.lane).inc()
+        now = obs.sim._clock._now
         timeline = obs.timeline
         if timeline is not None:
-            timeline.dropped_column(self.lane).extend((obs.sim.now, 1.0))
+            timeline.dropped_column(self.lane).extend((now, 1.0))
         self.current = None
-        obs.sink.record_drop_event(self.rsr, obs.sim.now, self.lane)
+        obs.sink.record_drop_event(self.rsr, now, self.lane)
 
     def abandon(self, reason: str) -> None:
         """Terminate the trace of one failed send attempt.
@@ -337,6 +338,8 @@ class Observability:
         test.  Attaching drops the cached slots so they pick up the new
         timeline's columns.
         """
+        from .timeline import Timeline
+
         timeline = Timeline(interval, bounds=bounds)
         self.timeline = timeline
         self._phase_slots.clear()
@@ -390,7 +393,7 @@ class Observability:
             self.dropped_spans += 1
             return None
         span = Span(id=span_id, rsr=rsr, phase=phase, ctx=ctx,
-                    lane=lane, start=self.sim.now, parent=parent,
+                    lane=lane, start=self.sim._clock._now, parent=parent,
                     attrs=attrs or None)
         self._next_span = span_id + 1
         self._open[span_id] = span
@@ -401,7 +404,7 @@ class Observability:
     def close_span(self, span: Span | None) -> None:
         if span is None:
             return
-        end = span.end = self.sim.now
+        end = span.end = self.sim._clock._now
         slots, key = self._phase_slots, (span.phase, span.lane)
         hist, column = slots[key] if key in slots else self._phase_slot(*key)
         duration_us = (end - span.start) * 1e6

@@ -17,12 +17,12 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
-
 from .errors import SimnetError
 from .resources import Resource
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .engine import Simulator
 
 

@@ -9,9 +9,11 @@ simulation studies.
 
 from __future__ import annotations
 
+import typing as _t
 import zlib
 
-import numpy as np
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def derive(seed: int, *names: str) -> np.random.SeedSequence:
@@ -27,6 +29,8 @@ def derive(seed: int, *names: str) -> np.random.SeedSequence:
     ``derive(seed, name)`` with a single name is byte-compatible with
     the substream mapping :class:`RandomStreams` has always used.
     """
+    import numpy as np
+
     return np.random.SeedSequence(
         entropy=int(seed),
         spawn_key=tuple(zlib.crc32(name.encode("utf-8")) for name in names),
@@ -35,11 +39,17 @@ def derive(seed: int, *names: str) -> np.random.SeedSequence:
 
 def derived_generator(seed: int, *names: str) -> np.random.Generator:
     """A fresh PCG64 generator seeded with :func:`derive`."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(derive(seed, *names)))
 
 
 class RandomStreams:
-    """A factory of independent, named :class:`numpy.random.Generator` streams."""
+    """A factory of independent, named :class:`numpy.random.Generator` streams.
+
+    numpy is imported by the first :meth:`stream` call, not by this
+    module, so a run that never draws never loads it.
+    """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)

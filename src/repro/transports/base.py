@@ -34,13 +34,12 @@ from .costmodels import TransportCosts
 from .errors import TransportError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from ..obs import MessageTrace
     from ..obs.metrics import MetricsRegistry
     from ..simnet.engine import Simulator
     from ..simnet.network import Network
     from ..simnet.node import Host
+    from ..simnet.random import RandomStreams
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,14 +127,17 @@ class TransportServices:
     ``resolve_context`` is installed by the runtime once contexts exist;
     it maps a context id to the live context object so transports can
     route by id (the only form of addressing that travels on the wire).
+    ``streams`` is the runtime's :class:`~repro.simnet.random.RandomStreams`;
+    a transport that draws takes its own named substream from it on
+    first use, so a run that never draws never mints one.
     """
 
     def __init__(self, sim: "Simulator", network: "Network",
-                 metrics: "MetricsRegistry", rng: "np.random.Generator"):
+                 metrics: "MetricsRegistry", streams: "RandomStreams"):
         self.sim = sim
         self.network = network
         self.metrics = metrics
-        self.rng = rng
+        self.streams = streams
         self.resolve_context: _t.Callable[[int], "ContextLike"] | None = None
         #: Installed by the runtime; carries Nexus-layer cost constants
         #: (drain-overlap factor etc.).

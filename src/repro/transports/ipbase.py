@@ -183,7 +183,8 @@ class IpTransport(Transport):
 
     def _drop(self) -> bool:
         p = self.costs.drop_probability
-        return p > 0.0 and bool(self.services.rng.random() < p)
+        return p > 0.0 and bool(
+            self.services.streams.stream("transports").random() < p)
 
     def _arrive_later(self, destination: ContextLike, message: WireMessage,
                       latency: float):

@@ -145,7 +145,7 @@ def load(path: str, schema_id: str) -> dict[str, object]:
     path, so nothing beside the file is opened).
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
         found = document.get("schema") if isinstance(document, dict) else None
         if found != schema_id:
@@ -154,6 +154,8 @@ def load(path: str, schema_id: str) -> dict[str, object]:
         validate(schema(schema_id), document)
     except json.JSONDecodeError as error:
         raise DocumentError(f"{path}: not valid JSON: {error}") from error
+    except UnicodeDecodeError as error:
+        raise DocumentError(f"{path}: not UTF-8: {error}") from error
     except DocumentError as error:
         raise DocumentError(f"{path}: {error}") from error
     return document

@@ -90,6 +90,16 @@ class TestBenchRecord:
         assert "BENCH_torn.json" in str(caught.value)
         assert "line" in str(caught.value)
 
+    @pytest.mark.parametrize("tail", [b"\xc2", b"\xff\"}"])
+    def test_load_names_a_file_that_is_not_utf8(self, tmp_path, tail):
+        # Cut inside a multi-byte character, or one corrupt byte.
+        path = tmp_path / "BENCH_bytes.json"
+        path.write_bytes(b'{"schema": "repro.bench.record", "x": "' + tail)
+        with pytest.raises(DocumentError) as caught:
+            load_record(str(path))
+        assert "BENCH_bytes.json" in str(caught.value)
+        assert "UTF-8" in str(caught.value)
+
 
 class TestValidation:
     def test_rejects_bad_kind_and_direction(self):

@@ -99,8 +99,9 @@ def test_cancel_storm_interleaved_with_live_timers(sim):
     assert not sim._heap
 
 
-def test_cancel_storm_on_ready_deques(sim):
-    """Zero-delay events live in deques; cancellation covers them too."""
+def test_cancel_storm_on_zero_delay_events(sim):
+    """Zero-delay events share the one heap; cancelling them works there
+    too, and the cancelled entries are all swept."""
     fired = []
     keepers = []
     for i in range(300):
@@ -147,7 +148,9 @@ def test_peek_all_cancelled_returns_inf(sim):
         sim.step()  # nothing live left to step
 
 
-def test_peek_prefers_ready_deques_over_heap(sim):
+def test_peek_skips_a_cancelled_zero_delay_head(sim):
+    """A zero-delay event heads the heap; once cancelled, peek reports
+    the next live entry."""
     sim.timeout(1.0)
     zero = sim.event().succeed("now")
     assert sim.peek() == 0.0

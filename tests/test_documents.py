@@ -297,5 +297,4 @@ def test_importing_obs_loads_one_new_module():
     assert {m.split(".")[1] for m in loaded} == {
         "config", "core", "obs", "simnet", "testbeds", "transports", "util"}
     assert {m for m in loaded if m.startswith("repro.util.")} == {
-        "repro.util.ascii_chart", "repro.util.document",
         "repro.util.records", "repro.util.units"}
