@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import typing as _t
 
-from ..simnet.events import Event
+from ..simnet.events import PENDING, Event
 from ..simnet.resources import Store
 from ..transports.base import Descriptor, InTransitMessage, WireMessage
 from .buffers import Buffer
@@ -196,7 +196,7 @@ class Context:
         """Wake any process fast-forwarding through an idle wait."""
         waiters, self._arrival_waiters = self._arrival_waiters, []
         for event in waiters:
-            if not event.triggered:
+            if event._value is PENDING:  # not yet triggered
                 event.succeed()
 
     def arrival_signal(self) -> Event:

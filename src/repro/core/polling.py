@@ -34,17 +34,18 @@ simulation machinery that keep large experiments tractable:
   Nexus operations (each of which runs the poll function once) as a bulk
   charge with identical aggregate accounting.
 
-Two rules keep the loop cheap on the *host* (``docs/ARCHITECTURE.md``,
+Three rules keep the loop cheap on the *host* (``docs/ARCHITECTURE.md``,
 "Performance model").  Everything the loop knows about one method at
 this context — skip counter, costs, tallies, the method's device queue
 or inbox — lives in one :class:`_Lane` record, so a cycle reads
-attributes rather than five dicts keyed by method name.  And a blocking
-operation costs one generator frame below its caller: :meth:`wait` and
-:meth:`poll` yield their own timeouts and are both written in terms of
-the same plain helpers (:meth:`PollManager._begin_cycle`,
-:meth:`PollManager._collect`, :meth:`PollManager._end_cycle`), so an
-event that wakes an idle waiter re-enters one frame, not a tower of
-pass-through generators.
+attributes rather than five dicts keyed by method name.  An untraced
+cycle drains only the firing lanes whose container holds mail.  And a
+blocking operation costs one generator frame below its caller:
+:meth:`wait` and :meth:`poll` yield their own timeouts and are both
+written in terms of the same plain helpers
+(:meth:`PollManager._begin_cycle`, :meth:`PollManager._collect`,
+:meth:`PollManager._end_cycle`), so an event that wakes an idle waiter
+re-enters one frame, not a tower of pass-through generators.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import dataclasses
 import typing as _t
 
 from ..obs.metrics import COUNT_BUCKETS
-from ..simnet.events import Event
+from ..simnet.events import PENDING, Event
 from .errors import PollingError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -393,8 +394,11 @@ class PollManager:
         caller — :meth:`poll` or :meth:`wait`, in its own frame — charges
         ``total_cost``, *then* adds ``foreign_cost`` to the context's
         foreign-poll accumulator, drains each firing lane through
-        :meth:`_collect`, and hands ``watch`` (``None`` unless an
-        observer is attached) to :meth:`_end_cycle`.
+        :meth:`_collect` (untraced, only a lane whose container holds
+        something: every transport's ``collect`` returns ``[]`` for an
+        empty one, and only a traced poll records the miss), and hands
+        ``watch`` (``None`` unless an observer is attached) to
+        :meth:`_end_cycle`.
         """
         self.stats.cycles += 1
         plan = self._plan
@@ -458,8 +462,12 @@ class PollManager:
             yield context.nexus.sim.timeout(total_cost)
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
+        obs = context.nexus.obs
         dispatched = 0
         for lane in firing:
+            if not (lane.queue or lane.inbox is not None
+                    and lane.inbox.items or obs.enabled):
+                continue  # nothing to collect, and no poll_batch to feed
             for message in self._collect(lane):
                 yield from context.dispatch(message)
                 dispatched += 1
@@ -495,6 +503,7 @@ class PollManager:
         clock = sim._clock
         timeout = sim.timeout
         loop_cost = context.nexus.runtime_costs.poll_loop_cost
+        obs = context.nexus.obs
         stats = self.stats
 
         while True:
@@ -507,6 +516,9 @@ class PollManager:
                 context.foreign_poll_total += foreign_cost
             dispatched = 0
             for lane in firing:
+                if not (lane.queue or lane.inbox is not None
+                        and lane.inbox.items or obs.enabled):
+                    continue
                 for message in self._collect(lane):
                     yield from context.dispatch(message)
                     dispatched += 1
@@ -546,12 +558,26 @@ class PollManager:
         arrival = context.arrival_signal()
         if t_next is None and extra_wake is None:
             return arrival
-        wake_events: list[Event] = [arrival]
+        # What ``sim.any_of`` built, without the Condition machinery: the
+        # first child to fire triggers ``wake`` at that instant (a failed
+        # child is defused and fails it), and later children do nothing.
+        wake = Event(sim)
+
+        def on_child(child: Event) -> None:
+            if wake._value is not PENDING:
+                return
+            if child._ok:
+                wake.succeed()
+            else:
+                child._defused = True
+                wake.fail(_t.cast(BaseException, child._value))
+
+        arrival.callbacks.append(on_child)  # type: ignore[union-attr]
         if extra_wake is not None:
-            wake_events.append(extra_wake)
+            extra_wake.callbacks.append(on_child)  # type: ignore[union-attr]
         if t_next is not None:
-            wake_events.append(sim.timeout(t_next - now))
-        return sim.any_of(wake_events)
+            sim.timeout(t_next - now).callbacks.append(on_child)
+        return wake
 
     def amortized_cycle_time(self) -> float:
         """Average duration of one wait-loop iteration, skips included."""

@@ -104,11 +104,6 @@ class MpiProcess:
             raise RankError(f"rank {self.rank} has no route to {world_rank}")
         return sp
 
-    def _charge_layer(self):
-        overhead = self.world.config.call_overhead
-        if overhead > 0.0:
-            yield from self.context.charge(overhead)
-
     def _resolve_comm(self, comm: Communicator | None) -> Communicator:
         communicator = comm or self.world.comm_world
         if not communicator.contains_world(self.rank):
@@ -132,6 +127,10 @@ class MpiProcess:
 
     def _send_body(self, data: Payload, dest: int, tag: int,
                    comm: Communicator, context_id: int):
+        """Generator: one send, from the layer's per-call charge on."""
+        overhead = self.world.config.call_overhead
+        if overhead > 0.0:
+            yield self.context.nexus.sim.timeout(overhead)
         my_rank = comm.rank_of_world(self.rank)
         if not (0 <= dest < comm.size):
             raise RankError(f"destination rank {dest} out of range")
@@ -219,12 +218,14 @@ class MpiProcess:
 
     def send(self, data: Payload, dest: int, tag: int = 0,
              comm: Communicator | None = None, *, collective: bool = False):
-        """Generator: blocking standard-mode send (eager protocol)."""
+        """Generator: blocking standard-mode send (eager protocol).
+
+        Hands back :meth:`_send_body`'s generator rather than wrap it: a
+        blocking operation costs one frame below its caller."""
         communicator = self._resolve_comm(comm)
-        yield from self._charge_layer()
         context_id = (communicator.collective_context if collective
                       else communicator.p2p_context)
-        yield from self._send_body(data, dest, tag, communicator, context_id)
+        return self._send_body(data, dest, tag, communicator, context_id)
 
     def isend(self, data: Payload, dest: int, tag: int = 0,
               comm: Communicator | None = None, *,
@@ -234,14 +235,9 @@ class MpiProcess:
         communicator = self._resolve_comm(comm)
         context_id = (communicator.collective_context if collective
                       else communicator.p2p_context)
-
-        def body():
-            yield from self._charge_layer()
-            yield from self._send_body(data, dest, tag, communicator,
-                                       context_id)
-
         process = self.nexus.spawn(
-            body(), name=f"isend:r{self.rank}->r{dest}")
+            self._send_body(data, dest, tag, communicator, context_id),
+            name=f"isend:r{self.rank}->r{dest}")
         return SendRequest(self, process)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -269,7 +265,9 @@ class MpiProcess:
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Communicator | None = None, *, collective: bool = False):
         """Generator: blocking receive → ``(data, status)``."""
-        yield from self._charge_layer()
+        overhead = self.world.config.call_overhead
+        if overhead > 0.0:
+            yield self.context.nexus.sim.timeout(overhead)
         request = self.irecv(source, tag, comm, collective=collective)
         self.recvs += 1
         result = yield from request.wait()

@@ -15,6 +15,7 @@ generator finishes, so processes can wait on each other (``yield child``)
 from __future__ import annotations
 
 import typing as _t
+from types import GeneratorType
 
 from .errors import Interrupt, ProcessError
 from .events import Event, PENDING, URGENT
@@ -36,7 +37,10 @@ class Process(Event):
 
     def __init__(self, sim: "Simulator", gen: ProcessGenerator,
                  name: str | None = None):
-        if not hasattr(gen, "send") or not hasattr(gen, "throw"):
+        # A real generator is the common case (one process is spawned
+        # per message in flight): only other objects pay the probes.
+        if gen.__class__ is not GeneratorType and (
+                not hasattr(gen, "send") or not hasattr(gen, "throw")):
             raise ProcessError(
                 f"Process body must be a generator, got {type(gen).__name__}; "
                 "did you forget to call the generator function, or is the "

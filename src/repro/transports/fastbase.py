@@ -56,7 +56,7 @@ class FastTransport(Transport):
 
     def send(self, local: ContextLike, state: dict, descriptor: Descriptor,
              message: WireMessage):
-        destination = self._route(descriptor)
+        destination = self._destination(descriptor)
         network = self.network
         if network._fault_rules and network.is_faulted(
                 local.host, destination.host, self.wire_method):
@@ -86,10 +86,6 @@ class FastTransport(Transport):
             self._arrive_later(destination, message),
             name=f"{self.name}:arrive:{message.handler}",
         )
-
-    def _route(self, descriptor: Descriptor) -> ContextLike:
-        """Destination context (subclasses may override, e.g. local)."""
-        return self._destination(descriptor)
 
     def _arrive_later(self, destination: ContextLike, message: WireMessage):
         yield self.sim.timeout(self.costs.latency)

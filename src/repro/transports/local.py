@@ -26,6 +26,3 @@ class LocalTransport(FastTransport):
     def applicable(self, local: ContextLike, descriptor: Descriptor,
                    remote_host: "Host") -> bool:
         return descriptor.context_id == local.id
-
-    def _route(self, descriptor: Descriptor) -> ContextLike:
-        return self._destination(descriptor)

@@ -323,6 +323,15 @@ NAMED = {
     "lost-wake-up": Program(
         blocking_tcp=True,
         phases=(Phase("sleep", 200 * NS, mask=("local", "tcp")),)),
+    # The second sleep's timeout wakes the waiter while an MPL message
+    # sits in the device queue (the skip puts its deadline ~55 ms out)
+    # and the next MPL message is still on its way: the deadline timeout
+    # and the arrival signal both fire after the wake, and must do
+    # nothing to it.
+    "late-wake-children": Program(
+        skips=(("mpl", 500),), mpl_sends=((0.0, 0), (1000 * US, 0)),
+        phases=(Phase("sleep", 150 * US), Phase("sleep", 200 * US),
+                Phase("wait", 2))),
 }
 
 
@@ -351,6 +360,47 @@ def test_an_event_that_fires_during_the_loop_charge_ends_the_wait():
     assert outcome["log"] == [("sleep", stepwise)]
 
 
+def failed_event_wait(install=None):
+    """A ``ctx.wait(event)`` asleep in the idle fast-forward whose event
+    another process fails 1 ms in: what the waiter saw, whether the
+    event ended up defused, the engine's event count, and the waiter's
+    poll cycles."""
+    bed = make_sp2(nodes_a=1, nodes_b=0)
+    sim = bed.sim
+    ctx = bed.nexus.context(bed.hosts_a[0])
+    if install is not None:
+        install(ctx)
+    event = sim.event()
+    seen = []
+
+    def waiter():
+        try:
+            yield from ctx.wait(event)
+        except RuntimeError as exc:
+            seen.append((sim.now, str(exc)))
+
+    def failer():
+        yield sim.timeout(1e-3)
+        event.fail(RuntimeError("boom"))
+
+    bed.nexus.spawn(waiter())
+    bed.nexus.spawn(failer())
+    sim.run()
+    return (seen, event.defused, sim.events_processed,
+            ctx.poll_manager.stats.cycles)
+
+
+def test_a_failed_event_ends_an_idle_wait_with_its_exception():
+    """The idle wake fails with a failed child's exception and defuses
+    the child, as the ``AnyOf`` it replaced did: the waiter sees the
+    exception at the failure instant (one poll cycle, then asleep until
+    then), the simulator does not re-raise it, and the reference manager
+    agrees on every count."""
+    outcome = failed_event_wait()
+    assert outcome == ([(0.001, "boom")], True, 9, 1)
+    assert outcome == failed_event_wait(install_reference)
+
+
 def test_the_named_cases_reach_the_paths_they_are_named_for():
     """A differential test proves nothing about a path neither side
     took: check the fast-forward, the bulk accounting, the mask and the
@@ -371,3 +421,10 @@ def test_the_named_cases_reach_the_paths_they_are_named_for():
     adaptive = play(NAMED["adaptive-backs-off-then-recovers"])
     values = [value for _time, value in adaptive["adjustments"]]
     assert max(values) > 1 and values != sorted(values)  # up, then cut
+
+    # Both sleeps end on their own timeouts, long before either message
+    # is handled, so the waiter slept on the multi-child wake.
+    late = play(NAMED["late-wake-children"])
+    assert late["log"][:2] == [("sleep", 150 * US), ("sleep", 350 * US)]
+    assert late["log"][2][1] > 50_000 * US
+    assert late["contexts"]["me"]["idle_fast_forwards"] >= 2

@@ -161,8 +161,9 @@ def test_peek_skips_a_cancelled_zero_delay_head(sim):
 # -- same-timestamp ordering -------------------------------------------------
 
 def test_same_timestamp_fifo_across_sources(sim):
-    """Equal-time events process in (priority, seq) order regardless of
-    which of the three queue sources holds them."""
+    """Equal-time events process in (priority, seq) order whether they
+    were scheduled with a delay or triggered at that instant: all of
+    them sit in the one heap."""
     order = []
 
     def note(tag):

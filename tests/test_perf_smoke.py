@@ -1,14 +1,20 @@
-"""Wall-clock smoke test: the kernel must stay fast.
+"""Performance smoke tests: the kernel must stay fast, and the hot paths
+lean.
 
-A coarse tripwire, not a benchmark: it asserts events-per-second above a
-floor set far below what any healthy checkout achieves (roughly 10-20x
-headroom on 2020s hardware), so it only fires on order-of-magnitude
-slowdowns — an accidentally quadratic queue, debug logging left on the
-hot path, and the like.  The precise tracking of wall-clock performance
-lives in ``python -m perfbench`` (see ``perfbench/README.md``).
+Two wall-clock tests are coarse tripwires, not benchmarks: they assert
+events-per-second above a floor set far below what any healthy checkout
+achieves (roughly 10-20x headroom on 2020s hardware), so they only fire
+on order-of-magnitude slowdowns — an accidentally quadratic queue, debug
+logging left on the hot path, and the like.  The precise tracking of
+wall-clock performance lives in ``python -m perfbench`` (see
+``perfbench/README.md``).
 
-Set ``REPRO_SKIP_PERF_SMOKE=1`` to skip (e.g. on heavily shared or
-instrumented runners where even the generous floor is unreliable).
+The rest read no clock: event counts, ``cProfile`` call budgets and the
+frames an idle wake-up re-enters repeat exactly, so they run everywhere.
+
+Set ``REPRO_SKIP_PERF_SMOKE=1`` to skip the two wall-clock tests (e.g.
+on heavily shared or instrumented runners where even the generous floor
+is unreliable).
 """
 
 import cProfile
@@ -32,7 +38,8 @@ from repro.testbeds import make_sp2
 KERNEL_FLOOR = 50_000
 STACK_FLOOR = 10_000
 
-pytestmark = pytest.mark.skipif(
+#: Marks the wall-clock tests only: the deterministic ones always run.
+wall_clock = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF_SMOKE", "") not in ("", "0"),
     reason="REPRO_SKIP_PERF_SMOKE set",
 )
@@ -50,6 +57,7 @@ def _best_rate(run_once, attempts=3):
     return best
 
 
+@wall_clock
 def test_kernel_timeout_throughput():
     """Raw engine: timer-chain processes, nothing but the kernel."""
 
@@ -72,6 +80,7 @@ def test_kernel_timeout_throughput():
         f"{KERNEL_FLOOR:,} floor — hot-path regression?")
 
 
+@wall_clock
 def test_full_stack_throughput():
     """Nexus stack end to end: RSR ping-pong over the SP2 testbed."""
 
@@ -118,10 +127,12 @@ def _host_calls(run):
 
 
 #: Host calls (Python and C, as ``cProfile`` counts them) of one warm
-#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 21,637 when the poll loop
-#: went to one lane record per method and one frame per blocking
-#: operation, 30,050 before.  The budget is that count plus 10 %.
-DUAL_PINGPONG_CALL_BUDGET = 23_800
+#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 19,803 when an untraced
+#: poll stopped collecting from empty lanes, the idle wake became one
+#: plain ``Event`` and the fast send path lost its ``_route`` hop; 21,438
+#: before, 30,050 before lane records and one-frame blocking operations.
+#: The budget is that count plus 10 %.
+DUAL_PINGPONG_CALL_BUDGET = 21_800
 
 
 def test_unified_poll_host_calls_stay_within_budget():

@@ -21,7 +21,7 @@ from repro.transports.errors import RegistryError
 def services():
     sim = Simulator()
     return TransportServices(sim, Network(sim), MetricsRegistry(),
-                             RandomStreams(0).stream("t"))
+                             RandomStreams(0))
 
 
 @pytest.fixture
