@@ -38,8 +38,9 @@ Three rules keep the loop cheap on the *host* (``docs/ARCHITECTURE.md``,
 "Performance model").  Everything the loop knows about one method at
 this context — skip counter, costs, tallies, the method's device queue
 or inbox — lives in one :class:`_Lane` record, so a cycle reads
-attributes rather than five dicts keyed by method name.  An untraced
-cycle drains only the firing lanes whose container holds mail.  And a
+attributes rather than five dicts keyed by method name.  A cycle
+drains only the firing lanes whose container holds mail (a traced miss
+is one append to the lane's ``poll_batch``).  And a
 blocking operation costs one generator frame below its caller:
 :meth:`wait` and :meth:`poll` yield their own timeouts and are both
 written in terms of the same plain helpers
@@ -58,7 +59,6 @@ from ..simnet.events import PENDING, Event
 from .errors import PollingError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import Histogram
     from ..simnet.resources import Store
     from ..transports.base import Transport, WireMessage
     from .context import Context
@@ -90,8 +90,9 @@ class _Lane:
     is built.  Of ``queue`` and ``inbox`` one is set, by the transport's
     delivery model (a method that drains a device queue never sees its
     inbox, and the other way round): the context's own container for
-    the method, never rebound.  ``batch`` is the method's ``poll_batch``
-    histogram, resolved the first time a traced poll fires it.
+    the method, never rebound.  ``batch`` records one value into the
+    method's ``poll_batch`` histogram (its ``recorder()``), resolved the
+    first time a traced poll fires the lane (:meth:`PollManager._batch`).
     """
 
     __slots__ = ("method", "transport", "cost", "steals", "k", "count",
@@ -114,7 +115,7 @@ class _Lane:
         self.queue = context.device_queue(method) if drains else None
         self.inbox = None if drains else context.inbox(method)
         self.observer: PollObserver | None = None
-        self.batch: "Histogram | None" = None
+        self.batch: _t.Callable[[float], None] | None = None
 
 
 @dataclasses.dataclass
@@ -393,10 +394,10 @@ class PollManager:
         Returns ``(firing, total_cost, foreign_cost, watch)``.  The
         caller — :meth:`poll` or :meth:`wait`, in its own frame — charges
         ``total_cost``, *then* adds ``foreign_cost`` to the context's
-        foreign-poll accumulator, drains each firing lane through
-        :meth:`_collect` (untraced, only a lane whose container holds
-        something: every transport's ``collect`` returns ``[]`` for an
-        empty one, and only a traced poll records the miss), and hands
+        foreign-poll accumulator, drains each firing lane whose container
+        holds something through :meth:`_collect` (every transport's
+        ``collect`` returns ``[]`` for an empty one; a traced poll records
+        the miss as one ``0.0`` append to ``poll_batch``), and hands
         ``watch`` (``None`` unless an observer is attached) to
         :meth:`_end_cycle`.
         """
@@ -431,14 +432,16 @@ class PollManager:
         messages = lane.transport.collect(context, lane)
         found = len(messages) if messages else 0
         lane.messages += found
-        obs = context.nexus.obs
-        if obs.enabled:
-            batch = lane.batch
-            if batch is None:
-                batch = lane.batch = obs.metrics.histogram(
-                    "poll_batch", COUNT_BUCKETS, method=lane.method)
-            batch.observe(float(found))
+        if context.nexus.obs.enabled:
+            (lane.batch or self._batch(lane))(float(found))
         return messages
+
+    def _batch(self, lane: _Lane) -> _t.Callable[[float], None]:
+        """Resolve and cache ``lane.batch``: one append into the
+        method's ``poll_batch`` histogram, folded when it is read."""
+        batch = lane.batch = self.context.nexus.obs.metrics.histogram(
+            "poll_batch", COUNT_BUCKETS, method=lane.method).recorder()
+        return batch
 
     @staticmethod
     def _end_cycle(watch: list[tuple[_Lane, float]]) -> None:
@@ -466,8 +469,10 @@ class PollManager:
         dispatched = 0
         for lane in firing:
             if not (lane.queue or lane.inbox is not None
-                    and lane.inbox.items or obs.enabled):
-                continue  # nothing to collect, and no poll_batch to feed
+                    and lane.inbox.items):
+                if obs.enabled:  # a traced miss: poll_batch records 0
+                    (lane.batch or self._batch(lane))(0.0)
+                continue
             for message in self._collect(lane):
                 yield from context.dispatch(message)
                 dispatched += 1
@@ -517,7 +522,9 @@ class PollManager:
             dispatched = 0
             for lane in firing:
                 if not (lane.queue or lane.inbox is not None
-                        and lane.inbox.items or obs.enabled):
+                        and lane.inbox.items):
+                    if obs.enabled:
+                        (lane.batch or self._batch(lane))(0.0)
                     continue
                 for message in self._collect(lane):
                     yield from context.dispatch(message)

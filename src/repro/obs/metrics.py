@@ -16,15 +16,20 @@ Design constraints:
 * **Fixed buckets.**  Histograms use a fixed upper-bound ladder chosen
   at creation (defaults suit microsecond latencies), so two runs always
   agree on bucket boundaries and snapshots merge trivially.
-* **Cheap.**  ``observe``/``inc`` are a bisect plus a few adds; the
-  registry allocates only on first use of a ``(name, labels)`` pair; a
-  counter bumped per message is held by its owner as a handle.
+* **Cheap.**  ``inc`` is one add and ``observe`` a bisect plus a few
+  adds; the tracer's hot paths pay less still: they hold a histogram's
+  :meth:`~Histogram.recorder` and append one raw value per
+  observation, which every reader folds in first
+  (:meth:`Histogram.fold`).  The registry allocates only on first use
+  of a ``(name, labels)`` pair; a counter bumped per message is held by
+  its owner as a handle.
 """
 
 from __future__ import annotations
 
 import bisect
 import typing as _t
+from array import array
 
 #: Default histogram ladder for latencies in microseconds: covers 1 µs
 #: (local dispatch) to 10 s (WAN + heavy skip_poll detection delays).
@@ -97,10 +102,31 @@ class Histogram:
     ``bounds`` must be strictly increasing; values above the last bound
     land in an implicit overflow bucket.  Exact ``sum``/``min``/``max``
     are kept alongside the buckets so means are not quantised.
+
+    :meth:`observe` updates the histogram on the spot.  A hot path
+    instead caches :meth:`recorder` — the bound ``append`` of
+    ``pending``, an ``array('d')`` emptied in place and never rebound,
+    so the cached handle stays valid — and records one raw value per
+    call; :meth:`fold` applies them, and every reader —
+    ``mean``, :meth:`quantile`, :meth:`nonzero_buckets`,
+    :meth:`snapshot`, :meth:`observe` itself, the registry's
+    ``histogram``/``collect``/``snapshot``, pickling and copying —
+    folds first.  The plain attributes (``counts``, ``count``,
+    ``total``, ``min_value``, ``max_value``) are current only after a
+    fold.
     """
 
+    # ``pending`` lives in the instance ``__dict__``, not in a slot: a
+    # histogram no hot path records into — a timeline cell, one only
+    # ever ``observe``d, one restored from a pickle or a copy (whose
+    # state is exactly the eager one) — reads the class's empty tuple,
+    # so unpickling stays the C-level slot restore and readers pay no
+    # call.
     __slots__ = ("name", "labels", "bounds", "counts", "count", "total",
-                 "min_value", "max_value")
+                 "min_value", "max_value", "__dict__")
+
+    #: Raw values recorded but not yet folded, in observation order.
+    pending: "array[float] | tuple[()]" = ()
 
     def __init__(self, name: str, labels: LabelItems,
                  bounds: _t.Sequence[float]):
@@ -126,7 +152,64 @@ class Histogram:
         self.min_value: float | None = None
         self.max_value: float | None = None
 
+    def recorder(self) -> _t.Callable[[float], None]:
+        """The hot paths' handle: ``pending.append``, recording one raw
+        value that the next reader folds in."""
+        pending = self.pending
+        if not isinstance(pending, array):
+            pending = self.pending = array("d")
+        return pending.append
+
+    def fold(self) -> None:
+        """Apply the pending values, exactly as :meth:`observe` would
+        have, one at a time, and empty ``pending`` in place.
+
+        ``total`` accumulates in observation order (never a builtin
+        ``sum`` or ``math.fsum``, whose rounding differs); the
+        builtin ``min``/``max`` keep the first of equal values, as
+        ``observe``'s strict comparisons do (``-0.0`` vs ``0.0``).  The
+        buckets come from one sort: a value lands in bucket
+        ``bisect_left(bounds, v)``, i.e. it is counted at the first
+        bound it does not exceed, so each bucket is a difference of two
+        ``bisect_right`` positions — a call per bound, none per value.
+        """
+        pending = self.pending
+        if not pending:
+            return
+        total = self.total
+        for value in pending:
+            total += value
+        self.total = total
+        self.count += len(pending)
+        low, high = min(pending), max(pending)
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+        ordered = sorted(pending)
+        counts = self.counts
+        below = 0
+        for index, bound in enumerate(self.bounds):
+            upto = bisect.bisect_right(ordered, bound, below)
+            counts[index] += upto - below
+            below = upto
+        counts[-1] += len(ordered) - below
+        del pending[:]
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        # Folded, and without ``pending``: the state (and so the pickle
+        # bytes) of a histogram that observed every value eagerly.
+        if self.pending:
+            self.fold()
+        return None, {"name": self.name, "labels": self.labels,
+                      "bounds": self.bounds, "counts": self.counts,
+                      "count": self.count, "total": self.total,
+                      "min_value": self.min_value,
+                      "max_value": self.max_value}
+
     def observe(self, value: float) -> None:
+        if self.pending:
+            self.fold()
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
@@ -137,11 +220,15 @@ class Histogram:
 
     @property
     def mean(self) -> float | None:
+        if self.pending:
+            self.fold()
         return self.total / self.count if self.count else None
 
     def quantile(self, q: float) -> float | None:
         """Upper bound of the bucket containing the q-quantile (an
         over-estimate, exact for the overflow bucket's max)."""
+        if self.pending:
+            self.fold()
         if self.count == 0:
             return None
         target = q * self.count
@@ -156,6 +243,8 @@ class Histogram:
     def nonzero_buckets(self) -> list[tuple[float, int]]:
         """(upper bound, count) for every populated bucket; the overflow
         bucket reports the observed maximum as its bound."""
+        if self.pending:
+            self.fold()
         out = []
         for bound, bucket in zip(self.bounds, self.counts):
             if bucket:
@@ -165,6 +254,8 @@ class Histogram:
         return out
 
     def snapshot(self) -> dict[str, object]:
+        if self.pending:
+            self.fold()
         return {
             "labels": dict(self.labels),
             "bounds": list(self.bounds),
@@ -209,9 +300,12 @@ class MetricsRegistry:
     def histogram(self, name: str,
                   bounds: _t.Sequence[float] = LATENCY_BUCKETS_US,
                   **labels: object) -> Histogram:
-        return _t.cast(Histogram, self._get(
+        hist = _t.cast(Histogram, self._get(
             Histogram, name, labels,
             lambda: Histogram(name, _label_key(labels), bounds)))
+        if hist.pending:
+            hist.fold()
+        return hist
 
     def count(self, name: str, **labels: object) -> int:
         """The value of counter ``name``; 0, registering nothing, when
@@ -221,10 +315,14 @@ class MetricsRegistry:
 
     def collect(self, name: str | None = None
                 ) -> list[tuple[str, LabelItems, object]]:
-        """All metrics (optionally one name), deterministically sorted."""
-        items = [(key[0], key[1], metric)
-                 for key, metric in self._metrics.items()
-                 if name is None or key[0] == name]
+        """All metrics (optionally one name), deterministically sorted,
+        every histogram folded."""
+        items = []
+        for key, metric in self._metrics.items():
+            if name is None or key[0] == name:
+                if metric.__class__ is Histogram and metric.pending:
+                    metric.fold()
+                items.append((key[0], key[1], metric))
         items.sort(key=lambda item: (item[0], item[1]))
         return items
 

@@ -35,11 +35,15 @@ import dataclasses
 import operator
 import typing as _t
 
-from .metrics import LATENCY_BUCKETS_US, Histogram, MetricsRegistry
+from .metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..simnet.engine import Simulator
     from .timeline import Column, Timeline
+
+#: A histogram's :meth:`~repro.obs.metrics.Histogram.recorder`: what a
+#: cached slot records through.
+_Observe = _t.Callable[[float], None]
 
 PHASE_ISSUE = "issue"
 PHASE_MARSHAL = "marshal"
@@ -122,11 +126,26 @@ class MessageTrace:
 
     def transition(self, phase: str, ctx: int, lane: str | None = None,
                    **attrs: object) -> Span | None:
-        """Close the open span (if any) and open the next phase's span."""
+        """Close the open span (if any) and open the next phase's span.
+
+        One frame: the bodies of :meth:`Observability.close_span` and
+        :meth:`Observability.open_span`, inlined, at one clock read.
+        """
+        obs = self.obs
+        now = obs.sim._clock._now
         previous = self.current
         if (previous is not None and previous.end is None
                 and previous.phase != PHASE_ISSUE):
-            self.obs.close_span(previous)
+            previous.end = now
+            slots, key = obs._phase_slots, (previous.phase, previous.lane)
+            observe, column = (slots[key] if key in slots
+                               else obs._phase_slot(*key))
+            duration_us = (now - previous.start) * 1e6
+            observe(duration_us)
+            if column is not None:
+                column.extend((now, duration_us))
+            del obs._open[previous.id]
+            obs.sink.record_span(previous)
         if lane is None:
             # Receive-side phases render on the context's nexus lane; the
             # remembered transport lane still labels latency metrics.
@@ -134,13 +153,21 @@ class MessageTrace:
                                             PHASE_FORWARD) else self.lane)
         else:
             self.lane = lane
-        span = self.obs.open_span(
-            phase, rsr=self.rsr, ctx=ctx, lane=lane,
-            parent=previous.id if previous is not None else None,
-            **attrs,
-        )
-        if span is not None:
-            self.current = span
+        if not obs.enabled:
+            return None
+        span_id = obs._next_span
+        sink = obs.sink
+        resident = span_id - 1 - sink.released
+        if resident >= sink.max_spans:
+            obs.dropped_spans += 1
+            return None
+        span = self.current = Span(
+            span_id, self.rsr, phase, ctx, lane, now, None,
+            previous.id if previous is not None else None, attrs or None)
+        obs._next_span = span_id + 1
+        obs._open[span_id] = span
+        if resident >= obs.peak_spans:
+            obs.peak_spans = resident + 1
         return span
 
     def fork(self, ctx: int, lane: str, **attrs: object) -> "MessageTrace":
@@ -216,15 +243,25 @@ class MessageTrace:
                 if span.attrs is None:
                     span.attrs = {}
                 span.attrs["threaded"] = True
-            obs.close_span(span)
+            # Observability.close_span, inlined.
+            end = span.end = obs.sim._clock._now
+            slots, key = obs._phase_slots, (span.phase, span.lane)
+            observe, column = (slots[key] if key in slots
+                               else obs._phase_slot(*key))
+            duration_us = (end - span.start) * 1e6
+            observe(duration_us)
+            if column is not None:
+                column.extend((end, duration_us))
+            del obs._open[span.id]
+            obs.sink.record_span(span)
         self.current = None
         obs.rsrs_finished += 1
         lane = self.lane
         slots = obs._lane_slots
-        hist, latency, latency_all, delivered = (
+        observe, latency, latency_all, delivered = (
             slots[lane] if lane in slots else obs._lane_slot(lane))
         latency_us = (now - self.issued_at) * 1e6
-        hist.observe(latency_us)
+        observe(latency_us)
         if latency is not None:
             latency.extend((now, latency_us))
             latency_all.extend((now, latency_us))
@@ -314,10 +351,12 @@ class Observability:
         # label sets here are tiny (phases × lanes), so plain dicts keyed
         # on the raw values resolve each handle once — together with the
         # timeline columns the same event appends to (``None`` while no
-        # timeline is attached).
+        # timeline is attached).  A slot holds the histogram's
+        # ``recorder()`` (its pending array's ``append``), not the
+        # histogram: an observation is one append, folded when read.
         self._phase_slots: dict[tuple[str, str],
-                                tuple[Histogram, Column | None]] = {}
-        self._lane_slots: dict[str, tuple[Histogram, Column | None,
+                                tuple[_Observe, Column | None]] = {}
+        self._lane_slots: dict[str, tuple[_Observe, Column | None,
                                           Column | None,
                                           Column | None]] = {}
         self._issued: Column | None = None
@@ -348,17 +387,17 @@ class Observability:
         return timeline
 
     def _phase_slot(self, phase: str, lane: str
-                    ) -> tuple[Histogram, Column | None]:
+                    ) -> tuple[_Observe, Column | None]:
         """Resolve and cache the handles one closed span records to."""
         hist = self.metrics.histogram(
             "rsr_phase_us", LATENCY_BUCKETS_US, phase=phase, lane=lane)
         timeline = self.timeline
         slot = self._phase_slots[(phase, lane)] = (
-            hist, None if timeline is None
+            hist.recorder(), None if timeline is None
             else timeline.phase_column(phase, lane))
         return slot
 
-    def _lane_slot(self, lane: str) -> tuple[Histogram, Column | None,
+    def _lane_slot(self, lane: str) -> tuple[_Observe, Column | None,
                                              Column | None, Column | None]:
         """Resolve and cache the handles one delivery on ``lane``
         records to."""
@@ -367,7 +406,7 @@ class Observability:
         timeline = self.timeline
         columns = ((None, None, None) if timeline is None
                    else timeline.delivery_columns(lane))
-        slot = self._lane_slots[lane] = (hist, *columns)
+        slot = self._lane_slots[lane] = (hist.recorder(), *columns)
         return slot
 
     def _counter_handle(self, name: str, method: str):
@@ -406,9 +445,10 @@ class Observability:
             return
         end = span.end = self.sim._clock._now
         slots, key = self._phase_slots, (span.phase, span.lane)
-        hist, column = slots[key] if key in slots else self._phase_slot(*key)
+        observe, column = (slots[key] if key in slots
+                           else self._phase_slot(*key))
         duration_us = (end - span.start) * 1e6
-        hist.observe(duration_us)
+        observe(duration_us)
         if column is not None:
             column.extend((end, duration_us))
         del self._open[span.id]
@@ -441,18 +481,31 @@ class Observability:
     # -- RSR lifecycle entry points ------------------------------------------
 
     def rsr_begin(self, ctx: int, handler: str, links: int) -> Span | None:
-        """Open the root ``issue`` span of a new RSR."""
-        span = self.open_span(PHASE_ISSUE, rsr=self._next_rsr, ctx=ctx,
-                              handler=handler, links=links)
-        if span is not None:
-            self._next_rsr += 1
-            self.rsrs_started += 1
-            timeline = self.timeline
-            if timeline is not None:
-                issued = self._issued
-                if issued is None:
-                    issued = self._issued = timeline.issued_column()
-                issued.extend((span.start, 1.0))
+        """Open the root ``issue`` span of a new RSR (:meth:`open_span`'s
+        body, inlined)."""
+        if not self.enabled:
+            return None
+        span_id = self._next_span
+        sink = self.sink
+        resident = span_id - 1 - sink.released
+        if resident >= sink.max_spans:
+            self.dropped_spans += 1
+            return None
+        now = self.sim._clock._now
+        span = Span(span_id, self._next_rsr, PHASE_ISSUE, ctx, NEXUS_LANE,
+                    now, None, None, {"handler": handler, "links": links})
+        self._next_span = span_id + 1
+        self._open[span_id] = span
+        if resident >= self.peak_spans:
+            self.peak_spans = resident + 1
+        self._next_rsr += 1
+        self.rsrs_started += 1
+        timeline = self.timeline
+        if timeline is not None:
+            issued = self._issued
+            if issued is None:
+                issued = self._issued = timeline.issued_column()
+            issued.extend((now, 1.0))
         return span
 
     def attach(self, message: object, issue: Span) -> None:

@@ -28,18 +28,20 @@ Semantics follow the rest of :mod:`repro.obs`:
 * **One append per observation.**  Recording appends ``(now, value)``
   to the series' column (an ``array('d')``, created on first touch);
   the tracer's hot paths hold their columns next to the registry
-  handles they already cache, so a closed span costs one registry
-  observe plus one ``extend``.  Every reader first *folds* the columns
-  into window cells and empties them.  The fold is exact: windows are
-  ``(t / interval).astype(int64)`` (the same IEEE division and
-  truncation as ``int(now / interval)``), buckets are
-  ``searchsorted(bounds, v, side="left")`` (``bisect_left``), and
-  ``count``/``sum``/``min``/``max`` and counter values accumulate one
-  value at a time in observation order, continuing from the cell —
-  never a pairwise or compensated sum.  The one visible difference from
-  updating cells as values arrive is the ``max_windows`` cap: it is
-  applied column by column (in column-creation order), then window by
-  window (in first-touch order).
+  histograms' ``recorder()`` they already cache, so a closed span
+  costs one pending append plus one ``extend`` (the registry folds on
+  read too: :meth:`repro.obs.metrics.Histogram.fold`).  Every reader
+  first *folds* the columns into window cells and empties them.  The
+  fold is exact: windows are ``(t / interval).astype(int64)`` (the
+  same IEEE division and truncation as ``int(now / interval)``),
+  buckets are ``searchsorted(bounds, v, side="left")``
+  (``bisect_left``), and ``count``/``sum``/``min``/``max`` and counter
+  values accumulate one value at a time in observation order,
+  continuing from the cell — never a pairwise or compensated sum.  The
+  one visible difference from updating cells as values arrive is the
+  ``max_windows`` cap: it is applied column by column (in
+  column-creation order), then window by window (in first-touch
+  order).
 """
 
 from __future__ import annotations

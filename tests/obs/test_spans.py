@@ -1,5 +1,7 @@
 """Tests for span-based RSR lifecycle tracing."""
 
+import types
+
 import pytest
 
 from repro.core.buffers import Buffer
@@ -131,6 +133,25 @@ class TestSpanCap:
         assert obs.open_span("issue") is None
         assert len(obs.spans) == 2
         assert obs.dropped_spans == 1
+
+    def test_cap_binding_at_a_transition_closes_but_does_not_advance(
+            self, sim):
+        """The cap binds inside ``transition``, not at ``rsr_begin``:
+        the previous span still closes and is recorded, the refused open
+        is counted, and the trace's open span does not move."""
+        obs = Observability(sim, enabled=True, max_spans=2)
+        message = types.SimpleNamespace(trace=None)
+        obs.attach(message, obs.rsr_begin(ctx=0, handler="h", links=1))
+        trace = message.trace
+        enqueue = trace.transition("enqueue", ctx=0, lane="mpl")
+        assert enqueue is not None and trace.current is enqueue
+        assert trace.transition("wire", ctx=0) is None
+        assert enqueue.end == sim.now
+        assert obs.sink.closed == [enqueue]
+        assert obs.metrics.histogram(
+            "rsr_phase_us", phase="enqueue", lane="mpl").count == 1
+        assert obs.dropped_spans == 1
+        assert trace.current is enqueue
 
 
 class TestForwarding:

@@ -8,8 +8,8 @@ parser inside ``main``, so its flags are read from its ``--help``
 output, and every workload a ``for workload in`` loop names must be in
 ``perfbench.catalogue.WORKLOAD_NAMES``.  Every CI job that prose under
 ``src/``, ``docs/``, ``tests/``, ``README.md`` or ``EXPERIMENTS.md``
-names (a ``<name>-smoke`` or ``regression-gate`` token) must be a job
-the workflow defines.  PyYAML is not a dependency,
+names (a ``<name>-smoke``, ``regression-gate`` or ``deep-oracles``
+token) must be a job the workflow defines.  PyYAML is not a dependency,
 so the workflow is read as text: a ``run:`` value is one command, a
 literal ``|`` block (one command per line) or a folded ``>`` block (its
 lines joined into one command).
@@ -40,7 +40,8 @@ MODULE_RE = re.compile(
 PATH_RE = re.compile(r"\b(?:benchmarks|examples)/[\w./-]+")
 PERFBENCH_RE = re.compile(r"python -m perfbench(?=\s|$)(.*)")
 WORKLOAD_LOOP_RE = re.compile(r"\bfor workload in ([^;]*);")
-JOB_NAME_RE = re.compile(r"[\w-]+-smoke\b|\bregression-gate\b")
+JOB_NAME_RE = re.compile(
+    r"[\w-]+-smoke\b|\bregression-gate\b|\bdeep-oracles\b")
 PROSE = ("src", "docs", "tests", "README.md", "EXPERIMENTS.md")
 
 
