@@ -9,9 +9,10 @@ load scenario twice:
    paths the usual way; then
 2. **streamed**, spooling completed spans to sharded JSONL segments
    (only open spans stay resident) and rebuilding the same documents
-   with a single-pass fold over the shards.
+   with a single-pass fold over the shards — or by asking the streamed
+   run's own ``obs`` for them, which reads the shards back.
 
-It then proves the two are byte-identical, shows the manifest's
+It then proves the three are byte-identical, shows the manifest's
 explicit lossiness ledger, and demonstrates seeded sampling — a
 ``reservoir:4`` policy that thins healthy traffic while the always-keep
 classes (retries, failovers, drops) preserve every failure witness.
@@ -53,7 +54,7 @@ def main() -> None:
     config = StreamConfig(directory=spool_dir, max_records=500)
     with _obs.collecting() as runs:
         stream_result = run_scenario(scenario, stream=config)
-    stream_obs, _nexus = runs[-1]
+    stream_obs, stream_nexus = runs[-1]
     summary = stream_result.stream
     assert summary is not None
     print(f"streamed:  {summary['spans_emitted']} spans spooled into "
@@ -78,8 +79,14 @@ def main() -> None:
     assert mem_result.timeline is not None and fold.timeline is not None
     assert (dumps(timeline_document(mem_result.timeline))
             == dumps(timeline_document(fold.timeline)))
+    # The products read whichever sink ran: the spool's shards here.
+    assert dumps(graph_document(graph_mem)) == dumps(graph_document(
+        extract_graph(stream_obs, nexus=stream_nexus)))
+    assert dumps(critpath_document(paths_mem)) == dumps(critpath_document(
+        extract_critical_paths(stream_obs, top_k=TOP_PATHS)))
     print("fold parity: graph, critical paths, and timeline documents "
-          "are byte-identical to the in-memory extraction\n")
+          "are byte-identical to the in-memory extraction, and so are "
+          "the streamed run's own\n")
 
     # -- 4. seeded sampling keeps every failure witness --------------------
     sampled_dir = tempfile.mkdtemp(prefix="repro-spool-sampled-")

@@ -17,9 +17,9 @@ surfaces:
 Everything is a pure function of the scenario seeds; with
 ``RunOptions.export_dir`` set (the ``--export-dir`` CLI flag) the
 artefact writes ``timeline.json``, ``graph.json``, ``graph.dot``, and
-``critpath.json``
-— byte-identical across repeated runs and to the documents folded from
-a streamed run's shards, which CI's ``regression-gate`` and
+``critpath.json`` — byte-identical across repeated runs and whether the
+spans stayed in memory or were spooled (``--stream-dir``: the products
+then read the spool back), which CI's ``regression-gate`` and
 ``stream-smoke`` jobs assert with ``cmp`` and ``diff -r``.
 """
 
@@ -55,7 +55,7 @@ from ..obs.graph import (
     write_dot,
     write_graph,
 )
-from ..obs.stream import StreamConfig, fold_stream
+from ..obs.stream import StreamConfig
 from ..obs.timeline import write_timeline
 from ..place.plan import forwarding_placement
 from ..simnet.faults import FaultPlan
@@ -260,11 +260,11 @@ def analysis_bench(options: RunOptions = RunOptions()) -> AnalysisBench:
 
     With ``options.stream_dir`` both runs spool their spans to
     ``<stream_dir>/chaos`` and ``<stream_dir>/forward`` instead of the
-    in-memory log, and the graph/critpath surfaces are rebuilt by
-    folding the shards — byte-identical to the in-memory extraction
-    unless ``options.sample`` names a sampling policy (partial by
-    design).  With ``options.export_dir`` the four analysis documents
-    are written there.
+    in-memory log; the graph and critical paths read whichever sink ran,
+    so they are byte-identical to the in-memory run's unless
+    ``options.sample`` names a sampling policy (partial by design).
+    With ``options.export_dir`` the four analysis documents are written
+    there.
     """
     def stream_config(sub: str) -> StreamConfig | None:
         if options.stream_dir is None:
@@ -275,39 +275,23 @@ def analysis_bench(options: RunOptions = RunOptions()) -> AnalysisBench:
 
     export_dir = options.export_dir
     chaos = chaos_scenario()
-    chaos_stream = stream_config("chaos")
     with _obs.collecting():
-        chaos_result = run_scenario(chaos, stream=chaos_stream)
+        chaos_result = run_scenario(chaos, stream=stream_config("chaos"))
     chaos_verdict = evaluate(chaos_result, chaos_slo())
 
     forward = forwarding_scenario()
-    forward_stream = stream_config("forward")
     with _obs.collecting() as runs:
-        forward_result = run_scenario(forward, stream=forward_stream)
+        forward_result = run_scenario(forward,
+                                      stream=stream_config("forward"))
     forward_obs, forward_nexus = runs[-1]
-    if forward_stream is not None:
-        # Streaming leaves the in-memory span log empty: rebuild the
-        # graph and critical paths by folding the spooled shards.
-        fold = fold_stream(forward_stream.directory, top_k=TOP_PATHS)
-        graph = fold.graph
-        paths = fold.paths
-    else:
-        graph = extract_graph(forward_obs, nexus=forward_nexus)
-        paths = extract_critical_paths(forward_obs, top_k=TOP_PATHS)
+    graph = extract_graph(forward_obs, nexus=forward_nexus)
+    paths = extract_critical_paths(forward_obs, top_k=TOP_PATHS)
     partition_costs = evaluate_partition(graph,
                                          _partition_assignment(graph))
 
     if export_dir is not None:
         os.makedirs(export_dir, exist_ok=True)
         timeline = chaos_result.timeline
-        if chaos_stream is not None:
-            # Prefer the folded timeline (byte-identical replay when
-            # unsampled) so the export exercises the streamed path end
-            # to end; a sampled spool cannot replay, so fall back to
-            # the live timeline.
-            folded_timeline = fold_stream(chaos_stream.directory).timeline
-            if folded_timeline is not None:
-                timeline = folded_timeline
         assert timeline is not None
         write_timeline(os.path.join(export_dir, "timeline.json"), timeline,
                        meta={"scenario": chaos.name, "seed": chaos.seed,

@@ -220,9 +220,6 @@ class EnquiryReport:
     #: ``None`` when the runtime recorded no timeline).  Empty windows
     #: carry ``None`` entries — n/a, never a measured 0.
     timeline: dict[str, object] | None = None
-    #: Analysis-layer summary (communication graph, critical paths);
-    #: built on request via ``report(nexus, analysis=True)``.
-    analysis: dict[str, object] | None = None
     #: What observing itself cost: span/RSR counters, capacity drops,
     #: peak span-log (or open-span, when streaming) occupancy, and the
     #: spool's lossiness ledger for streamed runs.  Deterministic —
@@ -252,8 +249,6 @@ class EnquiryReport:
             out["slo"] = self.slo
         if self.timeline is not None:
             out["timeline"] = self.timeline
-        if self.analysis is not None:
-            out["analysis"] = self.analysis
         if self.obs_overhead is not None:
             out["obs_overhead"] = self.obs_overhead
         return out
@@ -363,56 +358,6 @@ def _build_timeline_report(nexus: "Nexus") -> dict[str, object] | None:
     }
 
 
-def _build_analysis_report(nexus: "Nexus", *,
-                           top_paths: int = 5) -> dict[str, object] | None:
-    """Communication-graph and critical-path summaries (traced runs)."""
-    from ..obs.critpath import extract_critical_paths, phase_attribution
-    from ..obs.graph import extract_graph
-
-    obs = nexus.obs
-    if not obs.enabled or not obs.spans:
-        return None
-    # A span log that hit its capacity cap has holes; extract anyway
-    # but say so loudly — the summary is then a floor, not a census.
-    partial = bool(obs.dropped_spans)
-    graph = extract_graph(obs, nexus=nexus, allow_partial=partial)
-    nodes = graph.node_list()
-    heavy = sorted(graph.edge_list(),
-                   key=lambda e: (-e.bytes, e.src, e.dst, e.method))
-    paths = extract_critical_paths(obs, top_k=top_paths,
-                                   allow_partial=partial)
-    out: dict[str, object] = {
-        "graph": {
-            "nodes": len(nodes),
-            "edges": len(graph.edges),
-            "total_messages": graph.total_messages,
-            "total_bytes": graph.total_bytes,
-            "undelivered": sum(n.undelivered for n in nodes),
-            "top_edges": [
-                {"src": nodes[e.src].component, "dst": nodes[e.dst].component,
-                 "method": e.method, "messages": e.messages,
-                 "bytes": e.bytes, "wire_s": e.wire_s}
-                for e in heavy[:5]
-            ],
-        },
-        "critical_paths": [
-            {"rsr": path.rsr, "handler": path.handler,
-             "latency_us": path.latency_s * 1e6,
-             "wire_hops": path.wire_hops, "dropped": path.dropped,
-             "phase_us": {phase: share * 1e6
-                          for phase, share in path.phase_s.items()}}
-            for path in paths
-        ],
-        "phase_attribution_us": {
-            phase: total * 1e6
-            for phase, total in phase_attribution(paths).items()},
-    }
-    if partial:
-        out["dropped_spans"] = obs.dropped_spans
-        out["partial"] = True
-    return out
-
-
 def _build_obs_overhead(nexus: "Nexus") -> dict[str, object] | None:
     """Self-metering: what the observability layer itself did."""
     obs = nexus.obs
@@ -421,12 +366,13 @@ def _build_obs_overhead(nexus: "Nexus") -> dict[str, object] | None:
     return obs.overhead()
 
 
-def report(nexus: "Nexus", *, analysis: bool = False) -> EnquiryReport:
+def report(nexus: "Nexus") -> EnquiryReport:
     """The one-stop enquiry aggregate over a whole runtime.
 
-    ``analysis=True`` additionally extracts the communication graph and
-    top critical paths from the span log (traced runs only) — off by
-    default because extraction walks every span.
+    The span products — communication graph, critical paths, hot-path
+    profile — are :mod:`repro.obs`'s (``extract_graph``,
+    ``extract_critical_paths``, ``PerfProfile``), read from whichever
+    sink the run used.
     """
     return EnquiryReport(
         now=nexus.sim.now,
@@ -438,7 +384,6 @@ def report(nexus: "Nexus", *, analysis: bool = False) -> EnquiryReport:
         poll_batches=_build_poll_batch_report(nexus),
         health=_build_health_report(nexus),
         timeline=_build_timeline_report(nexus),
-        analysis=_build_analysis_report(nexus) if analysis else None,
         obs_overhead=_build_obs_overhead(nexus),
     )
 

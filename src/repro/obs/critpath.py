@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 import typing as _t
 
 from ..util.document import DocumentError, Schema, write
-from .spans import PHASE_WIRE, Observability, Span, TraceIncompleteError
+from .spans import PHASE_WIRE, Observability, Span
 
 CRITPATH_SCHEMA = "repro.obs.critpath"
 CRITPATH_SCHEMA_VERSION = 1
@@ -71,14 +72,13 @@ class CriticalPath:
 class CritpathBuilder:
     """The critical-path algorithm: a fold over per-RSR span groups.
 
-    Both the in-memory :func:`extract_critical_paths` and the streamed
-    :func:`~repro.obs.stream.fold_stream` feed it, so the two cannot
-    disagree.  It holds a bounded working set: one pending path per
-    folded RSR (or a ``top_k``-sized heap when a cap is given) plus a
-    per-context minimum span id, which canonicalises dense ranks — for
-    an id-ordered span log, ordering contexts by their smallest span id
-    is their order of first appearance, whatever order the RSR groups
-    arrive in.
+    :func:`extract_critical_paths` feeds it the groups of whichever sink
+    ran and :func:`~repro.obs.stream.fold_stream` those of a spool
+    directory, so the two cannot disagree.  It holds a bounded working
+    set: one pending path per folded RSR (or a ``top_k``-sized heap)
+    plus a per-context minimum span id, which canonicalises dense
+    ranks — ordering contexts by their smallest span id is their order
+    of first appearance, whatever order the RSR groups arrive in.
     """
 
     def __init__(self, *, top_k: int | None = None) -> None:
@@ -88,22 +88,18 @@ class CritpathBuilder:
         # payload never takes part in heap comparisons.
         self._paths: list[tuple] = []
 
-    def note_span(self, span: Span) -> None:
-        """Track ``span``'s context for rank canonicalisation (called
-        for every span, including ones whose RSR is folded later)."""
-        cur = self._ctx_min.get(span.ctx)
-        if cur is None or span.id < cur:
-            self._ctx_min[span.ctx] = span.id
-
     def add_rsr(self, rsr: int, spans: _t.Sequence[Span]) -> None:
         """Fold one RSR's complete span group."""
+        ctx_min = self._ctx_min
         for span in spans:
-            self.note_span(span)
+            cur = ctx_min.get(span.ctx)
+            if cur is None or span.id < cur:
+                ctx_min[span.ctx] = span.id
         by_id = {span.id: span for span in spans}
         finished = [span for span in spans if span.end is not None]
         if not finished:
             return
-        leaf = max(finished, key=lambda span: (span.end, span.id))
+        leaf = max(finished, key=operator.attrgetter("end", "id"))
         chain: list[Span] = []
         cursor: Span | None = leaf
         while cursor is not None:
@@ -157,26 +153,15 @@ def extract_critical_paths(obs: Observability, *,
                            ) -> list[CriticalPath]:
     """Critical paths of every traced RSR in ``obs``, slowest first.
 
-    ``top_k`` keeps only the K slowest.  RSRs with no finished span
-    (nothing ever closed) are skipped; a path ending at a dropped
-    message is kept and flagged ``dropped``.  A log that recorded
-    capacity drops has holes in its parent links, so by default
-    extraction raises :class:`TraceIncompleteError` (override with
-    ``allow_partial=True``).
+    The spans are read from whichever sink ran.  ``top_k`` keeps only
+    the K slowest.  RSRs with no finished span are skipped; a path
+    ending at a dropped message is kept and flagged ``dropped``.  A run
+    that dropped spans at capacity raises
+    :class:`~repro.obs.spans.TraceIncompleteError` unless
+    ``allow_partial``.
     """
-    if obs.dropped_spans and not allow_partial:
-        raise TraceIncompleteError(
-            f"span log dropped {obs.dropped_spans} spans at capacity; "
-            f"critical paths would have broken chains (pass "
-            f"allow_partial=True to extract anyway)")
     builder = CritpathBuilder(top_k=top_k)
-    by_rsr: dict[int, list[Span]] = {}
-    for span in obs.spans:
-        if span.rsr > 0:
-            by_rsr.setdefault(span.rsr, []).append(span)
-        else:
-            builder.note_span(span)  # add_rsr notes the grouped ones
-    for rsr, spans in by_rsr.items():
+    for rsr, spans in obs.rsr_groups(allow_partial=allow_partial):
         builder.add_rsr(rsr, spans)
     return builder.finish()
 

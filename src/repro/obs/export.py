@@ -6,10 +6,11 @@ directly in Perfetto (ui.perfetto.dev) or ``chrome://tracing``: each
 simulation context renders as a *process*, each transport (plus the
 ``nexus`` dispatch lane) as a *thread*, and each lifecycle span as a
 complete ("X") event whose ``args`` carry the causal RSR id and parent
-span id.  The same span log also renders as an ASCII timeline for
-terminals, built on the same rendering conventions as
-:mod:`repro.util.ascii_chart`.  Spans one per line are the spool's
-shard records (:mod:`repro.obs.stream`).
+span id.  The same log also renders as an ASCII timeline for terminals
+(:mod:`repro.util.ascii_chart`'s conventions).  Both draw the whole
+in-memory log in span-id order, which is no per-RSR fold, so they read
+``obs.spans`` rather than the sink's RSR groups.  Spans one per line
+are the spool's shard records (:mod:`repro.obs.stream`).
 
 Every export is deterministic: ids come from per-run counters, context
 ids are renumbered by first appearance, and JSON is serialised with
@@ -64,7 +65,7 @@ def _lane_order(spans: _t.Sequence[Span]) -> dict[tuple[int, str], int]:
 def chrome_trace_events(obs: Observability, *, pid_base: int = 0,
                         context_names: _t.Mapping[int, str] | None = None
                         ) -> list[dict[str, object]]:
-    """The ``traceEvents`` list for one runtime's span log."""
+    """The ``traceEvents`` list for one runtime's in-memory span log."""
     ctx_order = _context_order(obs.spans)
     lane_tids = _lane_order(obs.spans)
     events: list[dict[str, object]] = []
@@ -108,7 +109,8 @@ def merged_chrome_trace(
         ) -> dict[str, object]:
     """Several runtimes' spans + metrics as one Chrome trace document.
 
-    Each run's contexts get a disjoint pid block so Perfetto shows the
+    Each run's in-memory log, in span-id order (a spooled run gives its
+    open spans only), gets a disjoint pid block so Perfetto shows the
     sweep points side by side; metrics nest under per-run keys.  The
     extra top-level ``metrics`` / ``otherData`` keys are ignored by
     Perfetto but make the artefact self-describing (per-method latency
@@ -249,7 +251,8 @@ def _validate(document: object,
 def ascii_timeline(obs: Observability, *, width: int = 72,
                    max_lanes: int = 24,
                    context_names: _t.Mapping[int, str] | None = None) -> str:
-    """Span occupancy per (context, lane) row over virtual time.
+    """Span occupancy per (context, lane) row of the in-memory log over
+    virtual time.
 
     Each cell shows the phase glyph of the span covering that instant
     (later spans win ties); a legend maps glyphs back to phases.  This

@@ -32,16 +32,11 @@ intra/cross-partition shares and reports the cut cost.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing as _t
 
 from ..util.document import DocumentError, Schema, write
-from .spans import (
-    PHASE_POLL_DETECT,
-    PHASE_WIRE,
-    Observability,
-    Span,
-    TraceIncompleteError,
-)
+from .spans import PHASE_POLL_DETECT, PHASE_WIRE, Observability, Span
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.runtime import Nexus
@@ -115,55 +110,17 @@ class CommGraph:
                 f"edges={len(self.edges)} msgs={self.total_messages}>")
 
 
-def _delivery_edges(spans: _t.Sequence[Span]
-                    ) -> _t.Iterator[tuple[int, int, int, str, int, float,
-                                           float, bool]]:
-    """Yield (wire_span_id, src_ctx, dst_ctx, method, nbytes, wire_s,
-    detect_s, delivered) per wire span representing a point-to-point
-    transit."""
-    by_id: dict[int, Span] = {}
-    children: dict[int, list[Span]] = {}
-    for span in spans:
-        by_id[span.id] = span
-        if span.parent is not None:
-            children.setdefault(span.parent, []).append(span)
-    for span in spans:
-        if span.phase != PHASE_WIRE:
-            continue
-        kids = children.get(span.id, ())
-        delivery = [k for k in kids if k.phase != PHASE_WIRE]
-        if not delivery and any(k.phase == PHASE_WIRE for k in kids):
-            # Group-send serialisation span: the fork children carry the
-            # per-member transits, so this span itself is not an edge.
-            continue
-        parent = by_id.get(span.parent) if span.parent is not None else None
-        src_ctx = parent.ctx if parent is not None else span.ctx
-        nbytes = 0
-        if span.attrs is not None:
-            nbytes = int(_t.cast(int, span.attrs.get("nbytes", 0)))
-        if not delivery:
-            yield span.id, src_ctx, -1, span.lane, nbytes, 0.0, 0.0, False
-            continue
-        first = delivery[0]
-        detect_s = 0.0
-        if first.phase == PHASE_POLL_DETECT and first.duration is not None:
-            detect_s = first.duration
-        yield (span.id, src_ctx, first.ctx, span.lane, nbytes,
-               span.duration or 0.0, detect_s, True)
-
-
 class GraphBuilder:
     """Incremental comm-graph fold, one bounded RSR span group at a time.
 
-    Feeding the whole span log through one :meth:`add_rsr` call is
-    exactly :func:`extract_graph`; feeding per-RSR groups in any order
-    produces the identical graph, because every accumulator is
-    order-free: edge sums are integers (wire/detect times accumulate in
-    integer nanoseconds, converted once at :meth:`finish`) and ranks
-    come from a canonical per-context key — the minimum over
+    :func:`extract_graph` feeds it the groups of whichever sink ran and
+    :func:`~repro.obs.stream.fold_stream` those of a spool directory.
+    Groups in any order produce the identical graph, because every
+    accumulator is order-free: edge sums are integers (wire/detect times
+    accumulate in integer nanoseconds, converted once at :meth:`finish`)
+    and ranks come from a canonical per-context key — the minimum over
     ``wire_span_id * 2 + role`` (role 0 source, 1 destination) — which
-    reproduces the in-memory first-appearance order for an id-ordered
-    span log.
+    reproduces the first-appearance order of an id-ordered span log.
     """
 
     def __init__(self) -> None:
@@ -179,35 +136,62 @@ class GraphBuilder:
 
     def add_rsr(self, spans: _t.Sequence[Span]) -> None:
         """Fold one RSR's spans (or any self-contained span group —
-        parent links must not point outside ``spans``)."""
+        parent links must not point outside ``spans``).
+
+        Each wire span is one transit from its parent's context to its
+        first non-wire child's, or undelivered when it has no child.  A
+        wire span whose children are all wire spans is a group send's
+        serialisation: the fork children carry the per-member transits,
+        so it is no edge itself.
+        """
         if len(spans) > 1:
-            spans = sorted(spans, key=lambda s: s.id)
-        for (wid, src_ctx, dst_ctx, method, nbytes, wire_s, detect_s,
-             delivered) in _delivery_edges(spans):
-            key = wid * 2
-            cur = self._ctx_key.get(src_ctx)
+            spans = sorted(spans, key=operator.attrgetter("id"))
+        by_id: dict[int, Span] = {}
+        children: dict[int, list[Span]] = {}
+        for span in spans:
+            by_id[span.id] = span
+            if span.parent is not None:
+                children.setdefault(span.parent, []).append(span)
+        ctx_key, nodes = self._ctx_key, self._nodes
+        for span in spans:
+            if span.phase != PHASE_WIRE:
+                continue
+            kids = children.get(span.id, ())
+            delivery = [k for k in kids if k.phase != PHASE_WIRE]
+            if not delivery and kids:
+                continue
+            src_ctx = (by_id[span.parent].ctx if span.parent in by_id
+                       else span.ctx)
+            nbytes = (0 if span.attrs is None
+                      else int(_t.cast(int, span.attrs.get("nbytes", 0))))
+            key = span.id * 2
+            cur = ctx_key.get(src_ctx)
             if cur is None or key < cur:
-                self._ctx_key[src_ctx] = key
-            src = self._nodes.get(src_ctx)
+                ctx_key[src_ctx] = key
+            src = nodes.get(src_ctx)
             if src is None:
-                src = self._nodes[src_ctx] = [0, 0, 0, 0, 0]
-            if not delivered:
+                src = nodes[src_ctx] = [0, 0, 0, 0, 0]
+            if not delivery:
                 src[4] += 1
                 continue
-            key = wid * 2 + 1
-            cur = self._ctx_key.get(dst_ctx)
-            if cur is None or key < cur:
-                self._ctx_key[dst_ctx] = key
-            dst = self._nodes.get(dst_ctx)
+            first = delivery[0]
+            dst_ctx = first.ctx
+            cur = ctx_key.get(dst_ctx)
+            if cur is None or key + 1 < cur:
+                ctx_key[dst_ctx] = key + 1
+            dst = nodes.get(dst_ctx)
             if dst is None:
-                dst = self._nodes[dst_ctx] = [0, 0, 0, 0, 0]
-            edge = self._edges.get((src_ctx, dst_ctx, method))
+                dst = nodes[dst_ctx] = [0, 0, 0, 0, 0]
+            edge = self._edges.get((src_ctx, dst_ctx, span.lane))
             if edge is None:
-                edge = self._edges[(src_ctx, dst_ctx, method)] = [0, 0, 0, 0]
+                edge = self._edges[(src_ctx, dst_ctx, span.lane)] = [
+                    0, 0, 0, 0]
             edge[0] += 1
             edge[1] += nbytes
-            edge[2] += int(round(wire_s * 1e9))
-            edge[3] += int(round(detect_s * 1e9))
+            if span.end is not None:
+                edge[2] += int(round((span.end - span.start) * 1e9))
+            if first.phase == PHASE_POLL_DETECT and first.end is not None:
+                edge[3] += int(round((first.end - first.start) * 1e9))
             src[1] += 1
             src[3] += nbytes
             dst[0] += 1
@@ -240,27 +224,24 @@ class GraphBuilder:
 
 def extract_graph(obs: Observability, *, nexus: "Nexus | None" = None,
                   allow_partial: bool = False) -> CommGraph:
-    """Extract the communication graph from ``obs``'s span log.
+    """Extract the communication graph from ``obs``'s spans, read from
+    whichever sink ran (a spooled run gives the in-memory run's graph).
 
     Passing ``nexus`` labels nodes with context/host names (otherwise
-    components render as ``ctx<rank>`` / host ``?``).  A log that
-    recorded capacity drops has holes in its parent links, so by
-    default extraction raises :class:`TraceIncompleteError`; with
-    ``allow_partial=True`` the graph is built anyway and carries the
-    drop count in :attr:`CommGraph.dropped_spans`.
+    components render as ``ctx<rank>`` / host ``?``).  A run that
+    recorded capacity drops raises
+    :class:`~repro.obs.spans.TraceIncompleteError` unless
+    ``allow_partial=True``; the graph then carries the drop count in
+    :attr:`CommGraph.dropped_spans`.
     """
-    if obs.dropped_spans and not allow_partial:
-        raise TraceIncompleteError(
-            f"span log dropped {obs.dropped_spans} spans at capacity; the "
-            f"graph would have missing edges (pass allow_partial=True to "
-            f"build it anyway, annotated)")
+    builder = GraphBuilder()
+    for _rsr, spans in obs.rsr_groups(allow_partial=allow_partial):
+        builder.add_rsr(spans)
+    builder.dropped_spans = obs.dropped_spans
     names: dict[int, tuple[str, str]] = {}
     if nexus is not None:
         names = {context.id: (context.name, context.host.name)
                  for context in nexus.contexts.values()}
-    builder = GraphBuilder()
-    builder.add_rsr(obs.spans)
-    builder.dropped_spans = obs.dropped_spans
     return builder.finish(names=names)
 
 

@@ -1,9 +1,10 @@
-"""Deterministic sim-time profiler over the span log.
+"""Deterministic sim-time profiler over the recorded spans.
 
 Where the span exports (:mod:`repro.obs.export`) show individual RSR
 lifecycles, this module answers the aggregate question — *which (phase,
 lane, handler) combinations own the virtual time?* — the way a sampling
-profiler would, but computed exactly from the deterministic span log:
+profiler would, but computed exactly from the deterministic spans,
+folded one RSR group at a time from whichever sink ran:
 
 * **self time**: a span's duration minus the part covered by its child
   spans (interval union, so overlapping multicast children are not
@@ -29,6 +30,7 @@ produce byte-identical exports.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing as _t
 
 from .spans import PHASE_ISSUE, Observability, Span
@@ -89,44 +91,29 @@ class PerfProfile:
 
     @classmethod
     def from_observability(cls, obs: Observability) -> "PerfProfile":
-        profile = cls()
-        profile.add_run(obs)
-        return profile
+        return cls.from_runs([(obs, None)])
 
     def add_run(self, obs: Observability) -> None:
-        """Fold one runtime's span log into the profile."""
-        spans = obs.spans
-        by_id: dict[int, Span] = {span.id: span for span in spans}
+        """Fold one runtime's spans into the profile, one RSR group at a
+        time, from whichever sink ran (a log capped at capacity is
+        profiled as far as it reaches)."""
+        for _rsr, spans in obs.rsr_groups(allow_partial=True):
+            self._add_rsr(spans)
+
+    def _add_rsr(self, spans: _t.Sequence[Span]) -> None:
         children: dict[int, list[Span]] = {}
-        handler_by_rsr: dict[int, str] = {}
-        for span in spans:
+        # Frames from the RSR root down to each span: a parent opens
+        # before its children, so in id order it is framed first.
+        frames: dict[int | None, tuple[str, ...]] = {}
+        for span in sorted(spans, key=operator.attrgetter("id")):
             if span.parent is not None:
                 children.setdefault(span.parent, []).append(span)
-            if (span.phase == PHASE_ISSUE and span.attrs
-                    and "handler" in span.attrs):
-                handler_by_rsr.setdefault(span.rsr,
-                                          str(span.attrs["handler"]))
-
-        path_cache: dict[int, tuple[str, ...]] = {}
-
-        def causal_path(span: Span) -> tuple[str, ...]:
-            """Frames from the RSR root down to ``span`` (cycle-safe)."""
-            cached = path_cache.get(span.id)
-            if cached is not None:
-                return cached
-            chain: list[Span] = []
-            seen: set[int] = set()
-            cursor: Span | None = span
-            while cursor is not None and cursor.id not in seen:
-                seen.add(cursor.id)
-                chain.append(cursor)
-                cursor = (by_id.get(cursor.parent)
-                          if cursor.parent is not None else None)
-            frames = tuple(_frame(f"{link.phase}:{link.lane}")
-                           for link in reversed(chain))
-            path_cache[span.id] = frames
-            return frames
-
+            frames[span.id] = frames.get(span.parent, ()) + (
+                _frame(f"{span.phase}:{span.lane}"),)
+        handler = next((str(span.attrs["handler"]) for span in spans
+                        if span.phase == PHASE_ISSUE and span.attrs
+                        and "handler" in span.attrs), "?")
+        root = (_frame(f"rsr:{handler}"),)
         for span in spans:
             if span.end is None:
                 self.open_spans_skipped += 1
@@ -138,13 +125,12 @@ class PerfProfile:
                      span.end))
                 for child in children.get(span.id, ()))
             self_time = max(duration - covered, 0.0)
-            handler = handler_by_rsr.get(span.rsr, "?")
             key = (span.phase, span.lane, handler)
             entry = self._agg.setdefault(key, [0.0, 0.0, 0.0])
             entry[0] += 1
             entry[1] += self_time
             entry[2] += duration
-            stack = (_frame(f"rsr:{handler}"),) + causal_path(span)
+            stack = root + frames[span.id]
             self._stacks[stack] = self._stacks.get(stack, 0.0) + self_time
             self.spans_profiled += 1
 

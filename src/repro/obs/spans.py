@@ -32,6 +32,7 @@ attribute load plus a branch.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import operator
 import typing as _t
 
@@ -75,10 +76,9 @@ class TraceIncompleteError(RuntimeError):
     """An analysis was asked to trust a span log that recorded drops.
 
     Graph and critical-path extraction walk parent links; a log that
-    discarded spans at capacity has holes in those chains, so the
-    builders refuse by default instead of emitting silently wrong
-    edges.  Pass ``allow_partial=True`` to proceed anyway — the
-    resulting documents are then annotated with the drop count.
+    discarded spans at capacity has holes in those chains, so
+    :meth:`Observability.rsr_groups` refuses it unless
+    ``allow_partial=True`` (the documents then carry the drop count).
     """
 
 
@@ -286,9 +286,9 @@ class SpanLog:
     fork) starts, and ``record_delivery``, ``record_drop_event`` or
     ``chain_end`` (an abandoned attempt, a retired fan-out parent) as
     it ends; ``max_spans``, ``closed`` (spans kept in memory),
-    ``released`` (closed spans taken out of it) and ``overhead``.
-    The log keeps nothing but spans: the registry and timeline hold
-    the rest.
+    ``released`` (closed spans taken out of it), ``overhead`` and the
+    one reader, ``rsr_groups``.  The log keeps nothing but spans: the
+    registry and timeline hold the rest.
     """
 
     #: Closed spans taken out of memory: none, they stay resident.
@@ -313,6 +313,16 @@ class SpanLog:
 
     def overhead(self, opened: int) -> dict[str, object]:
         return {"spans_recorded": opened, "streaming": False}
+
+    def rsr_groups(self, open_spans: _t.Iterable[Span]
+                   ) -> _t.Iterator[tuple[int, list[Span]]]:
+        """The closed spans and ``open_spans`` by RSR, ascending, in id
+        order within a group (a sort on a C key: no call per span)."""
+        spans = sorted([*self.closed, *open_spans],
+                       key=operator.attrgetter("rsr", "id"))
+        for rsr, group in itertools.groupby(spans,
+                                            operator.attrgetter("rsr")):
+            yield rsr, list(group)
 
 
 class Observability:
@@ -460,6 +470,20 @@ class Observability:
         of them in memory, none while spooling) and the open ones."""
         return sorted([*self.sink.closed, *self._open.values()],
                       key=operator.attrgetter("id"))
+
+    def rsr_groups(self, *, allow_partial: bool = False
+                   ) -> _t.Iterator[tuple[int, list[Span]]]:
+        """Every span, one self-contained RSR group at a time, from
+        whichever sink ran: what the span products fold.  A run that
+        dropped spans at capacity has holes in its parent links, so it
+        raises :class:`TraceIncompleteError` unless ``allow_partial``.
+        """
+        if self.dropped_spans and not allow_partial:
+            raise TraceIncompleteError(
+                f"span log dropped {self.dropped_spans} spans at capacity; "
+                f"graphs would miss edges and critical paths break their "
+                f"chains (pass allow_partial=True to read it anyway)")
+        return self.sink.rsr_groups(self._open.values())
 
     def overhead(self) -> dict[str, object]:
         """Self-metering summary of what observation itself cost.

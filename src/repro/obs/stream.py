@@ -21,13 +21,14 @@ a data path.  This module supplies the other sink and its reader:
   — retry/failover/probe spans, dropped or failed messages — are
   *always* kept, so chaos analysis never loses its witnesses.
 
-* :func:`fold_stream` — a single-pass, bounded-working-set fold that
-  rebuilds the analysis documents (timeline / comm graph / critical
-  paths) from the shards.  With sampling off, the folded documents are
-  **byte-identical** to the in-memory extraction: record order in the
-  shards equals live call order, span groups are folded per RSR at its
-  resolution record, and the graph/critpath builders use order-free
-  accumulators with canonical rank keys.
+* One reader of the shards, yielding each RSR's span group at its
+  resolution record: :meth:`SpanSpool.rsr_groups`, so the span
+  products read a spooled run as they read an in-memory one, and
+  :func:`fold_stream`, a single-pass, bounded-working-set fold of a
+  spool directory that also replays the timeline.  With sampling off
+  both are **byte-identical** to the in-memory products: record order
+  in the shards equals live call order, and the builders use
+  order-free accumulators with canonical rank keys.
 
 Context ids are process-global counters, so the spool renumbers them
 densely by first emission — identical workloads spool byte-identical
@@ -65,6 +66,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import random
 import time
@@ -99,6 +101,10 @@ MERGED_MANIFEST_SCHEMA_VERSION = 1
 #: Span phases whose presence marks an RSR as failure evidence — such
 #: RSRs bypass every sampling policy.
 FORCED_PHASES = frozenset((PHASE_RETRY, PHASE_FAILOVER, PHASE_PROBE))
+
+
+class SpoolNotFinalizedError(RuntimeError):
+    """A spool was read before :meth:`SpanSpool.finalize` ran."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,7 +293,8 @@ class SpanSpool:
     *before* the run and call :meth:`finalize` after it ends.  Only open
     spans stay in memory, and record order in the shards equals live
     call order, which is what makes the timeline fold byte-exact.  A
-    finalized spool stays ``obs.sink``, so reports still read it.
+    finalized spool stays ``obs.sink``, so reports and the span
+    products still read it.
     """
 
     #: Closed spans leave memory for disk, so there is no cap.
@@ -351,6 +358,18 @@ class SpanSpool:
         return {"spans_recorded": self.spans_emitted, "streaming": True,
                 "spans_sampled_out": self.spans_sampled_out,
                 "shards": len(self.shards)}
+
+    def rsr_groups(self, open_spans: _t.Iterable[Span]
+                   ) -> _t.Iterator[tuple[int, list[Span]]]:
+        """The kept spans by RSR, read back from the shards (where
+        :meth:`finalize` put ``open_spans``)."""
+        if not self.finalized:
+            raise SpoolNotFinalizedError(
+                f"spool {self.directory!r} is not finalized yet")
+        # (rsr, spans, resolved) -> (rsr, spans), without a Python call.
+        return map(operator.itemgetter(0, 1), _read_groups(
+            self.directory, _t.cast(dict, self.manifest),
+            contexts=list(self._ctx_map)))
 
     # -- sink callbacks (called by Observability/MessageTrace) ---------------
 
@@ -849,44 +868,16 @@ def iter_records(directory: str,
         yield from records
 
 
-@dataclasses.dataclass
-class StreamFold:
-    """The analysis products of one single-pass fold over a stream."""
-
-    manifest: dict[str, object]
-    #: Replayed windowed telemetry — ``None`` when the stream was
-    #: sampled (a partial replay would be silently wrong) or the run
-    #: had no timeline attached.
-    timeline: Timeline | None
-    graph: CommGraph
-    paths: list[CriticalPath]
-    #: RSRs folded at end-of-stream without a resolution record (the
-    #: run ended with them in flight).
-    unresolved_rsrs: int
-
-
-def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
-    """Rebuild timeline/graph/critpath documents from spooled shards.
-
-    Single pass, bounded working set: span groups accumulate per RSR
-    only until that RSR's resolution record releases them into the
-    order-free graph/critpath builders.  With sampling off, the
-    resulting documents are byte-identical to the in-memory path.  A
-    shard line that decodes but is not a spooled record raises
-    :class:`DocumentError` naming ``shard:line``.
-    """
-    manifest = read_manifest(directory)
-    sampled = manifest.get("policy") is not None
-    tl_conf = _t.cast("dict | None", manifest.get("timeline"))
-    timeline = None
-    if tl_conf is not None and not sampled:
-        timeline = Timeline(
-            _t.cast(float, tl_conf["interval_s"]),
-            bounds=_t.cast(list, tl_conf["bounds"]),
-            max_windows=_t.cast(int, tl_conf.get("max_windows",
-                                                 1_000_000)))
-    graph_builder = GraphBuilder()
-    crit_builder = CritpathBuilder(top_k=top_k)
+def _read_groups(directory: str, manifest: _t.Mapping[str, object],
+                 timeline: Timeline | None = None,
+                 contexts: _t.Sequence[int] | None = None
+                 ) -> _t.Iterator[tuple[int, list[Span], bool]]:
+    """``(rsr, spans, resolved)`` per RSR group of a spool, one pass:
+    at its ``r`` record, or unresolved at end of stream in ascending RSR
+    order.  ``contexts`` maps the dense context ids back to the run's;
+    with ``timeline`` the live hooks' appends are replayed into it on
+    the way.  A shard line that decodes but is not a spooled record
+    raises :class:`DocumentError` naming ``shard:line``."""
     pending: dict[int, list[Span]] = {}
     # Timeline columns resolved once each, as the live hooks cache them
     # (Observability._phase_slots); first touch creates them in the same
@@ -899,15 +890,14 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
             try:
                 kind = rec["k"]
                 if kind == "s":
+                    ctx = rec["ctx"]
                     span = Span(id=rec["id"], rsr=rec["rsr"],
-                                phase=rec["ph"], ctx=rec["ctx"],
-                                lane=rec["lane"], start=rec["t0"],
-                                end=rec["t1"], parent=rec["par"],
-                                attrs=rec["attrs"])
-                    if span.rsr > 0:
-                        pending.setdefault(span.rsr, []).append(span)
-                    else:  # add_rsr notes the grouped ones
-                        crit_builder.note_span(span)
+                                phase=rec["ph"], lane=rec["lane"],
+                                ctx=ctx if contexts is None
+                                else contexts[ctx],
+                                start=rec["t0"], end=rec["t1"],
+                                parent=rec["par"], attrs=rec["attrs"])
+                    pending.setdefault(span.rsr, []).append(span)
                     # The live hooks' appends (Observability.close_span,
                     # rsr_begin, MessageTrace.finish/drop), replayed.
                     if timeline is not None:
@@ -946,8 +936,7 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
                     rsr = rec["rsr"]
                     spans = pending.pop(rsr, None)
                     if spans:
-                        graph_builder.add_rsr(spans)
-                        crit_builder.add_rsr(rsr, spans)
+                        yield rsr, spans, True
                 else:
                     raise DocumentError(
                         f"{where}:{number}: unknown record kind {kind!r}")
@@ -955,30 +944,61 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
                 raise DocumentError(
                     f"{where}:{number}: malformed shard record "
                     f"({type(error).__name__}: {error})") from error
-    unresolved = sorted(pending)
-    for rsr in unresolved:
-        spans = pending.pop(rsr)
+    for rsr in sorted(pending):
+        yield rsr, pending.pop(rsr), False
+
+
+@dataclasses.dataclass
+class StreamFold:
+    """The analysis products of one single-pass fold over a stream."""
+
+    manifest: dict[str, object]
+    #: Replayed windowed telemetry — ``None`` when the stream was
+    #: sampled (a partial replay would be silently wrong) or the run
+    #: had no timeline attached.
+    timeline: Timeline | None
+    graph: CommGraph
+    paths: list[CriticalPath]
+    #: RSRs folded at end-of-stream without a resolution record (the
+    #: run ended with them in flight).
+    unresolved_rsrs: int
+
+
+def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
+    """Rebuild timeline/graph/critpath documents from spooled shards.
+
+    Single pass, bounded working set: the spool's RSR groups (the reader
+    :meth:`SpanSpool.rsr_groups` uses) go into the graph and
+    critical-path builders as each is released, and the timeline is
+    replayed on the same pass.  A record or span that cannot be folded
+    raises :class:`DocumentError`.
+    """
+    manifest = read_manifest(directory)
+    tl_conf = _t.cast("dict | None", manifest.get("timeline"))
+    timeline = None
+    if tl_conf is not None and manifest.get("policy") is None:
+        timeline = Timeline(tl_conf["interval_s"], bounds=tl_conf["bounds"],
+                            max_windows=tl_conf.get("max_windows",
+                                                    1_000_000))
+    graph_builder = GraphBuilder()
+    crit_builder = CritpathBuilder(top_k=top_k)
+    unresolved = 0
+    for rsr, spans, resolved in _read_groups(directory, manifest, timeline):
         try:
             graph_builder.add_rsr(spans)
             crit_builder.add_rsr(rsr, spans)
         except (KeyError, TypeError) as error:
             raise DocumentError(
-                f"{directory}: malformed span record of unresolved RSR "
-                f"{rsr} ({type(error).__name__}: {error})") from error
+                f"{directory}: malformed span record of "
+                f"{'' if resolved else 'unresolved '}RSR {rsr} "
+                f"({type(error).__name__}: {error})") from error
+        unresolved += not resolved
     totals = _t.cast(dict, manifest["totals"])
     graph_builder.dropped_spans = int(totals.get("spans_dropped", 0))
-    raw_names = _t.cast("dict | None", manifest.get("contexts"))
-    names = None
-    if raw_names:
-        names = {int(cid): (pair[0], pair[1])
-                 for cid, pair in raw_names.items()}
-    return StreamFold(
-        manifest=manifest,
-        timeline=timeline,
-        graph=graph_builder.finish(names=names),
-        paths=crit_builder.finish(),
-        unresolved_rsrs=len(unresolved),
-    )
+    names = {int(cid): (pair[0], pair[1]) for cid, pair
+             in _t.cast(dict, manifest.get("contexts") or {}).items()}
+    return StreamFold(manifest, timeline, graph_builder.finish(names=names),
+                      crit_builder.finish(), unresolved)
 
 
 DOCUMENT = Schema(MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION,
@@ -1006,6 +1026,7 @@ __all__ = [
     "SHARD_DOCUMENT",
     "SHARD_PATTERN",
     "SpanSpool",
+    "SpoolNotFinalizedError",
     "StreamConfig",
     "StreamFold",
     "fold_stream",

@@ -14,8 +14,10 @@ and :mod:`repro.transports.costmodels` constants (no simulation):
   from the graph (final-hop messages into each remote-serving rank),
   and each rank's cost per own request is the fleet service work plus
   the *poll tax* of every method that rank still polls — the paper's
-  §4.1 mechanism.  Calibration notes, validated against the simulated
-  engine (within ~2% at saturation):
+  §4.1 mechanism.  Against the simulated engine's bisected capacity
+  the model over-predicts by +7.6 % (``direct``, 1385 vs 1288 RSR/s)
+  to +24 % (``forward@0``, 1603 vs 1288; EXPERIMENTS.md's placement
+  table).  Calibration notes:
 
   - a direct-routed rank pays the slow method's dispatch + receive CPU
     *inline* with serving (the poll that detects the message also

@@ -9,6 +9,7 @@ per scenario, closer to the code.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -21,9 +22,18 @@ from repro.bench.analysis import (
 from repro.load import run_scenario
 from repro.obs.critpath import critpath_document, extract_critical_paths
 from repro.obs.graph import dot_graph, extract_graph, graph_document
-from repro.obs.stream import StreamConfig, fold_stream
+from repro.obs.perf import PerfProfile
+from repro.obs.spans import Observability
+from repro.obs.stream import (
+    SpanSpool,
+    SpoolNotFinalizedError,
+    StreamConfig,
+    fold_stream,
+)
 from repro.obs.timeline import timeline_document
+from repro.simnet import Simulator
 from repro.util.document import dumps
+from repro.util.report import hot_path_report
 
 SCENARIOS = {
     "chaos": chaos_scenario,
@@ -41,17 +51,26 @@ def run_pair(tmp_path, scenario):
     mem_obs, mem_nexus = runs[-1]
     config = StreamConfig(directory=str(tmp_path / "spool"),
                           max_records=400)
-    with _obs.collecting():
+    with _obs.collecting() as runs:
         stream_result = run_scenario(scenario, stream=config)
     fold = fold_stream(config.directory, top_k=TOP_PATHS)
-    return mem_result, mem_obs, mem_nexus, stream_result, fold
+    return mem_result, mem_obs, mem_nexus, stream_result, fold, runs[-1]
+
+
+def span_products(obs, nexus):
+    """The span products of one run, read from whichever sink it used."""
+    profile = PerfProfile.from_observability(obs)
+    return (dumps(graph_document(extract_graph(obs, nexus=nexus))),
+            dumps(critpath_document(extract_critical_paths(
+                obs, top_k=TOP_PATHS))),
+            profile.collapsed_stacks(), hot_path_report(profile))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_folded_documents_byte_identical(tmp_path, name):
     scenario = SCENARIOS[name]()
-    mem_result, mem_obs, mem_nexus, stream_result, fold = run_pair(
-        tmp_path, scenario)
+    mem_result, mem_obs, mem_nexus, stream_result, fold, streamed = \
+        run_pair(tmp_path, scenario)
 
     graph_mem = extract_graph(mem_obs, nexus=mem_nexus)
     assert dumps(graph_document(graph_mem)) \
@@ -74,6 +93,9 @@ def test_folded_documents_byte_identical(tmp_path, name):
     assert stream_result.timeline is not None
     assert (dumps(timeline_document(stream_result.timeline))
             == dumps(timeline_document(mem_result.timeline)))
+    # The products read the spool back: the streamed run's own obs
+    # gives what the in-memory one does.
+    assert span_products(*streamed) == span_products(mem_obs, mem_nexus)
 
 
 def test_sampled_fold_refuses_timeline(tmp_path):
@@ -81,12 +103,26 @@ def test_sampled_fold_refuses_timeline(tmp_path):
     # fold must return no timeline rather than a silently-wrong one.
     config = StreamConfig(directory=str(tmp_path / "spool"),
                           policy="head:3", seed=0)
-    with _obs.collecting():
+    with _obs.collecting() as runs:
         run_scenario(forwarding_scenario(), stream=config)
     fold = fold_stream(config.directory)
     assert fold.timeline is None
     assert fold.graph is not None, (
         "the partial graph is still useful (and labelled by policy)")
+    obs, nexus = runs[-1]
+    assert (dumps(graph_document(extract_graph(obs, nexus=nexus)))
+            == dumps(graph_document(fold.graph)))
+
+
+def test_unfinalized_spool_is_refused(tmp_path):
+    # Before finalize the shards lack the open spans and staged RSRs:
+    # reading them would return a silently short answer.
+    obs = Observability(Simulator(), enabled=True)
+    directory = str(tmp_path / "spool")
+    SpanSpool(StreamConfig(directory=directory)).attach(obs)
+    obs.close_span(obs.open_span("issue", rsr=1))
+    with pytest.raises(SpoolNotFinalizedError, match=re.escape(directory)):
+        extract_graph(obs)
 
 
 def test_capacity_dropped_trace_refuses_extraction():

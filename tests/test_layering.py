@@ -5,8 +5,10 @@ so the stack under it (simnet → transports → core → the obs recording
 spine → the figure drivers) must run in an interpreter where numpy
 cannot be imported.  The obs products (timeline, stream, graph,
 critpath, export, perf) are loaded on first access, never by recording.
+The span products read spans one way, through the sink's RSR groups.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -56,3 +58,23 @@ def test_obs_products_resolve_on_first_access():
     assert "fold_stream" in vars(obs)
     with pytest.raises(AttributeError, match="no_such_product"):
         obs.no_such_product
+
+
+#: Modules whose span products must read ``obs.rsr_groups()``, which
+#: every sink serves, never the in-memory-only ``obs.spans``.
+SINGLE_READER = ("obs/graph.py", "obs/critpath.py", "obs/perf.py",
+                 "core/enquiry.py", "bench/analysis.py")
+
+
+@pytest.mark.parametrize("module", SINGLE_READER)
+def test_span_products_read_only_rsr_groups(module):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                        "repro", module)
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "spans"
+             and isinstance(node.ctx, ast.Load)]
+    assert not reads, (
+        f"{module} reads .spans at line(s) {reads}: a streamed run "
+        f"leaves it empty; fold obs.rsr_groups() instead")
