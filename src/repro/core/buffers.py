@@ -29,7 +29,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from .context import Context
-    from .startpoint import Startpoint, WireStartpoint
+    from .startpoint import Startpoint
 
 #: element type tags
 _INT = "int"
@@ -39,6 +39,7 @@ _BYTES = "bytes"
 _ARRAY = "array"
 _STARTPOINT = "startpoint"
 _PADDING = "padding"
+_HEADER = "header"
 
 
 class Buffer:
@@ -47,7 +48,7 @@ class Buffer:
     __slots__ = ("_items", "_cursor", "_nbytes")
 
     def __init__(self) -> None:
-        self._items: list[tuple[str, object, int]] = []
+        self._items: list[tuple[str, _t.Any, int]] = []
         self._cursor = 0
         self._nbytes = 0
 
@@ -72,34 +73,54 @@ class Buffer:
 
     # -- packing ------------------------------------------------------------
 
-    def _put(self, tag: str, value: object, size: int) -> "Buffer":
-        self._items.append((tag, value, size))
-        self._nbytes += size
-        return self
+    # Every ``put_*`` appends its element and adds its size in its own
+    # frame, and every ``get_*`` reads the cursor in its own: one call per
+    # element either way (an MPI message is a handful of them).
 
     def put_int(self, value: int) -> "Buffer":
         """Pack a 64-bit integer."""
-        return self._put(_INT, int(value), 8)
+        self._items.append((_INT, int(value), 8))
+        self._nbytes += 8
+        return self
 
     def put_float(self, value: float) -> "Buffer":
         """Pack a 64-bit float."""
-        return self._put(_FLOAT, float(value), 8)
+        self._items.append((_FLOAT, float(value), 8))
+        self._nbytes += 8
+        return self
 
     def put_str(self, value: str) -> "Buffer":
         """Pack a length-prefixed UTF-8 string."""
-        data = value.encode("utf-8")
-        return self._put(_STR, value, 4 + len(data))
+        size = 4 + len(value.encode("utf-8"))
+        self._items.append((_STR, value, size))
+        self._nbytes += size
+        return self
 
     def put_bytes(self, value: bytes) -> "Buffer":
         """Pack a length-prefixed byte string."""
-        return self._put(_BYTES, bytes(value), 4 + len(value))
+        size = 4 + len(value)
+        self._items.append((_BYTES, bytes(value), size))
+        self._nbytes += size
+        return self
 
     def put_array(self, value: np.ndarray) -> "Buffer":
         """Pack a NumPy array (copied; sized at ``value.nbytes + 16``)."""
         import numpy as np
 
         arr = np.array(value, copy=True)
-        return self._put(_ARRAY, arr, 16 + arr.nbytes)
+        size = 16 + arr.nbytes
+        self._items.append((_ARRAY, arr, size))
+        self._nbytes += size
+        return self
+
+    def put_header(self, *fields: int | float) -> "Buffer":
+        """Pack a fixed header of 64-bit integer/float fields as one
+        element, sized at 8 B a field (the same wire bytes as one
+        :meth:`put_int`/:meth:`put_float` per field)."""
+        size = 8 * len(fields)
+        self._items.append((_HEADER, fields, size))
+        self._nbytes += size
+        return self
 
     def put_padding(self, nbytes: int) -> "Buffer":
         """Pack ``nbytes`` of payload *by size only* (no stored bytes).
@@ -110,11 +131,9 @@ class Buffer:
         """
         if nbytes < 0:
             raise BufferError_(f"negative padding size {nbytes!r}")
-        return self._put(_PADDING, nbytes, nbytes)
-
-    def get_padding(self) -> int:
-        """Extract a padding element; returns its size in bytes."""
-        return _t.cast(int, self._get(_PADDING))
+        self._items.append((_PADDING, nbytes, nbytes))
+        self._nbytes += nbytes
+        return self
 
     def put_startpoint(self, startpoint: "Startpoint", *,
                        lightweight: bool = False) -> "Buffer":
@@ -125,36 +144,95 @@ class Buffer:
         receiver must already know a default table.
         """
         wire = startpoint.to_wire(lightweight=lightweight)
-        return self._put(_STARTPOINT, wire, wire.wire_size)
+        self._items.append((_STARTPOINT, wire, wire.wire_size))
+        self._nbytes += wire.wire_size
+        return self
 
     # -- unpacking -----------------------------------------------------------
 
-    def _get(self, expected: str) -> object:
+    def _miss(self, expected: str) -> _t.NoReturn:
+        """Raise for a read of ``expected`` that cannot be served: the
+        buffer is exhausted, or the next element has another type (the
+        cursor does not move)."""
         if self._cursor >= len(self._items):
             raise BufferError_(f"buffer exhausted while reading {expected!r}")
-        tag, value, _size = self._items[self._cursor]
-        if tag != expected:
-            raise BufferError_(
-                f"buffer type mismatch: expected {expected!r}, found {tag!r} "
-                f"at element {self._cursor}"
-            )
+        tag = self._items[self._cursor][0]
+        raise BufferError_(
+            f"buffer type mismatch: expected {expected!r}, found {tag!r} "
+            f"at element {self._cursor}"
+        )
+
+    def get_int(self) -> int:
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_INT)
+        if tag != _INT:
+            self._miss(_INT)
         self._cursor += 1
         return value
 
-    def get_int(self) -> int:
-        return _t.cast(int, self._get(_INT))
-
     def get_float(self) -> float:
-        return _t.cast(float, self._get(_FLOAT))
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_FLOAT)
+        if tag != _FLOAT:
+            self._miss(_FLOAT)
+        self._cursor += 1
+        return value
 
     def get_str(self) -> str:
-        return _t.cast(str, self._get(_STR))
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_STR)
+        if tag != _STR:
+            self._miss(_STR)
+        self._cursor += 1
+        return value
 
     def get_bytes(self) -> bytes:
-        return _t.cast(bytes, self._get(_BYTES))
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_BYTES)
+        if tag != _BYTES:
+            self._miss(_BYTES)
+        self._cursor += 1
+        return value
 
     def get_array(self) -> np.ndarray:
-        return _t.cast("np.ndarray", self._get(_ARRAY))
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_ARRAY)
+        if tag != _ARRAY:
+            self._miss(_ARRAY)
+        self._cursor += 1
+        return value
+
+    def get_header(self) -> tuple:
+        """Extract a header element: its fields, in pack order."""
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_HEADER)
+        if tag != _HEADER:
+            self._miss(_HEADER)
+        self._cursor += 1
+        return value
+
+    def get_padding(self) -> int:
+        """Extract a padding element; returns its size in bytes."""
+        try:
+            tag, value, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_PADDING)
+        if tag != _PADDING:
+            self._miss(_PADDING)
+        self._cursor += 1
+        return value
 
     def get_startpoint(self, context: "Context") -> "Startpoint":
         """Unpack a startpoint *into* ``context``.
@@ -164,7 +242,13 @@ class Buffer:
         and whose communication method will be selected (automatically or
         per the context's policy) on first use.
         """
-        wire = _t.cast("WireStartpoint", self._get(_STARTPOINT))
+        try:
+            tag, wire, _size = self._items[self._cursor]
+        except IndexError:
+            self._miss(_STARTPOINT)
+        if tag != _STARTPOINT:
+            self._miss(_STARTPOINT)
+        self._cursor += 1
         return context.import_startpoint(wire)
 
     def peek_type(self) -> str | None:

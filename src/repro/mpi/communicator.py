@@ -34,24 +34,13 @@ class Communicator:
                 raise RankError(f"world rank {rank} out of range")
         self.id: int = next(_comm_ids)
         self._rank_of_world = {w: i for i, w in enumerate(self.world_ranks)}
-
-    # -- context spaces -------------------------------------------------------
-
-    @property
-    def p2p_context(self) -> int:
-        """Matching context id for user point-to-point traffic."""
-        return 2 * self.id
-
-    @property
-    def collective_context(self) -> int:
-        """Matching context id for internal collective traffic."""
-        return 2 * self.id + 1
+        self.size: int = len(self.world_ranks)
+        #: Matching context ids: user point-to-point traffic, and internal
+        #: collective traffic.
+        self.p2p_context: int = 2 * self.id
+        self.collective_context: int = 2 * self.id + 1
 
     # -- group queries -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.world_ranks)
 
     def rank_of_world(self, world_rank: int) -> int:
         """Translate a world rank to this communicator's rank."""

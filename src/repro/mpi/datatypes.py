@@ -53,6 +53,14 @@ class Padded:
 
 def payload_nbytes(value: Payload) -> int:
     """Wire size of a payload, in bytes (for enquiry/estimation)."""
+    # The two classes Table 1 sends are tested exactly first; every other
+    # value, subclasses included (bool, np.float64, an ndarray subclass),
+    # takes the isinstance chain, so each class keeps its branch.
+    cls = value.__class__
+    if cls is np.ndarray:
+        return 16 + value.nbytes
+    if cls is Padded:
+        return value.pad_bytes + payload_nbytes(value.value)
     if value is None:
         return 0
     if isinstance(value, (bool, int, np.integer)):
@@ -74,7 +82,15 @@ def payload_nbytes(value: Payload) -> int:
 
 def pack_payload(buffer: Buffer, value: Payload) -> None:
     """Append ``value`` (kind-tagged) to ``buffer``."""
-    if value is None:
+    cls = value.__class__  # exact classes first, as in payload_nbytes
+    if cls is np.ndarray:
+        buffer.put_int(_K_ARRAY)
+        buffer.put_array(value)
+    elif cls is Padded:
+        buffer.put_int(_K_PADDED)
+        buffer.put_padding(value.pad_bytes)
+        pack_payload(buffer, value.value)
+    elif value is None:
         buffer.put_int(_K_NONE)
     elif isinstance(value, (bool, int, np.integer)):
         buffer.put_int(_K_INT)
@@ -107,6 +123,11 @@ def pack_payload(buffer: Buffer, value: Payload) -> None:
 def unpack_payload(buffer: Buffer) -> Payload:
     """Extract one kind-tagged payload from ``buffer``."""
     kind = buffer.get_int()
+    if kind == _K_ARRAY:
+        return buffer.get_array()
+    if kind == _K_PADDED:
+        buffer.get_padding()
+        return unpack_payload(buffer)  # padding is wire-only filler
     if kind == _K_NONE:
         return None
     if kind == _K_INT:
@@ -117,12 +138,7 @@ def unpack_payload(buffer: Buffer) -> Payload:
         return buffer.get_str()
     if kind == _K_BYTES:
         return buffer.get_bytes()
-    if kind == _K_ARRAY:
-        return buffer.get_array()
     if kind == _K_TUPLE:
         length = buffer.get_int()
         return tuple(unpack_payload(buffer) for _ in range(length))
-    if kind == _K_PADDED:
-        buffer.get_padding()
-        return unpack_payload(buffer)  # padding is wire-only filler
     raise MpiError(f"corrupt payload kind {kind}")

@@ -55,11 +55,14 @@ class PostedRecv:
     #: For rendezvous matches: set once the DATA transfer has landed.
     data_arrived: bool = False
 
-    @property
-    def complete(self) -> bool:
-        if self.message is None:
-            return False
-        return self.message.pending_token is None or self.data_arrived
+    def done(self) -> bool:
+        """Matched, and (for a rendezvous match) its data has landed: the
+        check a blocking receive's wait loop polls, as a bound method."""
+        message = self.message
+        return message is not None and (message.pending_token is None
+                                        or self.data_arrived)
+
+    complete = property(done)
 
     def matches(self, message: MpiMessage) -> bool:
         if message.context_id != self.context_id:
@@ -69,6 +72,12 @@ class PostedRecv:
         if self.tag != ANY_TAG and message.tag != self.tag:
             return False
         return True
+
+    def result(self, received_at: float) -> tuple[Payload, Status]:
+        """A completed receive's ``(data, status)``."""
+        status = self.status(received_at)
+        assert self.message is not None
+        return self.message.payload, status
 
     def status(self, received_at: float) -> Status:
         if self.message is None:

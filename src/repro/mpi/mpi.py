@@ -71,6 +71,7 @@ class MpiProcess:
 
     def __init__(self, world: "MPIWorld", rank: int, context: Context):
         self.world = world
+        self.nexus: Nexus = world.nexus
         self.rank = rank
         self.context = context
         self.matching = MatchingQueues()
@@ -89,10 +90,6 @@ class MpiProcess:
         self.rendezvous_sends = 0
 
     # -- infrastructure -----------------------------------------------------
-
-    @property
-    def nexus(self) -> Nexus:
-        return self.world.nexus
 
     @property
     def comm_world(self) -> Communicator:
@@ -128,32 +125,28 @@ class MpiProcess:
     def _send_body(self, data: Payload, dest: int, tag: int,
                    comm: Communicator, context_id: int):
         """Generator: one send, from the layer's per-call charge on."""
-        overhead = self.world.config.call_overhead
-        if overhead > 0.0:
-            yield self.context.nexus.sim.timeout(overhead)
+        config = self.world.config
+        sim = self.nexus.sim
+        if config.call_overhead > 0.0:
+            yield sim.timeout(config.call_overhead)
         my_rank = comm.rank_of_world(self.rank)
         if not (0 <= dest < comm.size):
             raise RankError(f"destination rank {dest} out of range")
         nbytes = payload_nbytes(data)
-        threshold = self.world.config.eager_threshold
+        threshold = config.eager_threshold
         sp = self.startpoint_to(comm.world_rank(dest))
         self.sends += 1
+        now = sim._clock._now
 
         if threshold is not None and nbytes >= threshold:
             # Rendezvous: ship only the envelope; park the payload.
             token = next(self._rdv_tokens)
-            self._pending_sends[token] = (data, comm.world_rank(dest),
-                                          self.nexus.sim.now)
+            self._pending_sends[token] = (data, comm.world_rank(dest), now)
             self.rendezvous_sends += 1
             envelope = Buffer()
-            envelope.put_int(_K_RTS)
-            envelope.put_int(context_id)
-            envelope.put_int(tag)
-            envelope.put_int(my_rank)
-            envelope.put_float(self.nexus.sim.now)
-            envelope.put_int(nbytes)
-            envelope.put_int(token)
-            envelope.put_int(self.rank)  # world rank for the CTS reply
+            # The last field is our world rank, for the CTS reply.
+            envelope.put_header(_K_RTS, context_id, int(tag), my_rank, now,
+                                nbytes, token, self.rank)
             envelope.put_padding(RENDEZVOUS_HEADER_BYTES)
             self.bytes_sent += envelope.nbytes
             yield from sp.rsr("__mpi__", envelope)
@@ -165,12 +158,8 @@ class MpiProcess:
             return
 
         buffer = Buffer()
-        buffer.put_int(_K_EAGER)
-        buffer.put_int(context_id)
-        buffer.put_int(tag)
-        buffer.put_int(my_rank)
-        buffer.put_float(self.nexus.sim.now)
-        buffer.put_int(nbytes)
+        buffer.put_header(_K_EAGER, context_id, int(tag), my_rank, now,
+                          nbytes)
         pack_payload(buffer, data)
         self.bytes_sent += buffer.nbytes
         yield from sp.rsr("__mpi__", buffer)
@@ -187,8 +176,7 @@ class MpiProcess:
 
         def send_cts():
             cts = Buffer()
-            cts.put_int(_K_CTS)
-            cts.put_int(token)
+            cts.put_header(_K_CTS, token)
             cts.put_padding(RENDEZVOUS_HEADER_BYTES)
             sp = self.startpoint_to(sender_world)
             yield from sp.rsr("__mpi__", cts)
@@ -201,8 +189,7 @@ class MpiProcess:
 
         def send_data():
             payload = Buffer()
-            payload.put_int(_K_DATA)
-            payload.put_int(token)
+            payload.put_header(_K_DATA, token)
             pack_payload(payload, data)
             sp = self.startpoint_to(dest_world)
             yield from sp.rsr("__mpi__", payload)
@@ -244,34 +231,45 @@ class MpiProcess:
               comm: Communicator | None = None, *,
               collective: bool = False) -> RecvRequest:
         """Nonblocking receive: posts the match and returns a request."""
+        return RecvRequest(self, self._post(source, tag, comm, collective))
+
+    def _post(self, source: int, tag: int, comm: Communicator | None,
+              collective: bool) -> PostedRecv:
+        """Post one receive: match it now, or queue it for delivery."""
         communicator = self._resolve_comm(comm)
         context_id = (communicator.collective_context if collective
                       else communicator.p2p_context)
         posted = self.matching.post(context_id, source, tag)
         message = posted.message
+        if message is None:
+            return posted
         obs = self.nexus.obs
-        if obs.enabled and message is not None:
+        if obs.enabled:
             # How long the message sat in the unexpected queue before a
             # matching receive was posted — the cost of late receives.
             obs.metrics.histogram(
                 "mpi_unexpected_dwell_us", rank=self.rank,
             ).observe((self.nexus.sim.now - message.arrived_at) * 1e6)
-        if (message is not None and message.pending_token is not None
+        if (message.pending_token is not None
                 and message.pending_token not in self._awaiting_data):
             # Matched an unexpected RTS: grant the transfer now.
             self._grant_rendezvous(message, posted)
-        return RecvRequest(self, posted)
+        return posted
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Communicator | None = None, *, collective: bool = False):
-        """Generator: blocking receive → ``(data, status)``."""
+        """Generator: blocking receive → ``(data, status)``.
+
+        Waits in this frame on the posted receive's own completion
+        check: a blocking operation costs one frame below its caller."""
+        sim = self.nexus.sim
         overhead = self.world.config.call_overhead
         if overhead > 0.0:
-            yield self.context.nexus.sim.timeout(overhead)
-        request = self.irecv(source, tag, comm, collective=collective)
+            yield sim.timeout(overhead)
+        posted = self._post(source, tag, comm, collective)
         self.recvs += 1
-        result = yield from request.wait()
-        return result
+        yield from self.context.wait(posted.done)
+        return posted.result(sim._clock._now)
 
     def sendrecv(self, data: Payload, dest: int, sendtag: int,
                  source: int, recvtag: int,
@@ -279,11 +277,11 @@ class MpiProcess:
                  collective: bool = False):
         """Generator: simultaneous send+receive (deadlock-free pairwise
         exchange) → ``(data, status)`` of the received message."""
-        request = self.irecv(source, recvtag, comm, collective=collective)
+        posted = self._post(source, recvtag, comm, collective)
         yield from self.send(data, dest, sendtag, comm, collective=collective)
         self.recvs += 1
-        result = yield from request.wait()
-        return result
+        yield from self.context.wait(posted.done)
+        return posted.result(self.nexus.sim._clock._now)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                comm: Communicator | None = None) -> Status | None:
@@ -401,53 +399,47 @@ class MpiProcess:
 
 def _mpi_handler(context: Context, endpoint: Endpoint | None,
                  buffer: Buffer) -> None:
-    """The ``__mpi__`` RSR handler: decode the envelope and hand the
+    """The ``__mpi__`` RSR handler: read the envelope header and hand the
     message to the owning process's matching engine (inline, non-threaded
     — matching is cheap and must not reorder).  Also services the
     rendezvous control messages (RTS/CTS/DATA)."""
     assert endpoint is not None
-    proc = _t.cast(MpiProcess, endpoint.bound_object)
-    kind = buffer.get_int()
+    proc: MpiProcess = endpoint.bound_object  # type: ignore[assignment]
+    header = buffer.get_header()
+    kind = header[0]
 
+    if kind == _K_EAGER:
+        _kind, context_id, tag, source, sent_at, nbytes = header
+        message = MpiMessage(
+            context_id=context_id, source=source, tag=tag,
+            payload=unpack_payload(buffer),
+            nbytes=nbytes + MPI_ENVELOPE_BYTES, sent_at=sent_at,
+            arrived_at=context.nexus.sim._clock._now,
+        )
+        matched = proc.matching.deliver(message)
+        obs = context.nexus.obs
+        if obs.enabled and matched is None:
+            obs.metrics.gauge("mpi_unexpected_depth", rank=proc.rank).set(
+                float(len(proc.matching.unexpected)))
+        return
     if kind == _K_CTS:
-        proc._release_rendezvous(buffer.get_int())
+        proc._release_rendezvous(header[1])
         return
     if kind == _K_DATA:
-        token = buffer.get_int()
-        proc._complete_rendezvous(token, unpack_payload(buffer))
+        proc._complete_rendezvous(header[1], unpack_payload(buffer))
         return
 
-    context_id = buffer.get_int()
-    tag = buffer.get_int()
-    source = buffer.get_int()
-    sent_at = buffer.get_float()
-    nbytes = buffer.get_int()
-
-    if kind == _K_RTS:
-        token = buffer.get_int()
-        sender_world = buffer.get_int()
-        message = MpiMessage(
-            context_id=context_id, source=source, tag=tag, payload=None,
-            nbytes=nbytes + MPI_ENVELOPE_BYTES, sent_at=sent_at,
-            arrived_at=context.nexus.sim.now, pending_token=token,
-            sender_world=sender_world,
-        )
-        posted = proc.matching.deliver(message)
-        if posted is not None:
-            proc._grant_rendezvous(message, posted)
-        return
-
-    payload = unpack_payload(buffer)
+    (_kind, context_id, tag, source, sent_at, nbytes, token,
+     sender_world) = header
     message = MpiMessage(
-        context_id=context_id, source=source, tag=tag, payload=payload,
+        context_id=context_id, source=source, tag=tag, payload=None,
         nbytes=nbytes + MPI_ENVELOPE_BYTES, sent_at=sent_at,
-        arrived_at=context.nexus.sim.now,
+        arrived_at=context.nexus.sim._clock._now, pending_token=token,
+        sender_world=sender_world,
     )
-    matched = proc.matching.deliver(message)
-    obs = context.nexus.obs
-    if obs.enabled and matched is None:
-        obs.metrics.gauge("mpi_unexpected_depth", rank=proc.rank).set(
-            float(len(proc.matching.unexpected)))
+    posted = proc.matching.deliver(message)
+    if posted is not None:
+        proc._grant_rendezvous(message, posted)
 
 
 class MPIWorld:

@@ -34,14 +34,15 @@ class Request:
     def _result(self) -> object:
         raise NotImplementedError
 
-    def _completion_event(self):
-        """An Event that fires at completion, if one exists.
+    def _until(self):
+        """What the wait loop polls on: an Event that fires at completion,
+        or a zero-argument completion check.
 
         Waiting on an event (rather than a bare predicate) lets the poll
         manager's idle fast-forward wake on it — essential for requests
         whose completion is not signalled by a message arrival (sends).
         """
-        return None
+        raise NotImplementedError
 
     def test(self) -> bool:
         """Nonblocking: has the operation completed?"""
@@ -51,11 +52,7 @@ class Request:
         """Generator: poll until complete, then return the result."""
         if self._waited:
             raise RequestError("request has already been waited on")
-        event = self._completion_event()
-        if event is not None:
-            yield from self.proc.context.wait(event)
-        else:
-            yield from self.proc.context.wait(lambda: self.complete)
+        yield from self.proc.context.wait(self._until())
         self._waited = True
         return self._result()
 
@@ -71,7 +68,7 @@ class SendRequest(Request):
     def complete(self) -> bool:
         return not self._process.is_alive
 
-    def _completion_event(self):
+    def _until(self):
         return self._process
 
     def _result(self) -> None:
@@ -89,17 +86,17 @@ class RecvRequest(Request):
 
     @property
     def complete(self) -> bool:
-        return self._posted.complete
+        return self._posted.done()
+
+    def _until(self):
+        return self._posted.done
 
     def cancel(self) -> None:
         """Withdraw the receive (only while unmatched)."""
         self.proc.matching.cancel(self._posted)
 
     def _result(self) -> tuple[object, Status]:
-        message = self._posted.message
-        assert message is not None
-        status = self._posted.status(received_at=self.proc.nexus.sim.now)
-        return message.payload, status
+        return self._posted.result(self.proc.nexus.sim._clock._now)
 
 
 def wait_all(requests: _t.Sequence[Request]):

@@ -66,8 +66,16 @@ def chrome_trace_events(obs: Observability, *, pid_base: int = 0,
                         context_names: _t.Mapping[int, str] | None = None
                         ) -> list[dict[str, object]]:
     """The ``traceEvents`` list for one runtime's in-memory span log."""
-    ctx_order = _context_order(obs.spans)
-    lane_tids = _lane_order(obs.spans)
+    return _trace_events(obs.spans, pid_base, context_names)
+
+
+def _trace_events(spans: _t.Sequence[Span], pid_base: int,
+                  context_names: _t.Mapping[int, str] | None
+                  ) -> list[dict[str, object]]:
+    """:func:`chrome_trace_events` over ``spans``, read once per runtime
+    (``obs.spans`` sorts the whole log on every read)."""
+    ctx_order = _context_order(spans)
+    lane_tids = _lane_order(spans)
     events: list[dict[str, object]] = []
 
     for raw_ctx in ctx_order:
@@ -82,7 +90,7 @@ def chrome_trace_events(obs: Observability, *, pid_base: int = 0,
                        "pid": pid_base + ctx_order[raw_ctx], "tid": tid,
                        "args": {"name": lane}})
 
-    for span in obs.spans:
+    for span in spans:
         end = span.end if span.end is not None else span.start
         args: dict[str, object] = {"rsr": span.rsr, "span": span.id}
         if span.parent is not None:
@@ -124,10 +132,10 @@ def merged_chrome_trace(
         if nexus is not None:
             names = {cid: f"run{index}:{ctx.name}"
                      for cid, ctx in nexus.contexts.items()}
-        events.extend(chrome_trace_events(
-            obs, pid_base=index * 1000, context_names=names))
+        run_spans = obs.spans
+        events.extend(_trace_events(run_spans, index * 1000, names))
         metrics[f"run{index}"] = obs.metrics.snapshot()
-        spans += len(obs.spans)
+        spans += len(run_spans)
         dropped += obs.dropped_spans
         started += obs.rsrs_started
         finished += obs.rsrs_finished
@@ -259,15 +267,16 @@ def ascii_timeline(obs: Observability, *, width: int = 72,
     is the terminal sibling of the Perfetto view — enough to eyeball
     where an RSR's time went without leaving the shell.
     """
-    closed = [s for s in obs.spans if s.end is not None]
+    spans = obs.spans
+    closed = [s for s in spans if s.end is not None]
     if not closed:
         return "(no closed spans)"
     t_lo = min(s.start for s in closed)
     t_hi = max(_t.cast(float, s.end) for s in closed)
     span_width = max(t_hi - t_lo, 1e-12)
 
-    ctx_order = _context_order(obs.spans)
-    lane_tids = _lane_order(obs.spans)
+    ctx_order = _context_order(spans)
+    lane_tids = _lane_order(spans)
     rows: dict[tuple[int, int], list[str]] = {}
     row_spans: dict[tuple[int, int], int] = {}
     for span in closed:

@@ -2,10 +2,15 @@
 
 Executed in-process via runpy (same interpreter, fresh ``__main__``),
 with stdout captured and spot-checked for each scenario's headline.
+Each runs with ``tempfile``'s directory redirected into one removed
+afterwards, so what an example leaves for inspection (the streaming
+example's spool directories) does not pile up in the system temp dir.
 """
 
+import os
 import pathlib
 import runpy
+import tempfile
 
 import pytest
 
@@ -37,9 +42,25 @@ def test_every_example_is_covered():
         "examples/ and EXPECTED_OUTPUT disagree — add the new example here")
 
 
+def _run_example(script, monkeypatch):
+    with tempfile.TemporaryDirectory(prefix="repro-example-") as scratch:
+        with monkeypatch.context() as patch:
+            patch.setattr(tempfile, "tempdir", scratch)
+            runpy.run_path(str(EXAMPLES / script), run_name="__main__")
+
+
 @pytest.mark.parametrize("script", sorted(EXPECTED_OUTPUT))
-def test_example_runs(script, capsys):
-    runpy.run_path(str(EXAMPLES / script), run_name="__main__")
+def test_example_runs(script, capsys, monkeypatch):
+    _run_example(script, monkeypatch)
     output = capsys.readouterr().out
     assert EXPECTED_OUTPUT[script] in output, (
         f"{script} ran but its expected output fragment is missing")
+
+
+def test_examples_leave_nothing_in_the_temp_dir(monkeypatch):
+    system_tmp = tempfile.gettempdir()
+    before = set(os.listdir(system_tmp))
+    _run_example("streaming_telemetry.py", monkeypatch)
+    leaked = sorted(name for name in set(os.listdir(system_tmp)) - before
+                    if name.startswith("repro-"))
+    assert not leaked, f"an example run left {leaked} in {system_tmp}"

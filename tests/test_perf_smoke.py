@@ -23,6 +23,7 @@ import os
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
@@ -30,6 +31,7 @@ from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, \
     run_scenario
+from repro.mpi import MPIWorld
 from repro.obs.timeline import timeline_document
 from repro.simnet import Simulator
 from repro.testbeds import make_sp2
@@ -144,6 +146,49 @@ def test_unified_poll_host_calls_stay_within_budget():
         f"{count:,} host calls for the fixed dual ping-pong, budget "
         f"{DUAL_PINGPONG_CALL_BUDGET:,} — did a wrapper generator or a "
         "per-method dict come back to the poll loop?")
+
+
+#: Host calls of one warm ``_mpi_exchange()`` (4 ranks over MPL and TCP,
+#: 10 rounds of a ring ``sendrecv`` and an ``irecv``/``send``/``wait``
+#: halo swap of an 8-element array): 21,608 when an MPI envelope became
+#: one header element, ``Buffer`` elements one frame each, the payload
+#: codec class-keyed and a receive's wait one bound-method check; 28,139
+#: before.  The budget is that count plus 10 %.
+MPI_EXCHANGE_CALL_BUDGET = 23_800
+
+
+def _mpi_exchange(rounds=10):
+    bed = make_sp2(nodes_a=2, nodes_b=2)
+    world = MPIWorld(bed.nexus, [bed.nexus.context(h) for h in bed.hosts])
+    n = world.size
+
+    def body(proc):
+        right, left = (proc.rank + 1) % n, (proc.rank - 1) % n
+        edge = np.full(8, float(proc.rank))
+        total = 0.0
+        for step in range(rounds):
+            got, _status = yield from proc.sendrecv(edge, right, step,
+                                                    left, step)
+            total += got[0]
+            request = proc.irecv(right, 100 + step)
+            yield from proc.send(edge, left, 100 + step)
+            got, _status = yield from request.wait()
+            total += got[0]
+        return total
+
+    handles = world.run_spmd(body)
+    bed.nexus.run(until=bed.nexus.sim.all_of(handles))
+    assert [handle.value for handle in handles] == [40.0, 20.0, 40.0, 20.0]
+
+
+def test_mpi_exchange_host_calls_stay_within_budget():
+    """Deterministic tripwire for host work on the MPI point-to-point
+    path: every message is packed, enveloped, matched and waited on."""
+    count = _host_calls(_mpi_exchange)
+    assert count <= MPI_EXCHANGE_CALL_BUDGET, (
+        f"{count:,} host calls for the fixed MPI exchange, budget "
+        f"{MPI_EXCHANGE_CALL_BUDGET:,} — is an envelope field back to one "
+        "element each, or a property back on the receive's wait check?")
 
 
 #: Host calls of one warm traced ``run_scenario`` (4 open-loop clients at
