@@ -67,7 +67,8 @@ def main() -> None:
         # --- manual selection ------------------------------------------------
         print("\nmanual control:")
         manual = node1.startpoint_to(node2.new_endpoint())
-        manual.links[0].table.promote("tcp")   # user reorders the table
+        link = manual.links[0]
+        link.table = link.table.promote("tcp")  # user reorders the table
         manual.ensure_connected(manual.links[0])
         print(f"  after promoting tcp in the table: "
               f"{manual.current_methods()}")

@@ -34,7 +34,9 @@ from ...core.forwarding import ForwardingService
 from ...mpi.communicator import Communicator
 from ...mpi.datatypes import Padded
 from ...mpi.mpi import MPIWorld, MpiConfig, MpiProcess
-from ...testbeds import make_sp2
+from ...simnet.link import LinkProfile
+from ...testbeds import SP2_SWITCH_TCP, make_sp2
+from ...transports.costmodels import RuntimeCosts
 from .atmosphere import Atmosphere
 from .config import ClimateConfig, ClimateMode
 from .coupling import atmo_children, atmo_exchange, ocean_exchange
@@ -138,6 +140,8 @@ def run_coupled_model(cfg: ClimateConfig, mode: ClimateMode, *,
                       seed: int = 0,
                       transports: _t.Sequence[str] | None = None,
                       costs: _t.Mapping[str, object] | None = None,
+                      runtime_costs: RuntimeCosts | None = None,
+                      switch_tcp: LinkProfile = SP2_SWITCH_TCP,
                       methods: _t.Sequence[str] | None = None,
                       retry_policy: object | None = None,
                       health: object | None = None,
@@ -146,18 +150,20 @@ def run_coupled_model(cfg: ClimateConfig, mode: ClimateMode, *,
                       ) -> ClimateResult:
     """Run the coupled model in one multimethod configuration.
 
-    ``transports``/``costs``/``retry_policy``/``health`` flow through to
-    the testbed's :class:`~repro.core.runtime.Nexus`; ``methods``
-    overrides the per-context method set the mode would pick.  The two
-    hooks frame the simulation itself: ``on_start(bed, contexts)`` fires
-    after every context and MPI process exists but before the clock
-    moves (install fault plans here); ``on_finish(bed, contexts)`` fires
-    once all ranks finish, while the runtime is still inspectable.
+    ``transports``/``costs``/``runtime_costs``/``retry_policy``/``health``
+    flow through to the testbed's :class:`~repro.core.runtime.Nexus` and
+    ``switch_tcp`` to its switch; ``methods`` overrides the per-context
+    method set the mode would pick.  The two hooks frame the simulation
+    itself: ``on_start(bed, contexts)`` fires after every context and MPI
+    process exists but before the clock moves (install fault plans here);
+    ``on_finish(bed, contexts)`` fires once all ranks finish, while the
+    runtime is still inspectable.
     """
     bed = make_sp2(nodes_a=cfg.atmo_ranks, nodes_b=cfg.ocean_ranks,
                    seed=seed,
                    transports=transports or ("local", "mpl", "tcp"),
                    costs=costs,  # type: ignore[arg-type]
+                   runtime_costs=runtime_costs, switch_tcp=switch_tcp,
                    retry_policy=retry_policy,  # type: ignore[arg-type]
                    health=health)  # type: ignore[arg-type]
     nexus = bed.nexus
@@ -177,9 +183,10 @@ def run_coupled_model(cfg: ClimateConfig, mode: ClimateMode, *,
         from ...core.adaptive import AdaptiveConfig, AdaptiveSkipPoll
 
         # Bound the back-off so that worst-case detection latency
-        # (skip x wait-loop cycle, ~16 us) stays within the budget: the
-        # select tax is already negligible well before that bound.
-        max_skip = max(int(cfg.adaptive_latency_budget / 16e-6), 8)
+        # (skip x wait-loop cycle) stays within the budget: the select
+        # tax is already negligible well before that bound.
+        cycle = nexus.runtime_costs.wait_loop_cycle
+        max_skip = max(int(cfg.adaptive_latency_budget / cycle), 8)
         for ctx in contexts:
             controller = AdaptiveSkipPoll(
                 ctx, "tcp",

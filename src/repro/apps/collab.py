@@ -95,11 +95,10 @@ def run_collab(participants: int = 4, updates: int = 25, *,
         ctx.poll_manager.add_method("mcast")
 
     update_sp = presenter.new_startpoint()
-    from ..core.descriptor_table import CommDescriptorTable
     for ctx in contexts[1:]:
         endpoint = ctx.new_endpoint()
-        table = ctx.export_table().copy()
-        table.add(mcast.descriptor_for_group(ctx, group), position=0)
+        table = ctx.export_table().add(
+            mcast.descriptor_for_group(ctx, group), position=0)
         update_sp.bind_address(ctx.id, endpoint.id, table)
     update_sp.set_method("mcast")
 

@@ -80,7 +80,7 @@ class Context:
                             ) -> CommDescriptorTable:
         registry = self.nexus.transports
         wanted = list(methods) if methods is not None else registry.names()
-        table = CommDescriptorTable()
+        descriptors = []
         for name in wanted:
             if name not in registry:
                 raise NexusError(
@@ -89,15 +89,14 @@ class Context:
                 )
             descriptor = registry.get(name).export_descriptor(self)
             if descriptor is not None:
-                table.add(descriptor)
+                descriptors.append(descriptor)
         # Fastest-first ordering realises the automatic fastest-first policy.
-        table.reorder(sorted(table.methods,
-                             key=lambda n: registry.get(n).speed_rank))
-        return table
+        return CommDescriptorTable(sorted(
+            descriptors, key=lambda d: registry.get(d.method).speed_rank))
 
     def export_table(self) -> CommDescriptorTable:
-        """This context's descriptor table (live object; edits influence
-        future binds and the poll set is *not* affected)."""
+        """This context's published table (a value: rebinding
+        ``_export_table`` reaches later binds only; polling unaffected)."""
         return self._export_table
 
     # -- handlers ------------------------------------------------------------

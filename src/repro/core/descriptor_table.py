@@ -20,18 +20,19 @@ from .errors import SelectionError
 class CommDescriptorTable:
     """An ordered, wire-serialisable list of communication descriptors.
 
-    The table carries a :attr:`version` counter that every mutator bumps.
-    Send-path caches (see ``startpoint.Link``) key on it so that the
-    first-applicable scan re-runs exactly when the table's content or
-    order changes, and never otherwise.
+    A table is a value: it holds a tuple, and the editors (:meth:`add`,
+    :meth:`remove`, :meth:`replace`, :meth:`reorder`, :meth:`promote`)
+    return a new table and leave this one unchanged.  Whoever owns a
+    table — a context's export table, a link's carried table — rebinds
+    the result.  So tables are shared, never copied (:meth:`copy`
+    returns ``self``), and a send-path cache (see ``startpoint.Link``)
+    detects an edit by the table's identity alone.
     """
 
-    __slots__ = ("_entries", "version")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: _t.Iterable[Descriptor] = ()):
-        self._entries: list[Descriptor] = list(entries)
-        #: Monotone edit counter; bumped by every mutating operation.
-        self.version = 0
+        self._entries: tuple[Descriptor, ...] = tuple(entries)
 
     # -- collection protocol --------------------------------------------------
 
@@ -52,57 +53,52 @@ class CommDescriptorTable:
         """Method names in table order."""
         return [d.method for d in self._entries]
 
-    def entry(self, method: str) -> Descriptor:
-        """The first entry for ``method``; raises if absent."""
-        for descriptor in self._entries:
-            if descriptor.method == method:
-                return descriptor
-        raise SelectionError(f"descriptor table has no entry for {method!r}")
-
-    # -- user manipulation (Section 3.2) -----------------------------------
-
-    def add(self, descriptor: Descriptor, position: int | None = None) -> None:
-        """Insert a descriptor (at ``position``, default append)."""
-        if position is None:
-            self._entries.append(descriptor)
-        else:
-            self._entries.insert(position, descriptor)
-        self.version += 1
-
-    def remove(self, method: str) -> Descriptor:
-        """Delete the first entry for ``method`` and return it."""
+    def _index(self, method: str) -> int:
         for index, descriptor in enumerate(self._entries):
             if descriptor.method == method:
-                self.version += 1
-                return self._entries.pop(index)
+                return index
         raise SelectionError(f"descriptor table has no entry for {method!r}")
 
-    def replace(self, method: str, descriptor: Descriptor) -> None:
-        """Swap the entry for ``method`` in place (same position)."""
-        for index, existing in enumerate(self._entries):
-            if existing.method == method:
-                self._entries[index] = descriptor
-                self.version += 1
-                return
-        raise SelectionError(f"descriptor table has no entry for {method!r}")
+    def entry(self, method: str) -> Descriptor:
+        """The first entry for ``method``; raises if absent."""
+        return self._entries[self._index(method)]
 
-    def reorder(self, methods: _t.Sequence[str]) -> None:
+    # -- user manipulation (Section 3.2): each returns a new table ---------
+
+    def _splice(self, index: int, *new: Descriptor) -> "CommDescriptorTable":
+        entries = self._entries
+        return CommDescriptorTable(entries[:index] + new + entries[index + 1:])
+
+    def add(self, descriptor: Descriptor,
+            position: int | None = None) -> "CommDescriptorTable":
+        """Insert a descriptor (at ``position``, default append)."""
+        entries = list(self._entries)
+        entries.insert(len(entries) if position is None else position,
+                       descriptor)
+        return CommDescriptorTable(entries)
+
+    def remove(self, method: str) -> "CommDescriptorTable":
+        """Delete the first entry for ``method``."""
+        return self._splice(self._index(method))
+
+    def replace(self, method: str,
+                descriptor: Descriptor) -> "CommDescriptorTable":
+        """Swap the entry for ``method`` (same position)."""
+        return self._splice(self._index(method), descriptor)
+
+    def reorder(self, methods: _t.Sequence[str]) -> "CommDescriptorTable":
         """Reorder entries to match ``methods``; unlisted entries keep
         their relative order after the listed ones."""
-        listed: list[Descriptor] = []
-        for method in methods:
-            listed.append(self.entry(method))
-        rest = [d for d in self._entries if d not in listed]
-        self._entries = listed + rest
-        self.version += 1
+        listed = [self.entry(method) for method in methods]
+        return CommDescriptorTable(
+            listed + [d for d in self._entries if d not in listed])
 
-    def promote(self, method: str) -> None:
+    def promote(self, method: str) -> "CommDescriptorTable":
         """Move ``method`` to the front (make it the preferred method)."""
-        descriptor = self.remove(method)
-        self._entries.insert(0, descriptor)
+        return self.remove(method).add(self.entry(method), 0)
 
     def copy(self) -> "CommDescriptorTable":
-        return CommDescriptorTable(self._entries)
+        return self  # a value needs no copy
 
     def without(self, methods: _t.Collection[str]) -> "CommDescriptorTable":
         """A filtered copy excluding ``methods`` (order preserved).

@@ -15,9 +15,9 @@ Installation rewrites each member context's exported descriptor: its
 startpoint bound afterwards routes external TCP traffic through the
 forwarder; the member then stops polling TCP entirely.  The forwarder
 re-issues arriving messages over the fast intra-partition method, paying
-a per-message forwarding overhead — which is why, as the paper observes,
-well-tuned polling can beat forwarding when every node has good TCP
-connectivity.
+``RuntimeCosts.forward_overhead`` per message — which is why, as the
+paper observes, well-tuned polling can beat forwarding when every node
+has good TCP connectivity.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import typing as _t
 
 from ..transports.base import WireMessage
-from ..util.units import microseconds
 from .errors import NexusError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -37,12 +36,11 @@ class ForwardingService:
     """Routes one method's traffic for a set of contexts via a forwarder."""
 
     def __init__(self, nexus: "Nexus", *, method: str = "tcp",
-                 fast_method: str = "mpl",
-                 forward_overhead: float = microseconds(50.0)):
+                 fast_method: str = "mpl"):
         self.nexus = nexus
         self.method = method
         self.fast_method = fast_method
-        self.forward_overhead = forward_overhead
+        self.forward_overhead = nexus.runtime_costs.forward_overhead
         self.forwarder: "Context | None" = None
         self.members: list["Context"] = []
         self.messages_forwarded = 0
@@ -55,8 +53,8 @@ class ForwardingService:
         """Designate ``forwarder`` and reroute every member's descriptors.
 
         Must be called before startpoints to the members are created:
-        descriptor tables already copied onto existing links are not
-        rewritten (matching the paper, where tables travel by value).
+        members publish new tables; links bound before keep the old ones
+        (matching the paper, where tables travel by value).
         """
         if self.forwarder is not None:
             raise NexusError("forwarding service is already installed")
@@ -81,8 +79,8 @@ class ForwardingService:
                     "to reroute"
                 )
             original = table.entry(self.method)
-            table.replace(self.method,
-                          original.with_param("via", forwarder.id))
+            member._export_table = table.replace(
+                self.method, original.with_param("via", forwarder.id))
             # The member no longer needs to check for this method at all.
             member.poll_manager.disable(self.method)
             self.members.append(member)

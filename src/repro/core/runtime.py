@@ -151,7 +151,7 @@ class Nexus:
     def default_table_for(self, context_id: int) -> CommDescriptorTable:
         """The default descriptor table for lightweight startpoints
         referencing ``context_id`` (the paper's small-startpoint case)."""
-        return self._resolve_context(context_id).export_table().copy()
+        return self._resolve_context(context_id).export_table()
 
     # -- execution ------------------------------------------------------------
 

@@ -6,7 +6,8 @@ A *communication link* connects a startpoint to an endpoint.  Startpoints:
 * may be bound to **several** endpoints — an RSR then multicasts;
 * may be **copied between contexts** (``to_wire`` / ``import_startpoint``),
   carrying the destination's communication descriptor table with them so
-  the receiving context knows every way to reach the endpoint;
+  the receiving context knows every way to reach the endpoint (a value,
+  shared rather than copied);
 * carry the *communication method* for the link: selected automatically
   (first-applicable over the table) or manually, and changeable at any
   time with :meth:`set_method` — "the communication method associated
@@ -74,23 +75,22 @@ class Link:
     """One live startpoint→endpoint connection with its chosen method."""
 
     __slots__ = ("context_id", "endpoint_id", "table", "comm",
-                 "health_epoch", "table_version")
+                 "health_epoch", "selected_table")
 
     def __init__(self, context_id: int, endpoint_id: int,
                  table: CommDescriptorTable):
         self.context_id = context_id
         self.endpoint_id = endpoint_id
-        #: This link's own copy of the remote context's descriptor table;
-        #: the owner may reorder/edit it to influence selection.
+        #: The remote context's descriptor table, a value: the owner
+        #: steers selection by rebinding ``link.table.promote(m)`` etc.
         self.table = table
         self.comm: CommObject | None = None
         #: Health-tracker epoch the current method was selected under;
         #: a mismatch forces re-selection (methods went down or came up).
         self.health_epoch = -1
-        #: Descriptor-table version the current method was selected
-        #: under; a mismatch means the table was edited or reordered
-        #: since, which may change what first-applicable picks.
-        self.table_version = -1
+        #: The table the current method was selected from; once
+        #: ``table`` is rebound to another, first-applicable re-runs.
+        self.selected_table: CommDescriptorTable | None = None
 
     @property
     def method(self) -> str | None:
@@ -123,14 +123,14 @@ class Startpoint:
         link, which is how the table later travels with the startpoint.
         Returns ``self`` for chaining.
         """
-        table = endpoint.context.export_table().copy()
-        self.links.append(Link(endpoint.context.id, endpoint.id, table))
+        self.links.append(Link(endpoint.context.id, endpoint.id,
+                               endpoint.context.export_table()))
         return self
 
     def bind_address(self, context_id: int, endpoint_id: int,
                      table: CommDescriptorTable) -> "Startpoint":
-        """Bind to a remote endpoint by address + descriptor table."""
-        self.links.append(Link(context_id, endpoint_id, table.copy()))
+        """Bind to a remote endpoint by address + (shared) table."""
+        self.links.append(Link(context_id, endpoint_id, table))
         return self
 
     @property
@@ -148,7 +148,7 @@ class Startpoint:
         """Select a healthy method for ``link`` and return its comm object.
 
         The happy path is a handful of comparisons: with a selected
-        method, an unchanged descriptor-table version, an unchanged
+        method, the table it was selected from still bound, an unchanged
         health epoch, and no cool-off expiry pending, the cached comm
         object is returned untouched.  Otherwise the link's descriptor
         table is rescanned *minus* down/``excluded`` methods — the
@@ -159,7 +159,7 @@ class Startpoint:
         context = self.context
         health = context.health
         if (link.comm is not None and not excluded
-                and link.table_version == link.table.version
+                and link.selected_table is link.table
                 and link.health_epoch == health.epoch
                 and context.nexus.sim._clock._now < health.next_probe_at):
             return link.comm
@@ -186,7 +186,7 @@ class Startpoint:
             raise
         link.comm = context.comm_object_for(descriptor)
         link.health_epoch = health.epoch
-        link.table_version = link.table.version
+        link.selected_table = link.table
         return link.comm
 
     def set_method(self, method: str) -> None:
@@ -197,8 +197,8 @@ class Startpoint:
         startpoint".  Raises :class:`SelectionError` if any link's table
         lacks an applicable entry for ``method``.  The manual choice is
         stamped into the link's selection cache, so it sticks until the
-        health tracker's epoch moves or the table is edited — the same
-        invalidation rules as an automatic selection.
+        health tracker's epoch moves or the link's table is rebound — the
+        same invalidation rules as an automatic selection.
         """
         registry = self.context.nexus.transports
         health = self.context.health
@@ -213,7 +213,7 @@ class Startpoint:
                 )
             link.comm = self.context.comm_object_for(descriptor)
             link.health_epoch = health.epoch
-            link.table_version = link.table.version
+            link.selected_table = link.table
 
     def current_methods(self) -> list[str | None]:
         """Selected method per link (None where not yet selected)."""

@@ -97,8 +97,15 @@ class MpiProcess:
 
     def startpoint_to(self, world_rank: int) -> Startpoint:
         sp = self._startpoints.get(world_rank)
-        if sp is None:
-            raise RankError(f"rank {self.rank} has no route to {world_rank}")
+        if sp is None:  # first use: bind to the startup snapshot
+            world = self.world
+            if not 0 <= world_rank < len(world.tables):
+                raise RankError(
+                    f"rank {self.rank} has no route to {world_rank}")
+            peer = world.processes[world_rank]
+            sp = Startpoint(self.context).bind_address(
+                peer.context.id, peer.endpoint.id, world.tables[world_rank])
+            self._startpoints[world_rank] = sp
         return sp
 
     def _resolve_comm(self, comm: Communicator | None) -> Communicator:
@@ -445,10 +452,10 @@ def _mpi_handler(context: Context, endpoint: Endpoint | None,
 class MPIWorld:
     """All MPI processes of one application.
 
-    Builds one :class:`MpiProcess` per context and wires the full mesh of
-    startpoints (each process receives a copy of every peer's startpoint
-    together with its descriptor table — the out-of-band startup exchange
-    a process manager performs).
+    Builds one :class:`MpiProcess` per context.  The process manager's
+    startup exchange is modelled as free and on demand; each link carries
+    the table its peer published when the world was built (kept in
+    :attr:`tables`), bound on the link's first use.
     """
 
     def __init__(self, nexus: Nexus, contexts: _t.Sequence[Context],
@@ -461,12 +468,7 @@ class MPIWorld:
             MpiProcess(self, rank, context)
             for rank, context in enumerate(contexts)
         ]
-        for proc in self.processes:
-            for peer in self.processes:
-                sp = proc.context.new_startpoint()
-                sp.bind_address(peer.context.id, peer.endpoint.id,
-                                peer.context.export_table().copy())
-                proc._startpoints[peer.rank] = sp
+        self.tables = [context.export_table() for context in contexts]
         self.comm_world = Communicator(self, range(len(self.processes)))
         self._split_cache: dict[tuple[int, ...], Communicator] = {}
         self._split_calls: dict[tuple[int, ...], int] = {}

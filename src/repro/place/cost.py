@@ -47,16 +47,12 @@ from ..transports.costmodels import (
     RuntimeCosts,
     TransportCosts,
 )
-from ..util.units import microseconds
 from .errors import PlacementError
 from .plan import Placement
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..load.scenario import LoadScenario
 
-#: Per-message relay CPU at the forwarder, mirroring
-#: :class:`repro.core.forwarding.ForwardingService`'s default.
-FORWARD_OVERHEAD_S = microseconds(50.0)
 
 #: Component-name prefix of the remote-serving ranks in load graphs.
 REMOTE_COMPONENT_PREFIX = "srv/remote/"
@@ -250,7 +246,7 @@ def predict_placement(graph: CommGraph, scenario: "LoadScenario",
     if forwarder is not None:
         relayed = 1.0 - shares[forwarder]
         relay = (runtime.dispatch_cost + recv_slow
-                 + relayed * (FORWARD_OVERHEAD_S + fast.send_overhead
+                 + relayed * (runtime.forward_overhead + fast.send_overhead
                               + fast.per_byte_send * mean_bytes))
         busy.append(("relay", relay))
     binding, bottleneck = max(busy, key=lambda item: (item[1], item[0]))
@@ -264,7 +260,6 @@ def predict_placement(graph: CommGraph, scenario: "LoadScenario",
 
 
 __all__ = [
-    "FORWARD_OVERHEAD_S",
     "REMOTE_COMPONENT_PREFIX",
     "PartitionCost",
     "PlacementCost",

@@ -218,6 +218,13 @@ class RuntimeCosts:
         metacomputing system pays.  Same-architecture traffic (and hosts
         with no declared architecture) pays nothing, so the SP2-only
         experiments are unaffected.
+    forward_overhead:
+        Forwarder CPU to re-send one message of a forwarded method over
+        the fast method (Section 3.3's dedicated forwarding processor).
+    wait_loop_cycle:
+        One trip around an application's wait loop, poll included: the
+        unit of the adaptive skip bound (worst-case detection latency is
+        skip x cycle).
     """
 
     rsr_send_overhead: float = microseconds(8.0)
@@ -227,6 +234,8 @@ class RuntimeCosts:
     select_drain_overlap: float = 0.8
     mpi_layer_overhead: float = 0.06
     xdr_per_byte: float = microseconds(0.05)
+    forward_overhead: float = microseconds(50.0)
+    wait_loop_cycle: float = microseconds(16.0)
 
 
 DEFAULT_RUNTIME_COSTS = RuntimeCosts()

@@ -32,37 +32,34 @@ class TestBasics:
         assert table[0].method == "mpl"
 
     def test_copy_is_independent(self, table):
-        clone = table.copy()
-        clone.remove("udp")
-        assert "udp" in table and "udp" not in clone
+        edited = table.copy().remove("udp")
+        assert "udp" in table and "udp" not in edited
 
 
 class TestManipulation:
     """Section 3.2: reorder / add / delete to influence selection."""
 
     def test_add_positional(self, table):
-        table.add(d("shm", host=1), position=0)
-        assert table.methods[0] == "shm"
+        assert table.add(d("shm", host=1), position=0).methods[0] == "shm"
+        assert table.add(d("shm", host=1)).methods[-1] == "shm"
 
     def test_remove(self, table):
-        removed = table.remove("tcp")
-        assert removed.method == "tcp"
-        assert table.methods == ["mpl", "udp"]
+        edited = table.remove("tcp")
+        assert edited.methods == ["mpl", "udp"]
         with pytest.raises(SelectionError):
-            table.remove("tcp")
+            edited.remove("tcp")
 
     def test_replace_in_place(self, table):
-        table.replace("tcp", d("tcp", host=1, via=9))
-        assert table.methods == ["mpl", "tcp", "udp"]  # position kept
-        assert table.entry("tcp").param("via") == 9
+        edited = table.replace("tcp", d("tcp", host=1, via=9))
+        assert edited.methods == ["mpl", "tcp", "udp"]  # position kept
+        assert edited.entry("tcp").param("via") == 9
 
     def test_reorder(self, table):
-        table.reorder(["udp", "mpl"])
-        assert table.methods == ["udp", "mpl", "tcp"]
+        assert table.reorder(["udp", "mpl"]).methods == ["udp", "mpl", "tcp"]
 
     def test_promote(self, table):
-        table.promote("udp")
-        assert table.methods == ["udp", "mpl", "tcp"]
+        assert table.promote("udp").methods == ["udp", "mpl", "tcp"]
+        assert table.promote("mpl").methods == table.methods
 
 
 class TestWire:

@@ -75,9 +75,12 @@ class TestBinding:
         _bed, a, b = pair
         sp = a.startpoint_to(b.new_endpoint())
         assert sp.links[0].table.methods == b.export_table().methods
-        # The link's table is a copy: editing it does not touch b's.
-        sp.links[0].table.remove("tcp")
-        assert "tcp" in b.export_table()
+        # The link shares b's table, a value: rebinding the link's edited
+        # table leaves b's untouched.
+        link = sp.links[0]
+        assert link.table is b.export_table()
+        link.table = link.table.remove("tcp")
+        assert "tcp" in b.export_table() and "tcp" not in link.table
 
 
 class TestRsr:

@@ -132,9 +132,10 @@ def test_descriptor_table_reorder_is_permutation(entries):
     methods = table.methods
     shuffled = list(methods)
     random.Random(0).shuffle(shuffled)
-    table.reorder(shuffled)
-    assert sorted(table.methods) == sorted(methods)  # nothing lost/created
-    assert table.methods == shuffled
+    reordered = table.reorder(shuffled)
+    assert sorted(reordered.methods) == sorted(methods)  # nothing lost/created
+    assert reordered.methods == shuffled
+    assert table.methods == methods  # the original is a value
 
 
 @given(descriptors())

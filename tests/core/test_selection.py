@@ -47,14 +47,16 @@ class TestFirstApplicable:
         a = bed.nexus.context(bed.hosts_a[0])
         b = bed.nexus.context(bed.hosts_a[1])
         sp = a.startpoint_to(b.new_endpoint())
-        sp.links[0].table.promote("tcp")
+        link = sp.links[0]
+        link.table = link.table.promote("tcp")
         assert connect(sp).method == "tcp"
 
     def test_deleting_entry_changes_choice(self, bed):
         a = bed.nexus.context(bed.hosts_a[0])
         b = bed.nexus.context(bed.hosts_a[1])
         sp = a.startpoint_to(b.new_endpoint())
-        sp.links[0].table.remove("mpl")
+        link = sp.links[0]
+        link.table = link.table.remove("mpl")
         assert connect(sp).method == "tcp"
 
     def test_nothing_applicable_raises(self, bed):

@@ -3,8 +3,9 @@
 Two caches keep the hot path cheap without changing behaviour:
 
 * the per-link method-selection cache in
-  :meth:`Startpoint.ensure_connected`, invalidated by descriptor-table
-  ``version`` bumps and :class:`HealthTracker` ``epoch`` moves;
+  :meth:`Startpoint.ensure_connected`, invalidated when the link's
+  descriptor table is rebound and when the :class:`HealthTracker`
+  ``epoch`` moves;
 * the poll plan in :class:`PollManager`, invalidated by every poll
   configuration mutator and by transport-registry growth.
 """
@@ -49,7 +50,7 @@ class TestSelectionCache:
         link = sp.links[0]
         comm = sp.ensure_connected(link)
         assert policy.calls == 1
-        assert link.table_version == link.table.version
+        assert link.selected_table is link.table
         for _ in range(10):
             assert sp.ensure_connected(link) is comm
         assert policy.calls == 1  # every repeat hit the cache
@@ -66,9 +67,9 @@ class TestSelectionCache:
         _bed, _a, _b, sp, policy = linked
         link = sp.links[0]
         first = sp.ensure_connected(link)
-        # Editing the link's table bumps its version: the next send must
-        # rescan and respect the new contents.
-        link.table.remove(first.method)
+        # Rebinding the link's table to an edited one: the next send
+        # must rescan and respect the new contents.
+        link.table = link.table.remove(first.method)
         second = sp.ensure_connected(link)
         assert second.method != first.method
         assert policy.calls == 2
@@ -77,7 +78,7 @@ class TestSelectionCache:
         _bed, _a, _b, sp, policy = linked
         link = sp.links[0]
         sp.ensure_connected(link)
-        link.table.reorder(list(reversed(link.table.methods)))
+        link.table = link.table.reorder(list(reversed(link.table.methods)))
         sp.ensure_connected(link)
         assert policy.calls == 2
 
@@ -107,7 +108,7 @@ class TestSelectionCache:
         auto = sp.ensure_connected(link).method
         manual = "tcp" if auto != "tcp" else "mpl"
         sp.set_method(manual)
-        link.table.remove(manual)
+        link.table = link.table.remove(manual)
         assert sp.ensure_connected(link).method != manual
 
     def test_no_methods_left_still_raises(self, linked):
@@ -120,23 +121,24 @@ class TestSelectionCache:
             sp.ensure_connected(link)
 
 
-class TestDescriptorTableVersion:
-    def test_mutators_bump_version(self, pair):
+class TestDescriptorTableValue:
+    def test_editors_return_a_new_table(self, pair):
+        """A table is a value: every editor returns a new table and leaves
+        the published one unchanged, so a cache keyed on its identity
+        sees every edit a link or context rebinds."""
         _bed, a, _b = pair
         table = a.export_table()
-        version = table.version
-        entry = table.entry(table.methods[0])
-        table.remove(entry.method)
-        assert table.version > version
-        version = table.version
-        table.add(entry)
-        assert table.version > version
-        version = table.version
-        table.reorder(list(reversed(table.methods)))
-        assert table.version > version
-        version = table.version
-        table.promote(entry.method)
-        assert table.version > version
+        before = list(table)
+        first, last = table.methods[0], table.methods[-1]
+        edited = [table.add(table.entry(first)), table.remove(first),
+                  table.replace(first, table.entry(last)),
+                  table.reorder(list(reversed(table.methods))),
+                  table.promote(last)]
+        for new in edited:
+            assert new is not table and list(new) != before
+        assert list(table) == before
+        assert a.export_table() is table
+        assert table.copy() is table
 
 
 class TestPollPlanCache:

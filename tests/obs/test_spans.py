@@ -209,8 +209,8 @@ class TestMulticast:
         sp = sender.new_startpoint()
         for ctx in contexts[1:]:
             endpoint = ctx.new_endpoint()
-            table = ctx.export_table().copy()
-            table.add(mcast.descriptor_for_group(ctx, "g"), position=0)
+            table = ctx.export_table().add(
+                mcast.descriptor_for_group(ctx, "g"), position=0)
             sp.bind_address(ctx.id, endpoint.id, table)
         sp.set_method("mcast")
 

@@ -90,9 +90,10 @@ class TestReservedChannels:
             b.register_handler("h", lambda c, e, buf: log.append(nexus.now))
             sp = a.startpoint_to(b.new_endpoint())
             if reserved is not None:
-                table = sp.links[0].table
-                table.replace("tcp", table.entry("tcp").with_param(
-                    "reserved_bandwidth", reserved))
+                link = sp.links[0]
+                link.table = link.table.replace(
+                    "tcp", link.table.entry("tcp").with_param(
+                        "reserved_bandwidth", reserved))
 
             def sender():
                 yield from sp.rsr("h", Buffer().put_padding(4 * MB))

@@ -57,6 +57,16 @@ def test_example_runs(script, capsys, monkeypatch):
         f"{script} ran but its expected output fragment is missing")
 
 
+def test_method_selection_manual_control(capsys, monkeypatch):
+    """The example's manual control: a link rebound to a table with tcp
+    promoted, then ``set_method``, then a required method."""
+    _run_example("method_selection.py", monkeypatch)
+    assert ("  after promoting tcp in the table: ['tcp']\n"
+            "  after set_method('mpl'):          ['mpl']\n"
+            "  with RequireMethod('tcp'):        ['tcp']\n"
+            ) in capsys.readouterr().out
+
+
 def test_examples_leave_nothing_in_the_temp_dir(monkeypatch):
     system_tmp = tempfile.gettempdir()
     before = set(os.listdir(system_tmp))

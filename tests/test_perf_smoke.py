@@ -150,11 +150,13 @@ def test_unified_poll_host_calls_stay_within_budget():
 
 #: Host calls of one warm ``_mpi_exchange()`` (4 ranks over MPL and TCP,
 #: 10 rounds of a ring ``sendrecv`` and an ``irecv``/``send``/``wait``
-#: halo swap of an 8-element array): 21,608 when an MPI envelope became
-#: one header element, ``Buffer`` elements one frame each, the payload
-#: codec class-keyed and a receive's wait one bound-method check; 28,139
+#: halo swap of an 8-element array): 21,437 when a rank bound its
+#: startpoint to a peer on first use (2 of 4 here) and shared the peer's
+#: table instead of copying it; 21,608 when an MPI envelope became one
+#: header element, ``Buffer`` elements one frame each, the payload codec
+#: class-keyed and a receive's wait one bound-method check; 28,139
 #: before.  The budget is that count plus 10 %.
-MPI_EXCHANGE_CALL_BUDGET = 23_800
+MPI_EXCHANGE_CALL_BUDGET = 23_580
 
 
 def _mpi_exchange(rounds=10):
@@ -189,6 +191,45 @@ def test_mpi_exchange_host_calls_stay_within_budget():
         f"{count:,} host calls for the fixed MPI exchange, budget "
         f"{MPI_EXCHANGE_CALL_BUDGET:,} — is an envelope field back to one "
         "element each, or a property back on the receive's wait check?")
+
+
+#: Host calls of building one ``MPIWorld`` over ready contexts, by rank
+#: count: 84 and 228 when startpoints became bound on first use; 715 and
+#: 5,963 when the world wired all n² of them up front, each with two
+#: copies of its peer's table.  Each budget is that count plus 10 %.
+WORLD_BUILD_CALL_BUDGETS = {8: 92, 24: 250}
+
+
+def _world_build_calls(ranks):
+    """Host calls of ``MPIWorld(...)`` alone, the testbed and contexts
+    built outside the profile (after one warm-up build)."""
+
+    def calls():
+        bed = make_sp2(nodes_a=ranks // 2, nodes_b=ranks - ranks // 2)
+        contexts = [bed.nexus.context(h) for h in bed.hosts]
+        profile = cProfile.Profile()
+        profile.enable()
+        MPIWorld(bed.nexus, contexts)
+        profile.disable()
+        return sum(entry.callcount for entry in profile.getstats())
+
+    calls()
+    return calls()
+
+
+def test_mpi_world_startup_is_linear_in_ranks():
+    """Deterministic tripwire for the MPI startup exchange: a world keeps
+    one published table per rank and wires no link before its first
+    send, so building it costs O(ranks) host calls, not O(ranks²)."""
+    counts = {ranks: _world_build_calls(ranks)
+              for ranks in WORLD_BUILD_CALL_BUDGETS}
+    assert counts[24] <= 3.5 * counts[8], (
+        f"{counts} host calls to build 8- and 24-rank worlds: startup "
+        "grows faster than the rank count — is the n² mesh back?")
+    for ranks, budget in WORLD_BUILD_CALL_BUDGETS.items():
+        assert counts[ranks] <= budget, (
+            f"{counts[ranks]:,} host calls to build a {ranks}-rank world, "
+            f"budget {budget:,}")
 
 
 #: Host calls of one warm traced ``run_scenario`` (4 open-loop clients at

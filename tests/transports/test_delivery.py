@@ -169,8 +169,9 @@ class TestViaRouting:
         # and require tcp so selection can't take mpl.
         from repro.core.selection import RequireMethod
         endpoint = b.new_endpoint()
-        table = b.export_table().copy()
-        table.replace("tcp", table.entry("tcp").with_param("via", relay.id))
+        table = b.export_table()
+        table = table.replace("tcp",
+                              table.entry("tcp").with_param("via", relay.id))
         sp = a.new_startpoint(policy=RequireMethod("tcp"))
         sp.bind_address(b.id, endpoint.id, table)
 

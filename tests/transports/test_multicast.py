@@ -52,8 +52,8 @@ class TestGroupSend:
         sp = sender.new_startpoint()
         for ctx in contexts[1:]:
             endpoint = ctx.new_endpoint()
-            table = ctx.export_table().copy()
-            table.add(mcast.descriptor_for_group(ctx, group), position=0)
+            table = ctx.export_table().add(
+                mcast.descriptor_for_group(ctx, group), position=0)
             sp.bind_address(ctx.id, endpoint.id, table)
         sp.set_method("mcast")
         return sp
@@ -91,7 +91,8 @@ class TestGroupSend:
             ctx.register_handler("u", lambda c, e, buf: got.append(c.name))
         sp = self._mcast_startpoint(contexts, mcast)
         sp.links[0].comm = None
-        sp.links[0].table.remove("mcast")  # first link now prefers mpl
+        first = sp.links[0]
+        first.table = first.table.remove("mcast")  # first link now prefers mpl
 
         def sender():
             yield from sp.rsr("u", Buffer())
