@@ -15,7 +15,7 @@ from .chaos import (
 )
 from .config import TEST_CONFIG, ClimateConfig, ClimateMode
 from .coupling import atmo_children, ocean_parent
-from .grid import Slab, gather_global, halo_exchange
+from .grid import Slab, halo_exchange
 from .model import ClimateResult, run_coupled_model
 from .ocean import Ocean
 
@@ -31,7 +31,6 @@ __all__ = [
     "Slab",
     "TEST_CONFIG",
     "atmo_children",
-    "gather_global",
     "halo_exchange",
     "ocean_parent",
     "run_chaos_climate",

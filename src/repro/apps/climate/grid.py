@@ -109,13 +109,3 @@ def halo_exchange(proc: "MpiProcess", comm: "Communicator", slab: Slab):
         else:
             slab.data[0] = _t.cast(np.ndarray, received)
     slab.fill_boundary_ghosts()
-
-
-def gather_global(proc: "MpiProcess", comm: "Communicator", slab: Slab,
-                  root: int = 0):
-    """Generator: assemble the full field on ``root`` (for verification)."""
-    pieces = yield from proc.gather(slab.interior.copy(), root=root,
-                                    comm=comm)
-    if pieces is None:
-        return None
-    return np.vstack(_t.cast(list, pieces))

@@ -42,10 +42,6 @@ class Ocean:
 
     # -- coupler interface ------------------------------------------------
 
-    def apply_fluxes(self, flux: np.ndarray) -> None:
-        """Install the atmospheric flux forcing for the coming steps."""
-        self.flux.interior[:] = flux
-
     def surface_temperature(self) -> np.ndarray:
         """SST field returned to the atmosphere."""
         return self.sst.interior.copy()

@@ -62,7 +62,7 @@ from ..simnet.faults import FaultPlan
 from ..util.records import ResultTable
 from ..util.report import critical_path_report
 from . import Artefact, RunOptions
-from .load import windowed_metrics
+from .load import SERVICE_OPS, SERVICE_TIME_S, windowed_metrics
 from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -100,7 +100,8 @@ def chaos_scenario() -> LoadScenario:
         fleets=(FleetSpec("rpc-remote", clients=6,
                           arrival=OpenLoop(rate=60.0),
                           sizes=FixedSize(2048), route="remote",
-                          service_ops=10, service_time=200e-6),),
+                          service_ops=SERVICE_OPS,
+                          service_time=SERVICE_TIME_S),),
         duration=0.3, timeline_windows=15,
         transports=("local", "mpl", "tcp", "udp"),
         skip_poll=(("tcp", 4),), chaos=_chaos_window)

@@ -59,6 +59,7 @@ from ..place import (
 )
 from ..util.records import ResultTable
 from . import Artefact, RunOptions
+from .load import SERVICE_OPS, SERVICE_TIME_S
 from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
 
 #: The serving workload being placed: the §4.3 setup — eight clients of
@@ -66,8 +67,6 @@ from .record import DIR_HIGHER, DIR_NONE, KIND_COUNT, Metric, slug
 CLIENTS = 8
 REMOTE_SERVERS = 3
 PAYLOAD_BYTES = 1024
-SERVICE_OPS = 10
-SERVICE_TIME_S = 200e-6
 DURATION_S = 0.2
 
 #: The profiling rate: deep enough into saturation that every rank's

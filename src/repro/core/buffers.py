@@ -67,10 +67,6 @@ class Buffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def element_types(self) -> list[str]:
-        """The type tags of all elements, in pack order."""
-        return [tag for tag, _value, _size in self._items]
-
     # -- packing ------------------------------------------------------------
 
     # Every ``put_*`` appends its element and adds its size in its own
@@ -250,16 +246,6 @@ class Buffer:
             self._miss(_STARTPOINT)
         self._cursor += 1
         return context.import_startpoint(wire)
-
-    def peek_type(self) -> str | None:
-        """The type tag of the next element, or ``None`` at end."""
-        if self._cursor >= len(self._items):
-            return None
-        return self._items[self._cursor][0]
-
-    def rewind(self) -> None:
-        """Reset the read cursor (used when one buffer fans out)."""
-        self._cursor = 0
 
     def reader_copy(self) -> "Buffer":
         """A read-view sharing packed data but with an independent cursor.

@@ -171,10 +171,6 @@ class Context:
             self._comm_objects[key] = comm
         return comm
 
-    def comm_objects(self) -> list[CommObject]:
-        """All live comm objects (enquiry)."""
-        return list(self._comm_objects.values())
-
     # -- transport-facing surface (ContextLike) ------------------------------------
 
     def inbox(self, method: str) -> Store:

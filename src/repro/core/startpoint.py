@@ -25,7 +25,7 @@ import dataclasses
 import typing as _t
 
 from ..obs.spans import PHASE_FAILOVER, PHASE_PROBE, PHASE_RETRY
-from ..transports.base import Descriptor, WireMessage
+from ..transports.base import WireMessage
 from ..transports.errors import DeliveryError
 from ..transports.multicast import MulticastTransport
 from .buffers import Buffer
@@ -132,10 +132,6 @@ class Startpoint:
         """Bind to a remote endpoint by address + (shared) table."""
         self.links.append(Link(context_id, endpoint_id, table))
         return self
-
-    @property
-    def is_bound(self) -> bool:
-        return bool(self.links)
 
     @property
     def is_multicast(self) -> bool:

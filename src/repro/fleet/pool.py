@@ -57,6 +57,7 @@ import contextlib
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
+import os
 import pickle
 import threading
 import time
@@ -190,6 +191,35 @@ def _worker_main(index: int, task_queue, conn) -> None:
 
 # -- parent side --------------------------------------------------------------
 
+def _join_feeder(tasks: "multiprocessing.Queue") -> None:
+    """Wait, boundedly, for the closed task queue's feeder thread to end.
+
+    The feeder is a daemon thread holding the last references to the
+    queue's semaphores.  Left running into interpreter exit it can be
+    stopped between a semaphore's unlink and its unregistering, and the
+    resource tracker then reports the semaphore leaked.  After
+    ``close()`` the feeder flushes what the queue still buffers into the
+    pipe, then exits; once the workers are gone nothing else reads that
+    pipe, so the parent reads it empty until the feeder is done.  It
+    reads raw bytes, not messages: a worker killed mid-read leaves the
+    stream mid-message.
+    """
+    feeder = tasks._thread  # type: ignore[attr-defined]
+    reader = tasks._reader  # type: ignore[attr-defined]
+    deadline = time.monotonic() + _JOIN_TIMEOUT_S
+    while feeder is not None and feeder.is_alive():
+        if time.monotonic() > deadline:  # pragma: no cover - stuck feeder
+            tasks.cancel_join_thread()
+            return
+        feeder.join(0.01)
+        try:
+            while reader.poll() and os.read(reader.fileno(), 1 << 16):
+                pass
+        except (OSError, ValueError):
+            pass  # the feeder closed the pipe on its way out
+    tasks.join_thread()
+
+
 class FleetPool:
     """A persistent pool of spawned workers; a context manager.
 
@@ -297,7 +327,7 @@ class FleetPool:
         self._conns.clear()
         if self._tasks is not None:
             self._tasks.close()
-            self._tasks.cancel_join_thread()
+            _join_feeder(self._tasks)
         self._tasks = None
 
     # -- submission & collection ---------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import itertools
 import typing as _t
 
 from ..core.buffers import Buffer
@@ -61,18 +60,6 @@ class InPort:
         return len(self.queue)
 
     # -- receiving ------------------------------------------------------------
-
-    def try_receive(self) -> tuple[bool, object]:
-        """Nonblocking: ``(True, value)`` or ``(False, None)``.
-
-        Raises :class:`ChannelClosed` once the channel is drained.
-        """
-        if self.queue:
-            self.received += 1
-            return True, self.queue.popleft()
-        if self.open_writers <= 0:
-            raise ChannelClosed("end of channel")
-        return False, None
 
     def receive(self):
         """Generator: the next value in merge order (blocks via the poll

@@ -328,11 +328,6 @@ class MixedRoundPattern:
                               if index % self.remote_every == 0 else None),
             )
 
-    def bytes_per_round(self) -> float:
-        """Mean offered bytes per round (both directions of each pair)."""
-        return (self.local_bytes
-                + self.remote_bytes / self.remote_every)
-
 
 __all__ = [
     "ArrivalProcess",

@@ -62,11 +62,6 @@ class CapacityResult:
     first_failing_rate: float | None
     probes: tuple[CapacityProbe, ...]
 
-    @property
-    def saturated_bracket(self) -> bool:
-        """True when the search actually located the SLO cliff."""
-        return self.capacity > 0.0 and self.first_failing_rate is not None
-
     def as_dict(self) -> dict[str, object]:
         return {
             "scenario": self.scenario,

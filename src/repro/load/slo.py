@@ -194,9 +194,6 @@ class SLOVerdict:
     #: run carried a timeline.
     windowed: WindowedVerdict | None = None
 
-    def failed_objectives(self) -> tuple[ObjectiveResult, ...]:
-        return tuple(o for o in self.objectives if not o.passed)
-
     def as_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
             "slo": self.slo,

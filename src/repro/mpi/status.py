@@ -18,8 +18,3 @@ class Status:
     nbytes: int
     sent_at: float
     received_at: float
-
-    @property
-    def transit_time(self) -> float:
-        """Send-call to matched-receive latency (virtual seconds)."""
-        return self.received_at - self.sent_at

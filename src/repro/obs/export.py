@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..util.ascii_chart import GLYPHS, render_chart
+from ..util.ascii_chart import GLYPHS
 from ..util.document import DocumentError, Schema, write
-from ..util.records import Series
-from .metrics import Histogram
 from .spans import NEXUS_LANE, PHASES, Observability, Span
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -316,41 +314,6 @@ def ascii_timeline(obs: Observability, *, width: int = 72,
     return "\n".join(lines)
 
 
-def histogram_chart(histograms: _t.Mapping[str, Histogram], *,
-                    title: str, width: int = 64, height: int = 12) -> str:
-    """Render labelled histograms as one ASCII chart (count vs bound).
-
-    Built on :func:`repro.util.ascii_chart.render_chart`; each entry of
-    ``histograms`` becomes one series of (bucket upper bound, count).
-    """
-    series_list = []
-    for name in sorted(histograms):
-        buckets = histograms[name].nonzero_buckets()
-        if not buckets:
-            continue
-        series = Series(name, "bucket", "count")
-        for bound, count in buckets:
-            series.add(bound, count)
-        series_list.append(series)
-    if not series_list:
-        return f"{title}: (no samples)"
-    log_x = all(x > 0 for s in series_list for x in s.xs)
-    return render_chart(series_list, title=title, width=width,
-                        height=height, log_x=log_x)
-
-
-def latency_chart(obs: Observability, *, width: int = 64,
-                  height: int = 12) -> str:
-    """Per-method end-to-end RSR latency distribution as an ASCII chart."""
-    histograms: dict[str, Histogram] = {}
-    for _name, labels, metric in obs.metrics.collect("rsr_latency_us"):
-        histograms[dict(labels).get("method", NEXUS_LANE)] = _t.cast(
-            Histogram, metric)
-    return histogram_chart(histograms,
-                           title="RSR end-to-end latency [us] by method",
-                           width=width, height=height)
-
-
 #: A Chrome trace carries no ``schema`` key; the validator CLI
 #: recognises it by its ``traceEvents``.
 DOCUMENT = Schema("repro.obs.trace", None, _validate, "Chrome trace")
@@ -359,6 +322,6 @@ DOCUMENT = Schema("repro.obs.trace", None, _validate, "Chrome trace")
 # keep GLYPHS imported name referenced for re-export convenience
 __all__ = [
     "DOCUMENT", "GLYPHS", "PHASE_GLYPHS", "ascii_timeline",
-    "chrome_trace_events", "histogram_chart", "latency_chart",
-    "merged_chrome_trace", "write_merged_chrome_trace",
+    "chrome_trace_events", "merged_chrome_trace",
+    "write_merged_chrome_trace",
 ]

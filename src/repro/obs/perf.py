@@ -89,10 +89,6 @@ class PerfProfile:
             profile.add_run(obs)
         return profile
 
-    @classmethod
-    def from_observability(cls, obs: Observability) -> "PerfProfile":
-        return cls.from_runs([(obs, None)])
-
     def add_run(self, obs: Observability) -> None:
         """Fold one runtime's spans into the profile, one RSR group at a
         time, from whichever sink ran (a log capped at capacity is
@@ -135,10 +131,6 @@ class PerfProfile:
             self.spans_profiled += 1
 
     # -- outputs -------------------------------------------------------------
-
-    @property
-    def total_self_s(self) -> float:
-        return sum(entry[1] for entry in self._agg.values())
 
     def hot_paths(self) -> list[HotPath]:
         """Attribution rows, hottest self time first (ties by key)."""

@@ -538,16 +538,6 @@ class Observability:
             self, issue.rsr, issue, issue.start)
         self.sink.chain_begin(issue.rsr)
 
-    # -- queries -------------------------------------------------------------
-
-    def spans_for_rsr(self, rsr: int) -> list[Span]:
-        return [s for s in self.spans if s.rsr == rsr]
-
-    def phases_for_rsr(self, rsr: int) -> list[str]:
-        """Distinct phases of one RSR, in lifecycle order."""
-        present = {s.phase for s in self.spans if s.rsr == rsr}
-        return [p for p in PHASES if p in present]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Observability enabled={self.enabled} "
                 f"spans={len(self.spans)} rsrs={self.rsrs_started}>")

@@ -312,20 +312,6 @@ class Timeline:
                     totals[window - lo] += value
         return totals
 
-    def histogram_at(self, name: str, key: str,
-                     window: int) -> Histogram | None:
-        self._fold()
-        return self._hists.get((name, key), {}).get(window)
-
-    def count_series(self, name: str, key: str, *,
-                     lo: int | None = None,
-                     hi: int | None = None) -> list[int]:
-        """Per-window sample counts of one histogram series (0 = empty)."""
-        lo, hi = self._span(lo, hi)
-        series = self._hists.get((name, key), {})
-        return [series[w].count if w in series else 0
-                for w in range(lo, hi + 1)]
-
     def quantile_series(self, name: str, key: str, q: float, *,
                         lo: int | None = None,
                         hi: int | None = None) -> list[float | None]:

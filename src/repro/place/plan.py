@@ -58,9 +58,6 @@ class Placement:
             raise PlacementError(
                 "placement methods must be non-empty strings")
 
-    def assignment_map(self) -> dict[int, str]:
-        return dict(self.assignment)
-
     def describe(self) -> str:
         if self.forwarder is None:
             return f"direct/{self.method}"

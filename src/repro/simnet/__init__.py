@@ -25,7 +25,7 @@ from .errors import (
 )
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .faults import FaultPlan
-from .link import Delivery, LinkProfile, Pipe
+from .link import LinkProfile
 from .network import FaultRule, FlakyRule, Machine, Network, Partition, \
     Reservation, WanLink
 from .node import Host
@@ -39,7 +39,6 @@ __all__ = [
     "ClockError",
     "Condition",
     "ConditionValue",
-    "Delivery",
     "Event",
     "EventError",
     "FaultPlan",
@@ -51,7 +50,6 @@ __all__ = [
     "Machine",
     "Network",
     "Partition",
-    "Pipe",
     "Process",
     "ProcessError",
     "RandomStreams",

@@ -65,10 +65,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.items
-
     def put(self, item: object) -> StorePut:
         """Queue ``item``; the returned event succeeds once it is stored."""
         event = StorePut(self.sim, item)
@@ -101,10 +97,6 @@ class Store:
                 self._dispatch()
                 return item
         return None
-
-    def peek_items(self) -> tuple[object, ...]:
-        """A snapshot of queued items (for enquiry/trace purposes)."""
-        return tuple(self.items)
 
     def _dispatch(self) -> None:
         progress = True
@@ -180,10 +172,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: collections.deque[ResourceRequest] = collections.deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
 
     @property
     def available(self) -> int:

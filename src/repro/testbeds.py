@@ -46,11 +46,6 @@ class SP2Testbed:
     def hosts(self) -> list[Host]:
         return self.hosts_a + self.hosts_b
 
-    def context_grid(self, methods: _t.Sequence[str] | None = None):
-        """One context per host, in (partition A, partition B) order."""
-        return ([self.nexus.context(h, methods=methods) for h in self.hosts_a],
-                [self.nexus.context(h, methods=methods) for h in self.hosts_b])
-
 
 def make_sp2(nodes_a: int = 2, nodes_b: int = 2, *,
              transports: _t.Sequence[str] | str = ("local", "mpl", "tcp"),

@@ -16,7 +16,7 @@ Key types:
   method-specific parameters (e.g. MPL's node number and session id).
 * :class:`WireMessage` — the RSR envelope that actually travels.
 * :class:`Transport` — the module ABC: applicability checks, comm-object
-  state construction, ``send`` and ``poll``.
+  state construction, ``send`` and ``collect``.
 
 Transports are written against a narrow structural view of a Nexus
 context (:class:`ContextLike`) to keep the layering acyclic: transports
@@ -187,7 +187,10 @@ class Transport(abc.ABC):
     Subclasses define class attributes ``name`` and ``speed_rank`` (lower
     rank = faster method; descriptor tables are ordered by rank to realise
     the paper's "fastest first" automatic selection policy) and implement
-    the four interface methods.
+    the four abstract methods core calls: ``export_descriptor``,
+    ``applicable``, ``send`` and ``collect`` (``open`` has a default).
+    Polling is core's: the poll manager charges each method's
+    ``poll_cost`` and then calls its ``collect``.
     """
 
     #: Module name; also the descriptor ``method`` field.
@@ -269,19 +272,19 @@ class Transport(abc.ABC):
         continue (asynchronous RSR semantics — *not* when delivered)."""
 
     @abc.abstractmethod
-    def poll(self, context: ContextLike):
-        """Generator: one poll of this method at ``context``.
+    def collect(self, context: ContextLike,
+                lane: ReceiveLane | None = None) -> list[WireMessage]:
+        """Take every message this method can deliver at ``context`` now.
 
-        Charges this method's poll cost to virtual time and returns the
-        list of :class:`WireMessage` now ready for dispatch.
+        The receive half of the function table, as the poll manager
+        drives it: the caller has already charged this method's poll
+        cost, so ``collect`` costs nothing and never advances the clock.
+        ``lane``, if given, holds this method's receive containers at
+        ``context``; without one the method looks them up.  An empty
+        container yields ``[]`` and leaves ``context`` untouched.
         """
 
     # -- shared helpers -----------------------------------------------------
-
-    def _charge(self, seconds: float):
-        """Generator: charge CPU time to the virtual clock."""
-        if seconds > 0:
-            yield self.sim.timeout(seconds)
 
     def _destination(self, descriptor: Descriptor) -> "ContextLike":
         """Resolve the live destination context of a descriptor."""

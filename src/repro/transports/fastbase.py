@@ -27,8 +27,6 @@ penalty is zero and the device runs at full speed.
 
 from __future__ import annotations
 
-import typing as _t
-
 from .base import (
     ContextLike,
     Descriptor,
@@ -113,21 +111,11 @@ class FastTransport(Transport):
         if notify is not None:
             notify()
 
-    def poll(self, context: ContextLike):
-        cost = self.costs.poll_cost
-        if cost > 0:
-            # Inlined Transport._charge.
-            yield self.sim.timeout(cost)
-        return self.collect(context)
-
     def collect(self, context: ContextLike,
                 lane: ReceiveLane | None = None) -> list[WireMessage]:
         """Deliver every drained in-transit message (FIFO, no cost).
-
-        Split out from :meth:`poll` so bulk/analytic polling can reuse the
-        drain logic without paying per-poll event overhead.  ``lane``, if
-        given, holds this method's device queue at ``context``.
-        """
+        ``lane``, if given, holds this method's device queue at
+        ``context``."""
         # Without a lane, reach for the queue dict directly (every core
         # Context has one): unlike ``device_queue()`` that does not
         # materialise a list just to discover there is nothing to drain.
@@ -165,8 +153,8 @@ class FastTransport(Transport):
         """Generator: spin on this method alone until a poll delivers.
 
         The hand-coded receive loop of a single-method program — charge
-        ``loop_cost``, :meth:`poll`, repeat until the poll returns
-        messages — and it returns what that poll returned.  The clock
+        ``loop_cost``, then ``poll_cost``, then :meth:`collect`, repeat
+        until a collect returns messages — and it returns those.  The clock
         reading at every delivery is bit for bit the one the loop would
         have reached, but the empty polls are not simulated one event
         pair each: the spin sleeps until a message reaches the device,

@@ -112,7 +112,9 @@ class IpTransport(Transport):
         if overhead > 0:
             yield self.sim.timeout(overhead)
         if not state.get("connected", False):
-            yield from self._charge(state.get("connect_cost", 0.0))
+            connect_cost = state.get("connect_cost", 0.0)
+            if connect_cost > 0:
+                yield self.sim.timeout(connect_cost)
             state["connected"] = True
             self.services.metrics.counter(f"{self.name}.connections").inc()
 
@@ -199,17 +201,20 @@ class IpTransport(Transport):
         if notify is not None:
             notify()
 
-    # -- poll --------------------------------------------------------------------
-
-    def poll(self, context: ContextLike):
-        yield from self._charge(self.costs.poll_cost)
-        return self.collect(context)
+    # -- receive ---------------------------------------------------------------
 
     def collect(self, context: ContextLike,
                 lane: ReceiveLane | None = None) -> list[WireMessage]:
         """Drain every message already in the kernel buffer (no cost).
         ``lane``, if given, holds this method's inbox at ``context``."""
-        inbox = lane.inbox if lane is not None else context.inbox(self.name)
+        if lane is not None:
+            inbox = lane.inbox
+        else:
+            # The dict, not ``inbox()``: an absent inbox stays absent.
+            inboxes = context._inboxes  # type: ignore[attr-defined]
+            inbox = inboxes.get(self.name)
+            if inbox is None:
+                return []
         ready: list[WireMessage] = []
         # An inbox is unbounded, so nothing ever waits to be put: what
         # ``items`` holds is everything there is to get.

@@ -225,11 +225,6 @@ class FragmentationLayer(ProtocolLayer):
         self.add_recv_cpu(whole, self.per_fragment_cpu * count)
         return [whole]
 
-    @property
-    def partial_messages(self) -> int:
-        """Logical messages currently awaiting fragments (enquiry)."""
-        return len(self._partial)
-
 
 class LayeredTransport(Transport):
     """A protocol stack registered as a communication method of its own."""
@@ -274,7 +269,8 @@ class LayeredTransport(Transport):
                 produced.extend(out)
                 cpu += layer_cpu
             messages = produced
-        yield from self._charge(cpu)
+        if cpu > 0:
+            yield self.sim.timeout(cpu)
         for item in messages:
             yield from self.carrier.send(local, state, descriptor, item)
 
@@ -287,10 +283,6 @@ class LayeredTransport(Transport):
                 surfaced.extend(layer.transform_deliver(item, context))
             messages = surfaced
         return messages
-
-    def poll(self, context: ContextLike):
-        yield from self._charge(self.costs.poll_cost)
-        return self.collect(context)
 
     def traffic(self) -> tuple[int, int, int, int]:
         """The stack's wire traffic is what its private carrier sent."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from .base import ContextLike, Descriptor, Transport, WireMessage
+from .base import ContextLike, Descriptor, WireMessage
 from .errors import DeliveryError
 from .ipbase import IpTransport
 
@@ -90,7 +90,8 @@ class MulticastTransport(IpTransport):
         if not member_ids:
             raise DeliveryError(f"multicast group {group!r} has no remote members")
         costs = self.costs
-        yield from self._charge(costs.send_overhead)
+        if costs.send_overhead > 0:
+            yield self.sim.timeout(costs.send_overhead)
 
         message.method = self.name
         message.sent_at = self.sim.now

@@ -7,7 +7,7 @@ import pytest
 from repro.apps.climate.atmosphere import Atmosphere
 from repro.apps.climate.config import TEST_CONFIG, ClimateConfig
 from repro.apps.climate.coupling import atmo_children, ocean_parent
-from repro.apps.climate.grid import Slab, gather_global, halo_exchange
+from repro.apps.climate.grid import Slab, halo_exchange
 from repro.apps.climate.ocean import Ocean
 from repro.mpi import MPIWorld
 from repro.testbeds import make_sp2
@@ -58,23 +58,6 @@ class TestHaloExchange:
                 assert np.array_equal(slab.data[-1],
                                       slabs[rank + 1].interior[0])
 
-    def test_gather_global_reassembles(self):
-        bed = make_sp2(nodes_a=2, nodes_b=0)
-        contexts = [bed.nexus.context(h) for h in bed.hosts_a]
-        world = MPIWorld(bed.nexus, contexts)
-        field = np.arange(24.0).reshape(6, 4)
-        result = {}
-
-        def body(proc):
-            slab = Slab.from_global(field, proc.rank, 2)
-            out = yield from gather_global(proc, world.comm_world, slab)
-            if out is not None:
-                result["field"] = out
-
-        handles = world.run_spmd(body)
-        bed.nexus.run(until=bed.nexus.sim.all_of(handles))
-        assert np.array_equal(result["field"], field)
-
 
 class TestPhysics:
     def test_atmosphere_conserves_mean_height_serial(self):
@@ -103,7 +86,7 @@ class TestPhysics:
 
     def test_ocean_relaxes_toward_flux(self):
         model = Ocean(0, 1, 16, 8, seed=0)
-        model.apply_fluxes(np.full((8, 16), 5.0))
+        model.flux.interior[:] = 5.0
         before = model.sst.interior.mean()
         for _ in range(20):
             model.sst.fill_boundary_ghosts()
@@ -139,9 +122,10 @@ class TestPhysics:
                 for slab in model.slabs:
                     yield from halo_exchange(proc, world.comm_world, slab)
                 model.step_interior()
-            out = yield from gather_global(proc, world.comm_world, model.h)
-            if out is not None:
-                gathered["h"] = out
+            pieces = yield from proc.gather(model.h.interior.copy(), root=0,
+                                            comm=world.comm_world)
+            if pieces is not None:
+                gathered["h"] = np.vstack(pieces)
 
         handles = world.run_spmd(body)
         bed.nexus.run(until=bed.nexus.sim.all_of(handles))

@@ -564,7 +564,7 @@ def reference_attach(controller: "AdaptiveSkipPoll") -> None:
     def observing_poll():
         inbox = controller.context.inbox(method)
         oldest = 0.0
-        queued = inbox.peek_items()
+        queued = inbox.items
         if queued:
             oldest = max(sim.now - getattr(m, "arrived_at", sim.now)
                          for m in queued)

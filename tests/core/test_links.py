@@ -68,7 +68,7 @@ class TestBinding:
     def test_bind_chains(self, pair):
         _bed, a, b = pair
         sp = a.new_startpoint().bind(b.new_endpoint()).bind(b.new_endpoint())
-        assert sp.is_bound and sp.is_multicast
+        assert sp.is_multicast
         assert len(sp.links) == 2
 
     def test_bind_carries_descriptor_table(self, pair):

@@ -165,7 +165,7 @@ class TestDynamicChange:
         sp1 = a.startpoint_to(endpoint1)
         sp2 = a.startpoint_to(endpoint2)
         assert connect(sp1) is connect(sp2)
-        assert len(a.comm_objects()) == 1
+        assert len(a._comm_objects) == 1
 
 
 class TestFigure3Scenario:

@@ -206,3 +206,39 @@ class TestSharedPoolRecovers:
         assert [len(result) for result in run.results().values()] \
             == [8 * 2 ** 20] * 3
         assert worker_pids() == before
+
+
+class TestTeardown:
+    """A closed pool's task-queue feeder thread has ended: left running
+    into interpreter exit, it can leak the queue's semaphores."""
+
+    @pytest.mark.parametrize("end", ["close", "terminate"])
+    def test_no_feeder_thread_outlives_the_pool(self, end):
+        pool = FleetPool(2, name=f"feeder-{end}")
+        outcomes = pool.run([FleetTask(key=f"t{index}", runner=FINE,
+                                       payload={"value": index})
+                             for index in range(4)])
+        assert [outcome.result for outcome in outcomes.values()] \
+            == [0, 2, 4, 6]
+        feeder = pool._tasks._thread
+        assert feeder.is_alive()
+        getattr(pool, end)()
+        assert not feeder.is_alive()
+
+    def test_terminate_is_prompt_when_dead_workers_left_the_pipe_full(self):
+        pool = FleetPool(1, name="feeder-full").start()
+        for proc in pool._procs:
+            proc.kill()
+            proc.join(timeout=5)
+            assert not proc.is_alive()
+        # 8 x 128 KiB of tasks: far more than a pipe buffer holds, so
+        # the feeder blocks writing with no worker left to read.
+        for index in range(8):
+            pool.submit(FleetTask(key=f"k{index}", runner=FINE,
+                                  payload={"value": b"x" * 2 ** 17}))
+        feeder = pool._tasks._thread
+        time.sleep(0.05)
+        started = time.monotonic()
+        pool.terminate()
+        assert time.monotonic() - started < 2.0
+        assert not feeder.is_alive()

@@ -116,26 +116,6 @@ class TestBasics:
 
         assert run(bed, body())[0] == "rejected"
 
-    def test_try_receive(self, bed):
-        reader_ctx, = contexts(bed, 1)
-        out, inport = channel(reader_ctx)
-
-        def body():
-            ok, _ = inport.try_receive()
-            assert not ok
-            yield from out.send(9)
-            yield from reader_ctx.wait(lambda: len(inport) > 0)
-            ok, value = inport.try_receive()
-            assert ok and value == 9
-            yield from out.close()
-            yield from reader_ctx.wait(lambda: inport.open_writers == 0)
-            try:
-                inport.try_receive()
-            except ChannelClosed:
-                return "eoc"
-
-        assert run(bed, body())[0] == "eoc"
-
 
 class TestMergers:
     def test_forked_writers_merge(self, bed):

@@ -152,11 +152,6 @@ class TestMixedRoundPattern:
         remote = [op.index for op in ops if op.remote_bytes is not None]
         assert remote == [0, 5]
 
-    def test_bytes_per_round(self):
-        pattern = MixedRoundPattern(local_bytes=1000, remote_bytes=5000,
-                                    remote_every=5)
-        assert pattern.bytes_per_round() == 2000.0
-
     def test_rejects_bad_spec(self):
         with pytest.raises(LoadSpecError):
             MixedRoundPattern(remote_every=0)

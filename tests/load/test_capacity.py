@@ -53,7 +53,6 @@ class TestBracketLogic:
         assert result.capacity == 0.0
         assert result.first_failing_rate == 100.0
         assert fake.rates == [100.0]
-        assert not result.saturated_bracket
 
     def test_high_pass_means_bracket_never_saturates(self, monkeypatch):
         fake = _FakeProbes(cliff=1e9)
@@ -69,7 +68,6 @@ class TestBracketLogic:
         monkeypatch.setattr(capacity_mod, "_probe", fake)
         result = find_capacity(_scenario(), SLO_TIGHT, low=100.0,
                                high=1000.0, tolerance=0.05, max_probes=20)
-        assert result.saturated_bracket
         assert result.capacity <= 400.0 < result.first_failing_rate
         # Converged: bracket within tolerance of the passing edge.
         assert (result.first_failing_rate - result.capacity

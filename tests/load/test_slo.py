@@ -53,12 +53,12 @@ class TestEvaluate:
                                        max_drop_fraction=0.5,
                                        max_retry_fraction=0.5))
         assert verdict.passed
-        assert not verdict.failed_objectives()
+        assert all(o.passed for o in verdict.objectives)
 
     def test_impossible_latency_budget_fails(self, result):
         verdict = evaluate(result, SLO(name="harsh", p50_latency_us=0.5))
         assert not verdict.passed
-        failed = verdict.failed_objectives()
+        failed = [o for o in verdict.objectives if not o.passed]
         assert [o.objective for o in failed] == ["p50_latency_us"]
         assert failed[0].actual is not None
         assert failed[0].actual > 0.5

@@ -113,7 +113,7 @@ class TestMisc:
         queues.deliver(msg(source=4, tag=2, sent_at=10.0))
         status = posted.status(received_at=12.5)
         assert status.source == 4 and status.tag == 2
-        assert status.transit_time == 2.5
+        assert (status.sent_at, status.received_at) == (10.0, 12.5)
 
     def test_status_before_match_rejected(self):
         posted = PostedRecv(0, ANY_SOURCE, ANY_TAG)

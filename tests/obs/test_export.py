@@ -84,12 +84,6 @@ class TestTerminalRenderings:
         assert "no closed spans" in export.ascii_timeline(
             Observability(sim, enabled=True))
 
-    def test_latency_chart(self, traced):
-        obs, _nexus = traced
-        chart = export.latency_chart(obs)
-        assert "latency" in chart
-        assert "mpl" in chart and "tcp" in chart
-
 
 class TestValidator:
     def _valid(self, traced):

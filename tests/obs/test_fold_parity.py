@@ -59,7 +59,7 @@ def run_pair(tmp_path, scenario):
 
 def span_products(obs, nexus):
     """The span products of one run, read from whichever sink it used."""
-    profile = PerfProfile.from_observability(obs)
+    profile = PerfProfile.from_runs([(obs, None)])
     return (dumps(graph_document(extract_graph(obs, nexus=nexus))),
             dumps(critpath_document(extract_critical_paths(
                 obs, top_k=TOP_PATHS))),

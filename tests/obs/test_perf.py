@@ -13,10 +13,14 @@ from .test_spans import run_pingpong
 STACK_LINE = re.compile(r"^[^ ]+ \d+$")
 
 
+def total_self_s(profile):
+    return sum(path.self_s for path in profile.hot_paths())
+
+
 @pytest.fixture(scope="module")
 def profile():
     bed = run_pingpong()
-    return PerfProfile.from_observability(bed.nexus.obs)
+    return PerfProfile.from_runs([(bed.nexus.obs, None)])
 
 
 class TestUnionLength:
@@ -52,7 +56,7 @@ class TestAttribution:
         # Self time is duration minus child overlap, so the profile's
         # total self time can never exceed the sum of root durations.
         total_cum = sum(p.cum_s for p in profile.hot_paths())
-        assert 0.0 < profile.total_self_s <= total_cum
+        assert 0.0 < total_self_s(profile) <= total_cum
 
     def test_counts_spans(self, profile):
         assert profile.spans_profiled > 0
@@ -70,8 +74,8 @@ class TestCollapsedStacks:
             assert stack.startswith("rsr:h;")
 
     def test_deterministic_across_identical_runs(self):
-        first = PerfProfile.from_observability(run_pingpong().nexus.obs)
-        second = PerfProfile.from_observability(run_pingpong().nexus.obs)
+        first = PerfProfile.from_runs([(run_pingpong().nexus.obs, None)])
+        second = PerfProfile.from_runs([(run_pingpong().nexus.obs, None)])
         assert first.collapsed_stacks() == second.collapsed_stacks()
 
     def test_write_collapsed(self, profile, tmp_path):
@@ -104,13 +108,13 @@ class TestFromRuns:
         obs_a = run_pingpong().nexus.obs
         obs_b = run_pingpong().nexus.obs
         merged = PerfProfile.from_runs([(obs_a, None), (obs_b, None)])
-        single = PerfProfile.from_observability(obs_a)
+        single = PerfProfile.from_runs([(obs_a, None)])
         assert merged.spans_profiled == 2 * single.spans_profiled
-        assert merged.total_self_s == pytest.approx(
-            2 * single.total_self_s)
+        assert total_self_s(merged) == pytest.approx(
+            2 * total_self_s(single))
 
     def test_disabled_runtime_profiles_nothing(self):
         obs = run_pingpong(observe=False).nexus.obs
-        profile = PerfProfile.from_observability(obs)
+        profile = PerfProfile.from_runs([(obs, None)])
         assert profile.hot_paths() == []
         assert profile.collapsed_stacks() == []

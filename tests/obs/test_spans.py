@@ -2,15 +2,21 @@
 
 import types
 
-import pytest
-
 from repro.core.buffers import Buffer
 from repro.core.forwarding import ForwardingService
-from repro.obs import PHASES, Counter, Observability
+from repro.obs import Counter, Observability
 from repro.testbeds import make_sp2
 
 REQUIRED = {"issue", "marshal", "enqueue", "wire", "poll_detect",
             "dispatch", "handler"}
+
+
+def spans_of(obs, rsr):
+    return [s for s in obs.spans if s.rsr == rsr]
+
+
+def phases_of(obs, rsr):
+    return {s.phase for s in spans_of(obs, rsr)}
 
 
 def run_pingpong(observe=True):
@@ -73,12 +79,7 @@ class TestLifecycle:
         assert obs.rsrs_started == 2
         assert obs.rsrs_finished == 2
         for rsr in (1, 2):
-            assert REQUIRED <= set(obs.phases_for_rsr(rsr))
-
-    def test_phases_in_lifecycle_order(self):
-        bed = run_pingpong()
-        phases = bed.nexus.obs.phases_for_rsr(1)
-        assert phases == [p for p in PHASES if p in set(phases)]
+            assert REQUIRED <= phases_of(obs, rsr)
 
     def test_spans_are_closed_with_nonnegative_durations(self):
         bed = run_pingpong()
@@ -90,7 +91,7 @@ class TestLifecycle:
         bed = run_pingpong()
         obs = bed.nexus.obs
         for rsr in (1, 2):
-            spans = obs.spans_for_rsr(rsr)
+            spans = spans_of(obs, rsr)
             by_id = {span.id: span for span in spans}
             roots = [span for span in spans if span.parent is None]
             assert [root.phase for root in roots] == ["issue"]
@@ -178,12 +179,12 @@ class TestForwarding:
         nexus.run(until=done)
 
         obs = nexus.obs
-        phases = obs.phases_for_rsr(1)
+        phases = phases_of(obs, 1)
         assert "forward" in phases
         # Both lanes appear: tcp into the forwarder, mpl out of it.
-        lanes = {s.lane for s in obs.spans_for_rsr(1) if s.phase == "wire"}
+        lanes = {s.lane for s in spans_of(obs, 1) if s.phase == "wire"}
         assert lanes == {"tcp", "mpl"}
-        forward = [s for s in obs.spans_for_rsr(1) if s.phase == "forward"]
+        forward = [s for s in spans_of(obs, 1) if s.phase == "forward"]
         assert forward[0].attrs["hop"] == 1
         forwarded = obs.metrics.collect("rsr_forwarded")
         assert forwarded and forwarded[0][2].value == 1
@@ -225,7 +226,7 @@ class TestMulticast:
         nexus.run(until=nexus.sim.all_of(waits))
 
         obs = nexus.obs
-        spans = obs.spans_for_rsr(1)
+        spans = spans_of(obs, 1)
         group_wire = [s for s in spans
                       if s.phase == "wire" and s.attrs
                       and s.attrs.get("group") == "g"]
@@ -236,14 +237,10 @@ class TestMulticast:
         assert len([s for s in spans if s.phase == "handler"]) == 3
         # Every RSR that was delivered has the full acceptance phase set.
         assert {"marshal", "wire", "poll_detect",
-                "dispatch"} <= set(obs.phases_for_rsr(1))
+                "dispatch"} <= phases_of(obs, 1)
 
 
 class TestObservabilityQueries:
-    def test_phases_for_unknown_rsr_is_empty(self, sim):
-        obs = Observability(sim, enabled=True)
-        assert obs.phases_for_rsr(99) == []
-
     def test_rsr_ids_are_dense_from_one(self):
         bed = run_pingpong()
         rsrs = {span.rsr for span in bed.nexus.obs.spans}

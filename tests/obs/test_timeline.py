@@ -76,12 +76,6 @@ class TestEmptyIsNa:
         tl.inc(SERIES_ISSUED, KEY_ALL, now=0.025, amount=2.0)
         assert tl.counter_series(SERIES_ISSUED, KEY_ALL) == [1.0, 0.0, 2.0]
 
-    def test_count_series_reports_empty_windows_as_zero_samples(self):
-        tl = make_timeline(0.01)
-        tl.observe(SERIES_LATENCY, KEY_ALL, now=0.005, value=50.0)
-        tl.observe(SERIES_LATENCY, KEY_ALL, now=0.025, value=500.0)
-        assert tl.count_series(SERIES_LATENCY, KEY_ALL) == [1, 0, 1]
-
 
 class TestSeries:
     def test_counter_total_series_sums_by_prefix(self):
@@ -115,7 +109,7 @@ class TestSeries:
         tl.observe(SERIES_LATENCY, KEY_ALL, now=0.005, value=0.5)
         tl.observe(SERIES_LATENCY, KEY_ALL, now=0.015, value=0.5)
         assert tl.truncated == 1
-        assert tl.count_series(SERIES_LATENCY, KEY_ALL) == [1]
+        assert tl.mean_series(SERIES_LATENCY, KEY_ALL) == [0.5]
 
 
 def fill(tl):

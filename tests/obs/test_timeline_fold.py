@@ -138,7 +138,6 @@ def answers(tl):
     ``-0.0`` from ``0.0``)."""
     out = [dumps(timeline_document(tl, meta={"m": 1})),
            repr(tl.window_range()), repr(tl.truncated)]
-    window_range = tl.window_range() or (0, -1)
     for name in NAMES + ("absent",):
         out.append(repr(tl.keys(name)))
         for prefix in ("", "method=", "rank="):
@@ -146,13 +145,9 @@ def answers(tl):
         for key in KEYS + ("method=mpl", "method=tcp", "rank=0"):
             out.append(repr(tl.counter_series(name, key)))
             out.append(repr(tl.counter_series(name, key, lo=-1, hi=3)))
-            out.append(repr(tl.count_series(name, key)))
             out.append(repr(tl.mean_series(name, key)))
             for q in (0.0, 0.5, 0.99, 1.0):
                 out.append(repr(tl.quantile_series(name, key, q)))
-            for window in range(window_range[0] - 1, window_range[1] + 2):
-                hist = tl.histogram_at(name, key, window)
-                out.append(repr(None if hist is None else hist.snapshot()))
     return out
 
 
@@ -201,10 +196,10 @@ def test_max_windows_cap_applies_by_column_then_window():
         eager_observe(eager, SERIES_LATENCY, key, now, 0.5)
     # Eager: each series keeps its first window; fold: column "x" takes
     # both cells before column "y" is folded.
-    assert eager.count_series(SERIES_LATENCY, "x") == [1]
-    assert eager.count_series(SERIES_LATENCY, "y") == [1]
-    assert folded.count_series(SERIES_LATENCY, "x") == [1, 1]
-    assert folded.count_series(SERIES_LATENCY, "y") == [0, 0]
+    assert eager.mean_series(SERIES_LATENCY, "x") == [0.5]
+    assert eager.mean_series(SERIES_LATENCY, "y") == [0.5]
+    assert folded.mean_series(SERIES_LATENCY, "x") == [0.5, 0.5]
+    assert folded.mean_series(SERIES_LATENCY, "y") == [None, None]
     assert folded.truncated == eager.truncated == 2
     assert folded.keys(SERIES_LATENCY) == eager.keys(SERIES_LATENCY)
 
@@ -213,8 +208,8 @@ def test_fold_drains_columns_and_continues_cells():
     tl = Timeline(0.01, bounds=(1.0,))
     column = tl.histogram_column(SERIES_LATENCY, KEY_ALL)
     tl.observe(SERIES_LATENCY, KEY_ALL, 0.001, 0.1)
-    assert tl.count_series(SERIES_LATENCY, KEY_ALL) == [1]
+    assert tl.mean_series(SERIES_LATENCY, KEY_ALL) == [0.1]
     assert len(column) == 0
     tl.observe(SERIES_LATENCY, KEY_ALL, 0.002, 0.2)
-    hist = tl.histogram_at(SERIES_LATENCY, KEY_ALL, 0)
-    assert (hist.count, hist.total) == (2, 0.1 + 0.2)
+    cell = timeline_document(tl)["histograms"][SERIES_LATENCY][KEY_ALL]["0"]
+    assert (cell["count"], cell["sum"]) == (2, 0.1 + 0.2)

@@ -33,7 +33,6 @@ class TestPlacementSpec:
     def test_assignment_normalises_to_sorted_tuples(self):
         placement = Placement(assignment=((3, "B"), (1, "A")))
         assert placement.assignment == ((1, "A"), (3, "B"))
-        assert placement.assignment_map() == {1: "A", 3: "B"}
 
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(PlacementError, match="repeats ranks"):

@@ -1,8 +1,8 @@
-"""Tests for link profiles and pipes."""
+"""Tests for link profiles."""
 
 import pytest
 
-from repro.simnet import LinkProfile, Pipe, RandomStreams, Store
+from repro.simnet import LinkProfile
 from repro.simnet.errors import SimnetError
 from repro.util.units import MB, mbps, milliseconds
 
@@ -20,11 +20,6 @@ class TestLinkProfile:
         assert p.serialization_time(10 * MB) == pytest.approx(1.0)
         assert p.serialization_time(0) == 0.0
 
-    def test_one_way_time(self):
-        p = profile()
-        assert p.one_way_time(10 * MB) == pytest.approx(
-            milliseconds(1.0) + 1.0)
-
     def test_negative_size_rejected(self):
         with pytest.raises(SimnetError):
             profile().serialization_time(-1)
@@ -41,87 +36,3 @@ class TestLinkProfile:
         p = profile().scaled(latency_factor=2.0, bandwidth_factor=0.5)
         assert p.latency == pytest.approx(milliseconds(2.0))
         assert p.bandwidth == pytest.approx(mbps(5.0))
-
-
-class TestPipe:
-    def test_delivery_time(self, sim):
-        inbox = Store(sim)
-        pipe = Pipe(sim, profile(), inbox.put)
-        got = {}
-
-        def sender():
-            yield from pipe.send("payload", 10 * MB)
-
-        def receiver():
-            delivery = yield inbox.get()
-            got["at"] = sim.now
-            got["delivery"] = delivery
-
-        done = sim.process(receiver())
-        sim.process(sender())
-        sim.run(until=done)
-        # serialization 1 s + latency 1 ms
-        assert got["at"] == pytest.approx(1.0 + milliseconds(1.0))
-        assert got["delivery"].payload == "payload"
-        assert got["delivery"].nbytes == 10 * MB
-
-    def test_serialization_queues_but_latency_pipelines(self, sim):
-        inbox = Store(sim)
-        pipe = Pipe(sim, profile(), inbox.put)
-        arrivals = []
-
-        def sender():
-            yield from pipe.send("a", 10 * MB)
-
-        def sender2():
-            yield from pipe.send("b", 10 * MB)
-
-        def receiver():
-            for _ in range(2):
-                delivery = yield inbox.get()
-                arrivals.append((delivery.payload, sim.now))
-
-        done = sim.process(receiver())
-        sim.process(sender())
-        sim.process(sender2())
-        sim.run(until=done)
-        assert arrivals[0] == ("a", pytest.approx(1.0 + 1e-3))
-        assert arrivals[1] == ("b", pytest.approx(2.0 + 1e-3))
-
-    def test_lossy_pipe_drops(self, sim):
-        rng = RandomStreams(7).stream("pipe")
-        inbox = Store(sim)
-        pipe = Pipe(sim, profile(drop_probability=0.5), inbox.put, rng=rng)
-
-        def sender():
-            for _ in range(200):
-                yield from pipe.send("x", 1)
-
-        sim.process(sender())
-        sim.run()
-        assert pipe.messages_sent == 200
-        assert 40 < pipe.messages_dropped < 160
-        assert len(inbox) == 200 - pipe.messages_dropped
-
-    def test_lossy_pipe_requires_rng(self, sim):
-        pipe = Pipe(sim, profile(drop_probability=0.5), lambda d: None)
-
-        def sender():
-            yield from pipe.send("x", 1)
-
-        sim.process(sender())
-        with pytest.raises(SimnetError, match="rng"):
-            sim.run()
-
-    def test_stats(self, sim):
-        inbox = Store(sim)
-        pipe = Pipe(sim, profile(), inbox.put)
-
-        def sender():
-            yield from pipe.send("x", 1000)
-            yield from pipe.send("y", 500)
-
-        sim.process(sender())
-        sim.run()
-        assert pipe.messages_sent == 2
-        assert pipe.bytes_sent == 1500

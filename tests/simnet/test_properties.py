@@ -1,7 +1,5 @@
 """Property-based tests for the discrete-event engine (hypothesis)."""
 
-import heapq
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +77,7 @@ def test_store_preserves_fifo_and_conserves_items(items):
     done = sim.process(consumer())
     sim.run(until=done)
     assert out == items
-    assert store.is_empty
+    assert not store.items
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
@@ -98,8 +96,8 @@ def test_resource_never_oversubscribed(requests, capacity):
     def user(amount, hold):
         nonlocal max_in_use
         yield resource.request(amount)
-        max_in_use = max(max_in_use, resource.in_use)
-        assert resource.in_use <= capacity
+        max_in_use = max(max_in_use, capacity - resource.available)
+        assert resource.available >= 0
         yield sim.timeout(hold)
         resource.release(amount)
         granted.append(amount)
@@ -108,7 +106,7 @@ def test_resource_never_oversubscribed(requests, capacity):
         sim.process(user(amount, hold))
     sim.run()
     assert len(granted) == len(requests)
-    assert resource.in_use == 0
+    assert resource.available == capacity
     assert max_in_use <= capacity
 
 

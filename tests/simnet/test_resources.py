@@ -62,7 +62,7 @@ class TestStore:
                 store.put(item)
             value = yield store.get(filter=lambda it: it.startswith("b"))
             got["v"] = value
-            got["rest"] = store.peek_items()
+            got["rest"] = tuple(store.items)
 
         sim.process(body())
         sim.run()
@@ -123,10 +123,10 @@ class TestStore:
 
     def test_len_and_is_empty(self, sim):
         store = Store(sim)
-        assert store.is_empty and len(store) == 0
+        assert not store.items and len(store) == 0
         store.put("x")
         sim.run()
-        assert not store.is_empty and len(store) == 1
+        assert store.items and len(store) == 1
 
 
 class TestResource:
@@ -172,10 +172,9 @@ class TestResource:
 
         sim.process(body())
         sim.run()
-        assert resource.in_use == 2
         assert resource.available == 1
         resource.release(2)
-        assert resource.in_use == 0
+        assert resource.available == 3
 
     def test_over_request_rejected(self, sim):
         resource = Resource(sim, capacity=2)

@@ -106,7 +106,7 @@ FIXTURES = {"finished": _finished, "midflight": _midflight,
 def products(obs, nexus) -> dict[str, object]:
     """Everything the in-memory span log feeds, in a comparable form."""
     partial = bool(obs.dropped_spans)
-    profile = PerfProfile.from_observability(obs)
+    profile = PerfProfile.from_runs([(obs, None)])
     return {
         "chrome_trace_sha256": _sha(merged_chrome_trace([(obs, nexus)])),
         "graph_sha256": _sha(graph_document(extract_graph(

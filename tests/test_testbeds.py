@@ -1,7 +1,5 @@
 """Tests for the canned testbeds."""
 
-import pytest
-
 from repro.testbeds import SP2_SWITCH_TCP, make_iway, make_sp2
 from repro.util.units import mbps, milliseconds
 
@@ -27,12 +25,6 @@ class TestSp2:
     def test_custom_transports(self):
         bed = make_sp2(transports=("local", "mpl", "tcp", "udp"))
         assert "udp" in bed.nexus.transports.names()
-
-    def test_context_grid(self):
-        bed = make_sp2(nodes_a=2, nodes_b=1)
-        ctxs_a, ctxs_b = bed.context_grid()
-        assert len(ctxs_a) == 2 and len(ctxs_b) == 1
-        assert ctxs_a[0].host is bed.hosts_a[0]
 
     def test_empty_partition_b(self):
         bed = make_sp2(nodes_a=2, nodes_b=0)

@@ -84,7 +84,7 @@ class TestFragmentationLayer:
         assert len(delivered) == 1
         assert delivered[0].nbytes == 2000
         assert delivered[0].payload == "payload"
-        assert layer.partial_messages == 0
+        assert not layer._partial
 
     def test_out_of_order_reassembly(self):
         layer = FragmentationLayer(mtu=512)
@@ -185,7 +185,7 @@ class TestLayeredTransportEndToEnd:
         stack = nexus.transports.get("lzw+cksum+frag+tcp")
         frag = stack.layers[2]
         assert frag.fragments_sent > 1
-        assert frag.partial_messages == 0
+        assert not frag._partial
 
     def test_composite_never_auto_selected(self, bed):
         nexus = bed.nexus

@@ -5,6 +5,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.simnet import Network, Simulator
 from repro.simnet.random import RandomStreams
+from repro.testbeds import make_sp2
 from repro.transports import (
     BUILTIN_TRANSPORTS,
     DEFAULT_TRANSPORT_SET,
@@ -15,6 +16,11 @@ from repro.transports import (
     parse_module_spec,
 )
 from repro.transports.errors import RegistryError
+from repro.transports.layers import (
+    CompressionLayer,
+    FragmentationLayer,
+    make_layered,
+)
 
 
 @pytest.fixture
@@ -101,3 +107,33 @@ class TestRegistry:
         for cls in BUILTIN_TRANSPORTS.values():
             assert issubclass(cls, Transport)
             assert isinstance(cls.name, str) and cls.name
+
+
+class TestFunctionTable:
+    """``Transport``'s abstract methods are the calls core makes."""
+
+    def test_abstract_methods_are_what_core_calls(self):
+        assert Transport.__abstractmethods__ == {
+            "export_descriptor", "applicable", "send", "collect"}
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_TRANSPORTS)
+                             + ["lzw+tcp", "frag+mpl"])
+    def test_collect_from_empty_containers_costs_and_creates_nothing(
+            self, name):
+        layered = "+" in name
+        bed = make_sp2(nodes_a=1, nodes_b=0, transports=(
+            "local", "mpl", "tcp") + (() if layered else (name,)))
+        nexus = bed.nexus
+        if layered:
+            layer, inner = name.split("+")
+            layer_type = {"lzw": CompressionLayer,
+                          "frag": FragmentationLayer}[layer]
+            make_layered(nexus.transports, inner, [layer_type()])
+        context = nexus.context(bed.hosts_a[0])
+        containers = (dict(context._inboxes), dict(context._device_queues))
+        now, queued = nexus.sim.now, len(nexus.sim._heap)
+        transport = nexus.transports.get(name)
+        assert transport.collect(context) == []
+        assert (dict(context._inboxes),
+                dict(context._device_queues)) == containers
+        assert (nexus.sim.now, len(nexus.sim._heap)) == (now, queued)
