@@ -20,6 +20,7 @@ classes (retries, failovers, drops) preserve every failure witness.
 Run:  python examples/streaming_telemetry.py
 """
 
+import os
 import tempfile
 
 from repro import obs as _obs
@@ -38,6 +39,11 @@ from repro.util.document import dumps
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-spool-") as spool_root:
+        walk_through(spool_root)
+
+
+def walk_through(spool_root: str) -> None:
     scenario = chaos_scenario()
     print(f"scenario: {scenario.name}, "
           f"{scenario.duration * 1e3:.0f} ms offered window\n")
@@ -50,7 +56,7 @@ def main() -> None:
           f"(peak {mem_obs.peak_spans})")
 
     # -- 2. the streamed run ----------------------------------------------
-    spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
+    spool_dir = os.path.join(spool_root, "full")
     config = StreamConfig(directory=spool_dir, max_records=500)
     with _obs.collecting() as runs:
         stream_result = run_scenario(scenario, stream=config)
@@ -89,7 +95,7 @@ def main() -> None:
           "the streamed run's own\n")
 
     # -- 4. seeded sampling keeps every failure witness --------------------
-    sampled_dir = tempfile.mkdtemp(prefix="repro-spool-sampled-")
+    sampled_dir = os.path.join(spool_root, "sampled")
     sampled = StreamConfig(directory=sampled_dir,
                            policy="reservoir:4", seed=42)
     with _obs.collecting():
@@ -103,8 +109,6 @@ def main() -> None:
           f"retry={'retry' in kept_phases} "
           f"failover={'failover' in kept_phases}")
     assert "retry" in kept_phases and "failover" in kept_phases
-
-    print(f"\nshards left for inspection under {spool_dir}")
 
 
 if __name__ == "__main__":

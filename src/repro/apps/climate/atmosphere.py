@@ -16,8 +16,6 @@ the numpy arithmetic provides real, checkable model state.
 
 from __future__ import annotations
 
-import typing as _t
-
 import numpy as np
 
 from .grid import Slab
@@ -44,7 +42,6 @@ class Atmosphere:
             np.linspace(0, np.pi, ny))[:, None] * np.ones((ny, nx)),
             rank, nranks)
         self.v = Slab.zeros(rank, nranks, nx, ny)
-        self.steps_taken = 0
 
     @property
     def slabs(self) -> tuple[Slab, Slab, Slab]:
@@ -76,7 +73,6 @@ class Atmosphere:
         self.h.interior[:] = h[1:-1] + dh
         self.u.interior[:] = u[1:-1] + du
         self.v.interior[:] = v[1:-1] + dv
-        self.steps_taken += 1
 
     # -- coupler interface ------------------------------------------------
 

@@ -29,7 +29,6 @@ class Ocean:
         base += 0.1 * rng.standard_normal((ny, nx))
         self.sst = Slab.from_global(base, rank, nranks)
         self.flux = Slab.zeros(rank, nranks, nx, ny)
-        self.steps_taken = 0
 
     def step_interior(self) -> None:
         """One diffusion + relaxation step; assumes ghosts are current."""
@@ -38,7 +37,6 @@ class Ocean:
                + t[2:] + t[:-2] - 4.0 * t[1:-1])
         self.sst.interior[:] = (t[1:-1] + DIFFUSION * lap
                                 + RELAXATION * self.flux.interior)
-        self.steps_taken += 1
 
     # -- coupler interface ------------------------------------------------
 

@@ -23,7 +23,6 @@ communicated — the paper's "what" axis of method choice.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from ..core.buffers import Buffer
 from ..core.context import Context

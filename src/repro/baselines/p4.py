@@ -18,8 +18,6 @@ import typing as _t
 from ..core.context import Context
 from ..core.runtime import Nexus
 from ..transports.base import WireMessage
-from ..transports.fastbase import FastTransport
-from ..transports.ipbase import IpTransport
 
 #: Wire overhead of a p4 message header.
 P4_HEADER_BYTES = 16

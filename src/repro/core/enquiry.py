@@ -19,6 +19,7 @@ report type.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing as _t
 
 from ..simnet.link import LinkProfile
@@ -280,31 +281,21 @@ def _build_transport_report(nexus: "Nexus") -> dict[str, TransportStats]:
     return report
 
 
-def _build_phase_report(nexus: "Nexus") -> dict[tuple[str, str], PhaseStats]:
-    report: dict[tuple[str, str], PhaseStats] = {}
-    for _name, labels, metric in nexus.obs.metrics.collect("rsr_phase_us"):
+#: Label keys of the enquiry sections folded from histograms: one key
+#: keys a section by its value, two by their tuple.
+_PHASE_LANE = operator.itemgetter("phase", "lane")
+_METHOD = operator.itemgetter("method")
+
+
+def _histogram_section(nexus: "Nexus", name: str,
+                       key: _t.Callable[[dict], _t.Any]) -> dict:
+    """:class:`PhaseStats` of each non-empty series of histogram ``name``,
+    keyed by ``key`` applied to the series' labels."""
+    report: dict = {}
+    for _name, labels, metric in nexus.obs.metrics.collect(name):
         stats = PhaseStats.from_histogram(metric)
         if stats is not None:
-            label_map = dict(labels)
-            report[(label_map["phase"], label_map["lane"])] = stats
-    return report
-
-
-def _build_latency_report(nexus: "Nexus") -> dict[str, PhaseStats]:
-    report: dict[str, PhaseStats] = {}
-    for _name, labels, metric in nexus.obs.metrics.collect("rsr_latency_us"):
-        stats = PhaseStats.from_histogram(metric)
-        if stats is not None:
-            report[dict(labels)["method"]] = stats
-    return report
-
-
-def _build_poll_batch_report(nexus: "Nexus") -> dict[str, PhaseStats]:
-    report: dict[str, PhaseStats] = {}
-    for _name, labels, metric in nexus.obs.metrics.collect("poll_batch"):
-        stats = PhaseStats.from_histogram(metric)
-        if stats is not None:
-            report[dict(labels)["method"]] = stats
+            report[key(dict(labels))] = stats
     return report
 
 
@@ -379,9 +370,9 @@ def report(nexus: "Nexus") -> EnquiryReport:
         transports=_build_transport_report(nexus),
         polling={context.id: _build_poll_report(context)
                  for context in nexus.contexts.values()},
-        phases=_build_phase_report(nexus),
-        latency=_build_latency_report(nexus),
-        poll_batches=_build_poll_batch_report(nexus),
+        phases=_histogram_section(nexus, "rsr_phase_us", _PHASE_LANE),
+        latency=_histogram_section(nexus, "rsr_latency_us", _METHOD),
+        poll_batches=_histogram_section(nexus, "poll_batch", _METHOD),
         health=_build_health_report(nexus),
         timeline=_build_timeline_report(nexus),
         obs_overhead=_build_obs_overhead(nexus),

@@ -4,13 +4,12 @@ A :class:`RetryPolicy` bounds how stubbornly one communication method is
 retried before the startpoint fails over to the next applicable method
 in the descriptor table.  Delays grow exponentially with seeded jitter
 (drawn from the runtime's named ``"retry"`` random substream, so runs
-are reproducible); ``timeout`` optionally bounds how long a single send
-attempt may block before it is abandoned.
+are reproducible).
 
-``RetryPolicy(timeout=None)`` — the default — keeps the pre-fault
-behaviour byte-identical: sends are never interrupted, and retries
-happen only when a transport reports a synchronous
-:class:`~repro.transports.errors.DeliveryError`.
+An attempt is never cut short: it runs until the transport delivers
+or reports a synchronous :class:`~repro.transports.errors.DeliveryError`,
+and only such a failure is retried.  With no installed faults every
+send succeeds on its first attempt.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ class RetryPolicy:
     """Per-attempt retry/backoff configuration.
 
     ``max_attempts`` counts total tries per method (1 = no retry);
-    ``timeout`` (sim-seconds) interrupts an attempt that blocks too
-    long, ``None`` lets attempts run to completion; backoff for attempt
-    *n* (0-based after the first failure) is
+    backoff for attempt *n* (0-based after the first failure) is
     ``min(base_delay * backoff**n, max_delay)`` stretched by up to
     ``jitter`` (fractional, seeded).
     """
 
     max_attempts: int = 3
-    timeout: float | None = None
     base_delay: float = 0.001
     max_delay: float = 0.25
     backoff: float = 2.0
@@ -47,8 +43,6 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise NexusError(
                 f"max_attempts must be >= 1, got {self.max_attempts!r}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise NexusError(f"timeout must be positive, got {self.timeout!r}")
         if self.base_delay < 0 or self.max_delay < self.base_delay:
             raise NexusError(
                 f"need 0 <= base_delay <= max_delay, got "
@@ -67,6 +61,6 @@ class RetryPolicy:
         return base
 
 
-#: Retry disabled entirely: one attempt, no timeout — failures fall
-#: straight through to failover.
-NO_RETRY = RetryPolicy(max_attempts=1, timeout=None, jitter=0.0)
+#: Retry disabled entirely: one attempt — failures fall straight
+#: through to failover.
+NO_RETRY = RetryPolicy(max_attempts=1, jitter=0.0)

@@ -67,8 +67,7 @@ class Nexus:
     retry_policy:
         Per-attempt retry/backoff configuration for the RSR send path
         (:class:`~repro.core.retry.RetryPolicy`).  The default retries
-        synchronous delivery failures with exponential backoff but sets
-        no attempt timeout.
+        synchronous delivery failures with exponential backoff.
     health:
         Method-health tracking knobs
         (:class:`~repro.core.health.HealthConfig`): consecutive-failure

@@ -275,14 +275,14 @@ class Startpoint:
         """Generator: deliver one link's message with retry + failover.
 
         Attempts the selected method up to ``RetryPolicy.max_attempts``
-        times (exponential backoff, seeded jitter, optional per-attempt
-        timeout); when a method exhausts its attempts — or a cool-off
-        probe fails — it is excluded and the descriptor table rescanned
-        for the next applicable healthy method.  Every failure feeds the
+        times (exponential backoff, seeded jitter); when a method
+        exhausts its attempts — or a cool-off probe fails — it is
+        excluded and the descriptor table rescanned for the next
+        applicable healthy method.  Every failure feeds the
         context's health tracker; success clears it.
 
-        With the default policy (no timeout) and no installed faults
-        this reduces to exactly one ``comm.send`` per link.
+        With no installed faults this reduces to exactly one
+        ``comm.send`` per link.
         """
         context = self.context
         nexus = context.nexus
@@ -336,14 +336,10 @@ class Startpoint:
                 if issue is not None:
                     obs.attach(message, issue)
                 failure = None
-                if policy.timeout is None:
-                    try:
-                        yield from comm.send(message)
-                    except DeliveryError as exc:
-                        failure = exc
-                else:
-                    failure = yield from self._timed_send(comm, message,
-                                                          policy.timeout)
+                try:
+                    yield from comm.send(message)
+                except DeliveryError as exc:
+                    failure = exc
                 if failure is None:
                     health.record_success(link.context_id, method)
                     if span is not None:
@@ -376,36 +372,6 @@ class Startpoint:
                         PHASE_FAILOVER, rsr=issue.rsr, ctx=context.id,
                         lane=method, parent=issue.id, from_method=method)
                     obs.close_span(failover)
-
-    def _timed_send(self, comm: CommObject, message: WireMessage,
-                    timeout: float):
-        """Generator: race ``comm.send`` against a timeout.
-
-        Returns ``None`` on success or the :class:`DeliveryError` that
-        failed/abandoned the attempt.  The send runs as a child process
-        whose interrupt path releases (or withdraws) any channel units it
-        holds, so an abandoned attempt leaks nothing.
-        """
-        sim = self.context.nexus.sim
-        box: list[DeliveryError] = []
-
-        def _guard(gen):
-            try:
-                yield from gen
-            except DeliveryError as exc:
-                box.append(exc)
-
-        child = sim.process(_guard(comm.send(message)),
-                            name=f"send:{comm.method}:{message.handler}")
-        expiry = sim.timeout(timeout)
-        yield sim.any_of([child, expiry])
-        if child.triggered:
-            return box[0] if box else None
-        child.defuse()
-        child.interrupt(f"send timeout after {timeout}s")
-        return DeliveryError(
-            f"{comm.method} send of {message.handler!r} timed out "
-            f"after {timeout}s")
 
     def _common_multicast_group(self) -> str | None:
         """If every link has selected the mcast method with one shared

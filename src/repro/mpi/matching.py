@@ -14,7 +14,6 @@ considered in post order (non-overtaking).
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from .datatypes import Payload
 from .errors import MatchingError

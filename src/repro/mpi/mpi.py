@@ -17,8 +17,6 @@ import dataclasses
 import itertools
 import typing as _t
 
-import numpy as np
-
 from ..core.buffers import Buffer
 from ..core.context import Context
 from ..core.endpoint import Endpoint
@@ -80,7 +78,6 @@ class MpiProcess:
         self.endpoint: Endpoint = context.new_endpoint(bound_object=self)
         context.register_handler("__mpi__", _mpi_handler)
         self.sends = 0
-        self.recvs = 0
         self.bytes_sent = 0
         # Rendezvous state: outgoing payloads parked until CTS, and
         # matched-but-empty receives awaiting their DATA transfer.
@@ -274,7 +271,6 @@ class MpiProcess:
         if overhead > 0.0:
             yield sim.timeout(overhead)
         posted = self._post(source, tag, comm, collective)
-        self.recvs += 1
         yield from self.context.wait(posted.done)
         return posted.result(sim._clock._now)
 
@@ -286,7 +282,6 @@ class MpiProcess:
         exchange) → ``(data, status)`` of the received message."""
         posted = self._post(source, recvtag, comm, collective)
         yield from self.send(data, dest, sendtag, comm, collective=collective)
-        self.recvs += 1
         yield from self.context.wait(posted.done)
         return posted.result(self.nexus.sim._clock._now)
 

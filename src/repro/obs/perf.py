@@ -76,7 +76,6 @@ class PerfProfile:
         self._agg: dict[tuple[str, str, str], list[float]] = {}
         self._stacks: dict[tuple[str, ...], float] = {}
         self.spans_profiled = 0
-        self.open_spans_skipped = 0
 
     # -- construction --------------------------------------------------------
 
@@ -112,7 +111,6 @@ class PerfProfile:
         root = (_frame(f"rsr:{handler}"),)
         for span in spans:
             if span.end is None:
-                self.open_spans_skipped += 1
                 continue
             duration = span.end - span.start
             covered = _union_length(

@@ -18,7 +18,7 @@ from ..core.context import Context
 from ..core.endpoint import Endpoint
 from .errors import RemoteError, RpcError
 from .futures import RpcFuture
-from .marshal import pack_value, pack_values, unpack_value, unpack_values
+from .marshal import pack_value, unpack_value, unpack_values
 from .pointer import GlobalPointer
 
 CALL_HANDLER = "__rpc_call__"

@@ -18,7 +18,6 @@ from .engine import Simulator
 from .errors import (
     ClockError,
     EventError,
-    Interrupt,
     ProcessError,
     ScheduleError,
     SimnetError,
@@ -45,7 +44,6 @@ __all__ = [
     "FaultRule",
     "FlakyRule",
     "Host",
-    "Interrupt",
     "LinkProfile",
     "Machine",
     "Network",

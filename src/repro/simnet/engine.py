@@ -13,12 +13,6 @@ Every scheduled event — a timeout, a zero-delay trigger from
 the tuples order totally and the event itself is never compared; see
 the "Performance model" section of ``docs/ARCHITECTURE.md``.
 
-Cancelled events (:meth:`Event.cancel`) are deleted lazily: the queue
-entry stays where it is and is discarded when it surfaces, without
-advancing the clock, running callbacks, or counting towards
-``events_processed``.  A compaction pass bounds memory when cancelled
-entries dominate.
-
 Typical usage::
 
     sim = Simulator()
@@ -60,10 +54,7 @@ class Simulator:
         self._heap: list[tuple[float, int, int, Event]] = []
         #: Last sequence number handed out; breaks ties in creation order.
         self._seq = 0
-        self._active_process: Process | None = None
         self._events_processed = 0
-        #: Cancelled entries still sitting in the queue (lazy deletion).
-        self._cancelled_count = 0
         # Shadow the ``timeout`` method with a C-level partial: timeouts
         # are created hundreds of thousands of times per run and the
         # wrapper frame was measurable.  ``Timeout`` validates the delay
@@ -80,15 +71,8 @@ class Simulator:
         return self._clock._now
 
     @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def events_processed(self) -> int:
-        """Total number of events processed since construction.
-
-        Cancelled events discarded by lazy deletion do not count."""
+        """Total number of events processed since construction."""
         return self._events_processed
 
     # -- event creation ------------------------------------------------------
@@ -130,61 +114,19 @@ class Simulator:
     #: long-lived activities.
     spawn = process
 
-    # -- scheduling (engine internal) ---------------------------------------
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping hook called by :meth:`Event.cancel`."""
-        self._cancelled_count += 1
-        # Compact once cancelled entries dominate, so a cancel storm
-        # cannot hold memory proportional to history.
-        if self._cancelled_count > 64 and \
-                self._cancelled_count * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Physically remove cancelled entries from the heap.
-
-        Mutates the heap in place — ``run()`` holds a direct reference
-        to it, so it must never be rebound.
-        """
-        self._heap[:] = [e for e in self._heap if not e[3]._cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_count = 0
-
     # -- execution -----------------------------------------------------------
 
     def peek(self) -> float:
-        """Time of the next live scheduled event, or ``inf`` if none.
-
-        Cancelled entries encountered at the head are discarded here (lazy
-        deletion), so ``peek()`` never reports the time of an event that
-        will not run.
-        """
+        """Time of the next scheduled event, or ``inf`` if none."""
         heap = self._heap
-        while heap:
-            if not heap[0][3]._cancelled:
-                return heap[0][0]
-            heapq.heappop(heap)
-            self._cancelled_count -= 1
-        return _INF
+        return heap[0][0] if heap else _INF
 
     def step(self) -> None:
-        """Process exactly one live event (advance the clock to it first).
-
-        Cancelled entries reached at the head of the queue are silently
-        discarded without advancing the clock or counting as processed.
-        """
+        """Process exactly one event (advance the clock to it first)."""
         heap = self._heap
-        while True:
-            if not heap:
-                raise SimnetError("step() on an empty event queue")
-            entry = heapq.heappop(heap)
-            event = entry[3]
-            if not event._cancelled:
-                break
-            self._cancelled_count -= 1
-
-        t = entry[0]
+        if not heap:
+            raise SimnetError("step() on an empty event queue")
+        t, _, _, event = heapq.heappop(heap)
         clock = self._clock
         if t > clock._now:
             clock._now = t
@@ -255,13 +197,7 @@ class Simulator:
             # of a run, so it avoids the call pair.  Any change here must
             # be mirrored in step()/peek().
             while heap:
-                entry = heap[0]
-                event = entry[3]
-                if event._cancelled:
-                    heappop(heap)
-                    self._cancelled_count -= 1
-                    continue
-                t = entry[0]
+                t = heap[0][0]
                 if stop_time is not None and t >= stop_time:
                     clock.advance_to(stop_time)
                     return None
@@ -270,7 +206,7 @@ class Simulator:
                         f"run() exceeded max_events={max_events}; "
                         "likely an unbounded poll loop"
                     )
-                heappop(heap)
+                event = heappop(heap)[3]
                 if t > clock._now:
                     clock._now = t
                 events_processed += 1

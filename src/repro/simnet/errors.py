@@ -23,24 +23,6 @@ class ProcessError(SimnetError):
     """Illegal operation on a simulated process."""
 
 
-class Interrupt(Exception):
-    """Raised *inside* a simulated process when another process interrupts it.
-
-    The interrupting party supplies an arbitrary ``cause`` describing why the
-    interrupt happened (for example a failure-injection record).  This is an
-    ordinary exception: the interrupted process may catch it and continue,
-    which is how transport-failover logic is written in
-    :mod:`repro.apps.stream`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt(cause={self.cause!r})"
-
-
 class SimulationFinished(SimnetError):
     """Internal signal used by :meth:`Simulator.run` to stop the event loop."""
 

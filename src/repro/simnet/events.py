@@ -9,11 +9,6 @@ on by ``yield``-ing it.  Events move through three states:
 * *processed* — the simulator has invoked the event's callbacks (which is
   what resumes waiting processes).
 
-A *scheduled* event may additionally be :meth:`cancel`-led: the engine
-then discards it when it reaches the head of the queue (lazy deletion —
-see :mod:`repro.simnet.engine`) without advancing the clock, running
-callbacks, or counting it as a processed event.
-
 The design follows the classic SimPy shape but is implemented from scratch
 and trimmed to what the Nexus reproduction needs: plain events, timeouts,
 and ``AllOf``/``AnyOf`` condition events.  Constructors are deliberately
@@ -52,8 +47,7 @@ class Event:
         Optional debugging label shown in ``repr``.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled",
-                 "_defused", "_cancelled", "name")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "name")
 
     def __init__(self, sim: "Simulator", name: str | None = None):
         self.sim = sim
@@ -62,9 +56,7 @@ class Event:
         self.callbacks: list[_t.Callable[["Event"], None]] | None = []
         self._value: object = PENDING
         self._ok: bool | None = None
-        self._scheduled = False
         self._defused = False
-        self._cancelled = False
         self.name = name
 
     # -- state ----------------------------------------------------------
@@ -78,11 +70,6 @@ class Event:
     def processed(self) -> bool:
         """True once the simulator has run this event's callbacks."""
         return self.callbacks is None
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._cancelled
 
     @property
     def ok(self) -> bool:
@@ -108,13 +95,8 @@ class Event:
         """
         if self._value is not PENDING:
             raise EventError(f"{self!r} has already been triggered")
-        if self._cancelled:
-            raise EventError(f"{self!r} has been cancelled")
-        if self._scheduled:
-            raise ScheduleError(f"{self!r} is already scheduled")
         self._ok = True
         self._value = value
-        self._scheduled = True
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
@@ -131,42 +113,15 @@ class Event:
         """
         if self._value is not PENDING:
             raise EventError(f"{self!r} has already been triggered")
-        if self._cancelled:
-            raise EventError(f"{self!r} has been cancelled")
         if not isinstance(exception, BaseException):
             raise EventError(f"fail() needs an exception, got {exception!r}")
-        if self._scheduled:
-            raise ScheduleError(f"{self!r} is already scheduled")
         self._ok = False
         self._value = exception
-        self._scheduled = True
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim._clock._now, priority, seq, self))
         return self
-
-    def cancel(self) -> bool:
-        """Lazily cancel a *scheduled* event (typically a timeout).
-
-        The queue entry is left in place and discarded when it surfaces
-        (lazy deletion): no heap re-sift, no callbacks, no clock advance,
-        and no contribution to ``events_processed``.  Returns True if the
-        event was cancelled by this call, False if it was already
-        processed (too late) or already cancelled.  Cancelling an event
-        that was never scheduled is an error — there is nothing queued to
-        discard.
-
-        The caller owns the consequences: processes still waiting on a
-        cancelled event are never resumed by it.
-        """
-        if self.callbacks is None or self._cancelled:
-            return False
-        if not self._scheduled:
-            raise EventError(f"cannot cancel unscheduled {self!r}")
-        self._cancelled = True
-        self.sim._note_cancelled()
-        return True
 
     def defuse(self) -> None:
         """Mark a failed event as handled so the simulator won't re-raise."""
@@ -186,11 +141,8 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or self.__class__.__name__
-        state = (
-            "cancelled" if self._cancelled else
-            "processed" if self.processed else
-            "triggered" if self.triggered else "pending"
-        )
+        state = ("processed" if self.processed else
+                 "triggered" if self.triggered else "pending")
         return f"<{label} {state} at {id(self):#x}>"
 
 
@@ -213,15 +165,13 @@ class Timeout(Event):
             raise ScheduleError(f"negative timeout delay {delay!r}")
         # Flattened Event.__init__ — this constructor runs once per
         # simulated delay, i.e. hundreds of thousands of times per run.
-        # A fresh timeout cannot already be scheduled and the delay was
-        # validated above, so the only remaining work is the queue entry.
+        # The delay was validated above, so the only remaining work is
+        # the queue entry.
         self.sim = sim
         self.callbacks = []
         self._ok = True
         self._value = value
-        self._scheduled = True
         self._defused = False
-        self._cancelled = False
         self.name = name
         delay = self.delay = float(delay)
         seq = sim._seq + 1
@@ -248,7 +198,6 @@ class Timeout(Event):
         Event.__init__(self, sim, name)
         self._ok = True
         self._value = value
-        self._scheduled = True
         self.delay = when - now
         seq = sim._seq + 1
         sim._seq = seq

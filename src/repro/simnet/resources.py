@@ -189,22 +189,6 @@ class Resource:
         self._grant()
         return event
 
-    def cancel(self, request: ResourceRequest) -> None:
-        """Withdraw a still-pending request (e.g. after a send timeout).
-
-        A granted request cannot be cancelled — release it instead; an
-        interrupted waiter *must* cancel, or its eventual grant would
-        leak capacity forever.  Idempotent for already-cancelled
-        requests.
-        """
-        if request.triggered:
-            raise SimnetError(
-                "cannot cancel a granted request; release() it instead")
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            pass
-
     def release(self, amount: int = 1) -> None:
         """Return ``amount`` previously granted units."""
         if amount < 1 or amount > self._in_use:

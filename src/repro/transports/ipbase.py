@@ -143,20 +143,11 @@ class IpTransport(Transport):
             state["profile_epoch"] = self.network.epoch
 
         channel: Resource = state["channel"]
-        request = channel.request()
-        try:
-            yield request
-            message.method = self.name
-            message.sent_at = self.sim.now
-            yield self.sim.timeout(profile.serialization_time(message.nbytes))
-        finally:
-            # Granted (even if we were interrupted mid-serialisation) →
-            # give the capacity back; still pending → withdraw the
-            # request so the channel never leaks a unit.
-            if request.triggered:
-                channel.release()
-            else:
-                channel.cancel(request)
+        yield channel.request()
+        message.method = self.name
+        message.sent_at = self.sim.now
+        yield self.sim.timeout(profile.serialization_time(message.nbytes))
+        channel.release()
         self.record_send(message)
         if message.trace is not None:
             message.trace.transition("wire", ctx=local.id, lane=self.name,

@@ -133,13 +133,6 @@ def test_timeout_at_orders_by_seq_against_a_relative_timeout(sim):
     assert _order_of(sim, events) == ["rel-first", "at", "rel-last"]
 
 
-def test_timeout_at_cancel(sim):
-    timeout = sim.timeout_at(3.0)
-    assert timeout.cancel() is True
-    sim.run()
-    assert sim.now == 0.0 and sim.events_processed == 0
-
-
 def test_all_of_waits_for_all(sim):
     t1 = sim.timeout(1.0, value="a")
     t2 = sim.timeout(2.0, value="b")

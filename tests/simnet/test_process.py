@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet.errors import Interrupt, ProcessError
+from repro.simnet.errors import ProcessError
 
 
 def test_process_return_value(sim):
@@ -92,76 +92,6 @@ def test_unhandled_process_failure_surfaces(sim):
     sim.process(failing())
     with pytest.raises(ValueError, match="unwatched"):
         sim.run()
-
-
-def test_interrupt_delivers_cause(sim):
-    caught = {}
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            caught["cause"] = interrupt.cause
-            caught["time"] = sim.now
-
-    target = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        target.interrupt(cause="failure-injection")
-
-    sim.process(interrupter())
-    sim.run()
-    assert caught == {"cause": "failure-injection", "time": 1.0}
-
-
-def test_interrupted_process_can_continue(sim):
-    log = []
-
-    def resilient():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            log.append("interrupted")
-        yield sim.timeout(1.0)
-        log.append("finished")
-
-    target = sim.process(resilient())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        target.interrupt()
-
-    sim.process(interrupter())
-    sim.run(until=target)
-    assert log == ["interrupted", "finished"]
-    assert sim.now == 3.0  # the abandoned 100 s timeout is never waited on
-
-
-def test_interrupt_finished_process_rejected(sim):
-    def quick():
-        yield sim.timeout(0.1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(ProcessError):
-        proc.interrupt()
-
-
-def test_self_interrupt_rejected(sim):
-    caught = {}
-
-    def body():
-        me = sim.active_process
-        try:
-            me.interrupt()
-        except ProcessError as exc:
-            caught["exc"] = str(exc)
-        yield sim.timeout(0.0)
-
-    sim.process(body())
-    sim.run()
-    assert "interrupt itself" in caught["exc"]
 
 
 def test_immediate_return_process(sim):

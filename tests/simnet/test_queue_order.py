@@ -1,26 +1,22 @@
 """Differential oracle for the event queue's total order.
 
-The engine promises to process events in ``(t, priority, seq)`` order,
-to drop cancelled entries without a trace, and to leave the next live
-entry queued when ``run(until=t)`` or a ``max_events`` abort stops it.
-:class:`ReferenceQueue` is that promise written the slow way: one list
-kept sorted by ``(t, priority, creation order)`` with eager removal on
-cancel.  Both run the same generated :class:`Program` and must agree on
-every processed ``(tag, time)``, every ``cancel()`` result, every
-``peek()``, the final clock and ``events_processed``.
+The engine promises to process events in ``(t, priority, seq)`` order
+and to leave the next entry queued when ``run(until=t)`` or a
+``max_events`` abort stops it.  :class:`ReferenceQueue` is that promise
+written the slow way: one list kept sorted by ``(t, priority, creation
+order)``.  Both run the same generated :class:`Program` and must agree
+on every processed ``(tag, time)``, every ``peek()``, the final clock
+and ``events_processed``.
 
 A program is a list of actions.  Each action runs either before the
 drive starts or inside the callback of an earlier action's event, so
-triggers, timeouts and cancels are issued mid-run at the time the
-engine has reached.  Kinds:
+triggers and timeouts are issued mid-run at the time the engine has
+reached.  Kinds:
 
 * ``timeout`` — ``Timeout(sim, delay, priority=p)``, delays repeat and
   include ``0.0``;
 * ``at`` — ``timeout_at(now + dt)``, with ``dt = 0.0`` meaning now;
-* ``succeed`` / ``fail`` (defused) — at URGENT, NORMAL or LOW;
-* ``cancel`` — of an earlier action's event, whatever its state;
-* ``storm`` — enough delayed or zero-delay triggers, all cancelled at
-  once, to cross the compaction threshold.
+* ``succeed`` / ``fail`` (defused) — at URGENT, NORMAL or LOW.
 
 A drive is ``run()``, a sequence of ``run(until=now + dt)`` calls, a
 ``peek()``/``step()`` loop or ``run(max_events=k)`` chunks, each ending
@@ -33,7 +29,7 @@ Tier-1 runs a derandomised budget; ``--hypothesis-profile=deep``
 import bisect
 import dataclasses
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet import Simulator
@@ -80,13 +76,6 @@ class ReferenceQueue:
         self.created += 1
         entry = (t, priority, self.created, fire)
         bisect.insort(self.entries, entry)
-        return entry
-
-    def cancel(self, entry):
-        if entry in self.entries:
-            self.entries.remove(entry)
-            return True
-        return False
 
     def peek(self):
         return self.entries[0][0] if self.entries else _INF
@@ -123,14 +112,12 @@ class EngineBackend:
 
     def _watch(self, event, fire):
         event.callbacks.append(lambda _event: fire())
-        return event
 
     def timeout(self, delay, priority, fire):
-        return self._watch(Timeout(self.sim, delay, None, None, priority),
-                           fire)
+        self._watch(Timeout(self.sim, delay, None, None, priority), fire)
 
     def timeout_at(self, when, fire):
-        return self._watch(self.sim.timeout_at(when), fire)
+        self._watch(self.sim.timeout_at(when), fire)
 
     def trigger(self, ok, priority, fire):
         event = self.sim.event()
@@ -139,10 +126,7 @@ class EngineBackend:
         else:
             event.fail(RuntimeError("generated"), priority=priority)
             event.defuse()
-        return self._watch(event, fire)
-
-    def cancel(self, handle):
-        return handle.cancel()
+        self._watch(event, fire)
 
     def drive(self, drive, log):
         sim = self.sim
@@ -178,16 +162,13 @@ class ReferenceBackend:
         return self.queue.now
 
     def timeout(self, delay, priority, fire):
-        return self.queue.push(self.queue.now + delay, priority, fire)
+        self.queue.push(self.queue.now + delay, priority, fire)
 
     def timeout_at(self, when, fire):
-        return self.queue.push(when, NORMAL, fire)
+        self.queue.push(when, NORMAL, fire)
 
     def trigger(self, ok, priority, fire):
-        return self.queue.push(self.queue.now, priority, fire)
-
-    def cancel(self, handle):
-        return self.queue.cancel(handle)
+        self.queue.push(self.queue.now, priority, fire)
 
     def drive(self, drive, log):
         queue = self.queue
@@ -211,7 +192,6 @@ class ReferenceBackend:
 def play(program, backend):
     """Run ``program`` on ``backend``: its log, final clock and count."""
     log = []
-    handles = {}
     children = {}
     for index, action in enumerate(program.actions):
         children.setdefault(action.parent, []).append(index)
@@ -226,27 +206,12 @@ def play(program, backend):
         for index in indices:
             action = program.actions[index]
             if action.kind == "timeout":
-                handles[index] = backend.timeout(
-                    action.arg, action.priority, fire(index))
+                backend.timeout(action.arg, action.priority, fire(index))
             elif action.kind == "at":
-                handles[index] = backend.timeout_at(
-                    backend.now + action.arg, fire(index))
-            elif action.kind in ("succeed", "fail"):
-                handles[index] = backend.trigger(
-                    action.kind == "succeed", action.priority, fire(index))
-            elif action.kind == "cancel":
-                if action.arg in handles:
-                    log.append(("cancel", action.arg,
-                                backend.cancel(handles[action.arg])))
-            else:  # storm
-                size, zero = action.arg
-                doomed = [backend.trigger(True, action.priority, fire(index))
-                          if zero else
-                          backend.timeout(DELAYS[i % len(DELAYS)] + 0.25,
-                                          action.priority, fire(index))
-                          for i in range(size)]
-                log.append(("storm", index,
-                            [backend.cancel(handle) for handle in doomed]))
+                backend.timeout_at(backend.now + action.arg, fire(index))
+            else:  # succeed / fail
+                backend.trigger(action.kind == "succeed", action.priority,
+                                fire(index))
 
     perform(children.get(-1, ()))
     processed = backend.drive(program.drive, log)
@@ -256,19 +221,13 @@ def play(program, backend):
 @st.composite
 def actions(draw, index):
     parent = draw(st.integers(min_value=-1, max_value=max(index - 1, -1)))
-    kind = draw(st.sampled_from(
-        ("timeout", "timeout", "at", "succeed", "fail", "cancel", "storm")))
+    kind = draw(st.sampled_from(("timeout", "timeout", "at", "succeed",
+                                 "fail")))
     priority = draw(st.sampled_from(PRIORITIES))
     if kind == "timeout":
         arg = draw(st.sampled_from(DELAYS))
     elif kind == "at":
         arg = draw(st.sampled_from((0.0, 0.0, 0.75, 1.0)))
-    elif kind == "cancel":
-        arg = draw(st.integers(min_value=0, max_value=24))
-    elif kind == "storm":
-        arg = (draw(st.integers(min_value=65, max_value=120)),
-               draw(st.booleans()))
-        priority = draw(st.sampled_from((URGENT, NORMAL)))
     else:
         arg = None
     return Action(parent, kind, arg, priority)
@@ -288,28 +247,7 @@ def programs(draw):
     return Program(tuple(draw(actions(i)) for i in range(size)), drive)
 
 
-#: A storm of each kind beside live entries, with cancels issued from
-#: callbacks, so every run crosses the compaction threshold at least once.
-STORMS = Program(actions=(
-    Action(-1, "timeout", 1.0),
-    Action(-1, "storm", (100, False), NORMAL),
-    Action(-1, "succeed", priority=LOW),
-    Action(0, "storm", (90, True), URGENT),
-    Action(0, "succeed", priority=URGENT),
-    Action(0, "timeout", 0.0),
-    Action(0, "cancel", 5),
-    Action(4, "at", 0.0),
-    Action(4, "cancel", 2),
-    Action(-1, "storm", (70, True), NORMAL),
-    Action(7, "fail", priority=NORMAL),
-), drive=("step",))
-
-
 @given(programs())
-@example(STORMS)
-@example(dataclasses.replace(STORMS, drive=("run",)))
-@example(dataclasses.replace(STORMS, drive=("until", (1.0, 0.0))))
-@example(dataclasses.replace(STORMS, drive=("chunks", 2)))
 @PROFILE
 def test_engine_matches_the_single_list_reference(program):
     assert play(program, EngineBackend()) == play(program, ReferenceBackend())

@@ -2,9 +2,9 @@
 
 Executed in-process via runpy (same interpreter, fresh ``__main__``),
 with stdout captured and spot-checked for each scenario's headline.
-Each runs with ``tempfile``'s directory redirected into one removed
-afterwards, so what an example leaves for inspection (the streaming
-example's spool directories) does not pile up in the system temp dir.
+Each runs with ``tempfile``'s directory redirected into a fresh one,
+which must be empty when the example returns: an example cleans up
+what it writes there (the streaming example's spool directories).
 """
 
 import os
@@ -47,6 +47,8 @@ def _run_example(script, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(tempfile, "tempdir", scratch)
             runpy.run_path(str(EXAMPLES / script), run_name="__main__")
+        left = sorted(os.listdir(scratch))
+        assert not left, f"{script} left {left} in its temp dir"
 
 
 @pytest.mark.parametrize("script", sorted(EXPECTED_OUTPUT))
