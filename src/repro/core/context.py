@@ -207,11 +207,6 @@ class Context:
         if seconds > 0:
             yield self.nexus.sim.timeout(seconds)
 
-    def compute(self, seconds: float):
-        """Generator: perform ``seconds`` of application computation,
-        contending for the host CPU with co-resident contexts."""
-        yield from self.host.compute(seconds)
-
     # -- receive path ------------------------------------------------------------------
 
     def dispatch(self, message: WireMessage):

@@ -565,9 +565,9 @@ class PollManager:
         arrival = context.arrival_signal()
         if t_next is None and extra_wake is None:
             return arrival
-        # What ``sim.any_of`` built, without the Condition machinery: the
-        # first child to fire triggers ``wake`` at that instant (a failed
-        # child is defused and fails it), and later children do nothing.
+        # A first-of wake: the first child to fire triggers ``wake`` at
+        # that instant (a failed child is defused and fails it), and later
+        # children do nothing.
         wake = Event(sim)
 
         def on_child(child: Event) -> None:
@@ -690,8 +690,7 @@ class PollManager:
 
     # -- bulk application work ----------------------------------------------------
 
-    def busy_work(self, n_ops: int, compute_time: float = 0.0,
-                  use_cpu: bool = False):
+    def busy_work(self, n_ops: int, compute_time: float = 0.0):
         """Generator: model a phase of ``n_ops`` Nexus operations plus
         ``compute_time`` of computation, in one aggregate charge.
 
@@ -709,10 +708,7 @@ class PollManager:
         total_cost, foreign_cost = self._spin(self._ensure_plan(), n_ops,
                                               float(compute_time))
         if total_cost > 0.0:
-            if use_cpu:
-                yield from context.host.compute(total_cost)
-            else:
-                yield context.nexus.sim.timeout(total_cost)
+            yield context.nexus.sim.timeout(total_cost)
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
         result = yield from self.poll()

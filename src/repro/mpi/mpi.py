@@ -77,8 +77,6 @@ class MpiProcess:
         self._coll_seq: dict[int, int] = {}
         self.endpoint: Endpoint = context.new_endpoint(bound_object=self)
         context.register_handler("__mpi__", _mpi_handler)
-        self.sends = 0
-        self.bytes_sent = 0
         # Rendezvous state: outgoing payloads parked until CTS, and
         # matched-but-empty receives awaiting their DATA transfer.
         self._rdv_tokens = itertools.count(1)
@@ -139,7 +137,6 @@ class MpiProcess:
         nbytes = payload_nbytes(data)
         threshold = config.eager_threshold
         sp = self.startpoint_to(comm.world_rank(dest))
-        self.sends += 1
         now = sim._clock._now
 
         if threshold is not None and nbytes >= threshold:
@@ -152,7 +149,6 @@ class MpiProcess:
             envelope.put_header(_K_RTS, context_id, int(tag), my_rank, now,
                                 nbytes, token, self.rank)
             envelope.put_padding(RENDEZVOUS_HEADER_BYTES)
-            self.bytes_sent += envelope.nbytes
             yield from sp.rsr("__mpi__", envelope)
             # Drive progress until the receiver grants the transfer (the
             # CTS arrives via our own poll loop); the DATA ships from a
@@ -165,7 +161,6 @@ class MpiProcess:
         buffer.put_header(_K_EAGER, context_id, int(tag), my_rank, now,
                           nbytes)
         pack_payload(buffer, data)
-        self.bytes_sent += buffer.nbytes
         yield from sp.rsr("__mpi__", buffer)
 
     # -- rendezvous plumbing ------------------------------------------------

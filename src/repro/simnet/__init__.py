@@ -22,7 +22,7 @@ from .errors import (
     ScheduleError,
     SimnetError,
 )
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .faults import FaultPlan
 from .link import LinkProfile
 from .network import FaultRule, FlakyRule, Machine, Network, Partition, \
@@ -34,10 +34,7 @@ from .resources import Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ClockError",
-    "Condition",
-    "ConditionValue",
     "Event",
     "EventError",
     "FaultPlan",

@@ -34,7 +34,7 @@ import typing as _t
 
 from .clock import VirtualClock
 from .errors import ScheduleError, SimnetError, SimulationFinished
-from .events import Event, Timeout, AllOf, AnyOf
+from .events import AllOf, Event, Timeout
 from .process import Process, ProcessGenerator
 
 #: Default cap on processed events per ``run()``; a safety net against
@@ -99,12 +99,9 @@ class Simulator:
         return Timeout.at(self, when, value, name)
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
-        """An event that fires when every event in ``events`` has fired."""
+        """An event that fires, with value ``None``, when every event in
+        ``events`` has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
-        """An event that fires when any event in ``events`` has fired."""
-        return AnyOf(self, events)
 
     def process(self, gen: ProcessGenerator, name: str | None = None) -> Process:
         """Start a new simulated process running generator ``gen``."""

@@ -11,7 +11,7 @@ on by ``yield``-ing it.  Events move through three states:
 
 The design follows the classic SimPy shape but is implemented from scratch
 and trimmed to what the Nexus reproduction needs: plain events, timeouts,
-and ``AllOf``/``AnyOf`` condition events.  Constructors are deliberately
+and the :class:`AllOf` join.  Constructors are deliberately
 flat (no ``super().__init__`` chains on the hot path) because the
 simulator allocates hundreds of thousands of these per run.
 """
@@ -131,14 +131,6 @@ class Event:
     def defused(self) -> bool:
         return self._defused
 
-    # -- composition ----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or self.__class__.__name__
         state = ("processed" if self.processed else
@@ -205,109 +197,43 @@ class Timeout(Event):
         return self
 
 
-class ConditionValue:
-    """Mapping-like result of a condition event.
+class AllOf(Event):
+    """A join: triggers, with value ``None``, once every event in
+    ``events`` has been processed.
 
-    Maps each *triggered* constituent event to its value, preserving the
-    order events were given in.
+    It counts *processed* children, not merely triggered ones: a
+    :class:`Timeout` carries its value from creation, so "value decided"
+    must not count as "has occurred".  A child that fails makes the join
+    fail with the same exception (and the child is defused, since the
+    join now owns it); later children do nothing.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("_remaining",)
 
-    def __init__(self, events: list[Event]):
-        self.events = events
-
-    def __getitem__(self, event: Event) -> object:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> _t.Iterator[Event]:
-        return iter(self.events)
-
-    def values(self) -> list[object]:
-        """Values of the triggered events, in constituent order."""
-        return [e.value for e in self.events]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.events == other.events
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(f"{e!r}: {e.value!r}" for e in self.events)
-        return f"<ConditionValue {{{inner}}}>"
-
-
-class Condition(Event):
-    """An event that triggers when a predicate over child events holds.
-
-    Children that fail cause the condition itself to fail with the same
-    exception (and the child is defused, since the condition now owns it).
-    """
-
-    __slots__ = ("_events", "_check", "_done")
-
-    def __init__(self, sim: "Simulator", check: _t.Callable[[int, int], bool],
-                 events: _t.Iterable[Event], name: str | None = None):
+    def __init__(self, sim: "Simulator", events: _t.Iterable[Event],
+                 name: str | None = None):
         super().__init__(sim, name=name)
-        self._events = list(events)
-        self._check = check
-        #: Count of processed children — kept incrementally so each child
-        #: completion is O(1) instead of a rescan of every constituent.
-        self._done = 0
-        for event in self._events:
+        events = list(events)
+        for event in events:
             if event.sim is not sim:
-                raise EventError("condition mixes events from different simulators")
-
-        if not self._events:
-            self.succeed(ConditionValue([]))
+                raise EventError("join mixes events from different simulators")
+        self._remaining = len(events)
+        if not events:
+            self.succeed()
             return
-
-        for event in self._events:
+        for event in events:
             if event.callbacks is None:
                 self._on_child(event)
             else:
                 event.callbacks.append(self._on_child)
 
-    def _done_children(self) -> list[Event]:
-        # Processed, not merely triggered: a Timeout carries its value from
-        # creation, so "value decided" must not count as "has occurred".
-        return [e for e in self._events if e.callbacks is None]
-
     def _on_child(self, event: Event) -> None:
         if self._value is not PENDING:
             return
         if not event._ok:
-            event.defuse()
-            self.fail(_t.cast(BaseException, event.value))
+            event._defused = True
+            self.fail(_t.cast(BaseException, event._value))
             return
-        self._done += 1
-        if self._check(len(self._events), self._done):
-            self.succeed(ConditionValue(self._done_children()))
-
-
-class AllOf(Condition):
-    """Triggers when *all* constituent events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: _t.Iterable[Event],
-                 name: str | None = None):
-        super().__init__(sim, lambda total, done: done == total, events, name=name)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* constituent event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: _t.Iterable[Event],
-                 name: str | None = None):
-        super().__init__(sim, lambda total, done: done >= 1, events, name=name)
+        self._remaining -= 1
+        if not self._remaining:
+            self.succeed()

@@ -162,9 +162,8 @@ class Machine:
         #: transport name -> profile for traffic over this machine's switch.
         self.switch_profiles: dict[str, LinkProfile] = dict(switch_profiles or {})
 
-    def new_host(self, name: str | None = None, cpu_capacity: int = 1) -> Host:
-        host = Host(self.sim, name or f"{self.name}/n{len(self.hosts)}",
-                    machine=self, cpu_capacity=cpu_capacity)
+    def new_host(self, name: str | None = None) -> Host:
+        host = Host(name or f"{self.name}/n{len(self.hosts)}", machine=self)
         self.hosts.append(host)
         return host
 

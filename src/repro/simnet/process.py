@@ -71,11 +71,11 @@ class Process(Event):
         gen = self.gen
         while True:
             try:
-                if event is not None and not event._ok:
+                if not event._ok:
                     event._defused = True
                     target = gen.throw(_t.cast(BaseException, event._value))
                 else:
-                    target = gen.send(event._value if event is not None else None)
+                    target = gen.send(event._value)
             except StopIteration as stop:
                 if self._value is PENDING:
                     self.succeed(stop.value)

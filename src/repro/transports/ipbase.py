@@ -97,7 +97,7 @@ class IpTransport(Transport):
     def open(self, local: ContextLike, descriptor: Descriptor) -> dict:
         state = super().open(local, descriptor)
         state["channel"] = Resource(
-            self.sim, capacity=1,
+            self.sim,
             name=f"{self.name}:{local.id}->{descriptor.context_id}",
         )
         state["profile"] = None  # resolved lazily on first send

@@ -4,9 +4,13 @@ This is ``src/repro/core/polling.py`` as it stood at ``2c0c83b``, before
 the per-method lane records and the one-frame wait loop: five dicts keyed
 by method name, ``poll`` / ``_idle_fast_forward`` as sub-generators of
 ``wait``.  Nothing below the imports has been edited except the class
-names (``Reference*``) and the ``poll_batch`` observation, which goes
-straight to the metrics registry now that ``Observability`` has no
-``note_poll_batch`` (same histogram, same value).
+names (``Reference*``) and two sanctioned edits.  First, the
+``poll_batch`` observation goes straight to the metrics registry now that
+``Observability`` has no ``note_poll_batch`` (same histogram, same
+value).  Second, the simulator no longer has a condition algebra: the
+idle wait's first-of wake is the local :func:`_first_of` (same
+semantics, same events), and ``busy_work`` lost its host-CPU branch
+with the CPU model it charged.
 :func:`reference_attach` is that commit's
 ``AdaptiveSkipPoll.attach`` body — the ``manager.poll`` wrapper the
 observer slot replaced.
@@ -29,7 +33,7 @@ import typing as _t
 
 from repro.core.errors import PollingError
 from repro.obs.metrics import COUNT_BUCKETS
-from repro.simnet.events import Event
+from repro.simnet.events import PENDING, Event
 from repro.transports.base import WireMessage
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -38,6 +42,33 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 #: Numerical slack for time comparisons.
 _EPS = 1e-12
+
+
+def _first_of(sim, events: list[Event]) -> Event:
+    """An event that fires when the first of ``events`` is processed.
+
+    It has the semantics of the simulator's former ``sim.any_of``: the
+    first processed child triggers it (a failed child is defused and
+    fails it with its exception), and later children do nothing.  Its
+    value is ``None``, which the idle wait never reads.
+    """
+    first = Event(sim)
+
+    def on_child(child: Event) -> None:
+        if first._value is not PENDING:
+            return
+        if child._ok:
+            first.succeed()
+        else:
+            child._defused = True
+            first.fail(child._value)
+
+    for event in events:
+        if event.callbacks is None:
+            on_child(event)
+        else:
+            event.callbacks.append(on_child)
+    return first
 
 
 @dataclasses.dataclass
@@ -375,7 +406,7 @@ class ReferencePollManager:
         if t_next is not None:
             wake_events.append(sim.timeout(t_next - now))
         target_event: Event = (wake_events[0] if len(wake_events) == 1
-                               else sim.any_of(wake_events))
+                               else _first_of(sim, wake_events))
 
         started = now
         yield target_event
@@ -480,8 +511,7 @@ class ReferencePollManager:
 
     # -- bulk application work ----------------------------------------------------
 
-    def busy_work(self, n_ops: int, compute_time: float = 0.0,
-                  use_cpu: bool = False):
+    def busy_work(self, n_ops: int, compute_time: float = 0.0):
         """Generator: model a phase of ``n_ops`` Nexus operations plus
         ``compute_time`` of computation, in one aggregate charge.
 
@@ -513,10 +543,7 @@ class ReferencePollManager:
                     foreign_cost += cost
 
         if total_cost > 0.0:
-            if use_cpu:
-                yield from context.host.compute(total_cost)
-            else:
-                yield from context.charge(total_cost)
+            yield from context.charge(total_cost)
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
         result = yield from self.poll()

@@ -4,8 +4,7 @@ The paper notes the Intel Paragon descriptor "also includes the name of
 the process with which we wish to communicate, since on the Paragon, a
 parallel computation can contain several processes executing on the same
 processor."  These tests exercise that configuration: multiple contexts
-on one host, shared-memory selection between them, and CPU contention
-for their computation.
+on one host and shared-memory selection between them.
 """
 
 import pytest
@@ -57,54 +56,3 @@ class TestShmSelection:
         nexus.run(until=done)
         assert log[0] < 300e-6  # a few polling cycles, no wire latency
 
-
-class TestCpuContention:
-    def test_coresident_compute_serialises(self, bed):
-        nexus = bed.nexus
-        host = bed.hosts_a[0]
-        a = nexus.context(host, "a", methods=METHODS)
-        b = nexus.context(host, "b", methods=METHODS)
-        finish = {}
-
-        def worker(ctx, name):
-            yield from ctx.compute(0.1)
-            finish[name] = nexus.now
-
-        done = nexus.sim.all_of([nexus.spawn(worker(a, "a")),
-                                 nexus.spawn(worker(b, "b"))])
-        nexus.run(until=done)
-        # One CPU: the two 0.1 s computations cannot overlap.
-        assert max(finish.values()) == pytest.approx(0.2)
-
-    def test_separate_hosts_compute_in_parallel(self, bed):
-        nexus = bed.nexus
-        a = nexus.context(bed.hosts_a[0], methods=METHODS)
-        b = nexus.context(bed.hosts_a[1], methods=METHODS)
-        finish = {}
-
-        def worker(ctx, name):
-            yield from ctx.compute(0.1)
-            finish[name] = nexus.now
-
-        done = nexus.sim.all_of([nexus.spawn(worker(a, "a")),
-                                 nexus.spawn(worker(b, "b"))])
-        nexus.run(until=done)
-        assert max(finish.values()) == pytest.approx(0.1)
-
-    def test_multicore_host(self):
-        bed = make_sp2(nodes_a=1, nodes_b=0)
-        machine = bed.machine
-        smp = machine.new_host("smp", cpu_capacity=2)
-        nexus = bed.nexus
-        contexts = [nexus.context(smp, f"c{i}", methods=("local", "tcp"))
-                    for i in range(3)]
-        finish = []
-
-        def worker(ctx):
-            yield from ctx.compute(0.1)
-            finish.append(nexus.now)
-
-        done = nexus.sim.all_of([nexus.spawn(worker(c)) for c in contexts])
-        nexus.run(until=done)
-        # Two cores, three 0.1 s jobs: makespan 0.2, not 0.3 or 0.1.
-        assert max(finish) == pytest.approx(0.2)

@@ -60,7 +60,7 @@ class Phase:
 
     ``wait`` — until ``a`` more messages have been handled (predicate);
     ``sleep`` — ``wait`` on a timeout ``a`` seconds out (``Event``);
-    ``busy`` — ``busy_work(a, b)``, on the host CPU if ``flag``;
+    ``busy`` — ``busy_work(a, b)``;
     ``poll`` — ``a`` explicit runs of the polling function;
     ``skip`` — ``set_skip(a, b)``;  ``reply`` — one RSR to the neighbour.
     ``mask`` wraps the step in ``only(*mask)``.
@@ -69,7 +69,6 @@ class Phase:
     kind: str
     a: object = None
     b: object = None
-    flag: bool = False
     mask: tuple | None = None
 
 
@@ -168,8 +167,7 @@ def play(program, install=None, attach=AdaptiveSkipPoll.attach):
                 elif phase.kind == "sleep":
                     yield from me.wait(sim.timeout(phase.a))
                 elif phase.kind == "busy":
-                    found = yield from manager.busy_work(
-                        phase.a, phase.b, use_cpu=phase.flag)
+                    found = yield from manager.busy_work(phase.a, phase.b)
                     log.append(("busy", sim.now, found))
                 elif phase.kind == "poll":
                     for _ in range(phase.a):
@@ -247,7 +245,7 @@ phase = st.one_of(
     st.builds(Phase, st.just("wait"), st.integers(1, 3)),
     st.builds(Phase, st.just("sleep"), nanoseconds(0, 6_000_000), mask=masks),
     st.builds(Phase, st.just("busy"), st.integers(0, 600),
-              nanoseconds(0, 400_000), flag=st.booleans(), mask=masks),
+              nanoseconds(0, 400_000), mask=masks),
     st.builds(Phase, st.just("poll"), st.integers(1, 4), mask=masks),
     st.builds(Phase, st.just("skip"), st.sampled_from(METHODS), skip_values),
     st.builds(Phase, st.just("reply"), mask=masks),
@@ -295,7 +293,7 @@ NAMED = {
     "selective-tcp-busy-phases": Program(
         skips=(("tcp", 50),), mpl_sends=BURST, tcp_sends=BURST[:2],
         phases=(Phase("busy", 400, 200 * US, mask=("local", "mpl")),
-                Phase("busy", 120, 0.0, flag=True),
+                Phase("busy", 120, 0.0),
                 Phase("sleep", 3000 * US, mask=("local", "mpl")),
                 Phase("wait", 1),
                 Phase("busy", 90, 50 * US, mask=("tcp",)))),
@@ -392,7 +390,7 @@ def failed_event_wait(install=None):
 
 def test_a_failed_event_ends_an_idle_wait_with_its_exception():
     """The idle wake fails with a failed child's exception and defuses
-    the child, as the ``AnyOf`` it replaced did: the waiter sees the
+    the child, as the first-of join it replaced did: the waiter sees the
     exception at the failure instant (one poll cycle, then asleep until
     then), the simulator does not re-raise it, and the reference manager
     agrees on every count."""

@@ -1,10 +1,9 @@
-"""Tests for events, timeouts, and condition events."""
+"""Tests for events, timeouts, and the all-of join."""
 
 import pytest
 
 from repro.simnet import Simulator
 from repro.simnet.errors import EventError, ScheduleError
-from repro.simnet.events import ConditionValue
 
 
 def test_event_lifecycle(sim):
@@ -139,50 +138,12 @@ def test_all_of_waits_for_all(sim):
     results = {}
 
     def waiter():
-        value = yield sim.all_of([t1, t2])
+        results["value"] = yield sim.all_of([t1, t2])
         results["time"] = sim.now
-        results["values"] = value.values()
 
     sim.process(waiter())
     sim.run()
-    assert results["time"] == 2.0
-    assert results["values"] == ["a", "b"]
-
-
-def test_any_of_fires_on_first(sim):
-    t1 = sim.timeout(1.0, value="fast")
-    t2 = sim.timeout(5.0, value="slow")
-    results = {}
-
-    def waiter():
-        value = yield sim.any_of([t1, t2])
-        results["time"] = sim.now
-        results["got"] = t1 in value
-
-    sim.process(waiter())
-    sim.run(until=3.0)
-    assert results["time"] == 1.0
-    assert results["got"] is True
-
-
-def test_condition_operators(sim):
-    t1 = sim.timeout(1.0)
-    t2 = sim.timeout(2.0)
-    seen = []
-
-    def both():
-        yield t1 & t2
-        seen.append(("and", sim.now))
-
-    def either():
-        yield sim.timeout(0.5) | sim.timeout(9.0)
-        seen.append(("or", sim.now))
-
-    sim.process(both())
-    sim.process(either())
-    sim.run(until=5.0)
-    assert ("or", 0.5) in seen
-    assert ("and", 2.0) in seen
+    assert results == {"value": None, "time": 2.0}
 
 
 def test_empty_all_of_triggers_immediately(sim):
@@ -194,8 +155,8 @@ def test_empty_all_of_triggers_immediately(sim):
 
     sim.process(waiter())
     sim.run()
-    assert isinstance(done["v"], ConditionValue)
-    assert len(done["v"]) == 0
+    assert done == {"v": None}
+    assert sim.now == 0.0
 
 
 def test_condition_propagates_child_failure(sim):
@@ -219,19 +180,3 @@ def test_condition_rejects_cross_simulator_events(sim):
     other = Simulator()
     with pytest.raises(EventError):
         sim.all_of([sim.event(), other.event()])
-
-
-def test_condition_value_mapping(sim):
-    t1 = sim.timeout(1.0, value=10)
-    t2 = sim.timeout(1.0, value=20)
-    results = {}
-
-    def waiter():
-        value = yield sim.all_of([t1, t2])
-        results["v1"] = value[t1]
-        results["contains"] = t2 in value
-        results["len"] = len(value)
-
-    sim.process(waiter())
-    sim.run()
-    assert results == {"v1": 10, "contains": True, "len": 2}

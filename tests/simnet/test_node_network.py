@@ -15,50 +15,6 @@ def net(sim):
     return Network(sim)
 
 
-class TestHost:
-    def test_compute_charges_time(self, sim, net):
-        machine = net.new_machine("m")
-        host = machine.new_host("h")
-
-        def body():
-            yield from host.compute(1.5)
-
-        done = sim.process(body())
-        sim.run(until=done)
-        assert sim.now == 1.5
-        assert host.busy_time == 1.5
-
-    def test_cpu_contention_serialises(self, sim, net):
-        machine = net.new_machine("m")
-        host = machine.new_host("h", cpu_capacity=1)
-        log = []
-
-        def body(name):
-            yield from host.compute(1.0)
-            log.append((name, sim.now))
-
-        sim.process(body("a"))
-        sim.process(body("b"))
-        sim.run()
-        assert log == [("a", 1.0), ("b", 2.0)]
-
-    def test_zero_compute_is_free(self, sim, net):
-        host = net.new_machine("m").new_host()
-
-        def body():
-            yield from host.compute(0.0)
-            return sim.now
-
-        done = sim.process(body())
-        sim.run(until=done)
-        assert sim.now == 0.0
-
-    def test_negative_compute_rejected(self, sim, net):
-        host = net.new_machine("m").new_host()
-        with pytest.raises(ValueError):
-            list(host.compute(-1.0))
-
-
 class TestPartition:
     def test_membership_and_sessions(self, sim, net):
         machine = net.new_machine("sp2")

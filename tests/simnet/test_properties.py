@@ -80,54 +80,46 @@ def test_store_preserves_fifo_and_conserves_items(items):
     assert not store.items
 
 
-@given(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
-                          st.floats(min_value=0.001, max_value=1.0)),
-                min_size=1, max_size=30),
-       st.integers(min_value=3, max_value=5))
+@given(st.lists(st.floats(min_value=0.001, max_value=1.0),
+                min_size=1, max_size=30))
 @settings(max_examples=40, deadline=None)
-def test_resource_never_oversubscribed(requests, capacity):
-    """At no instant may granted units exceed capacity, and every request
+def test_resource_never_oversubscribed(holds):
+    """At no instant may two processes hold the lock, and every request
     must eventually be granted (no lost wakeups)."""
     sim = Simulator()
-    resource = Resource(sim, capacity=capacity)
+    resource = Resource(sim)
     granted = []
-    max_in_use = 0
+    holders = 0
 
-    def user(amount, hold):
-        nonlocal max_in_use
-        yield resource.request(amount)
-        max_in_use = max(max_in_use, capacity - resource.available)
-        assert resource.available >= 0
+    def user(hold):
+        nonlocal holders
+        yield resource.request()
+        holders += 1
+        assert holders == 1
         yield sim.timeout(hold)
-        resource.release(amount)
-        granted.append(amount)
+        holders -= 1
+        resource.release()
+        granted.append(hold)
 
-    for amount, hold in requests:
-        sim.process(user(amount, hold))
+    for hold in holds:
+        sim.process(user(hold))
     sim.run()
-    assert len(granted) == len(requests)
-    assert resource.available == capacity
-    assert max_in_use <= capacity
+    assert granted == holds
+    assert sim.now == sum(holds)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2,
                 max_size=20))
 @settings(max_examples=50, deadline=None)
-def test_all_of_fires_at_max_any_of_at_min(ds):
+def test_all_of_fires_at_max(ds):
     sim = Simulator()
     timeouts = [sim.timeout(d) for d in ds]
     times = {}
 
     def wait_all():
-        yield sim.all_of(timeouts)
+        times["value"] = yield sim.all_of(timeouts)
         times["all"] = sim.now
 
-    def wait_any():
-        yield sim.any_of(list(timeouts))
-        times["any"] = sim.now
-
     sim.process(wait_all())
-    sim.process(wait_any())
     sim.run()
-    assert times["all"] == max(ds)
-    assert times["any"] == min(ds)
+    assert times == {"value": None, "all": max(ds)}

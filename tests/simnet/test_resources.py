@@ -53,40 +53,6 @@ class TestStore:
         sim.run()
         assert out == [0, 1, 2, 3, 4]
 
-    def test_filtered_get_takes_first_match(self, sim):
-        store = Store(sim)
-        got = {}
-
-        def body():
-            for item in ("a1", "b1", "a2", "b2"):
-                store.put(item)
-            value = yield store.get(filter=lambda it: it.startswith("b"))
-            got["v"] = value
-            got["rest"] = tuple(store.items)
-
-        sim.process(body())
-        sim.run()
-        assert got["v"] == "b1"
-        assert got["rest"] == ("a1", "a2", "b2")
-
-    def test_filtered_get_does_not_block_other_getters(self, sim):
-        store = Store(sim)
-        got = []
-
-        def picky():
-            value = yield store.get(filter=lambda it: it == "never")
-            got.append(("picky", value))
-
-        def easy():
-            value = yield store.get()
-            got.append(("easy", value))
-
-        sim.process(picky())
-        sim.process(easy())
-        store.put("x")
-        sim.run()
-        assert got == [("easy", "x")]
-
     def test_try_get(self, sim):
         store = Store(sim)
         assert store.try_get() is None
@@ -94,32 +60,8 @@ class TestStore:
         store.put(2)
         sim.run()
         assert store.try_get() == 1
-        assert store.try_get(filter=lambda it: it == 2) == 2
+        assert store.try_get() == 2
         assert store.try_get() is None
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append(("a", sim.now))
-            yield store.put("b")
-            log.append(("b", sim.now))
-
-        def consumer():
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert log[0] == ("a", 0.0)
-        assert log[1] == ("b", 3.0)
-
-    def test_bad_capacity_rejected(self, sim):
-        with pytest.raises(SimnetError):
-            Store(sim, capacity=0)
 
     def test_len_and_is_empty(self, sim):
         store = Store(sim)
@@ -131,7 +73,7 @@ class TestStore:
 
 class TestResource:
     def test_grant_and_release(self, sim):
-        resource = Resource(sim, capacity=2)
+        resource = Resource(sim)
         log = []
 
         def user(name, hold):
@@ -143,14 +85,13 @@ class TestResource:
 
         sim.process(user("a", 1.0))
         sim.process(user("b", 1.0))
-        sim.process(user("c", 1.0))
         sim.run()
-        # a and b enter immediately; c waits for a release at t=1.
-        assert (("a", "in", 0.0) in log and ("b", "in", 0.0) in log)
-        assert ("c", "in", 1.0) in log
+        # a holds the lock from t=0; b is granted it at a's release.
+        assert log == [("a", "in", 0.0), ("a", "out", 1.0),
+                       ("b", "in", 1.0), ("b", "out", 2.0)]
 
     def test_fifo_fairness(self, sim):
-        resource = Resource(sim, capacity=1)
+        resource = Resource(sim)
         order = []
 
         def user(name):
@@ -164,56 +105,16 @@ class TestResource:
         sim.run()
         assert order == ["first", "second", "third"]
 
-    def test_counters(self, sim):
-        resource = Resource(sim, capacity=3)
-
-        def body():
-            yield resource.request(2)
-
-        sim.process(body())
-        sim.run()
-        assert resource.available == 1
-        resource.release(2)
-        assert resource.available == 3
-
-    def test_over_request_rejected(self, sim):
-        resource = Resource(sim, capacity=2)
-        with pytest.raises(SimnetError):
-            resource.request(3)
-        with pytest.raises(SimnetError):
-            resource.request(0)
-
     def test_over_release_rejected(self, sim):
-        resource = Resource(sim, capacity=1)
+        resource = Resource(sim)
         with pytest.raises(SimnetError):
             resource.release()
 
-    def test_bad_capacity_rejected(self, sim):
-        with pytest.raises(SimnetError):
-            Resource(sim, capacity=0)
+        def body():
+            yield resource.request()
+            resource.release()
 
-    def test_head_of_line_blocking_is_fifo(self, sim):
-        # A big request at the head must not be starved by small ones.
-        resource = Resource(sim, capacity=2)
-        order = []
-
-        def holder():
-            yield resource.request(2)
-            yield sim.timeout(1.0)
-            resource.release(2)
-
-        def big():
-            yield resource.request(2)
-            order.append("big")
-            resource.release(2)
-
-        def small():
-            yield resource.request(1)
-            order.append("small")
-            resource.release(1)
-
-        sim.process(holder())
-        sim.process(big())    # queued first
-        sim.process(small())  # would fit earlier, but FIFO says no
+        sim.process(body())
         sim.run()
-        assert order == ["big", "small"]
+        with pytest.raises(SimnetError):
+            resource.release()

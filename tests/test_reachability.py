@@ -52,8 +52,6 @@ KEEP = {
                       "with the reference manager's",
     "amortized_cycle_time": "the poll model's candidate source for the "
                             "adaptive skip bound (ROADMAP item 14)",
-    "any_of": "oracle surface: tests/core/reference_polling.py waits on "
-              "the first of its wake events",
 }
 
 

@@ -100,7 +100,7 @@ class TestTcpDelivery:
             yield from sp.rsr("sink", Buffer())
 
         def busy_receiver():
-            yield from b.compute(0.1)  # no polls for 100 ms
+            yield from b.charge(0.1)  # no polls for 100 ms
             assert len(b.inbox("tcp")) == 1  # arrived, undetected
             yield from b.poll()
             assert len(log) == 1
