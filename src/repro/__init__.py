@@ -34,7 +34,6 @@ model) → :mod:`repro.transports` (communication modules) →
 :mod:`repro.apps` (workloads) → :mod:`repro.bench` (experiments).
 """
 
-from .config import ConfigError, build_world, describe_world
 from .core import (
     AdaptiveConfig,
     AdaptiveSkipPoll,
@@ -80,7 +79,6 @@ __all__ = [
     "AdaptiveSkipPoll",
     "Buffer",
     "CommDescriptorTable",
-    "ConfigError",
     "Context",
     "DeliveryError",
     "Endpoint",
@@ -110,8 +108,6 @@ __all__ = [
     "Startpoint",
     "TransportCosts",
     "__version__",
-    "build_world",
-    "describe_world",
     "enquiry",
     "make_iway",
     "make_sp2",

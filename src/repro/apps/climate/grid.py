@@ -82,7 +82,7 @@ class Slab:
 def halo_exchange(proc: "MpiProcess", comm: "Communicator", slab: Slab):
     """Generator: swap edge rows with both neighbours.
 
-    All receives are posted first, then all sends, then one waitall —
+    All receives are posted first, then all sends, then a wait on each —
     fully parallel across the rank chain (no serialised neighbour
     dependency).  My top interior row travels north with
     ``TAG_HALO_NORTH``; my bottom row south with ``TAG_HALO_SOUTH``; tags

@@ -1,13 +1,12 @@
 """repro.mpi — a mini-MPI layered on the Nexus core.
 
 Reproduces the structure of the MPICH-on-Nexus implementation the paper
-used: two-sided tag/source matching, communicators with private contexts,
-blocking and nonblocking point-to-point, and tree-based collectives — all
-over one-sided RSRs, so every MPI call exercises the multimethod polling
-machinery.
+used, as far as its applications call it: two-sided tag/source
+matching, communicators with private contexts, blocking point-to-point,
+``irecv`` requests, and linear gather/scatter — all over one-sided
+RSRs, so every MPI call exercises the multimethod polling machinery.
 """
 
-from .collectives import OPS, resolve_op
 from .communicator import Communicator
 from .datatypes import Padded, Payload, pack_payload, payload_nbytes, unpack_payload
 from .errors import (
@@ -15,11 +14,10 @@ from .errors import (
     MpiError,
     RankError,
     RequestError,
-    TruncationError,
 )
 from .matching import MatchingQueues, MpiMessage, PostedRecv
 from .mpi import MPI_ENVELOPE_BYTES, MPIWorld, MpiConfig, MpiProcess
-from .request import RecvRequest, Request, SendRequest, wait_all
+from .request import Request
 from .status import ANY_SOURCE, ANY_TAG, Status
 
 __all__ = [
@@ -34,20 +32,14 @@ __all__ = [
     "MpiError",
     "MpiMessage",
     "MpiProcess",
-    "OPS",
     "Padded",
     "Payload",
     "PostedRecv",
     "RankError",
-    "RecvRequest",
     "Request",
     "RequestError",
-    "SendRequest",
     "Status",
-    "TruncationError",
     "pack_payload",
     "payload_nbytes",
-    "resolve_op",
     "unpack_payload",
-    "wait_all",
 ]

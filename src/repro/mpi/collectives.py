@@ -1,10 +1,9 @@
 """Collective operations built on mini-MPI point-to-point.
 
-Classic algorithms: dissemination barrier, binomial-tree broadcast and
-reduce, reduce+bcast allreduce, linear gather/scatter, gather+bcast
-allgather, pairwise-exchange alltoall.  All traffic flows in the
-communicator's *collective* context with a per-operation sequence tag,
-so user point-to-point traffic can never interfere.
+Linear gather and scatter, the two the satellite pipeline runs.  All
+traffic flows in the communicator's *collective* context with a
+per-operation sequence tag, so user point-to-point traffic can never
+interfere.
 
 Every function is a generator taking ``(proc, ..., comm)`` and must be
 called by **all** members of ``comm`` in the same order.
@@ -14,120 +13,12 @@ from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
 from .communicator import Communicator
 from .datatypes import Payload
 from .errors import MpiError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .mpi import MpiProcess
-
-#: Named reduction operators.  Arrays combine elementwise.
-OPS: dict[str, _t.Callable[[Payload, Payload], Payload]] = {
-    "sum": lambda a, b: a + b,           # type: ignore[operator]
-    "prod": lambda a, b: a * b,          # type: ignore[operator]
-    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray)
-    else max(a, b),                      # type: ignore[type-var]
-    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray)
-    else min(a, b),                      # type: ignore[type-var]
-}
-
-
-def resolve_op(op: str | _t.Callable) -> _t.Callable[[Payload, Payload], Payload]:
-    """Turn an op name (or callable) into the combining callable."""
-    if callable(op):
-        return op
-    try:
-        return OPS[op]
-    except KeyError:
-        raise MpiError(f"unknown reduction op {op!r}; "
-                       f"known: {sorted(OPS)}") from None
-
-
-def barrier(proc: "MpiProcess", comm: Communicator):
-    """Dissemination barrier: ceil(log2 n) pairwise rounds."""
-    n = comm.size
-    if n == 1:
-        return
-    rank = comm.rank_of_world(proc.rank)
-    tag = proc.next_collective_tag(comm)
-    distance = 1
-    while distance < n:
-        dest = (rank + distance) % n
-        source = (rank - distance) % n
-        yield from proc.sendrecv(None, dest, tag, source, tag, comm,
-                                 collective=True)
-        distance <<= 1
-
-
-def bcast(proc: "MpiProcess", value: Payload, root: int,
-          comm: Communicator):
-    """Binomial-tree broadcast; returns the root's value on every rank."""
-    n = comm.size
-    rank = comm.rank_of_world(proc.rank)
-    tag = proc.next_collective_tag(comm)
-    if n == 1:
-        return value
-    relative = (rank - root) % n
-
-    # Receive phase: find the bit that names my parent.
-    mask = 1
-    while mask < n:
-        if relative & mask:
-            parent = (rank - mask) % n
-            value, _status = yield from proc.recv(parent, tag, comm,
-                                                  collective=True)
-            break
-        mask <<= 1
-    else:
-        mask = 1 << (n - 1).bit_length()  # root: start above the top bit
-    # Send phase: my children sit at relative + m for each m below the bit
-    # I received on (below the top bit, for the root).
-    mask >>= 1
-    while mask:
-        if relative + mask < n:
-            child = (rank + mask) % n
-            yield from proc.send(value, child, tag, comm, collective=True)
-        mask >>= 1
-    return value
-
-
-def reduce(proc: "MpiProcess", value: Payload, op: str | _t.Callable,
-           root: int, comm: Communicator):
-    """Binomial-tree reduction; returns the combined value on ``root``
-    (None elsewhere).  Combination order is deterministic by rank."""
-    combine = resolve_op(op)
-    n = comm.size
-    rank = comm.rank_of_world(proc.rank)
-    tag = proc.next_collective_tag(comm)
-    if n == 1:
-        return value
-    relative = (rank - root) % n
-
-    accumulated = value
-    mask = 1
-    while mask < n:
-        if relative & mask:
-            parent = (rank - mask) % n
-            yield from proc.send(accumulated, parent, tag, comm,
-                                 collective=True)
-            return None
-        if relative + mask < n:
-            child = (rank + mask) % n
-            contribution, _status = yield from proc.recv(
-                child, tag, comm, collective=True)
-            accumulated = combine(accumulated, contribution)
-        mask <<= 1
-    return accumulated
-
-
-def allreduce(proc: "MpiProcess", value: Payload, op: str | _t.Callable,
-              comm: Communicator):
-    """Reduce to rank 0 then broadcast (returns the result everywhere)."""
-    partial = yield from reduce(proc, value, op, 0, comm)
-    result = yield from bcast(proc, partial, 0, comm)
-    return result
 
 
 def gather(proc: "MpiProcess", value: Payload, root: int,
@@ -150,15 +41,6 @@ def gather(proc: "MpiProcess", value: Payload, root: int,
     return gathered
 
 
-def allgather(proc: "MpiProcess", value: Payload, comm: Communicator):
-    """Gather to rank 0 + broadcast of the assembled list."""
-    gathered = yield from gather(proc, value, 0, comm)
-    if gathered is not None:
-        gathered = tuple(gathered)
-    result = yield from bcast(proc, gathered, 0, comm)
-    return list(_t.cast(tuple, result))
-
-
 def scatter(proc: "MpiProcess", values: _t.Sequence[Payload] | None,
             root: int, comm: Communicator):
     """Linear scatter from root; returns this rank's item."""
@@ -179,72 +61,3 @@ def scatter(proc: "MpiProcess", values: _t.Sequence[Payload] | None,
         return values[root]
     item, _status = yield from proc.recv(root, tag, comm, collective=True)
     return item
-
-
-def scan(proc: "MpiProcess", value: Payload, op: str | _t.Callable,
-         comm: Communicator, *, exclusive: bool = False):
-    """Inclusive (default) or exclusive prefix reduction by rank order.
-
-    Linear chain: rank r receives the prefix of ranks < r, combines, and
-    forwards — O(n) latency but deterministic combination order, which
-    matters for non-commutative callables.  Exclusive scan returns None
-    on rank 0 (there is no prefix before it).
-    """
-    combine = resolve_op(op)
-    n = comm.size
-    rank = comm.rank_of_world(proc.rank)
-    tag = proc.next_collective_tag(comm)
-    prefix: Payload = None
-    if rank > 0:
-        prefix, _status = yield from proc.recv(rank - 1, tag, comm,
-                                               collective=True)
-    inclusive = value if prefix is None else combine(prefix, value)
-    if rank + 1 < n:
-        yield from proc.send(inclusive, rank + 1, tag, comm,
-                             collective=True)
-    return prefix if exclusive else inclusive
-
-
-def reduce_scatter(proc: "MpiProcess", values: _t.Sequence[Payload],
-                   op: str | _t.Callable, comm: Communicator):
-    """Reduce ``values[i]`` across all ranks and give the result to rank i.
-
-    Implemented as reduce-to-root of the whole vector followed by a
-    scatter — the classic simple algorithm; each rank passes a list of
-    ``comm.size`` payloads and receives one combined payload.
-    """
-    n = comm.size
-    if len(values) != n:
-        raise MpiError(
-            f"reduce_scatter needs exactly {n} values, got {len(values)}")
-    combine = resolve_op(op)
-
-    def combine_tuples(a: Payload, b: Payload) -> Payload:
-        return tuple(combine(x, y)
-                     for x, y in zip(_t.cast(tuple, a), _t.cast(tuple, b)))
-
-    combined = yield from reduce(proc, tuple(values), combine_tuples, 0,
-                                 comm)
-    mine = yield from scatter(
-        proc, list(_t.cast(tuple, combined)) if combined is not None
-        else None, 0, comm)
-    return mine
-
-
-def alltoall(proc: "MpiProcess", values: _t.Sequence[Payload],
-             comm: Communicator):
-    """Pairwise-exchange alltoall; returns the list indexed by source."""
-    n = comm.size
-    rank = comm.rank_of_world(proc.rank)
-    tag = proc.next_collective_tag(comm)
-    if len(values) != n:
-        raise MpiError(f"alltoall needs exactly {n} values, got {len(values)}")
-    received: list[Payload] = [None] * n
-    received[rank] = values[rank]
-    for shift in range(1, n):
-        dest = (rank + shift) % n
-        source = (rank - shift) % n
-        item, _status = yield from proc.sendrecv(
-            values[dest], dest, tag, source, tag, comm, collective=True)
-        received[source] = item
-    return received

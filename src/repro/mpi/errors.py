@@ -17,7 +17,3 @@ class MatchingError(MpiError):
 
 class RequestError(MpiError):
     """Illegal operation on a request (double wait, unstarted...)."""
-
-
-class TruncationError(MpiError):
-    """A receive matched a larger message than it can accept."""

@@ -61,8 +61,6 @@ class PostedRecv:
         return message is not None and (message.pending_token is None
                                         or self.data_arrived)
 
-    complete = property(done)
-
     def matches(self, message: MpiMessage) -> bool:
         if message.context_id != self.context_id:
             return False
@@ -126,7 +124,7 @@ class MatchingQueues:
     def post(self, context_id: int, source: int, tag: int) -> PostedRecv:
         """Post a receive: match an unexpected message now, or enqueue.
 
-        The returned object's ``complete`` flag is what the receive wait
+        The returned object's ``done`` check is what the receive wait
         loop polls on.
         """
         posted = PostedRecv(context_id=context_id, source=source, tag=tag)
@@ -138,25 +136,6 @@ class MatchingQueues:
                 return posted
         self.posted.append(posted)
         return posted
-
-    def cancel(self, posted: PostedRecv) -> None:
-        """Withdraw an incomplete posted receive."""
-        if posted.complete:
-            raise MatchingError("cannot cancel a matched receive")
-        try:
-            self.posted.remove(posted)
-        except ValueError:
-            raise MatchingError("receive is not posted here") from None
-
-    def probe(self, context_id: int, source: int, tag: int
-              ) -> MpiMessage | None:
-        """First unexpected message that a matching receive would take
-        (without removing it) — the MPI_Probe analogue."""
-        probe_recv = PostedRecv(context_id=context_id, source=source, tag=tag)
-        for message in self.unexpected:
-            if probe_recv.matches(message):
-                return message
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<MatchingQueues posted={len(self.posted)} "

@@ -26,8 +26,8 @@ from .communicator import Communicator
 from .datatypes import Payload, pack_payload, payload_nbytes, unpack_payload
 from .errors import MpiError, RankError
 from .matching import MatchingQueues, MpiMessage, PostedRecv
-from .request import RecvRequest, Request, SendRequest, wait_all
-from .status import ANY_SOURCE, ANY_TAG, Status
+from .request import Request
+from .status import ANY_SOURCE, ANY_TAG
 from . import collectives as _collectives
 
 #: Envelope overhead added by the MPI layer on top of the Nexus header.
@@ -86,10 +86,6 @@ class MpiProcess:
 
     # -- infrastructure -----------------------------------------------------
 
-    @property
-    def comm_world(self) -> Communicator:
-        return self.world.comm_world
-
     def startpoint_to(self, world_rank: int) -> Startpoint:
         sp = self._startpoints.get(world_rank)
         if sp is None:  # first use: bind to the startup snapshot
@@ -124,9 +120,13 @@ class MpiProcess:
 
     # -- point-to-point ------------------------------------------------------------
 
-    def _send_body(self, data: Payload, dest: int, tag: int,
-                   comm: Communicator, context_id: int):
-        """Generator: one send, from the layer's per-call charge on."""
+    def send(self, data: Payload, dest: int, tag: int = 0,
+             comm: Communicator | None = None, *, collective: bool = False):
+        """Generator: blocking standard-mode send (eager protocol, or
+        rendezvous at :attr:`MpiConfig.eager_threshold`)."""
+        comm = self._resolve_comm(comm)
+        context_id = (comm.collective_context if collective
+                      else comm.p2p_context)
         config = self.world.config
         sim = self.nexus.sim
         if config.call_overhead > 0.0:
@@ -202,35 +202,10 @@ class MpiProcess:
         posted.message.payload = payload
         posted.data_arrived = True
 
-    def send(self, data: Payload, dest: int, tag: int = 0,
-             comm: Communicator | None = None, *, collective: bool = False):
-        """Generator: blocking standard-mode send (eager protocol).
-
-        Hands back :meth:`_send_body`'s generator rather than wrap it: a
-        blocking operation costs one frame below its caller."""
-        communicator = self._resolve_comm(comm)
-        context_id = (communicator.collective_context if collective
-                      else communicator.p2p_context)
-        return self._send_body(data, dest, tag, communicator, context_id)
-
-    def isend(self, data: Payload, dest: int, tag: int = 0,
-              comm: Communicator | None = None, *,
-              collective: bool = False) -> SendRequest:
-        """Nonblocking send: returns a request, transfer proceeds
-        concurrently."""
-        communicator = self._resolve_comm(comm)
-        context_id = (communicator.collective_context if collective
-                      else communicator.p2p_context)
-        process = self.nexus.spawn(
-            self._send_body(data, dest, tag, communicator, context_id),
-            name=f"isend:r{self.rank}->r{dest}")
-        return SendRequest(self, process)
-
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              comm: Communicator | None = None, *,
-              collective: bool = False) -> RecvRequest:
+              comm: Communicator | None = None) -> Request:
         """Nonblocking receive: posts the match and returns a request."""
-        return RecvRequest(self, self._post(source, tag, comm, collective))
+        return Request(self, self._post(source, tag, comm, False))
 
     def _post(self, source: int, tag: int, comm: Communicator | None,
               collective: bool) -> PostedRecv:
@@ -271,60 +246,15 @@ class MpiProcess:
 
     def sendrecv(self, data: Payload, dest: int, sendtag: int,
                  source: int, recvtag: int,
-                 comm: Communicator | None = None, *,
-                 collective: bool = False):
+                 comm: Communicator | None = None):
         """Generator: simultaneous send+receive (deadlock-free pairwise
         exchange) → ``(data, status)`` of the received message."""
-        posted = self._post(source, recvtag, comm, collective)
-        yield from self.send(data, dest, sendtag, comm, collective=collective)
+        posted = self._post(source, recvtag, comm, False)
+        yield from self.send(data, dest, sendtag, comm)
         yield from self.context.wait(posted.done)
         return posted.result(self.nexus.sim._clock._now)
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-               comm: Communicator | None = None) -> Status | None:
-        """Nonblocking probe: status of a matchable unexpected message."""
-        communicator = self._resolve_comm(comm)
-        message = self.matching.probe(communicator.p2p_context, source, tag)
-        if message is None:
-            return None
-        return Status(source=message.source, tag=message.tag,
-                      nbytes=message.nbytes, sent_at=message.sent_at,
-                      received_at=self.nexus.sim.now)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              comm: Communicator | None = None):
-        """Generator: blocking probe (polls until a match is queued)."""
-        yield from self.context.wait(
-            lambda: self.iprobe(source, tag, comm) is not None)
-        return self.iprobe(source, tag, comm)
-
-    def wait_all(self, requests: _t.Sequence[Request]):
-        """Generator: MPI_Waitall."""
-        result = yield from wait_all(requests)
-        return result
-
     # -- collectives (delegating to repro.mpi.collectives) ---------------------
-
-    def barrier(self, comm: Communicator | None = None):
-        yield from _collectives.barrier(self, self._resolve_comm(comm))
-
-    def bcast(self, value: Payload, root: int = 0,
-              comm: Communicator | None = None):
-        result = yield from _collectives.bcast(
-            self, value, root, self._resolve_comm(comm))
-        return result
-
-    def reduce(self, value: Payload, op: str | _t.Callable = "sum",
-               root: int = 0, comm: Communicator | None = None):
-        result = yield from _collectives.reduce(
-            self, value, op, root, self._resolve_comm(comm))
-        return result
-
-    def allreduce(self, value: Payload, op: str | _t.Callable = "sum",
-                  comm: Communicator | None = None):
-        result = yield from _collectives.allreduce(
-            self, value, op, self._resolve_comm(comm))
-        return result
 
     def gather(self, value: Payload, root: int = 0,
                comm: Communicator | None = None):
@@ -332,63 +262,11 @@ class MpiProcess:
             self, value, root, self._resolve_comm(comm))
         return result
 
-    def allgather(self, value: Payload, comm: Communicator | None = None):
-        result = yield from _collectives.allgather(
-            self, value, self._resolve_comm(comm))
-        return result
-
     def scatter(self, values: _t.Sequence[Payload] | None, root: int = 0,
                 comm: Communicator | None = None):
         result = yield from _collectives.scatter(
             self, values, root, self._resolve_comm(comm))
         return result
-
-    def alltoall(self, values: _t.Sequence[Payload],
-                 comm: Communicator | None = None):
-        result = yield from _collectives.alltoall(
-            self, values, self._resolve_comm(comm))
-        return result
-
-    def scan(self, value: Payload, op: str | _t.Callable = "sum",
-             comm: Communicator | None = None, *, exclusive: bool = False):
-        result = yield from _collectives.scan(
-            self, value, op, self._resolve_comm(comm), exclusive=exclusive)
-        return result
-
-    def reduce_scatter(self, values: _t.Sequence[Payload],
-                       op: str | _t.Callable = "sum",
-                       comm: Communicator | None = None):
-        result = yield from _collectives.reduce_scatter(
-            self, values, op, self._resolve_comm(comm))
-        return result
-
-    def comm_split(self, color: int, key: int = 0,
-                   comm: Communicator | None = None):
-        """Generator: MPI_Comm_split — collective over ``comm``.
-
-        Every member contributes ``(color, key)``; members sharing a
-        color form a new communicator, ranked by ``(key, old rank)``.
-        Returns this process's new communicator (``None`` for the MPI
-        ``MPI_UNDEFINED`` convention when ``color < 0``).
-        """
-        communicator = self._resolve_comm(comm)
-        my_rank = communicator.rank_of_world(self.rank)
-        pairs = yield from _collectives.allgather(
-            self, (color, key, my_rank), communicator)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for entry in _t.cast(list, pairs):
-            entry_color, entry_key, entry_rank = _t.cast(tuple, entry)
-            if entry_color >= 0:
-                groups.setdefault(entry_color, []).append(
-                    (entry_key, entry_rank))
-        if color < 0:
-            return None
-        members = [rank for _key, rank in sorted(groups[color])]
-        world_ranks = [communicator.world_rank(r) for r in members]
-        # Every member computes the identical group deterministically, so
-        # the shared Communicator ids stay consistent: build it once per
-        # (world, group) signature.
-        return self.world._split_comm(tuple(world_ranks))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MpiProcess rank={self.rank} ctx={self.context.id}>"
@@ -460,23 +338,6 @@ class MPIWorld:
         ]
         self.tables = [context.export_table() for context in contexts]
         self.comm_world = Communicator(self, range(len(self.processes)))
-        self._split_cache: dict[tuple[int, ...], Communicator] = {}
-        self._split_calls: dict[tuple[int, ...], int] = {}
-
-    def _split_comm(self, world_ranks: tuple[int, ...]) -> Communicator:
-        """Shared communicator construction for ``comm_split``.
-
-        All members of one logical split compute the same group signature
-        and must receive the *same* Communicator object (so context ids
-        match); a subsequent split producing the same group must get a
-        fresh one.  Calls are counted per signature: every
-        ``len(world_ranks)``-th call starts a new communicator.
-        """
-        calls = self._split_calls.get(world_ranks, 0)
-        if calls % len(world_ranks) == 0:
-            self._split_cache[world_ranks] = Communicator(self, world_ranks)
-        self._split_calls[world_ranks] = calls + 1
-        return self._split_cache[world_ranks]
 
     @property
     def size(self) -> int:

@@ -8,8 +8,7 @@ Three pieces (see :mod:`~repro.obs.spans`, :mod:`~repro.obs.metrics`,
   with forwarding and multicast fan-out as linked children);
 * a **metrics registry** of counters, gauges, and fixed-bucket
   histograms (per-method latency, per-phase time, poll-hit counts);
-* **exporters**: Chrome trace-event JSON (Perfetto) and ASCII
-  timelines/charts for terminals.
+* an **exporter**: Chrome trace-event JSON (Perfetto).
 
 On top of those sits the **analysis layer** (:mod:`~repro.obs.timeline`,
 :mod:`~repro.obs.graph`, :mod:`~repro.obs.critpath`): sim-time-windowed

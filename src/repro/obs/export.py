@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and ASCII renderings.
+"""Trace exporter: Chrome trace-event JSON.
 
 :func:`merged_chrome_trace` builds the one Chrome trace-event document
 (what ``--trace`` writes), one pid block per collected run.  It loads
@@ -6,11 +6,10 @@ directly in Perfetto (ui.perfetto.dev) or ``chrome://tracing``: each
 simulation context renders as a *process*, each transport (plus the
 ``nexus`` dispatch lane) as a *thread*, and each lifecycle span as a
 complete ("X") event whose ``args`` carry the causal RSR id and parent
-span id.  The same log also renders as an ASCII timeline for terminals
-(:mod:`repro.util.ascii_chart`'s conventions).  Both draw the whole
-in-memory log in span-id order, which is no per-RSR fold, so they read
-``obs.spans`` rather than the sink's RSR groups.  Spans one per line
-are the spool's shard records (:mod:`repro.obs.stream`).
+span id.  It draws the whole in-memory log in span-id order, which is
+no per-RSR fold, so it reads ``obs.spans`` rather than the sink's RSR
+groups.  Spans one per line are the spool's shard records
+(:mod:`repro.obs.stream`).
 
 Every export is deterministic: ids come from per-run counters, context
 ids are renumbered by first appearance, and JSON is serialised with
@@ -21,15 +20,11 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..util.ascii_chart import GLYPHS
 from ..util.document import DocumentError, Schema, write
-from .spans import NEXUS_LANE, PHASES, Observability, Span
+from .spans import NEXUS_LANE, Observability, Span
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.runtime import Nexus
-
-#: One glyph per phase for the ASCII timeline (index-aligned to PHASES).
-PHASE_GLYPHS: dict[str, str] = dict(zip(PHASES, "im=~?fdhrxp"))
 
 
 def _context_order(spans: _t.Sequence[Span]) -> dict[int, int]:
@@ -252,76 +247,12 @@ def _validate(document: object,
     }
 
 
-# -- terminal renderings -----------------------------------------------------
-
-def ascii_timeline(obs: Observability, *, width: int = 72,
-                   max_lanes: int = 24,
-                   context_names: _t.Mapping[int, str] | None = None) -> str:
-    """Span occupancy per (context, lane) row of the in-memory log over
-    virtual time.
-
-    Each cell shows the phase glyph of the span covering that instant
-    (later spans win ties); a legend maps glyphs back to phases.  This
-    is the terminal sibling of the Perfetto view — enough to eyeball
-    where an RSR's time went without leaving the shell.
-    """
-    spans = obs.spans
-    closed = [s for s in spans if s.end is not None]
-    if not closed:
-        return "(no closed spans)"
-    t_lo = min(s.start for s in closed)
-    t_hi = max(_t.cast(float, s.end) for s in closed)
-    span_width = max(t_hi - t_lo, 1e-12)
-
-    ctx_order = _context_order(spans)
-    lane_tids = _lane_order(spans)
-    rows: dict[tuple[int, int], list[str]] = {}
-    row_spans: dict[tuple[int, int], int] = {}
-    for span in closed:
-        key = (ctx_order[span.ctx], lane_tids[(span.ctx, span.lane)])
-        row = rows.get(key)
-        if row is None:
-            if len(rows) >= max_lanes:
-                continue
-            row = [" "] * width
-            rows[key] = row
-        lo = int((span.start - t_lo) / span_width * (width - 1))
-        hi = int((_t.cast(float, span.end) - t_lo) / span_width * (width - 1))
-        glyph = PHASE_GLYPHS.get(span.phase, "?")
-        for cell in range(lo, hi + 1):
-            row[cell] = glyph
-        row_spans[key] = row_spans.get(key, 0) + 1
-
-    labels = {}
-    for span in closed:
-        key = (ctx_order[span.ctx], lane_tids[(span.ctx, span.lane)])
-        if key in rows and key not in labels:
-            name = (context_names or {}).get(span.ctx, f"ctx{key[0]}")
-            labels[key] = f"{name}/{span.lane}"
-    label_width = max(len(label) for label in labels.values())
-
-    lines = [f"timeline t=[{t_lo:.6g}s .. {t_hi:.6g}s] "
-             f"({len(closed)} spans)"]
-    for key in sorted(rows):
-        lines.append(f"{labels[key]:>{label_width}} |{''.join(rows[key])}| "
-                     f"{row_spans[key]}")
-    legend = "  ".join(f"{PHASE_GLYPHS[p]}={p}" for p in PHASES)
-    lines.append(" " * label_width + "  " + legend)
-    skipped = len(lane_tids) - len(rows)
-    if skipped > 0:
-        lines.append(f"  (+{skipped} lanes not shown; "
-                     f"raise max_lanes to include them)")
-    return "\n".join(lines)
-
-
 #: A Chrome trace carries no ``schema`` key; the validator CLI
 #: recognises it by its ``traceEvents``.
 DOCUMENT = Schema("repro.obs.trace", None, _validate, "Chrome trace")
 
 
-# keep GLYPHS imported name referenced for re-export convenience
 __all__ = [
-    "DOCUMENT", "GLYPHS", "PHASE_GLYPHS", "ascii_timeline",
-    "chrome_trace_events", "merged_chrome_trace",
+    "DOCUMENT", "chrome_trace_events", "merged_chrome_trace",
     "write_merged_chrome_trace",
 ]

@@ -55,13 +55,13 @@ class Simulator:
         #: Last sequence number handed out; breaks ties in creation order.
         self._seq = 0
         self._events_processed = 0
-        # Shadow the ``timeout`` method with a C-level partial: timeouts
-        # are created hundreds of thousands of times per run and the
-        # wrapper frame was measurable.  ``Timeout`` validates the delay
-        # and takes (delay, value, name) in the documented order, so the
-        # binding is behaviourally identical (the method below stays as
-        # the documented signature).
-        self.timeout = functools.partial(Timeout, self)
+        #: ``timeout(delay, value=None, name=None)``: an event that fires
+        #: ``delay`` simulated seconds from now.  A C-level partial of
+        #: :class:`Timeout` rather than a method: timeouts are created
+        #: hundreds of thousands of times per run and a wrapper frame
+        #: was measurable.  The signature is ``Timeout.__init__``'s.
+        self.timeout: _t.Callable[..., Timeout] = functools.partial(
+            Timeout, self)
 
     # -- time --------------------------------------------------------------
 
@@ -80,11 +80,6 @@ class Simulator:
     def event(self, name: str | None = None) -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name=name)
-
-    def timeout(self, delay: float, value: object = None,
-                name: str | None = None) -> Timeout:
-        """An event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value, name)
 
     def timeout_at(self, when: float, value: object = None,
                    name: str | None = None) -> Timeout:

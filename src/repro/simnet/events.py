@@ -141,18 +141,21 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay.
 
-    Created via :meth:`Simulator.timeout`; ``yield sim.timeout(d)`` suspends
+    Created via ``Simulator.timeout``; ``yield sim.timeout(d)`` suspends
     the current process for ``d`` simulated seconds.  :meth:`at` (reached
     through :meth:`Simulator.timeout_at`) names the instant instead.
     """
 
     __slots__ = ("delay",)
 
-    # ``name`` precedes ``priority`` so that the positional order matches
-    # the documented ``Simulator.timeout(delay, value=None, name=None)``,
-    # which reaches this constructor through a ``functools.partial``.
     def __init__(self, sim: "Simulator", delay: float, value: object = None,
                  name: str | None = None, priority: int = NORMAL):
+        """Schedule the event ``delay`` seconds from now.
+
+        ``Simulator.timeout`` is ``functools.partial(Timeout, sim)``, so
+        ``sim.timeout(delay, value=None, name=None)`` is this signature
+        less ``sim``; ``name`` precedes ``priority`` to keep that
+        positional order."""
         if delay < 0:
             raise ScheduleError(f"negative timeout delay {delay!r}")
         # Flattened Event.__init__ — this constructor runs once per

@@ -10,13 +10,14 @@ interpreter entered, with its line count.
 
 Run from anywhere (the checkout is located from this file)::
 
-    python tests/census.py                 # every group, ~4 min on 2 cpus
+    python tests/census.py                 # every group, ~6 min on 2 cpus
     python tests/census.py examples fleet  # some groups
 
 The groups are ``bench`` (the CI gate with ``--trace --record
---export-dir --baseline --check``, ``fleet``, streamed and sampled
-``analysis``, ``--profile/--flame``, ``--jobs 2``, and the validator
-over their outputs), ``examples`` (every ``examples/*.py``), ``fleet``
+--export-dir --baseline --check``, ``fleet --record --record-wall``,
+``--selfcheck``, streamed and sampled ``analysis``,
+``--profile/--flame``, ``--jobs 2``, and the validator over their
+outputs), ``examples`` (every ``examples/*.py``), ``fleet``
 (three ``python -m repro.fleet`` runs) and ``perfbench`` (the six
 workloads at ``--seconds 0``).  Exit status 1 means an entry point
 failed, and the list then over-counts.
@@ -102,7 +103,9 @@ def entry_points(work: str) -> dict[str, list[tuple[list[str], str]]]:
             (bench + ["--trace", "t.json", "--record", "r.json",
                       "--export-dir", "out", "--baseline", BASELINE,
                       "--check"], work),
-            (bench + ["fleet"], work),
+            (bench + ["fleet", "--record", "fleet.json", "--record-wall"],
+             work),
+            (bench + ["--selfcheck"], work),
             (bench + ["analysis", "--stream-dir", "stream",
                       "--export-dir", "streamed"], work),
             (bench + ["analysis", "--stream-dir", "sampled", "--sample",

@@ -86,11 +86,12 @@ class TestSubCommunication:
 
         def body(proc):
             comm = evens if proc.rank % 2 == 0 else odds
-            total = yield from proc.allreduce(proc.rank, "sum", comm=comm)
-            return total
+            gathered = yield from proc.gather(proc.rank, root=0, comm=comm)
+            return gathered
 
         results = run_spmd(bed, world, body)
-        assert results == [6, 9, 6, 9, 6, 9]
+        # sub-rank 0 of each communicator is world rank 0 or 1
+        assert results == [[0, 2, 4], [1, 3, 5], None, None, None, None]
 
     def test_non_member_call_rejected(self, world4):
         bed, world = world4
@@ -112,17 +113,17 @@ class TestSubCommunication:
 
         def body(proc):
             if proc.rank < 4:
-                internal = yield from proc.allreduce(1, "sum", comm=atmo)
+                internal = yield from proc.gather(proc.rank, comm=atmo)
                 if proc.rank == 0:
-                    yield from proc.send(internal, dest=4, tag=0)
+                    yield from proc.send(tuple(internal), dest=4, tag=0)
                 return internal
-            internal = yield from proc.allreduce(1, "sum", comm=ocean)
+            internal = yield from proc.gather(proc.rank, comm=ocean)
             if proc.rank == 4:
                 coupled, _ = yield from proc.recv(source=0, tag=0)
                 return internal, coupled
             return internal
 
         results = run_spmd(bed, world, body)
-        assert results[:4] == [4, 4, 4, 4]
-        assert results[4] == (2, 4)
-        assert results[5] == 2
+        assert results[:4] == [[0, 1, 2, 3], None, None, None]
+        assert results[4] == ([4, 5], (0, 1, 2, 3))
+        assert results[5] is None

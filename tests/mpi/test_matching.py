@@ -17,15 +17,15 @@ class TestPostFirst:
     def test_exact_match(self):
         queues = MatchingQueues()
         posted = queues.post(0, source=1, tag=5)
-        assert not posted.complete
+        assert not posted.done()
         assert queues.deliver(msg(source=1, tag=5)) is posted
-        assert posted.complete
+        assert posted.done()
 
     def test_wrong_tag_goes_unexpected(self):
         queues = MatchingQueues()
         posted = queues.post(0, source=1, tag=5)
         assert queues.deliver(msg(source=1, tag=6)) is None
-        assert not posted.complete
+        assert not posted.done()
         assert len(queues.unexpected) == 1
 
     def test_wildcards(self):
@@ -44,7 +44,7 @@ class TestPostFirst:
         queues = MatchingQueues()
         posted = queues.post(7, ANY_SOURCE, ANY_TAG)
         assert queues.deliver(msg(context_id=8)) is None
-        assert not posted.complete
+        assert not posted.done()
         assert queues.deliver(msg(context_id=7)) is posted
 
 
@@ -53,7 +53,7 @@ class TestMessageFirst:
         queues = MatchingQueues()
         queues.deliver(msg(source=2, tag=3, payload="early"))
         posted = queues.post(0, source=2, tag=3)
-        assert posted.complete
+        assert posted.done()
         assert posted.message.payload == "early"
         assert not queues.unexpected
 
@@ -80,33 +80,6 @@ class TestMessageFirst:
 
 
 class TestMisc:
-    def test_probe_does_not_remove(self):
-        queues = MatchingQueues()
-        queues.deliver(msg(tag=4))
-        assert queues.probe(0, ANY_SOURCE, 4) is not None
-        assert queues.probe(0, ANY_SOURCE, 4) is not None
-        assert queues.probe(0, ANY_SOURCE, 5) is None
-        assert len(queues.unexpected) == 1
-
-    def test_cancel(self):
-        queues = MatchingQueues()
-        posted = queues.post(0, ANY_SOURCE, ANY_TAG)
-        queues.cancel(posted)
-        assert queues.deliver(msg()) is None  # nothing posted anymore
-
-    def test_cancel_matched_rejected(self):
-        queues = MatchingQueues()
-        posted = queues.post(0, ANY_SOURCE, ANY_TAG)
-        queues.deliver(msg())
-        with pytest.raises(MatchingError):
-            queues.cancel(posted)
-
-    def test_cancel_foreign_rejected(self):
-        queues = MatchingQueues()
-        foreign = PostedRecv(0, ANY_SOURCE, ANY_TAG)
-        with pytest.raises(MatchingError):
-            queues.cancel(foreign)
-
     def test_status_from_match(self):
         queues = MatchingQueues()
         posted = queues.post(0, ANY_SOURCE, ANY_TAG)

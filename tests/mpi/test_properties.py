@@ -95,8 +95,8 @@ def test_matching_conserves_messages(sends, recvs, rng):
             source, tag = recv_queue.pop(0)
             posted.append(queues.post(0, source, tag))
 
-    matched = [p for p in posted if p.complete]
-    unmatched = [p for p in posted if not p.complete]
+    matched = [p for p in posted if p.done()]
+    unmatched = [p for p in posted if not p.done()]
     # conservation: every sent message is matched or unexpected
     assert len(matched) + len(queues.unexpected) == len(sends)
     # every incomplete posted receive is still in the queue
@@ -129,24 +129,50 @@ def test_matching_fifo_per_source(tags_from_one_source):
     assert results == list(range(len(tags_from_one_source)))
 
 
-# -- end-to-end collective correctness vs numpy reference ------------------------------
+# -- end-to-end scatter/gather round trip beside user traffic ----------------------
 
-@given(st.integers(min_value=1, max_value=5),
-       st.lists(st.integers(min_value=-100, max_value=100), min_size=5,
-                max_size=5))
-@settings(max_examples=15, deadline=None)
-def test_allreduce_matches_numpy(nranks, values):
+scalars = st.one_of(st.integers(min_value=-(2 ** 60), max_value=2 ** 60),
+                    st.text(max_size=12))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_scatter_gather_round_trip_beside_user_message(data):
+    """For any communicator size, root and payloads, ``scatter`` then
+    ``gather`` gives the root back its list.  A user message whose tag
+    equals a collective's sequence tag (the scatter is the world's
+    collective 1, the gather its collective 2) goes to the user's
+    receive, whether posted before or after the collectives, and never
+    to the collective."""
     from .conftest import build_world, run_spmd
 
-    values = values[:nranks]
-    while len(values) < nranks:
-        values.append(0)
+    nranks = data.draw(st.integers(min_value=1, max_value=5), "nranks")
+    root = data.draw(st.integers(min_value=0, max_value=nranks - 1), "root")
+    values = data.draw(st.lists(scalars, min_size=nranks,
+                                max_size=nranks), "values")
+    user_tag = data.draw(st.sampled_from([1, 2]), "user_tag")
+    post_first = data.draw(st.booleans(), "post_first")
+    sender = (root + 1) % nranks
     ranks_a = (nranks + 1) // 2
     bed, world = build_world(ranks_a, nranks - ranks_a)
 
     def body(proc):
-        result = yield from proc.allreduce(values[proc.rank], "sum")
-        return result
+        if proc.rank == sender:
+            yield from proc.send(("user", user_tag), dest=root, tag=user_tag)
+        request = (proc.irecv(sender, user_tag)
+                   if proc.rank == root and post_first else None)
+        mine = yield from proc.scatter(
+            values if proc.rank == root else None, root=root)
+        gathered = yield from proc.gather(mine, root=root)
+        if proc.rank != root:
+            return gathered
+        if request is None:
+            user, _status = yield from proc.recv(sender, user_tag)
+        else:
+            user, _status = yield from request.wait()
+        return gathered, user
 
     results = run_spmd(bed, world, body)
-    assert results == [int(np.sum(values))] * nranks
+    assert results[root] == (values, ("user", user_tag))
+    assert all(result is None for rank, result in enumerate(results)
+               if rank != root)

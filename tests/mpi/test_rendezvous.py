@@ -153,13 +153,15 @@ class TestMatchingSemantics:
 
 
 class TestNonblockingRendezvous:
-    def test_isend_completes_and_data_flows(self):
+    def test_spawned_send_completes_and_data_flows(self):
         bed, world = build_world(2, 0, config=RDV)
 
         def body(proc):
             if proc.rank == 0:
-                request = proc.isend(Padded("async-big", 80_000), dest=1)
-                yield from request.wait()
+                sender = bed.nexus.spawn(
+                    proc.send(Padded("async-big", 80_000), dest=1))
+                yield from proc.context.wait(sender)
+                assert sender.ok
             elif proc.rank == 1:
                 data, _ = yield from proc.recv(source=0)
                 return data

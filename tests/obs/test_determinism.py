@@ -16,7 +16,6 @@ def _artefacts():
     obs, nexus = bed.nexus.obs, bed.nexus
     return (
         dumps(export.merged_chrome_trace([(obs, nexus)])),
-        export.ascii_timeline(obs),
         str(obs.metrics.snapshot()),
     )
 

@@ -71,20 +71,6 @@ class TestChromeTrace:
         assert set(document["metrics"]) == {"run0", "run1"}
 
 
-class TestTerminalRenderings:
-    def test_ascii_timeline(self, traced):
-        obs, _nexus = traced
-        timeline = export.ascii_timeline(obs)
-        assert "timeline t=[" in timeline
-        assert "~=wire" in timeline  # legend
-        assert "/mpl" in timeline and "/tcp" in timeline
-
-    def test_ascii_timeline_empty(self, sim):
-        from repro.obs import Observability
-        assert "no closed spans" in export.ascii_timeline(
-            Observability(sim, enabled=True))
-
-
 class TestValidator:
     def _valid(self, traced):
         obs, nexus = traced

@@ -82,8 +82,6 @@ def test_timeout_positional_name_is_the_name(sim):
         timeout.callbacks.append(lambda event: fired.append(event.name))
     sim.run()
     assert fired == ["first", "second"]
-    # The documented method behind the partial agrees.
-    assert Simulator.timeout(sim, 1.0, "v", "third").name == "third"
 
 
 # -- timeout_at ---------------------------------------------------------------

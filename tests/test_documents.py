@@ -295,6 +295,6 @@ def test_the_validator_imports_neither_bench_nor_place():
 def test_importing_obs_loads_one_new_module():
     loaded = _loaded_by("repro.obs")
     assert {m.split(".")[1] for m in loaded} == {
-        "config", "core", "obs", "simnet", "testbeds", "transports", "util"}
+        "core", "obs", "simnet", "testbeds", "transports", "util"}
     assert {m for m in loaded if m.startswith("repro.util.")} == {
         "repro.util.records", "repro.util.units"}

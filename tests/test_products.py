@@ -4,11 +4,11 @@ Three traced runs — a finished forwarding scenario, a run stopped
 mid-flight (open spans present) and a log capped at a small
 ``max_spans`` — each pin the sha256 of their merged Chrome trace, graph
 and critical-path documents, the collapsed stacks and hot-path table of
-their :class:`~repro.obs.perf.PerfProfile`, the ASCII timeline and
-``obs.overhead()`` in ``tests/golden/products_<name>.json``.  A streamed
-run pins ``obs.overhead()`` and the spool summary.  The files were
-captured once and are compared byte for byte; only the spool's
-temporary directory is masked.
+their :class:`~repro.obs.perf.PerfProfile` and ``obs.overhead()`` in
+``tests/golden/products_<name>.json``.  A streamed run pins
+``obs.overhead()`` and the spool summary.  The files were captured once
+and are compared byte for byte; only the spool's temporary directory is
+masked.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from repro.core.buffers import Buffer
 from repro.core.runtime import Nexus
 from repro.load import run_scenario
 from repro.obs.critpath import critpath_document, extract_critical_paths
-from repro.obs.export import ascii_timeline, merged_chrome_trace
+from repro.obs.export import merged_chrome_trace
 from repro.obs.graph import extract_graph, graph_document
 from repro.obs.perf import PerfProfile
 from repro.obs.stream import StreamConfig
@@ -115,7 +115,6 @@ def products(obs, nexus) -> dict[str, object]:
             obs, allow_partial=partial))),
         "collapsed_stacks": profile.collapsed_stacks(),
         "hot_path_report": hot_path_report(profile).splitlines(),
-        "ascii_timeline": ascii_timeline(obs).splitlines(),
         "overhead": obs.overhead(),
     }
 
