@@ -91,10 +91,6 @@ class ClimateConfig:
     def total_ranks(self) -> int:
         return self.atmo_ranks + self.ocean_ranks
 
-    @property
-    def couplings(self) -> int:
-        return self.steps // self.couple_every
-
     def __post_init__(self) -> None:
         if self.steps % self.couple_every:
             raise ValueError("steps must be a multiple of couple_every")

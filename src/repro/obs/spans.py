@@ -489,8 +489,9 @@ class Observability:
         """Self-metering summary of what observation itself cost.
 
         Deterministic counts only — the spool's wall-clock cost lives on
-        the sink (``SpanSpool.wall_s``) so this dict can appear in
-        byte-compared reports.
+        the sink (``SpanSpool.wall_s``: the seconds its block writes and
+        its ``finalize`` took; the per-record appends are not metered)
+        so this dict can appear in byte-compared reports.
         """
         sink = self.sink.overhead(self._next_span - 1)
         return {

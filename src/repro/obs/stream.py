@@ -8,8 +8,9 @@ a data path.  This module supplies the other sink and its reader:
 
 * :class:`SpanSpool` — the sink that replaces the log and spools
   completed spans to sharded JSONL segments on disk.  Only the *open*
-  spans stay resident, so peak memory is bounded by in-flight work,
-  not run length.  Shards rotate by record count and bytes, and a
+  spans and at most one block of records waiting to be written stay
+  resident, so peak memory is bounded by in-flight work, not run
+  length.  Shards rotate by record count and bytes, and a
   ``manifest.json`` records per-shard span-id ranges, record counts,
   and sha256 checksums plus an explicit lossiness ledger
   (``spans_opened == spans_emitted + spans_sampled_out +
@@ -36,8 +37,10 @@ shards even when other runtimes existed earlier in the process (the
 same reason the graph/timeline exports renumber).  The manifest's
 ``contexts`` table is keyed by the dense ids.
 
-Record kinds (one compact sorted-key JSON object per line, every kind
-written by the one shared encoder ``util.document.encode_compact``):
+Record kinds (one compact sorted-key JSON object per line, the bytes
+``json.dumps(record, **COMPACT)`` writes; each kind has one fixed line
+template, and a span's non-null ``attrs`` go through
+``util.document.encode_compact``):
 
 ``s``
     a span, written when it closes (or flushed open-ended at finalize
@@ -62,15 +65,18 @@ is no record (:func:`fold_stream`), raises
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import operator
 import os
 import random
 import time
 import typing as _t
+from json.encoder import encode_basestring_ascii
 
 from ..util.document import (DocumentError, Schema, encode_compact, load,
                              write)
@@ -128,11 +134,12 @@ class StreamConfig:
 class _Staged:
     """One RSR's records awaiting a sampling verdict."""
 
-    __slots__ = ("lines", "spans", "forced", "lane")
+    __slots__ = ("items", "spans", "forced", "lane")
 
     def __init__(self) -> None:
-        #: (encoded line, span id or None) in emission order.
-        self.lines: list[tuple[str, int | None]] = []
+        #: Block items (closed spans and record field tuples) in
+        #: emission order.
+        self.items: list = []
         self.spans = 0
         self.forced = False
         #: Transport lane classifying this RSR for per-lane reservoirs
@@ -285,16 +292,39 @@ def _is_forced(span: Span) -> bool:
     return attrs is not None and ("dropped" in attrs or "failed" in attrs)
 
 
+#: One line per record kind, keys in sorted order: ``json.dumps(record,
+#: **COMPACT)`` for the values the spool writes (ints, Python floats,
+#: ``None`` and JSON string literals made by :class:`_Quoted`).
+_SPAN_LINE = ('{"attrs":%s,"ctx":%d,"id":%d,"k":"s","lane":%s,"par":%s,'
+              '"ph":%s,"rsr":%d,"t0":%r,"t1":%s}\n')
+_DELIVERY_LINE = '{"ctx":%s,"k":"d","lane":%s,"rsr":%d,"t":%r,"us":%r}\n'
+_DROP_LINE = '{"k":"x","lane":%s,"rsr":%d,"t":%r}\n'
+_RESOLVED_LINE = '{"k":"r","rsr":%d}\n'
+
+
+class _Quoted(dict):
+    """``text -> its JSON string literal``, quoted on first use."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
 class SpanSpool:
     """Spools closed spans to sharded JSONL; the streaming sink.
 
     It shares :class:`~repro.obs.spans.SpanLog`'s sink protocol and
     takes its place: :meth:`attach` it to an :class:`Observability`
-    *before* the run and call :meth:`finalize` after it ends.  Only open
-    spans stay in memory, and record order in the shards equals live
-    call order, which is what makes the timeline fold byte-exact.  A
-    finalized spool stays ``obs.sink``, so reports and the span
-    products still read it.
+    *before* the run and call :meth:`finalize` after it ends.  A record
+    costs an append to the pending block: a closed span waits as the
+    :class:`Span` itself, any other record as a tuple of its line
+    template and fields.  Every ``_WRITE_RECORDS`` records and at
+    :meth:`finalize` the block is encoded in one pass, written and
+    hashed, so the open spans plus at most one block stay resident
+    (plus, under a sampling policy, the RSRs awaiting a verdict).
+    Record order in the shards equals live call order, which is what
+    makes the timeline fold byte-exact.  A finalized spool stays
+    ``obs.sink``, so reports and the span products still read it.
     """
 
     #: Closed spans leave memory for disk, so there is no cap.
@@ -316,6 +346,11 @@ class SpanSpool:
         self._spans = 0
         self._id_min: int | None = None
         self._id_max: int | None = None
+        #: Records not yet encoded, in live order, and how many more
+        #: the block takes before it is written.
+        self._block: list = []
+        self._room = _WRITE_RECORDS
+        self._names = _Quoted()
         self._staged: dict[int, _Staged] = {}
         #: Per-RSR ledger ``rsr -> [open_chains, issue_closed]``: an RSR
         #: resolves (its staging can flush) once its issue span closed,
@@ -324,8 +359,10 @@ class SpanSpool:
         #: Spans handed over at close (no longer in memory).
         self.released = 0
         # Raw (process-global) context id -> dense spool-local id,
-        # assigned in first-emission order.
+        # assigned in live order of the records that carry it.
         self._ctx_map: dict[int, int] = {}
+        #: Counted as blocks are written, so they lag the run by at most
+        #: one block until :meth:`finalize`.
         self.records_written = 0
         self.bytes_written = 0
         self.spans_emitted = 0
@@ -336,7 +373,8 @@ class SpanSpool:
         self.deliveries = 0
         self.drops = 0
         self.peak_staged_rsrs = 0
-        #: Wall-clock seconds spent encoding/spooling (self-metering;
+        #: Wall-clock seconds spent encoding, writing and hashing blocks
+        #: and closing the spool in :meth:`finalize` (self-metering;
         #: never written into byte-compared artifacts).
         self.wall_s = 0.0
         self.finalized = False
@@ -379,121 +417,140 @@ class SpanSpool:
             dense = self._ctx_map[raw] = len(self._ctx_map)
         return dense
 
-    def _span_line(self, span: Span) -> str:
-        ctx_map = self._ctx_map
-        ctx = ctx_map.get(span.ctx)
-        if ctx is None:
-            ctx = ctx_map[span.ctx] = len(ctx_map)
-        return encode_compact({
-            "k": "s", "id": span.id, "rsr": span.rsr, "ph": span.phase,
-            "ctx": ctx, "lane": span.lane, "t0": span.start,
-            "t1": span.end, "par": span.parent, "attrs": span.attrs})
-
-    def _route_span(self, span: Span) -> None:
-        self._route(span.rsr, self._span_line(span), span_id=span.id,
-                    forced=_is_forced(span),
-                    lane=span.lane if span.phase == PHASE_WIRE else None)
-
     def record_span(self, span: Span) -> None:
-        t0 = time.perf_counter()
         self.released += 1
+        ctx_map = self._ctx_map
+        if span.ctx not in ctx_map:
+            ctx_map[span.ctx] = len(ctx_map)
         if self._policy is None:
-            self._write(self._span_line(span), span.id)
+            self._block.append(span)
+            self._room -= 1
+            if self._room <= 0:
+                self._write_block()
         else:
             self._route_span(span)
-        self.wall_s += time.perf_counter() - t0
-        if span.phase == PHASE_ISSUE and span.rsr > 0:
-            self._live.setdefault(span.rsr, [0, False])[1] = True
-        self._settle(span.rsr)
+        rsr = span.rsr
+        live = self._live
+        if span.phase == PHASE_ISSUE and rsr > 0:
+            if rsr in live:
+                live[rsr][1] = True
+            else:
+                live[rsr] = [0, True]
+        if rsr in live:
+            state = live[rsr]
+            if state[1] and not state[0]:
+                self._settle(rsr)
+
+    def _route_span(self, span: Span) -> None:
+        self._route(span.rsr, span, span=True, forced=_is_forced(span),
+                    lane=span.lane if span.phase == PHASE_WIRE else None)
 
     def chain_begin(self, rsr: int) -> None:
         self._live.setdefault(rsr, [0, False])[0] += 1
 
     def chain_end(self, rsr: int) -> None:
-        if rsr in self._live:
-            self._live[rsr][0] -= 1
-            self._settle(rsr)
+        live = self._live
+        if rsr in live:
+            state = live[rsr]
+            state[0] -= 1
+            if state[1] and not state[0]:
+                self._settle(rsr)
 
     def _settle(self, rsr: int) -> None:
-        """Resolve ``rsr`` if the ledger says it is done."""
-        state = self._live.get(rsr)
-        if (state is not None and state[1] and state[0] == 0
-                and not any(span.rsr == rsr
-                            for span in self.obs._open.values())):
+        """Resolve ``rsr``, whose issue span closed and whose chains all
+        ended, unless one of its spans is still open."""
+        if not any(span.rsr == rsr for span in self.obs._open.values()):
             del self._live[rsr]
             self.rsr_resolved(rsr)
 
     def record_delivery(self, rsr: int, now: float, lane: str,
                         latency_us: float, ctx: int | None) -> None:
-        t0 = time.perf_counter()
         self.deliveries += 1
-        line = encode_compact(
-            {"k": "d", "rsr": rsr, "t": now, "lane": lane,
-             "us": latency_us,
-             "ctx": self._ctx(ctx) if ctx is not None else None})
-        self._route(rsr, line, lane=lane)
-        self.wall_s += time.perf_counter() - t0
+        if ctx is None:
+            dense: object = "null"
+        else:
+            ctx_map = self._ctx_map
+            if ctx not in ctx_map:
+                ctx_map[ctx] = len(ctx_map)
+            dense = ctx_map[ctx]
+        item = (_DELIVERY_LINE, dense, self._names[lane], rsr, now,
+                latency_us)
+        if self._policy is None:
+            self._block.append(item)
+            self._room -= 1
+            if self._room <= 0:
+                self._write_block()
+        else:
+            self._route(rsr, item, lane=lane)
         self.chain_end(rsr)
 
     def record_drop_event(self, rsr: int, now: float, lane: str) -> None:
-        t0 = time.perf_counter()
         self.drops += 1
-        line = encode_compact({"k": "x", "rsr": rsr, "t": now,
-                               "lane": lane})
-        self._route(rsr, line, forced=True, lane=lane)
-        self.wall_s += time.perf_counter() - t0
+        item = (_DROP_LINE, self._names[lane], rsr, now)
+        if self._policy is None:
+            self._block.append(item)
+            self._room -= 1
+            if self._room <= 0:
+                self._write_block()
+        else:
+            self._route(rsr, item, forced=True, lane=lane)
         self.chain_end(rsr)
 
     def rsr_resolved(self, rsr: int) -> None:
-        t0 = time.perf_counter()
         self.rsrs_resolved += 1
-        line = encode_compact({"k": "r", "rsr": rsr})
+        item = (_RESOLVED_LINE, rsr)
         if self._policy is None:
-            self._write(line)
             self.rsrs_kept += 1
-            self.wall_s += time.perf_counter() - t0
+            self._block.append(item)
+            self._room -= 1
+            if self._room <= 0:
+                self._write_block()
             return
         staged = self._staged.pop(rsr, None)
         if staged is None:
             staged = _Staged()
-        staged.lines.append((line, None))
+        staged.items.append(item)
         if staged.forced:
-            self._flush(staged)
+            self._extend(staged.items)
             self.rsrs_kept += 1
         else:
             verdict, evicted = self._policy.offer(staged)
             if verdict == "keep":
-                self._flush(staged)
+                self._extend(staged.items)
                 self.rsrs_kept += 1
             elif verdict == "drop":
                 self._discard(staged)
             for victim in evicted:
                 self._discard(victim)
-        self.wall_s += time.perf_counter() - t0
 
     # -- internals -----------------------------------------------------------
 
-    def _route(self, rsr: int, line: str, *, span_id: int | None = None,
+    def _route(self, rsr: int, item: object, *, span: bool = False,
                forced: bool = False, lane: str | None = None) -> None:
-        if self._policy is None or rsr <= 0:
-            self._write(line, span_id)
+        """Stage a sampled run's record with its RSR (straight to the
+        block for records of no RSR)."""
+        if rsr <= 0:
+            self._extend((item,))
             return
         staged = self._staged.get(rsr)
         if staged is None:
             staged = self._staged[rsr] = _Staged()
             if len(self._staged) > self.peak_staged_rsrs:
                 self.peak_staged_rsrs = len(self._staged)
-        staged.lines.append((line, span_id))
-        if span_id is not None:
+        staged.items.append(item)
+        if span:
             staged.spans += 1
         if forced:
             staged.forced = True
         if lane is not None and staged.lane is None:
             staged.lane = lane
 
-    def _flush(self, staged: _Staged) -> None:
-        for line, span_id in staged.lines:
-            self._write(line, span_id)
+    def _extend(self, items: _t.Sequence[object]) -> None:
+        """Append records to the block, writing it once it is full."""
+        self._block += items
+        self._room -= len(items)
+        if self._room <= 0:
+            self._write_block()
 
     def _discard(self, staged: _Staged) -> None:
         self.spans_sampled_out += staged.spans
@@ -523,28 +580,68 @@ class SpanSpool:
             "sha256": self._sha.hexdigest(),
         })
 
-    def _write(self, line: str, span_id: int | None = None) -> None:
-        if self._file is None:
-            self._open_shard()
-        data = (line + "\n").encode("ascii")
-        size = len(data)
-        assert self._file is not None and self._sha is not None
-        self._file.write(data)
-        self._sha.update(data)
-        self._records += 1
-        self._bytes += size
-        self.bytes_written += size
-        self.records_written += 1
-        if span_id is not None:
-            self._spans += 1
-            self.spans_emitted += 1
-            if self._id_min is None or span_id < self._id_min:
-                self._id_min = span_id
-            if self._id_max is None or span_id > self._id_max:
-                self._id_max = span_id
-        if (self._records >= self.config.max_records
-                or self._bytes >= self.config.max_bytes):
-            self._close_shard()
+    def _write_block(self) -> None:
+        """Encode the pending block in one pass and write it.
+
+        A shard closes after the record that reaches ``max_records`` or
+        ``max_bytes``, exactly as if each record were written alone, so
+        a block is written and hashed in one piece per shard it reaches.
+        """
+        block = self._block
+        if not block:
+            return
+        started = time.perf_counter()
+        self._block = []
+        self._room = _WRITE_RECORDS
+        ctx_map, names = self._ctx_map, self._names
+        lines = [
+            item[0] % item[1:] if item.__class__ is tuple
+            else _SPAN_LINE % (
+                "null" if item.attrs is None else encode_compact(item.attrs),
+                ctx_map[item.ctx], item.id, names[item.lane],
+                "null" if item.parent is None else item.parent,
+                names[item.phase], item.rsr, item.start,
+                "null" if item.end is None else item.end)
+            for item in block]
+        # Every line is ASCII, so its length is its size in bytes.
+        ends = list(itertools.accumulate(map(len, lines)))
+        max_records, max_bytes = self.config.max_records, self.config.max_bytes
+        count = len(lines)
+        start = 0
+        while start < count:
+            if self._file is None:
+                self._open_shard()
+            assert self._file is not None and self._sha is not None
+            base = ends[start - 1] if start else 0
+            # One past the record that reaches either limit.
+            cut = min(start + max(max_records - self._records, 1),
+                      bisect.bisect_left(ends, max_bytes - self._bytes + base,
+                                         start) + 1)
+            full = cut <= count
+            if not full:
+                cut = count
+            data = "".join(lines[start:cut]).encode("ascii")
+            self._file.write(data)
+            self._sha.update(data)
+            size = ends[cut - 1] - base
+            self._records += cut - start
+            self._bytes += size
+            self.records_written += cut - start
+            self.bytes_written += size
+            ids = [item.id for item in block[start:cut]
+                   if item.__class__ is not tuple]
+            if ids:
+                self._spans += len(ids)
+                self.spans_emitted += len(ids)
+                low, high = min(ids), max(ids)
+                if self._id_min is None or low < self._id_min:
+                    self._id_min = low
+                if self._id_max is None or high > self._id_max:
+                    self._id_max = high
+            if full:
+                self._close_shard()
+            start = cut
+        self.wall_s += time.perf_counter() - started
 
     # -- finalize ------------------------------------------------------------
 
@@ -561,18 +658,23 @@ class SpanSpool:
         """
         if self.finalized:
             return _t.cast(dict, self.manifest)
-        t0 = time.perf_counter()
         obs = _t.cast(Observability, self.obs)
         for span in obs._open.values():  # in id order
-            self._route_span(span)
+            self._ctx(span.ctx)
+            if self._policy is None:
+                self._extend((span,))
+            else:
+                self._route_span(span)
         for rsr in sorted(self._staged):
-            self._flush(self._staged[rsr])
+            self._extend(self._staged[rsr].items)
             self.rsrs_kept += 1
         self._staged.clear()
         if self._policy is not None:
             for staged in self._policy.drain():
-                self._flush(staged)
+                self._extend(staged.items)
                 self.rsrs_kept += 1
+        self._write_block()
+        started = time.perf_counter()
         self._close_shard()
         manifest: dict[str, object] = {
             "schema": MANIFEST_SCHEMA,
@@ -609,7 +711,7 @@ class SpanSpool:
               indent=1)
         self.finalized = True
         self.manifest = manifest
-        self.wall_s += time.perf_counter() - t0
+        self.wall_s += time.perf_counter() - started
         return manifest
 
     def summary(self) -> dict[str, object]:
@@ -807,6 +909,10 @@ def _validate_merged_manifest(document: _t.Mapping[str, object],
             "verified": path is not None}
 
 
+#: Records a spool encodes, writes and hashes at a time
+#: (:meth:`SpanSpool._write_block`); a sampled RSR's records join the
+#: block together, so a block can hold a few more.
+_WRITE_RECORDS = 512
 #: Bytes of shard lines read per block (``readlines`` hint); a block is
 #: at least one line.
 _BLOCK_BYTES = 64 << 10

@@ -13,9 +13,10 @@ here, once:
 * **serialisation** — :func:`dumps` / :func:`write`: sorted keys,
   compact separators (or ``indent`` for files people read), one
   trailing newline.  The compact form is one shared encoder,
-  :data:`encode_compact`, which per-record hot loops (the span spool)
-  call directly rather than building a ``json.dumps`` encoder per
-  record;
+  :data:`encode_compact`, which :func:`dumps` and the span spool call
+  rather than building a ``json.dumps`` encoder per call.  The spool
+  writes its lines from fixed templates and calls it only for a span's
+  non-null ``attrs``;
 * **failure** — :class:`DocumentError`, which :func:`validate` makes
   of every refusal a kind's validator raises;
 * **dispatch** — :data:`SCHEMAS`, ``schema id -> owning module``,

@@ -79,11 +79,11 @@ def _observability_section(nexus: "Nexus",
             f"{overhead['spans_sampled_out']} sampled out, "
             f"peak {overhead['peak_spans']} open spans, "
             f"{overhead['shards']} shard(s)")
-        # Wall-clock cost lives on the spool, never in the report.
+        # Wall-clock cost lives on the spool, not in obs.overhead().
         sink = nexus.obs.sink
         lines.append(
             f"  spool: {sink.bytes_written} bytes written, "
-            f"{sink.wall_s * 1e3:.2f} ms wall in obs")
+            f"{sink.wall_s * 1e3:.2f} ms wall in block writes and finalize")
     else:
         lines.append(
             f"  {overhead['spans_recorded']} spans over "

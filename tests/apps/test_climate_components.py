@@ -162,4 +162,4 @@ class TestConfig:
 
     def test_test_config_small(self):
         assert TEST_CONFIG.total_ranks == 6
-        assert TEST_CONFIG.couplings == 1
+        assert TEST_CONFIG.steps // TEST_CONFIG.couple_every == 1

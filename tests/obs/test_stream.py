@@ -8,6 +8,7 @@ whole-RSR, seeded, and never allowed to discard failure evidence.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -21,9 +22,10 @@ from repro import obs as _obs
 from repro.bench.analysis import chaos_scenario, forwarding_scenario
 from repro.load import run_scenario
 from repro.obs import stream as _stream
-from repro.obs.spans import PHASE_FAILOVER, PHASE_RETRY, Observability
+from repro.obs.spans import PHASE_FAILOVER, PHASE_RETRY, Observability, Span
 from repro.obs.stream import (
     MANIFEST_NAME,
+    SHARD_PATTERN,
     SpanSpool,
     StreamConfig,
     fold_stream,
@@ -134,8 +136,6 @@ class TestRotationAndManifest:
                 == manifest["totals"]["records"])
 
     def test_manifest_checksums_match_disk(self, tmp_path):
-        import hashlib
-
         directory, _result, _obs_ = run_streamed(
             tmp_path, forwarding_scenario(), "sums", max_records=150)
         for shard in read_manifest(directory)["shards"]:
@@ -514,42 +514,179 @@ class TestBlockDecoder:
                 assert got == expected[:len(got)]
 
 
+#: Span and record times: floats of every magnitude and plain ints.
+TIMES = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+
+
+def dense_contexts(records):
+    """``records`` with raw ``ctx`` ids renumbered densely by first
+    appearance, as the spool numbers them."""
+    dense = {}
+    for record in records:
+        if record.get("ctx") is not None:
+            record["ctx"] = dense.setdefault(record["ctx"], len(dense))
+    return records
+
+
 class TestSpooledEncoding:
-    """The spool's shared encoder writes what ``json.dumps(record,
-    **COMPACT)`` writes, for every record kind."""
+    """The spool's line templates write what ``json.dumps(record,
+    **COMPACT)`` writes, for every record kind and every field."""
 
     @PROFILE
-    @given(attrs=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
-           number=st.floats(allow_nan=False, allow_infinity=False)
-           | st.integers(),
-           lane=st.text())
+    @given(attrs=st.none() | st.dictionaries(st.text(), JSON_VALUES,
+                                             max_size=4),
+           ids=st.tuples(st.integers(), st.integers(), st.integers()),
+           par=st.none() | st.integers(),
+           t0=TIMES, t1=st.none() | TIMES, number=TIMES,
+           phase=st.text(), lane=st.text(),
+           delivery_ctx=st.none() | st.integers())
     @example(attrs={"ünï": "çødé \u2603", "deep": {"a": [1, {"b": [None]}]},
                     "neg_zero": -0.0, "tiny": 1e-300, "big": 10 ** 40},
-             number=-0.0, lane="λ")
-    @example(attrs={}, number=1e-300, lane="tcp")
-    @example(attrs={"n": -(2 ** 70)}, number=2 ** 64, lane="mpl")
-    def test_lines_equal_json_dumps(self, attrs, number, lane):
+             ids=(1, 0, 41), par=None, t0=-0.0, t1=1e16, number=-0.0,
+             phase="issue", lane="λ", delivery_ctx=41)
+    @example(attrs={}, ids=(2, 3, 5), par=1, t0=1e-300, t1=None,
+             number=1e-300, phase="wire", lane="tcp", delivery_ctx=None)
+    @example(attrs={"n": -(2 ** 70)}, ids=(2 ** 64, 2 ** 64, -1),
+             par=2 ** 64, t0=1e16, t1=2 ** 64, number=2 ** 64,
+             phase='ph"\\\n\x00', lane="\ud800\t", delivery_ctx=7)
+    @example(attrs=None, ids=(5, 9, 0), par=4, t0=0.5, t1=0.75,
+             number=1e16, phase="issue", lane="mpl", delivery_ctx=3)
+    def test_lines_equal_json_dumps(self, attrs, ids, par, t0, t1, number,
+                                    phase, lane, delivery_ctx):
+        span_id, rsr, ctx = ids
+        span = Span(id=span_id, rsr=rsr, phase=phase, ctx=ctx, lane=lane,
+                    start=t0, end=t1, parent=par, attrs=attrs)
+        span_record = {"k": "s", "id": span_id, "rsr": rsr, "ph": phase,
+                       "ctx": ctx, "lane": lane, "t0": t0, "t1": t1,
+                       "par": par, "attrs": attrs}
+        later = [{"k": "d", "rsr": 0, "t": number, "lane": lane,
+                  "us": number, "ctx": delivery_ctx},
+                 {"k": "x", "rsr": 0, "t": number, "lane": lane},
+                 {"k": "r", "rsr": 7}]
         with tempfile.TemporaryDirectory() as directory:
             obs = Observability(Simulator(), enabled=True)
             spool = SpanSpool(StreamConfig(directory=directory)).attach(obs)
-            span = obs.open_span("issue", rsr=0, ctx=41, lane=lane)
-            span.attrs = attrs
-            obs.close_span(span)
-            spool.record_delivery(0, number, lane, number, 41)
+            if t1 is None:
+                # Left open: finalize writes it after everything else.
+                obs._open[span_id] = span
+                expected = [*later, span_record]
+            else:
+                spool.record_span(span)
+                expected = [span_record]
+                if phase == "issue" and rsr > 0:
+                    # No chain and no open span: the ledger resolves it.
+                    expected.append({"k": "r", "rsr": rsr})
+                expected += later
+            spool.record_delivery(0, number, lane, number, delivery_ctx)
             spool.record_drop_event(0, number, lane)
             spool.rsr_resolved(7)
             spool.finalize()
-            expected = [
-                {"k": "s", "id": 1, "rsr": 0, "ph": "issue", "ctx": 0,
-                 "lane": lane, "t0": 0.0, "t1": 0.0, "par": None,
-                 "attrs": attrs},
-                {"k": "d", "rsr": 0, "t": number, "lane": lane,
-                 "us": number, "ctx": 0},
-                {"k": "x", "rsr": 0, "t": number, "lane": lane},
-                {"k": "r", "rsr": 7},
-            ]
             name = spool.shards[0]["name"]
             with open(os.path.join(directory, name)) as handle:
                 lines = handle.read().splitlines()
         assert lines == [json.dumps(record, **COMPACT)
-                         for record in expected]
+                         for record in dense_contexts(expected)]
+
+
+def reference_shards(lines, max_records, max_bytes):
+    """The per-record writer a spool's rotation must equal: each line is
+    written and hashed alone, and the shard closes after the record that
+    reaches ``max_records`` or ``max_bytes``.  ``(manifest entry, bytes)``
+    per shard."""
+    shards = []
+    data, ids = b"", []
+    for line in lines:
+        data += (line + "\n").encode("ascii")
+        record = json.loads(line)
+        if record["k"] == "s":
+            ids.append(record["id"])
+        if data.count(b"\n") >= max_records or len(data) >= max_bytes:
+            shards.append((data, ids))
+            data, ids = b"", []
+    if data:
+        shards.append((data, ids))
+    return [({"name": SHARD_PATTERN.format(index),
+              "records": data.count(b"\n"), "spans": len(ids),
+              "span_id_min": min(ids) if ids else None,
+              "span_id_max": max(ids) if ids else None,
+              "bytes": len(data),
+              "sha256": hashlib.sha256(data).hexdigest()}, data)
+            for index, (data, ids) in enumerate(shards)]
+
+
+LANES = st.sampled_from(("mpl", "tcp", "λ"))
+#: Generated sink calls: span closes (never ``issue``, so the RSR
+#: ledger adds no records of its own), deliveries, drops, resolutions.
+RECORD_STREAMS = st.lists(st.one_of(
+    st.tuples(st.just("s"), st.integers(0, 4),
+              st.sampled_from(("marshal", "wire", "dispatch", "retry")),
+              st.integers(0, 3), LANES, TIMES,
+              st.none() | st.fixed_dictionaries(
+                  {"nbytes": st.integers(0, 10 ** 6)})
+              | st.just({"dropped": True})),
+    st.tuples(st.just("d"), st.integers(0, 4), TIMES, LANES, TIMES,
+              st.none() | st.integers(0, 3)),
+    st.tuples(st.just("x"), st.integers(0, 4), TIMES, LANES),
+    st.tuples(st.just("r"), st.integers(0, 4))), max_size=40)
+
+
+class TestRotationOracle:
+    """A spool writes blocks, yet its shards must end exactly where a
+    per-record writer's end: same bytes, same manifest ``shards``
+    entries, under ``max_records`` and ``max_bytes`` rotation, whatever
+    the block size, sampled or not."""
+
+    @PROFILE
+    @given(calls=RECORD_STREAMS, max_records=st.integers(1, 8),
+           max_bytes=st.integers(1, 600), block=st.integers(1, 7),
+           policy=st.none() | st.integers(1, 3).map("reservoir:{}".format))
+    @example(calls=[("s", 1, "wire", 0, "mpl", 0.5, None)] * 5,
+             max_records=2, max_bytes=10 ** 6, block=3, policy=None)
+    @example(calls=[("r", 1)] * 9, max_records=100, max_bytes=36,
+             block=4, policy=None)
+    def test_shards_equal_per_record_writer(self, calls, max_records,
+                                            max_bytes, block, policy):
+        expected_lines = []
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(_stream, "_WRITE_RECORDS", block):
+            obs = Observability(Simulator(), enabled=True)
+            spool = SpanSpool(StreamConfig(
+                directory=directory, max_records=max_records,
+                max_bytes=max_bytes, policy=policy, seed=5)).attach(obs)
+            for number, call in enumerate(calls, start=1):
+                kind, rsr = call[0], call[1]
+                if kind == "s":
+                    _, _, phase, ctx, lane, start, attrs = call
+                    spool.record_span(Span(
+                        id=number, rsr=rsr, phase=phase, ctx=ctx, lane=lane,
+                        start=start, end=start, parent=number - 1,
+                        attrs=attrs))
+                    expected_lines.append(
+                        {"k": "s", "id": number, "rsr": rsr, "ph": phase,
+                         "ctx": ctx, "lane": lane, "t0": start, "t1": start,
+                         "par": number - 1, "attrs": attrs})
+                elif kind == "d":
+                    _, _, now, lane, latency, ctx = call
+                    spool.record_delivery(rsr, now, lane, latency, ctx)
+                    expected_lines.append(
+                        {"k": "d", "rsr": rsr, "t": now, "lane": lane,
+                         "us": latency, "ctx": ctx})
+                elif kind == "x":
+                    _, _, now, lane = call
+                    spool.record_drop_event(rsr, now, lane)
+                    expected_lines.append(
+                        {"k": "x", "rsr": rsr, "t": now, "lane": lane})
+                else:
+                    spool.rsr_resolved(rsr)
+                    expected_lines.append({"k": "r", "rsr": rsr})
+            manifest = spool.finalize()
+            written = shard_set(directory)
+        written.pop(MANIFEST_NAME)
+        if policy is None:
+            lines = [json.dumps(record, **COMPACT)
+                     for record in dense_contexts(expected_lines)]
+        else:  # the records the policy kept, split the per-record way
+            lines = b"".join(written.values()).decode("ascii").splitlines()
+        expected = reference_shards(lines, max_records, max_bytes)
+        assert manifest["shards"] == [entry for entry, _data in expected]
+        assert written == {entry["name"]: data for entry, data in expected}

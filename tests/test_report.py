@@ -78,7 +78,8 @@ def test_report_matches_its_golden_text(name, request):
     """The whole report, byte for byte; only the spool's wall-clock
     figure is masked."""
     text = runtime_report(request.getfixturevalue(f"{name}_nexus"))
-    text = re.sub(r"[0-9.]+ ms wall in obs", "<wall> ms wall in obs", text)
+    text = re.sub(r"[0-9.]+ ms wall in block writes",
+                  "<wall> ms wall in block writes", text)
     with open(os.path.join(GOLDEN, f"report_{name}.txt")) as handle:
         assert text + "\n" == handle.read()
 
