@@ -49,8 +49,6 @@ from .core import (
     NO_RETRY,
     Nexus,
     NexusError,
-    PreferMethod,
-    QoSAware,
     RequireMethod,
     RetryPolicy,
     SelectionError,
@@ -97,8 +95,6 @@ __all__ = [
     "Nexus",
     "NexusError",
     "Partition",
-    "PreferMethod",
-    "QoSAware",
     "RequireMethod",
     "RetryPolicy",
     "RuntimeCosts",

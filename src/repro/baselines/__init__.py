@@ -23,14 +23,13 @@ p4, PVM, and Nexus configurations.
 """
 
 from .p4 import P4Process, P4System
-from .pvm import PvmProcess, PvmSystem
+from .pvm import PvmSystem
 from .workload import MixedWorkloadResult, run_mixed_workload
 
 __all__ = [
     "MixedWorkloadResult",
     "P4Process",
     "P4System",
-    "PvmProcess",
     "PvmSystem",
     "run_mixed_workload",
 ]

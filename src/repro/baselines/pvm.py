@@ -35,10 +35,6 @@ RELAY_HEADER_BYTES = 12
 PVMD_HANDLER = "__pvmd_relay__"
 
 
-class PvmProcess(P4Process):
-    """One PVM task (same user API as the p4 baseline)."""
-
-
 class Pvmd:
     """A per-partition PVM daemon: poller + relay loop."""
 

@@ -208,8 +208,8 @@ def ablation_adaptive_skip(size: int = 0, mpl_roundtrips: int = 600,
     controllers: list[AdaptiveSkipPoll] = []
     original_ctx = bed.nexus.context
 
-    def context_with_controller(host, name=None, methods=None, policy=None):
-        ctx = original_ctx(host, name, methods, policy)
+    def context_with_controller(host, name=None, methods=None):
+        ctx = original_ctx(host, name, methods)
         if methods and "tcp" in methods:
             controller = AdaptiveSkipPoll(
                 ctx, "tcp",

@@ -22,13 +22,11 @@ from .enquiry import (
     PollReport,
     TransportStats,
     applicable_methods,
-    available_methods,
     current_methods,
-    enabled_transports,
     estimate_one_way,
     health_report,
-    healthy_methods,
     link_profile,
+    method_profile,
 )
 from .errors import (
     BindError,
@@ -43,15 +41,7 @@ from .health import HealthConfig, HealthTracker
 from .polling import PollManager, PollStats
 from .retry import NO_RETRY, RetryPolicy
 from .runtime import Nexus
-from .selection import (
-    FirstApplicable,
-    PreferMethod,
-    QoSAware,
-    RequireMethod,
-    SelectionPolicy,
-    SiteSecurityPolicy,
-    method_profile,
-)
+from .selection import FirstApplicable, RequireMethod, SelectionPolicy
 from .startpoint import Link, Startpoint, WireLink, WireStartpoint
 
 __all__ = [
@@ -81,25 +71,19 @@ __all__ = [
     "PollReport",
     "PollStats",
     "PollingError",
-    "PreferMethod",
-    "QoSAware",
     "RequireMethod",
     "RetryPolicy",
     "SelectionError",
     "SelectionPolicy",
-    "SiteSecurityPolicy",
     "Startpoint",
     "TransportStats",
     "WireLink",
     "WireStartpoint",
     "applicable_methods",
-    "available_methods",
     "current_methods",
-    "enabled_transports",
     "enquiry",
     "estimate_one_way",
     "health_report",
-    "healthy_methods",
     "link_profile",
     "method_profile",
 ]

@@ -22,7 +22,7 @@ from .endpoint import Endpoint
 from .errors import HandlerError, NexusError
 from .health import HealthTracker
 from .polling import PollManager
-from .selection import FirstApplicable, SelectionPolicy
+from .selection import SelectionPolicy
 from .startpoint import Startpoint, WireStartpoint
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -44,15 +44,13 @@ class Context:
     """
 
     def __init__(self, nexus: "Nexus", host: "Host", name: str,
-                 methods: _t.Sequence[str] | None = None,
-                 policy: SelectionPolicy | None = None):
+                 methods: _t.Sequence[str] | None = None):
         self.id: int = next(_context_ids)
         self.nexus = nexus
         self.host = host
         self.name = name
         self.handlers: dict[str, Handler] = {}
         self.endpoints: dict[int, Endpoint] = {}
-        self.selection_policy: SelectionPolicy = policy or FirstApplicable()
 
         self._export_table = self._build_export_table(methods)
         self._inboxes: dict[str, Store] = {}

@@ -23,22 +23,14 @@ import operator
 import typing as _t
 
 from ..simnet.link import LinkProfile
-from .selection import method_profile
+from ..transports.ipbase import IpTransport
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..simnet.node import Host
+    from ..transports.base import Transport
     from .context import Context
     from .runtime import Nexus
     from .startpoint import Startpoint
-
-
-def available_methods(context: "Context") -> list[str]:
-    """Methods by which ``context`` can be reached, in table order."""
-    return context.export_table().methods
-
-
-def enabled_transports(nexus: "Nexus") -> list[str]:
-    """All communication modules enabled in this runtime, fastest first."""
-    return nexus.transports.names()
 
 
 def applicable_methods(context: "Context",
@@ -68,15 +60,14 @@ def current_methods(startpoint: "Startpoint") -> list[str | None]:
     return startpoint.current_methods()
 
 
-def healthy_methods(context: "Context",
-                    startpoint: "Startpoint") -> list[list[str]]:
-    """Per link: applicable methods *minus* those the health tracker
-    currently considers down — what failover would actually scan."""
-    health = context.health
-    return [[m for m in methods
-             if m not in health.down_methods(link.context_id)]
-            for methods, link in zip(applicable_methods(context, startpoint),
-                                     startpoint.links)]
+def method_profile(transport: "Transport", local: "Host",
+                   remote: "Host") -> LinkProfile:
+    """The effective wire profile a method would use between two hosts."""
+    if isinstance(transport, IpTransport):
+        return transport.profile_between(local, remote)
+    costs = transport.costs
+    return LinkProfile(name=transport.name, latency=costs.latency,
+                       bandwidth=costs.bandwidth)
 
 
 def link_profile(context: "Context", startpoint: "Startpoint",
@@ -94,8 +85,9 @@ def estimate_one_way(context: "Context", startpoint: "Startpoint",
     """Back-of-envelope one-way time for ``nbytes`` on one link.
 
     Uses the selected method's profile plus fixed overheads; ``None``
-    before a method has been selected.  Useful for QoS decisions and for
-    verifying that automatic selection did something sensible.
+    before a method has been selected.  Useful for tuning a manual
+    selection and for verifying that automatic selection did something
+    sensible.
     """
     profile = link_profile(context, startpoint, link_index)
     if profile is None:

@@ -2,7 +2,7 @@
 
 One :class:`Nexus` instance corresponds to one built-and-configured Nexus
 library in the paper: it owns the enabled communication-module set (the
-default built-in set, plus resource-database / command-line / programmatic
+default built-in set or a named tuple of modules, plus programmatic
 additions — see :mod:`repro.transports.registry`), the Nexus-layer cost
 constants, and the registry of live contexts.
 """
@@ -21,11 +21,7 @@ from ..transports.costmodels import (
     RuntimeCosts,
     TransportCosts,
 )
-from ..transports.registry import (
-    DEFAULT_TRANSPORT_SET,
-    TransportRegistry,
-    parse_module_spec,
-)
+from ..transports.registry import DEFAULT_TRANSPORT_SET, TransportRegistry
 from ..transports.base import TransportServices
 from ..simnet.events import Event
 from .context import Context
@@ -33,7 +29,6 @@ from .descriptor_table import CommDescriptorTable
 from .errors import NexusError
 from .health import HealthConfig
 from .retry import RetryPolicy
-from .selection import SelectionPolicy
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -48,8 +43,7 @@ class Nexus:
     sim, network:
         The simulation substrate; fresh ones are created if omitted.
     transports:
-        Names of communication modules to enable.  Accepts a sequence or
-        a resource-database-style spec string (``"mpl,tcp,udp"``).
+        Names of communication modules to enable.
         Default: :data:`DEFAULT_TRANSPORT_SET`.
     costs:
         Per-transport :class:`TransportCosts` overrides.
@@ -80,7 +74,7 @@ class Nexus:
 
     def __init__(self, sim: Simulator | None = None,
                  network: Network | None = None, *,
-                 transports: _t.Sequence[str] | str | None = None,
+                 transports: _t.Sequence[str] | None = None,
                  costs: _t.Mapping[str, TransportCosts] | None = None,
                  runtime_costs: RuntimeCosts | None = None,
                  seed: int = 0,
@@ -112,21 +106,15 @@ class Nexus:
         services.resolve_context = self._resolve_context
         self.transports = TransportRegistry(services, costs)
 
-        if transports is None:
-            names: _t.Sequence[str] = DEFAULT_TRANSPORT_SET
-        elif isinstance(transports, str):
-            names = parse_module_spec(transports)
-        else:
-            names = transports
-        self.transports.enable_all(names)
+        self.transports.enable_all(
+            DEFAULT_TRANSPORT_SET if transports is None else transports)
 
         self.contexts: dict[int, Context] = {}
 
     # -- contexts ------------------------------------------------------------
 
     def context(self, host: "Host", name: str | None = None,
-                methods: _t.Sequence[str] | None = None,
-                policy: SelectionPolicy | None = None) -> Context:
+                methods: _t.Sequence[str] | None = None) -> Context:
         """Create a context on ``host``.
 
         ``methods`` restricts the communication methods this context
@@ -134,7 +122,7 @@ class Nexus:
         """
         context = Context(self, host,
                           name or f"ctx{len(self.contexts)}@{host.name}",
-                          methods=methods, policy=policy)
+                          methods=methods)
         self.contexts[context.id] = context
         return context
 

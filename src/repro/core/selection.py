@@ -4,12 +4,14 @@
 descriptor table is scanned in order and the first 'applicable'
 communication method is used."  :class:`FirstApplicable` is that rule;
 because descriptor tables are built fastest-first, it realises the
-fastest-first policy.  The other policies implement the paper's manual
-and QoS-aware variants: the user "can also influence the choice of method
-by reordering entries within the communication descriptor table or by
-adding or deleting descriptors", and "network QoS parameters [can] be
-incorporated into the selection policy, by looking at available network
-bandwidth rather than raw bandwidth".
+fastest-first policy, and it is what a startpoint without a policy of
+its own uses.  :class:`RequireMethod` is manual selection: the named
+method or an error.  The paper's other manual levers need no policy:
+the user "can also influence the choice of method by reordering entries
+within the communication descriptor table or by adding or deleting
+descriptors" (:class:`~repro.core.descriptor_table.CommDescriptorTable`'s
+edits), and :meth:`~repro.core.startpoint.Startpoint.set_method`
+switches a startpoint's links at run time.
 """
 
 from __future__ import annotations
@@ -17,25 +19,13 @@ from __future__ import annotations
 import abc
 import typing as _t
 
-from ..simnet.link import LinkProfile
-from ..transports.base import Descriptor, Transport
-from ..transports.ipbase import IpTransport
+from ..transports.base import Descriptor
 from .descriptor_table import CommDescriptorTable
 from .errors import SelectionError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..simnet.node import Host
     from .context import Context
-
-
-def method_profile(transport: Transport, local: "Host",
-                   remote: "Host") -> LinkProfile:
-    """The effective wire profile a method would use between two hosts."""
-    if isinstance(transport, IpTransport):
-        return transport.profile_between(local, remote)
-    costs = transport.costs
-    return LinkProfile(name=transport.name, latency=costs.latency,
-                       bandwidth=costs.bandwidth)
 
 
 class SelectionPolicy(abc.ABC):
@@ -73,30 +63,6 @@ class FirstApplicable(SelectionPolicy):
         )
 
 
-class PreferMethod(SelectionPolicy):
-    """Manual preference with automatic fallback.
-
-    Tries ``method`` first; if it is absent or not applicable, falls back
-    to the wrapped policy (default :class:`FirstApplicable`).
-    """
-
-    def __init__(self, method: str,
-                 fallback: SelectionPolicy | None = None):
-        self.method = method
-        self.fallback = fallback or FirstApplicable()
-
-    def select(self, context: "Context", table: CommDescriptorTable,
-               remote_host: "Host") -> Descriptor:
-        if self.method in table:
-            descriptor = table.entry(self.method)
-            if self._applicable(context, descriptor, remote_host):
-                return descriptor
-        return self.fallback.select(context, table, remote_host)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PreferMethod({self.method!r}, fallback={self.fallback!r})"
-
-
 class RequireMethod(SelectionPolicy):
     """Strict manual selection: the named method or an error."""
 
@@ -119,113 +85,3 @@ class RequireMethod(SelectionPolicy):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RequireMethod({self.method!r})"
-
-
-class SiteSecurityPolicy(SelectionPolicy):
-    """The paper's security example, as a selection policy.
-
-    "Control information might be encrypted outside a site, but not
-    within": when the two hosts' ``site`` attributes differ, require the
-    secure method; within one site, run the normal automatic rule but
-    never pick the secure method (no reason to pay the crypto tax).
-
-    Attach this policy to *control* startpoints only; data startpoints
-    keep the plain policy — method choice by *what* is communicated.
-    """
-
-    def __init__(self, secure_method: str = "stcp",
-                 site_attribute: str = "site"):
-        self.secure_method = secure_method
-        self.site_attribute = site_attribute
-
-    def _site(self, host: "Host") -> object:
-        return host.attributes.get(self.site_attribute)
-
-    def select(self, context: "Context", table: CommDescriptorTable,
-               remote_host: "Host") -> Descriptor:
-        local_site = self._site(context.host)
-        remote_site = self._site(remote_host)
-        crossing = (local_site is None or remote_site is None
-                    or local_site != remote_site)
-        if crossing:
-            if self.secure_method not in table:
-                raise SelectionError(
-                    f"cross-site link requires {self.secure_method!r} but "
-                    f"the table only offers {table.methods}"
-                )
-            descriptor = table.entry(self.secure_method)
-            if not self._applicable(context, descriptor, remote_host):
-                raise SelectionError(
-                    f"cross-site link requires {self.secure_method!r} "
-                    "but it is not applicable here"
-                )
-            return descriptor
-        for descriptor in table:
-            if descriptor.method == self.secure_method:
-                continue
-            if self._applicable(context, descriptor, remote_host):
-                return descriptor
-        raise SelectionError(
-            f"no applicable non-secure method in {table.methods} within "
-            f"site {local_site!r}"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SiteSecurityPolicy(secure_method={self.secure_method!r}, "
-                f"site_attribute={self.site_attribute!r})")
-
-
-class QoSAware(SelectionPolicy):
-    """First applicable entry meeting bandwidth/latency requirements.
-
-    ``min_bandwidth`` (bytes/s) and ``max_latency`` (s) are checked
-    against the *effective* profile between the two hosts (which for WAN
-    routes reflects the bottleneck link, i.e. available rather than raw
-    local bandwidth).  If nothing qualifies, behaviour depends on
-    ``strict``: raise, or fall back to plain first-applicable.
-    """
-
-    def __init__(self, min_bandwidth: float = 0.0,
-                 max_latency: float = float("inf"), strict: bool = False,
-                 use_available: bool = False):
-        self.min_bandwidth = min_bandwidth
-        self.max_latency = max_latency
-        self.strict = strict
-        #: Check *available* (unreserved) rather than raw bandwidth —
-        #: the paper's §3.2 refinement.
-        self.use_available = use_available
-
-    def _bandwidth(self, context: "Context", transport: Transport,
-                   remote_host: "Host", profile: LinkProfile) -> float:
-        if not self.use_available:
-            return profile.bandwidth
-        available = context.nexus.network.available_bandwidth(
-            context.host, remote_host, getattr(transport, "wire_method",
-                                               transport.name))
-        if available is None:
-            return profile.bandwidth
-        return min(profile.bandwidth, available)
-
-    def select(self, context: "Context", table: CommDescriptorTable,
-               remote_host: "Host") -> Descriptor:
-        registry = context.nexus.transports
-        for descriptor in table:
-            if not self._applicable(context, descriptor, remote_host):
-                continue
-            transport = registry.get(descriptor.method)
-            profile = method_profile(transport, context.host, remote_host)
-            bandwidth = self._bandwidth(context, transport, remote_host,
-                                        profile)
-            if (bandwidth >= self.min_bandwidth
-                    and profile.latency <= self.max_latency):
-                return descriptor
-        if self.strict:
-            raise SelectionError(
-                f"no method in {table.methods} meets QoS "
-                f"(min_bw={self.min_bandwidth}, max_lat={self.max_latency})"
-            )
-        return FirstApplicable().select(context, table, remote_host)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"QoSAware(min_bandwidth={self.min_bandwidth}, "
-                f"max_latency={self.max_latency}, strict={self.strict})")

@@ -32,7 +32,7 @@ from .buffers import Buffer
 from .commobject import CommObject
 from .descriptor_table import CommDescriptorTable
 from .errors import BindError, SelectionError
-from .selection import SelectionPolicy
+from .selection import FirstApplicable, SelectionPolicy
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .context import Context
@@ -102,6 +102,10 @@ class Link:
                 f"method={self.method!r}>")
 
 
+#: The selection policy of every startpoint that names none.
+_AUTOMATIC = FirstApplicable()
+
+
 class Startpoint:
     """The sending half of one or more communication links."""
 
@@ -109,8 +113,9 @@ class Startpoint:
                  policy: SelectionPolicy | None = None):
         self.context = context
         self.links: list[Link] = []
-        #: Per-startpoint selection policy; None means use the context's.
-        self.policy = policy
+        #: This startpoint's selection policy (default: the paper's
+        #: automatic first-applicable rule).
+        self.policy: SelectionPolicy = policy or _AUTOMATIC
         self.rsrs_sent = 0
         self.bytes_sent = 0
 
@@ -168,10 +173,9 @@ class Startpoint:
                 f"communication methods left (all of "
                 f"{link.table.methods} are down or failed)"
             )
-        policy = self.policy or context.selection_policy
         remote_host = context.nexus.context_host(link.context_id)
         try:
-            descriptor = policy.select(context, table, remote_host)
+            descriptor = self.policy.select(context, table, remote_host)
         except SelectionError:
             if unavailable:
                 raise SelectionError(

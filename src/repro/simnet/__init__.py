@@ -26,7 +26,7 @@ from .events import AllOf, Event, Timeout
 from .faults import FaultPlan
 from .link import LinkProfile
 from .network import FaultRule, FlakyRule, Machine, Network, Partition, \
-    Reservation, WanLink
+    WanLink
 from .node import Host
 from .process import Process
 from .random import RandomStreams, derive, derived_generator
@@ -48,7 +48,6 @@ __all__ = [
     "Process",
     "ProcessError",
     "RandomStreams",
-    "Reservation",
     "Resource",
     "ScheduleError",
     "SimnetError",

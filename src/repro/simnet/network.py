@@ -204,17 +204,10 @@ class WanLink:
         #: 1.0 restore the original object exactly.
         self.base_profile = profile
         self.transports = frozenset(transports) if transports is not None else None
-        #: Bandwidth currently committed to QoS reservations (bytes/s).
-        self.reserved_bandwidth = 0.0
 
     def carries(self, transport: str | None) -> bool:
         return (transport is None or self.transports is None
                 or transport in self.transports)
-
-    @property
-    def available_bandwidth(self) -> float:
-        """Bandwidth not committed to reservations."""
-        return max(self.profile.bandwidth - self.reserved_bandwidth, 0.0)
 
     def other(self, machine: Machine) -> Machine:
         if machine is self.a:
@@ -225,41 +218,6 @@ class WanLink:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<WanLink {self.a.name}<->{self.b.name} {self.profile.name}>"
-
-
-class Reservation:
-    """A QoS bandwidth reservation along a WAN route (Section 2's
-    "channel-based QoS reservation", RSVP-style).
-
-    Holds ``bandwidth`` bytes/s on every link of the reserved route
-    until :meth:`release`.  Transports honour reservations through the
-    ``reserved_bandwidth`` descriptor parameter (see
-    :meth:`repro.transports.ipbase.IpTransport.send`).
-    """
-
-    _ids = itertools.count(1)
-
-    def __init__(self, network: "Network", links: list[WanLink],
-                 bandwidth: float):
-        self.id: int = next(Reservation._ids)
-        self.network = network
-        self.links = links
-        self.bandwidth = bandwidth
-        self.active = True
-
-    def release(self) -> None:
-        """Return the reserved bandwidth to the links (idempotent)."""
-        if not self.active:
-            return
-        for link in self.links:
-            link.reserved_bandwidth -= self.bandwidth
-        self.active = False
-        self.network.epoch += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "active" if self.active else "released"
-        return (f"<Reservation {self.id} {state} "
-                f"bw={self.bandwidth:.0f} B/s links={len(self.links)}>")
 
 
 class Network:
@@ -476,54 +434,6 @@ class Network:
             send_overhead=route[0].profile.send_overhead,
             recv_overhead=route[-1].profile.recv_overhead,
         )
-
-    # -- QoS reservations -----------------------------------------------------
-
-    def reserve(self, a: Machine, b: Machine, bandwidth: float,
-                transport: str | None = None) -> Reservation:
-        """Reserve ``bandwidth`` along the best route between two machines.
-
-        Raises :class:`SimnetError` if any link on the route lacks that
-        much uncommitted bandwidth (admission control).
-        """
-        if bandwidth <= 0:
-            raise SimnetError(f"reservation bandwidth must be positive, "
-                              f"got {bandwidth!r}")
-        route = self.wan_route(a, b, transport)
-        if not route:
-            raise SimnetError(
-                f"no reservable route between {a.name!r} and {b.name!r}")
-        for link in route:
-            if link.available_bandwidth < bandwidth:
-                raise SimnetError(
-                    f"admission control: link {link.profile.name!r} has "
-                    f"only {link.available_bandwidth:.0f} B/s available, "
-                    f"{bandwidth:.0f} requested")
-        for link in route:
-            link.reserved_bandwidth += bandwidth
-        self.epoch += 1
-        return Reservation(self, route, bandwidth)
-
-    def available_bandwidth(self, a: Host, b: Host,
-                            transport: str | None = None) -> float | None:
-        """Uncommitted bandwidth between two hosts (None if unreachable).
-
-        This is what a QoS-aware selection policy consults: "looking at
-        available network bandwidth rather than raw bandwidth" (§3.2).
-        """
-        if self._fault_rules and self.is_faulted(a, b, transport):
-            return None
-        if a.machine is b.machine:
-            assert a.machine is not None
-            if transport is not None:
-                profile = a.machine.switch_profile(transport)
-                return profile.bandwidth if profile else None
-            return float("inf")
-        assert a.machine is not None and b.machine is not None
-        route = self.wan_route(a.machine, b.machine, transport)
-        if route is None:
-            return None
-        return min(link.available_bandwidth for link in route)
 
     # -- reachability predicates ---------------------------------------------
 

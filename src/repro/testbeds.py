@@ -48,7 +48,7 @@ class SP2Testbed:
 
 
 def make_sp2(nodes_a: int = 2, nodes_b: int = 2, *,
-             transports: _t.Sequence[str] | str = ("local", "mpl", "tcp"),
+             transports: _t.Sequence[str] = ("local", "mpl", "tcp"),
              costs: _t.Mapping[str, TransportCosts] | None = None,
              runtime_costs: RuntimeCosts | None = None,
              seed: int = 0,
@@ -94,7 +94,7 @@ class IWayTestbed:
 
 
 def make_iway(sp2_nodes: int = 4, *,
-              transports: _t.Sequence[str] | str = (
+              transports: _t.Sequence[str] = (
                   "local", "mpl", "aal5", "tcp", "udp", "mcast"),
               costs: _t.Mapping[str, TransportCosts] | None = None,
               seed: int = 0,

@@ -25,7 +25,6 @@ from .costmodels import (
 )
 from .errors import (
     DeliveryError,
-    NotApplicableError,
     RegistryError,
     TransportError,
 )
@@ -47,9 +46,7 @@ from .registry import (
     BUILTIN_TRANSPORTS,
     DEFAULT_TRANSPORT_SET,
     TransportRegistry,
-    parse_module_spec,
 )
-from .secure import SECURE_TCP_COSTS, SecureTcpTransport
 from .shm import ShmTransport
 from .tcp import TcpTransport
 from .udp import UdpTransport
@@ -74,12 +71,9 @@ __all__ = [
     "MplTransport",
     "MulticastTransport",
     "MyrinetTransport",
-    "NotApplicableError",
     "ProtocolLayer",
     "RegistryError",
     "RuntimeCosts",
-    "SECURE_TCP_COSTS",
-    "SecureTcpTransport",
     "ShmTransport",
     "TcpTransport",
     "Transport",
@@ -90,5 +84,4 @@ __all__ = [
     "UdpTransport",
     "WireMessage",
     "make_layered",
-    "parse_module_spec",
 ]

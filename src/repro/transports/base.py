@@ -223,8 +223,8 @@ class Transport(abc.ABC):
     def wire_method(self) -> str:
         """The method name used for wire-level lookups (switch profiles,
         per-transport WAN links).  Normally ``self.name``; aliased
-        transports — e.g. a compression stack riding TCP, or secure TCP —
-        override it so their traffic uses the underlying wire."""
+        transports — e.g. a compression stack riding TCP — override it
+        so their traffic uses the underlying wire."""
         return getattr(self, "_wire_method", self.name)
 
     @property

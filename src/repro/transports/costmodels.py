@@ -26,7 +26,6 @@ data (see :class:`repro.transports.mpl.MplTransport`).
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from ..util.units import mbps, microseconds, milliseconds
 
@@ -83,10 +82,6 @@ class TransportCosts:
     supports_blocking: bool = False
     reliable: bool = True
     drop_probability: float = 0.0
-
-    def replace(self, **changes: object) -> "TransportCosts":
-        """A copy with the given fields changed (for sweeps/ablations)."""
-        return dataclasses.replace(self, **_t.cast(dict, changes))
 
 
 #: Intracontext delivery: a procedure call plus a queue operation.

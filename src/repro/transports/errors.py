@@ -7,13 +7,9 @@ class TransportError(Exception):
     """Base class for communication-module errors."""
 
 
-class NotApplicableError(TransportError):
-    """A method was asked to connect to a context it cannot reach."""
-
-
 class DeliveryError(TransportError):
     """A message could not be delivered (routing failure, closed context)."""
 
 
 class RegistryError(TransportError):
-    """Unknown transport name or bad dynamic-load specification."""
+    """Unknown transport name, or a name registered twice."""

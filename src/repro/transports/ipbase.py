@@ -128,16 +128,6 @@ class IpTransport(Transport):
                 or state.get("profile_host") is not hop_context.host
                 or state.get("profile_epoch") != self.network.epoch):
             profile = self.profile_between(local.host, hop_context.host)
-            reserved = descriptor.param("reserved_bandwidth")
-            if reserved is not None:
-                # A QoS-reserved channel runs at its guaranteed rate.
-                profile = LinkProfile(
-                    name=f"{profile.name}+rsv",
-                    latency=profile.latency,
-                    bandwidth=float(_t.cast(float, reserved)),
-                    send_overhead=profile.send_overhead,
-                    recv_overhead=profile.recv_overhead,
-                )
             state["profile"] = profile
             state["profile_host"] = hop_context.host
             state["profile_epoch"] = self.network.epoch

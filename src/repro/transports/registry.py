@@ -2,21 +2,20 @@
 
 The paper describes several ways communication modules become available
 to an executable: a default set compiled into the library, additions via
-a resource database, command-line arguments, or program calls — with
-dynamic loading for modules absent from the build.  This registry
-reproduces all of that in Python terms:
+a resource database, command-line arguments, or program calls.  This
+registry keeps the two that runs use:
 
-* a built-in default set (:data:`BUILTIN_TRANSPORTS`);
-* :meth:`TransportRegistry.enable` — programmatic addition;
-* :meth:`TransportRegistry.load` — dynamic loading from a
-  ``"package.module:ClassName"`` specification (``importlib``);
-* :func:`parse_module_spec` — resource-database / command-line style
-  configuration strings such as ``"mpl,tcp,udp"``.
+* a built-in default set (:data:`BUILTIN_TRANSPORTS`, of which
+  :data:`DEFAULT_TRANSPORT_SET` is enabled unless the runtime names its
+  own tuple);
+* program calls: :meth:`TransportRegistry.enable` instantiates a
+  built-in module by name, and :meth:`TransportRegistry.register` adds
+  a pre-built instance (the protocol stacks of
+  :mod:`repro.transports.layers`).
 """
 
 from __future__ import annotations
 
-import importlib
 import typing as _t
 
 from .aal5 import Aal5Transport
@@ -27,7 +26,6 @@ from .local import LocalTransport
 from .mpl import MplTransport
 from .multicast import MulticastTransport
 from .myrinet import MyrinetTransport
-from .secure import SECURE_TCP_COSTS, SecureTcpTransport
 from .shm import ShmTransport
 from .tcp import TcpTransport
 from .udp import UdpTransport
@@ -44,26 +42,12 @@ BUILTIN_TRANSPORTS: dict[str, type[Transport]] = {
         TcpTransport,
         UdpTransport,
         MulticastTransport,
-        SecureTcpTransport,
     )
 }
 
 #: The default module set built into the library (paper: "when the Nexus
 #: library is built, a default set of modules is defined").
 DEFAULT_TRANSPORT_SET = ("local", "shm", "mpl", "tcp")
-
-
-def parse_module_spec(spec: str) -> list[str]:
-    """Parse a resource-database / command-line module list.
-
-    ``"mpl, tcp udp"`` → ``["mpl", "tcp", "udp"]``.
-    """
-    names = [token for chunk in spec.split(",")
-             for token in chunk.split() if token]
-    for name in names:
-        if name not in BUILTIN_TRANSPORTS and ":" not in name:
-            raise RegistryError(f"unknown transport {name!r} in spec {spec!r}")
-    return names
 
 
 class TransportRegistry:
@@ -73,56 +57,26 @@ class TransportRegistry:
                  costs: _t.Mapping[str, TransportCosts] | None = None):
         self.services = services
         self._costs = dict(DEFAULT_COSTS)
-        self._costs.setdefault("stcp", SECURE_TCP_COSTS)
         if costs:
             self._costs.update(costs)
         self._transports: dict[str, Transport] = {}
 
     # -- configuration ------------------------------------------------------
 
-    def enable(self, name: str,
-               costs: TransportCosts | None = None) -> Transport:
+    def enable(self, name: str) -> Transport:
         """Instantiate and register a built-in module (idempotent)."""
         if name in self._transports:
             return self._transports[name]
         cls = BUILTIN_TRANSPORTS.get(name)
         if cls is None:
-            if ":" in name:
-                return self.load(name)
             raise RegistryError(f"unknown transport {name!r}")
-        effective = costs or self._costs.get(name)
-        if effective is None:
-            raise RegistryError(f"no cost model for transport {name!r}")
-        transport = cls(self.services, effective)
+        # DEFAULT_COSTS covers every built-in, so the lookup cannot miss.
+        transport = cls(self.services, self._costs[name])
         self._transports[name] = transport
         return transport
 
     def enable_all(self, names: _t.Iterable[str]) -> list[Transport]:
         return [self.enable(name) for name in names]
-
-    def load(self, spec: str,
-             costs: TransportCosts | None = None) -> Transport:
-        """Dynamically load a transport from ``"pkg.module:ClassName"``.
-
-        This is the paper's "if a required module has not been compiled
-        into the Nexus library, it can be loaded dynamically".
-        """
-        try:
-            module_name, _, class_name = spec.partition(":")
-            if not class_name:
-                raise ValueError("missing ':ClassName'")
-            module = importlib.import_module(module_name)
-            cls = getattr(module, class_name)
-        except (ValueError, ImportError, AttributeError) as exc:
-            raise RegistryError(f"cannot load transport {spec!r}: {exc}") from exc
-        if not (isinstance(cls, type) and issubclass(cls, Transport)):
-            raise RegistryError(f"{spec!r} is not a Transport subclass")
-        effective = costs or self._costs.get(cls.name)
-        if effective is None:
-            raise RegistryError(f"no cost model for transport {cls.name!r}")
-        transport = cls(self.services, effective)
-        self._transports[cls.name] = transport
-        return transport
 
     def register(self, transport: Transport) -> Transport:
         """Register a pre-built transport instance (protocol stacks,

@@ -6,7 +6,6 @@ from .units import (
     KB,
     MB,
     format_bytes,
-    format_rate,
     format_time,
     mbps,
     microseconds,
@@ -21,7 +20,6 @@ __all__ = [
     "ResultTable",
     "Series",
     "format_bytes",
-    "format_rate",
     "format_time",
     "mbps",
     "microseconds",

@@ -12,11 +12,13 @@ here, once:
 
 * **serialisation** — :func:`dumps` / :func:`write`: sorted keys,
   compact separators (or ``indent`` for files people read), one
-  trailing newline.  The compact form is one shared encoder,
-  :data:`encode_compact`, which :func:`dumps` and the span spool call
-  rather than building a ``json.dumps`` encoder per call.  The spool
-  writes its lines from fixed templates and calls it only for a span's
-  non-null ``attrs``;
+  trailing newline.  The compact form is :data:`encode_compact`, the
+  ``encode`` of one shared ``JSONEncoder``, which :func:`dumps` and the
+  span spool call rather than ``json.dumps``, which builds a new
+  ``JSONEncoder`` for every call with keywords.  Each call still builds
+  a C encoder inside ``JSONEncoder.iterencode``.  The spool writes its
+  lines from fixed templates and calls it only for a span's non-null
+  ``attrs``;
 * **failure** — :class:`DocumentError`, which :func:`validate` makes
   of every refusal a kind's validator raises;
 * **dispatch** — :data:`SCHEMAS`, ``schema id -> owning module``,
@@ -36,9 +38,10 @@ import typing as _t
 #: ``json.dumps`` keywords of the compact canonical form.
 COMPACT: dict[str, _t.Any] = {"sort_keys": True, "separators": (",", ":")}
 
-#: ``json.dumps(value, **COMPACT)`` without the per-call encoder: the
-#: same bytes, from one encoder built once (it keeps no state between
-#: calls, so sharing it is safe).
+#: ``json.dumps(value, **COMPACT)`` without the per-call ``JSONEncoder``:
+#: the same bytes, from one ``JSONEncoder`` built once (it keeps no state
+#: between calls, so sharing it is safe).  ``encode`` still builds a new
+#: C encoder (``c_make_encoder``) on every call.
 encode_compact = json.JSONEncoder(**COMPACT).encode
 
 

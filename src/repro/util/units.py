@@ -52,8 +52,3 @@ def format_bytes(nbytes: float) -> str:
     if abs(nbytes) >= KB:
         return f"{nbytes / KB:.2f} KB"
     return f"{int(nbytes)} B"
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render a bandwidth with an appropriate unit."""
-    return f"{format_bytes(bytes_per_second)}/s"

@@ -12,15 +12,6 @@ def bed():
     return make_sp2(nodes_a=2, nodes_b=1)
 
 
-def test_available_methods(bed):
-    ctx = bed.nexus.context(bed.hosts_a[0])
-    assert enquiry.available_methods(ctx) == ["local", "mpl", "tcp"]
-
-
-def test_enabled_transports(bed):
-    assert enquiry.enabled_transports(bed.nexus) == ["local", "mpl", "tcp"]
-
-
 def test_applicable_methods_per_link(bed):
     nexus = bed.nexus
     a = nexus.context(bed.hosts_a[0])

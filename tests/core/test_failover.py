@@ -69,7 +69,7 @@ class TestFailover:
         assert health.failovers == 1
         assert [(m, t) for _, _, _, m, t in health.events] == [
             ("tcp", "down")]
-        assert enquiry.healthy_methods(a, sp) == [["udp"]]
+        assert a.health.down_methods(sp.links[0].context_id) == ("tcp",)
 
     def test_probe_re_selects_tcp_after_restore(self, bed):
         a, b, sp, log = wire_up(bed)

@@ -1,18 +1,12 @@
-"""Tests for method selection: the automatic rule, manual policies, QoS,
+"""Tests for method selection: the automatic rule, manual selection,
 dynamic method change, and the paper's Figure 3 scenario."""
 
 import pytest
 
 from repro.core.buffers import Buffer
 from repro.core.errors import SelectionError
-from repro.core.selection import (
-    FirstApplicable,
-    PreferMethod,
-    QoSAware,
-    RequireMethod,
-)
+from repro.core.selection import FirstApplicable, RequireMethod
 from repro.testbeds import make_sp2
-from repro.util.units import mbps
 
 
 @pytest.fixture
@@ -82,58 +76,24 @@ class TestManualPolicies:
         with pytest.raises(SelectionError):
             connect(sp)
 
-    def test_prefer_method_with_fallback(self, bed):
-        a = bed.nexus.context(bed.hosts_a[0])
-        b = bed.nexus.context(bed.hosts_b[0])
-        sp = a.startpoint_to(b.new_endpoint(), policy=PreferMethod("mpl"))
-        assert connect(sp).method == "tcp"  # mpl inapplicable cross-partition
-
     def test_context_default_policy(self, bed):
+        """A startpoint naming no policy gets the automatic rule."""
         a = bed.nexus.context(bed.hosts_a[0])
-        a.selection_policy = RequireMethod("tcp")
         b = bed.nexus.context(bed.hosts_a[1])
         sp = a.startpoint_to(b.new_endpoint())
-        assert connect(sp).method == "tcp"
+        assert isinstance(sp.policy, FirstApplicable)
+        assert connect(sp).method == "mpl"
 
     def test_per_startpoint_policy_overrides_context(self, bed):
-        a = bed.nexus.context(bed.hosts_a[0])
-        a.selection_policy = RequireMethod("tcp")
-        b = bed.nexus.context(bed.hosts_a[1])
-        sp = a.startpoint_to(b.new_endpoint(),
-                             policy=FirstApplicable())
-        assert connect(sp).method == "mpl"
-
-
-class TestQoSAware:
-    def test_bandwidth_threshold_skips_slow_method(self, bed):
+        """Two startpoints of one context to one endpoint each keep
+        their own policy."""
         a = bed.nexus.context(bed.hosts_a[0])
         b = bed.nexus.context(bed.hosts_a[1])
-        sp = a.startpoint_to(b.new_endpoint(),
-                             policy=QoSAware(min_bandwidth=mbps(20.0)))
-        assert connect(sp).method == "mpl"   # tcp's 8 MB/s too slow
-
-    def test_latency_threshold(self, bed):
-        a = bed.nexus.context(bed.hosts_a[0])
-        b = bed.nexus.context(bed.hosts_a[1])
-        sp = a.startpoint_to(b.new_endpoint(),
-                             policy=QoSAware(max_latency=1e-4))
-        assert connect(sp).method == "mpl"
-
-    def test_strict_raises_when_nothing_meets_qos(self, bed):
-        a = bed.nexus.context(bed.hosts_a[0])
-        b = bed.nexus.context(bed.hosts_b[0])  # only tcp applicable
-        sp = a.startpoint_to(b.new_endpoint(),
-                             policy=QoSAware(min_bandwidth=mbps(20.0),
-                                             strict=True))
-        with pytest.raises(SelectionError, match="QoS"):
-            connect(sp)
-
-    def test_nonstrict_falls_back(self, bed):
-        a = bed.nexus.context(bed.hosts_a[0])
-        b = bed.nexus.context(bed.hosts_b[0])
-        sp = a.startpoint_to(b.new_endpoint(),
-                             policy=QoSAware(min_bandwidth=mbps(20.0)))
-        assert connect(sp).method == "tcp"
+        endpoint = b.new_endpoint()
+        manual = a.startpoint_to(endpoint, policy=RequireMethod("tcp"))
+        automatic = a.startpoint_to(endpoint)
+        assert connect(manual).method == "tcp"
+        assert connect(automatic).method == "mpl"
 
 
 class TestDynamicChange:

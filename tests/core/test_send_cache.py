@@ -13,6 +13,7 @@ Two caches keep the hot path cheap without changing behaviour:
 import pytest
 
 from repro.core.errors import SelectionError
+from repro.core.selection import FirstApplicable
 
 
 @pytest.fixture
@@ -38,9 +39,8 @@ class CountingPolicy:
 @pytest.fixture
 def linked(pair):
     bed, a, b = pair
-    policy = CountingPolicy(a.selection_policy)
-    a.selection_policy = policy
-    startpoint = a.startpoint_to(b.new_endpoint())
+    policy = CountingPolicy(FirstApplicable())
+    startpoint = a.startpoint_to(b.new_endpoint(), policy=policy)
     return bed, a, b, startpoint, policy
 
 

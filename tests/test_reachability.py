@@ -6,7 +6,9 @@ named somewhere outside its own definition in ``src/``, ``examples/``,
 ``perfbench/`` or ``benchmarks/``: as a name token, or as a word inside
 a string literal (``getattr`` tables, dotted module paths, f-strings,
 documents).  ``tests/`` does not count, so a member whose only caller
-is a test fails here, unless ``KEEP`` names it with its reason.
+is a test fails here, unless ``KEEP`` names it with its reason.  Nor
+does an ``__init__.py``'s import statements or ``__all__`` list: a
+re-export names what it exports, it does not use it.
 
 The scan compares names, not bindings, so it is a lower bound: a
 test-only ``poll`` method passes because other ``poll`` methods are
@@ -47,7 +49,6 @@ KEEP = {
     "dup": "MPI programming-model API (MPI_Comm_dup)",
     "subgroup": "MPI programming-model API (MPI_Comm_split)",
     "detach": "adaptive-polling API: the inverse of attach",
-    "reserve": "paper section 2 QoS: Network.reserve makes a Reservation",
     "active_methods": "oracle surface: test_poll_reference compares it "
                       "with the reference manager's",
     "amortized_cycle_time": "the poll model's candidate source for the "
@@ -72,7 +73,10 @@ def _uses_and_definitions():
         if path.endswith(".py"):
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
+            skipped = _re_export_lines(path)
             for token in tokenize.generate_tokens(io.StringIO(text).readline):
+                if token.start[0] in skipped:
+                    continue
                 if token.type == tokenize.NAME:
                     words = (token.string,)
                 elif token.type == tokenize.STRING:
@@ -94,6 +98,22 @@ def _uses_and_definitions():
                     for word in WORD.findall(line):
                         uses.setdefault(word, []).append((path, number))
     return uses, definitions
+
+
+def _re_export_lines(path):
+    """Lines of an ``__init__.py``'s imports and ``__all__`` list: a
+    package re-exporting a name does not use it."""
+    if os.path.basename(path) != "__init__.py":
+        return frozenset()
+    lines = set()
+    for node in _tree(path).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name)
+                        and target.id == "__all__"
+                        for target in node.targets)):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return frozenset(lines)
 
 
 @functools.cache

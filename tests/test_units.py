@@ -13,7 +13,6 @@ from repro.util.units import (
     KB,
     MB,
     format_bytes,
-    format_rate,
     format_time,
     mbps,
     microseconds,
@@ -93,13 +92,3 @@ class TestFormatBytesBoundaries:
         assert format_bytes(0.9) == "0 B"
         assert format_bytes(100.7) == "100 B"
 
-
-class TestFormatRate:
-    @pytest.mark.parametrize("value,expected", [
-        (0, "0 B/s"),
-        (512, "512 B/s"),
-        (36 * MB, "36.00 MB/s"),
-        (mbps(8), "8.00 MB/s"),      # the testbed's TCP link rate
-    ])
-    def test_rate_is_bytes_per_second(self, value, expected):
-        assert format_rate(value) == expected

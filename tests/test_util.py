@@ -8,7 +8,6 @@ from repro.util.units import (
     KB,
     MB,
     format_bytes,
-    format_rate,
     format_time,
     mbps,
     microseconds,
@@ -38,7 +37,6 @@ class TestUnits:
         assert format_bytes(2 * KB) == "2.00 KB"
         assert format_bytes(36 * MB) == "36.00 MB"
         assert format_bytes(3 * GB) == "3.00 GB"
-        assert format_rate(8 * MB) == "8.00 MB/s"
 
 
 class TestResultTable:

@@ -1,5 +1,7 @@
 """Tests for communication descriptors and cost models."""
 
+import dataclasses
+
 import pytest
 
 from repro.transports.base import Descriptor
@@ -59,14 +61,11 @@ class TestCostModels:
 
     def test_default_costs_cover_all_builtins(self):
         from repro.transports.registry import BUILTIN_TRANSPORTS
-        from repro.transports.secure import SECURE_TCP_COSTS
-        extras = {"stcp": SECURE_TCP_COSTS}  # registry-level default
         for name in BUILTIN_TRANSPORTS:
-            assert name in DEFAULT_COSTS or name in extras, (
-                f"no cost model for {name}")
+            assert name in DEFAULT_COSTS, f"no cost model for {name}"
 
     def test_replace(self):
-        modified = TCP_COSTS.replace(poll_cost=1e-6)
+        modified = dataclasses.replace(TCP_COSTS, poll_cost=1e-6)
         assert modified.poll_cost == 1e-6
         assert modified.bandwidth == TCP_COSTS.bandwidth
         assert TCP_COSTS.poll_cost > 1e-6  # original frozen

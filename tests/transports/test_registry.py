@@ -1,5 +1,7 @@
 """Tests for the transport registry (module loading machinery)."""
 
+import dataclasses
+
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -13,7 +15,6 @@ from repro.transports import (
     Transport,
     TransportRegistry,
     TransportServices,
-    parse_module_spec,
 )
 from repro.transports.errors import RegistryError
 from repro.transports.layers import (
@@ -33,18 +34,6 @@ def services():
 @pytest.fixture
 def registry(services):
     return TransportRegistry(services)
-
-
-class TestParseModuleSpec:
-    def test_commas_and_spaces(self):
-        assert parse_module_spec("mpl, tcp udp") == ["mpl", "tcp", "udp"]
-
-    def test_unknown_rejected(self):
-        with pytest.raises(RegistryError):
-            parse_module_spec("mpl, warp-drive")
-
-    def test_dynamic_specs_allowed(self):
-        assert parse_module_spec("pkg.mod:Cls") == ["pkg.mod:Cls"]
 
 
 class TestRegistry:
@@ -74,29 +63,11 @@ class TestRegistry:
         ranks = [registry.get(n).speed_rank for n in names]
         assert ranks == sorted(ranks)
 
-    def test_dynamic_load(self, registry):
-        transport = registry.load("repro.transports.udp:UdpTransport")
-        assert transport.name == "udp"
-        assert "udp" in registry
-
-    def test_dynamic_load_via_enable(self, registry):
-        transport = registry.enable("repro.transports.myrinet:MyrinetTransport")
-        assert transport.name == "myrinet"
-
-    def test_dynamic_load_bad_specs(self, registry):
-        with pytest.raises(RegistryError):
-            registry.load("no.such.module:Cls")
-        with pytest.raises(RegistryError):
-            registry.load("repro.transports.udp:Missing")
-        with pytest.raises(RegistryError):
-            registry.load("repro.transports.udp")  # no class name
-        with pytest.raises(RegistryError):
-            registry.load("repro.simnet.engine:Simulator")  # not a Transport
-
     def test_custom_cost_override(self, services):
         from repro.transports.costmodels import TCP_COSTS
         registry = TransportRegistry(
-            services, costs={"tcp": TCP_COSTS.replace(poll_cost=42.0)})
+            services,
+            costs={"tcp": dataclasses.replace(TCP_COSTS, poll_cost=42.0)})
         assert registry.enable("tcp").poll_cost == 42.0
 
     def test_speed_ranks_unique(self):

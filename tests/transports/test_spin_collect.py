@@ -80,9 +80,9 @@ def play(script, spin):
     two implementations must agree on, plus the event count."""
     bed = make_sp2(
         nodes_a=2, nodes_b=0, transports=("local", "mpl"),
-        costs={"mpl": MPL_COSTS.replace(poll_cost=script.poll_cost,
-                                        send_overhead=script.send_overhead,
-                                        latency=script.latency)},
+        costs={"mpl": dataclasses.replace(
+            MPL_COSTS, poll_cost=script.poll_cost,
+            send_overhead=script.send_overhead, latency=script.latency)},
         runtime_costs=RuntimeCosts(select_drain_overlap=script.overlap))
     nexus, sim = bed.nexus, bed.sim
     src = nexus.context(bed.hosts_a[0], "src", methods=("local", "mpl"))
