@@ -140,6 +140,14 @@ def fleet_scaling(options: RunOptions = RunOptions(),
                         cpus=host_cpus())
 
 
+def _load_average() -> str:
+    """The host's 1/5/15-minute load averages, now."""
+    try:
+        return "/".join(f"{load:.2f}" for load in os.getloadavg())
+    except (AttributeError, OSError):  # pragma: no cover - non-unix
+        return "unavailable"
+
+
 def check_fleet_shape(scaling: FleetScaling) -> None:
     """Assert the fleet tier's findings.
 
@@ -157,9 +165,14 @@ def check_fleet_shape(scaling: FleetScaling) -> None:
                     for p in scaling.points))
     two = scaling.point(2)
     if two is not None and scaling.cpus >= 2:
+        # A wall-time ratio: the walls and the host's load say whether a
+        # failure is the pool's or another process's.
         assert two.speedup > 1.0, (
             f"warm 2-worker speedup {two.speedup:.2f}x does not beat "
-            f"serial on a {scaling.cpus}-cpu host")
+            f"serial on a {scaling.cpus}-cpu host (warm walls: serial "
+            f"{scaling.points[0].warm_wall_s:.3f} s, 2 workers "
+            f"{two.warm_wall_s:.3f} s; 2-worker cold wall "
+            f"{two.cold_wall_s:.3f} s; load average {_load_average()})")
     four = scaling.point(4)
     if four is not None and scaling.cpus >= 4:
         assert four.speedup >= MIN_SPEEDUP_AT_4, (

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import operator
 import typing as _t
 
 from ..util.document import DocumentError, Schema, write
@@ -89,39 +88,46 @@ class CritpathBuilder:
         self._paths: list[tuple] = []
 
     def add_rsr(self, rsr: int, spans: _t.Sequence[Span]) -> None:
-        """Fold one RSR's complete span group."""
+        """Fold one RSR's complete span group.
+
+        One pass over the group lowers the context minima, indexes the
+        spans by id and keeps the leaf, the latest-ending span (the
+        larger id on a tie).  One walk from the leaf to the root then
+        charges each step as it goes: the leaf its own duration, every
+        earlier step the time until the step after it started.  Neither
+        makes a call per span.
+        """
         ctx_min = self._ctx_min
+        by_id: dict[int, Span] = {}
+        leaf: Span | None = None
+        leaf_end = leaf_id = 0.0
         for span in spans:
-            cur = ctx_min.get(span.ctx)
-            if cur is None or span.id < cur:
-                ctx_min[span.ctx] = span.id
-        by_id = {span.id: span for span in spans}
-        finished = [span for span in spans if span.end is not None]
-        if not finished:
+            ctx, span_id, end = span.ctx, span.id, span.end
+            if ctx not in ctx_min or span_id < ctx_min[ctx]:
+                ctx_min[ctx] = span_id
+            by_id[span_id] = span
+            if end is not None and (leaf is None or end > leaf_end or (
+                    end == leaf_end and span_id > leaf_id)):
+                leaf, leaf_end, leaf_id = span, end, span_id
+        if leaf is None:
             return
-        leaf = max(finished, key=operator.attrgetter("end", "id"))
-        chain: list[Span] = []
-        cursor: Span | None = leaf
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = (by_id.get(cursor.parent)
-                      if cursor.parent is not None else None)
-        chain.reverse()
+        # Leaf to root; ``list += (step,)`` grows the list without a call.
         steps: list[tuple[str, str, int, float, float]] = []
-        for index, span in enumerate(chain):
-            if index + 1 < len(chain):
-                share = chain[index + 1].start - span.start
-            else:
-                share = _t.cast(float, span.end) - span.start
-            steps.append((span.phase, span.lane, span.ctx,
-                          span.start, share))
-        root = chain[0]
+        step, share = leaf, leaf_end - leaf.start
+        while True:
+            steps += ((step.phase, step.lane, step.ctx, step.start, share),)
+            if step.parent not in by_id:
+                break
+            parent = by_id[step.parent]
+            step, share = parent, step.start - parent.start
+        root = step
         handler = ""
         if root.attrs is not None:
             handler = str(root.attrs.get("handler", ""))
         dropped = bool(leaf.attrs and leaf.attrs.get("dropped"))
-        latency = _t.cast(float, leaf.end) - root.start
-        entry = (latency, -rsr, (rsr, handler, dropped, tuple(steps)))
+        latency = leaf_end - root.start
+        entry = (latency, -rsr, (rsr, handler, dropped,
+                                 tuple(reversed(steps))))
         if self.top_k is None:
             self._paths.append(entry)
         else:
@@ -194,7 +200,10 @@ def critpath_document(paths: _t.Sequence[CriticalPath], *,
                 "dropped": path.dropped,
                 "wire_hops": path.wire_hops,
                 "phase_s": path.phase_s,
-                "steps": [dataclasses.asdict(step) for step in path.steps],
+                "steps": [{"phase": step.phase, "lane": step.lane,
+                           "rank": step.rank, "start_s": step.start_s,
+                           "share_s": step.share_s}
+                          for step in path.steps],
             }
             for path in paths
         ],

@@ -146,52 +146,64 @@ class GraphBuilder:
         """
         if len(spans) > 1:
             spans = sorted(spans, key=operator.attrgetter("id"))
+        # One pass records, per parent id, its first non-wire child and
+        # whether it has a wire child: all that decides a wire span's
+        # fate.  ``list += (span,)`` grows a list without a call.
         by_id: dict[int, Span] = {}
-        children: dict[int, list[Span]] = {}
+        delivery: dict[int, Span] = {}
+        forked: dict[int, bool] = {}
+        wires: list[Span] = []
         for span in spans:
             by_id[span.id] = span
-            if span.parent is not None:
-                children.setdefault(span.parent, []).append(span)
-        ctx_key, nodes = self._ctx_key, self._nodes
-        for span in spans:
-            if span.phase != PHASE_WIRE:
+            parent = span.parent
+            if span.phase == PHASE_WIRE:
+                wires += (span,)
+                if parent is not None:
+                    forked[parent] = True
+            elif parent is not None and parent not in delivery:
+                delivery[parent] = span
+        ctx_key, nodes, edges = self._ctx_key, self._nodes, self._edges
+        for span in wires:
+            span_id = span.id
+            if span_id in delivery:
+                first: Span | None = delivery[span_id]
+            elif span_id in forked:
                 continue
-            kids = children.get(span.id, ())
-            delivery = [k for k in kids if k.phase != PHASE_WIRE]
-            if not delivery and kids:
-                continue
-            src_ctx = (by_id[span.parent].ctx if span.parent in by_id
-                       else span.ctx)
-            nbytes = (0 if span.attrs is None
-                      else int(_t.cast(int, span.attrs.get("nbytes", 0))))
-            key = span.id * 2
-            cur = ctx_key.get(src_ctx)
-            if cur is None or key < cur:
+            else:
+                first = None
+            parent = span.parent
+            src_ctx = by_id[parent].ctx if parent in by_id else span.ctx
+            attrs = span.attrs
+            nbytes = (int(attrs["nbytes"])
+                      if attrs is not None and "nbytes" in attrs else 0)
+            key = span_id * 2
+            if src_ctx not in ctx_key or key < ctx_key[src_ctx]:
                 ctx_key[src_ctx] = key
-            src = nodes.get(src_ctx)
-            if src is None:
+            if src_ctx in nodes:
+                src = nodes[src_ctx]
+            else:
                 src = nodes[src_ctx] = [0, 0, 0, 0, 0]
-            if not delivery:
+            if first is None:
                 src[4] += 1
                 continue
-            first = delivery[0]
             dst_ctx = first.ctx
-            cur = ctx_key.get(dst_ctx)
-            if cur is None or key + 1 < cur:
+            if dst_ctx not in ctx_key or key + 1 < ctx_key[dst_ctx]:
                 ctx_key[dst_ctx] = key + 1
-            dst = nodes.get(dst_ctx)
-            if dst is None:
+            if dst_ctx in nodes:
+                dst = nodes[dst_ctx]
+            else:
                 dst = nodes[dst_ctx] = [0, 0, 0, 0, 0]
-            edge = self._edges.get((src_ctx, dst_ctx, span.lane))
-            if edge is None:
-                edge = self._edges[(src_ctx, dst_ctx, span.lane)] = [
-                    0, 0, 0, 0]
+            edge_key = (src_ctx, dst_ctx, span.lane)
+            if edge_key in edges:
+                edge = edges[edge_key]
+            else:
+                edge = edges[edge_key] = [0, 0, 0, 0]
             edge[0] += 1
             edge[1] += nbytes
             if span.end is not None:
-                edge[2] += int(round((span.end - span.start) * 1e9))
+                edge[2] += round((span.end - span.start) * 1e9)
             if first.phase == PHASE_POLL_DETECT and first.end is not None:
-                edge[3] += int(round((first.end - first.start) * 1e9))
+                edge[3] += round((first.end - first.start) * 1e9)
             src[1] += 1
             src[3] += nbytes
             dst[0] += 1
@@ -324,8 +336,16 @@ def graph_document(graph: CommGraph, *,
     document: dict[str, object] = {
         "schema": GRAPH_SCHEMA,
         "schema_version": GRAPH_SCHEMA_VERSION,
-        "nodes": [dataclasses.asdict(node) for node in graph.node_list()],
-        "edges": [dataclasses.asdict(edge) for edge in graph.edge_list()],
+        "nodes": [{"rank": node.rank, "component": node.component,
+                   "host": node.host, "messages_in": node.messages_in,
+                   "messages_out": node.messages_out,
+                   "bytes_in": node.bytes_in, "bytes_out": node.bytes_out,
+                   "undelivered": node.undelivered}
+                  for node in graph.node_list()],
+        "edges": [{"src": edge.src, "dst": edge.dst, "method": edge.method,
+                   "messages": edge.messages, "bytes": edge.bytes,
+                   "wire_s": edge.wire_s, "detect_s": edge.detect_s}
+                  for edge in graph.edge_list()],
         "total_messages": graph.total_messages,
         "total_bytes": graph.total_bytes,
         "meta": dict(meta) if meta else {},

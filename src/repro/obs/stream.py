@@ -39,8 +39,8 @@ same reason the graph/timeline exports renumber).  The manifest's
 
 Record kinds (one compact sorted-key JSON object per line, the bytes
 ``json.dumps(record, **COMPACT)`` writes; each kind has one fixed line
-template, and a span's non-null ``attrs`` go through
-``util.document.encode_compact``):
+template, and a span's non-null ``attrs`` go through one C encoder per
+written block, ``util.document.compact_encoder``):
 
 ``s``
     a span, written when it closes (or flushed open-ended at finalize
@@ -60,7 +60,10 @@ CI by ``cmp``.
 Reading back is one ``json.loads`` per block of about 64 KiB of lines
 (:func:`iter_records`); a torn or corrupt line, or one that decodes but
 is no record (:func:`fold_stream`), raises
-:class:`~repro.util.document.DocumentError` naming ``shard:line``.
+:class:`~repro.util.document.DocumentError` naming ``shard:line``.  The
+read path makes no call per record beyond the span it rebuilds: groups
+grow and the timeline replay buffers its values with ``list +=``, and
+each replayed column is extended once per block.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import time
 import typing as _t
 from json.encoder import encode_basestring_ascii
 
-from ..util.document import (DocumentError, Schema, encode_compact, load,
+from ..util.document import (DocumentError, Schema, compact_encoder, load,
                              write)
 from .critpath import CriticalPath, CritpathBuilder
 from .graph import CommGraph, GraphBuilder
@@ -594,10 +597,14 @@ class SpanSpool:
         self._block = []
         self._room = _WRITE_RECORDS
         ctx_map, names = self._ctx_map, self._names
+        # Dropped with the block, so a failed encode's stale ``markers``
+        # never meet another block's values.
+        encode = compact_encoder()
         lines = [
             item[0] % item[1:] if item.__class__ is tuple
             else _SPAN_LINE % (
-                "null" if item.attrs is None else encode_compact(item.attrs),
+                "null" if item.attrs is None
+                else "".join(encode(item.attrs, 0)),
                 ctx_map[item.ctx], item.id, names[item.lane],
                 "null" if item.parent is None else item.parent,
                 names[item.phase], item.rsr, item.start,
@@ -985,12 +992,29 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
     the way.  A shard line that decodes but is not a spooled record
     raises :class:`DocumentError` naming ``shard:line``."""
     pending: dict[int, list[Span]] = {}
-    # Timeline columns resolved once each, as the live hooks cache them
-    # (Observability._phase_slots); first touch creates them in the same
-    # order the live run did.
-    phase_columns: dict[tuple[str, str], Column] = {}
-    lane_columns: dict[str, tuple[Column, Column, Column]] = {}
-    issued: Column | None = None
+    # The live hooks' appends (Observability.close_span, rsr_begin,
+    # MessageTrace.finish/drop), replayed into one plain list per column
+    # that extends its column once per block.  Columns are resolved on
+    # first touch, so they are created in the order the live run created
+    # them.  ``list += (a, b)`` grows a list without a call, and
+    # ``x - 0.0`` (the identity on every float, ``-0.0`` included)
+    # refuses on its own line a value no column would hold.
+    buffers: list[tuple[Column, list[float]]] = []
+    by_column: dict[int, list[float]] = {}
+
+    def buffer(column: Column) -> list[float]:
+        """``column``'s list (one per column: lanes share ``all``)."""
+        if id(column) not in by_column:
+            by_column[id(column)] = values = []
+            buffers.append((column, values))
+        return by_column[id(column)]
+
+    phase_buffers: dict[tuple[str, str], list[float]] = {}
+    lane_buffers: dict[str, tuple[list[float], list[float],
+                                  list[float]]] = {}
+    rank_buffers: dict[int, list[float]] = {}
+    drop_buffers: dict[str, list[float]] = {}
+    issued: list[float] | None = None
     for where, first, records in _record_blocks(directory, manifest):
         for number, rec in enumerate(records, first):
             try:
@@ -1003,41 +1027,52 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                                 else contexts[ctx],
                                 start=rec["t0"], end=rec["t1"],
                                 parent=rec["par"], attrs=rec["attrs"])
-                    pending.setdefault(span.rsr, []).append(span)
-                    # The live hooks' appends (Observability.close_span,
-                    # rsr_begin, MessageTrace.finish/drop), replayed.
+                    rsr = span.rsr
+                    if rsr in pending:
+                        pending[rsr] += (span,)
+                    else:
+                        pending[rsr] = [span]
                     if timeline is not None:
                         end = span.end
                         if end is not None:
                             key = (span.phase, span.lane)
-                            if key not in phase_columns:
-                                phase_columns[key] = timeline.phase_column(
-                                    *key)
-                            phase_columns[key].extend(
-                                (end, (end - span.start) * 1e6))
+                            if key not in phase_buffers:
+                                phase_buffers[key] = buffer(
+                                    timeline.phase_column(*key))
+                            phase_buffers[key] += (
+                                end, (end - span.start) * 1e6)
                         if span.phase == PHASE_ISSUE:
                             if issued is None:
-                                issued = timeline.issued_column()
-                            issued.extend((span.start, 1.0))
+                                issued = buffer(timeline.issued_column())
+                            issued += (span.start - 0.0, 1.0)
                 elif kind == "d":
                     if timeline is not None:
-                        now = rec["t"]
-                        latency_us = rec["us"]
+                        now = rec["t"] - 0.0
+                        latency_us = rec["us"] - 0.0
                         lane = rec["lane"]
-                        if lane not in lane_columns:
-                            lane_columns[lane] = timeline.delivery_columns(
-                                lane)
-                        latency, latency_all, delivered = lane_columns[lane]
-                        latency.extend((now, latency_us))
-                        latency_all.extend((now, latency_us))
-                        delivered.extend((now, 1.0))
+                        if lane not in lane_buffers:
+                            method, merged, count = \
+                                timeline.delivery_columns(lane)
+                            lane_buffers[lane] = (buffer(method),
+                                                  buffer(merged),
+                                                  buffer(count))
+                        latency, latency_all, delivered = lane_buffers[lane]
+                        latency += (now, latency_us)
+                        latency_all += (now, latency_us)
+                        delivered += (now, 1.0)
                         ctx = rec["ctx"]
                         if ctx is not None:
-                            timeline.rank_column(ctx).extend((now, 1.0))
+                            if ctx not in rank_buffers:
+                                rank_buffers[ctx] = buffer(
+                                    timeline.rank_column(ctx))
+                            rank_buffers[ctx] += (now, 1.0)
                 elif kind == "x":
                     if timeline is not None:
-                        timeline.dropped_column(rec["lane"]).extend(
-                            (rec["t"], 1.0))
+                        lane = rec["lane"]
+                        if lane not in drop_buffers:
+                            drop_buffers[lane] = buffer(
+                                timeline.dropped_column(lane))
+                        drop_buffers[lane] += (rec["t"] - 0.0, 1.0)
                 elif kind == "r":
                     rsr = rec["rsr"]
                     spans = pending.pop(rsr, None)
@@ -1050,6 +1085,10 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                 raise DocumentError(
                     f"{where}:{number}: malformed shard record "
                     f"({type(error).__name__}: {error})") from error
+        for column, values in buffers:
+            if values:
+                column.extend(values)
+                del values[:]
     for rsr in sorted(pending):
         yield rsr, pending.pop(rsr), False
 

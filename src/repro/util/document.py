@@ -13,12 +13,11 @@ here, once:
 * **serialisation** — :func:`dumps` / :func:`write`: sorted keys,
   compact separators (or ``indent`` for files people read), one
   trailing newline.  The compact form is :data:`encode_compact`, the
-  ``encode`` of one shared ``JSONEncoder``, which :func:`dumps` and the
-  span spool call rather than ``json.dumps``, which builds a new
-  ``JSONEncoder`` for every call with keywords.  Each call still builds
-  a C encoder inside ``JSONEncoder.iterencode``.  The spool writes its
-  lines from fixed templates and calls it only for a span's non-null
-  ``attrs``;
+  ``encode`` of one shared ``JSONEncoder``; its one caller is
+  :func:`dumps`.  The span spool writes its lines from fixed templates
+  and encodes a span's non-null ``attrs`` with :func:`compact_encoder`,
+  one C encoder per written block, where ``encode`` would build one
+  per call;
 * **failure** — :class:`DocumentError`, which :func:`validate` makes
   of every refusal a kind's validator raises;
 * **dispatch** — :data:`SCHEMAS`, ``schema id -> owning module``,
@@ -34,15 +33,37 @@ import dataclasses
 import importlib
 import json
 import typing as _t
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 #: ``json.dumps`` keywords of the compact canonical form.
 COMPACT: dict[str, _t.Any] = {"sort_keys": True, "separators": (",", ":")}
 
+#: The one ``JSONEncoder`` of the compact form.  It keeps no state
+#: between calls, so sharing it is safe.
+_COMPACT_ENCODER = json.JSONEncoder(**COMPACT)
+
 #: ``json.dumps(value, **COMPACT)`` without the per-call ``JSONEncoder``:
-#: the same bytes, from one ``JSONEncoder`` built once (it keeps no state
-#: between calls, so sharing it is safe).  ``encode`` still builds a new
-#: C encoder (``c_make_encoder``) on every call.
-encode_compact = json.JSONEncoder(**COMPACT).encode
+#: the same bytes.  :func:`dumps` is its one caller; ``encode`` still
+#: builds a new C encoder (``c_make_encoder``) on every call.
+encode_compact = _COMPACT_ENCODER.encode
+
+
+def compact_encoder() -> _t.Callable[[object, int], _t.Sequence[str]]:
+    """A C encoder writing :data:`encode_compact`'s bytes, for many
+    values: ``"".join(encoder(value, 0))``.
+
+    It is built with the arguments ``JSONEncoder.iterencode`` gives
+    ``c_make_encoder``, so an unserialisable value raises ``TypeError``
+    and a circular one ``ValueError``.  Its circular-check ``markers``
+    dict lives as long as it does, and a failed encode leaves the ids
+    it was inside there, which a later value may reuse: drop the
+    encoder after any failure.
+    """
+    encoder = _COMPACT_ENCODER
+    return c_make_encoder(
+        {}, encoder.default, encode_basestring_ascii, encoder.indent,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan)
 
 
 class DocumentError(ValueError):

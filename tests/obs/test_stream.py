@@ -517,6 +517,15 @@ class TestBlockDecoder:
 #: Span and record times: floats of every magnitude and plain ints.
 TIMES = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
 
+#: ``attrs`` values: every JSON value ``json.dumps`` writes by default,
+#: ``NaN`` and the infinities included.
+ATTR_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=8)
+
 
 def dense_contexts(records):
     """``records`` with raw ``ctx`` ids renumbered densely by first
@@ -586,6 +595,70 @@ class TestSpooledEncoding:
                 lines = handle.read().splitlines()
         assert lines == [json.dumps(record, **COMPACT)
                          for record in dense_contexts(expected)]
+
+    @staticmethod
+    def _spool_attrs(directory, values):
+        """Spool one closed span per ``attrs`` value (one block, so one
+        encoder serves them all); the shard's lines."""
+        obs = Observability(Simulator(), enabled=True)
+        spool = SpanSpool(StreamConfig(directory=directory)).attach(obs)
+        for number, attrs in enumerate(values, start=1):
+            spool.record_span(Span(id=number, rsr=0, phase="wire", ctx=0,
+                                   lane="tcp", start=0.5, end=0.75,
+                                   parent=None, attrs=attrs))
+        spool.finalize()
+        with open(os.path.join(directory, spool.shards[0]["name"])) as fh:
+            return fh.read().splitlines()
+
+    @staticmethod
+    def _expected(values):
+        return [json.dumps({"k": "s", "id": number, "rsr": 0, "ph": "wire",
+                            "ctx": 0, "lane": "tcp", "t0": 0.5, "t1": 0.75,
+                            "par": None, "attrs": attrs}, **COMPACT)
+                for number, attrs in enumerate(values, start=1)]
+
+    @PROFILE
+    @given(values=st.lists(st.dictionaries(st.text(), ATTR_VALUES,
+                                           max_size=4),
+                           min_size=1, max_size=6))
+    @example(values=[{"ünï": "çødé ☃", "esc": 'q"\\\n\x00\ud800\t'},
+                     {"big": 2 ** 64, "neg": -(2 ** 64), "neg_zero": -0.0,
+                      "tiny": 1e-300, "e16": 1e16},
+                     {"nan": float("nan"), "inf": float("inf"),
+                      "ninf": float("-inf")},
+                     {"t": True, "f": False, "none": None},
+                     {"deep": {"a": [1, {"b": [None, [[], {}]]}]}}])
+    def test_attrs_equal_json_dumps(self, values):
+        with tempfile.TemporaryDirectory() as directory:
+            lines = self._spool_attrs(directory, values)
+        assert lines == self._expected(values)
+
+    def test_unserialisable_attrs_raise_type_error(self):
+        with tempfile.TemporaryDirectory() as directory, \
+                pytest.raises(TypeError, match="not JSON serializable"):
+            self._spool_attrs(directory, [{"ok": 1}, {"bad": object()}])
+
+    def test_circular_attrs_raise_value_error(self):
+        loop = {"a": []}
+        loop["a"].append(loop)
+        with tempfile.TemporaryDirectory() as directory, \
+                pytest.raises(ValueError, match="Circular reference"):
+            self._spool_attrs(directory, [loop])
+
+    def test_a_failed_block_leaves_no_stale_marker(self):
+        # A failed encode leaves the ids it was inside in its encoder's
+        # circular-check markers.  The very same containers, mended,
+        # must spool correctly afterwards, in a later spool.
+        inner = [1, object()]
+        attrs = {"inner": inner}
+        with tempfile.TemporaryDirectory() as directory, \
+                pytest.raises(TypeError):
+            self._spool_attrs(directory, [attrs])
+        inner.pop()
+        values = [attrs, {"again": inner}, attrs]
+        with tempfile.TemporaryDirectory() as directory:
+            assert self._spool_attrs(directory, values) == \
+                self._expected(values)
 
 
 def reference_shards(lines, max_records, max_bytes):

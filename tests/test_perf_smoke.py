@@ -32,6 +32,9 @@ from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, \
     run_scenario
 from repro.mpi import MPIWorld
+from repro.obs.critpath import write_critpaths
+from repro.obs.graph import write_graph
+from repro.obs.stream import StreamConfig, fold_stream
 from repro.obs.timeline import timeline_document
 from repro.simnet import Simulator
 from repro.testbeds import make_sp2
@@ -261,6 +264,41 @@ def test_traced_scenario_host_calls_stay_within_budget():
         f"{count:,} host calls for the fixed traced scenario, budget "
         f"{SCENARIO_CALL_BUDGET:,} — is the timeline observing twice "
         "again, or a handle lookup back on a per-event path?")
+
+
+#: Host calls of one warm ``fold_stream`` over the spool of that traced
+#: scenario (163 RSR groups, 1,141 spans), plus writing its graph and
+#: critical paths: 10,229 when the builders indexed each group in one
+#: pass, the reader grew groups and buffered the timeline replay with
+#: ``list +=``, and the exports built their dicts directly; 103,907
+#: before.  The budget is that count plus 10 %.
+FOLD_CALL_BUDGET = 11_250
+
+
+def test_span_fold_host_calls_stay_within_budget(tmp_path):
+    """Deterministic tripwire for host work on the observability read
+    path: a fold's per-span cost is the ``Span`` it rebuilds (and a
+    ``round`` per timed transit), the rest is per RSR group."""
+    spool = str(tmp_path / "spool")
+    with obs.collecting():
+        result = run_scenario(LoadScenario(
+            name="budget",
+            fleets=(FleetSpec("rpc", clients=4,
+                              arrival=OpenLoop(rate=200.0),
+                              sizes=FixedSize(2048), route="remote"),),
+            duration=0.2), stream=StreamConfig(directory=spool))
+    assert result.delivered == 160
+
+    def run():
+        fold = fold_stream(spool)
+        write_graph(str(tmp_path / "graph.json"), fold.graph)
+        write_critpaths(str(tmp_path / "critpath.json"), fold.paths)
+
+    count = _host_calls(run)
+    assert count <= FOLD_CALL_BUDGET, (
+        f"{count:,} host calls for the fixed span fold, budget "
+        f"{FOLD_CALL_BUDGET:,} — is a builder back to a dict.get, an "
+        "append or a key= call per span?")
 
 
 def test_idle_wake_up_reenters_one_frame_below_the_application():
