@@ -31,11 +31,11 @@ def main() -> None:
         ports["source"] = yield from OutPort.from_wire(
             to_stage.to_wire(), source_ctx)
         while stage_in.writers_opened < 2:
-            yield nexus.sim.timeout(0.001)
+            yield 0.001
         yield from to_stage.close()
 
     def source():
-        yield nexus.sim.timeout(0.02)
+        yield 0.02
         for value in range(6):
             yield from ports["source"].send(value)
         yield from ports["source"].close()
@@ -70,7 +70,7 @@ def main() -> None:
         yield from merged_out.close()
 
     def writer(key, values):
-        yield nexus.sim.timeout(0.02)
+        yield 0.02
         for value in values:
             yield from state[key].send(value)
         yield from state[key].close()

@@ -203,7 +203,7 @@ class Context:
     def charge(self, seconds: float):
         """Generator: consume ``seconds`` of this context's (virtual) CPU."""
         if seconds > 0:
-            yield self.nexus.sim.timeout(seconds)
+            yield seconds
 
     # -- receive path ------------------------------------------------------------------
 
@@ -244,7 +244,7 @@ class Context:
         costs += self._conversion_cost(message)
         if costs > 0:
             # Inlined self.charge(costs) — dispatch runs per message.
-            yield nexus.sim.timeout(costs)
+            yield costs
 
         endpoint_id = message.endpoint_id
         if message.dst_context == -1:

@@ -42,7 +42,7 @@ attributes rather than five dicts keyed by method name.  A cycle
 drains only the firing lanes whose container holds mail (a traced miss
 is one append to the lane's ``poll_batch``).  And a
 blocking operation costs one generator frame below its caller:
-:meth:`wait` and :meth:`poll` yield their own timeouts and are both
+:meth:`wait` and :meth:`poll` yield their own sleeps and are both
 written in terms of the same plain helpers
 (:meth:`PollManager._begin_cycle`, :meth:`PollManager._collect`,
 :meth:`PollManager._end_cycle`), so an event that wakes an idle waiter
@@ -462,7 +462,7 @@ class PollManager:
         context = self.context
         firing, total_cost, foreign_cost, watch = self._begin_cycle()
         if total_cost > 0.0:
-            yield context.nexus.sim.timeout(total_cost)
+            yield total_cost
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
         obs = context.nexus.obs
@@ -506,7 +506,6 @@ class PollManager:
         context = self.context
         sim = context.nexus.sim
         clock = sim._clock
-        timeout = sim.timeout
         loop_cost = context.nexus.runtime_costs.poll_loop_cost
         obs = context.nexus.obs
         stats = self.stats
@@ -516,7 +515,7 @@ class PollManager:
                 return
             firing, total_cost, foreign_cost, watch = self._begin_cycle()
             if total_cost > 0.0:
-                yield timeout(total_cost)
+                yield total_cost
             if foreign_cost > 0.0:
                 context.foreign_poll_total += foreign_cost
             dispatched = 0
@@ -534,7 +533,7 @@ class PollManager:
             if predicate():
                 return
             if loop_cost > 0.0:
-                yield timeout(loop_cost)
+                yield loop_cost
             if dispatched:
                 continue
             wake = self._idle_wake(extra_wake)
@@ -708,7 +707,7 @@ class PollManager:
         total_cost, foreign_cost = self._spin(self._ensure_plan(), n_ops,
                                               float(compute_time))
         if total_cost > 0.0:
-            yield context.nexus.sim.timeout(total_cost)
+            yield total_cost
         if foreign_cost > 0.0:
             context.foreign_poll_total += foreign_cost
         result = yield from self.poll()

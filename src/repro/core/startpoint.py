@@ -249,7 +249,7 @@ class Startpoint:
         overhead = nexus.runtime_costs.rsr_send_overhead
         if overhead > 0:
             # Inlined context.charge(overhead) — one generator fewer per RSR.
-            yield nexus.sim.timeout(overhead)
+            yield overhead
         if marshal is not None:
             obs.close_span(marshal)
 
@@ -320,7 +320,7 @@ class Startpoint:
                     delay = policy.delay(attempt - 1,
                                          nexus.streams.stream("retry"))
                     if delay > 0:
-                        yield nexus.sim.timeout(delay)
+                        yield delay
                     if health.is_down(link.context_id, method):
                         # Someone else's failures downed the method while
                         # we backed off; stop beating on it.

@@ -158,7 +158,7 @@ class LoadResult:
 _CONTROL_RETRIES = 50
 
 
-def _control_rsr(sim, sp, handler: str, make_buffer, pause: float):
+def _control_rsr(sp, handler: str, make_buffer, pause: float):
     """Send a control-plane RSR, riding out fault windows via retry.
 
     Unlike fleet traffic (where a failed send is just a lost offered
@@ -172,7 +172,7 @@ def _control_rsr(sim, sp, handler: str, make_buffer, pause: float):
             return
         except NexusError as exc:
             last = exc
-            yield sim.timeout(pause)
+            yield pause
     raise NexusError(
         f"load: control RSR {handler!r} undeliverable after "
         f"{_CONTROL_RETRIES} attempts") from last
@@ -322,7 +322,7 @@ def run_scenario(scenario: LoadScenario, *,
                             _rng, 0.0, scenario.duration):
                         now = sim.now
                         if when > now:
-                            yield sim.timeout(when - now)
+                            yield when - now
                         size = _fleet.sizes.sample(_rng)
                         _stats.offered += 1
                         _stats.offered_bytes += size
@@ -370,7 +370,7 @@ def run_scenario(scenario: LoadScenario, *,
                         if sim.now + think >= scenario.duration:
                             break
                         if think > 0:
-                            yield sim.timeout(think)
+                            yield think
 
             client_bodies.append(body())
             client_names.append(f"client:{fleet.name}:{index}")
@@ -396,7 +396,7 @@ def run_scenario(scenario: LoadScenario, *,
                 last_delivery[0] = sim.now
                 if client_slot is not None:
                     yield from _control_rsr(
-                        sim, _t.cast(_t.Any, replies[client_slot]),
+                        _t.cast(_t.Any, replies[client_slot]),
                         "load/ack", Buffer, scenario.drain_grace)
             if stop_flags[ctx.id] and not work:
                 return
@@ -422,10 +422,10 @@ def run_scenario(scenario: LoadScenario, *,
                 break
             seen = current
             grace = min(scenario.drain_grace, deadline - sim.now)
-            yield sim.timeout(grace)
+            yield grace
         drained_at[0] = sim.now
         for sp in stop_sps:
-            yield from _control_rsr(sim, sp, "load/stop", Buffer,
+            yield from _control_rsr(sp, "load/stop", Buffer,
                                     scenario.drain_grace)
 
     controller_proc = nexus.spawn(controller(), name="load:controller")

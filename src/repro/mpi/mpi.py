@@ -130,7 +130,7 @@ class MpiProcess:
         config = self.world.config
         sim = self.nexus.sim
         if config.call_overhead > 0.0:
-            yield sim.timeout(config.call_overhead)
+            yield config.call_overhead
         my_rank = comm.rank_of_world(self.rank)
         if not (0 <= dest < comm.size):
             raise RankError(f"destination rank {dest} out of range")
@@ -239,7 +239,7 @@ class MpiProcess:
         sim = self.nexus.sim
         overhead = self.world.config.call_overhead
         if overhead > 0.0:
-            yield sim.timeout(overhead)
+            yield overhead
         posted = self._post(source, tag, comm, collective)
         yield from self.context.wait(posted.done)
         return posted.result(sim._clock._now)

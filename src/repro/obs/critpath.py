@@ -34,6 +34,11 @@ CRITPATH_SCHEMA = "repro.obs.critpath"
 CRITPATH_SCHEMA_VERSION = 1
 
 
+class ParentCycleError(ValueError):
+    """A span group whose ``parent`` links loop back on themselves, so
+    no root can be reached from its leaf."""
+
+
 @dataclasses.dataclass(frozen=True)
 class PathStep:
     """One phase on a critical path, with its exact latency share."""
@@ -95,13 +100,17 @@ class CritpathBuilder:
         larger id on a tie).  One walk from the leaf to the root then
         charges each step as it goes: the leaf its own duration, every
         earlier step the time until the step after it started.  Neither
-        makes a call per span.
+        makes a call per span.  An acyclic chain has fewer hops than the
+        group has spans, so a walk that takes that many hops has met a
+        cycle and raises :class:`ParentCycleError`.
         """
         ctx_min = self._ctx_min
         by_id: dict[int, Span] = {}
         leaf: Span | None = None
         leaf_end = leaf_id = 0.0
+        bound = 0
         for span in spans:
+            bound += 1
             ctx, span_id, end = span.ctx, span.id, span.end
             if ctx not in ctx_min or span_id < ctx_min[ctx]:
                 ctx_min[ctx] = span_id
@@ -118,6 +127,11 @@ class CritpathBuilder:
             steps += ((step.phase, step.lane, step.ctx, step.start, share),)
             if step.parent not in by_id:
                 break
+            bound -= 1
+            if not bound:
+                raise ParentCycleError(
+                    f"RSR {rsr}: span parent links form a cycle through "
+                    f"span {step.parent}")
             parent = by_id[step.parent]
             step, share = parent, step.start - parent.start
         root = step
@@ -253,6 +267,7 @@ __all__ = [
     "CriticalPath",
     "CritpathBuilder",
     "DOCUMENT",
+    "ParentCycleError",
     "PathStep",
     "critpath_document",
     "extract_critical_paths",

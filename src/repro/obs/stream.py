@@ -83,7 +83,7 @@ from json.encoder import encode_basestring_ascii
 
 from ..util.document import (DocumentError, Schema, compact_encoder, load,
                              write)
-from .critpath import CriticalPath, CritpathBuilder
+from .critpath import CriticalPath, CritpathBuilder, ParentCycleError
 from .graph import CommGraph, GraphBuilder
 from .spans import (
     NEXUS_LANE,
@@ -984,9 +984,10 @@ def iter_records(directory: str,
 def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                  timeline: Timeline | None = None,
                  contexts: _t.Sequence[int] | None = None
-                 ) -> _t.Iterator[tuple[int, list[Span], bool]]:
-    """``(rsr, spans, resolved)`` per RSR group of a spool, one pass:
-    at its ``r`` record, or unresolved at end of stream in ascending RSR
+                 ) -> _t.Iterator[tuple[int, list[Span], str | None, int]]:
+    """``(rsr, spans, shard, line)`` per RSR group of a spool, one pass:
+    at its ``r`` record, on ``shard`` (a path) at ``line``, or
+    unresolved (``shard`` is ``None``) at end of stream in ascending RSR
     order.  ``contexts`` maps the dense context ids back to the run's;
     with ``timeline`` the live hooks' appends are replayed into it on
     the way.  A shard line that decodes but is not a spooled record
@@ -1077,7 +1078,7 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                     rsr = rec["rsr"]
                     spans = pending.pop(rsr, None)
                     if spans:
-                        yield rsr, spans, True
+                        yield rsr, spans, where, number
                 else:
                     raise DocumentError(
                         f"{where}:{number}: unknown record kind {kind!r}")
@@ -1090,7 +1091,7 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                 column.extend(values)
                 del values[:]
     for rsr in sorted(pending):
-        yield rsr, pending.pop(rsr), False
+        yield rsr, pending.pop(rsr), None, 0
 
 
 @dataclasses.dataclass
@@ -1116,7 +1117,9 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
     :meth:`SpanSpool.rsr_groups` uses) go into the graph and
     critical-path builders as each is released, and the timeline is
     replayed on the same pass.  A record or span that cannot be folded
-    raises :class:`DocumentError`.
+    raises :class:`DocumentError`, and so does a group whose parent
+    links form a cycle (naming the ``shard:line`` of its RSR's
+    resolution record when it has one).
     """
     manifest = read_manifest(directory)
     tl_conf = _t.cast("dict | None", manifest.get("timeline"))
@@ -1128,16 +1131,21 @@ def fold_stream(directory: str, *, top_k: int | None = None) -> StreamFold:
     graph_builder = GraphBuilder()
     crit_builder = CritpathBuilder(top_k=top_k)
     unresolved = 0
-    for rsr, spans, resolved in _read_groups(directory, manifest, timeline):
+    for rsr, spans, shard, line in _read_groups(directory, manifest,
+                                                timeline):
         try:
             graph_builder.add_rsr(spans)
             crit_builder.add_rsr(rsr, spans)
         except (KeyError, TypeError) as error:
             raise DocumentError(
                 f"{directory}: malformed span record of "
-                f"{'' if resolved else 'unresolved '}RSR {rsr} "
+                f"{'unresolved ' if shard is None else ''}RSR {rsr} "
                 f"({type(error).__name__}: {error})") from error
-        unresolved += not resolved
+        except ParentCycleError as error:
+            raise DocumentError(
+                f"{directory}: unresolved {error}" if shard is None
+                else f"{shard}:{line}: {error}") from error
+        unresolved += shard is None
     totals = _t.cast(dict, manifest["totals"])
     graph_builder.dropped_spans = int(totals.get("spans_dropped", 0))
     names = {int(cid): (pair[0], pair[1]) for cid, pair

@@ -8,17 +8,23 @@ processes) so that the behaviour of every experiment in this repository is
 same event ordering and the same virtual-time measurements.
 
 Every scheduled event — a timeout, a zero-delay trigger from
-``succeed()``/``fail()`` inside a callback, a process wake-up — is one
-``heapq`` entry ``(t, priority, seq, event)``.  ``seq`` is unique, so
-the tuples order totally and the event itself is never compared; see
-the "Performance model" section of ``docs/ARCHITECTURE.md``.
+``succeed()``/``fail()`` inside a callback, a process start or sleep —
+is one ``heapq`` entry ``(t, priority, seq, event)``.  ``seq`` is
+unique, so the tuples order totally and the event itself is never
+compared; see the "Performance model" section of
+``docs/ARCHITECTURE.md``.
+
+A process sleeps by yielding its delay in simulated seconds, which
+builds no event (see :mod:`~repro.simnet.process`); :meth:`timeout`
+and :meth:`timeout_at` make the event to use when a callback, a join
+or ``run(until=)`` also watches the instant.
 
 Typical usage::
 
     sim = Simulator()
 
     def pinger():
-        yield sim.timeout(1.0)
+        yield 1.0
         return "done"
 
     proc = sim.process(pinger())
@@ -56,10 +62,11 @@ class Simulator:
         self._seq = 0
         self._events_processed = 0
         #: ``timeout(delay, value=None, name=None)``: an event that fires
-        #: ``delay`` simulated seconds from now.  A C-level partial of
-        #: :class:`Timeout` rather than a method: timeouts are created
-        #: hundreds of thousands of times per run and a wrapper frame
-        #: was measurable.  The signature is ``Timeout.__init__``'s.
+        #: ``delay`` simulated seconds from now, for a callback or join to
+        #: watch (a process that only sleeps yields ``delay`` itself).
+        #: A C-level partial of :class:`Timeout` rather than a method, so
+        #: a call costs no wrapper frame: the poll loop's idle wake makes
+        #: one per idle wait.  The signature is ``Timeout.__init__``'s.
         self.timeout: _t.Callable[..., Timeout] = functools.partial(
             Timeout, self)
 

@@ -13,7 +13,8 @@ The design follows the classic SimPy shape but is implemented from scratch
 and trimmed to what the Nexus reproduction needs: plain events, timeouts,
 and the :class:`AllOf` join.  Constructors are deliberately
 flat (no ``super().__init__`` chains on the hot path) because the
-simulator allocates hundreds of thousands of these per run.
+simulator allocates hundreds of thousands of these per run.  The
+commonest wait builds none: a process sleeps by yielding its delay.
 """
 
 from __future__ import annotations
@@ -141,8 +142,11 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay.
 
-    Created via ``Simulator.timeout``; ``yield sim.timeout(d)`` suspends
-    the current process for ``d`` simulated seconds.  :meth:`at` (reached
+    Created via ``Simulator.timeout``.  It is the event to use when a
+    callback, a join or ``run(until=)`` watches the instant; a process
+    that only sleeps yields the delay itself (``yield d``), which
+    queues its own reused timer and builds no event.  Yielding a
+    ``Timeout`` stays legal and orders the same.  :meth:`at` (reached
     through :meth:`Simulator.timeout_at`) names the instant instead.
     """
 

@@ -110,13 +110,13 @@ class FaultPlan:
 
     def _drive_outage(self, sim: "Simulator", outage: _Outage):
         if outage.start > sim.now:
-            yield sim.timeout(outage.start - sim.now)
+            yield outage.start - sim.now
         self.network.fail(outage.a, outage.b, transport=outage.transport)
         self.log.append((sim.now, "fail",
                          self._pair(outage.a, outage.b, outage.transport)))
         if outage.duration is None:
             return
-        yield sim.timeout(outage.duration)
+        yield outage.duration
         self.network.restore(outage.a, outage.b,
                              transport=outage.transport)
         self.log.append((sim.now, "restore",
@@ -124,7 +124,7 @@ class FaultPlan:
 
     def _drive_flaky(self, sim: "Simulator", window: _FlakyWindow):
         if window.start > sim.now:
-            yield sim.timeout(window.start - sim.now)
+            yield window.start - sim.now
         self.network.set_flaky(
             window.a, window.b, transport=window.transport,
             drop_probability=window.drop_probability, seed=window.seed)
@@ -132,7 +132,7 @@ class FaultPlan:
                          self._pair(window.a, window.b, window.transport)))
         if window.duration is None:
             return
-        yield sim.timeout(window.duration)
+        yield window.duration
         self.network.clear_flaky(window.a, window.b,
                                  transport=window.transport)
         self.log.append((sim.now, "clear_flaky",

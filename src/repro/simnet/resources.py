@@ -84,7 +84,7 @@ class Resource:
     ``release()`` hands it to the oldest waiter, or frees it.  Use as::
 
         yield channel.request()
-        yield sim.timeout(transfer_time)
+        yield transfer_time
         channel.release()
     """
 

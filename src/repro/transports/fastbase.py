@@ -65,7 +65,7 @@ class FastTransport(Transport):
         costs = self.costs
         overhead = costs.send_overhead + costs.per_byte_send * message.nbytes
         if overhead > 0:
-            yield self.sim.timeout(overhead)
+            yield overhead
         message.method = self.name
         message.sent_at = self.sim._clock._now
         self.record_send(message)
@@ -86,7 +86,7 @@ class FastTransport(Transport):
         )
 
     def _arrive_later(self, destination: ContextLike, message: WireMessage):
-        yield self.sim.timeout(self.costs.latency)
+        yield self.costs.latency
         self._enqueue_at_device(destination, message)
 
     def _enqueue_at_device(self, destination: ContextLike,

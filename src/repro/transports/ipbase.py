@@ -110,11 +110,11 @@ class IpTransport(Transport):
         costs = self.costs
         overhead = costs.send_overhead + costs.per_byte_send * message.nbytes
         if overhead > 0:
-            yield self.sim.timeout(overhead)
+            yield overhead
         if not state.get("connected", False):
             connect_cost = state.get("connect_cost", 0.0)
             if connect_cost > 0:
-                yield self.sim.timeout(connect_cost)
+                yield connect_cost
             state["connected"] = True
             self.services.metrics.counter(f"{self.name}.connections").inc()
 
@@ -136,7 +136,7 @@ class IpTransport(Transport):
         yield channel.request()
         message.method = self.name
         message.sent_at = self.sim.now
-        yield self.sim.timeout(profile.serialization_time(message.nbytes))
+        yield profile.serialization_time(message.nbytes)
         channel.release()
         self.record_send(message)
         if message.trace is not None:
@@ -171,7 +171,7 @@ class IpTransport(Transport):
 
     def _arrive_later(self, destination: ContextLike, message: WireMessage,
                       latency: float):
-        yield self.sim.timeout(latency)
+        yield latency
         message.arrived_at = self.sim.now
         if message.trace is not None:
             # Kernel-buffer arrival; detection waits for the next poll.

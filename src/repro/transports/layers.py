@@ -270,7 +270,7 @@ class LayeredTransport(Transport):
                 cpu += layer_cpu
             messages = produced
         if cpu > 0:
-            yield self.sim.timeout(cpu)
+            yield cpu
         for item in messages:
             yield from self.carrier.send(local, state, descriptor, item)
 

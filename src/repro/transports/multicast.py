@@ -91,13 +91,13 @@ class MulticastTransport(IpTransport):
             raise DeliveryError(f"multicast group {group!r} has no remote members")
         costs = self.costs
         if costs.send_overhead > 0:
-            yield self.sim.timeout(costs.send_overhead)
+            yield costs.send_overhead
 
         message.method = self.name
         message.sent_at = self.sim.now
         # One serialisation at the sender NIC covers all members.
         serialization = message.nbytes / costs.bandwidth
-        yield self.sim.timeout(serialization)
+        yield serialization
         self.record_send(message)
         self._group_sends.value += 1
         trace = message.trace

@@ -114,14 +114,22 @@ def write(path: str, document: object, *,
         handle.write(dumps(document, indent=indent))
 
 
+#: Each schema id's :class:`Schema` once found: a later check costs one
+#: dict probe, not an import and a scan of its owner's module names.
+_FOUND: dict[str, Schema] = {}
+
+
 def schema(schema_id: object) -> Schema:
     """The registered :class:`Schema` (imports its owner on first use)."""
+    if schema_id.__class__ is str and schema_id in _FOUND:
+        return _FOUND[schema_id]  # type: ignore[index]
     owner = SCHEMAS.get(schema_id) if isinstance(schema_id, str) else None
     if owner is None:
         raise DocumentError(f"unknown schema {schema_id!r} "
                             f"(known: {', '.join(SCHEMAS)})")
     for declared in vars(importlib.import_module(owner)).values():
         if isinstance(declared, Schema) and declared.id == schema_id:
+            _FOUND[declared.id] = declared
             return declared
     raise DocumentError(f"{owner} declares no Schema for {schema_id!r}")
 

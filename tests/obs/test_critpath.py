@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.critpath import (
+    ParentCycleError,
     critpath_document,
     extract_critical_paths,
     phase_attribution,
@@ -65,6 +66,17 @@ class TestExtraction:
         assert "forward" in top.phase_s
         lanes = [s.lane for s in top.steps if s.phase == "wire"]
         assert lanes == ["tcp", "mpl"]
+
+    def test_a_parent_cycle_is_refused_not_walked_forever(self):
+        # The forwarded RSR's dispatch span lies on its critical path;
+        # made its own parent, the leaf-to-root walk meets a cycle.
+        obs = run_forwarded().nexus.obs
+        span = next(s for s in obs.sink.closed if s.phase == "dispatch")
+        span.parent = span.id
+        with pytest.raises(ParentCycleError, match=(
+                f"^RSR {span.rsr}: span parent links form a cycle "
+                f"through span {span.id}$")):
+            extract_critical_paths(obs)
 
 
 class TestAttribution:

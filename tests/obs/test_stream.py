@@ -444,6 +444,68 @@ class TestFoldRefusal:
         assert list(iter_records(spool)) == expected
 
 
+class TestParentCycle:
+    """A spooled span that names itself as its parent makes the critical
+    path's leaf-to-root walk meet a cycle: the fold refuses it as a
+    ``DocumentError`` naming the RSR and its resolution record's
+    ``shard:line``, in bounded memory, where it used to grow the step
+    list until ``MemoryError``."""
+
+    @pytest.fixture(scope="class")
+    def spool(self, tmp_path_factory):
+        directory, _result, _obs_ = run_streamed(
+            tmp_path_factory.mktemp("cycle"), forwarding_scenario(), "spool")
+        return directory
+
+    def _looped(self, spool, tmp_path, resolved=True):
+        """A copy of ``spool`` whose first forwarded ``dispatch`` span
+        is its own parent: the directory, the RSR, and where it is
+        resolved (its ``r`` line removed unless ``resolved``)."""
+        directory = tmp_path / "copy"
+        directory.mkdir()
+        for name, data in shard_set(spool).items():
+            (directory / name).write_bytes(data)
+        for shard in read_manifest(str(directory))["shards"]:
+            path = directory / shard["name"]
+            lines = path.read_text().splitlines(keepends=True)
+            records = [json.loads(line) for line in lines]
+            forwarded = {record["rsr"] for record in records
+                         if record["k"] == "s" and record["ph"] == "forward"}
+            index = next((index for index, record in enumerate(records)
+                          if record["k"] == "s" and record["ph"] == "dispatch"
+                          and record["rsr"] in forwarded), None)
+            if index is not None:
+                break
+        record = records[index]
+        record["par"] = record["id"]
+        lines[index] = encode_compact(record) + "\n"
+        resolution = next(number for number, other
+                          in enumerate(records, 1)
+                          if other == {"k": "r", "rsr": record["rsr"]})
+        if not resolved:
+            del lines[resolution - 1]
+        path.write_text("".join(lines))
+        return str(directory), record["rsr"], (
+            f"{path}:{resolution}" if resolved else None)
+
+    def test_a_self_parented_span_is_refused_naming_rsr_and_shard(
+            self, spool, tmp_path):
+        directory, rsr, where = self._looped(spool, tmp_path)
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(directory)
+        assert str(caught.value).startswith(
+            f"{where}: RSR {rsr}: span parent links form a cycle")
+
+    def test_an_unresolved_self_parented_span_is_refused(self, spool,
+                                                         tmp_path):
+        directory, rsr, _where = self._looped(spool, tmp_path,
+                                              resolved=False)
+        with pytest.raises(DocumentError) as caught:
+            fold_stream(directory)
+        assert str(caught.value).startswith(
+            f"{directory}: unresolved RSR {rsr}: span parent links form")
+
+
 DEEP = settings.get_profile("deep")
 #: The deep profile when it was asked for, the tier-1 budget otherwise.
 PROFILE = (DEEP if settings.default is DEEP

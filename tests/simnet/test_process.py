@@ -1,8 +1,9 @@
 """Tests for generator-coroutine processes."""
 
+import numpy as np
 import pytest
 
-from repro.simnet.errors import ProcessError
+from repro.simnet.errors import ProcessError, ScheduleError
 
 
 def test_process_return_value(sim):
@@ -64,6 +65,67 @@ def test_yielding_non_event_raises_inside_process(sim):
     sim.process(body())
     sim.run()
     assert "non-Event" in caught["exc"]
+
+
+def test_yielding_a_bool_raises_non_event_inside_process(sim):
+    """A bool is an ``int`` but not a delay: ``yield True`` is a bug."""
+    caught = {}
+
+    def body():
+        try:
+            yield True  # type: ignore[misc]
+        except ProcessError as exc:
+            caught["exc"] = str(exc)
+
+    sim.process(body())
+    sim.run()
+    assert "non-Event" in caught["exc"]
+    assert sim.now == 0.0
+
+
+def test_yielding_the_delay_sleeps(sim):
+    stamps = []
+
+    def body():
+        yield 1.5
+        stamps.append(sim.now)
+        yield 0
+        stamps.append(sim.now)
+        yield 2
+        stamps.append(sim.now)
+
+    sim.process(body())
+    sim.run()
+    assert stamps == [1.5, 1.5, 3.5]
+    # The start, three sleeps and the process's own completion.
+    assert sim.events_processed == 5
+
+
+def test_negative_delay_raises_schedule_error_inside_process(sim):
+    caught = {}
+
+    def body():
+        try:
+            yield -0.5
+        except ScheduleError as exc:
+            caught["exc"] = str(exc)
+        yield 1.0
+        return "went on"
+
+    proc = sim.process(body())
+    sim.run()
+    assert caught["exc"] == "negative timeout delay -0.5"
+    assert proc.value == "went on" and sim.now == 1.0
+
+
+def test_clock_stays_a_float_after_a_numpy_sleep(sim):
+    def body():
+        yield np.float32(0.25)
+        yield np.int64(1)
+
+    sim.process(body())
+    sim.run()
+    assert sim.now == 1.25 and type(sim.now) is float
 
 
 def test_exception_propagates_to_joiner(sim):

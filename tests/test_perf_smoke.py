@@ -62,24 +62,26 @@ def _best_rate(run_once, attempts=3):
     return best
 
 
+def _sleep_chains():
+    """10 processes that each sleep 5,000 times: nothing but the kernel.
+    Returns the events processed."""
+    sim = Simulator()
+
+    def chain():
+        for _ in range(5_000):
+            yield 1.0
+
+    for _ in range(10):
+        sim.process(chain())
+    sim.run()
+    assert sim.events_processed >= 50_000
+    return sim.events_processed
+
+
 @wall_clock
 def test_kernel_timeout_throughput():
-    """Raw engine: timer-chain processes, nothing but the kernel."""
-
-    def run_once():
-        sim = Simulator()
-
-        def chain():
-            for _ in range(5_000):
-                yield sim.timeout(1.0)
-
-        for _ in range(10):
-            sim.process(chain())
-        sim.run()
-        assert sim.events_processed >= 50_000
-        return sim.events_processed
-
-    rate = _best_rate(run_once)
+    """Raw engine: sleep-chain processes, nothing but the kernel."""
+    rate = _best_rate(_sleep_chains)
     assert rate > KERNEL_FLOOR, (
         f"kernel throughput {rate:,.0f} events/s below the "
         f"{KERNEL_FLOOR:,} floor — hot-path regression?")
@@ -131,13 +133,33 @@ def _host_calls(run):
     return calls()
 
 
+#: Host calls (Python and C, as ``cProfile`` counts them) of the ten
+#: sleep chains: 250,116 (five per sleep: ``heappop``, ``_resume``,
+#: ``send``, the generator, ``heappush``) when a process slept by
+#: yielding its delay onto its own reused timer; 350,156 when each
+#: sleep built a ``Timeout`` and appended its waiter.  The budget is
+#: that count plus 10 %.
+SLEEP_CHAIN_CALL_BUDGET = 275_100
+
+
+def test_kernel_sleep_host_calls_stay_within_budget():
+    """Deterministic tripwire for host work per sleep in the kernel."""
+    count = _host_calls(_sleep_chains)
+    assert count <= SLEEP_CHAIN_CALL_BUDGET, (
+        f"{count:,} host calls for 50,000 sleeps, budget "
+        f"{SLEEP_CHAIN_CALL_BUDGET:,} — does a sleep build an event or "
+        "append a waiter again?")
+
+
 #: Host calls (Python and C, as ``cProfile`` counts them) of one warm
-#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 19,803 when an untraced
-#: poll stopped collecting from empty lanes, the idle wake became one
-#: plain ``Event`` and the fast send path lost its ``_route`` hop; 21,438
-#: before, 30,050 before lane records and one-frame blocking operations.
-#: The budget is that count plus 10 %.
-DUAL_PINGPONG_CALL_BUDGET = 21_800
+#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 17,194 when a process
+#: slept by yielding its delay and started without an init event
+#: (19,583 before); 19,803 when an untraced poll stopped collecting
+#: from empty lanes, the idle wake became one plain ``Event`` and the
+#: fast send path lost its ``_route`` hop; 21,438 before that, 30,050
+#: before lane records and one-frame blocking operations.  The budget
+#: is that count plus 10 %.
+DUAL_PINGPONG_CALL_BUDGET = 18_900
 
 
 def test_unified_poll_host_calls_stay_within_budget():

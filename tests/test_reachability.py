@@ -1,5 +1,6 @@
 """No definition in ``src/repro`` is reached only by tests, no
-attribute is stored that nothing reads, and no import goes unused.
+attribute is stored that nothing reads, no import goes unused, and a
+process sleeps one way.
 
 Every function, method and class defined under ``src/repro`` must be
 named somewhere outside its own definition in ``src/``, ``examples/``,
@@ -14,7 +15,7 @@ The scan compares names, not bindings, so it is a lower bound: a
 test-only ``poll`` method passes because other ``poll`` methods are
 called.  Dunder methods are called by the language and are skipped.
 
-Two more scans read the syntax tree, and they too compare names:
+Three more scans read the syntax tree, and they too compare names:
 
 * every ``self.<attr>`` stored under ``src/repro`` must be read as an
   attribute somewhere in ``src/``, ``examples/``, ``perfbench/``,
@@ -24,7 +25,11 @@ Two more scans read the syntax tree, and they too compare names:
 * every name a module under ``src/repro`` imports must be used in that
   module, as a name or as a word of a string literal (quoted
   annotations).  ``__init__.py`` files re-export, and ``from
-  __future__`` imports are directives, so neither is scanned.
+  __future__`` imports are directives, so neither is scanned;
+* no ``yield`` under ``src/repro`` yields a ``timeout(...)`` call: a
+  process sleeps by yielding its delay, which builds no event, and a
+  ``Timeout`` is made only for a callback or a join to watch (tests
+  may still yield one, which stays legal).
 """
 
 import ast
@@ -186,6 +191,23 @@ def _unused_imports():
     return unused
 
 
+def _yielded_timeouts():
+    """``path:line`` of every ``yield`` of a ``timeout(...)`` or
+    ``<obj>.timeout(...)`` call under src/repro."""
+    found = []
+    for path in _package_modules():
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.Yield)
+                    and isinstance(node.value, ast.Call)):
+                continue
+            func = node.value.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name == "timeout":
+                found.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
+    return found
+
+
 def _unreached():
     uses, definitions = _uses_and_definitions()
     unreached = {}
@@ -218,3 +240,10 @@ def test_every_stored_attribute_is_read():
 def test_every_import_is_used():
     unused = _unused_imports()
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_a_process_sleeps_by_yielding_its_delay():
+    sites = _yielded_timeouts()
+    assert not sites, (
+        "yield the delay (`yield d`) instead of a Timeout built only to "
+        f"be yielded: {sites}")
