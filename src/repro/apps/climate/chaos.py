@@ -28,7 +28,7 @@ from ...core.enquiry import HealthReport, health_report
 from ...core.health import HealthConfig
 from ...core.retry import RetryPolicy
 from ...simnet.faults import FaultPlan
-from ...transports.costmodels import UDP_COSTS
+from ...transports.costmodels import DEFAULT_COSTS, UDP_COSTS
 from .config import TEST_CONFIG, ClimateConfig, ClimateMode
 from .model import ClimateResult, run_coupled_model
 
@@ -40,7 +40,9 @@ CHAOS_TRANSPORTS = ("local", "mpl", "tcp", "udp")
 CHAOS_TEST_CONFIG = dataclasses.replace(TEST_CONFIG, steps=6)
 
 #: Stochastic UDP loss off: the chaos run isolates *injected* faults.
-CHAOS_COSTS = {"udp": dataclasses.replace(UDP_COSTS, drop_probability=0.0)}
+CHAOS_COSTS = dataclasses.replace(DEFAULT_COSTS, transports={
+    **DEFAULT_COSTS.transports,
+    "udp": dataclasses.replace(UDP_COSTS, drop_probability=0.0)})
 
 
 @dataclasses.dataclass

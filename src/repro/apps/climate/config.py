@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from ...util.units import MB
+from ...util.units import MB, unit
 
 
 class ClimateMode(enum.Enum):
@@ -61,10 +61,10 @@ class ClimateConfig:
 
     # -- per-step workload, per rank (calibration) -------------------------
     #: Pure computation per atmosphere step (virtual seconds).
-    atmo_compute_s: float = 50.0
+    atmo_compute_s: float = unit("s", 50.0)
     #: Pure computation per ocean step (virtual seconds).  The ocean is
     #: smaller; it finishes its window early and waits on the coupler.
-    ocean_compute_s: float = 42.0
+    ocean_compute_s: float = unit("s", 42.0)
     #: Nexus operations performed per step (every one runs the polling
     #: function once) — the quantity skip_poll divides.  Calibrated so a
     #: skip_poll of 1 costs ~4 s/step of TCP selects, as in Table 1.
@@ -85,7 +85,7 @@ class ClimateConfig:
     # -- adaptive mode --------------------------------------------------------
     #: Detection-latency budget handed to the AIMD controller in
     #: ADAPTIVE mode; should be small relative to the timestep.
-    adaptive_latency_budget: float = 0.05
+    adaptive_latency_budget: float = unit("s", 0.05)
 
     @property
     def total_ranks(self) -> int:

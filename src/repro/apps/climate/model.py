@@ -33,10 +33,9 @@ from ...core.enquiry import estimate_one_way
 from ...core.forwarding import ForwardingService
 from ...mpi.communicator import Communicator
 from ...mpi.datatypes import Padded
-from ...mpi.mpi import MPIWorld, MpiConfig, MpiProcess
-from ...simnet.link import LinkProfile
-from ...testbeds import SP2_SWITCH_TCP, make_sp2
-from ...transports.costmodels import RuntimeCosts
+from ...mpi.mpi import MPIWorld, MpiProcess
+from ...testbeds import make_sp2
+from ...transports.costmodels import DEFAULT_COSTS, CostStructure
 from .atmosphere import Atmosphere
 from .config import ClimateConfig, ClimateMode
 from .coupling import atmo_children, atmo_exchange, ocean_exchange
@@ -136,12 +135,9 @@ def _small_traffic(proc: MpiProcess, neighbour_world: int,
 
 def run_coupled_model(cfg: ClimateConfig, mode: ClimateMode, *,
                       skip_poll: int = 1,
-                      mpi_config: MpiConfig | None = None,
                       seed: int = 0,
                       transports: _t.Sequence[str] | None = None,
-                      costs: _t.Mapping[str, object] | None = None,
-                      runtime_costs: RuntimeCosts | None = None,
-                      switch_tcp: LinkProfile = SP2_SWITCH_TCP,
+                      costs: CostStructure = DEFAULT_COSTS,
                       methods: _t.Sequence[str] | None = None,
                       retry_policy: object | None = None,
                       health: object | None = None,
@@ -150,20 +146,18 @@ def run_coupled_model(cfg: ClimateConfig, mode: ClimateMode, *,
                       ) -> ClimateResult:
     """Run the coupled model in one multimethod configuration.
 
-    ``transports``/``costs``/``runtime_costs``/``retry_policy``/``health``
-    flow through to the testbed's :class:`~repro.core.runtime.Nexus` and
-    ``switch_tcp`` to its switch; ``methods`` overrides the per-context
-    method set the mode would pick.  The two hooks frame the simulation
-    itself: ``on_start(bed, contexts)`` fires after every context and MPI
-    process exists but before the clock moves (install fault plans here);
-    ``on_finish(bed, contexts)`` fires once all ranks finish, while the
-    runtime is still inspectable.
+    ``transports``/``costs``/``retry_policy``/``health`` flow through to
+    the testbed (:func:`~repro.testbeds.make_sp2`); ``methods`` overrides
+    the per-context method set the mode would pick.  The two hooks frame
+    the simulation itself: ``on_start(bed, contexts)`` fires after every
+    context and MPI process exists but before the clock moves (install
+    fault plans here); ``on_finish(bed, contexts)`` fires once all ranks
+    finish, while the runtime is still inspectable.
     """
     bed = make_sp2(nodes_a=cfg.atmo_ranks, nodes_b=cfg.ocean_ranks,
                    seed=seed,
                    transports=transports or ("local", "mpl", "tcp"),
-                   costs=costs,  # type: ignore[arg-type]
-                   runtime_costs=runtime_costs, switch_tcp=switch_tcp,
+                   costs=costs,
                    retry_policy=retry_policy,  # type: ignore[arg-type]
                    health=health)  # type: ignore[arg-type]
     nexus = bed.nexus
@@ -202,7 +196,7 @@ def run_coupled_model(cfg: ClimateConfig, mode: ClimateMode, *,
             service = ForwardingService(nexus)
             service.install(forwarder, members)
 
-    world = MPIWorld(nexus, contexts, config=mpi_config)
+    world = MPIWorld(nexus, contexts)
     atmo_comm = world.create_comm(range(cfg.atmo_ranks))
     ocean_comm = world.create_comm(
         range(cfg.atmo_ranks, cfg.total_ranks))

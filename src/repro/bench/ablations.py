@@ -24,8 +24,8 @@ import typing as _t
 from ..apps.dualpingpong import dual_pingpong
 from ..core.adaptive import AdaptiveConfig, AdaptiveSkipPoll
 from ..core.buffers import Buffer
-from ..mpi.mpi import MpiConfig
 from ..testbeds import make_sp2
+from ..transports.costmodels import DEFAULT_COSTS, CostStructure
 from ..util.records import ResultTable
 from . import Artefact, RunOptions
 from .record import DIR_HIGHER, DIR_LOWER, KIND_COUNT, Metric
@@ -129,12 +129,12 @@ def ablation_mpi_layering(steps: int = 2) -> LayeringAblation:
     """
     from ..mpi.mpi import MPIWorld  # local import to keep module load light
 
-    def run(config: MpiConfig) -> float:
-        bed = make_sp2(nodes_a=4, nodes_b=0)
+    def run(costs: CostStructure) -> float:
+        bed = make_sp2(nodes_a=4, nodes_b=0, costs=costs)
         nexus = bed.nexus
         contexts = [nexus.context(h, methods=("local", "mpl"))
                     for h in bed.hosts_a]
-        world = MPIWorld(nexus, contexts, config=config)
+        world = MPIWorld(nexus, contexts)
 
         def body(proc):
             n = world.size
@@ -148,8 +148,10 @@ def ablation_mpi_layering(steps: int = 2) -> LayeringAblation:
         return nexus.now
 
     return LayeringAblation(
-        with_layer=run(MpiConfig()),
-        without_layer=run(MpiConfig(call_overhead=0.0)),
+        with_layer=run(DEFAULT_COSTS),
+        without_layer=run(dataclasses.replace(
+            DEFAULT_COSTS, runtime=dataclasses.replace(
+                DEFAULT_COSTS.runtime, mpi_call_overhead=0.0))),
     )
 
 

@@ -272,7 +272,7 @@ class PollManager:
         """
         transport = self.context.nexus.transports.get(method)
         if enabled:
-            if not transport.supports_blocking:
+            if not transport.costs.supports_blocking:
                 raise PollingError(
                     f"transport {method!r} does not support blocking waits"
                 )
@@ -364,8 +364,8 @@ class PollManager:
                 continue
             lane = self._lane(method)
             transport = lane.transport = registry.get(method)
-            lane.cost = transport.poll_cost
-            lane.steals = transport.steals_device_time
+            lane.cost = transport.costs.poll_cost
+            lane.steals = transport.costs.steals_device_time
             lane.k = self.skip.get(method, 1)
             lanes.append(lane)
         # Two passes, each summed in poll order: the float results are

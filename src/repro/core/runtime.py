@@ -16,11 +16,7 @@ from ..obs import Observability
 from ..simnet.engine import Simulator
 from ..simnet.network import Network
 from ..simnet.random import RandomStreams
-from ..transports.costmodels import (
-    DEFAULT_RUNTIME_COSTS,
-    RuntimeCosts,
-    TransportCosts,
-)
+from ..transports.costmodels import DEFAULT_COSTS, CostStructure
 from ..transports.registry import DEFAULT_TRANSPORT_SET, TransportRegistry
 from ..transports.base import TransportServices
 from ..simnet.events import Event
@@ -46,9 +42,8 @@ class Nexus:
         Names of communication modules to enable.
         Default: :data:`DEFAULT_TRANSPORT_SET`.
     costs:
-        Per-transport :class:`TransportCosts` overrides.
-    runtime_costs:
-        Nexus-layer cost constants (:class:`RuntimeCosts`).
+        The :class:`~repro.transports.costmodels.CostStructure`; its
+        runtime costs become :attr:`runtime_costs`.
     seed:
         Root seed for all stochastic elements (UDP loss etc.).
     observe:
@@ -75,8 +70,7 @@ class Nexus:
     def __init__(self, sim: Simulator | None = None,
                  network: Network | None = None, *,
                  transports: _t.Sequence[str] | None = None,
-                 costs: _t.Mapping[str, TransportCosts] | None = None,
-                 runtime_costs: RuntimeCosts | None = None,
+                 costs: CostStructure = DEFAULT_COSTS,
                  seed: int = 0,
                  observe: bool | None = None,
                  max_spans: int = 1_000_000,
@@ -96,15 +90,14 @@ class Nexus:
         self.rsrs_sent = metrics.counter("nexus.rsrs_sent")
         self.xdr_conversions = metrics.counter("nexus.xdr_conversions")
         self.streams = RandomStreams(seed)
-        self.runtime_costs = runtime_costs or DEFAULT_RUNTIME_COSTS
+        self.runtime_costs = costs.runtime  # read on every hot path
         self.retry_policy = retry_policy or RetryPolicy()
         self.health_config = health or HealthConfig()
 
         services = TransportServices(self.sim, self.network, metrics,
-                                     self.streams)
-        services.runtime_costs = self.runtime_costs
+                                     self.streams, costs.runtime)
         services.resolve_context = self._resolve_context
-        self.transports = TransportRegistry(services, costs)
+        self.transports = TransportRegistry(services, costs.transports)
 
         self.transports.enable_all(
             DEFAULT_TRANSPORT_SET if transports is None else transports)

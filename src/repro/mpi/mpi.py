@@ -6,9 +6,9 @@ holding a matching engine; ``MPI_Send`` becomes an RSR to the
 destination's ``__mpi__`` handler; receives poll the matching queues via
 the context wait loop (so every MPI call exercises the multimethod
 polling machinery, exactly as in the paper).  The layering adds a small
-per-call CPU overhead (:class:`MpiConfig`), the analogue of the ~6 %
-execution-time overhead the paper measured for MPICH on Nexus vs MPICH
-on MPL.
+per-call CPU overhead (``RuntimeCosts.mpi_call_overhead``), the
+analogue of the ~6 % execution-time overhead the paper measured for
+MPICH on Nexus vs MPICH on MPL.
 """
 
 from __future__ import annotations
@@ -36,11 +36,8 @@ MPI_ENVELOPE_BYTES = 24
 
 @dataclasses.dataclass(frozen=True)
 class MpiConfig:
-    """Costs and protocol settings of the MPI-on-Nexus layering.
-
-    ``call_overhead`` is charged once per MPI call (send, recv, and each
-    internal collective step); set it to 0.0 to model MPICH-on-MPL for
-    the layering ablation.
+    """Protocol settings of the MPI-on-Nexus layering (its per-call cost
+    is the runtime's ``mpi_call_overhead``).
 
     ``eager_threshold`` switches sends of at least that many payload
     bytes to the **rendezvous protocol** (RTS envelope → CTS grant →
@@ -50,7 +47,6 @@ class MpiConfig:
     configuration the calibrated experiments assume.
     """
 
-    call_overhead: float = 4e-6
     eager_threshold: int | None = None
 
 
@@ -129,8 +125,9 @@ class MpiProcess:
                       else comm.p2p_context)
         config = self.world.config
         sim = self.nexus.sim
-        if config.call_overhead > 0.0:
-            yield config.call_overhead
+        overhead = self.nexus.runtime_costs.mpi_call_overhead
+        if overhead > 0.0:
+            yield overhead
         my_rank = comm.rank_of_world(self.rank)
         if not (0 <= dest < comm.size):
             raise RankError(f"destination rank {dest} out of range")
@@ -237,7 +234,7 @@ class MpiProcess:
         Waits in this frame on the posted receive's own completion
         check: a blocking operation costs one frame below its caller."""
         sim = self.nexus.sim
-        overhead = self.world.config.call_overhead
+        overhead = self.nexus.runtime_costs.mpi_call_overhead
         if overhead > 0.0:
             yield overhead
         posted = self._post(source, tag, comm, collective)

@@ -1,7 +1,8 @@
 """Static placement cost model, calibrated against the transport constants.
 
 Two pricing surfaces, both pure arithmetic over a :class:`CommGraph`
-and :mod:`repro.transports.costmodels` constants (no simulation):
+and one :class:`~repro.transports.costmodels.CostStructure` (the
+``costs=`` argument, default :data:`DEFAULT_COSTS`; no simulation):
 
 * :func:`partition_cost` extends
   :func:`repro.obs.graph.evaluate_partition` with a *wire-time-weighted*
@@ -42,9 +43,7 @@ import typing as _t
 from ..obs.graph import CommGraph, evaluate_partition
 from ..transports.costmodels import (
     DEFAULT_COSTS,
-    DEFAULT_RUNTIME_COSTS,
-    TCP_COSTS,
-    RuntimeCosts,
+    CostStructure,
     TransportCosts,
 )
 from .errors import PlacementError
@@ -58,11 +57,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 REMOTE_COMPONENT_PREFIX = "srv/remote/"
 
 
-def _costs_for(method: str,
-               costs: _t.Mapping[str, TransportCosts]) -> TransportCosts:
+def _costs_for(method: str, costs: CostStructure) -> TransportCosts:
     """Constants for ``method``; unknown methods (layered stacks the
     table does not name) price conservatively as TCP."""
-    return costs.get(method, TCP_COSTS)
+    table = costs.transports
+    return table.get(method) or table["tcp"]
 
 
 # -- partition objective ------------------------------------------------------
@@ -83,8 +82,7 @@ class PartitionCost:
 
 
 def edge_wire_cost(method: str, messages: int, nbytes: int, *,
-                   costs: _t.Mapping[str, TransportCosts] = DEFAULT_COSTS
-                   ) -> float:
+                   costs: CostStructure = DEFAULT_COSTS) -> float:
     """Wire-time-weighted cost of one edge's traffic, in seconds."""
     c = _costs_for(method, costs)
     return (messages * (c.latency + c.send_overhead + c.recv_overhead)
@@ -93,8 +91,7 @@ def edge_wire_cost(method: str, messages: int, nbytes: int, *,
 
 
 def partition_cost(graph: CommGraph, assignment: _t.Mapping[int, str], *,
-                   costs: _t.Mapping[str, TransportCosts] = DEFAULT_COSTS
-                   ) -> PartitionCost:
+                   costs: CostStructure = DEFAULT_COSTS) -> PartitionCost:
     """Score one rank → partition assignment (lower is better)."""
     evaluated = evaluate_partition(graph, assignment)
     wire_cut_s = sum(
@@ -195,18 +192,16 @@ def _mean_service(scenario: "LoadScenario") -> tuple[float, float]:
 
 def poll_tax_per_op(methods: _t.Iterable[str],
                     skip: _t.Mapping[str, int], *,
-                    costs: _t.Mapping[str, TransportCosts] = DEFAULT_COSTS,
-                    runtime: RuntimeCosts = DEFAULT_RUNTIME_COSTS) -> float:
+                    costs: CostStructure = DEFAULT_COSTS) -> float:
     """CPU per Nexus op of polling ``methods`` at the given skips."""
-    return runtime.poll_loop_cost + sum(
+    return costs.runtime.poll_loop_cost + sum(
         _costs_for(method, costs).poll_cost / max(1, skip.get(method, 1))
         for method in methods)
 
 
 def predict_placement(graph: CommGraph, scenario: "LoadScenario",
                       placement: Placement, *,
-                      costs: _t.Mapping[str, TransportCosts] = DEFAULT_COSTS,
-                      runtime: RuntimeCosts = DEFAULT_RUNTIME_COSTS,
+                      costs: CostStructure = DEFAULT_COSTS,
                       demand: ServingDemand | None = None) -> PlacementCost:
     """Price one placement candidate against a profiled workload."""
     demand = demand or serving_demand(graph)
@@ -217,6 +212,7 @@ def predict_placement(graph: CommGraph, scenario: "LoadScenario",
             f"placement forwarder {forwarder} is not a serving rank "
             f"in the profile (ranks {sorted(shares)})")
     ops, service_s = _mean_service(scenario)
+    runtime = costs.runtime
     skip = scenario.skip_map()
     slow = _costs_for(placement.method, costs)
     fast = _costs_for(placement.fast_method, costs)
@@ -239,8 +235,7 @@ def predict_placement(graph: CommGraph, scenario: "LoadScenario",
                       if m != placement.method]
             inline = recv_fast
         per_request = (service_s
-                       + ops * poll_tax_per_op(polled, skip, costs=costs,
-                                               runtime=runtime)
+                       + ops * poll_tax_per_op(polled, skip, costs=costs)
                        + runtime.dispatch_cost + inline)
         busy.append((f"serve@{index}", share * per_request))
     if forwarder is not None:

@@ -150,7 +150,7 @@ class Timeout(Event):
     through :meth:`Simulator.timeout_at`) names the instant instead.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None,
                  name: str | None = None, priority: int = NORMAL):
@@ -172,7 +172,7 @@ class Timeout(Event):
         self._value = value
         self._defused = False
         self.name = name
-        delay = self.delay = float(delay)
+        delay = float(delay)
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim._clock._now + delay, priority, seq, self))
@@ -197,7 +197,6 @@ class Timeout(Event):
         Event.__init__(self, sim, name)
         self._ok = True
         self._value = value
-        self.delay = when - now
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (when, NORMAL, seq, self))

@@ -3,14 +3,15 @@
 A :class:`LinkProfile` is the parameterisation every transport cost model
 is built from: fixed latency, bandwidth, per-message fixed overheads and an
 optional drop probability (used by the unreliable UDP module).  The
-canonical profiles calibrated to the paper's reported SP2 constants live in
-:mod:`repro.transports.costmodels`.
+named profiles calibrated to the paper's constants live in the cost
+structure of :mod:`repro.transports.costmodels`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from ..util.units import unit
 from .errors import SimnetError
 
 
@@ -35,11 +36,11 @@ class LinkProfile:
     """
 
     name: str
-    latency: float
-    bandwidth: float
-    send_overhead: float = 0.0
-    recv_overhead: float = 0.0
-    drop_probability: float = 0.0
+    latency: float = unit("s")
+    bandwidth: float = unit("B/s")
+    send_overhead: float = unit("s", 0.0)
+    recv_overhead: float = unit("s", 0.0)
+    drop_probability: float = unit("1", 0.0)
 
     def __post_init__(self) -> None:
         if self.latency < 0:
@@ -54,14 +55,3 @@ class LinkProfile:
         if nbytes < 0:
             raise SimnetError(f"negative message size {nbytes!r}")
         return nbytes / self.bandwidth
-
-    def scaled(self, *, latency_factor: float = 1.0,
-               bandwidth_factor: float = 1.0,
-               name: str | None = None) -> "LinkProfile":
-        """A derived profile with scaled latency/bandwidth (for sweeps)."""
-        return dataclasses.replace(
-            self,
-            name=name or f"{self.name}*",
-            latency=self.latency * latency_factor,
-            bandwidth=self.bandwidth * bandwidth_factor,
-        )

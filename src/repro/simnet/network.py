@@ -283,14 +283,13 @@ class Network:
                 # Scale from the pristine base profile, never the current
                 # one: repeated calls are idempotent and factors of 1.0
                 # restore the healthy profile exactly.
+                base = link.base_profile
                 if latency_factor == 1.0 and bandwidth_factor == 1.0:
-                    link.profile = link.base_profile
+                    link.profile = base
                 else:
-                    link.profile = link.base_profile.scaled(
-                        latency_factor=latency_factor,
-                        bandwidth_factor=bandwidth_factor,
-                        name=link.base_profile.name,
-                    )
+                    link.profile = dataclasses.replace(
+                        base, latency=base.latency * latency_factor,
+                        bandwidth=base.bandwidth * bandwidth_factor)
                 changed = True
         if not changed:
             raise SimnetError(

@@ -6,7 +6,8 @@ on: one IBM SP2 whose nodes are split into two software partitions, with
 MPL available inside a partition and TCP available everywhere over the
 switch (8 MB/s, ~2 ms).  :func:`make_iway` builds a small I-WAY-style
 testbed: an SP2, a visualisation engine, and an instrument site joined by
-ATM wide-area links — used by the metacomputing examples.
+ATM wide-area links — used by the metacomputing examples.  Both build
+their wires from the named link profiles of their ``costs=``.
 """
 
 from __future__ import annotations
@@ -15,19 +16,12 @@ import dataclasses
 import typing as _t
 
 from .simnet.engine import Simulator
-from .simnet.link import LinkProfile
 from .simnet.network import Machine, Network, Partition
 from .simnet.node import Host
 from .core.health import HealthConfig
 from .core.retry import RetryPolicy
 from .core.runtime import Nexus
-from .transports.costmodels import RuntimeCosts, TransportCosts
-from .util.units import mbps, milliseconds
-
-#: TCP over the SP2 switch: the profile the paper reports.
-SP2_SWITCH_TCP = LinkProfile(
-    name="sp2-switch-tcp", latency=milliseconds(2.0), bandwidth=mbps(8.0),
-)
+from .transports.costmodels import DEFAULT_COSTS, CostStructure
 
 
 @dataclasses.dataclass
@@ -49,10 +43,8 @@ class SP2Testbed:
 
 def make_sp2(nodes_a: int = 2, nodes_b: int = 2, *,
              transports: _t.Sequence[str] = ("local", "mpl", "tcp"),
-             costs: _t.Mapping[str, TransportCosts] | None = None,
-             runtime_costs: RuntimeCosts | None = None,
+             costs: CostStructure = DEFAULT_COSTS,
              seed: int = 0,
-             switch_tcp: LinkProfile = SP2_SWITCH_TCP,
              retry_policy: "RetryPolicy | None" = None,
              health: "HealthConfig | None" = None,
              observe: bool | None = None) -> SP2Testbed:
@@ -60,19 +52,19 @@ def make_sp2(nodes_a: int = 2, nodes_b: int = 2, *,
 
     ``nodes_a``/``nodes_b`` processors are placed in partitions "A" and
     "B" of one SP2.  MPL works within a partition (same session); TCP
-    works between any two nodes over the switch at ``switch_tcp``.
+    works between any two nodes over the switch, at the ``sp2-switch-tcp``
+    profile of ``costs``.
     """
     sim = Simulator()
     network = Network(sim)
-    machine = network.new_machine("sp2", {"tcp": switch_tcp,
-                                          "udp": switch_tcp})
+    switch = costs.links["sp2-switch-tcp"]
+    machine = network.new_machine("sp2", {"tcp": switch, "udp": switch})
     hosts_a = machine.new_hosts(nodes_a)
     hosts_b = machine.new_hosts(nodes_b)
     partition_a = machine.new_partition("A", hosts_a)
     partition_b = machine.new_partition("B", hosts_b)
     nexus = Nexus(sim, network, transports=transports, costs=costs,
-                  runtime_costs=runtime_costs, seed=seed,
-                  retry_policy=retry_policy, health=health,
+                  seed=seed, retry_policy=retry_policy, health=health,
                   observe=observe)
     return SP2Testbed(sim=sim, nexus=nexus, machine=machine,
                       partition_a=partition_a, partition_b=partition_b,
@@ -94,22 +86,19 @@ class IWayTestbed:
 
 
 def make_iway(sp2_nodes: int = 4, *,
-              transports: _t.Sequence[str] = (
-                  "local", "mpl", "aal5", "tcp", "udp", "mcast"),
-              costs: _t.Mapping[str, TransportCosts] | None = None,
-              seed: int = 0,
-              wan_latency: float = milliseconds(10.0),
-              wan_bandwidth: float = mbps(16.0)) -> IWayTestbed:
+              costs: CostStructure = DEFAULT_COSTS) -> IWayTestbed:
     """Build an I-WAY-style heterogeneous testbed.
 
     The SP2 and the CAVE display engine have ATM interfaces (AAL-5
     applicable between them); the instrument site is reachable only by
-    routed IP (TCP/UDP) through the CAVE's site link.
+    routed IP (TCP/UDP) through the CAVE's site link.  The wires are the
+    ``atm-oc3``, ``wan-ip`` and ``site-ip`` profiles of ``costs``.
     """
     sim = Simulator()
     network = Network(sim)
+    links = costs.links
 
-    sp2 = network.new_machine("sp2", {"tcp": SP2_SWITCH_TCP})
+    sp2 = network.new_machine("sp2", {"tcp": links["sp2-switch-tcp"]})
     cave = network.new_machine("cave")
     instrument = network.new_machine("instrument")
 
@@ -129,21 +118,17 @@ def make_iway(sp2_nodes: int = 4, *,
     instrument_host.attributes["arch"] = "sparc"
     instrument_host.attributes["site"] = "instrument-site"
 
-    atm = LinkProfile(name="atm-oc3", latency=wan_latency,
-                      bandwidth=wan_bandwidth)
-    internet = LinkProfile(name="wan-ip", latency=milliseconds(25.0),
-                           bandwidth=mbps(3.0))
-    slow_ip = LinkProfile(name="site-ip", latency=milliseconds(25.0),
-                          bandwidth=mbps(1.0))
     # The provisioned ATM circuit carries AAL-5 only; routed IP traffic
     # (TCP/UDP/multicast) takes the slower internet path — so an ATM
     # fault leaves IP connectivity intact (the failover scenario).
-    network.connect(sp2, cave, atm, transports=("aal5",))
-    network.connect(sp2, cave, internet, transports=("tcp", "udp", "mcast"))
-    network.connect(cave, instrument, slow_ip,
+    network.connect(sp2, cave, links["atm-oc3"], transports=("aal5",))
+    network.connect(sp2, cave, links["wan-ip"],
+                    transports=("tcp", "udp", "mcast"))
+    network.connect(cave, instrument, links["site-ip"],
                     transports=("tcp", "udp", "mcast"))
 
-    nexus = Nexus(sim, network, transports=transports, costs=costs, seed=seed)
+    nexus = Nexus(sim, network, costs=costs, transports=(
+        "local", "mpl", "aal5", "tcp", "udp", "mcast"))
     return IWayTestbed(sim=sim, nexus=nexus, sp2=sp2, cave=cave,
                        instrument=instrument, sp2_hosts=sp2_hosts,
                        cave_host=cave_host, instrument_host=instrument_host)

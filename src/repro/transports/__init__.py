@@ -19,7 +19,7 @@ from .base import (
 )
 from .costmodels import (
     DEFAULT_COSTS,
-    DEFAULT_RUNTIME_COSTS,
+    CostStructure,
     RuntimeCosts,
     TransportCosts,
 )
@@ -57,8 +57,8 @@ __all__ = [
     "ChecksumLayer",
     "CompressionLayer",
     "ContextLike",
+    "CostStructure",
     "DEFAULT_COSTS",
-    "DEFAULT_RUNTIME_COSTS",
     "DEFAULT_TRANSPORT_SET",
     "DeliveryError",
     "Descriptor",

@@ -30,7 +30,7 @@ import dataclasses
 import typing as _t
 
 from ..simnet.resources import Store
-from .costmodels import TransportCosts
+from .costmodels import RuntimeCosts, TransportCosts
 from .errors import TransportError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -133,15 +133,15 @@ class TransportServices:
     """
 
     def __init__(self, sim: "Simulator", network: "Network",
-                 metrics: "MetricsRegistry", streams: "RandomStreams"):
+                 metrics: "MetricsRegistry", streams: "RandomStreams",
+                 runtime_costs: RuntimeCosts):
         self.sim = sim
         self.network = network
         self.metrics = metrics
         self.streams = streams
+        #: The Nexus-layer cost constants (drain-overlap factor etc.).
+        self.runtime_costs = runtime_costs
         self.resolve_context: _t.Callable[[int], "ContextLike"] | None = None
-        #: Installed by the runtime; carries Nexus-layer cost constants
-        #: (drain-overlap factor etc.).
-        self.runtime_costs: object | None = None
 
     def context(self, context_id: int) -> "ContextLike":
         if self.resolve_context is None:
@@ -226,18 +226,6 @@ class Transport(abc.ABC):
         transports — e.g. a compression stack riding TCP — override it
         so their traffic uses the underlying wire."""
         return getattr(self, "_wire_method", self.name)
-
-    @property
-    def poll_cost(self) -> float:
-        return self.costs.poll_cost
-
-    @property
-    def steals_device_time(self) -> bool:
-        return self.costs.steals_device_time
-
-    @property
-    def supports_blocking(self) -> bool:
-        return self.costs.supports_blocking
 
     # -- interface ------------------------------------------------------------
 

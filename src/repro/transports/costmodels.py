@@ -1,4 +1,4 @@
-"""Transport cost models calibrated to the paper's reported constants.
+"""The cost structure: every constant a simulated run charges, in one value.
 
 Section 3.3 and Section 4 of the paper give us hard numbers for the
 Argonne SP2 environment every experiment ran in:
@@ -15,6 +15,11 @@ other modules the paper lists — local, shared memory, UDP, Myrinet,
 AAL-5, multicast) so that the simulation reproduces the paper's *cost
 structure* exactly even though the hardware is simulated.
 
+One frozen :class:`CostStructure` holds all of it and is the one
+``costs=`` every consumer takes (a partial override is a
+``dataclasses.replace`` of :data:`DEFAULT_COSTS`).  Every float field
+declares its unit, so :meth:`CostStructure.scaled` dilates it whole.
+
 The ``select_drain_overlap`` parameter implements the paper's hypothesis
 for why TCP polling degrades large MPL transfers: "repeated kernel calls
 due to select slow the transfer of data from the SP2 communication device
@@ -26,8 +31,10 @@ data (see :class:`repro.transports.mpl.MplTransport`).
 from __future__ import annotations
 
 import dataclasses
+import typing as _t
 
-from ..util.units import mbps, microseconds, milliseconds
+from ..simnet.link import LinkProfile
+from ..util.units import dilate, mbps, microseconds, milliseconds, unit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,18 +77,18 @@ class TransportCosts:
         Loss rate applied when ``reliable`` is False.
     """
 
-    latency: float
-    bandwidth: float
-    poll_cost: float
-    send_overhead: float = 0.0
-    recv_overhead: float = 0.0
-    connect_cost: float = 0.0
-    per_byte_send: float = 0.0
-    per_byte_recv: float = 0.0
+    latency: float = unit("s")
+    bandwidth: float = unit("B/s")
+    poll_cost: float = unit("s")
+    send_overhead: float = unit("s", 0.0)
+    recv_overhead: float = unit("s", 0.0)
+    connect_cost: float = unit("s", 0.0)
+    per_byte_send: float = unit("s/B", 0.0)
+    per_byte_recv: float = unit("s/B", 0.0)
     steals_device_time: bool = False
     supports_blocking: bool = False
     reliable: bool = True
-    drop_probability: float = 0.0
+    drop_probability: float = unit("1", 0.0)
 
 
 #: Intracontext delivery: a procedure call plus a queue operation.
@@ -169,18 +176,6 @@ MULTICAST_COSTS = TransportCosts(
     drop_probability=0.0,
 )
 
-#: Default cost table, keyed by transport name.
-DEFAULT_COSTS: dict[str, TransportCosts] = {
-    "local": LOCAL_COSTS,
-    "shm": SHM_COSTS,
-    "mpl": MPL_COSTS,
-    "tcp": TCP_COSTS,
-    "udp": UDP_COSTS,
-    "myrinet": MYRINET_COSTS,
-    "aal5": AAL5_COSTS,
-    "mcast": MULTICAST_COSTS,
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class RuntimeCosts:
@@ -203,9 +198,11 @@ class RuntimeCosts:
         stall) the device-to-user drain of fast-transport data; the
         remaining fraction delays in-flight messages (Figure 4's
         large-message degradation).
-    mpi_layer_overhead:
-        Fractional execution-time overhead of layering MPI on Nexus
-        (paper: "about 6 percent" vs MPICH on MPL).
+    mpi_call_overhead:
+        CPU charged once per MPI call (send, recv, and each internal
+        collective step) by the MPI-on-Nexus layering, the analogue of
+        the paper's "about 6 percent" overhead vs MPICH on MPL; 0.0
+        models MPICH on MPL (the layering ablation).
     xdr_per_byte:
         Receiver CPU per byte for data-representation conversion when a
         message crosses between hosts of *different* architectures
@@ -222,15 +219,63 @@ class RuntimeCosts:
         skip x cycle).
     """
 
-    rsr_send_overhead: float = microseconds(8.0)
-    dispatch_cost: float = microseconds(5.0)
+    rsr_send_overhead: float = unit("s", microseconds(8.0))
+    dispatch_cost: float = unit("s", microseconds(5.0))
     header_bytes: int = 32
-    poll_loop_cost: float = microseconds(1.0)
-    select_drain_overlap: float = 0.8
-    mpi_layer_overhead: float = 0.06
-    xdr_per_byte: float = microseconds(0.05)
-    forward_overhead: float = microseconds(50.0)
-    wait_loop_cycle: float = microseconds(16.0)
+    poll_loop_cost: float = unit("s", microseconds(1.0))
+    select_drain_overlap: float = unit("1", 0.8)
+    mpi_call_overhead: float = unit("s", 4e-6)
+    xdr_per_byte: float = unit("s/B", microseconds(0.05))
+    forward_overhead: float = unit("s", microseconds(50.0))
+    wait_loop_cycle: float = unit("s", microseconds(16.0))
 
 
-DEFAULT_RUNTIME_COSTS = RuntimeCosts()
+#: TCP over the SP2 switch: the profile the paper reports.
+SP2_SWITCH_TCP = LinkProfile(
+    name="sp2-switch-tcp", latency=milliseconds(2.0), bandwidth=mbps(8.0),
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class CostStructure:
+    """Every cost constant of a run: the per-module table (a runtime can
+    enable only the modules it names), the Nexus layer's costs, and the
+    testbeds' wires by :attr:`LinkProfile.name`."""
+
+    transports: _t.Mapping[str, TransportCosts]
+    runtime: RuntimeCosts
+    links: _t.Mapping[str, LinkProfile]
+
+    def scaled(self, k: float) -> "CostStructure":
+        """Every time x ``k`` and every bandwidth / ``k``."""
+        return CostStructure(
+            transports={name: dilate(costs, k)
+                        for name, costs in self.transports.items()},
+            runtime=dilate(self.runtime, k),
+            links={name: dilate(link, k)
+                   for name, link in self.links.items()},
+        )
+
+
+#: The calibrated cost structure every run uses unless it names another.
+DEFAULT_COSTS = CostStructure(
+    transports={
+        "local": LOCAL_COSTS,
+        "shm": SHM_COSTS,
+        "mpl": MPL_COSTS,
+        "tcp": TCP_COSTS,
+        "udp": UDP_COSTS,
+        "myrinet": MYRINET_COSTS,
+        "aal5": AAL5_COSTS,
+        "mcast": MULTICAST_COSTS,
+    },
+    runtime=RuntimeCosts(),
+    links={link.name: link for link in (
+        SP2_SWITCH_TCP,
+        # The I-WAY: the provisioned ATM circuit, routed wide-area IP and
+        # the instrument site's link (see ``repro.testbeds.make_iway``).
+        LinkProfile("atm-oc3", milliseconds(10.0), mbps(16.0)),
+        LinkProfile("wan-ip", milliseconds(25.0), mbps(3.0)),
+        LinkProfile("site-ip", milliseconds(25.0), mbps(1.0)),
+    )},
+)

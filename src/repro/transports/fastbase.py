@@ -48,10 +48,6 @@ class FastTransport(Transport):
 
     receiver_drain = True
 
-    #: Lazily cached :meth:`_overlap` result — ``RuntimeCosts`` is frozen,
-    #: so the value cannot change once the runtime has installed it.
-    _drain_overlap: float | None = None
-
     def send(self, local: ContextLike, state: dict, descriptor: Descriptor,
              message: WireMessage):
         destination = self._destination(descriptor)
@@ -143,9 +139,7 @@ class FastTransport(Transport):
         context's ``foreign_poll_total`` at the time of asking (the
         module docstring's formula; it only grows as foreign polls
         accumulate)."""
-        overlap = self._drain_overlap
-        if overlap is None:
-            overlap = self._drain_overlap = self._overlap()
+        overlap = self.services.runtime_costs.select_drain_overlap
         return transit.ready_at + (1.0 - overlap) * (
             foreign_now - transit.foreign_at_arrival)
 
@@ -208,7 +202,3 @@ class FastTransport(Transport):
             messages = self.collect(context)
             if messages:
                 return messages
-
-    def _overlap(self) -> float:
-        runtime_costs = getattr(self.services, "runtime_costs", None)
-        return runtime_costs.select_drain_overlap if runtime_costs else 1.0

@@ -20,7 +20,7 @@ import typing as _t
 
 from .aal5 import Aal5Transport
 from .base import Transport, TransportServices
-from .costmodels import DEFAULT_COSTS, TransportCosts
+from .costmodels import TransportCosts
 from .errors import RegistryError
 from .local import LocalTransport
 from .mpl import MplTransport
@@ -54,11 +54,9 @@ class TransportRegistry:
     """The set of live communication modules of one runtime instance."""
 
     def __init__(self, services: TransportServices,
-                 costs: _t.Mapping[str, TransportCosts] | None = None):
+                 costs: _t.Mapping[str, TransportCosts]):
         self.services = services
-        self._costs = dict(DEFAULT_COSTS)
-        if costs:
-            self._costs.update(costs)
+        self._costs = costs
         self._transports: dict[str, Transport] = {}
 
     # -- configuration ------------------------------------------------------
@@ -70,8 +68,10 @@ class TransportRegistry:
         cls = BUILTIN_TRANSPORTS.get(name)
         if cls is None:
             raise RegistryError(f"unknown transport {name!r}")
-        # DEFAULT_COSTS covers every built-in, so the lookup cannot miss.
-        transport = cls(self.services, self._costs[name])
+        costs = self._costs.get(name)
+        if costs is None:
+            raise RegistryError(f"no cost model for transport {name!r}")
+        transport = cls(self.services, costs)
         self._transports[name] = transport
         return transport
 

@@ -1,9 +1,11 @@
 """Time dilation: every cost of a Table 1 row lives in the cost model.
 
-Scale every time constant of the cost model by 2 and every bandwidth by
-1/2 — the transports' ``TransportCosts``, ``RuntimeCosts``, the SP2
-switch's TCP ``LinkProfile``, ``MpiConfig.call_overhead`` and
-``ClimateConfig``'s compute seconds and latency budget.  A power of two
+``DEFAULT_COSTS.scaled(k)`` multiplies every time constant of the cost
+structure by ``k`` and divides every bandwidth by ``k`` — the
+transports' ``TransportCosts``, ``RuntimeCosts`` (the MPI per-call
+overhead included) and the SP2 switch's ``LinkProfile`` — and
+``dilate`` does the same to ``ClimateConfig``'s compute seconds and
+latency budget, each by the units its fields declare.  A power of two
 scales a binary float without rounding, so every simulated time must then
 double *exactly*, and so must it halve at K = 1/2.  A row that does not
 names a time constant that lives outside the model, where a sensitivity
@@ -13,7 +15,6 @@ the control: no power of two, so rounding shows and the times are not
 exactly tripled, which is what gives the exact comparisons their teeth.
 """
 
-import dataclasses
 import functools
 
 import pytest
@@ -22,59 +23,23 @@ from repro.apps.climate import ClimateConfig, ClimateMode
 from repro.apps.climate.model import run_coupled_model
 from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong
-from repro.mpi import MpiConfig
-from repro.testbeds import SP2_SWITCH_TCP, make_sp2
-from repro.transports.costmodels import (
-    DEFAULT_COSTS,
-    DEFAULT_RUNTIME_COSTS,
-    TransportCosts,
-)
-
-TRANSPORTS = ("local", "mpl", "tcp")
-
-#: Fields holding seconds (or seconds per byte), per cost dataclass.
-TRANSPORT_TIMES = ("latency", "poll_cost", "send_overhead", "recv_overhead",
-                   "connect_cost", "per_byte_send", "per_byte_recv")
-RUNTIME_TIMES = ("rsr_send_overhead", "dispatch_cost", "poll_loop_cost",
-                 "xdr_per_byte", "forward_overhead", "wait_loop_cycle")
-LINK_TIMES = ("latency", "send_overhead", "recv_overhead")
-CLIMATE_TIMES = ("atmo_compute_s", "ocean_compute_s",
-                 "adaptive_latency_budget")
-
-
-def _scaled(obj, fields, k, bandwidth=False):
-    changes = {name: getattr(obj, name) * k for name in fields}
-    if bandwidth:
-        changes["bandwidth"] = obj.bandwidth / k
-    return dataclasses.replace(obj, **changes)
-
-
-def dilate(k):
-    """``run_coupled_model`` arguments with every time constant x ``k``
-    and every bandwidth / ``k``."""
-    costs: dict[str, TransportCosts] = {
-        name: _scaled(DEFAULT_COSTS[name], TRANSPORT_TIMES, k, True)
-        for name in TRANSPORTS}
-    return dict(
-        costs=costs,
-        runtime_costs=_scaled(DEFAULT_RUNTIME_COSTS, RUNTIME_TIMES, k),
-        switch_tcp=_scaled(SP2_SWITCH_TCP, LINK_TIMES, k, True),
-        mpi_config=_scaled(MpiConfig(), ("call_overhead",), k))
+from repro.testbeds import make_sp2
+from repro.transports.costmodels import DEFAULT_COSTS
+from repro.util.units import dilate
 
 
 def dilated_testbed(k, nodes_a, nodes_b):
     """An SP2 testbed whose costs are dilated by ``k``."""
-    args = dilate(k)
-    return make_sp2(nodes_a=nodes_a, nodes_b=nodes_b, costs=args["costs"],
-                    runtime_costs=args["runtime_costs"],
-                    switch_tcp=args["switch_tcp"])
+    return make_sp2(nodes_a=nodes_a, nodes_b=nodes_b,
+                    costs=DEFAULT_COSTS.scaled(k))
 
 
 @functools.lru_cache(maxsize=None)
 def row(mode, skip_poll, k):
     """One Table 1 row at ``steps=2`` with every cost dilated by ``k``."""
-    cfg = _scaled(ClimateConfig(steps=2), CLIMATE_TIMES, k)
-    return run_coupled_model(cfg, mode, skip_poll=skip_poll, **dilate(k))
+    return run_coupled_model(dilate(ClimateConfig(steps=2), k), mode,
+                             skip_poll=skip_poll,
+                             costs=DEFAULT_COSTS.scaled(k))
 
 
 def times(result):

@@ -212,7 +212,7 @@ class ReferencePollManager:
         """
         transport = self.context.nexus.transports.get(method)
         if enabled:
-            if not transport.supports_blocking:
+            if not transport.costs.supports_blocking:
                 raise PollingError(
                     f"transport {method!r} does not support blocking waits"
                 )
@@ -262,8 +262,8 @@ class ReferencePollManager:
             if method not in registry:
                 continue
             transport = registry.get(method)
-            entries.append((method, transport, transport.poll_cost,
-                            transport.steals_device_time,
+            entries.append((method, transport, transport.costs.poll_cost,
+                            transport.costs.steals_device_time,
                             self.skip.get(method, 1)))
         # Aggregate in the same order the uncached code summed, so float
         # results stay bit-identical.

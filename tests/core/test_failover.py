@@ -7,7 +7,7 @@ import pytest
 
 from repro import Buffer, HealthConfig, RetryPolicy, enquiry, make_sp2
 from repro.core.errors import SelectionError
-from repro.transports.costmodels import UDP_COSTS
+from repro.transports.costmodels import DEFAULT_COSTS, UDP_COSTS
 
 FAST_RECOVERY = HealthConfig(failure_threshold=2, cooloff=0.05)
 
@@ -16,7 +16,9 @@ def make_bed(transports=("local", "mpl", "tcp", "udp"), *,
              health=FAST_RECOVERY):
     return make_sp2(
         nodes_a=2, nodes_b=1, transports=transports,
-        costs={"udp": dataclasses.replace(UDP_COSTS, drop_probability=0.0)},
+        costs=dataclasses.replace(DEFAULT_COSTS, transports={
+            **DEFAULT_COSTS.transports,
+            "udp": dataclasses.replace(UDP_COSTS, drop_probability=0.0)}),
         retry_policy=RetryPolicy(max_attempts=2, base_delay=1e-4,
                                  max_delay=1e-3, jitter=0.0),
         health=health,

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSkipPoll
 from repro.core.buffers import Buffer
 from repro.simnet.errors import SimnetError
-from repro.transports.costmodels import DEFAULT_RUNTIME_COSTS
+from repro.transports.costmodels import DEFAULT_COSTS
 from repro.testbeds import make_sp2
 
 from .reference_polling import (
@@ -354,7 +354,7 @@ def test_an_event_that_fires_during_the_loop_charge_ends_the_wait():
     me = outcome["contexts"]["me"]
     assert me["cycles"] == 1 and me["idle_fast_forwards"] == 0
     stepwise = (sum(me["poll_time"].values())
-                + DEFAULT_RUNTIME_COSTS.poll_loop_cost)
+                + DEFAULT_COSTS.runtime.poll_loop_cost)
     assert outcome["log"] == [("sleep", stepwise)]
 
 

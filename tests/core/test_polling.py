@@ -71,7 +71,7 @@ class TestConfiguration:
 class TestCycleAccounting:
     def test_poll_charges_sum_of_costs(self, bed, ctx):
         nexus = bed.nexus
-        expected = sum(nexus.transports.get(m).poll_cost
+        expected = sum(nexus.transports.get(m).costs.poll_cost
                        for m in ctx.poll_manager.active_methods())
 
         def body():
@@ -84,7 +84,7 @@ class TestCycleAccounting:
     def test_skip_decimates_cost(self, bed, ctx):
         nexus = bed.nexus
         ctx.poll_manager.set_skip("tcp", 5)
-        tcp_cost = nexus.transports.get("tcp").poll_cost
+        tcp_cost = nexus.transports.get("tcp").costs.poll_cost
 
         def body():
             for _ in range(10):
@@ -100,7 +100,7 @@ class TestCycleAccounting:
 
     def test_foreign_poll_accumulator(self, bed, ctx):
         nexus = bed.nexus
-        tcp_cost = nexus.transports.get("tcp").poll_cost
+        tcp_cost = nexus.transports.get("tcp").costs.poll_cost
 
         def body():
             for _ in range(4):
@@ -128,9 +128,9 @@ class TestCycleAccounting:
         nexus = bed.nexus
         pm = ctx.poll_manager
         pm.set_skip("tcp", 10)
-        tcp = nexus.transports.get("tcp").poll_cost
-        mpl = nexus.transports.get("mpl").poll_cost
-        local = nexus.transports.get("local").poll_cost
+        tcp = nexus.transports.get("tcp").costs.poll_cost
+        mpl = nexus.transports.get("mpl").costs.poll_cost
+        local = nexus.transports.get("local").costs.poll_cost
         loop = nexus.runtime_costs.poll_loop_cost
         assert pm.amortized_cycle_time() == pytest.approx(
             loop + local + mpl + tcp / 10)

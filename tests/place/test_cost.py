@@ -45,6 +45,17 @@ class TestWirePricing:
         assert edge_wire_cost("tcp-over-carrier-pigeon", 3, 512) \
             == edge_wire_cost("tcp", 3, 512)
 
+    def test_doubling_every_cost_doubles_the_static_prices(self):
+        # Every term of both prices is a cost field, so scaled(2) doubles
+        # them exactly.  Not so predict_placement: the scenario's service
+        # time lies outside the cost structure.
+        doubled = DEFAULT_COSTS.scaled(2)
+        for method in ("local", "mpl", "tcp", "unknown"):
+            assert edge_wire_cost(method, 7, 3000, costs=doubled) \
+                == 2 * edge_wire_cost(method, 7, 3000)
+            assert poll_tax_per_op([method], {method: 3}, costs=doubled) \
+                == 2 * poll_tax_per_op([method], {method: 3})
+
 
 class TestPartitionCost:
     def test_uncut_assignment_costs_nothing(self):
@@ -163,9 +174,3 @@ class TestPredictPlacement:
             graph, base, forwarding_placement(forwarder=0)).per_rank_busy)
         assert fwd["serve@2"] < direct["serve@2"]
 
-    def test_costs_table_is_respected(self):
-        graph = serving_graph()
-        cheap = {name: costs for name, costs in DEFAULT_COSTS.items()}
-        baseline = predict_placement(graph, scenario(),
-                                     direct_placement(), costs=cheap)
-        assert baseline.static_capacity > 0

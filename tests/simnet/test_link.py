@@ -4,7 +4,7 @@ import pytest
 
 from repro.simnet import LinkProfile
 from repro.simnet.errors import SimnetError
-from repro.util.units import MB, mbps, milliseconds
+from repro.util.units import MB, dilate, mbps, milliseconds
 
 
 def profile(**overrides):
@@ -33,6 +33,6 @@ class TestLinkProfile:
             profile(drop_probability=1.5)
 
     def test_scaled(self):
-        p = profile().scaled(latency_factor=2.0, bandwidth_factor=0.5)
-        assert p.latency == pytest.approx(milliseconds(2.0))
-        assert p.bandwidth == pytest.approx(mbps(5.0))
+        p = dilate(profile(send_overhead=1e-4, drop_probability=0.5), 2.0)
+        assert (p.latency, p.bandwidth) == (milliseconds(2.0), mbps(5.0))
+        assert (p.send_overhead, p.drop_probability) == (2e-4, 0.5)

@@ -28,7 +28,7 @@ from repro.obs.graph import extract_graph, graph_document
 from repro.obs.perf import PerfProfile
 from repro.obs.stream import StreamConfig
 from repro.simnet import Network, Simulator
-from repro.testbeds import SP2_SWITCH_TCP
+from repro.transports.costmodels import SP2_SWITCH_TCP
 from repro.util.document import dumps
 from repro.util.report import hot_path_report
 from tests.test_report import fresh_context_ids  # noqa: F401 (fixture)

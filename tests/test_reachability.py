@@ -1,6 +1,6 @@
 """No definition in ``src/repro`` is reached only by tests, no
-attribute is stored that nothing reads, no import goes unused, and a
-process sleeps one way.
+attribute is stored that nothing reads, no dataclass field goes unused,
+no import goes unused, and a process sleeps one way.
 
 Every function, method and class defined under ``src/repro`` must be
 named somewhere outside its own definition in ``src/``, ``examples/``,
@@ -15,13 +15,16 @@ The scan compares names, not bindings, so it is a lower bound: a
 test-only ``poll`` method passes because other ``poll`` methods are
 called.  Dunder methods are called by the language and are skipped.
 
-Three more scans read the syntax tree, and they too compare names:
+Four more scans read the syntax tree, and they too compare names:
 
 * every ``self.<attr>`` stored under ``src/repro`` must be read as an
   attribute somewhere in ``src/``, ``examples/``, ``perfbench/``,
   ``benchmarks/`` or ``tests/``, or be a word of a string literal or
   of a ``.json``/``.md``/``.txt`` file there (``self.n += 1`` is a
   store, not a read);
+* every field of a ``@dataclass`` under ``src/repro`` must be read as
+  an attribute or passed as a keyword somewhere in those same
+  directories; a word in a docstring or a document does not count;
 * every name a module under ``src/repro`` imports must be used in that
   module, as a name or as a word of a string literal (quoted
   annotations).  ``__init__.py`` files re-export, and ``from
@@ -138,20 +141,31 @@ def _package_modules():
             if path.startswith(PACKAGE + os.sep) and path.endswith(".py")]
 
 
-def _unread_attributes():
-    """``path:line -> attr`` for each ``self.<attr>`` stored under
-    src/repro that no reader loads or spells in a string."""
-    reads = set()
+@functools.cache
+def _reads():
+    """The attribute names loaded, the keyword argument names passed, and
+    the words of string literals and documents, over every reader."""
+    loads, keywords, words = set(), set(), set()
     for path in _sources(READERS):
         if path.endswith(".py"):
             for node in ast.walk(_tree(path)):
                 if isinstance(node, ast.Attribute) \
                         and isinstance(node.ctx, ast.Load):
-                    reads.add(node.attr)
-                reads.update(_string_words(node))
+                    loads.add(node.attr)
+                elif isinstance(node, ast.keyword):
+                    keywords.add(node.arg)
+                words.update(_string_words(node))
         elif path.endswith(DOCUMENTS):
             with open(path, encoding="utf-8", errors="replace") as handle:
-                reads.update(WORD.findall(handle.read()))
+                words.update(WORD.findall(handle.read()))
+    return loads, keywords, words
+
+
+def _unread_attributes():
+    """``path:line -> attr`` for each ``self.<attr>`` stored under
+    src/repro that no reader loads or spells in a string."""
+    loads, _, words = _reads()
+    reads = loads | words
     unread = {}
     for path in _package_modules():
         for node in ast.walk(_tree(path)):
@@ -163,6 +177,26 @@ def _unread_attributes():
                 unread[f"{os.path.relpath(path, ROOT)}:{node.lineno}"] = \
                     node.attr
     return unread
+
+
+def _unused_fields():
+    """``path:line -> Class.field`` for each field of a ``@dataclass``
+    under src/repro that no reader loads or passes as a keyword."""
+    loads, keywords, _ = _reads()
+    used = loads | keywords
+    unused = {}
+    for path in _package_modules():
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(decorator)
+                    for decorator in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) \
+                            and stmt.target.id not in used:
+                        unused[f"{os.path.relpath(path, ROOT)}:"
+                               f"{stmt.lineno}"] = \
+                            f"{node.name}.{stmt.target.id}"
+    return unused
 
 
 def _unused_imports():
@@ -235,6 +269,12 @@ def test_every_stored_attribute_is_read():
     unread = _unread_attributes()
     assert not unread, (
         f"stored but never read; delete the stores: {unread}")
+
+
+def test_every_dataclass_field_is_used():
+    unused = _unused_fields()
+    assert not unused, (
+        f"dataclass fields nothing reads or sets; delete them: {unused}")
 
 
 def test_every_import_is_used():

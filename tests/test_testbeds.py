@@ -1,6 +1,7 @@
 """Tests for the canned testbeds."""
 
-from repro.testbeds import SP2_SWITCH_TCP, make_iway, make_sp2
+from repro.testbeds import make_iway, make_sp2
+from repro.transports.costmodels import SP2_SWITCH_TCP
 from repro.util.units import mbps, milliseconds
 
 

@@ -1,18 +1,21 @@
 """Tests for communication descriptors and cost models."""
 
 import dataclasses
+import typing
 
 import pytest
 
+from repro.apps.climate import ClimateConfig
+from repro.simnet import LinkProfile
 from repro.transports.base import Descriptor
 from repro.transports.costmodels import (
     DEFAULT_COSTS,
-    DEFAULT_RUNTIME_COSTS,
     MPL_COSTS,
     TCP_COSTS,
+    RuntimeCosts,
     TransportCosts,
 )
-from repro.util.units import mbps, microseconds
+from repro.util.units import UNITS, mbps, microseconds
 
 
 class TestDescriptor:
@@ -62,7 +65,7 @@ class TestCostModels:
     def test_default_costs_cover_all_builtins(self):
         from repro.transports.registry import BUILTIN_TRANSPORTS
         for name in BUILTIN_TRANSPORTS:
-            assert name in DEFAULT_COSTS, f"no cost model for {name}"
+            assert name in DEFAULT_COSTS.transports, f"no costs for {name}"
 
     def test_replace(self):
         modified = dataclasses.replace(TCP_COSTS, poll_cost=1e-6)
@@ -71,7 +74,7 @@ class TestCostModels:
         assert TCP_COSTS.poll_cost > 1e-6  # original frozen
 
     def test_runtime_costs_sane(self):
-        rc = DEFAULT_RUNTIME_COSTS
+        rc = DEFAULT_COSTS.runtime
         assert 0.0 < rc.select_drain_overlap < 1.0
         assert rc.header_bytes > 0
         assert rc.poll_loop_cost > 0.0
@@ -84,3 +87,16 @@ class TestCostModels:
         costs = TransportCosts(latency=1e-3, bandwidth=1e6, poll_cost=1e-5)
         assert costs.send_overhead == 0.0
         assert costs.reliable
+
+
+@pytest.mark.parametrize("cls", [TransportCosts, RuntimeCosts, LinkProfile,
+                                 ClimateConfig])
+def test_every_float_field_declares_its_unit(cls):
+    """``dilate`` scales by declared units, so a float field with none
+    would escape every dilation and sensitivity sweep silently."""
+    hints = typing.get_type_hints(cls)
+    undeclared = [field.name for field in dataclasses.fields(cls)
+                  if hints[field.name] is float
+                  and field.metadata.get("unit") not in UNITS]
+    assert not undeclared, f"{cls.__name__} fields with no unit: {undeclared}"
+

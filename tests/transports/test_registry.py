@@ -10,6 +10,7 @@ from repro.simnet.random import RandomStreams
 from repro.testbeds import make_sp2
 from repro.transports import (
     BUILTIN_TRANSPORTS,
+    DEFAULT_COSTS,
     DEFAULT_TRANSPORT_SET,
     TcpTransport,
     Transport,
@@ -28,12 +29,12 @@ from repro.transports.layers import (
 def services():
     sim = Simulator()
     return TransportServices(sim, Network(sim), MetricsRegistry(),
-                             RandomStreams(0))
+                             RandomStreams(0), DEFAULT_COSTS.runtime)
 
 
 @pytest.fixture
 def registry(services):
-    return TransportRegistry(services)
+    return TransportRegistry(services, DEFAULT_COSTS.transports)
 
 
 class TestRegistry:
@@ -66,9 +67,10 @@ class TestRegistry:
     def test_custom_cost_override(self, services):
         from repro.transports.costmodels import TCP_COSTS
         registry = TransportRegistry(
-            services,
-            costs={"tcp": dataclasses.replace(TCP_COSTS, poll_cost=42.0)})
-        assert registry.enable("tcp").poll_cost == 42.0
+            services, {"tcp": dataclasses.replace(TCP_COSTS, poll_cost=42.0)})
+        assert registry.enable("tcp").costs.poll_cost == 42.0
+        with pytest.raises(RegistryError, match="no cost model"):
+            registry.enable("mpl")
 
     def test_speed_ranks_unique(self):
         ranks = [cls.speed_rank for cls in BUILTIN_TRANSPORTS.values()]

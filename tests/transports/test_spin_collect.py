@@ -28,7 +28,7 @@ from repro.apps.pingpong import raw_transport_pingpong
 from repro.testbeds import make_sp2
 from repro.transports import costmodels
 from repro.transports.base import InTransitMessage, WireMessage
-from repro.transports.costmodels import MPL_COSTS, RuntimeCosts
+from repro.transports.costmodels import DEFAULT_COSTS, MPL_COSTS
 from repro.transports.errors import TransportError
 from repro.transports.fastbase import _READY_SLACK, FastTransport
 
@@ -80,10 +80,13 @@ def play(script, spin):
     two implementations must agree on, plus the event count."""
     bed = make_sp2(
         nodes_a=2, nodes_b=0, transports=("local", "mpl"),
-        costs={"mpl": dataclasses.replace(
-            MPL_COSTS, poll_cost=script.poll_cost,
-            send_overhead=script.send_overhead, latency=script.latency)},
-        runtime_costs=RuntimeCosts(select_drain_overlap=script.overlap))
+        costs=dataclasses.replace(
+            DEFAULT_COSTS,
+            transports={**DEFAULT_COSTS.transports, "mpl": dataclasses.replace(
+                MPL_COSTS, poll_cost=script.poll_cost,
+                send_overhead=script.send_overhead, latency=script.latency)},
+            runtime=dataclasses.replace(DEFAULT_COSTS.runtime,
+                                        select_drain_overlap=script.overlap)))
     nexus, sim = bed.nexus, bed.sim
     src = nexus.context(bed.hosts_a[0], "src", methods=("local", "mpl"))
     me = nexus.context(bed.hosts_a[1], "me", methods=("local", "mpl"))
@@ -270,7 +273,9 @@ def test_every_cost_model_drains_a_byte_slower_than_the_slack(name):
 
 def test_deliverable_at_is_the_documented_formula():
     bed = make_sp2(nodes_a=1, nodes_b=0, transports=("local", "mpl"),
-                   runtime_costs=RuntimeCosts(select_drain_overlap=0.75))
+                   costs=dataclasses.replace(DEFAULT_COSTS, runtime=(
+                       dataclasses.replace(DEFAULT_COSTS.runtime,
+                                           select_drain_overlap=0.75))))
     transport = bed.nexus.transports.get("mpl")
     transit = InTransitMessage(message=None, arrival_start=1.0,
                                ready_at=3.0, foreign_at_arrival=10.0)
