@@ -107,9 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "documents by folding the shards")
     parser.add_argument("--sample", metavar="POLICY", default=None,
                         help="with --stream-dir: sampling policy for the "
-                             "spool (head:N, tail:N, head:N,tail:M, "
-                             "reservoir:K; failure-evidence RSRs are "
-                             "always kept)")
+                             "spool, reservoir:K (K RSRs per lane; "
+                             "failure-evidence RSRs are always kept)")
     parser.add_argument("--sample-seed", type=int, default=0,
                         metavar="SEED",
                         help="seed for reservoir sampling (default 0)")

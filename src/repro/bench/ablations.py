@@ -301,6 +301,7 @@ def ablation_rendezvous(messages: int = 6,
         nexus = bed.nexus
         contexts = [nexus.context(h) for h in bed.hosts_a]
         world = MPIWorld(nexus, contexts, config=config)
+        mpl_bandwidth = nexus.transports.get("mpl").costs.bandwidth
 
         def body(proc):
             if proc.rank == 0:
@@ -312,7 +313,7 @@ def ablation_rendezvous(messages: int = 6,
                 # drained, then lets one poll dispatch the whole burst:
                 # every message that lacks a matching receive parks in
                 # the unexpected queue.
-                late = 0.05 + 2 * messages * message_bytes / (36 * 2 ** 20)
+                late = 0.05 + 2 * messages * message_bytes / mpl_bandwidth
                 yield from proc.context.charge(late)
                 yield from proc.context.poll()
                 for _ in range(messages):

@@ -75,9 +75,9 @@ class Figure4:
 
 def _panel(sizes: _t.Sequence[int], roundtrips: int) -> dict[str, Series]:
     series = {
-        "raw mpl": Series("raw mpl", "bytes", "one-way us"),
-        "nexus mpl": Series("nexus mpl", "bytes", "one-way us"),
-        "nexus mpl+tcp": Series("nexus mpl+tcp", "bytes", "one-way us"),
+        "raw mpl": Series("raw mpl", "bytes"),
+        "nexus mpl": Series("nexus mpl", "bytes"),
+        "nexus mpl+tcp": Series("nexus mpl+tcp", "bytes"),
     }
     for size in sizes:
         raw = raw_transport_pingpong(size, roundtrips)

@@ -68,8 +68,8 @@ def figure6(skips: _t.Sequence[int] = SKIP_VALUES,
     """Regenerate both panels."""
     panels: dict[int, dict[str, Series]] = {}
     for size in sizes:
-        mpl = Series("mpl pair", "skip_poll", "one-way us")
-        tcp = Series("tcp pair", "skip_poll", "one-way us")
+        mpl = Series("mpl pair", "skip_poll")
+        tcp = Series("tcp pair", "skip_poll")
         for skip in skips:
             result = dual_pingpong(size, skip, mpl_roundtrips=mpl_roundtrips)
             mpl.add(skip, result.mpl_one_way * 1e6)

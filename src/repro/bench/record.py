@@ -147,9 +147,6 @@ class BenchRecord:
             self.add(artefact, metric.name, metric.value, unit=metric.unit,
                      kind=metric.kind, direction=metric.direction)
 
-    def metrics(self, artefact: str) -> dict[str, Metric]:
-        return dict(self._artefacts.get(slug(artefact), {}))
-
     def __len__(self) -> int:
         return sum(len(m) for m in self._artefacts.values())
 

@@ -265,7 +265,7 @@ class Context:
         payload = message.payload
         if isinstance(payload, Buffer):
             payload = payload.reader_copy()
-        endpoint.note_delivery(message.nbytes, nexus.sim._clock._now)
+        endpoint.note_delivery(message.nbytes, nexus.sim._now)
         self.rsrs_dispatched += 1
 
         if trace is not None:

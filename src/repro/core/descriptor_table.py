@@ -24,9 +24,9 @@ class CommDescriptorTable:
     :meth:`remove`, :meth:`replace`, :meth:`reorder`, :meth:`promote`)
     return a new table and leave this one unchanged.  Whoever owns a
     table — a context's export table, a link's carried table — rebinds
-    the result.  So tables are shared, never copied (:meth:`copy`
-    returns ``self``), and a send-path cache (see ``startpoint.Link``)
-    detects an edit by the table's identity alone.
+    the result.  So tables are shared, never copied, and a send-path
+    cache (see ``startpoint.Link``) detects an edit by the table's
+    identity alone.
     """
 
     __slots__ = ("_entries",)
@@ -96,9 +96,6 @@ class CommDescriptorTable:
     def promote(self, method: str) -> "CommDescriptorTable":
         """Move ``method`` to the front (make it the preferred method)."""
         return self.remove(method).add(self.entry(method), 0)
-
-    def copy(self) -> "CommDescriptorTable":
-        return self  # a value needs no copy
 
     def without(self, methods: _t.Collection[str]) -> "CommDescriptorTable":
         """A filtered copy excluding ``methods`` (order preserved).

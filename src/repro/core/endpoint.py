@@ -35,11 +35,6 @@ class Endpoint:
         self.bytes_received = 0
         self.last_rsr_at: float | None = None
 
-    @property
-    def address(self) -> tuple[int, int]:
-        """Global name: ``(context id, endpoint id)``."""
-        return (self.context.id, self.id)
-
     def note_delivery(self, nbytes: int, now: float) -> None:
         """Bookkeeping hook called by the dispatch path."""
         self.rsrs_received += 1

@@ -12,8 +12,7 @@ Everything here is read-only and side-effect free.
 The one-stop entry point is :func:`report`: it returns an
 :class:`EnquiryReport` aggregating per-transport traffic, per-context
 polling behaviour, traced phase/latency distributions, and
-failure-recovery health state, with a uniform ``as_dict()`` on every
-report type.
+failure-recovery health state.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ def estimate_one_way(context: "Context", startpoint: "Startpoint",
             + nbytes / profile.bandwidth + costs.recv_overhead)
 
 
-# -- report types (uniform as_dict on every one) ------------------------------
+# -- report types -------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class PollReport:
@@ -119,9 +118,6 @@ class PollReport:
     skip: dict[str, int]
     idle_fast_forwards: int
 
-    def as_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class TransportStats:
@@ -131,9 +127,6 @@ class TransportStats:
     bytes_sent: int
     messages_dropped: int
     bytes_dropped: int
-
-    def as_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,9 +152,6 @@ class PhaseStats:
                    max_us=histogram.max_value,
                    p99_us=histogram.quantile(0.99))
 
-    def as_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class HealthReport:
@@ -178,15 +168,6 @@ class HealthReport:
     probes: int
     down: tuple[dict[str, object], ...]
     events: tuple[tuple[float, int, int, str, str], ...]
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "probes": self.probes,
-            "down": [dict(entry) for entry in self.down],
-            "events": [list(event) for event in self.events],
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,29 +203,6 @@ class EnquiryReport:
     def with_slo(self, verdict: dict[str, object]) -> "EnquiryReport":
         """A copy of this report carrying an SLO verdict section."""
         return dataclasses.replace(self, slo=verdict)
-
-    def as_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "now": self.now,
-            "transports": {name: stats.as_dict()
-                           for name, stats in self.transports.items()},
-            "polling": {cid: poll.as_dict()
-                        for cid, poll in self.polling.items()},
-            "phases": {f"{phase}/{lane}": stats.as_dict()
-                       for (phase, lane), stats in self.phases.items()},
-            "latency": {method: stats.as_dict()
-                        for method, stats in self.latency.items()},
-            "poll_batches": {method: stats.as_dict()
-                             for method, stats in self.poll_batches.items()},
-            "health": self.health.as_dict(),
-        }
-        if self.slo is not None:
-            out["slo"] = self.slo
-        if self.timeline is not None:
-            out["timeline"] = self.timeline
-        if self.obs_overhead is not None:
-            out["obs_overhead"] = self.obs_overhead
-        return out
 
 
 # -- internal builders (shim- and warning-free) -------------------------------

@@ -238,10 +238,6 @@ class PollManager:
     def get_skip(self, method: str) -> int:
         return self.skip.get(method, 1)
 
-    def enable(self, method: str) -> None:
-        self._disabled.discard(method)
-        self._plan = None
-
     def disable(self, method: str) -> None:
         """Stop polling ``method`` entirely (e.g. forwarding targets)."""
         if method not in self.methods:
@@ -421,7 +417,7 @@ class PollManager:
             lane.poll_time += cost
         watch = None
         if self._observed:
-            now = self.context.nexus.sim._clock._now
+            now = self.context.nexus.sim._now
             watch = [(lane, _oldest_wait(lane.inbox, now))
                      for lane in self._observed]
         return firing, total_cost, foreign_cost, watch
@@ -505,7 +501,6 @@ class PollManager:
             predicate = condition
         context = self.context
         sim = context.nexus.sim
-        clock = sim._clock
         loop_cost = context.nexus.runtime_costs.poll_loop_cost
         obs = context.nexus.obs
         stats = self.stats
@@ -539,9 +534,9 @@ class PollManager:
             wake = self._idle_wake(extra_wake)
             if wake is None:
                 continue  # deliverable right now; the next poll finds it
-            started = clock._now
+            started = sim._now
             yield wake
-            elapsed = clock._now - started
+            elapsed = sim._now - started
             if elapsed > 0.0:
                 self._account_idle_spin(elapsed, started)
             stats.idle_fast_forwards += 1
@@ -557,7 +552,7 @@ class PollManager:
             return None
         context = self.context
         sim = context.nexus.sim
-        now = sim._clock._now
+        now = sim._now
         t_next = self._next_known_deliverable()
         if t_next is not None and t_next <= now + _EPS:
             return None
@@ -596,7 +591,7 @@ class PollManager:
         generate (amortised cycle, fixed-point stall: see the module
         docstring)."""
         context = self.context
-        now = context.nexus.sim._clock._now
+        now = context.nexus.sim._now
         plan = self._plan
         if plan is None:
             plan = self._ensure_plan()

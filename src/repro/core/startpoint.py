@@ -162,7 +162,7 @@ class Startpoint:
         if (link.comm is not None and not excluded
                 and link.selected_table is link.table
                 and link.health_epoch == health.epoch
-                and context.nexus.sim._clock._now < health.next_probe_at):
+                and context.nexus.sim._now < health.next_probe_at):
             return link.comm
         down = health.down_methods(link.context_id)
         unavailable = set(down) | set(excluded)

@@ -147,19 +147,6 @@ class FleetRun:
     outcomes: dict[str, TaskOutcome]
     wall_s: float
 
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes.values())
-
-    def results(self) -> dict[str, object]:
-        """Key-ordered results; raises the first error in key order."""
-        for key in sorted(self.outcomes):
-            error = self.outcomes[key].error
-            if error is not None:
-                raise error
-        return {key: self.outcomes[key].result
-                for key in sorted(self.outcomes)}
-
 
 def run_plan(plan: FleetPlan, *, jobs: int = 1,
              pool: FleetPool | None = None) -> FleetRun:

@@ -14,7 +14,8 @@ onto the paper's abstractions is exact and is why this layer is tiny:
   communications are merged".
 
 Channels carry typed payloads (the MPI payload encoding) and ports
-themselves; writers announce themselves (fork) and retire (close), and
+themselves; writers announce themselves (a port sent on a channel) and
+retire (close), and
 a read on a fully closed, drained channel raises
 :class:`ChannelClosed` — FM's end-of-channel condition.
 """

@@ -51,11 +51,6 @@ class InPort:
     def open_writers(self) -> int:
         return self.writers_opened - self.writers_closed
 
-    @property
-    def drained(self) -> bool:
-        """No queued values and no writer left to produce more."""
-        return not self.queue and self.open_writers <= 0
-
     def __len__(self) -> int:
         return len(self.queue)
 
@@ -91,9 +86,9 @@ class InPort:
 class OutPort:
     """A sending end of a channel (a mobile value).
 
-    ``fork()`` creates another writer (announcing itself to the reader);
     ``to_wire()``/``from_wire()`` move a port between contexts — or pack
-    it into any channel message with :meth:`send`, ports included.
+    it into any channel message with :meth:`send`, which announces it
+    to its reader as another writer.
     """
 
     def __init__(self, startpoint: Startpoint, *, _announced: bool = True):
@@ -141,14 +136,6 @@ class OutPort:
             return
         self.closed = True
         yield from _send_control(self, _OP_CLOSE)
-
-    def fork(self):
-        """Generator: a new independent writer on the same channel."""
-        self._require_open()
-        copy = OutPort(self.context.import_startpoint(
-            self.startpoint.to_wire()))
-        yield from _send_control(copy, _OP_OPEN)
-        return copy
 
     # -- mobility ---------------------------------------------------------------
 

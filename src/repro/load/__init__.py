@@ -4,7 +4,7 @@ capacity planning over the multimethod stack.
 The layers, bottom-up:
 
 * :mod:`~repro.load.arrivals` — seeded arrival processes (open-loop
-  Poisson with bursty/diurnal modulation, closed-loop think time) and
+  Poisson with bursty modulation, closed-loop think time) and
   message-size distributions, all drawn from named
   :mod:`repro.simnet.random` substreams.
 * :mod:`~repro.load.scenario` — declarative :class:`LoadScenario`:
@@ -38,17 +38,14 @@ from .arrivals import (
     ArrivalProcess,
     Bursty,
     ClosedLoop,
-    Diurnal,
     FixedSize,
     LoadSpecError,
     LognormalSize,
     MixedRoundPattern,
     Modulation,
     OpenLoop,
-    ParetoSize,
     RoundOp,
     SizeDist,
-    UniformSize,
 )
 from .capacity import CapacityProbe, CapacityResult, find_capacity
 from .clients import FleetResult, LoadResult, run_scenario
@@ -70,7 +67,6 @@ __all__ = [
     "CapacityResult",
     "ChaosBuilder",
     "ClosedLoop",
-    "Diurnal",
     "FixedSize",
     "FleetResult",
     "FleetSpec",
@@ -82,7 +78,6 @@ __all__ = [
     "Modulation",
     "ObjectiveResult",
     "OpenLoop",
-    "ParetoSize",
     "ROUTES",
     "ROUTE_LOCAL",
     "ROUTE_REMOTE",
@@ -90,7 +85,6 @@ __all__ = [
     "SLO",
     "SLOVerdict",
     "SizeDist",
-    "UniformSize",
     "WindowedVerdict",
     "evaluate",
     "evaluate_windows",

@@ -11,12 +11,11 @@ Three families of primitive:
   a wall schedule regardless of completions; the offered-load model) and
   :class:`ClosedLoop` (a fixed client population with think times; the
   interactive-user model).
-* **Rate modulations** — :class:`Diurnal` and :class:`Bursty` reshape an
-  open-loop rate over sim time (thinned Poisson, so the process stays
-  exact, not binned).
-* **Size distributions** — :class:`FixedSize`, :class:`UniformSize`,
-  :class:`LognormalSize`, and the heavy-tailed :class:`ParetoSize`
-  (bounded, because simulated switches have finite patience too).
+* **Rate modulations** — :class:`Bursty` reshapes an open-loop rate
+  over sim time (thinned Poisson, so the process stays exact, not
+  binned).
+* **Size distributions** — :class:`FixedSize` and the capped
+  :class:`LognormalSize`.
 
 :class:`MixedRoundPattern` is the deterministic round/exchange schedule
 the prior-art baseline workload uses — kept here so every traffic shape
@@ -47,10 +46,6 @@ class SizeDist:
     def sample(self, rng: "np.random.Generator") -> int:
         raise NotImplementedError
 
-    def mean(self) -> float:
-        """Expected payload size (used for offered-bytes accounting)."""
-        raise NotImplementedError
-
 
 @dataclasses.dataclass(frozen=True)
 class FixedSize(SizeDist):
@@ -64,29 +59,6 @@ class FixedSize(SizeDist):
 
     def sample(self, rng: "np.random.Generator") -> int:
         return self.nbytes
-
-    def mean(self) -> float:
-        return float(self.nbytes)
-
-
-@dataclasses.dataclass(frozen=True)
-class UniformSize(SizeDist):
-    """Sizes drawn uniformly from ``[low, high]`` inclusive."""
-
-    low: int
-    high: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise LoadSpecError(
-                f"bad uniform size range [{self.low}, {self.high}]")
-
-    def sample(self, rng: "np.random.Generator") -> int:
-        return int(rng.integers(self.low, self.high + 1))
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
 
 @dataclasses.dataclass(frozen=True)
 class LognormalSize(SizeDist):
@@ -110,40 +82,6 @@ class LognormalSize(SizeDist):
         value = rng.lognormal(mean=math.log(self.median), sigma=self.sigma)
         return min(int(value), self.cap)
 
-    def mean(self) -> float:
-        # Mean of the *uncapped* lognormal; close enough for accounting.
-        return float(self.median * math.exp(self.sigma ** 2 / 2.0))
-
-
-@dataclasses.dataclass(frozen=True)
-class ParetoSize(SizeDist):
-    """Bounded Pareto sizes: heavy-tailed with exponent ``alpha``.
-
-    ``alpha <= 2`` gives the infinite-variance regime where tail
-    messages dominate transferred bytes — the adversarial case for any
-    single-method transport choice.
-    """
-
-    minimum: int
-    alpha: float = 1.5
-    cap: int = 1 << 20
-
-    def __post_init__(self) -> None:
-        if self.minimum <= 0 or self.alpha <= 0 or self.cap < self.minimum:
-            raise LoadSpecError(
-                f"bad pareto size spec minimum={self.minimum!r} "
-                f"alpha={self.alpha!r} cap={self.cap!r}")
-
-    def sample(self, rng: "np.random.Generator") -> int:
-        value = self.minimum * (1.0 + rng.pareto(self.alpha))
-        return min(int(value), self.cap)
-
-    def mean(self) -> float:
-        if self.alpha <= 1.0:
-            return float(self.cap)  # mean diverges; the cap binds
-        return float(self.minimum * self.alpha / (self.alpha - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # rate modulations
 # ---------------------------------------------------------------------------
@@ -159,27 +97,6 @@ class Modulation:
 
     def factor(self, t: float) -> float:
         raise NotImplementedError
-
-
-@dataclasses.dataclass(frozen=True)
-class Diurnal(Modulation):
-    """Sinusoidal day/night swing: factor ``1`` at peak, ``1 - depth``
-    in the trough, over ``period`` sim-seconds."""
-
-    period: float
-    depth: float = 0.5
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.period <= 0 or not 0.0 <= self.depth <= 1.0:
-            raise LoadSpecError(
-                f"bad diurnal spec period={self.period!r} "
-                f"depth={self.depth!r}")
-
-    def factor(self, t: float) -> float:
-        swing = 0.5 * (1.0 + math.cos(
-            2.0 * math.pi * (t / self.period + self.phase)))
-        return 1.0 - self.depth * (1.0 - swing)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,10 +149,6 @@ class OpenLoop:
             raise LoadSpecError(f"open-loop rate must be > 0, "
                                 f"got {self.rate!r}")
 
-    @property
-    def closed(self) -> bool:
-        return False
-
     def times(self, rng: "np.random.Generator", start: float,
               until: float) -> _t.Iterator[float]:
         """Absolute arrival times in ``[start, until)``."""
@@ -270,10 +183,6 @@ class ClosedLoop:
         if self.think_time < 0:
             raise LoadSpecError(
                 f"negative think time {self.think_time!r}")
-
-    @property
-    def closed(self) -> bool:
-        return True
 
     def think(self, rng: "np.random.Generator") -> float:
         if not self.jitter or self.think_time == 0.0:
@@ -333,15 +242,12 @@ __all__ = [
     "ArrivalProcess",
     "Bursty",
     "ClosedLoop",
-    "Diurnal",
     "FixedSize",
     "LoadSpecError",
     "LognormalSize",
     "MixedRoundPattern",
     "Modulation",
     "OpenLoop",
-    "ParetoSize",
     "RoundOp",
     "SizeDist",
-    "UniformSize",
 ]

@@ -71,13 +71,6 @@ class CapacityResult:
             "probes": [probe.as_dict() for probe in self.probes],
         }
 
-    def summary(self) -> str:
-        edge = ("n/a" if self.first_failing_rate is None
-                else f"{self.first_failing_rate:.1f}")
-        return (f"{self.scenario} / {self.slo}: capacity "
-                f"{self.capacity:.1f} RSR/s (first failure {edge}, "
-                f"{len(self.probes)} probes)")
-
 
 def _probe(scenario: LoadScenario, slo: SLO, rate: float) -> CapacityProbe:
     result = run_scenario(scenario.at_rate(rate))

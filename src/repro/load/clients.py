@@ -53,9 +53,6 @@ class FleetResult:
     #: Sends abandoned because no healthy method remained (chaos runs).
     send_failures: int = 0
 
-    def as_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass
 class LoadResult:
@@ -99,10 +96,6 @@ class LoadResult:
         return sum(f.delivered for f in self.fleets.values())
 
     @property
-    def duration(self) -> float:
-        return self.scenario.duration
-
-    @property
     def elapsed(self) -> float:
         """Window plus whatever drain the backlog needed."""
         return max(self.scenario.duration, self.last_delivery_at)
@@ -136,16 +129,6 @@ class LoadResult:
         return dataclasses.replace(
             self,
             scenario=dataclasses.replace(self.scenario, chaos=None))
-
-    def summary(self) -> str:
-        p50 = self.quantile_us(0.5)
-        p99 = self.quantile_us(0.99)
-        fmt = lambda v: "n/a" if v is None else f"{v:.0f} us"  # noqa: E731
-        return (f"{self.scenario.name}: offered {self.offered} "
-                f"({self.offered_rate:.0f}/s) delivered {self.delivered} "
-                f"({self.delivered_rate:.0f}/s) p50 {fmt(p50)} "
-                f"p99 {fmt(p99)} drops {self.messages_dropped} "
-                f"retries {self.retries}")
 
 
 # ---------------------------------------------------------------------------

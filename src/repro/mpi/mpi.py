@@ -134,7 +134,7 @@ class MpiProcess:
         nbytes = payload_nbytes(data)
         threshold = config.eager_threshold
         sp = self.startpoint_to(comm.world_rank(dest))
-        now = sim._clock._now
+        now = sim._now
 
         if threshold is not None and nbytes >= threshold:
             # Rendezvous: ship only the envelope; park the payload.
@@ -239,7 +239,7 @@ class MpiProcess:
             yield overhead
         posted = self._post(source, tag, comm, collective)
         yield from self.context.wait(posted.done)
-        return posted.result(sim._clock._now)
+        return posted.result(sim._now)
 
     def sendrecv(self, data: Payload, dest: int, sendtag: int,
                  source: int, recvtag: int,
@@ -249,7 +249,7 @@ class MpiProcess:
         posted = self._post(source, recvtag, comm, False)
         yield from self.send(data, dest, sendtag, comm)
         yield from self.context.wait(posted.done)
-        return posted.result(self.nexus.sim._clock._now)
+        return posted.result(self.nexus.sim._now)
 
     # -- collectives (delegating to repro.mpi.collectives) ---------------------
 
@@ -286,7 +286,7 @@ def _mpi_handler(context: Context, endpoint: Endpoint | None,
             context_id=context_id, source=source, tag=tag,
             payload=unpack_payload(buffer),
             nbytes=nbytes + MPI_ENVELOPE_BYTES, sent_at=sent_at,
-            arrived_at=context.nexus.sim._clock._now,
+            arrived_at=context.nexus.sim._now,
         )
         matched = proc.matching.deliver(message)
         obs = context.nexus.obs
@@ -306,7 +306,7 @@ def _mpi_handler(context: Context, endpoint: Endpoint | None,
     message = MpiMessage(
         context_id=context_id, source=source, tag=tag, payload=None,
         nbytes=nbytes + MPI_ENVELOPE_BYTES, sent_at=sent_at,
-        arrived_at=context.nexus.sim._clock._now, pending_token=token,
+        arrived_at=context.nexus.sim._now, pending_token=token,
         sender_world=sender_world,
     )
     posted = proc.matching.deliver(message)

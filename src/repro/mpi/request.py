@@ -30,4 +30,4 @@ class Request:
         posted = self._posted
         yield from self.proc.context.wait(posted.done)
         self._waited = True
-        return posted.result(self.proc.nexus.sim._clock._now)
+        return posted.result(self.proc.nexus.sim._now)

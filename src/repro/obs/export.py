@@ -55,18 +55,11 @@ def _lane_order(spans: _t.Sequence[Span]) -> dict[tuple[int, str], int]:
     return tids
 
 
-def chrome_trace_events(obs: Observability, *, pid_base: int = 0,
-                        context_names: _t.Mapping[int, str] | None = None
-                        ) -> list[dict[str, object]]:
-    """The ``traceEvents`` list for one runtime's in-memory span log."""
-    return _trace_events(obs.spans, pid_base, context_names)
-
-
 def _trace_events(spans: _t.Sequence[Span], pid_base: int,
                   context_names: _t.Mapping[int, str] | None
                   ) -> list[dict[str, object]]:
-    """:func:`chrome_trace_events` over ``spans``, read once per runtime
-    (``obs.spans`` sorts the whole log on every read)."""
+    """The ``traceEvents`` list for one runtime's ``spans``, read once
+    per runtime (``obs.spans`` sorts the whole log on every read)."""
     ctx_order = _context_order(spans)
     lane_tids = _lane_order(spans)
     events: list[dict[str, object]] = []
@@ -253,6 +246,6 @@ DOCUMENT = Schema("repro.obs.trace", None, _validate, "Chrome trace")
 
 
 __all__ = [
-    "DOCUMENT", "chrome_trace_events", "merged_chrome_trace",
+    "DOCUMENT", "merged_chrome_trace",
     "write_merged_chrome_trace",
 ]

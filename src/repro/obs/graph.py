@@ -274,9 +274,6 @@ class PartitionCosts:
     #: balanced; ``None`` when the assignment is empty or weightless.
     imbalance: float | None
 
-    def as_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
-
 
 def evaluate_partition(graph: CommGraph,
                        assignment: _t.Mapping[int, str]

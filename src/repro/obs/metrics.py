@@ -108,12 +108,11 @@ class Histogram:
     ``pending``, an ``array('d')`` emptied in place and never rebound,
     so the cached handle stays valid — and records one raw value per
     call; :meth:`fold` applies them, and every reader —
-    ``mean``, :meth:`quantile`, :meth:`nonzero_buckets`,
-    :meth:`snapshot`, :meth:`observe` itself, the registry's
-    ``histogram``/``collect``/``snapshot``, pickling and copying —
-    folds first.  The plain attributes (``counts``, ``count``,
-    ``total``, ``min_value``, ``max_value``) are current only after a
-    fold.
+    ``mean``, :meth:`quantile`, :meth:`snapshot`, :meth:`observe`
+    itself, the registry's ``histogram``/``collect``/``snapshot``,
+    pickling and copying — folds first.  The plain attributes
+    (``counts``, ``count``, ``total``, ``min_value``, ``max_value``) are
+    current only after a fold.
     """
 
     # ``pending`` lives in the instance ``__dict__``, not in a slot: a
@@ -239,19 +238,6 @@ class Histogram:
             if cumulative >= target and cumulative:
                 return bound
         return self.max_value
-
-    def nonzero_buckets(self) -> list[tuple[float, int]]:
-        """(upper bound, count) for every populated bucket; the overflow
-        bucket reports the observed maximum as its bound."""
-        if self.pending:
-            self.fold()
-        out = []
-        for bound, bucket in zip(self.bounds, self.counts):
-            if bucket:
-                out.append((bound, bucket))
-        if self.counts[-1]:
-            out.append((_t.cast(float, self.max_value), self.counts[-1]))
-        return out
 
     def snapshot(self) -> dict[str, object]:
         if self.pending:

@@ -96,10 +96,6 @@ class Span:
     parent: int | None = None
     attrs: dict[str, object] | None = None
 
-    @property
-    def duration(self) -> float | None:
-        return None if self.end is None else self.end - self.start
-
 
 class MessageTrace:
     """Per-message causal state threaded through the stack.
@@ -132,7 +128,7 @@ class MessageTrace:
         :meth:`Observability.open_span`, inlined, at one clock read.
         """
         obs = self.obs
-        now = obs.sim._clock._now
+        now = obs.sim._now
         previous = self.current
         if (previous is not None and previous.end is None
                 and previous.phase != PHASE_ISSUE):
@@ -198,7 +194,7 @@ class MessageTrace:
             span.attrs["dropped"] = True
             obs.close_span(span)
         obs._counter_handle("rsr_dropped", self.lane).inc()
-        now = obs.sim._clock._now
+        now = obs.sim._now
         timeline = obs.timeline
         if timeline is not None:
             timeline.dropped_column(self.lane).extend((now, 1.0))
@@ -244,7 +240,7 @@ class MessageTrace:
                     span.attrs = {}
                 span.attrs["threaded"] = True
             # Observability.close_span, inlined.
-            end = span.end = obs.sim._clock._now
+            end = span.end = obs.sim._now
             slots, key = obs._phase_slots, (span.phase, span.lane)
             observe, column = (slots[key] if key in slots
                                else obs._phase_slot(*key))
@@ -442,7 +438,7 @@ class Observability:
             self.dropped_spans += 1
             return None
         span = Span(id=span_id, rsr=rsr, phase=phase, ctx=ctx,
-                    lane=lane, start=self.sim._clock._now, parent=parent,
+                    lane=lane, start=self.sim._now, parent=parent,
                     attrs=attrs or None)
         self._next_span = span_id + 1
         self._open[span_id] = span
@@ -453,7 +449,7 @@ class Observability:
     def close_span(self, span: Span | None) -> None:
         if span is None:
             return
-        end = span.end = self.sim._clock._now
+        end = span.end = self.sim._now
         slots, key = self._phase_slots, (span.phase, span.lane)
         observe, column = (slots[key] if key in slots
                            else self._phase_slot(*key))
@@ -516,7 +512,7 @@ class Observability:
         if resident >= sink.max_spans:
             self.dropped_spans += 1
             return None
-        now = self.sim._clock._now
+        now = self.sim._now
         span = Span(span_id, self._next_rsr, PHASE_ISSUE, ctx, NEXUS_LANE,
                     now, None, None, {"handler": handler, "links": links})
         self._next_span = span_id + 1

@@ -16,11 +16,11 @@ a data path.  This module supplies the other sink and its reader:
   (``spans_opened == spans_emitted + spans_sampled_out +
   spans_dropped``).
 
-* Seeded **sampling policies** (``head:N``, ``tail:N``,
-  ``head:N,tail:M``, ``reservoir:K`` per lane) decide, whole RSRs at a
-  time, which span groups reach disk.  RSRs that carry failure evidence
-  — retry/failover/probe spans, dropped or failed messages — are
-  *always* kept, so chaos analysis never loses its witnesses.
+* A seeded **sampling policy** (``reservoir:K`` per lane) decides,
+  whole RSRs at a time, which span groups reach disk.  RSRs that carry
+  failure evidence — retry/failover/probe spans, dropped or failed
+  messages — are *always* kept, so chaos analysis never loses its
+  witnesses.
 
 * One reader of the shards, yielding each RSR's span group at its
   resolution record: :meth:`SpanSpool.rsr_groups`, so the span
@@ -69,7 +69,6 @@ each replayed column is extended once per block.
 from __future__ import annotations
 
 import bisect
-import collections
 import dataclasses
 import hashlib
 import itertools
@@ -150,31 +149,6 @@ class _Staged:
         self.lane: str | None = None
 
 
-class _HeadTail:
-    """Keep the first ``head`` and last ``tail`` resolved RSRs."""
-
-    def __init__(self, head: int, tail: int) -> None:
-        self.head = head
-        self.tail = tail
-        self._kept_head = 0
-        self._stash: collections.deque[_Staged] = collections.deque()
-
-    def offer(self, staged: _Staged) -> tuple[str, tuple[_Staged, ...]]:
-        if self._kept_head < self.head:
-            self._kept_head += 1
-            return "keep", ()
-        if self.tail:
-            self._stash.append(staged)
-            if len(self._stash) > self.tail:
-                return "stash", (self._stash.popleft(),)
-            return "stash", ()
-        return "drop", ()
-
-    def drain(self) -> _t.Iterator[_Staged]:
-        while self._stash:
-            yield self._stash.popleft()
-
-
 class _Reservoir:
     """Per-lane reservoir of ``k`` RSRs (Algorithm R, seeded per lane)."""
 
@@ -185,7 +159,10 @@ class _Reservoir:
         self._lanes: dict[str, list] = {}
         self._rngs: dict[str, random.Random] = {}
 
-    def offer(self, staged: _Staged) -> tuple[str, tuple[_Staged, ...]]:
+    def offer(self, staged: _Staged) -> _Staged | None:
+        """Stash ``staged`` or turn it away; return the RSR this offer
+        leaves out of the sample (an evicted one, or ``staged``), if
+        any."""
         lane = staged.lane or NEXUS_LANE
         bucket = self._lanes.get(lane)
         if bucket is None:
@@ -197,13 +174,13 @@ class _Reservoir:
         slots: list[_Staged] = bucket[1]
         if len(slots) < self.k:
             slots.append(staged)
-            return "stash", ()
+            return None
         j = self._rngs[lane].randrange(bucket[0])
         if j < self.k:
             evicted = slots[j]
             slots[j] = staged
-            return "stash", (evicted,)
-        return "drop", ()
+            return evicted
+        return staged
 
     def drain(self) -> _t.Iterator[_Staged]:
         for lane in sorted(self._lanes):
@@ -211,37 +188,21 @@ class _Reservoir:
         self._lanes.clear()
 
 
-def parse_policy(spec: str | None, seed: int = 0):
+def parse_policy(spec: str | None, seed: int = 0) -> _Reservoir | None:
     """Parse a sampling spec into a policy object (or ``None``).
 
-    Accepted forms: ``head:N``, ``tail:N``, ``head:N,tail:M``,
-    ``reservoir:K``.  All decisions are made at whole-RSR granularity
-    at resolution time; forced-keep classes bypass the policy entirely.
+    The one accepted form is ``reservoir:K``.  All decisions are made
+    at whole-RSR granularity at resolution time; forced-keep classes
+    bypass the policy entirely.
     """
     if spec is None or spec == "":
         return None
-    if spec.startswith("reservoir:"):
-        k = int(spec.partition(":")[2])
-        if k <= 0:
-            raise ValueError(f"reservoir size must be positive: {spec!r}")
-        return _Reservoir(k, seed)
-    head = tail = None
-    for part in spec.split(","):
-        name, sep, num = part.partition(":")
-        if not sep or name not in ("head", "tail"):
-            raise ValueError(f"unknown sampling policy: {spec!r}")
-        value = int(num)
-        if value < 0:
-            raise ValueError(f"negative sample count: {spec!r}")
-        if name == "head":
-            if head is not None:
-                raise ValueError(f"duplicate head clause: {spec!r}")
-            head = value
-        else:
-            if tail is not None:
-                raise ValueError(f"duplicate tail clause: {spec!r}")
-            tail = value
-    return _HeadTail(head or 0, tail or 0)
+    if not spec.startswith("reservoir:"):
+        raise ValueError(f"unknown sampling policy: {spec!r}")
+    k = int(spec.partition(":")[2])
+    if k <= 0:
+        raise ValueError(f"reservoir size must be positive: {spec!r}")
+    return _Reservoir(k, seed)
 
 
 # -- the spool ----------------------------------------------------------------
@@ -517,13 +478,8 @@ class SpanSpool:
             self._extend(staged.items)
             self.rsrs_kept += 1
         else:
-            verdict, evicted = self._policy.offer(staged)
-            if verdict == "keep":
-                self._extend(staged.items)
-                self.rsrs_kept += 1
-            elif verdict == "drop":
-                self._discard(staged)
-            for victim in evicted:
+            victim = self._policy.offer(staged)
+            if victim is not None:
                 self._discard(victim)
 
     # -- internals -----------------------------------------------------------

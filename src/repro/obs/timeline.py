@@ -117,9 +117,6 @@ class Timeline:
     def window_of(self, now: float) -> int:
         return int(now / self.interval)
 
-    def window_start(self, index: int) -> float:
-        return index * self.interval
-
     def window_end(self, index: int) -> float:
         return (index + 1) * self.interval
 

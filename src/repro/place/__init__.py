@@ -26,7 +26,6 @@ from .partition import (
     kernighan_lin_refine,
     random_partition,
     spectral_partition,
-    work_balanced_partition,
 )
 from .plan import (
     PLAN_SCHEMA,
@@ -76,5 +75,4 @@ __all__ = [
     "search_placements",
     "serving_demand",
     "spectral_partition",
-    "work_balanced_partition",
 ]

@@ -1,11 +1,9 @@
 """Byte-deterministic graph partitioners over :class:`CommGraph`.
 
-Four strategies, ordered by sophistication:
+Three strategies, ordered by sophistication:
 
 * :func:`random_partition` — seeded balanced random assignment, the
   baseline every real partitioner must beat;
-* :func:`work_balanced_partition` — longest-processing-time greedy on
-  node weights, ignores edges entirely (balance-only);
 * :func:`kernighan_lin_refine` — pairwise-swap refinement that lowers
   the weighted cut of any starting assignment while preserving
   partition sizes;
@@ -101,23 +99,6 @@ def random_partition(graph: CommGraph, k: int, *, seed: int = 0
     labels = [_label(index % k) for index in range(len(ranks))]
     random.Random(seed).shuffle(labels)
     return dict(zip(ranks, labels))
-
-
-def work_balanced_partition(graph: CommGraph, k: int) -> Assignment:
-    """Greedy LPT: heaviest rank first onto the lightest partition."""
-    ranks = _check_request(graph, k)
-    weights = node_weights(graph)
-    loads = [0.0] * k
-    counts = [0] * k
-    assignment: Assignment = {}
-    # Heaviest first; ties broken by rank so the scan is total.
-    for rank in sorted(ranks, key=lambda r: (-weights[r], r)):
-        index = min(range(k), key=lambda i: (loads[i], counts[i], i))
-        assignment[rank] = _label(index)
-        loads[index] += weights[rank]
-        counts[index] += 1
-    # Every label must appear (k <= n_ranks guarantees enough ranks).
-    return assignment
 
 
 def kernighan_lin_refine(graph: CommGraph,
@@ -279,5 +260,4 @@ __all__ = [
     "node_weights",
     "random_partition",
     "spectral_partition",
-    "work_balanced_partition",
 ]

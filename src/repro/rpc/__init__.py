@@ -12,8 +12,8 @@ This package is that layer:
 
 * :func:`expose` publishes a Python object at a context and returns a
   :class:`GlobalPointer` to it;
-* a global pointer supports ``call`` (request/response), ``acall``
-  (returns an :class:`RpcFuture`), and ``cast`` (one-way, no reply);
+* a global pointer supports ``call`` (request/response) and ``acall``
+  (returns an :class:`RpcFuture`);
 * pointers are mobile: pack one into a buffer (or pass it as an RPC
   argument!) and the receiving context gets a working pointer whose
   transport is re-selected locally — the Figure 3 mechanism, lifted to

@@ -68,20 +68,6 @@ class GlobalPointer:
         result = yield from future.wait()
         return result
 
-    def cast(self, method: str, *args: object):
-        """Generator: one-way invocation (no reply, no result).
-
-        A failure in the remote method surfaces *at the callee* (there
-        is nowhere to send it) — fire-and-forget semantics.
-        """
-        from .service import NO_REPLY, CALL_HANDLER
-
-        request = Buffer()
-        request.put_int(NO_REPLY)
-        request.put_str(method)
-        pack_values(request, args)
-        yield from self.startpoint.rsr(CALL_HANDLER, request)
-
     # -- mobility -------------------------------------------------------------
 
     def to_wire(self) -> WireStartpoint:

@@ -24,10 +24,6 @@ from .pointer import GlobalPointer
 CALL_HANDLER = "__rpc_call__"
 REPLY_HANDLER = "__rpc_reply__"
 
-#: Sequence number used by one-way casts (no reply expected).
-NO_REPLY = 0
-
-
 class RpcRuntime:
     """Per-context RPC state (created on first use)."""
 
@@ -82,11 +78,7 @@ def _call_handler(context: Context, endpoint: Endpoint | None,
     target = endpoint.bound_object
     seq = buffer.get_int()
     method_name = buffer.get_str()
-    wants_reply = seq != NO_REPLY
-    reply_pointer: GlobalPointer | None = None
-    if wants_reply:
-        reply_pointer = _t.cast(GlobalPointer,
-                                unpack_value(buffer, context))
+    reply_pointer = _t.cast(GlobalPointer, unpack_value(buffer, context))
     args = unpack_values(buffer, context)
     RpcRuntime.of(context).calls_served += 1
 
@@ -107,10 +99,6 @@ def _call_handler(context: Context, endpoint: Endpoint | None,
         except BaseException as exc:  # noqa: BLE001 - marshalled to caller
             status = 1
             result = (type(exc).__name__, str(exc))
-        if not wants_reply:
-            if status:
-                raise RemoteError(*_t.cast(tuple, result))  # surfaced here
-            return
         reply = Buffer()
         reply.put_int(seq)
         reply.put_int(status)
@@ -120,7 +108,6 @@ def _call_handler(context: Context, endpoint: Endpoint | None,
             reply.put_str(message)
         else:
             pack_value(reply, result)
-        assert reply_pointer is not None
         yield from reply_pointer.startpoint.rsr(REPLY_HANDLER, reply)
 
     return run()

@@ -13,10 +13,8 @@ Public API::
     from repro.simnet import Host, Machine, Partition, Network, LinkProfile
 """
 
-from .clock import VirtualClock
 from .engine import Simulator
 from .errors import (
-    ClockError,
     EventError,
     ProcessError,
     ScheduleError,
@@ -34,7 +32,6 @@ from .resources import Resource, Store
 
 __all__ = [
     "AllOf",
-    "ClockError",
     "Event",
     "EventError",
     "FaultPlan",
@@ -54,7 +51,6 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "VirtualClock",
     "WanLink",
     "derive",
     "derived_generator",

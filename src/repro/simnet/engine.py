@@ -38,7 +38,6 @@ import functools
 import heapq
 import typing as _t
 
-from .clock import VirtualClock
 from .errors import ScheduleError, SimnetError, SimulationFinished
 from .events import AllOf, Event, Timeout
 from .process import Process, ProcessGenerator
@@ -53,8 +52,11 @@ _INF = float("inf")
 class Simulator:
     """A deterministic discrete-event simulation kernel."""
 
-    def __init__(self, start: float = 0.0):
-        self._clock = VirtualClock(start)
+    def __init__(self) -> None:
+        #: Current simulated time in seconds.  Only the run loop moves
+        #: it, and only forward: no event is scheduled in the past, so
+        #: each popped ``t`` is at least the one before it.
+        self._now = 0.0
         #: The event queue: a heap of ``(t, priority, seq, event)``.
         #: Never rebound — ``run()`` holds a reference to it.
         self._heap: list[tuple[float, int, int, Event]] = []
@@ -75,7 +77,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._clock._now
+        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -83,10 +85,6 @@ class Simulator:
         return self._events_processed
 
     # -- event creation ------------------------------------------------------
-
-    def event(self, name: str | None = None) -> Event:
-        """Create a fresh untriggered :class:`Event`."""
-        return Event(self, name=name)
 
     def timeout_at(self, when: float, value: object = None,
                    name: str | None = None) -> Timeout:
@@ -126,9 +124,8 @@ class Simulator:
         if not heap:
             raise SimnetError("step() on an empty event queue")
         t, _, _, event = heapq.heappop(heap)
-        clock = self._clock
-        if t > clock._now:
-            clock._now = t
+        if t > self._now:
+            self._now = t
         self._events_processed += 1
 
         callbacks = event.callbacks
@@ -177,13 +174,12 @@ class Simulator:
             until.callbacks.append(finish)
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._clock._now:
+            if stop_time < self._now:
                 raise ScheduleError(
                     f"run(until={stop_time!r}) is in the past (now={self.now!r})"
                 )
 
         processed = 0
-        clock = self._clock
         heap = self._heap
         heappop = heapq.heappop
         # ``_events_processed`` is kept in a local for the duration of the
@@ -198,7 +194,7 @@ class Simulator:
             while heap:
                 t = heap[0][0]
                 if stop_time is not None and t >= stop_time:
-                    clock.advance_to(stop_time)
+                    self._now = stop_time
                     return None
                 if processed >= max_events:
                     raise SimnetError(
@@ -206,8 +202,8 @@ class Simulator:
                         "likely an unbounded poll loop"
                     )
                 event = heappop(heap)[3]
-                if t > clock._now:
-                    clock._now = t
+                if t > self._now:
+                    self._now = t
                 events_processed += 1
                 processed += 1
 
@@ -242,7 +238,7 @@ class Simulator:
                 "(deadlock?)"
             )
         if stop_time is not None:
-            clock.advance_to(stop_time)
+            self._now = stop_time
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

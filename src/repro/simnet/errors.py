@@ -7,10 +7,6 @@ class SimnetError(Exception):
     """Base class for all simulation-engine errors."""
 
 
-class ClockError(SimnetError):
-    """The virtual clock was asked to move backwards or to an invalid time."""
-
-
 class ScheduleError(SimnetError):
     """An event could not be scheduled (negative delay, re-schedule, ...)."""
 

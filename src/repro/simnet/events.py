@@ -73,13 +73,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only valid once triggered."""
-        if self._ok is None:
-            raise EventError(f"{self!r} has not been triggered yet")
-        return self._ok
-
-    @property
     def value(self) -> object:
         """The value the event was triggered with (or its exception)."""
         if self._value is PENDING:
@@ -101,7 +94,7 @@ class Event:
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim._clock._now, priority, seq, self))
+        heappush(sim._heap, (sim._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -121,7 +114,7 @@ class Event:
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim._clock._now, priority, seq, self))
+        heappush(sim._heap, (sim._now, priority, seq, self))
         return self
 
     def defuse(self) -> None:
@@ -175,7 +168,7 @@ class Timeout(Event):
         delay = float(delay)
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim._clock._now + delay, priority, seq, self))
+        heappush(sim._heap, (sim._now + delay, priority, seq, self))
 
     @classmethod
     def at(cls, sim: "Simulator", when: float, value: object = None,
@@ -189,7 +182,7 @@ class Timeout(Event):
         the clock to read exactly that value uses this constructor.
         """
         when = float(when)
-        now = sim._clock._now
+        now = sim._now
         if not when >= now:  # also rejects NaN
             raise ScheduleError(
                 f"timeout at {when!r} is in the past (now={now!r})")

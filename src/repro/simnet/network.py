@@ -262,10 +262,6 @@ class Network:
         self._adjacency[b].append(link)
         return link
 
-    @property
-    def hosts(self) -> list[Host]:
-        return [h for m in self.machines for h in m.hosts]
-
     def degrade(self, a: Machine, b: Machine, *,
                 latency_factor: float = 1.0,
                 bandwidth_factor: float = 1.0,

@@ -103,7 +103,7 @@ class Process(Event):
         timer.callbacks = self._wake = [self._resume]
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim._clock._now, URGENT, seq, timer))
+        heappush(sim._heap, (sim._now, URGENT, seq, timer))
 
     # -- introspection ---------------------------------------------------
 
@@ -190,7 +190,7 @@ class Process(Event):
             timer.callbacks = self._wake
             seq = sim._seq + 1
             sim._seq = seq
-            heappush(sim._heap, (sim._clock._now + delay, NORMAL, seq, timer))
+            heappush(sim._heap, (sim._now + delay, NORMAL, seq, timer))
             return
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

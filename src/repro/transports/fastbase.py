@@ -63,7 +63,7 @@ class FastTransport(Transport):
         if overhead > 0:
             yield overhead
         message.method = self.name
-        message.sent_at = self.sim._clock._now
+        message.sent_at = self.sim._now
         self.record_send(message)
         if message.trace is not None:
             message.trace.transition("wire", ctx=local.id, lane=self.name,
@@ -87,7 +87,7 @@ class FastTransport(Transport):
 
     def _enqueue_at_device(self, destination: ContextLike,
                            message: WireMessage) -> None:
-        now = self.sim._clock._now
+        now = self.sim._now
         queue = destination.device_queue(self.name)
         busy = destination.device_busy.get(self.name, 0.0)
         start = max(now, busy)
@@ -121,7 +121,7 @@ class FastTransport(Transport):
             queue = context._device_queues.get(self.name)  # type: ignore[attr-defined]
         if not queue:
             return []
-        now = self.sim._clock._now
+        now = self.sim._now
         foreign_now = context.foreign_poll_total
         ready: list[WireMessage] = []
         while queue:
@@ -170,9 +170,8 @@ class FastTransport(Transport):
                 f"{self.name} spin with loop cost {loop_cost!r} and poll "
                 f"cost {poll_cost!r} would never advance the clock")
         sim = self.sim
-        clock = sim._clock
         queues = context._device_queues  # type: ignore[attr-defined]
-        t = clock._now  # the grid instant the spin has reached
+        t = sim._now  # the grid instant the spin has reached
         while True:
             queue = queues.get(self.name)
             if not queue:
@@ -192,10 +191,10 @@ class FastTransport(Transport):
             # to, whether the loop saw the message there would hang on
             # same-instant event order, which this spin does not
             # reproduce.
-            if t <= clock._now:
+            if t <= sim._now:
                 raise TransportError(
                     f"{self.name} spin: poll instant {t!r} delivers no "
-                    f"later than the clock ({clock._now!r}): a message "
+                    f"later than the clock ({sim._now!r}): a message "
                     "drained in zero time, or the costs are below the "
                     "clock's resolution")
             yield sim.timeout_at(t)

@@ -43,14 +43,6 @@ class MulticastTransport(IpTransport):
             members.append(context.id)
             self.services.metrics.counter("mcast.joins").inc()
 
-    def leave(self, group: str, context: ContextLike) -> None:
-        members = self.groups.get(group, [])
-        if context.id in members:
-            members.remove(context.id)
-
-    def members(self, group: str) -> tuple[int, ...]:
-        return tuple(self.groups.get(group, ()))
-
     # -- descriptors --------------------------------------------------------
 
     def descriptor_for_group(self, context: ContextLike, group: str) -> Descriptor:

@@ -107,9 +107,5 @@ class TransportRegistry:
         return sorted(self._transports,
                       key=lambda n: self._transports[n].speed_rank)
 
-    def transports(self) -> list[Transport]:
-        """Enabled transports, fastest first."""
-        return [self._transports[n] for n in self.names()]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<TransportRegistry {self.names()}>"

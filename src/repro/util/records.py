@@ -40,15 +40,6 @@ class ResultTable:
         self.rows.append(row)
         return row
 
-    def value(self, label: str, column: str | int = 0) -> float:
-        """Look up one cell by row label and column name/index."""
-        index = (column if isinstance(column, int)
-                 else self.columns.index(column))
-        for row in self.rows:
-            if row.label == label:
-                return row.values[index]
-        raise KeyError(f"no row labelled {label!r}")
-
     def render(self, precision: int = 3) -> str:
         """Render as a fixed-width plain-text table."""
         header = ["experiment", *self.columns, "note"]
@@ -76,10 +67,9 @@ class ResultTable:
 class Series:
     """A named (x, y) series — one line of a paper figure."""
 
-    def __init__(self, name: str, x_label: str = "x", y_label: str = "y"):
+    def __init__(self, name: str, x_label: str = "x"):
         self.name = name
         self.x_label = x_label
-        self.y_label = y_label
         self.points: list[tuple[float, float]] = []
 
     def add(self, x: float, y: float) -> None:
@@ -107,11 +97,6 @@ class Series:
         if increasing:
             return all(b >= a - tolerance for a, b in zip(ys, ys[1:]))
         return all(b <= a + tolerance for a, b in zip(ys, ys[1:]))
-
-    def render(self, precision: int = 3) -> str:
-        lines = [f"{self.name}  ({self.x_label} -> {self.y_label})"]
-        lines.extend(f"  {x:>12g}  {y:.{precision}f}" for x, y in self.points)
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Series {self.name!r} points={len(self.points)}>"

@@ -1,107 +1,12 @@
-"""Runtime diagnostics report: where did the (virtual) time go?
+"""Plain-text renderings of the span products for the terminal.
 
-:func:`runtime_report` renders the :class:`~repro.core.enquiry.EnquiryReport`
-of a live :class:`~repro.core.runtime.Nexus` as plain text — per-context
-polling behaviour (cycles, per-method fires/time/hit-rates, skip
-settings), per-transport traffic, traced latency and phase
-distributions, the windowed timeline — plus the runtime's registry
-counters.  Tests pin its whole output (``tests/golden/``).
+:func:`hot_path_report` tables a :class:`~repro.obs.perf.PerfProfile`'s
+hottest (phase, lane, handler) keys, and :func:`critical_path_report`
+the slowest end-to-end RSR paths with their phase attribution.  The
+bench CLI's ``--profile`` and the ``analysis`` artefact print them.
 """
 
 from __future__ import annotations
-
-import typing as _t
-
-from .units import format_bytes, format_time
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..core.enquiry import EnquiryReport
-    from ..core.runtime import Nexus
-
-
-def _context_section(nexus: "Nexus", report: "EnquiryReport") -> list[str]:
-    lines = ["contexts:"]
-    for context in nexus.contexts.values():
-        poll = report.polling[context.id]
-        lines.append(
-            f"  {context.name} (id {context.id}, host {context.host.name})")
-        lines.append(
-            f"    methods {context.export_table().methods}  "
-            f"poll cycles {poll.cycles}  "
-            f"fast-forwards {poll.idle_fast_forwards}  "
-            f"rsrs in {context.rsrs_dispatched}")
-        for method in sorted(poll.fires):
-            skip = poll.skip.get(method, 1)
-            hit_rate = poll.hit_rates.get(method)
-            lines.append(
-                f"    {method:>8}: fired {poll.fires[method]:>8} times, "
-                f"{format_time(poll.poll_time[method]):>10} polling, "
-                f"{poll.messages.get(method, 0):>6} msgs "
-                f"(hit rate "
-                f"{'n/a' if hit_rate is None else format(hit_rate, '.1%')}, "
-                f"skip_poll {skip})")
-        never_fired = sorted(m for m, rate in poll.hit_rates.items()
-                             if rate is None and m not in poll.fires)
-        if never_fired:
-            lines.append(f"    never fired: {', '.join(never_fired)}")
-    return lines
-
-
-def _transport_section(report: "EnquiryReport") -> list[str]:
-    lines = ["transports:"]
-    for name, stats in report.transports.items():
-        if stats.messages_sent == 0 and stats.messages_dropped == 0:
-            continue
-        lines.append(
-            f"  {name:>8}: {stats.messages_sent:>7} messages, "
-            f"{format_bytes(stats.bytes_sent):>10} sent"
-            + (f", {stats.messages_dropped} dropped "
-               f"({format_bytes(stats.bytes_dropped)})"
-               if stats.messages_dropped else ""))
-    if len(lines) == 1:
-        lines.append("  (no traffic)")
-    return lines
-
-
-def _observability_section(nexus: "Nexus",
-                           report: "EnquiryReport") -> list[str]:
-    """Phase breakdown of traced RSR lifecycles (only when observing)."""
-    overhead = report.obs_overhead
-    if overhead is None or not (overhead["streaming"]
-                                or overhead["spans_recorded"]):
-        return []
-    lines = ["observability:"]
-    if overhead["streaming"]:
-        lines.append(
-            f"  streaming: {overhead['spans_recorded']} spans spooled "
-            f"over {overhead['rsrs_started']} RSRs "
-            f"({overhead['rsrs_finished']} delivered), "
-            f"{overhead['spans_sampled_out']} sampled out, "
-            f"peak {overhead['peak_spans']} open spans, "
-            f"{overhead['shards']} shard(s)")
-        # Wall-clock cost lives on the spool, not in obs.overhead().
-        sink = nexus.obs.sink
-        lines.append(
-            f"  spool: {sink.bytes_written} bytes written, "
-            f"{sink.wall_s * 1e3:.2f} ms wall in block writes and finalize")
-    else:
-        lines.append(
-            f"  {overhead['spans_recorded']} spans over "
-            f"{overhead['rsrs_started']} RSRs "
-            f"({overhead['rsrs_finished']} delivered), "
-            f"peak log occupancy {overhead['peak_spans']}"
-            + (f", {overhead['spans_dropped']} spans dropped at capacity"
-               if overhead["spans_dropped"] else ""))
-    for method, stats in sorted(report.latency.items()):
-        lines.append(
-            f"  end-to-end {method:>8}: n={stats.count:<6} "
-            f"mean {stats.mean_us:8.1f} us  p95 {stats.p95_us:8.1f} us  "
-            f"max {stats.max_us:8.1f} us")
-    for (phase, lane), stats in sorted(report.phases.items()):
-        lines.append(
-            f"  {phase:>11}/{lane:<8}: n={stats.count:<6} "
-            f"mean {stats.mean_us:8.1f} us  p95 {stats.p95_us:8.1f} us")
-    return lines
 
 
 def hot_path_report(profile, top_n: int = 15) -> str:
@@ -127,25 +32,6 @@ def hot_path_report(profile, top_n: int = 15) -> str:
                   path.self_s * 1e3, path.cum_s * 1e3, path.count,
                   100.0 * path.self_s / total)
     return table.render(precision=3)
-
-
-def _timeline_section(report: "EnquiryReport") -> list[str]:
-    """Sparkline view of the windowed telemetry, when recorded."""
-    from .ascii_chart import sparkline
-
-    timeline = _t.cast("dict[str, _t.Any] | None", report.timeline)
-    if timeline is None or timeline["windows"] is None:
-        return []
-    windows = timeline["windows"]
-    lines = [f"timeline ({timeline['interval_s'] * 1e3:.3g} ms windows, "
-             f"{windows['lo']}..{windows['hi']}):"]
-    for label, key in (("issued", "issued"), ("delivered", "delivered"),
-                       ("p99 us", "p99_latency_us")):
-        series = timeline[key]
-        measured = [value for value in series if value is not None]
-        peak = f"peak {max(measured):.4g}" if measured else "no samples"
-        lines.append(f"  {label:>9} |{sparkline(series)}| {peak}")
-    return lines
 
 
 def critical_path_report(paths, top_n: int = 5) -> str:
@@ -182,34 +68,3 @@ def critical_path_report(paths, top_n: int = 5) -> str:
     return "\n".join(lines)
 
 
-def _counters_section(nexus: "Nexus") -> list[str]:
-    from ..obs.metrics import Counter
-
-    lines = ["runtime counters:"]
-    for name, labels, metric in nexus.obs.metrics.collect():
-        if isinstance(metric, Counter) and metric.value:
-            label = ",".join(f"{k}={v}" for k, v in labels)
-            name += f"{{{label}}}" if label else ""
-            lines.append(f"  {name}: {metric.value}")
-    if len(lines) == 1:
-        lines.append("  (none)")
-    return lines
-
-
-def runtime_report(nexus: "Nexus", *, include_counters: bool = True) -> str:
-    """A multi-section plain-text rendering of :func:`enquiry.report
-    <repro.core.enquiry.report>` over the whole runtime."""
-    from ..core.enquiry import report as enquiry_report
-
-    report = enquiry_report(nexus)
-    lines = [
-        f"=== nexus runtime report @ t={format_time(nexus.now)} "
-        f"({nexus.sim.events_processed} events) ===",
-    ]
-    lines += _context_section(nexus, report)
-    lines += _transport_section(report)
-    lines += _observability_section(nexus, report)
-    lines += _timeline_section(report)
-    if include_counters:
-        lines += _counters_section(nexus)
-    return "\n".join(lines)

@@ -89,8 +89,9 @@ class TestBuilt:
             document["artefacts"][name]["metrics"].items()
             # trace.* describe the traced run, not the artefact.
             if not metric.startswith("trace.")}
+        built = _populated(name, bench_result(name)).to_document()
         current = {
-            (metric, body.unit, body.kind, body.direction)
+            (metric, body["unit"], body["kind"], body["direction"])
             for metric, body in
-            _populated(name, bench_result(name)).metrics(name).items()}
+            built["artefacts"][name]["metrics"].items()}
         assert current == committed

@@ -39,7 +39,8 @@ class TestBenchRecord:
                             "machine", "git_sha"}
 
     def test_metric_names_are_slugged(self):
-        metrics = small_record().metrics("baselines")
+        metrics = small_record().to_document()["artefacts"]["baselines"][
+            "metrics"]
         assert "nexus_skip_poll=1.ms_per_round" in metrics
 
     def test_duplicate_metric_rejected(self):

@@ -1,9 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import itertools
+
 import pytest
 from hypothesis import settings
 
 from repro.bench import RunOptions, artefact
+from repro.core import context as context_module
 from repro.simnet import Simulator
 from repro.testbeds import make_iway, make_sp2
 
@@ -16,6 +19,13 @@ settings.register_profile("deep", max_examples=3000, deadline=None)
 def sim():
     """A fresh simulator."""
     return Simulator()
+
+
+@pytest.fixture
+def fresh_context_ids(monkeypatch):
+    """Number this test's contexts from 1, as a fresh process would, so
+    outputs naming context ids do not depend on which tests ran first."""
+    monkeypatch.setattr(context_module, "_context_ids", itertools.count(1))
 
 
 @pytest.fixture

@@ -424,7 +424,7 @@ class ReferencePollManager:
         deliverable to a poll, accounting for skip counters and the
         foreign-poll penalty the spin itself will generate."""
         context = self.context
-        now = context.nexus.sim._clock._now
+        now = context.nexus.sim._now
         plan = self._plan
         if plan is None or self._plan_registry_size != len(
                 context.nexus.transports._transports):

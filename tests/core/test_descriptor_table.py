@@ -31,8 +31,8 @@ class TestBasics:
         assert len(table) == 3
         assert table[0].method == "mpl"
 
-    def test_copy_is_independent(self, table):
-        edited = table.copy().remove("udp")
+    def test_editors_leave_the_table_unchanged(self, table):
+        edited = table.remove("udp")
         assert "udp" in table and "udp" not in edited
 
 

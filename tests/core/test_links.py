@@ -21,8 +21,8 @@ class TestEndpoints:
         _bed, _a, b = pair
         e1 = b.new_endpoint()
         e2 = b.new_endpoint()
-        assert e1.address != e2.address
-        assert e1.address[0] == b.id
+        assert (e1.context.id, e1.id) != (e2.context.id, e2.id)
+        assert e1.context is e2.context is b
 
     def test_bound_object(self, pair):
         _bed, _a, b = pair

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSkipPoll
 from repro.core.buffers import Buffer
 from repro.simnet.errors import SimnetError
+from repro.simnet.events import Event
 from repro.transports.costmodels import DEFAULT_COSTS
 from repro.testbeds import make_sp2
 
@@ -368,7 +369,7 @@ def failed_event_wait(install=None):
     ctx = bed.nexus.context(bed.hosts_a[0])
     if install is not None:
         install(ctx)
-    event = sim.event()
+    event = Event(sim)
     seen = []
 
     def waiter():

@@ -31,12 +31,11 @@ class TestConfiguration:
         with pytest.raises(PollingError):
             pm.set_skip("nonexistent", 2)
 
-    def test_disable_enable(self, ctx):
+    def test_disable(self, ctx):
         pm = ctx.poll_manager
         pm.disable("tcp")
         assert "tcp" not in pm.active_methods()
-        pm.enable("tcp")
-        assert "tcp" in pm.active_methods()
+        assert "mpl" in pm.active_methods()
         with pytest.raises(PollingError):
             pm.disable("nonexistent")
 

@@ -138,7 +138,6 @@ class TestDescriptorTableValue:
             assert new is not table and list(new) != before
         assert list(table) == before
         assert a.export_table() is table
-        assert table.copy() is table
 
 
 class TestPollPlanCache:
@@ -154,15 +153,12 @@ class TestPollPlanCache:
         assert pm._plan is None  # mutator dropped it
         assert "tcp" in pm.active_methods()
 
-    def test_disable_enable_invalidate(self, pair):
+    def test_disable_invalidates(self, pair):
         _bed, a, _b = pair
         pm = a.poll_manager
         baseline = pm.amortized_cycle_time()
         pm.disable("tcp")
-        cheaper = pm.amortized_cycle_time()
-        assert cheaper < baseline
-        pm.enable("tcp")
-        assert pm.amortized_cycle_time() == baseline
+        assert pm.amortized_cycle_time() < baseline
 
     def test_mask_invalidates_on_entry_and_exit(self, pair):
         _bed, a, _b = pair

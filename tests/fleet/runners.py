@@ -78,9 +78,18 @@ class Calls:
                      for key, (runner, payload) in self.calls.items())
 
 
+def results(run):
+    """``run``'s results in key order, once every task succeeded."""
+    failed = {key: outcome.error for key, outcome in run.outcomes.items()
+              if not outcome.ok}
+    assert not failed, failed
+    return {key: outcome.result
+            for key, outcome in sorted(run.outcomes.items())}
+
+
 def worker_pids(jobs=2):
     """The pids of the warm pool's workers, by running a plan on it."""
     run = run_plan(Calls({f"pid-{index}": (PID, {"hold": 0.1})
                           for index in range(3 * jobs)}), jobs=jobs)
     assert run.jobs == jobs
-    return set(run.results().values())
+    return set(results(run).values())

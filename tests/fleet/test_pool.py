@@ -24,6 +24,7 @@ from .runners import (
     SLEEPY,
     UNPICKLABLE,
     Calls,
+    results,
     worker_pids,
 )
 
@@ -203,7 +204,7 @@ class TestSharedPoolRecovers:
         before = worker_pids()
         run = run_plan(Calls({f"big-{index}": (BIG, {"megabytes": 8})
                               for index in range(3)}), jobs=2)
-        assert [len(result) for result in run.results().values()] \
+        assert [len(result) for result in results(run).values()] \
             == [8 * 2 ** 20] * 3
         assert worker_pids() == before
 

@@ -10,7 +10,7 @@ import time
 import repro.fleet.pool as pool_module
 from repro.fleet import run_plan, shutdown
 
-from .runners import FINE, Calls, worker_pids
+from .runners import FINE, Calls, results as run_results, worker_pids
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -58,7 +58,7 @@ def test_concurrent_callers_take_turns():
     def call(caller):
         plan = Calls({f"t-{index}": (FINE, {"value": caller * 100 + index})
                       for index in range(5)})
-        results[caller] = run_plan(plan, jobs=2).results()
+        results[caller] = run_results(run_plan(plan, jobs=2))
 
     threads = [threading.Thread(target=call, args=(caller,), daemon=True)
                for caller in range(6)]

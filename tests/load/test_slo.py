@@ -72,7 +72,7 @@ class TestEvaluate:
         assert result.report.slo is not None
         assert result.report.slo["slo"] == "attach"
         assert result.report.slo["passed"] == verdict.passed
-        assert result.report.as_dict()["slo"] == verdict.as_dict()
+        assert result.report.slo == verdict.as_dict()
 
     def test_summary_marks_violations(self, result):
         verdict = evaluate(result, SLO(p50_latency_us=0.5))

@@ -161,7 +161,7 @@ class TestNonblockingRendezvous:
                 sender = bed.nexus.spawn(
                     proc.send(Padded("async-big", 80_000), dest=1))
                 yield from proc.context.wait(sender)
-                assert sender.ok
+                assert sender._ok
             elif proc.rank == 1:
                 data, _ = yield from proc.recv(source=0)
                 return data

@@ -33,7 +33,7 @@ class TestChromeTrace:
 
     def test_metadata_names_every_context_and_lane(self, traced):
         obs, nexus = traced
-        events = export.chrome_trace_events(obs)
+        events = one_run_trace(obs, nexus)["traceEvents"]
         pids = {e["pid"] for e in events if e["ph"] == "X"}
         named = {e["pid"] for e in events
                  if e["ph"] == "M" and e["name"] == "process_name"}
@@ -41,8 +41,8 @@ class TestChromeTrace:
         assert sorted(pids) == list(range(1, len(pids) + 1))  # dense
 
     def test_events_carry_causal_ids(self, traced):
-        obs, _nexus = traced
-        events = [e for e in export.chrome_trace_events(obs)
+        obs, nexus = traced
+        events = [e for e in one_run_trace(obs, nexus)["traceEvents"]
                   if e["ph"] == "X"]
         assert len(events) == len(obs.spans)
         for event in events:

@@ -102,7 +102,7 @@ def test_sampled_fold_refuses_timeline(tmp_path):
     # A sampled spool cannot replay the counters faithfully, so the
     # fold must return no timeline rather than a silently-wrong one.
     config = StreamConfig(directory=str(tmp_path / "spool"),
-                          policy="head:3", seed=0)
+                          policy="reservoir:3", seed=0)
     with _obs.collecting() as runs:
         run_scenario(forwarding_scenario(), stream=config)
     fold = fold_stream(config.directory)

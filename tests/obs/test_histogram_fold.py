@@ -11,16 +11,15 @@ recording and the fold.
 
 Generated programs interleave public ``observe`` calls and hot-path
 appends (through a ``recorder()`` cached once, as the hot paths cache
-it) with one reader at a time — ``mean``, ``quantile``,
-``nonzero_buckets``, ``snapshot``, the registry's ``collect``,
-``snapshot`` and ``histogram()`` lookup, a ``pickle`` round trip and
-``copy.deepcopy`` — so a reader that skipped its fold would answer from
-stale fields.  Values fall on and beside every bucket bound, at both
-signed zeros, in overflow and at ``+inf``, and include values whose
-running sums round differently in any other order.  Every answer must
-agree bit for bit (``total`` by ``float.hex``, ``min``/``max`` with the
-sign of zero), and a histogram's pickle bytes must equal the eager
-one's.
+it) with one reader at a time — ``mean``, ``quantile``, ``snapshot``,
+the registry's ``collect``, ``snapshot`` and ``histogram()`` lookup, a
+``pickle`` round trip and ``copy.deepcopy`` — so a reader that skipped
+its fold would answer from stale fields.  Values fall on and beside
+every bucket bound, at both signed zeros, in overflow and at ``+inf``,
+and include values whose running sums round differently in any other
+order.  Every answer must agree bit for bit (``total`` by
+``float.hex``, ``min``/``max`` with the sign of zero), and a
+histogram's pickle bytes must equal the eager one's.
 """
 
 import copy
@@ -101,7 +100,7 @@ def values(draw):
         st.floats(-1e4, 1e12, allow_nan=False, allow_infinity=False)))
 
 
-READERS = ("mean", "quantile", "nonzero_buckets", "snapshot", "collect",
+READERS = ("mean", "quantile", "snapshot", "collect",
            "registry_snapshot", "lookup", "pickle", "deepcopy")
 
 
@@ -134,8 +133,6 @@ def read(side, index, reader):
         return _exact(hist.mean)
     if reader == "quantile":
         return [_exact(hist.quantile(q)) for q in (0.0, 0.5, 0.95, 1.0)]
-    if reader == "nonzero_buckets":
-        return repr(hist.nonzero_buckets())
     if reader == "snapshot":
         return repr(hist.snapshot())
     if reader == "collect":

@@ -93,13 +93,6 @@ class TestHistogram:
         histogram = Histogram("h", (), (1.0,))
         assert histogram.mean is None
         assert histogram.quantile(0.5) is None
-        assert histogram.nonzero_buckets() == []
-
-    def test_nonzero_buckets_includes_overflow(self):
-        histogram = Histogram("h", (), (1.0, 10.0))
-        histogram.observe(0.5)
-        histogram.observe(99.0)
-        assert histogram.nonzero_buckets() == [(1.0, 1), (99.0, 1)]
 
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):

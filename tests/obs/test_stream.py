@@ -24,6 +24,7 @@ from repro.load import run_scenario
 from repro.obs import stream as _stream
 from repro.obs.spans import PHASE_FAILOVER, PHASE_RETRY, Observability, Span
 from repro.obs.stream import (
+    FORCED_PHASES,
     MANIFEST_NAME,
     SHARD_PATTERN,
     SpanSpool,
@@ -36,7 +37,7 @@ from repro.obs.stream import (
 from repro.simnet import Simulator
 from repro.util.document import COMPACT, DocumentError, encode_compact
 
-POLICIES = (None, "head:5", "tail:5", "head:3,tail:3", "reservoir:4")
+POLICIES = (None, "reservoir:1", "reservoir:4")
 
 
 def run_streamed(tmp_path, scenario, sub, **kw):
@@ -85,25 +86,36 @@ class TestDeterminism:
 
 class TestSampling:
     def test_forced_keep_preserves_failure_evidence(self, tmp_path):
-        # head:0 discards every unforced RSR, so whatever reaches disk
-        # got there through the always-keep classes.
+        # reservoir:1 keeps one unforced RSR per lane, far fewer than
+        # carry failure evidence, so every evidence-carrying RSR of the
+        # unsampled run must reach disk through the always-keep classes.
+        def evidence(directory):
+            rsrs = set()
+            for record in iter_records(directory):
+                if record["k"] == "x" or record["k"] == "s" and (
+                        record["ph"] in FORCED_PHASES
+                        or record["attrs"] is not None
+                        and ("dropped" in record["attrs"]
+                             or "failed" in record["attrs"])):
+                    rsrs.add(record["rsr"])
+            return rsrs
+
+        everything, _result, _obs_ = run_streamed(
+            tmp_path, chaos_scenario(), "all")
         directory, result, obs = run_streamed(
-            tmp_path, chaos_scenario(), "forced", policy="head:0")
-        phases = set()
-        drops = 0
-        for record in iter_records(directory):
-            if record["k"] == "s":
-                phases.add(record["ph"])
-            elif record["k"] == "x":
-                drops += 1
-        assert PHASE_RETRY in phases and PHASE_FAILOVER in phases, (
-            "retry/failover witnesses must never be sampled out")
-        manifest = read_manifest(directory)
-        totals = manifest["totals"]
-        assert drops == totals["drops"] >= 1, (
-            "every message drop must reach the spool")
+            tmp_path, chaos_scenario(), "forced", policy="reservoir:1")
+        forced = evidence(everything)
+        assert len(forced) > 2, "the chaos run must leave evidence"
+        assert evidence(directory) == forced, (
+            "failure witnesses must never be sampled out")
+        phases = {record["ph"] for record in iter_records(directory)
+                  if record["k"] == "s"}
+        assert PHASE_RETRY in phases and PHASE_FAILOVER in phases
+        totals = read_manifest(directory)["totals"]
+        assert totals["drops"] == read_manifest(everything)["totals"][
+            "drops"] >= 1, "every message drop must reach the spool"
         assert totals["rsrs_sampled_out"] > 0, (
-            "head:0 should discard the healthy RSRs")
+            "reservoir:1 should discard healthy RSRs")
 
     def test_sampled_spans_accounted_in_ledger(self, tmp_path):
         directory, _result, obs = run_streamed(
@@ -116,7 +128,8 @@ class TestSampling:
 
     def test_parse_policy_rejects_malformed_specs(self):
         for bad in ("head", "head:x", "middle:3", "reservoir:0",
-                    "head:-1", "head:1,tail"):
+                    "head:-1", "head:1,tail", "head:3", "tail:2",
+                    "reservoir", "reservoir:x"):
             with pytest.raises(ValueError):
                 parse_policy(bad)
         assert parse_policy(None) is None

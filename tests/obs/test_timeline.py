@@ -25,7 +25,6 @@ class TestWindowMath:
         assert tl.window_of(0.0) == 0
         assert tl.window_of(0.0099) == 0
         assert tl.window_of(0.01) == 1
-        assert tl.window_start(3) == pytest.approx(0.03)
         assert tl.window_end(3) == pytest.approx(0.04)
 
     def test_rejects_nonpositive_interval(self):

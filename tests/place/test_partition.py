@@ -9,7 +9,6 @@ from repro.place import (
     kernighan_lin_refine,
     random_partition,
     spectral_partition,
-    work_balanced_partition,
 )
 from repro.place.partition import edge_weights, node_weights
 
@@ -32,22 +31,6 @@ class TestRandomBaseline:
                                 .items()))
                    for s in range(8)}
         assert len(results) > 1
-
-
-class TestWorkBalanced:
-    def test_spreads_the_heavy_ranks(self):
-        # Two heavy talkers and four light ones: LPT must not put both
-        # heavies in the same part.
-        graph = make_graph(
-            [(0, 1, "mpl", 100, 10_000_000)]
-            + [(2 + i, 3 + i, "mpl", 1, 100) for i in range(0, 3, 2)])
-        assignment = work_balanced_partition(graph, 2)
-        assert assignment[0] != assignment[1]
-
-    def test_every_label_used(self):
-        graph = serving_graph()
-        assignment = work_balanced_partition(graph, 3)
-        assert set(assignment.values()) == {"P0", "P1", "P2"}
 
 
 class TestKernighanLin:
@@ -109,7 +92,6 @@ class TestSpectral:
 class TestDegenerateGraphs:
     def test_empty_graph_is_a_typed_error(self):
         for partition in (lambda g: random_partition(g, 1),
-                          lambda g: work_balanced_partition(g, 1),
                           lambda g: spectral_partition(g, 1)):
             with pytest.raises(PlacementError, match="empty graph"):
                 partition(CommGraph())
@@ -117,14 +99,12 @@ class TestDegenerateGraphs:
     def test_single_rank_graph_partitions_to_one_part(self):
         graph = make_graph([(0, 0, "local", 3, 300)])
         for partition in (lambda g: random_partition(g, 1),
-                          lambda g: work_balanced_partition(g, 1),
                           lambda g: spectral_partition(g, 1)):
             assert partition(graph) == {0: "P0"}
 
     def test_more_parts_than_ranks_is_a_typed_error(self):
         graph = make_graph([(0, 1, "tcp", 1, 100)])
         for partition in (lambda g: random_partition(g, 3),
-                          lambda g: work_balanced_partition(g, 3),
                           lambda g: spectral_partition(g, 3)):
             with pytest.raises(PlacementError, match="only 2 ranks"):
                 partition(graph)

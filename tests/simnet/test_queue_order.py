@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.simnet import Simulator
 from repro.simnet.errors import SimnetError
-from repro.simnet.events import LOW, NORMAL, URGENT, Timeout
+from repro.simnet.events import LOW, NORMAL, URGENT, Event, Timeout
 
 DEEP = settings.get_profile("deep")
 #: The deep profile when it was asked for, the tier-1 budget otherwise.
@@ -120,7 +120,7 @@ class EngineBackend:
         self._watch(self.sim.timeout_at(when), fire)
 
     def trigger(self, ok, priority, fire):
-        event = self.sim.event()
+        event = Event(self.sim)
         if ok:
             event.succeed(priority=priority)
         else:

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.simnet import Simulator
 from repro.simnet.errors import ScheduleError
-from repro.simnet.events import LOW, NORMAL, URGENT
+from repro.simnet.events import LOW, NORMAL, URGENT, Event
 
 DEEP = settings.get_profile("deep")
 #: The deep profile when it was asked for, the tier-1 budget otherwise.
@@ -91,7 +91,7 @@ def play(program, sleep):
                 except ScheduleError as error:
                     outcome = str(error)
             elif kind == "succeed":
-                yield sim.event().succeed(priority=arg)
+                yield Event(sim).succeed(priority=arg)
             elif kind == "at":
                 yield sim.timeout_at(sim.now + arg)
             elif kind == "spawn":

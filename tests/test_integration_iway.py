@@ -13,8 +13,8 @@ import pytest
 from repro.apps.collab import run_collab
 from repro.apps.satellite import run_satellite
 from repro.apps.stream import run_stream
+from repro.core import enquiry
 from repro.testbeds import make_iway
-from repro.util.report import runtime_report
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,14 @@ class TestIwayDay:
         bed, _results = day
         assert bed.nexus.network.epoch >= 2  # degrade + repair
 
-    def test_runtime_report_covers_everything(self, day):
+    def test_enquiry_report_covers_everything(self, day):
         bed, _results = day
-        report = runtime_report(bed.nexus)
-        for needle in ("instrument-feed", "sp2-ingest", "member0",
-                       "display", "aal5", "tcp", "mcast"):
-            assert needle in report, f"{needle!r} missing from report"
+        report = enquiry.report(bed.nexus)
+        polled = {bed.nexus.contexts[cid].name for cid in report.polling}
+        for name in ("instrument-feed", "sp2-ingest", "member0", "display"):
+            assert name in polled, f"{name!r} missing from report"
+        for method in ("aal5", "tcp", "mcast"):
+            assert report.transports[method].messages_sent > 0, method
 
     def test_transport_traffic_accumulated(self, day):
         bed, _results = day

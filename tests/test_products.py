@@ -31,7 +31,6 @@ from repro.simnet import Network, Simulator
 from repro.transports.costmodels import SP2_SWITCH_TCP
 from repro.util.document import dumps
 from repro.util.report import hot_path_report
-from tests.test_report import fresh_context_ids  # noqa: F401 (fixture)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -8,8 +8,12 @@ named somewhere outside its own definition in ``src/``, ``examples/``,
 a string literal (``getattr`` tables, dotted module paths, f-strings,
 documents).  ``tests/`` does not count, so a member whose only caller
 is a test fails here, unless ``KEEP`` names it with its reason.  Nor
-does an ``__init__.py``'s import statements or ``__all__`` list: a
-re-export names what it exports, it does not use it.
+does prose about it: a docstring (the first string statement of a
+module, class or function) is not a use.  Nor does a module's own
+``__all__`` list, or an ``__init__.py``'s import statements: a module
+exporting a name does not use it.  A function under a call decorator
+(``@register_runner("load.run_scenario")``) is registered by it, and
+counts as used.
 
 The scan compares names, not bindings, so it is a lower bound: a
 test-only ``poll`` method passes because other ``poll`` methods are
@@ -53,12 +57,18 @@ DOCUMENTS = (".json", ".md", ".txt")
 #: Definitions no production path names, each kept for one reason.
 KEEP = {
     "destroy_endpoint": "paper API: a context destroys what it created",
+    "reorder": "paper API (section 3.2): reorder a descriptor table to "
+               "influence method selection",
     "unregister_handler": "paper API: handler tables are mutable",
     "dup": "MPI programming-model API (MPI_Comm_dup)",
     "subgroup": "MPI programming-model API (MPI_Comm_split)",
     "detach": "adaptive-polling API: the inverse of attach",
     "active_methods": "oracle surface: test_poll_reference compares it "
                       "with the reference manager's",
+    "defused": "oracle surface: test_poll_reference compares it with the "
+               "reference join's",
+    "cut_weight": "oracle for the partition refinement property: "
+                  "refinement never raises the weighted cut",
     "amortized_cycle_time": "the poll model's candidate source for the "
                             "adaptive skip bound (ROADMAP item 14)",
 }
@@ -81,9 +91,13 @@ def _uses_and_definitions():
         if path.endswith(".py"):
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-            skipped = _re_export_lines(path)
+            skipped = _export_lines(path)
+            docstrings = _docstring_lines(path)
             for token in tokenize.generate_tokens(io.StringIO(text).readline):
                 if token.start[0] in skipped:
+                    continue
+                if token.type == tokenize.STRING \
+                        and token.start[0] in docstrings:
                     continue
                 if token.type == tokenize.NAME:
                     words = (token.string,)
@@ -95,9 +109,9 @@ def _uses_and_definitions():
                     uses.setdefault(word, []).append((path, token.start[0]))
             if path.startswith(PACKAGE + os.sep):
                 for node in ast.walk(_tree(path)):
-                    if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef,
-                                         ast.ClassDef)):
+                    if isinstance(node, ast.ClassDef) or isinstance(
+                            node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                            ) and not _registered(node):
                         definitions.append((node.name, path, node.lineno,
                                             node.end_lineno))
         elif path.endswith(DOCUMENTS):
@@ -108,20 +122,41 @@ def _uses_and_definitions():
     return uses, definitions
 
 
-def _re_export_lines(path):
-    """Lines of an ``__init__.py``'s imports and ``__all__`` list: a
-    package re-exporting a name does not use it."""
-    if os.path.basename(path) != "__init__.py":
-        return frozenset()
+def _export_lines(path):
+    """Lines of a module's ``__all__`` list, and of an ``__init__.py``'s
+    imports: a module exporting a name does not use it."""
+    package = os.path.basename(path) == "__init__.py"
     lines = set()
     for node in _tree(path).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+        if package and isinstance(node, (ast.Import, ast.ImportFrom)) or (
                 isinstance(node, ast.Assign)
                 and any(isinstance(target, ast.Name)
                         and target.id == "__all__"
                         for target in node.targets)):
             lines.update(range(node.lineno, node.end_lineno + 1))
     return frozenset(lines)
+
+
+def _docstring_lines(path):
+    """Lines of every docstring in the module: prose about a name does
+    not use it."""
+    lines = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return frozenset(lines)
+
+
+def _registered(node):
+    """A function under a call decorator (``@register_runner(key)``)
+    is reached through the registry the decorator fills."""
+    return any(isinstance(decorator, ast.Call)
+               for decorator in node.decorator_list)
 
 
 @functools.cache

@@ -42,20 +42,14 @@ class TestUnits:
 class TestResultTable:
     def test_add_and_value(self):
         table = ResultTable("t", ["a", "b"])
-        table.add("row1", 1.0, 2.0)
-        assert table.value("row1") == 1.0
-        assert table.value("row1", "b") == 2.0
-        assert table.value("row1", 1) == 2.0
+        row = table.add("row1", 1.0, 2.0)
+        assert table.rows == [row]
+        assert (row.label, list(row.values)) == ("row1", [1.0, 2.0])
 
     def test_wrong_arity_rejected(self):
         table = ResultTable("t", ["a"])
         with pytest.raises(ValueError):
             table.add("row", 1.0, 2.0)
-
-    def test_missing_row(self):
-        table = ResultTable("t", ["a"])
-        with pytest.raises(KeyError):
-            table.value("nope")
 
     def test_render_contains_rows(self):
         table = ResultTable("My Table", ["col"])
@@ -98,8 +92,8 @@ class TestSeries:
         assert series.is_monotone(increasing=True)
 
     def test_render_series_table_alignment(self):
-        s1 = Series("one", "x", "y")
-        s2 = Series("two", "x", "y")
+        s1 = Series("one", "x")
+        s2 = Series("two", "x")
         s1.add(1, 1.0)
         s1.add(2, 2.0)
         s2.add(2, 4.0)
