@@ -238,10 +238,14 @@ class Context:
         if transport is not None:
             tc = transport.costs
             costs += tc.recv_overhead + tc.per_byte_recv * message.nbytes
-        # Receive-side CPU deposited by protocol layers (decompression,
-        # checksum verification, reassembly).
-        costs += message.headers.pop("extra_recv_cpu", 0.0)  # type: ignore[operator]
-        costs += self._conversion_cost(message)
+        headers = message.headers
+        if headers:
+            # Receive-side CPU deposited by protocol layers (decompression,
+            # checksum verification, reassembly).
+            costs += headers.pop("extra_recv_cpu", 0.0)  # type: ignore[operator]
+        if self.host.attributes:
+            # Only a host that declares attributes can declare an arch.
+            costs += self._conversion_cost(message)
         if costs > 0:
             # Inlined self.charge(costs) — dispatch runs per message.
             yield costs
@@ -282,7 +286,8 @@ class Context:
         # process in this context is waiting on (e.g. an MPI match made by
         # a forwarder service loop or blocking watcher while the
         # application idles); wake idle waiters so they re-check.
-        self.note_arrival()
+        if self._arrival_waiters:
+            self.note_arrival()
 
     def _conversion_cost(self, message: WireMessage) -> float:
         """Data-representation (XDR) conversion cost for heterogeneous

@@ -17,6 +17,14 @@ A *communication link* connects a startpoint to an endpoint.  Startpoints:
 The single operation on a startpoint is the asynchronous *remote service
 request* (:meth:`rsr`): transfer a buffer to each linked endpoint's
 context and invoke a named handler there with the endpoint and buffer.
+
+A healthy single-link RSR pays per message, not per layer: while the
+link's cached comm object is valid and the context's health tracker is
+empty, :meth:`Startpoint.rsr` makes the first send attempt in its own
+frame, straight into the transport's ``send``.  Everything else — a
+cold or re-tabled link, a moved health epoch, a probe, a retry — goes
+through the one retry ladder, :meth:`Startpoint._send_link`, which
+also takes over a failed first attempt at its failure handling.
 """
 
 from __future__ import annotations
@@ -253,29 +261,80 @@ class Startpoint:
         if marshal is not None:
             obs.close_span(marshal)
 
-        nbytes = (buffer.nbytes + nexus.runtime_costs.header_bytes
+        # ``buffer._nbytes``: the slot behind ``Buffer.nbytes``, read
+        # without the property's frame.
+        nbytes = (buffer._nbytes + nexus.runtime_costs.header_bytes
                   + len(handler))
         self.rsrs_sent += 1
         self.bytes_sent += nbytes
         nexus.rsrs_sent.value += 1
 
-        group = self._common_multicast_group()
-        if group is not None:
-            yield from self._rsr_multicast(handler, buffer, nbytes, group,
+        links = self.links
+        if len(links) == 1:
+            link = links[0]
+            comm = link.comm
+            health = context.health
+            # A healthy link sends attempt 0 right here, one frame below
+            # the caller.  Healthy means ``ensure_connected`` would hand
+            # back the cached comm object (selected from the bound table
+            # under the current health epoch, no cool-off expiry due) and
+            # the tracker holds no entry, so the attempt is no probe.
+            if (comm is not None and link.selected_table is link.table
+                    and link.health_epoch == health.epoch
+                    and nexus.sim._now < health.next_probe_at
+                    and not health._entries):
+                message = WireMessage(
+                    handler=handler,
+                    endpoint_id=link.endpoint_id,
+                    src_context=context.id,
+                    dst_context=link.context_id,
+                    payload=buffer,
+                    nbytes=nbytes,
+                )
+                if issue is not None:
+                    obs.attach(message, issue)
+                # Inlined ``comm.send(message)``.
+                comm.messages_sent += 1
+                comm.bytes_sent += nbytes
+                transport = comm.transport
+                if message.trace is not None:
+                    message.trace.transition("enqueue", ctx=context.id,
+                                             lane=transport.name)
+                failure = None
+                try:
+                    yield from transport.send(context, comm.state,
+                                              comm.descriptor, message)
+                except DeliveryError as exc:
+                    failure = exc
+                if failure is not None:
+                    # The ladder takes over from this attempt's failure.
+                    yield from self._send_link(link, handler, buffer, nbytes,
+                                               issue, (comm, message, failure))
+                elif health._entries:
+                    # Another sender's failure landed during the send;
+                    # this success clears it, as the ladder's would.
+                    health.record_success(link.context_id, comm.method)
+            else:
+                yield from self._send_link(link, handler, buffer, nbytes,
                                            issue)
-            if issue is not None:
-                obs.close_span(issue)
-            return
-
-        for link in self.links:
-            yield from self._send_link(link, handler, buffer, nbytes, issue)
+        else:
+            group = self._common_multicast_group()
+            if group is not None:
+                yield from self._rsr_multicast(handler, buffer, nbytes, group,
+                                               issue)
+            else:
+                for link in links:
+                    yield from self._send_link(link, handler, buffer, nbytes,
+                                               issue)
         if issue is not None:
             obs.close_span(issue)
 
     # -- failure recovery --------------------------------------------------
 
     def _send_link(self, link: Link, handler: str, buffer: Buffer,
-                   nbytes: int, issue):
+                   nbytes: int, issue,
+                   failed: tuple[CommObject, WireMessage, DeliveryError]
+                   | None = None):
         """Generator: deliver one link's message with retry + failover.
 
         Attempts the selected method up to ``RetryPolicy.max_attempts``
@@ -285,6 +344,9 @@ class Startpoint:
         applicable healthy method.  Every failure feeds the
         context's health tracker; success clears it.
 
+        ``failed`` is ``(comm, message, error)`` of an attempt 0 that
+        :meth:`rsr` already made on a healthy link: the ladder resumes
+        at that attempt's failure handling and does not send it again.
         With no installed faults this reduces to exactly one
         ``comm.send`` per link.
         """
@@ -296,59 +358,69 @@ class Startpoint:
         excluded: set[str] = set()
 
         while True:
-            comm = self.ensure_connected(link, excluded=excluded)
+            if failed is None:
+                comm = self.ensure_connected(link, excluded=excluded)
+                probing = health.in_probe(link.context_id, comm.method)
+            else:
+                # ``rsr`` sends only while the tracker is empty: no probe.
+                comm, message, failure = failed
+                probing = False
             method = comm.method
-            probing = health.in_probe(link.context_id, method)
             if probing:
                 nexus.obs.metrics.counter("nexus.health_probes").inc()
             failed_method = False
             for attempt in range(policy.max_attempts):
                 span = None
-                if issue is not None:
-                    if probing:
-                        span = obs.open_span(
-                            PHASE_PROBE, rsr=issue.rsr, ctx=context.id,
-                            lane=method, parent=issue.id)
-                    elif attempt > 0:
-                        span = obs.open_span(
-                            PHASE_RETRY, rsr=issue.rsr, ctx=context.id,
-                            lane=method, parent=issue.id, attempt=attempt)
-                if attempt > 0:
-                    nexus.obs.metrics.counter("nexus.rsr_retries").inc()
-                    # The stream is fetched lazily: the no-fault fast path
-                    # never backs off, so it never pays for the lookup.
-                    delay = policy.delay(attempt - 1,
-                                         nexus.streams.stream("retry"))
-                    if delay > 0:
-                        yield delay
-                    if health.is_down(link.context_id, method):
-                        # Someone else's failures downed the method while
-                        # we backed off; stop beating on it.
+                if failed is not None:
+                    failed = None  # attempt 0 ran in ``rsr``: handle it
+                else:
+                    if issue is not None:
+                        if probing:
+                            span = obs.open_span(
+                                PHASE_PROBE, rsr=issue.rsr, ctx=context.id,
+                                lane=method, parent=issue.id)
+                        elif attempt > 0:
+                            span = obs.open_span(
+                                PHASE_RETRY, rsr=issue.rsr, ctx=context.id,
+                                lane=method, parent=issue.id,
+                                attempt=attempt)
+                    if attempt > 0:
+                        nexus.obs.metrics.counter("nexus.rsr_retries").inc()
+                        # The stream is fetched lazily: the no-fault fast
+                        # path never backs off, so it never pays for the
+                        # lookup.
+                        delay = policy.delay(attempt - 1,
+                                             nexus.streams.stream("retry"))
+                        if delay > 0:
+                            yield delay
+                        if health.is_down(link.context_id, method):
+                            # Someone else's failures downed the method
+                            # while we backed off; stop beating on it.
+                            if span is not None:
+                                obs.close_span(span)
+                            failed_method = True
+                            break
+                    message = WireMessage(
+                        handler=handler,
+                        endpoint_id=link.endpoint_id,
+                        src_context=context.id,
+                        dst_context=link.context_id,
+                        payload=(buffer.reader_copy() if self.is_multicast
+                                 else buffer),
+                        nbytes=nbytes,
+                    )
+                    if issue is not None:
+                        obs.attach(message, issue)
+                    failure = None
+                    try:
+                        yield from comm.send(message)
+                    except DeliveryError as exc:
+                        failure = exc
+                    if failure is None:
+                        health.record_success(link.context_id, method)
                         if span is not None:
                             obs.close_span(span)
-                        failed_method = True
-                        break
-                message = WireMessage(
-                    handler=handler,
-                    endpoint_id=link.endpoint_id,
-                    src_context=context.id,
-                    dst_context=link.context_id,
-                    payload=(buffer.reader_copy() if self.is_multicast
-                             else buffer),
-                    nbytes=nbytes,
-                )
-                if issue is not None:
-                    obs.attach(message, issue)
-                failure = None
-                try:
-                    yield from comm.send(message)
-                except DeliveryError as exc:
-                    failure = exc
-                if failure is None:
-                    health.record_success(link.context_id, method)
-                    if span is not None:
-                        obs.close_span(span)
-                    return
+                        return
                 if message.trace is not None:
                     # Unlike a genuine drop, a failed attempt must not
                     # close the issue span or count rsr_dropped — the

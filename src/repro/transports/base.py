@@ -141,14 +141,14 @@ class TransportServices:
         self.streams = streams
         #: The Nexus-layer cost constants (drain-overlap factor etc.).
         self.runtime_costs = runtime_costs
-        self.resolve_context: _t.Callable[[int], "ContextLike"] | None = None
+        #: Until the runtime installs its own, every lookup is refused.
+        self.resolve_context: _t.Callable[[int], "ContextLike"] = \
+            _no_resolver
 
-    def context(self, context_id: int) -> "ContextLike":
-        if self.resolve_context is None:
-            raise TransportError(
-                "transport services have no context resolver installed"
-            )
-        return self.resolve_context(context_id)
+
+def _no_resolver(context_id: int) -> "ContextLike":
+    raise TransportError(
+        "transport services have no context resolver installed")
 
 
 @_t.runtime_checkable
@@ -163,6 +163,7 @@ class ContextLike(_t.Protocol):
 
     def inbox(self, method: str) -> Store: ...
     def device_queue(self, method: str) -> list[InTransitMessage]: ...
+    def note_arrival(self) -> None: ...
 
 
 class ReceiveLane(_t.Protocol):
@@ -274,19 +275,11 @@ class Transport(abc.ABC):
 
     # -- shared helpers -----------------------------------------------------
 
-    def _destination(self, descriptor: Descriptor) -> "ContextLike":
-        """Resolve the live destination context of a descriptor."""
-        return self.services.context(descriptor.context_id)
-
     def traffic(self) -> tuple[int, int, int, int]:
         """This method's wire traffic: ``(messages_sent, bytes_sent,
         messages_dropped, bytes_dropped)``."""
         return (self.messages_sent, self.bytes_sent,
                 self.messages_dropped, self.bytes_dropped)
-
-    def record_send(self, message: WireMessage) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += message.nbytes
 
     def record_drop(self, message: WireMessage | None = None,
                     nbytes: int | None = None) -> None:

@@ -23,6 +23,11 @@ where ``ready_at`` is the unhindered completion time (arrival start plus
 ``nbytes / bandwidth``, serialised FIFO at the device) and ``overlap`` is
 :attr:`RuntimeCosts.select_drain_overlap`.  With no foreign polls the
 penalty is zero and the device runs at full speed.
+
+The send is one frame per message: :meth:`FastTransport.send` resolves
+its destination through the services' resolver, counts the send in
+line, and the arrival wakes the destination's idle waiters through
+``note_arrival`` directly.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class FastTransport(Transport):
 
     def send(self, local: ContextLike, state: dict, descriptor: Descriptor,
              message: WireMessage):
-        destination = self._destination(descriptor)
+        destination = self.services.resolve_context(descriptor.context_id)
         network = self.network
         if network._fault_rules and network.is_faulted(
                 local.host, destination.host, self.wire_method):
@@ -64,7 +69,8 @@ class FastTransport(Transport):
             yield overhead
         message.method = self.name
         message.sent_at = self.sim._now
-        self.record_send(message)
+        self.messages_sent += 1
+        self.bytes_sent += message.nbytes
         if message.trace is not None:
             message.trace.transition("wire", ctx=local.id, lane=self.name,
                                      nbytes=message.nbytes)
@@ -90,7 +96,7 @@ class FastTransport(Transport):
         now = self.sim._now
         queue = destination.device_queue(self.name)
         busy = destination.device_busy.get(self.name, 0.0)
-        start = max(now, busy)
+        start = busy if busy > now else now  # max(now, busy), no call
         ready_at = start + message.nbytes / self.costs.bandwidth
         destination.device_busy[self.name] = ready_at
         queue.append(InTransitMessage(
@@ -103,9 +109,7 @@ class FastTransport(Transport):
             # Device drain + detection wait both belong to poll_detect.
             message.trace.transition("poll_detect", ctx=destination.id,
                                      lane=self.name, ready_at=ready_at)
-        notify = getattr(destination, "note_arrival", None)
-        if notify is not None:
-            notify()
+        destination.note_arrival()
 
     def collect(self, context: ContextLike,
                 lane: ReceiveLane | None = None) -> list[WireMessage]:

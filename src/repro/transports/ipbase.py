@@ -111,34 +111,38 @@ class IpTransport(Transport):
         overhead = costs.send_overhead + costs.per_byte_send * message.nbytes
         if overhead > 0:
             yield overhead
-        if not state.get("connected", False):
-            connect_cost = state.get("connect_cost", 0.0)
+        # ``open()`` put every key read here by subscript in ``state``;
+        # ``profile_host`` and ``profile_epoch`` come with the first
+        # resolved ``profile``.
+        if not state["connected"]:
+            connect_cost = state["connect_cost"]
             if connect_cost > 0:
                 yield connect_cost
             state["connected"] = True
             self.services.metrics.counter(f"{self.name}.connections").inc()
 
         via = descriptor.param("via")
-        hop_context = self._destination(
-            descriptor if via is None
-            else Descriptor(self.name, _t.cast(int, via))
-        )
-        profile = state.get("profile")
+        hop_context = self.services.resolve_context(
+            descriptor.context_id if via is None
+            else via)  # type: ignore[arg-type]
+        profile = state["profile"]
+        network = self.network
         if (profile is None
-                or state.get("profile_host") is not hop_context.host
-                or state.get("profile_epoch") != self.network.epoch):
+                or state["profile_host"] is not hop_context.host
+                or state["profile_epoch"] != network.epoch):
             profile = self.profile_between(local.host, hop_context.host)
             state["profile"] = profile
             state["profile_host"] = hop_context.host
-            state["profile_epoch"] = self.network.epoch
+            state["profile_epoch"] = network.epoch
 
         channel: Resource = state["channel"]
         yield channel.request()
         message.method = self.name
-        message.sent_at = self.sim.now
+        message.sent_at = self.sim._now
         yield profile.serialization_time(message.nbytes)
         channel.release()
-        self.record_send(message)
+        self.messages_sent += 1
+        self.bytes_sent += message.nbytes
         if message.trace is not None:
             message.trace.transition("wire", ctx=local.id, lane=self.name,
                                      nbytes=message.nbytes)
@@ -172,15 +176,13 @@ class IpTransport(Transport):
     def _arrive_later(self, destination: ContextLike, message: WireMessage,
                       latency: float):
         yield latency
-        message.arrived_at = self.sim.now
+        message.arrived_at = self.sim._now
         if message.trace is not None:
             # Kernel-buffer arrival; detection waits for the next poll.
             message.trace.transition("poll_detect", ctx=destination.id,
                                      lane=self.name)
         destination.inbox(self.name).put(message)
-        notify = getattr(destination, "note_arrival", None)
-        if notify is not None:
-            notify()
+        destination.note_arrival()
 
     # -- receive ---------------------------------------------------------------
 

@@ -90,7 +90,8 @@ class MulticastTransport(IpTransport):
         # One serialisation at the sender NIC covers all members.
         serialization = message.nbytes / costs.bandwidth
         yield serialization
-        self.record_send(message)
+        self.messages_sent += 1
+        self.bytes_sent += message.nbytes
         self._group_sends.value += 1
         trace = message.trace
         if trace is not None:
@@ -101,7 +102,7 @@ class MulticastTransport(IpTransport):
 
         endpoints = _t.cast(dict, message.headers.get("endpoints", {}))
         for member_id in member_ids:
-            destination = self.services.context(member_id)
+            destination = self.services.resolve_context(member_id)
             if not self.costs.reliable and self._drop():
                 self.record_drop(nbytes=message.nbytes)
                 continue

@@ -15,7 +15,11 @@ elapse inside them and probes fail.  Whatever the plan:
 * each ``(remote, method)`` stream of ``HealthTracker.events`` starts
   with ``down`` and moves only ``down`` -> ``probe``, ``probe`` ->
   ``up`` or ``probe_failed``, ``probe_failed`` -> ``probe``, ``up`` ->
-  ``down``.
+  ``down``;
+* per RSR and link, no method is attempted more than
+  ``RetryPolicy.max_attempts`` times, counted at the transport's
+  ``send`` (a failed attempt is retried, never sent again as a fresh
+  attempt 0).
 
 MPL and TCP are both reliable, so a loss surfaces at the sender as a
 ``DeliveryError`` and ``rsr_dropped`` reads 0 in these runs; the term
@@ -25,6 +29,8 @@ Tier-1 runs a small derandomised budget; the deep one is opt-in:
 ``python -m pytest tests/core/test_failure_contract.py
 --hypothesis-profile=deep``.
 """
+
+import collections
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -60,14 +66,33 @@ windows = st.tuples(
 )
 
 
+POLICY = RetryPolicy(max_attempts=2, base_delay=2e-4, max_delay=1e-3)
+
+
+def count_attempts(nexus, methods=("mpl", "tcp")):
+    """Count every ``send`` of ``methods`` by ``(rsr, dst, method)``,
+    the RSR read from its payload's first int."""
+    attempts: collections.Counter = collections.Counter()
+    for method in methods:
+        transport = nexus.transports.get(method)
+
+        def counted(local, state, descriptor, message,
+                    _send=transport.send, _method=method):
+            rsr = message.payload.reader_copy().get_int()
+            attempts[rsr, message.dst_context, _method] += 1
+            return _send(local, state, descriptor, message)
+
+        transport.send = counted
+    return attempts
+
+
 def run_plan(plan_windows):
     bed = make_sp2(
-        nodes_a=2, nodes_b=1, observe=True,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay=2e-4,
-                                 max_delay=1e-3),
+        nodes_a=2, nodes_b=1, observe=True, retry_policy=POLICY,
         health=HealthConfig(failure_threshold=2, cooloff=5e-3))
     nexus = bed.nexus
     sim = nexus.sim
+    attempts = count_attempts(nexus)
     hosts = {"a0": bed.hosts_a[0], "a1": bed.hosts_a[1],
              "b0": bed.hosts_b[0]}
     plan = FaultPlan(nexus.network)
@@ -109,7 +134,7 @@ def run_plan(plan_windows):
     nexus.run_until(done, *(receiver.wait(done) for receiver in receivers))
     dropped = sum(counter.value for _name, _labels, counter
                   in nexus.obs.metrics.collect("rsr_dropped"))
-    return dispatched, failed, dropped, sender.health.events
+    return dispatched, failed, dropped, sender.health.events, attempts
 
 
 @given(plan_windows=st.lists(windows, max_size=4))
@@ -117,7 +142,7 @@ def run_plan(plan_windows):
                        ("flaky", "a1", "mpl", 5, 20, 0.6, 1)])
 @PROFILE
 def test_every_rsr_is_dispatched_once_or_fails_typed(plan_windows):
-    dispatched, failed, dropped, events = run_plan(plan_windows)
+    dispatched, failed, dropped, events, attempts = run_plan(plan_windows)
 
     assert len(dispatched) == len(set(dispatched)), "an RSR ran twice"
     assert not set(dispatched) & set(failed), "an RSR ran and failed"
@@ -132,3 +157,7 @@ def test_every_rsr_is_dispatched_once_or_fails_typed(plan_windows):
             assert transition in LEGAL[state], (
                 f"{key}: {state} -> {transition} in {transitions}")
             state = transition
+
+    over = {key: count for key, count in attempts.items()
+            if count > POLICY.max_attempts}
+    assert not over, f"(rsr, dst, method) attempted too often: {over}"

@@ -7,6 +7,7 @@ import pytest
 from repro import Buffer, RetryPolicy, enquiry, make_sp2
 from repro.core.errors import NexusError
 from repro.core.retry import NO_RETRY
+from repro.obs.spans import PHASE_RETRY
 from repro.simnet import FaultPlan
 
 
@@ -90,3 +91,60 @@ class TestDeterminism:
         first = run()
         assert first[1] > 0, "the flaky window forced no retry"
         assert run() == first
+
+
+#: When the retried RSR of ``TestRetryLadder`` is dispatched, to the
+#: float: attempt 0 fails at 1.29 ms, the backoff is 100 us, and attempt
+#: 1 delivers.  It was this reading while attempt 0 still ran in
+#: ``Startpoint._send_link``; moving the attempt must not move it.
+DISPATCHED_AT = 0.0015866000000000003
+
+
+class TestRetryLadder:
+    def test_failed_first_attempt_is_retried_once_not_resent(self):
+        """One RSR whose first attempt fails and whose second succeeds:
+        the ladder picks up from the failed attempt, so MPL sees two
+        sends of it, one backoff, and no failover."""
+        bed = make_sp2(
+            nodes_a=2, nodes_b=0, observe=True,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=1e-4,
+                                     max_delay=1e-3, jitter=0.0))
+        nexus = bed.nexus
+        a = nexus.context(bed.hosts_a[0])
+        b = nexus.context(bed.hosts_a[1])
+        dispatched = {}
+        b.register_handler(
+            "n", lambda c, e, buf: dispatched.setdefault(buf.get_int(),
+                                                         nexus.now))
+        sp = a.startpoint_to(b.new_endpoint())
+        mpl = nexus.transports.get("mpl")
+        sends = []
+
+        def counted(local, state, descriptor, message, _send=mpl.send):
+            sends.append(message.payload.reader_copy().get_int())
+            return _send(local, state, descriptor, message)
+
+        mpl.send = counted
+        # MPL is down for the second RSR's first attempt only (sent at
+        # 1.29 ms): the outage ends inside the 100 us backoff before the
+        # retry (1.39 ms).
+        FaultPlan(nexus.network).outage(
+            bed.hosts_a[0], bed.hosts_a[1], transport="mpl",
+            start=1.25e-3, duration=1e-4).install(bed.sim)
+
+        def sender():
+            yield from sp.rsr("n", Buffer().put_int(1))  # warms the link
+            yield 1e-3
+            yield from sp.rsr("n", Buffer().put_int(2))
+
+        nexus.run_until(sender(), b.wait(lambda: 2 in dispatched))
+        assert sends == [1, 2, 2]
+        metrics = nexus.obs.metrics
+        assert metrics.count("nexus.rsr_retries") == 1
+        assert metrics.count("nexus.rsr_failovers") == 0
+        retries = [span for span in nexus.obs.spans
+                   if span.phase == PHASE_RETRY]
+        assert [(span.lane, span.attrs["attempt"]) for span in retries] \
+            == [("mpl", 1)]
+        assert sp.current_methods() == ["mpl"]
+        assert dispatched[2] == DISPATCHED_AT

@@ -29,6 +29,8 @@ import pytest
 import repro.obs as obs
 from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong, raw_transport_pingpong
+from repro.core.buffers import Buffer
+from repro.core.forwarding import ForwardingService
 from repro.load import FixedSize, FleetSpec, LoadScenario, OpenLoop, \
     run_scenario
 from repro.mpi import MPIWorld
@@ -152,14 +154,17 @@ def test_kernel_sleep_host_calls_stay_within_budget():
 
 
 #: Host calls (Python and C, as ``cProfile`` counts them) of one warm
-#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 17,194 when a process
+#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 14,753 when a healthy
+#: RSR made its first send attempt in ``rsr``'s own frame and the
+#: transports resolved, counted and notified in line (17,170 before);
+#: 17,194 when a process
 #: slept by yielding its delay and started without an init event
 #: (19,583 before); 19,803 when an untraced poll stopped collecting
 #: from empty lanes, the idle wake became one plain ``Event`` and the
 #: fast send path lost its ``_route`` hop; 21,438 before that, 30,050
 #: before lane records and one-frame blocking operations.  The budget
 #: is that count plus 10 %.
-DUAL_PINGPONG_CALL_BUDGET = 18_900
+DUAL_PINGPONG_CALL_BUDGET = 16_230
 
 
 def test_unified_poll_host_calls_stay_within_budget():
@@ -175,13 +180,15 @@ def test_unified_poll_host_calls_stay_within_budget():
 
 #: Host calls of one warm ``_mpi_exchange()`` (4 ranks over MPL and TCP,
 #: 10 rounds of a ring ``sendrecv`` and an ``irecv``/``send``/``wait``
-#: halo swap of an 8-element array): 21,437 when a rank bound its
-#: startpoint to a peer on first use (2 of 4 here) and shared the peer's
-#: table instead of copying it; 21,608 when an MPI envelope became one
+#: halo swap of an 8-element array): 16,627 when a healthy RSR made its
+#: first send attempt in ``rsr``'s own frame and the transports
+#: resolved, counted and notified in line (18,559 before); 21,437 when
+#: a rank bound its startpoint to a peer on first use (2 of 4 here) and
+#: shared the peer's table instead of copying it; 21,608 when an MPI envelope became one
 #: header element, ``Buffer`` elements one frame each, the payload codec
 #: class-keyed and a receive's wait one bound-method check; 28,139
 #: before.  The budget is that count plus 10 %.
-MPI_EXCHANGE_CALL_BUDGET = 23_580
+MPI_EXCHANGE_CALL_BUDGET = 18_290
 
 
 def _mpi_exchange(rounds=10):
@@ -216,6 +223,110 @@ def test_mpi_exchange_host_calls_stay_within_budget():
         f"{count:,} host calls for the fixed MPI exchange, budget "
         f"{MPI_EXCHANGE_CALL_BUDGET:,} — is an envelope field back to one "
         "element each, or a property back on the receive's wait check?")
+
+
+def _forwarded_pingpong(roundtrips):
+    """A ping-pong between an external context and a partition member
+    whose TCP traffic routes through a forwarder: each ball goes out
+    over TCP to the forwarder, on over MPL, and back over plain TCP."""
+    bed = make_sp2(nodes_a=2, nodes_b=1)
+    nexus = bed.nexus
+    forwarder = nexus.context(bed.hosts_a[0], "fwd")
+    member = nexus.context(bed.hosts_a[1], "member")
+    external = nexus.context(bed.hosts_b[0], "ext")
+    ForwardingService(nexus).install(forwarder, [forwarder, member])
+    counts = {member.id: 0, external.id: 0}
+
+    def bump(ctx, _ep, _buf):
+        counts[ctx.id] += 1
+
+    member.register_handler("ball", bump)
+    external.register_handler("ball", bump)
+    out = external.startpoint_to(member.new_endpoint())
+    back = member.startpoint_to(external.new_endpoint())
+
+    def external_side():
+        for i in range(roundtrips):
+            yield from out.rsr("ball", Buffer())
+            yield from external.wait(lambda: counts[external.id] > i)
+
+    def member_side():
+        for i in range(roundtrips):
+            yield from member.wait(lambda: counts[member.id] > i)
+            yield from back.rsr("ball", Buffer())
+
+    done = nexus.spawn(external_side())
+    nexus.spawn(member_side())
+    nexus.run(until=done)
+    assert counts[member.id] == roundtrips
+    assert forwarder.forwarder.messages_forwarded == roundtrips
+
+
+def _multicast_fan_out(rsrs, members=3):
+    """``rsrs`` RSRs on one startpoint bound to ``members`` endpoints of
+    one multicast group: each is one group send."""
+    methods = ("local", "mpl", "tcp", "mcast")
+    bed = make_sp2(nodes_a=members + 1, nodes_b=0, transports=methods)
+    nexus = bed.nexus
+    contexts = [nexus.context(host, methods=methods)
+                for host in bed.hosts_a]
+    mcast = nexus.transports.get("mcast")
+    got = {ctx.id: 0 for ctx in contexts}
+
+    def bump(ctx, _ep, _buf):
+        got[ctx.id] += 1
+
+    for ctx in contexts:
+        mcast.join("g", ctx)
+        ctx.poll_manager.add_method("mcast")
+        ctx.register_handler("u", bump)
+    sender, *receivers = contexts
+    startpoint = sender.new_startpoint()
+    for ctx in receivers:
+        table = ctx.export_table().add(mcast.descriptor_for_group(ctx, "g"),
+                                       position=0)
+        startpoint.bind_address(ctx.id, ctx.new_endpoint().id, table)
+    startpoint.set_method("mcast")
+
+    def send():
+        for _ in range(rsrs):
+            yield from startpoint.rsr("u", Buffer())
+
+    def receive(ctx):
+        yield from ctx.wait(lambda: got[ctx.id] >= rsrs)
+
+    waits = [nexus.spawn(receive(ctx)) for ctx in receivers]
+    nexus.spawn(send())
+    nexus.run(until=nexus.sim.all_of(waits))
+    assert nexus.obs.metrics.count("mcast.group_sends") == rsrs
+
+
+#: Host calls per roundtrip (per RSR for the fan-out), measured as the
+#: difference between 300 and 100 of a warm run: MPL 248, cross-partition
+#: TCP 298, forwarded 362 and multicast fan-out 308.6 when a healthy RSR
+#: made its first send attempt in ``rsr``'s own frame and the transports
+#: resolved, counted and notified in line; 292, 356, 427 and 327.6
+#: before.  Each budget is that count plus 10 %.
+PATH_CALL_BUDGETS = {
+    "mpl": (lambda n: nexus_pingpong(0, n, methods=("local", "mpl")), 273),
+    "tcp": (lambda n: nexus_pingpong(0, n, methods=("local", "mpl", "tcp"),
+                                     cross_partition=True), 328),
+    "forwarded": (_forwarded_pingpong, 398),
+    "multicast": (_multicast_fan_out, 340),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATH_CALL_BUDGETS))
+def test_per_message_host_calls_stay_within_budget(path):
+    """Deterministic tripwire for host work per message on each send
+    path: the fixed start-up and tear-down cancel in the difference."""
+    run, budget = PATH_CALL_BUDGETS[path]
+    per_message = (_host_calls(lambda: run(300))
+                   - _host_calls(lambda: run(100))) / 200
+    assert per_message <= budget, (
+        f"{per_message:,} host calls per {path} message, budget "
+        f"{budget:,} — is a layer crossing back on the RSR path, or a "
+        "dict.get where a subscript or attribute read would do?")
 
 
 #: Host calls of building one ``MPIWorld`` over ready contexts, by rank
@@ -352,3 +463,46 @@ def test_idle_wake_up_reenters_one_frame_below_the_application():
     finally:
         sys.setprofile(previous)
     assert resumed == ["application", "wait"]
+
+
+def test_healthy_send_reenters_one_frame_below_the_rsr():
+    """The first attempt of a healthy single-link RSR runs in ``rsr``'s
+    own frame: the event that ends the transport's send-overhead sleep
+    resumes the application, ``rsr`` and the transport's ``send``, and
+    no retry-ladder frame between them."""
+    bed = make_sp2(nodes_a=2, nodes_b=0)
+    nexus = bed.nexus
+    a = nexus.context(bed.hosts_a[0], methods=("local", "mpl"))
+    b = nexus.context(bed.hosts_a[1], methods=("local", "mpl"))
+    b.register_handler("h", lambda ctx, ep, buf: None)
+    startpoint = a.startpoint_to(b.new_endpoint())
+
+    def warm_up():
+        yield from startpoint.rsr("h")
+
+    nexus.run_until(warm_up())  # selects and connects MPL
+    assert startpoint.current_methods() == ["mpl"]
+
+    def application():
+        yield from startpoint.rsr("h")
+
+    process = nexus.spawn(application())
+    resumed_by_step = []
+
+    def on_call(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            resumed_by_step[-1].append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    try:
+        while process.is_alive:
+            resumed_by_step.append([])
+            sys.setprofile(on_call)
+            bed.sim.step()
+            sys.setprofile(previous)
+    finally:
+        sys.setprofile(previous)
+    sending = [resumed for resumed in resumed_by_step if "send" in resumed]
+    # Two steps enter the send: the one that starts it (ending rsr's
+    # overhead sleep) and the one that ends its own overhead sleep.
+    assert sending == [["application", "rsr", "send"]] * 2

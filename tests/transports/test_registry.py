@@ -1,6 +1,7 @@
 """Tests for the transport registry (module loading machinery)."""
 
 import dataclasses
+import types
 
 import pytest
 
@@ -17,7 +18,8 @@ from repro.transports import (
     TransportRegistry,
     TransportServices,
 )
-from repro.transports.errors import RegistryError
+from repro.transports.base import Descriptor, WireMessage
+from repro.transports.errors import RegistryError, TransportError
 from repro.transports.layers import (
     CompressionLayer,
     FragmentationLayer,
@@ -71,6 +73,23 @@ class TestRegistry:
         assert registry.enable("tcp").costs.poll_cost == 42.0
         with pytest.raises(RegistryError, match="no cost model"):
             registry.enable("mpl")
+
+    @pytest.mark.parametrize("name", ["mpl", "tcp"])
+    def test_send_without_resolver_is_a_typed_error(self, registry, name):
+        """A send before the runtime installs its context resolver is a
+        ``TransportError`` naming the missing resolver, for the fast and
+        the IP family alike."""
+        transport = registry.enable(name)
+        local = types.SimpleNamespace(id=1, host=None)
+        descriptor = Descriptor(name, 2)
+        message = WireMessage(handler="h", endpoint_id=0, src_context=1,
+                              dst_context=2, payload=None, nbytes=8)
+        send = transport.send(local, transport.open(local, descriptor),
+                              descriptor, message)
+        with pytest.raises(TransportError,
+                           match="no context resolver installed"):
+            for _sleep in send:
+                pass
 
     def test_speed_ranks_unique(self):
         ranks = [cls.speed_rank for cls in BUILTIN_TRANSPORTS.values()]
