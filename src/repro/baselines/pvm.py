@@ -23,11 +23,7 @@ from ..core.context import Context
 from ..core.runtime import Nexus
 from ..simnet.resources import Store
 from ..transports.base import WireMessage
-from ..util.units import microseconds
 from .p4 import P4_HEADER_BYTES, P4Process, P4System
-
-#: pvmd per-message routing cost (table lookup + copy).
-PVMD_OVERHEAD = microseconds(80.0)
 
 #: Extra wire bytes for the relay envelope.
 RELAY_HEADER_BYTES = 12
@@ -55,10 +51,11 @@ class Pvmd:
 
     def _relay_loop(self):
         nexus = self.context.nexus
+        overhead = nexus.runtime_costs.pvmd_overhead
         while True:
             raw = yield self.work.get()
             inner = _t.cast(WireMessage, raw)
-            yield from self.context.charge(PVMD_OVERHEAD)
+            yield from self.context.charge(overhead)
             self.system.messages_relayed += 1
             destination = nexus._resolve_context(inner.dst_context)
             if self.context.host.same_partition(destination.host):

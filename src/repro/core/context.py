@@ -231,12 +231,14 @@ class Context:
             trace.transition("dispatch", ctx=self.id,
                              handler=message.handler)
         costs = nexus.runtime_costs.dispatch_cost
-        # Direct registry-dict lookup (dispatch runs once per message;
-        # the ``in``/``get`` pair costs two call frames).
-        transport = (nexus.transports._transports.get(message.method)
-                     if message.method else None)
-        if transport is not None:
-            tc = transport.costs
+        # Lookups by subscript (dispatch runs once per message; a
+        # ``.get`` is one more call).  A message no transport carried
+        # (``method`` unset) pays no receive overhead.
+        try:
+            tc = nexus.transports._transports[message.method].costs
+        except KeyError:
+            pass
+        else:
             costs += tc.recv_overhead + tc.per_byte_recv * message.nbytes
         headers = message.headers
         if headers:
@@ -254,22 +256,26 @@ class Context:
         if message.dst_context == -1:
             endpoints = _t.cast(dict, message.headers.get("endpoints", {}))
             endpoint_id = endpoints.get(self.id, endpoint_id)
-        endpoint = self.endpoints.get(endpoint_id)
-        if endpoint is None:
+        try:
+            endpoint = self.endpoints[endpoint_id]
+        except KeyError:
             raise HandlerError(
                 f"RSR {message.handler!r} addressed unknown endpoint "
                 f"{endpoint_id} in context {self.id}"
-            )
-        handler = self.handlers.get(message.handler)
-        if handler is None:
+            ) from None
+        try:
+            handler = self.handlers[message.handler]
+        except KeyError:
             raise HandlerError(
                 f"context {self.id} has no handler {message.handler!r}"
-            )
+            ) from None
 
         payload = message.payload
-        if isinstance(payload, Buffer):
+        if payload.__class__ is Buffer or isinstance(payload, Buffer):
             payload = payload.reader_copy()
-        endpoint.note_delivery(message.nbytes, nexus.sim._now)
+        endpoint.rsrs_received += 1
+        endpoint.bytes_received += message.nbytes
+        endpoint.last_rsr_at = nexus.sim._now
         self.rsrs_dispatched += 1
 
         if trace is not None:

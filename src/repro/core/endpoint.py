@@ -35,12 +35,6 @@ class Endpoint:
         self.bytes_received = 0
         self.last_rsr_at: float | None = None
 
-    def note_delivery(self, nbytes: int, now: float) -> None:
-        """Bookkeeping hook called by the dispatch path."""
-        self.rsrs_received += 1
-        self.bytes_received += nbytes
-        self.last_rsr_at = now
-
     def __deepcopy__(self, memo: dict) -> _t.NoReturn:
         raise TypeError("endpoints cannot be copied between contexts; "
                         "copy the startpoint instead")

@@ -42,11 +42,13 @@ attributes rather than five dicts keyed by method name.  A cycle
 drains only the firing lanes whose container holds mail (a traced miss
 is one append to the lane's ``poll_batch``).  And a
 blocking operation costs one generator frame below its caller:
-:meth:`wait` and :meth:`poll` yield their own sleeps and are both
-written in terms of the same plain helpers
-(:meth:`PollManager._begin_cycle`, :meth:`PollManager._collect`,
-:meth:`PollManager._end_cycle`), so an event that wakes an idle waiter
-re-enters one frame, not a tower of pass-through generators.
+:meth:`wait` and :meth:`poll` yield their own sleeps, share two plain
+helpers (:meth:`PollManager._begin_cycle`, :meth:`PollManager._end_cycle`)
+and drain each firing lane in their own frame — the transport's
+``collect``, the lane's tallies, then ``Context.dispatch`` per message —
+so an event that wakes an idle waiter re-enters one frame below the
+application, and one that ends a dispatch charge two (the wait's and the
+dispatch's), not a tower of pass-through generators.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .errors import PollingError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..simnet.resources import Store
-    from ..transports.base import Transport, WireMessage
+    from ..transports.base import Transport
     from .context import Context
 
 #: Numerical slack for time comparisons.
@@ -391,9 +393,9 @@ class PollManager:
         caller — :meth:`poll` or :meth:`wait`, in its own frame — charges
         ``total_cost``, *then* adds ``foreign_cost`` to the context's
         foreign-poll accumulator, drains each firing lane whose container
-        holds something through :meth:`_collect` (every transport's
-        ``collect`` returns ``[]`` for an empty one; a traced poll records
-        the miss as one ``0.0`` append to ``poll_batch``), and hands
+        holds something through its transport's ``collect`` (which
+        returns ``[]`` for an empty one; a traced poll records the miss
+        as one ``0.0`` append to ``poll_batch``), and hands
         ``watch`` (``None`` unless an observer is attached) to
         :meth:`_end_cycle`.
         """
@@ -421,16 +423,6 @@ class PollManager:
             watch = [(lane, _oldest_wait(lane.inbox, now))
                      for lane in self._observed]
         return firing, total_cost, foreign_cost, watch
-
-    def _collect(self, lane: _Lane) -> list["WireMessage"]:
-        """Drain what a firing lane's transport has ready, and tally it."""
-        context = self.context
-        messages = lane.transport.collect(context, lane)
-        found = len(messages) if messages else 0
-        lane.messages += found
-        if context.nexus.obs.enabled:
-            (lane.batch or self._batch(lane))(float(found))
-        return messages
 
     def _batch(self, lane: _Lane) -> _t.Callable[[float], None]:
         """Resolve and cache ``lane.batch``: one append into the
@@ -469,9 +461,14 @@ class PollManager:
                 if obs.enabled:  # a traced miss: poll_batch records 0
                     (lane.batch or self._batch(lane))(0.0)
                 continue
-            for message in self._collect(lane):
+            messages = lane.transport.collect(context, lane)
+            found = len(messages) if messages else 0
+            lane.messages += found
+            if obs.enabled:
+                (lane.batch or self._batch(lane))(float(found))
+            for message in messages:
                 yield from context.dispatch(message)
-                dispatched += 1
+            dispatched += found
         if watch is not None:
             self._end_cycle(watch)
         return dispatched
@@ -520,9 +517,14 @@ class PollManager:
                     if obs.enabled:
                         (lane.batch or self._batch(lane))(0.0)
                     continue
-                for message in self._collect(lane):
+                messages = lane.transport.collect(context, lane)
+                found = len(messages) if messages else 0
+                lane.messages += found
+                if obs.enabled:
+                    (lane.batch or self._batch(lane))(float(found))
+                for message in messages:
                     yield from context.dispatch(message)
-                    dispatched += 1
+                dispatched += found
             if watch is not None:
                 self._end_cycle(watch)
             if predicate():

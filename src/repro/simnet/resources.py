@@ -3,8 +3,8 @@
 Two primitives cover everything the Nexus reproduction needs:
 
 * :class:`Store` — an unbounded FIFO queue of items with event-returning
-  ``put``/``get``.  Transport inboxes and the PVM daemon's work queue are
-  Stores.
+  ``put``/``get`` and a non-blocking ``drain`` of everything queued.
+  Transport inboxes and the PVM daemon's work queue are Stores.
 * :class:`Resource` — a lock with FIFO waiters.  An IP channel holds one
   while a message serialises onto the wire.
 
@@ -62,15 +62,17 @@ class Store:
             self._getters.append(event)
         return event
 
-    def try_get(self) -> object | None:
-        """Non-blocking get: pop and return the oldest item, or ``None``.
+    def drain(self) -> list[object]:
+        """Take every queued item, oldest first, without waiting.
 
-        This is the primitive the Nexus poll loop uses — a poll either finds
-        a pending message or returns immediately.
+        This is the primitive the Nexus poll loop uses — a poll takes
+        whatever the kernel buffer holds, possibly nothing, and returns
+        immediately.  No getter is ever waiting while items are queued,
+        so what ``items`` holds is everything there is to take.
         """
-        if self.items:
-            return self.items.popleft()
-        return None
+        items = list(self.items)
+        self.items.clear()
+        return items
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Store {self.name or ''} items={len(self.items)} "

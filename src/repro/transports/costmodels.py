@@ -217,6 +217,9 @@ class RuntimeCosts:
         One trip around an application's wait loop, poll included: the
         unit of the adaptive skip bound (worst-case detection latency is
         skip x cycle).
+    pvmd_overhead:
+        PVM daemon CPU to route one relayed message (table lookup and
+        copy) in the PVM baseline (:mod:`repro.baselines.pvm`).
     """
 
     rsr_send_overhead: float = unit("s", microseconds(8.0))
@@ -228,6 +231,7 @@ class RuntimeCosts:
     xdr_per_byte: float = unit("s/B", microseconds(0.05))
     forward_overhead: float = unit("s", microseconds(50.0))
     wait_loop_cycle: float = unit("s", microseconds(16.0))
+    pvmd_overhead: float = unit("s", microseconds(80.0))
 
 
 #: TCP over the SP2 switch: the profile the paper reports.

@@ -25,9 +25,13 @@ where ``ready_at`` is the unhindered completion time (arrival start plus
 penalty is zero and the device runs at full speed.
 
 The send is one frame per message: :meth:`FastTransport.send` resolves
-its destination through the services' resolver, counts the send in
-line, and the arrival wakes the destination's idle waiters through
-``note_arrival`` directly.
+its destination through the services' resolver and counts the send in
+line.  So is the arrival: ``_arrive_later`` sleeps the wire latency,
+queues the message at the destination's device and wakes its idle
+waiters through ``note_arrival`` directly.  :meth:`FastTransport.collect`
+walks the queue's ready prefix, each transit tested by
+:meth:`FastTransport.deliverable_at`, and removes it with one slice
+deletion.
 """
 
 from __future__ import annotations
@@ -89,16 +93,20 @@ class FastTransport(Transport):
 
     def _arrive_later(self, destination: ContextLike, message: WireMessage):
         yield self.costs.latency
-        self._enqueue_at_device(destination, message)
-
-    def _enqueue_at_device(self, destination: ContextLike,
-                           message: WireMessage) -> None:
         now = self.sim._now
-        queue = destination.device_queue(self.name)
-        busy = destination.device_busy.get(self.name, 0.0)
-        start = busy if busy > now else now  # max(now, busy), no call
+        name = self.name
+        try:
+            queue = destination._device_queues[name]  # type: ignore[attr-defined]
+        except KeyError:
+            queue = destination.device_queue(name)
+        busy = destination.device_busy
+        start = now
+        if name in busy:
+            horizon = busy[name]
+            if horizon > now:  # max(now, busy), no call
+                start = horizon
         ready_at = start + message.nbytes / self.costs.bandwidth
-        destination.device_busy[self.name] = ready_at
+        busy[name] = ready_at
         queue.append(InTransitMessage(
             message=message,
             arrival_start=now,
@@ -108,7 +116,7 @@ class FastTransport(Transport):
         if message.trace is not None:
             # Device drain + detection wait both belong to poll_detect.
             message.trace.transition("poll_detect", ctx=destination.id,
-                                     lane=self.name, ready_at=ready_at)
+                                     lane=name, ready_at=ready_at)
         destination.note_arrival()
 
     def collect(self, context: ContextLike,
@@ -126,15 +134,21 @@ class FastTransport(Transport):
         if not queue:
             return []
         now = self.sim._now
+        deadline = now + _READY_SLACK
         foreign_now = context.foreign_poll_total
-        ready: list[WireMessage] = []
-        while queue:
-            transit = queue[0]
-            if now + _READY_SLACK < self.deliverable_at(transit, foreign_now):
-                break  # device is FIFO: later messages cannot overtake
-            queue.pop(0)
+        # The device is FIFO: the ready messages are a prefix of the
+        # queue, and later messages cannot overtake the first unready one.
+        n = 0
+        for transit in queue:
+            if deadline < self.deliverable_at(transit, foreign_now):
+                break
             transit.message.arrived_at = now
-            ready.append(transit.message)
+            n += 1
+        if not n:
+            return []
+        ready = ([queue[0].message] if n == 1
+                 else [transit.message for transit in queue[:n]])
+        del queue[:n]
         return ready
 
     def deliverable_at(self, transit: InTransitMessage,

@@ -177,11 +177,16 @@ class IpTransport(Transport):
                       latency: float):
         yield latency
         message.arrived_at = self.sim._now
+        name = self.name
         if message.trace is not None:
             # Kernel-buffer arrival; detection waits for the next poll.
             message.trace.transition("poll_detect", ctx=destination.id,
-                                     lane=self.name)
-        destination.inbox(self.name).put(message)
+                                     lane=name)
+        try:
+            inbox = destination._inboxes[name]  # type: ignore[attr-defined]
+        except KeyError:
+            inbox = destination.inbox(name)
+        inbox.put(message)
         destination.note_arrival()
 
     # -- receive ---------------------------------------------------------------
@@ -198,9 +203,4 @@ class IpTransport(Transport):
             inbox = inboxes.get(self.name)
             if inbox is None:
                 return []
-        ready: list[WireMessage] = []
-        # An inbox is unbounded, so nothing ever waits to be put: what
-        # ``items`` holds is everything there is to get.
-        while inbox.items:
-            ready.append(inbox.try_get())  # type: ignore[arg-type]
-        return ready
+        return inbox.drain()  # type: ignore[return-value]

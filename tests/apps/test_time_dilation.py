@@ -10,7 +10,8 @@ scales a binary float without rounding, so every simulated time must then
 double *exactly*, and so must it halve at K = 1/2.  A row that does not
 names a time constant that lives outside the model, where a sensitivity
 sweep over the model cannot reach it.  The same holds for the Figure 4
-and Figure 6 kernels, whose testbed takes the dilated costs.  K = 3 is
+and Figure 6 kernels, whose testbed takes the dilated costs, and for the
+PVM baseline, whose daemons' relay cost is a ``RuntimeCosts`` field.  K = 3 is
 the control: no power of two, so rounding shows and the times are not
 exactly tripled, which is what gives the exact comparisons their teeth.
 """
@@ -23,6 +24,9 @@ from repro.apps.climate import ClimateConfig, ClimateMode
 from repro.apps.climate.model import run_coupled_model
 from repro.apps.dualpingpong import dual_pingpong
 from repro.apps.pingpong import nexus_pingpong
+from repro.baselines import PvmSystem
+from repro.baselines.workload import _baseline_bodies
+from repro.load.arrivals import MixedRoundPattern
 from repro.testbeds import make_sp2
 from repro.transports.costmodels import DEFAULT_COSTS
 from repro.util.units import dilate
@@ -114,3 +118,23 @@ def test_dual_pingpong_at_k3_is_not_exact():
     base, base_trips = dual(1, 20)
     dilated, trips = dual(3, 20)
     assert dilated != 3 * base and trips == base_trips
+
+
+def pvm(k):
+    """The mixed workload's PVM row (10 rounds) on a testbed dilated by
+    ``k``: its finish time, relayed messages and events."""
+    bed = dilated_testbed(k, 2, 2)
+    nexus = bed.nexus
+    contexts = [nexus.context(h, f"p{i}") for i, h in enumerate(bed.hosts)]
+    system = PvmSystem.build(nexus, contexts)
+    bodies = _baseline_bodies(system, 10, MixedRoundPattern(
+        local_bytes=2048, remote_bytes=16 * 1024, remote_every=5))
+    nexus.run(until=nexus.sim.all_of([nexus.spawn(body)
+                                      for body in bodies]))
+    return nexus.now, system.messages_relayed, nexus.sim.events_processed
+
+
+def test_pvm_baseline_dilates_exactly():
+    base, relayed, events = pvm(1)
+    assert relayed > 0
+    assert pvm(2) == (2 * base, relayed, events)

@@ -5,7 +5,8 @@ import copy
 import pytest
 
 from repro.core.buffers import Buffer
-from repro.core.errors import BindError, HandlerError
+from repro.core.errors import BindError, HandlerError, NexusError
+from repro.transports.base import WireMessage
 
 
 @pytest.fixture
@@ -54,8 +55,9 @@ class TestEndpoints:
 
         nexus.spawn(receiver())
         nexus.spawn(sender())
-        with pytest.raises(HandlerError, match="unknown endpoint"):
+        with pytest.raises(HandlerError, match="unknown endpoint") as info:
             nexus.run(max_events=100_000)
+        assert info.value.__suppress_context__
 
 
 class TestBinding:
@@ -142,8 +144,9 @@ class TestRsr:
 
         nexus.spawn(receiver())
         nexus.spawn(sender())
-        with pytest.raises(HandlerError, match="no handler"):
+        with pytest.raises(HandlerError, match="no handler") as info:
             nexus.run(max_events=100_000)
+        assert info.value.__suppress_context__
 
     def test_threaded_handler_runs_as_process(self, pair):
         """A handler returning a generator may itself block and reply."""
@@ -245,3 +248,62 @@ class TestRsr:
         nexus.run(until=done)
         assert sp.rsrs_sent == 3
         assert sp.bytes_sent >= 300
+
+
+class TestDispatch:
+    """``Context.dispatch`` on one message, driven directly: a lookup miss
+    is a typed ``HandlerError`` whose ``KeyError`` is suppressed, and a
+    message for another context goes to the forwarder."""
+
+    @staticmethod
+    def message(a, b, endpoint_id, handler="h", dst_context=None):
+        return WireMessage(
+            handler=handler, endpoint_id=endpoint_id, src_context=a.id,
+            dst_context=b.id if dst_context is None else dst_context,
+            payload=Buffer(), nbytes=64, method="mpl")
+
+    def test_unknown_endpoint_is_typed(self, pair):
+        bed, a, b = pair
+        b.register_handler("h", lambda c, e, buf: None)
+        with pytest.raises(HandlerError, match=(
+                f"RSR 'h' addressed unknown endpoint 999 in context "
+                f"{b.id}$")) as info:
+            bed.nexus.run_until(b.dispatch(self.message(a, b, 999)))
+        assert not isinstance(info.value, KeyError)
+        assert info.value.__suppress_context__
+
+    def test_unknown_handler_is_typed(self, pair):
+        bed, a, b = pair
+        endpoint = b.new_endpoint()
+        with pytest.raises(HandlerError, match=(
+                f"context {b.id} has no handler 'nope'$")) as info:
+            bed.nexus.run_until(b.dispatch(
+                self.message(a, b, endpoint.id, handler="nope")))
+        assert not isinstance(info.value, KeyError)
+        assert info.value.__suppress_context__
+        assert endpoint.rsrs_received == 0
+
+    def test_delivery_is_counted_on_the_endpoint(self, pair):
+        bed, a, b = pair
+        endpoint = b.new_endpoint()
+        b.register_handler("h", lambda c, e, buf: None)
+        bed.nexus.run_until(b.dispatch(self.message(a, b, endpoint.id)))
+        assert (endpoint.rsrs_received, endpoint.bytes_received,
+                endpoint.last_rsr_at) == (1, 64, bed.sim.now)
+        assert b.rsrs_dispatched == 1
+
+    def test_message_for_another_context_is_forwarded(self, pair):
+        bed, a, b = pair
+        forwarded = []
+
+        class Forwarder:
+            def forward(self, context, message):
+                forwarded.append((context, message))
+                yield 0.0
+
+        message = self.message(a, b, 1, dst_context=a.id)
+        with pytest.raises(NexusError, match="is not a forwarder"):
+            bed.nexus.run_until(b.dispatch(message))
+        b.forwarder = Forwarder()
+        bed.nexus.run_until(b.dispatch(message))
+        assert forwarded == [(b, message)] and b.rsrs_dispatched == 0

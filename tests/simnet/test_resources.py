@@ -53,15 +53,14 @@ class TestStore:
         sim.run()
         assert out == [0, 1, 2, 3, 4]
 
-    def test_try_get(self, sim):
+    def test_drain(self, sim):
         store = Store(sim)
-        assert store.try_get() is None
-        store.put(1)
-        store.put(2)
+        assert store.drain() == []
+        for item in (1, 2, 3):
+            store.put(item)
         sim.run()
-        assert store.try_get() == 1
-        assert store.try_get() == 2
-        assert store.try_get() is None
+        assert store.drain() == [1, 2, 3]
+        assert not store.items and store.drain() == []
 
     def test_len_and_is_empty(self, sim):
         store = Store(sim)

@@ -154,17 +154,19 @@ def test_kernel_sleep_host_calls_stay_within_budget():
 
 
 #: Host calls (Python and C, as ``cProfile`` counts them) of one warm
-#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 14,753 when a healthy
-#: RSR made its first send attempt in ``rsr``'s own frame and the
-#: transports resolved, counted and notified in line (17,170 before);
-#: 17,194 when a process
+#: ``dual_pingpong(0, 20, mpl_roundtrips=50)``: 13,424 when the wait
+#: loop drained its firing lanes in its own frame, the transports
+#: drained by slice and dispatch looked up by subscript; 14,753 when a
+#: healthy RSR made its first send attempt in ``rsr``'s own frame and
+#: the transports resolved, counted and notified in line (17,170
+#: before); 17,194 when a process
 #: slept by yielding its delay and started without an init event
 #: (19,583 before); 19,803 when an untraced poll stopped collecting
 #: from empty lanes, the idle wake became one plain ``Event`` and the
 #: fast send path lost its ``_route`` hop; 21,438 before that, 30,050
 #: before lane records and one-frame blocking operations.  The budget
 #: is that count plus 10 %.
-DUAL_PINGPONG_CALL_BUDGET = 16_230
+DUAL_PINGPONG_CALL_BUDGET = 14_770
 
 
 def test_unified_poll_host_calls_stay_within_budget():
@@ -180,15 +182,17 @@ def test_unified_poll_host_calls_stay_within_budget():
 
 #: Host calls of one warm ``_mpi_exchange()`` (4 ranks over MPL and TCP,
 #: 10 rounds of a ring ``sendrecv`` and an ``irecv``/``send``/``wait``
-#: halo swap of an 8-element array): 16,627 when a healthy RSR made its
-#: first send attempt in ``rsr``'s own frame and the transports
+#: halo swap of an 8-element array): 15,787 when the wait loop drained
+#: its firing lanes in its own frame, the transports drained by slice
+#: and dispatch looked up by subscript; 16,627 when a healthy RSR made
+#: its first send attempt in ``rsr``'s own frame and the transports
 #: resolved, counted and notified in line (18,559 before); 21,437 when
 #: a rank bound its startpoint to a peer on first use (2 of 4 here) and
 #: shared the peer's table instead of copying it; 21,608 when an MPI envelope became one
 #: header element, ``Buffer`` elements one frame each, the payload codec
 #: class-keyed and a receive's wait one bound-method check; 28,139
 #: before.  The budget is that count plus 10 %.
-MPI_EXCHANGE_CALL_BUDGET = 18_290
+MPI_EXCHANGE_CALL_BUDGET = 17_370
 
 
 def _mpi_exchange(rounds=10):
@@ -302,17 +306,19 @@ def _multicast_fan_out(rsrs, members=3):
 
 
 #: Host calls per roundtrip (per RSR for the fan-out), measured as the
-#: difference between 300 and 100 of a warm run: MPL 248, cross-partition
-#: TCP 298, forwarded 362 and multicast fan-out 308.6 when a healthy RSR
-#: made its first send attempt in ``rsr``'s own frame and the transports
-#: resolved, counted and notified in line; 292, 356, 427 and 327.6
-#: before.  Each budget is that count plus 10 %.
+#: difference between 300 and 100 of a warm run: MPL 224, cross-partition
+#: TCP 280, forwarded 339 and multicast fan-out 281.6 when the wait loop
+#: drained its firing lanes in its own frame, the transports drained by
+#: slice and dispatch looked up by subscript; 248, 298, 362 and 308.6
+#: when a healthy RSR made its first send attempt in ``rsr``'s own frame
+#: and the transports resolved, counted and notified in line; 292, 356,
+#: 427 and 327.6 before.  Each budget is that count plus 10 %.
 PATH_CALL_BUDGETS = {
-    "mpl": (lambda n: nexus_pingpong(0, n, methods=("local", "mpl")), 273),
+    "mpl": (lambda n: nexus_pingpong(0, n, methods=("local", "mpl")), 247),
     "tcp": (lambda n: nexus_pingpong(0, n, methods=("local", "mpl", "tcp"),
-                                     cross_partition=True), 328),
-    "forwarded": (_forwarded_pingpong, 398),
-    "multicast": (_multicast_fan_out, 340),
+                                     cross_partition=True), 308),
+    "forwarded": (_forwarded_pingpong, 373),
+    "multicast": (_multicast_fan_out, 310),
 }
 
 
@@ -506,3 +512,49 @@ def test_healthy_send_reenters_one_frame_below_the_rsr():
     # Two steps enter the send: the one that starts it (ending rsr's
     # overhead sleep) and the one that ends its own overhead sleep.
     assert sending == [["application", "rsr", "send"]] * 2
+
+
+def test_healthy_dispatch_reenters_one_frame_below_the_wait():
+    """A received RSR is drained and dispatched in the wait loop's own
+    frame: the events that start and end the dispatch charge of an idle
+    MPL receiver resume the application, ``wait`` and ``dispatch``, and
+    no drain helper between them."""
+    bed = make_sp2(nodes_a=2, nodes_b=0)
+    nexus = bed.nexus
+    a = nexus.context(bed.hosts_a[0], methods=("local", "mpl"))
+    b = nexus.context(bed.hosts_a[1], methods=("local", "mpl"))
+    got = []
+    b.register_handler("h", lambda ctx, ep, buf: got.append(buf))
+    startpoint = a.startpoint_to(b.new_endpoint())
+
+    def application():
+        yield from b.wait(lambda: bool(got))
+
+    process = nexus.spawn(application())
+    bed.sim.run()  # runs dry: the receiver idles on the next arrival
+
+    def sender():
+        yield from startpoint.rsr("h")
+
+    nexus.spawn(sender())
+    resumed_by_step = []
+
+    def on_call(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            resumed_by_step[-1].append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    try:
+        while process.is_alive:
+            resumed_by_step.append([])
+            sys.setprofile(on_call)
+            bed.sim.step()
+            sys.setprofile(previous)
+    finally:
+        sys.setprofile(previous)
+    assert startpoint.current_methods() == ["mpl"] and len(got) == 1
+    dispatching = [resumed for resumed in resumed_by_step
+                   if "dispatch" in resumed]
+    # Two steps enter the dispatch: the one that starts it (ending the
+    # poll charge) and the one that ends its own dispatch charge.
+    assert dispatching == [["application", "wait", "dispatch"]] * 2
