@@ -27,7 +27,7 @@ class CommObject:
     """An active connection from one context to another via one method."""
 
     __slots__ = ("owner", "transport", "descriptor", "state",
-                 "messages_sent", "bytes_sent", "created_at")
+                 "messages_sent", "bytes_sent")
 
     def __init__(self, owner: "Context", transport: Transport,
                  descriptor: Descriptor):
@@ -37,7 +37,6 @@ class CommObject:
         self.state: dict[str, object] = transport.open(owner, descriptor)
         self.messages_sent = 0
         self.bytes_sent = 0
-        self.created_at = owner.nexus.sim.now
 
     @property
     def method(self) -> str:

@@ -274,8 +274,6 @@ class Context:
         if payload.__class__ is Buffer or isinstance(payload, Buffer):
             payload = payload.reader_copy()
         endpoint.rsrs_received += 1
-        endpoint.bytes_received += message.nbytes
-        endpoint.last_rsr_at = nexus.sim._now
         self.rsrs_dispatched += 1
 
         if trace is not None:

@@ -23,8 +23,7 @@ class Endpoint:
     Do not instantiate directly; use :meth:`Context.new_endpoint`.
     """
 
-    __slots__ = ("id", "context", "bound_object", "rsrs_received",
-                 "bytes_received", "last_rsr_at")
+    __slots__ = ("id", "context", "bound_object", "rsrs_received")
 
     def __init__(self, context: "Context", bound_object: object = None):
         self.id: int = next(_endpoint_ids)
@@ -32,8 +31,6 @@ class Endpoint:
         #: The local address associated with this endpoint (may be None).
         self.bound_object = bound_object
         self.rsrs_received = 0
-        self.bytes_received = 0
-        self.last_rsr_at: float | None = None
 
     def __deepcopy__(self, memo: dict) -> _t.NoReturn:
         raise TypeError("endpoints cannot be copied between contexts; "

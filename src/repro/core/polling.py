@@ -40,7 +40,7 @@ this context — skip counter, costs, tallies, the method's device queue
 or inbox — lives in one :class:`_Lane` record, so a cycle reads
 attributes rather than five dicts keyed by method name.  A cycle
 drains only the firing lanes whose container holds mail (a traced miss
-is one append to the lane's ``poll_batch``).  And a
+is one more ``zeros`` on the lane's ``poll_batch``).  And a
 blocking operation costs one generator frame below its caller:
 :meth:`wait` and :meth:`poll` yield their own sleeps, share two plain
 helpers (:meth:`PollManager._begin_cycle`, :meth:`PollManager._end_cycle`)
@@ -56,7 +56,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..obs.metrics import COUNT_BUCKETS
+from ..obs.metrics import COUNT_BUCKETS, Histogram
 from ..simnet.events import PENDING, Event
 from .errors import PollingError
 
@@ -92,9 +92,10 @@ class _Lane:
     is built.  Of ``queue`` and ``inbox`` one is set, by the transport's
     delivery model (a method that drains a device queue never sees its
     inbox, and the other way round): the context's own container for
-    the method, never rebound.  ``batch`` records one value into the
-    method's ``poll_batch`` histogram (its ``recorder()``), resolved the
-    first time a traced poll fires the lane (:meth:`PollManager._batch`).
+    the method, never rebound.  ``batch`` is the method's ``poll_batch``
+    histogram, resolved the first time a traced poll fires the lane
+    (:meth:`PollManager._batch`): a hit appends the count found to its
+    ``pending`` array, a miss adds one to its ``zeros``.
     """
 
     __slots__ = ("method", "transport", "cost", "steals", "k", "count",
@@ -117,7 +118,7 @@ class _Lane:
         self.queue = context.device_queue(method) if drains else None
         self.inbox = None if drains else context.inbox(method)
         self.observer: PollObserver | None = None
-        self.batch: _t.Callable[[float], None] | None = None
+        self.batch: Histogram | None = None
 
 
 @dataclasses.dataclass
@@ -394,8 +395,8 @@ class PollManager:
         ``total_cost``, *then* adds ``foreign_cost`` to the context's
         foreign-poll accumulator, drains each firing lane whose container
         holds something through its transport's ``collect`` (which
-        returns ``[]`` for an empty one; a traced poll records the miss
-        as one ``0.0`` append to ``poll_batch``), and hands
+        returns ``[]`` for an empty one; a traced poll counts the miss
+        as one more ``zeros`` on ``poll_batch``), and hands
         ``watch`` (``None`` unless an observer is attached) to
         :meth:`_end_cycle`.
         """
@@ -424,11 +425,13 @@ class PollManager:
                      for lane in self._observed]
         return firing, total_cost, foreign_cost, watch
 
-    def _batch(self, lane: _Lane) -> _t.Callable[[float], None]:
-        """Resolve and cache ``lane.batch``: one append into the
-        method's ``poll_batch`` histogram, folded when it is read."""
+    def _batch(self, lane: _Lane) -> Histogram:
+        """Resolve and cache ``lane.batch``, the method's ``poll_batch``
+        histogram, its ``pending`` array ready for appends (folded, with
+        its ``zeros``, when it is read)."""
         batch = lane.batch = self.context.nexus.obs.metrics.histogram(
-            "poll_batch", COUNT_BUCKETS, method=lane.method).recorder()
+            "poll_batch", COUNT_BUCKETS, method=lane.method)
+        batch.unfolded()
         return batch
 
     @staticmethod
@@ -459,13 +462,14 @@ class PollManager:
             if not (lane.queue or lane.inbox is not None
                     and lane.inbox.items):
                 if obs.enabled:  # a traced miss: poll_batch records 0
-                    (lane.batch or self._batch(lane))(0.0)
+                    (lane.batch or self._batch(lane)).zeros += 1
                 continue
             messages = lane.transport.collect(context, lane)
             found = len(messages) if messages else 0
             lane.messages += found
             if obs.enabled:
-                (lane.batch or self._batch(lane))(float(found))
+                (lane.batch or self._batch(lane)).pending.append(
+                    float(found))
             for message in messages:
                 yield from context.dispatch(message)
             dispatched += found
@@ -515,13 +519,14 @@ class PollManager:
                 if not (lane.queue or lane.inbox is not None
                         and lane.inbox.items):
                     if obs.enabled:
-                        (lane.batch or self._batch(lane))(0.0)
+                        (lane.batch or self._batch(lane)).zeros += 1
                     continue
                 messages = lane.transport.collect(context, lane)
                 found = len(messages) if messages else 0
                 lane.messages += found
                 if obs.enabled:
-                    (lane.batch or self._batch(lane))(float(found))
+                    (lane.batch or self._batch(lane)).pending.append(
+                        float(found))
                 for message in messages:
                     yield from context.dispatch(message)
                 dispatched += found

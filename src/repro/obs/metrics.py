@@ -17,9 +17,12 @@ Design constraints:
   at creation (defaults suit microsecond latencies), so two runs always
   agree on bucket boundaries and snapshots merge trivially.
 * **Cheap.**  ``inc`` is one add and ``observe`` a bisect plus a few
-  adds; the tracer's hot paths pay less still: they hold a histogram's
-  :meth:`~Histogram.recorder` and append one raw value per
-  observation, which every reader folds in first
+  adds; the tracer pays less still.  Its span closes and deliveries are
+  records in its sink, which the registry folds into the histograms'
+  :meth:`~Histogram.unfolded` arrays before any read (the hook
+  :class:`~repro.obs.spans.Observability` installs), and a traced poll
+  appends one raw value per hit and counts a miss in
+  :attr:`Histogram.zeros`; every histogram reader folds those in first
   (:meth:`Histogram.fold`).  The registry allocates only on first use
   of a ``(name, labels)`` pair; a counter bumped per message is held by
   its owner as a handle.
@@ -104,10 +107,10 @@ class Histogram:
     are kept alongside the buckets so means are not quantised.
 
     :meth:`observe` updates the histogram on the spot.  A hot path
-    instead caches :meth:`recorder` — the bound ``append`` of
-    ``pending``, an ``array('d')`` emptied in place and never rebound,
-    so the cached handle stays valid — and records one raw value per
-    call; :meth:`fold` applies them, and every reader —
+    instead appends raw values to :meth:`unfolded` — ``pending``, an
+    ``array('d')`` emptied in place and never rebound, so a cached
+    handle stays valid — or adds one to ``zeros`` per ``0.0`` it
+    records; :meth:`fold` applies them, and every reader —
     ``mean``, :meth:`quantile`, :meth:`snapshot`, :meth:`observe`
     itself, the registry's ``histogram``/``collect``/``snapshot``,
     pickling and copying — folds first.  The plain attributes
@@ -115,17 +118,23 @@ class Histogram:
     current only after a fold.
     """
 
-    # ``pending`` lives in the instance ``__dict__``, not in a slot: a
-    # histogram no hot path records into — a timeline cell, one only
-    # ever ``observe``d, one restored from a pickle or a copy (whose
-    # state is exactly the eager one) — reads the class's empty tuple,
-    # so unpickling stays the C-level slot restore and readers pay no
-    # call.
+    # ``pending`` and ``zeros`` live in the instance ``__dict__``, not in
+    # slots: a histogram no hot path records into — a timeline cell, one
+    # only ever ``observe``d, one restored from a pickle or a copy (whose
+    # state is exactly the eager one) — reads the class's empty tuple and
+    # zero, so unpickling stays the C-level slot restore and readers pay
+    # no call.
     __slots__ = ("name", "labels", "bounds", "counts", "count", "total",
                  "min_value", "max_value", "__dict__")
 
     #: Raw values recorded but not yet folded, in observation order.
     pending: "array[float] | tuple[()]" = ()
+    #: ``0.0`` values recorded but not yet folded.  Their place among
+    #: ``pending`` is not kept, which only a ``-0.0`` there could show
+    #: (``min``/``max`` keep the first of equal values), so a histogram
+    #: counting ``zeros`` must not record ``-0.0``.  ``total`` starts at
+    #: ``0.0`` and so never is ``-0.0``: adding ``0.0`` leaves it as is.
+    zeros = 0
 
     def __init__(self, name: str, labels: LabelItems,
                  bounds: _t.Sequence[float]):
@@ -151,17 +160,19 @@ class Histogram:
         self.min_value: float | None = None
         self.max_value: float | None = None
 
-    def recorder(self) -> _t.Callable[[float], None]:
-        """The hot paths' handle: ``pending.append``, recording one raw
-        value that the next reader folds in."""
+    def unfolded(self) -> "array[float]":
+        """``pending`` (created on first use): a hot path appends one raw
+        value to it per observation, a fold extends it, and the next
+        reader folds it in."""
         pending = self.pending
         if not isinstance(pending, array):
             pending = self.pending = array("d")
-        return pending.append
+        return pending
 
     def fold(self) -> None:
-        """Apply the pending values, exactly as :meth:`observe` would
-        have, one at a time, and empty ``pending`` in place.
+        """Apply the pending values and ``zeros``, exactly as
+        :meth:`observe` would have, one at a time, and empty ``pending``
+        in place.
 
         ``total`` accumulates in observation order (never a builtin
         ``sum`` or ``math.fsum``, whose rounding differs); the
@@ -171,7 +182,18 @@ class Histogram:
         ``bisect_left(bounds, v)``, i.e. it is counted at the first
         bound it does not exceed, so each bucket is a difference of two
         ``bisect_right`` positions — a call per bound, none per value.
+        ``zeros`` land in bucket ``bisect_left(bounds, 0.0)`` and leave
+        ``total`` as it is.
         """
+        zeros = self.zeros
+        if zeros:
+            self.zeros = 0
+            self.count += zeros
+            self.counts[bisect.bisect_left(self.bounds, 0.0)] += zeros
+            if self.min_value is None or 0.0 < self.min_value:
+                self.min_value = 0.0
+            if self.max_value is None or 0.0 > self.max_value:
+                self.max_value = 0.0
         pending = self.pending
         if not pending:
             return
@@ -198,7 +220,7 @@ class Histogram:
     def __getstate__(self) -> tuple[None, dict[str, object]]:
         # Folded, and without ``pending``: the state (and so the pickle
         # bytes) of a histogram that observed every value eagerly.
-        if self.pending:
+        if self.pending or self.zeros:
             self.fold()
         return None, {"name": self.name, "labels": self.labels,
                       "bounds": self.bounds, "counts": self.counts,
@@ -207,7 +229,7 @@ class Histogram:
                       "max_value": self.max_value}
 
     def observe(self, value: float) -> None:
-        if self.pending:
+        if self.pending or self.zeros:
             self.fold()
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.count += 1
@@ -219,14 +241,14 @@ class Histogram:
 
     @property
     def mean(self) -> float | None:
-        if self.pending:
+        if self.pending or self.zeros:
             self.fold()
         return self.total / self.count if self.count else None
 
     def quantile(self, q: float) -> float | None:
         """Upper bound of the bucket containing the q-quantile (an
         over-estimate, exact for the overflow bucket's max)."""
-        if self.pending:
+        if self.pending or self.zeros:
             self.fold()
         if self.count == 0:
             return None
@@ -240,7 +262,7 @@ class Histogram:
         return self.max_value
 
     def snapshot(self) -> dict[str, object]:
-        if self.pending:
+        if self.pending or self.zeros:
             self.fold()
         return {
             "labels": dict(self.labels),
@@ -254,10 +276,27 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Label-aware registry of counters, gauges, and histograms."""
+    """Label-aware registry of counters, gauges, and histograms.
+
+    A recorder that keeps its observations elsewhere until they are read
+    (the span tracer keeps them as records in its sink) installs
+    ``_unread``: every histogram reader here — :meth:`histogram`,
+    :meth:`collect`, :meth:`snapshot`, ``len`` and pickling — calls it
+    first, and it extends the histograms'
+    :meth:`~Histogram.unfolded` arrays.
+    """
+
+    #: Folds observations kept elsewhere into the histograms; ``None``
+    #: when nothing waits, as on a copy (pickling leaves it out).
+    _unread: _t.Callable[[], None] | None = None
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelItems], object] = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        if self._unread is not None:
+            self._unread()
+        return {"_metrics": self._metrics}
 
     def _get(self, kind: type, name: str, labels: dict[str, object],
              factory: _t.Callable[[], object]) -> object:
@@ -286,10 +325,12 @@ class MetricsRegistry:
     def histogram(self, name: str,
                   bounds: _t.Sequence[float] = LATENCY_BUCKETS_US,
                   **labels: object) -> Histogram:
+        if self._unread is not None:
+            self._unread()
         hist = _t.cast(Histogram, self._get(
             Histogram, name, labels,
             lambda: Histogram(name, _label_key(labels), bounds)))
-        if hist.pending:
+        if hist.pending or hist.zeros:
             hist.fold()
         return hist
 
@@ -303,10 +344,13 @@ class MetricsRegistry:
                 ) -> list[tuple[str, LabelItems, object]]:
         """All metrics (optionally one name), deterministically sorted,
         every histogram folded."""
+        if self._unread is not None:
+            self._unread()
         items = []
         for key, metric in self._metrics.items():
             if name is None or key[0] == name:
-                if metric.__class__ is Histogram and metric.pending:
+                if metric.__class__ is Histogram and (metric.pending
+                                                      or metric.zeros):
                     metric.fold()
                 items.append((key[0], key[1], metric))
         items.sort(key=lambda item: (item[0], item[1]))
@@ -321,6 +365,8 @@ class MetricsRegistry:
         return out
 
     def __len__(self) -> int:
+        if self._unread is not None:
+            self._unread()
         return len(self._metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -35,16 +35,15 @@ import dataclasses
 import itertools
 import operator
 import typing as _t
+import weakref
 
 from .metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..simnet.engine import Simulator
-    from .timeline import Column, Timeline
+    from array import array
 
-#: A histogram's :meth:`~repro.obs.metrics.Histogram.recorder`: what a
-#: cached slot records through.
-_Observe = _t.Callable[[float], None]
+    from ..simnet.engine import Simulator
+    from .timeline import Timeline
 
 PHASE_ISSUE = "issue"
 PHASE_MARSHAL = "marshal"
@@ -133,13 +132,6 @@ class MessageTrace:
         if (previous is not None and previous.end is None
                 and previous.phase != PHASE_ISSUE):
             previous.end = now
-            slots, key = obs._phase_slots, (previous.phase, previous.lane)
-            observe, column = (slots[key] if key in slots
-                               else obs._phase_slot(*key))
-            duration_us = (now - previous.start) * 1e6
-            observe(duration_us)
-            if column is not None:
-                column.extend((now, duration_us))
             del obs._open[previous.id]
             obs.sink.record_span(previous)
         if lane is None:
@@ -194,12 +186,8 @@ class MessageTrace:
             span.attrs["dropped"] = True
             obs.close_span(span)
         obs._counter_handle("rsr_dropped", self.lane).inc()
-        now = obs.sim._now
-        timeline = obs.timeline
-        if timeline is not None:
-            timeline.dropped_column(self.lane).extend((now, 1.0))
         self.current = None
-        obs.sink.record_drop_event(self.rsr, now, self.lane)
+        obs.sink.record_drop_event((self.rsr, obs.sim._now, self.lane))
 
     def abandon(self, reason: str) -> None:
         """Terminate the trace of one failed send attempt.
@@ -231,7 +219,7 @@ class MessageTrace:
         obs.sink.chain_end(self.rsr)
 
     def finish(self, now: float, *, threaded: bool = False) -> None:
-        """Close the final span and record end-to-end latency metrics."""
+        """Close the final span and record the end-to-end delivery."""
         obs = self.obs
         span = self.current
         if span is not None and span.end is None:
@@ -240,51 +228,43 @@ class MessageTrace:
                     span.attrs = {}
                 span.attrs["threaded"] = True
             # Observability.close_span, inlined.
-            end = span.end = obs.sim._now
-            slots, key = obs._phase_slots, (span.phase, span.lane)
-            observe, column = (slots[key] if key in slots
-                               else obs._phase_slot(*key))
-            duration_us = (end - span.start) * 1e6
-            observe(duration_us)
-            if column is not None:
-                column.extend((end, duration_us))
+            span.end = obs.sim._now
             del obs._open[span.id]
             obs.sink.record_span(span)
         self.current = None
         obs.rsrs_finished += 1
         lane = self.lane
-        slots = obs._lane_slots
-        observe, latency, latency_all, delivered = (
-            slots[lane] if lane in slots else obs._lane_slot(lane))
-        latency_us = (now - self.issued_at) * 1e6
-        observe(latency_us)
-        if latency is not None:
-            latency.extend((now, latency_us))
-            latency_all.extend((now, latency_us))
-            delivered.extend((now, 1.0))
-            if span is not None:
-                obs.timeline.rank_column(span.ctx).extend((now, 1.0))
         if self.hops:
             obs._counter_handle("rsr_forwarded", lane).inc()
-        obs.sink.record_delivery(self.rsr, now, lane, latency_us,
-                                 span.ctx if span is not None else None)
+        obs.sink.record_delivery((self.rsr, now, lane,
+                                  (now - self.issued_at) * 1e6,
+                                  span.ctx if span is not None else None))
+
+
+#: A record, as the tracer writes it to its sink and :class:`RecordFold`
+#: reads it: a closed :class:`Span`; a delivery ``(rsr, t, lane,
+#: latency_us, ctx)``, ``ctx`` the final span's context (``None`` when
+#: that span was dropped at capacity); or a drop ``(rsr, t, lane)``.
+Record = Span | tuple
 
 
 class SpanLog:
     """The in-memory sink, installed on every :class:`Observability`.
 
-    It keeps every closed span (``Observability.spans`` adds the open
-    ones) and owns the capacity cap: once ``max_spans`` spans are in
-    memory, ``open_span`` drops the rest.  A
+    It keeps every record — closed spans, deliveries and drops, in live
+    order (``closed`` picks the spans out; ``Observability.spans`` adds
+    the open ones) — and owns the capacity cap: once ``max_spans``
+    spans are in memory, ``open_span`` drops the rest.  A
     :class:`repro.obs.stream.SpanSpool` replaces it when a run spools to
     disk.  The protocol both share: ``record_span`` at every close;
     ``chain_begin`` as a message chain (a send attempt or a multicast
-    fork) starts, and ``record_delivery``, ``record_drop_event`` or
-    ``chain_end`` (an abandoned attempt, a retired fan-out parent) as
-    it ends; ``max_spans``, ``closed`` (spans kept in memory),
-    ``released`` (closed spans taken out of it), ``overhead`` and the
-    one reader, ``rsr_groups``.  The log keeps nothing but spans: the
-    registry and timeline hold the rest.
+    fork) starts, and ``record_delivery``, ``record_drop_event`` (each
+    handed its record) or ``chain_end`` (an abandoned attempt, a retired
+    fan-out parent) as it ends; ``unfolded`` (the records since its last
+    call, which the registry and the timeline fold when read);
+    ``max_spans``, ``closed`` (spans kept in memory), ``released``
+    (closed spans taken out of it), ``overhead`` and the one span
+    reader, ``rsr_groups``.
     """
 
     #: Closed spans taken out of memory: none, they stay resident.
@@ -292,20 +272,31 @@ class SpanLog:
 
     def __init__(self, max_spans: int):
         self.max_spans = max_spans
-        self.closed: list[Span] = []
-        self.record_span = self.closed.append
+        self.records: list[Record] = []
+        #: How many of ``records`` :meth:`unfolded` has handed out.
+        self._folded = 0
+        # A record is one append, whatever its kind.
+        self.record_span = self.record_delivery = self.record_drop_event = (
+            self.records.append)
 
-    def record_delivery(self, rsr: int, now: float, lane: str,
-                        latency_us: float, ctx: int | None) -> None:
-        pass
+    @property
+    def closed(self) -> list[Span]:
+        """The closed spans, in the order they closed."""
+        return [record for record in self.records
+                if record.__class__ is Span]
+
+    def unfolded(self) -> list[Record]:
+        """The records made since the last call, in live order."""
+        records = self.records
+        start = self._folded
+        self._folded = len(records)
+        return records[start:]
 
     def chain_begin(self, rsr: int) -> None:
         pass
 
-    def chain_end(self, *_record: object) -> None:
+    def chain_end(self, rsr: int) -> None:
         pass
-
-    record_drop_event = chain_end
 
     def overhead(self, opened: int) -> dict[str, object]:
         return {"spans_recorded": opened, "streaming": False}
@@ -321,6 +312,159 @@ class SpanLog:
             yield rsr, list(group)
 
 
+#: Records one fold takes at a time, so its lists stay small however
+#: many records wait.
+_FOLD_RECORDS = 4096
+
+
+class RecordFold:
+    """Folds records into a registry's histograms and a timeline's
+    columns: the one fold of the tracer's records, live
+    (:class:`Observability`, before any read) and replayed from a spool
+    (:func:`repro.obs.stream.fold_stream`).
+
+    A closed span adds its duration (µs, at its end) to
+    ``rsr_phase_us{phase,lane}`` and the phase column; a delivery its
+    latency to ``rsr_latency_us{method}`` and the method and ``all``
+    latency columns, and one to the delivered column and, with a
+    ``ctx``, the rank column; a drop one to the dropped column; and an
+    issue span, open or closed, whose id is above ``issued_after`` (any
+    id while it is ``None``) one to the issued column at its start.
+    ``registry`` or ``timeline`` may be ``None``.
+
+    No call per record (docs/ARCHITECTURE.md, "Performance model"): a
+    record grows plain lists with ``list +=``, and each list extends its
+    target once per fold.  A key's targets are resolved at its first
+    record, so columns and histograms are created in record order and
+    receive their values in record order.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None,
+                 timeline: "Timeline | None", *,
+                 issued_after: int | None = None):
+        self.registry = registry
+        self.timeline = timeline
+        self.issued_after = issued_after
+        #: Where the last :meth:`fold` stopped on a ``TypeError``: the
+        #: index of the record it could not fold.
+        self.failed_at = -1
+        # One list per target, in resolution order (lanes share the
+        # ``all`` latency column, so targets are keyed by identity).
+        self._buffers: list[tuple["array[float]", list[float]]] = []
+        self._by_target: dict[int, list[float]] = {}
+        self._phases: dict[tuple[str, str], tuple[list[float] | None,
+                                                  list[float] | None]] = {}
+        self._lanes: dict[str, tuple[list[float] | None, ...]] = {}
+        self._ranks: dict[int, list[float]] = {}
+        self._drops: dict[str, list[float]] = {}
+        self._issued: list[float] | None = None
+
+    def fold(self, records: _t.Sequence[Record]) -> None:
+        """Fold ``records`` in; a ``TypeError`` (a value no target would
+        hold) propagates with ``failed_at`` set."""
+        for start in range(0, len(records), _FOLD_RECORDS):
+            self._fold(records[start:start + _FOLD_RECORDS], start)
+
+    def _fold(self, records: _t.Sequence[Record], offset: int) -> None:
+        timeline = self.timeline
+        issued_after = self.issued_after
+        phases, lanes = self._phases, self._lanes
+        ranks, drops = self._ranks, self._drops
+        issued = self._issued
+        index = 0
+        try:
+            for index, record in enumerate(records):
+                if record.__class__ is Span:
+                    end = record.end
+                    if end is not None:
+                        key = (record.phase, record.lane)
+                        observed, column = (phases[key] if key in phases
+                                            else self._phase(key))
+                        duration_us = (end - record.start) * 1e6
+                        if observed is not None:
+                            observed += (duration_us,)
+                        if column is not None:
+                            column += (end, duration_us)
+                    if (timeline is not None and record.phase == PHASE_ISSUE
+                            and (issued_after is None
+                                 or record.id > issued_after)):
+                        if issued is None:
+                            issued = self._issued = self._buffer(
+                                timeline.issued_column())
+                        issued += (record.start - 0.0, 1.0)
+                    continue
+                match record:
+                    case (_, now, lane, latency_us, ctx):
+                        observed, latency, latency_all, delivered = (
+                            lanes[lane] if lane in lanes
+                            else self._lane(lane))
+                        if observed is not None:
+                            observed += (latency_us,)
+                        if latency is not None:
+                            latency += (now, latency_us)
+                            latency_all += (now, latency_us)
+                            delivered += (now, 1.0)
+                            if ctx is not None:
+                                rank = (ranks[ctx] if ctx in ranks
+                                        else self._rank(ctx))
+                                rank += (now, 1.0)
+                    case (_, now, lane):
+                        if timeline is not None:
+                            dropped = (drops[lane] if lane in drops
+                                       else self._drop(lane))
+                            dropped += (now, 1.0)
+        except TypeError:
+            self.failed_at = offset + index
+            raise
+        for target, values in self._buffers:
+            if values:
+                target.extend(values)
+                del values[:]
+
+    # First-touch resolution of a key's targets (a call per key, not per
+    # record).
+
+    def _buffer(self, target: "array[float]") -> list[float]:
+        values = self._by_target.get(id(target))
+        if values is None:
+            values = self._by_target[id(target)] = []
+            self._buffers.append((target, values))
+        return values
+
+    def _phase(self, key: tuple[str, str]
+               ) -> tuple[list[float] | None, list[float] | None]:
+        registry, timeline = self.registry, self.timeline
+        slot = self._phases[key] = (
+            None if registry is None else self._buffer(registry.histogram(
+                "rsr_phase_us", LATENCY_BUCKETS_US,
+                phase=key[0], lane=key[1]).unfolded()),
+            None if timeline is None
+            else self._buffer(timeline.phase_column(*key)))
+        return slot
+
+    def _lane(self, lane: str) -> tuple[list[float] | None, ...]:
+        registry, timeline = self.registry, self.timeline
+        observed = None if registry is None else self._buffer(
+            registry.histogram("rsr_latency_us", LATENCY_BUCKETS_US,
+                               method=lane).unfolded())
+        columns = ((None, None, None) if timeline is None
+                   else tuple(map(self._buffer,
+                                  timeline.delivery_columns(lane))))
+        slot = self._lanes[lane] = (observed, *columns)
+        return slot
+
+    def _rank(self, ctx: int) -> list[float]:
+        timeline = _t.cast("Timeline", self.timeline)
+        rank = self._ranks[ctx] = self._buffer(timeline.rank_column(ctx))
+        return rank
+
+    def _drop(self, lane: str) -> list[float]:
+        timeline = _t.cast("Timeline", self.timeline)
+        dropped = self._drops[lane] = self._buffer(
+            timeline.dropped_column(lane))
+        return dropped
+
+
 class Observability:
     """Span recorder + metrics registry for one runtime.
 
@@ -330,7 +474,10 @@ class Observability:
     ``enabled=False`` — the default — every span entry point is a
     no-op; the only cost on hot paths is an attribute load and a branch.
     Every span is recorded one way: held here while open and handed to
-    ``sink`` when it closes.
+    ``sink`` when it closes.  A traced event — a span close, a delivery,
+    a drop — is that one record; the registry's histograms and the
+    timeline's columns are folded from the sink's records when they are
+    read (:class:`RecordFold`, through their ``_unread`` hooks).
     """
 
     def __init__(self, sim: "Simulator", *, enabled: bool = False,
@@ -351,69 +498,80 @@ class Observability:
         self._next_span = 1
         self._next_rsr = 1
         self._open: dict[int, Span] = {}  # by id, so in id order
-        # Instrument-handle caches: the registry's (name, sorted-labels)
-        # lookup sorts a label tuple per call, which is measurable when a
-        # traced run closes a span per lifecycle phase per message.  The
-        # label sets here are tiny (phases × lanes), so plain dicts keyed
-        # on the raw values resolve each handle once — together with the
-        # timeline columns the same event appends to (``None`` while no
-        # timeline is attached).  A slot holds the histogram's
-        # ``recorder()`` (its pending array's ``append``), not the
-        # histogram: an observation is one append, folded when read.
-        self._phase_slots: dict[tuple[str, str],
-                                tuple[_Observe, Column | None]] = {}
-        self._lane_slots: dict[str, tuple[_Observe, Column | None,
-                                          Column | None,
-                                          Column | None]] = {}
-        self._issued: Column | None = None
         self._counters: dict[tuple[str, str], object] = {}
         #: Optional windowed telemetry (attach with :meth:`enable_timeline`).
         self.timeline: Timeline | None = None
+        # A traced event is one record in ``sink``: the registry folds
+        # the records in before any read, the timeline too once attached
+        # (the fold is made at the first record or timeline).
+        self._record_fold: RecordFold | None = None
+        self.metrics._unread = self._fold_records
 
     def enable_timeline(self, interval: float, *,
                         bounds: _t.Sequence[float] = LATENCY_BUCKETS_US
                         ) -> Timeline:
         """Attach a fixed-interval :class:`~repro.obs.timeline.Timeline`.
 
-        Recording piggybacks on the span hooks, so the timeline only
-        fills while ``enabled`` is true.  The hooks cache each timeline
-        column beside the registry handle of the same event, so an
-        observation costs one append (the timeline folds its windows
-        when read); when no timeline is attached they pay a ``None``
-        test.  Attaching drops the cached slots so they pick up the new
-        timeline's columns.
+        It fills from the span records, so only while ``enabled`` is
+        true, and only from records made after it is attached: the
+        records made before are folded first (into the timeline it
+        replaces, if any, which then stops filling).  Its columns fill
+        when it is read, not as the records are made.  It holds this
+        tracer weakly, so a timeline kept after the run (a load result
+        keeps one) does not keep the run alive: the records it has not
+        read yet reach it as the tracer is collected (:meth:`__del__`).
         """
         from .timeline import Timeline
 
+        previous = self.timeline
+        if previous is None:
+            self._fold_records()
+        else:
+            self._fold_timeline()
+            previous._unread = None
         timeline = Timeline(interval, bounds=bounds)
+        tracer = weakref.ref(self)
+
+        def unread() -> None:
+            obs = tracer()
+            if obs is not None:
+                obs._fold_timeline()
+
+        timeline._unread = unread
         self.timeline = timeline
-        self._phase_slots.clear()
-        self._lane_slots.clear()
-        self._issued = None
+        self._record_fold = RecordFold(self.metrics, timeline,
+                                       issued_after=self._next_span - 1)
         return timeline
 
-    def _phase_slot(self, phase: str, lane: str
-                    ) -> tuple[_Observe, Column | None]:
-        """Resolve and cache the handles one closed span records to."""
-        hist = self.metrics.histogram(
-            "rsr_phase_us", LATENCY_BUCKETS_US, phase=phase, lane=lane)
-        timeline = self.timeline
-        slot = self._phase_slots[(phase, lane)] = (
-            hist.recorder(), None if timeline is None
-            else timeline.phase_column(phase, lane))
-        return slot
+    def __del__(self) -> None:
+        # The timeline holds this tracer weakly: hand it what it has not
+        # read yet.
+        if self.timeline is not None:
+            self._fold_timeline()
 
-    def _lane_slot(self, lane: str) -> tuple[_Observe, Column | None,
-                                             Column | None, Column | None]:
-        """Resolve and cache the handles one delivery on ``lane``
-        records to."""
-        hist = self.metrics.histogram(
-            "rsr_latency_us", LATENCY_BUCKETS_US, method=lane)
-        timeline = self.timeline
-        columns = ((None, None, None) if timeline is None
-                   else timeline.delivery_columns(lane))
-        slot = self._lane_slots[lane] = (hist.recorder(), *columns)
-        return slot
+    def _fold_records(self) -> None:
+        """Fold the sink's new records into the registry and the
+        timeline (the registry's ``_unread``)."""
+        records = self.sink.unfolded()
+        if records:
+            fold = self._record_fold
+            if fold is None:
+                fold = self._record_fold = RecordFold(self.metrics, None)
+            fold.fold(records)
+
+    def _fold_timeline(self) -> None:
+        """The timeline's ``_unread``: :meth:`_fold_records`, then the
+        issue spans opened since the last call and open still.  An issue
+        span counts as issued once, at its start: at the first timeline
+        read it is open for, or else as its record is folded."""
+        self._fold_records()
+        fold = _t.cast(RecordFold, self._record_fold)
+        after = _t.cast(int, fold.issued_after)
+        opened = [span for span in self._open.values()
+                  if span.id > after and span.phase == PHASE_ISSUE]
+        if opened:
+            fold.fold(opened)
+        fold.issued_after = self._next_span - 1
 
     def _counter_handle(self, name: str, method: str):
         """Cached counter handle for a ``method``-labelled counter."""
@@ -449,14 +607,7 @@ class Observability:
     def close_span(self, span: Span | None) -> None:
         if span is None:
             return
-        end = span.end = self.sim._now
-        slots, key = self._phase_slots, (span.phase, span.lane)
-        observe, column = (slots[key] if key in slots
-                           else self._phase_slot(*key))
-        duration_us = (end - span.start) * 1e6
-        observe(duration_us)
-        if column is not None:
-            column.extend((end, duration_us))
+        span.end = self.sim._now
         del self._open[span.id]
         self.sink.record_span(span)
 
@@ -512,21 +663,15 @@ class Observability:
         if resident >= sink.max_spans:
             self.dropped_spans += 1
             return None
-        now = self.sim._now
         span = Span(span_id, self._next_rsr, PHASE_ISSUE, ctx, NEXUS_LANE,
-                    now, None, None, {"handler": handler, "links": links})
+                    self.sim._now, None, None,
+                    {"handler": handler, "links": links})
         self._next_span = span_id + 1
         self._open[span_id] = span
         if resident >= self.peak_spans:
             self.peak_spans = resident + 1
         self._next_rsr += 1
         self.rsrs_started += 1
-        timeline = self.timeline
-        if timeline is not None:
-            issued = self._issued
-            if issued is None:
-                issued = self._issued = timeline.issued_column()
-            issued.extend((now, 1.0))
         return span
 
     def attach(self, message: object, issue: Span) -> None:

@@ -62,8 +62,9 @@ Reading back is one ``json.loads`` per block of about 64 KiB of lines
 is no record (:func:`fold_stream`), raises
 :class:`~repro.util.document.DocumentError` naming ``shard:line``.  The
 read path makes no call per record beyond the span it rebuilds: groups
-grow and the timeline replay buffers its values with ``list +=``, and
-each replayed column is extended once per block.
+grow with ``list +=``, and each block's records go through the live
+tracer's record fold (:class:`~repro.obs.spans.RecordFold`), which
+extends each timeline column once per block.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ from .spans import (
     PHASE_RETRY,
     PHASE_WIRE,
     Observability,
+    RecordFold,
     Span,
 )
-from .timeline import Column, Timeline
+from .timeline import Timeline
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "repro.obs.stream.manifest"
@@ -285,7 +287,10 @@ class SpanSpool:
     template and fields.  Every ``_WRITE_RECORDS`` records and at
     :meth:`finalize` the block is encoded in one pass, written and
     hashed, so the open spans plus at most one block stay resident
-    (plus, under a sampling policy, the RSRs awaiting a verdict).
+    (plus, under a sampling policy, the RSRs awaiting a verdict).  The
+    live records (kept or sampled out alike) also wait, in live order,
+    for the registry and timeline fold (:meth:`unfolded`), which runs
+    before each block is written, so they stay bounded too.
     Record order in the shards equals live call order, which is what
     makes the timeline fold byte-exact.  A finalized spool stays
     ``obs.sink``, so reports and the span products still read it.
@@ -314,6 +319,8 @@ class SpanSpool:
         #: the block takes before it is written.
         self._block: list = []
         self._room = _WRITE_RECORDS
+        #: Live records not yet folded into the registry and timeline.
+        self._unfolded: list = []
         self._names = _Quoted()
         self._staged: dict[int, _Staged] = {}
         #: Per-RSR ledger ``rsr -> [open_chains, issue_closed]``: an RSR
@@ -352,9 +359,16 @@ class SpanSpool:
                 "already holds in-memory spans")
         if isinstance(obs.sink, SpanSpool):
             raise ValueError("a streaming sink is already attached")
+        obs._fold_records()
         obs.sink = self
         self.obs = obs
         return self
+
+    def unfolded(self) -> list:
+        """The live records made since the last call, in live order."""
+        records = self._unfolded
+        self._unfolded = []
+        return records
 
     def overhead(self, opened: int) -> dict[str, object]:
         return {"spans_recorded": self.spans_emitted, "streaming": True,
@@ -383,6 +397,7 @@ class SpanSpool:
 
     def record_span(self, span: Span) -> None:
         self.released += 1
+        self._unfolded += (span,)
         ctx_map = self._ctx_map
         if span.ctx not in ctx_map:
             ctx_map[span.ctx] = len(ctx_map)
@@ -427,8 +442,10 @@ class SpanSpool:
             del self._live[rsr]
             self.rsr_resolved(rsr)
 
-    def record_delivery(self, rsr: int, now: float, lane: str,
-                        latency_us: float, ctx: int | None) -> None:
+    def record_delivery(self, record: tuple[int, float, str, float,
+                                            int | None]) -> None:
+        self._unfolded += (record,)
+        rsr, now, lane, latency_us, ctx = record
         self.deliveries += 1
         if ctx is None:
             dense: object = "null"
@@ -448,7 +465,9 @@ class SpanSpool:
             self._route(rsr, item, lane=lane)
         self.chain_end(rsr)
 
-    def record_drop_event(self, rsr: int, now: float, lane: str) -> None:
+    def record_drop_event(self, record: tuple[int, float, str]) -> None:
+        self._unfolded += (record,)
+        rsr, now, lane = record
         self.drops += 1
         item = (_DROP_LINE, self._names[lane], rsr, now)
         if self._policy is None:
@@ -488,6 +507,9 @@ class SpanSpool:
                forced: bool = False, lane: str | None = None) -> None:
         """Stage a sampled run's record with its RSR (straight to the
         block for records of no RSR)."""
+        if len(self._unfolded) >= _WRITE_RECORDS:
+            # Sampled-out records never reach a block: fold as often.
+            _t.cast(Observability, self.obs)._fold_records()
         if rsr <= 0:
             self._extend((item,))
             return
@@ -546,6 +568,8 @@ class SpanSpool:
         ``max_bytes``, exactly as if each record were written alone, so
         a block is written and hashed in one piece per shard it reaches.
         """
+        if self._unfolded:
+            _t.cast(Observability, self.obs)._fold_records()
         block = self._block
         if not block:
             return
@@ -945,33 +969,22 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
     at its ``r`` record, on ``shard`` (a path) at ``line``, or
     unresolved (``shard`` is ``None``) at end of stream in ascending RSR
     order.  ``contexts`` maps the dense context ids back to the run's;
-    with ``timeline`` the live hooks' appends are replayed into it on
-    the way.  A shard line that decodes but is not a spooled record
-    raises :class:`DocumentError` naming ``shard:line``."""
+    with ``timeline`` the spooled records are folded into it on the way,
+    by the fold the live tracer's reads run (:class:`RecordFold`), once
+    per block.  A shard line that decodes but is not a spooled record,
+    or holds a value no timeline column would, raises
+    :class:`DocumentError` naming ``shard:line``."""
     pending: dict[int, list[Span]] = {}
-    # The live hooks' appends (Observability.close_span, rsr_begin,
-    # MessageTrace.finish/drop), replayed into one plain list per column
-    # that extends its column once per block.  Columns are resolved on
-    # first touch, so they are created in the order the live run created
-    # them.  ``list += (a, b)`` grows a list without a call, and
-    # ``x - 0.0`` (the identity on every float, ``-0.0`` included)
-    # refuses on its own line a value no column would hold.
-    buffers: list[tuple[Column, list[float]]] = []
-    by_column: dict[int, list[float]] = {}
-
-    def buffer(column: Column) -> list[float]:
-        """``column``'s list (one per column: lanes share ``all``)."""
-        if id(column) not in by_column:
-            by_column[id(column)] = values = []
-            buffers.append((column, values))
-        return by_column[id(column)]
-
-    phase_buffers: dict[tuple[str, str], list[float]] = {}
-    lane_buffers: dict[str, tuple[list[float], list[float],
-                                  list[float]]] = {}
-    rank_buffers: dict[int, list[float]] = {}
-    drop_buffers: dict[str, list[float]] = {}
-    issued: list[float] | None = None
+    fold = None if timeline is None else RecordFold(None, timeline)
+    # Each block's records in the live tracer's form, their lines, and
+    # the groups the block resolves, yielded once the block is folded
+    # (so a line the fold refuses stops the read before any group after
+    # it).  ``list +=`` grows a list without a call, and ``x - 0.0``
+    # (the identity on every float, ``-0.0`` included) refuses on its
+    # own line a time or latency no column would hold.
+    batch: list = []
+    numbers: list[int] = []
+    resolved: list[tuple[int, list[Span], str, int]] = []
     for where, first, records in _record_blocks(directory, manifest):
         for number, rec in enumerate(records, first):
             try:
@@ -989,52 +1002,23 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                         pending[rsr] += (span,)
                     else:
                         pending[rsr] = [span]
-                    if timeline is not None:
-                        end = span.end
-                        if end is not None:
-                            key = (span.phase, span.lane)
-                            if key not in phase_buffers:
-                                phase_buffers[key] = buffer(
-                                    timeline.phase_column(*key))
-                            phase_buffers[key] += (
-                                end, (end - span.start) * 1e6)
-                        if span.phase == PHASE_ISSUE:
-                            if issued is None:
-                                issued = buffer(timeline.issued_column())
-                            issued += (span.start - 0.0, 1.0)
+                    if fold is not None:
+                        batch += (span,)
+                        numbers += (number,)
                 elif kind == "d":
-                    if timeline is not None:
-                        now = rec["t"] - 0.0
-                        latency_us = rec["us"] - 0.0
-                        lane = rec["lane"]
-                        if lane not in lane_buffers:
-                            method, merged, count = \
-                                timeline.delivery_columns(lane)
-                            lane_buffers[lane] = (buffer(method),
-                                                  buffer(merged),
-                                                  buffer(count))
-                        latency, latency_all, delivered = lane_buffers[lane]
-                        latency += (now, latency_us)
-                        latency_all += (now, latency_us)
-                        delivered += (now, 1.0)
-                        ctx = rec["ctx"]
-                        if ctx is not None:
-                            if ctx not in rank_buffers:
-                                rank_buffers[ctx] = buffer(
-                                    timeline.rank_column(ctx))
-                            rank_buffers[ctx] += (now, 1.0)
+                    if fold is not None:
+                        batch += ((None, rec["t"] - 0.0, rec["lane"],
+                                   rec["us"] - 0.0, rec["ctx"]),)
+                        numbers += (number,)
                 elif kind == "x":
-                    if timeline is not None:
-                        lane = rec["lane"]
-                        if lane not in drop_buffers:
-                            drop_buffers[lane] = buffer(
-                                timeline.dropped_column(lane))
-                        drop_buffers[lane] += (rec["t"] - 0.0, 1.0)
+                    if fold is not None:
+                        batch += ((None, rec["t"] - 0.0, rec["lane"]),)
+                        numbers += (number,)
                 elif kind == "r":
                     rsr = rec["rsr"]
                     spans = pending.pop(rsr, None)
                     if spans:
-                        yield rsr, spans, where, number
+                        resolved += ((rsr, spans, where, number),)
                 else:
                     raise DocumentError(
                         f"{where}:{number}: unknown record kind {kind!r}")
@@ -1042,10 +1026,17 @@ def _read_groups(directory: str, manifest: _t.Mapping[str, object],
                 raise DocumentError(
                     f"{where}:{number}: malformed shard record "
                     f"({type(error).__name__}: {error})") from error
-        for column, values in buffers:
-            if values:
-                column.extend(values)
-                del values[:]
+        if batch:
+            fold = _t.cast(RecordFold, fold)
+            try:
+                fold.fold(batch)
+            except TypeError as error:
+                raise DocumentError(
+                    f"{where}:{numbers[fold.failed_at]}: malformed shard "
+                    f"record ({type(error).__name__}: {error})") from error
+            del batch[:], numbers[:]
+        yield from resolved
+        del resolved[:]
     for rsr in sorted(pending):
         yield rsr, pending.pop(rsr), None, 0
 

@@ -25,13 +25,15 @@ Semantics follow the rest of :mod:`repro.obs`:
   :meth:`Timeline.mean_series` — "no data" is distinct from "measured
   0.0", exactly like ``PollStats.hit_rate``.  Counter series fill 0.0
   (zero events genuinely happened).
-* **One append per observation.**  Recording appends ``(now, value)``
-  to the series' column (an ``array('d')``, created on first touch);
-  the tracer's hot paths hold their columns next to the registry
-  histograms' ``recorder()`` they already cache, so a closed span
-  costs one pending append plus one ``extend`` (the registry folds on
-  read too: :meth:`repro.obs.metrics.Histogram.fold`).  Every reader
-  first *folds* the columns into window cells and empties them.  The
+* **A traced event is one record.**  The span tracer writes a closed
+  span, a delivery or a drop once, to its sink, and folds those records
+  into the series' columns (``(now, value)`` pairs in an ``array('d')``,
+  created at the first record of its series, in live order) only when
+  the timeline is read: every reader first calls the tracer's hook
+  ``_unread``, which extends each column once per fold (the registry
+  histograms fold from the same records:
+  :meth:`repro.obs.spans.Observability.enable_timeline`).  Then the
+  reader *folds* the columns into window cells and empties them.  The
   fold is exact: windows are ``(t / interval).astype(int64)`` (the
   same IEEE division and truncation as ``int(now / interval)``),
   buckets are ``searchsorted(bounds, v, side="left")``
@@ -83,7 +85,7 @@ class Timeline:
 
     __slots__ = ("interval", "bounds", "max_windows", "_truncated",
                  "_counters", "_hists", "_counter_cols", "_hist_cols",
-                 "_rank_cols", "_windows", "_ranks", "_search")
+                 "_rank_cols", "_windows", "_ranks", "_search", "_unread")
 
     def __init__(self, interval: float, *,
                  bounds: _t.Sequence[float] = LATENCY_BUCKETS_US,
@@ -111,6 +113,17 @@ class Timeline:
         #: Raw context id -> dense rank number, in first-touch order
         #: (deterministic within a run, stable across identical runs).
         self._ranks: dict[int, int] = {}
+        #: Fills the columns from records kept elsewhere before a read
+        #: (the span tracer's hook); ``None`` when nothing waits.
+        self._unread: _t.Callable[[], None] | None = None
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        # Every record in its column, and no hook: a copy has no tracer.
+        if self._unread is not None:
+            self._unread()
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_unread"] = None
+        return None, state
 
     # -- recording -----------------------------------------------------------
 
@@ -152,8 +165,8 @@ class Timeline:
                 value: float) -> None:
         self.histogram_column(name, key).extend((now, value))
 
-    # The series the span tracer records, spelled once for the live
-    # hooks (repro.obs.spans) and the spool replay (repro.obs.stream).
+    # The series the span tracer records, spelled once for its record
+    # fold (repro.obs.spans.RecordFold: live and spool replay alike).
 
     def issued_column(self) -> Column:
         """RSRs issued (``inc`` at the issue span's start)."""
@@ -186,7 +199,10 @@ class Timeline:
     # -- folding -------------------------------------------------------------
 
     def _fold(self) -> None:
-        """Drain every non-empty column into its window cells."""
+        """Drain every non-empty column into its window cells (after
+        ``_unread`` has filled them)."""
+        if self._unread is not None:
+            self._unread()
         for key, column in self._counter_cols.items():
             if column:
                 self._fold_counter(self._counters[key], column)

@@ -288,8 +288,7 @@ class TestDispatch:
         endpoint = b.new_endpoint()
         b.register_handler("h", lambda c, e, buf: None)
         bed.nexus.run_until(b.dispatch(self.message(a, b, endpoint.id)))
-        assert (endpoint.rsrs_received, endpoint.bytes_received,
-                endpoint.last_rsr_at) == (1, 64, bed.sim.now)
+        assert endpoint.rsrs_received == 1
         assert b.rsrs_dispatched == 1
 
     def test_message_for_another_context_is_forwarded(self, pair):

@@ -1,25 +1,27 @@
 """Differential oracle for the registry histogram's fold-on-read.
 
-The tracer's hot paths record a histogram observation as one append to
-its ``pending`` array, and every reader folds the pending values in
-first.  The reference below is the histogram's recording as it was
-before the pending array: every value updates the buckets, ``count``,
-``total``, ``min`` and ``max`` on the spot.  It writes into a real
-:class:`Histogram` whose ``pending`` stays empty, so both sides answer
-through the same reader code, and what is compared is exactly the
-recording and the fold.
+The hot paths record a histogram observation as one append to its
+``pending`` array (a traced poll miss as one more ``zeros``), and every
+reader folds the pending values in first.  The reference below is the
+histogram's recording as it was before the pending array: every value
+updates the buckets, ``count``, ``total``, ``min`` and ``max`` on the
+spot.  It writes into a real :class:`Histogram` whose ``pending`` stays
+empty, so both sides answer through the same reader code, and what is
+compared is exactly the recording and the fold.
 
-Generated programs interleave public ``observe`` calls and hot-path
-appends (through a ``recorder()`` cached once, as the hot paths cache
-it) with one reader at a time — ``mean``, ``quantile``, ``snapshot``,
-the registry's ``collect``, ``snapshot`` and ``histogram()`` lookup, a
-``pickle`` round trip and ``copy.deepcopy`` — so a reader that skipped
-its fold would answer from stale fields.  Values fall on and beside
-every bucket bound, at both signed zeros, in overflow and at ``+inf``,
-and include values whose running sums round differently in any other
-order.  Every answer must agree bit for bit (``total`` by
-``float.hex``, ``min``/``max`` with the sign of zero), and a
-histogram's pickle bytes must equal the eager one's.
+Generated programs interleave public ``observe`` calls, hot-path
+appends (to an ``unfolded()`` array cached once, as the hot paths cache
+it) and ``zeros`` counts (on a histogram that is never appended a
+``-0.0``, as a poll's counts never are) with one reader at a time —
+``mean``, ``quantile``, ``snapshot``, the registry's ``collect``,
+``snapshot`` and ``histogram()`` lookup, a ``pickle`` round trip and
+``copy.deepcopy`` — so a reader that skipped its fold would answer
+from stale fields.  Values fall on and beside every bucket bound, at
+both signed zeros, in overflow and at ``+inf``, and include values
+whose running sums round differently in any other order.  Every answer
+must agree bit for bit (``total`` by ``float.hex``, ``min``/``max``
+with the sign of zero), and a histogram's pickle bytes must equal the
+eager one's.
 """
 
 import copy
@@ -40,9 +42,11 @@ PROFILE = (DEEP if settings.default is DEEP
 #: Two ladders: the small-count one (a bound at 0.0, where the signed
 #: zeros tie) and one with a negative bound.
 LADDERS = {"count": COUNT_BUCKETS, "signed": (-1.0, 0.0, 0.1, 1.0, 1e3)}
-#: ``(name, ladder, method label)`` of every histogram a program uses.
+#: ``(name, ladder, method label)`` of every histogram a program uses;
+#: the last one also counts ``zeros``.
 METRICS = (("poll_batch", "count", "mpl"), ("poll_batch", "count", "tcp"),
-           ("rsr_phase_us", "signed", "mpl"))
+           ("rsr_phase_us", "signed", "mpl"), ("poll_batch", "count", "udp"))
+ZEROS = 3
 BOUNDS = sorted({bound for ladder in LADDERS.values() for bound in ladder})
 
 #: Values whose running sums round differently in any other order.
@@ -76,8 +80,8 @@ class Side:
     def __init__(self):
         self.registry = MetricsRegistry()
         self.hists = [self.lookup(index) for index in range(len(METRICS))]
-        # What the hot paths cache: the recorder, resolved once.
-        self.appends = [hist.recorder() for hist in self.hists]
+        # What the hot paths cache: the pending array, resolved once.
+        self.appends = [hist.unfolded().append for hist in self.hists]
 
     def lookup(self, index):
         name, ladder, method = METRICS[index]
@@ -104,14 +108,23 @@ READERS = ("mean", "quantile", "snapshot", "collect",
            "registry_snapshot", "lookup", "pickle", "deepcopy")
 
 
+def _negative_zero(value):
+    return value == 0.0 and math.copysign(1.0, value) < 0.0
+
+
 @st.composite
 def programs(draw):
-    metric = st.integers(0, len(METRICS) - 1)
+    metric = st.integers(0, ZEROS - 1)
     op = st.one_of(
         st.tuples(st.just("observe"), metric, values()),
         st.tuples(st.just("append"), metric, values()),
         st.tuples(st.just("append"), metric, values()),
-        st.tuples(st.just("read"), metric, st.sampled_from(READERS)))
+        st.tuples(st.just("observe"), st.just(ZEROS), values()),
+        st.tuples(st.just("append"), st.just(ZEROS),
+                  values().filter(lambda value: not _negative_zero(value))),
+        st.tuples(st.just("zero"), st.just(ZEROS), st.just(0.0)),
+        st.tuples(st.just("read"), st.integers(0, ZEROS),
+                  st.sampled_from(READERS)))
     return draw(st.lists(op, max_size=60))
 
 
@@ -158,6 +171,9 @@ def run(program):
         elif kind == "append":
             folded.appends[index](arg)
             eager_observe(eager.hists[index], arg)
+        elif kind == "zero":
+            folded.hists[index].zeros += 1
+            eager_observe(eager.hists[index], arg)
         else:
             assert read(folded, index, arg) == read(eager, index, arg), arg
     for index in range(len(METRICS)):
@@ -165,7 +181,7 @@ def run(program):
             assert (read(folded, index, reader)
                     == read(eager, index, reader)), reader
     for hist in folded.hists:
-        assert len(hist.pending) == 0
+        assert len(hist.pending) == 0 and hist.zeros == 0
 
 
 @PROFILE
@@ -179,6 +195,13 @@ def run(program):
 # Signed zeros: min and max keep the first of equal values.
 @example([("append", 0, 0.0), ("append", 0, -0.0), ("read", 0, "snapshot"),
           ("append", 1, -0.0), ("observe", 1, 0.0), ("read", 1, "lookup")])
+# Zeros beside hits, a negative value and a positive zero, in either
+# order: the bucket of 0.0, min and max as observed one at a time.
+@example([("append", 3, 2.0), ("zero", 3, 0.0), ("read", 3, "snapshot"),
+          ("zero", 3, 0.0), ("append", 3, -1.0), ("read", 3, "pickle"),
+          ("append", 3, 0.0), ("zero", 3, 0.0), ("read", 3, "collect")])
+@example([("zero", 3, 0.0), ("observe", 3, -0.0), ("zero", 3, 0.0),
+          ("read", 3, "lookup")])
 # Every reader asked while values are pending.
 @example([op for reader in READERS
           for op in (("append", 2, 0.1), ("append", 2, 0.2),
@@ -198,16 +221,16 @@ def test_pickled_histogram_has_the_eager_bytes_and_no_pending():
     assert b"pending" not in blob
     clone = pickle.loads(blob).histogram(
         "rsr_phase_us", LADDERS["signed"], method="mpl")
-    clone.recorder()(0.5)
+    clone.unfolded().append(0.5)
     eager_observe(eager.hists[2], 0.5)
     assert clone.snapshot() == eager.hists[2].snapshot()
 
 
 def test_fold_empties_pending_in_place():
-    """A cached recorder stays valid across folds."""
+    """A cached pending array stays valid across folds."""
     hist = Histogram("h", (), (1.0,))
-    append = hist.recorder()
-    assert hist.recorder().__self__ is append.__self__
+    append = hist.unfolded().append
+    assert hist.unfolded() is append.__self__
     append(0.5)
     assert hist.count == 0
     assert hist.mean == 0.5

@@ -661,8 +661,8 @@ class TestSpooledEncoding:
                     # No chain and no open span: the ledger resolves it.
                     expected.append({"k": "r", "rsr": rsr})
                 expected += later
-            spool.record_delivery(0, number, lane, number, delivery_ctx)
-            spool.record_drop_event(0, number, lane)
+            spool.record_delivery((0, number, lane, number, delivery_ctx))
+            spool.record_drop_event((0, number, lane))
             spool.rsr_resolved(7)
             spool.finalize()
             name = spool.shards[0]["name"]
@@ -815,13 +815,13 @@ class TestRotationOracle:
                          "par": number - 1, "attrs": attrs})
                 elif kind == "d":
                     _, _, now, lane, latency, ctx = call
-                    spool.record_delivery(rsr, now, lane, latency, ctx)
+                    spool.record_delivery((rsr, now, lane, latency, ctx))
                     expected_lines.append(
                         {"k": "d", "rsr": rsr, "t": now, "lane": lane,
                          "us": latency, "ctx": ctx})
                 elif kind == "x":
                     _, _, now, lane = call
-                    spool.record_drop_event(rsr, now, lane)
+                    spool.record_drop_event((rsr, now, lane))
                     expected_lines.append(
                         {"k": "x", "rsr": rsr, "t": now, "lane": lane})
                 else:

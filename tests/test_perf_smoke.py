@@ -375,12 +375,16 @@ def test_mpi_world_startup_is_linear_in_ranks():
 
 
 #: Host calls of one warm traced ``run_scenario`` (4 open-loop clients at
-#: 200/s for 0.2 s, 160 RSRs) plus a read of its timeline: 51,056 when a
-#: registry histogram observation became one append folded on read, a
-#: span transition one frame and a traced empty poll one append; 57,133
-#: before, 79,118 before the timeline folded on read.  The budget is that
-#: count plus 10 %.
-SCENARIO_CALL_BUDGET = 56_100
+#: 200/s for 0.2 s, 160 RSRs) plus a read of its timeline: 33,944 when a
+#: traced event became one record in the sink, the registry and the
+#: timeline folding from the records when read and a traced poll miss
+#: one more ``zeros``; 38,557 before (after the send and receive paths
+#: lost their layer crossings), 51,056 when a registry histogram
+#: observation became one append folded on read, a span transition one
+#: frame and a traced empty poll one append; 57,133 before, 79,118
+#: before the timeline folded on read.  The budget is that count plus
+#: 10 %.
+SCENARIO_CALL_BUDGET = 37_340
 
 
 def test_traced_scenario_host_calls_stay_within_budget():
@@ -403,6 +407,40 @@ def test_traced_scenario_host_calls_stay_within_budget():
         f"{count:,} host calls for the fixed traced scenario, budget "
         f"{SCENARIO_CALL_BUDGET:,} — is the timeline observing twice "
         "again, or a handle lookup back on a per-event path?")
+
+
+def _traced_pingpong(roundtrips):
+    """An MPL ping-pong traced under ``obs.collecting()`` with a
+    timeline attached, its registry and timeline read at the end: every
+    RSR's spans, delivery and polls are recorded, then folded."""
+    with obs.collecting():
+        bed = make_sp2(nodes_a=2, nodes_b=0)
+        timeline = bed.nexus.obs.enable_timeline(1e-3)
+        nexus_pingpong(0, roundtrips, testbed=bed)
+    bed.nexus.obs.metrics.snapshot()
+    timeline_document(timeline)
+
+
+#: Host calls per traced MPL roundtrip, measured as the difference
+#: between 300 and 100 of a warm run: 296.645 when a traced event became
+#: one record folded on read and a traced poll miss one more ``zeros``;
+#: 350.535 before, when each span close, delivery and miss updated the
+#: registry and the timeline on the spot.  The budget is that count plus
+#: 10 %.
+TRACED_ROUNDTRIP_CALL_BUDGET = 327
+
+
+def test_traced_roundtrip_host_calls_stay_within_budget():
+    """Deterministic tripwire for host work per traced RSR: an event is
+    written once, to its sink, and costs nothing more until it is
+    read."""
+    per_roundtrip = (_host_calls(lambda: _traced_pingpong(300))
+                     - _host_calls(lambda: _traced_pingpong(100))) / 200
+    assert per_roundtrip <= TRACED_ROUNDTRIP_CALL_BUDGET, (
+        f"{per_roundtrip:,} host calls per traced MPL roundtrip, budget "
+        f"{TRACED_ROUNDTRIP_CALL_BUDGET:,} — does a span close, a delivery "
+        "or a poll miss update the registry or the timeline on the spot "
+        "again?")
 
 
 #: Host calls of one warm ``fold_stream`` over the spool of that traced

@@ -25,7 +25,8 @@ Four more scans read the syntax tree, and they too compare names:
   attribute somewhere in ``src/``, ``examples/``, ``perfbench/``,
   ``benchmarks/`` or ``tests/``, or be a word of a string literal or
   of a ``.json``/``.md``/``.txt`` file there (``self.n += 1`` is a
-  store, not a read);
+  store, not a read, and a name in a ``__slots__`` declaration
+  declares the attribute, it does not read it);
 * every field of a ``@dataclass`` under ``src/repro`` must be read as
   an attribute or passed as a keyword somewhere in those same
   directories; a word in a docstring or a document does not count;
@@ -176,20 +177,40 @@ def _package_modules():
             if path.startswith(PACKAGE + os.sep) and path.endswith(".py")]
 
 
+def _slot_declarations(tree):
+    """The ids of the nodes inside every ``__slots__ = ...`` value."""
+    declared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(target, ast.Name) and target.id == "__slots__"
+               for target in targets):
+            declared.update(map(id, ast.walk(node.value)))
+    return declared
+
+
 @functools.cache
 def _reads():
     """The attribute names loaded, the keyword argument names passed, and
-    the words of string literals and documents, over every reader."""
+    the words of string literals (``__slots__`` declarations aside) and
+    documents, over every reader."""
     loads, keywords, words = set(), set(), set()
     for path in _sources(READERS):
         if path.endswith(".py"):
-            for node in ast.walk(_tree(path)):
+            tree = _tree(path)
+            declared = _slot_declarations(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute) \
                         and isinstance(node.ctx, ast.Load):
                     loads.add(node.attr)
                 elif isinstance(node, ast.keyword):
                     keywords.add(node.arg)
-                words.update(_string_words(node))
+                if id(node) not in declared:
+                    words.update(_string_words(node))
         elif path.endswith(DOCUMENTS):
             with open(path, encoding="utf-8", errors="replace") as handle:
                 words.update(WORD.findall(handle.read()))
